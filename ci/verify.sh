@@ -428,4 +428,15 @@ else
 fi
 rm -f "$serve_json"
 
+# End-to-end benchmark lane (benchmark/README.md): the frozen benchmark
+# must still build against the workspace, pass its own unit tests, and
+# complete a short `observe_record` run — a monitored, traced,
+# --stats=json run read back by `easyview explain` — with every output
+# check of its own passing (.ezv re-encode identity, PPM identity, task
+# and row counts). Exit status only: two seconds on a CI host say
+# nothing about speed, so no metric is gated here.
+(cd benchmark && cargo test -q --offline)
+bash benchmark/run.sh --workload observe_record --seed 1 --seconds 2 --trace 0 >/dev/null
+echo "verify: benchmark builds, its tests pass, observe_record output checks pass"
+
 echo "verify: OK (offline build + tests green, no registry deps, stats JSON parses)"

@@ -132,7 +132,7 @@ where
         )));
     }
 
-    let report: Option<MonitorReport> = monitor.as_ref().map(|m| m.report());
+    let mut report: Option<MonitorReport> = monitor.as_ref().map(|m| m.report());
     if let Some(report) = &report {
         if cfg.display == DisplayMode::Monitoring {
             writeln!(out, "\n=== Activity Monitor ===").unwrap();
@@ -144,13 +144,12 @@ where
                 out.push_str(&report.heat_map(last.iteration).to_ascii());
             }
         }
-        if cfg.trace || cfg.explain {
-            let mut trace = Trace::from_report(TraceMeta::from_config(&cfg), report);
-            if let Some(p) = &perf {
-                trace = trace.with_counters(p.snapshot());
-            }
+    }
+    if cfg.trace || cfg.explain {
+        lend_as_trace(&cfg, &mut report, |trace| {
+            trace.counters = perf.as_ref().map(|p| p.snapshot());
             if cfg.trace {
-                ezp_trace::io::save(&trace, &cfg.trace_file)?;
+                ezp_trace::io::save(trace, &cfg.trace_file)?;
                 writeln!(
                     out,
                     "trace ({} tasks, {} iterations, {} edges) written to {}",
@@ -163,9 +162,10 @@ where
             }
             if cfg.explain {
                 writeln!(out, "\n=== Explain (causal profile) ===").unwrap();
-                out.push_str(&ezp_view::explain(&trace)?.render());
+                out.push_str(&ezp_view::explain(trace)?.render());
             }
-        }
+            Ok(())
+        })?;
     }
 
     observability_tail(&mut out, &cfg, report, perf.as_ref(), kernel.stats_counters())?;
@@ -258,6 +258,22 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
     Ok(out)
 }
 
+/// Runs `f` on the run's report (if any) viewed as a trace. A trace and
+/// a report hold the same vectors, so the records move there and back
+/// instead of being copied.
+fn lend_as_trace(
+    cfg: &RunConfig,
+    report: &mut Option<MonitorReport>,
+    f: impl FnOnce(&mut Trace) -> Result<()>,
+) -> Result<()> {
+    if let Some(owned) = report.take() {
+        let mut trace = Trace::from_owned_report(TraceMeta::from_config(cfg), owned);
+        f(&mut trace)?;
+        *report = Some(trace.into_report()?);
+    }
+    Ok(())
+}
+
 /// The `--trace-events` file and the `--stats` report, appended after
 /// everything else so scripted consumers can split the report off the
 /// human-readable lines above. Shared by the plain, `--frames` and
@@ -266,22 +282,24 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
 fn observability_tail(
     out: &mut String,
     cfg: &RunConfig,
-    report: Option<MonitorReport>,
+    mut report: Option<MonitorReport>,
     perf: Option<&Arc<PerfProbe>>,
     extra_counters: Vec<(String, Vec<u64>)>,
 ) -> Result<()> {
     let spans = perf.map(|p| p.span_snapshot()).unwrap_or_default();
-    if let (Some(path), Some(report)) = (&cfg.trace_events, &report) {
-        let trace = Trace::from_report(TraceMeta::from_config(cfg), report);
-        let doc = ezp_trace::to_chrome(&trace, &spans);
-        std::fs::write(path, doc.dump())?;
-        writeln!(
-            out,
-            "trace events ({} tiles, {} spans) written to {path}",
-            trace.tasks.len(),
-            spans.len()
-        )
-        .unwrap();
+    if let Some(path) = &cfg.trace_events {
+        lend_as_trace(cfg, &mut report, |trace| {
+            let doc = ezp_trace::to_chrome(trace, &spans);
+            std::fs::write(path, doc.dump())?;
+            writeln!(
+                out,
+                "trace events ({} tiles, {} spans) written to {path}",
+                trace.tasks.len(),
+                spans.len()
+            )
+            .unwrap();
+            Ok(())
+        })?;
     }
 
     if let (Some(format), Some(perf)) = (cfg.stats, perf) {

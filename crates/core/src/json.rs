@@ -360,14 +360,21 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
+                    // Copy the whole run up to the next `"` or `\` at
+                    // once. Both are ASCII, which never occurs inside a
+                    // multi-byte sequence, and the input is a &str, so
+                    // the run is whole characters; checking only the
+                    // run (not the rest of the input) keeps parsing
+                    // linear in the input length.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -688,6 +695,19 @@ mod tests {
             let v = Json::Str(s.to_string());
             assert_eq!(round_trip(&v), v, "string {s:?}");
         }
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        // regression: the parser re-validated the whole remaining input
+        // for every character, so a string this long took minutes
+        const LEN: usize = 4 << 20;
+        let plain = Json::Str("x".repeat(LEN));
+        assert_eq!(round_trip(&plain), plain);
+        // escapes and 2/3/4-byte characters interleaved
+        let unit = "ab\"c\\d\n\té λ€ 🚀/\u{0001}";
+        let mixed = Json::Str(unit.repeat(LEN / unit.len() + 1));
+        assert_eq!(round_trip(&mixed), mixed);
     }
 
     #[test]

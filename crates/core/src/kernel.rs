@@ -13,6 +13,7 @@ use crate::error::Result;
 use crate::grid::TileGrid;
 use crate::img::ImagePair;
 use crate::params::RunConfig;
+use crate::time::now_ns;
 use crate::WorkerId;
 use std::sync::Arc;
 
@@ -264,6 +265,19 @@ pub trait Probe: Send + Sync {
     fn start_tile(&self, _worker: WorkerId) {}
     /// Worker `worker` finished the tile with the given pixel rectangle.
     fn end_tile(&self, _x: usize, _y: usize, _w: usize, _h: usize, _worker: WorkerId) {}
+    /// [`Probe::start_tile`] with the edge's timestamp already taken:
+    /// a composite reads the clock once per bracket edge and hands the
+    /// same `now_ns` to every probe it stacks. Probes that timestamp
+    /// tiles put their logic here; the default keeps probes that only
+    /// know `start_tile` working.
+    fn start_tile_at(&self, worker: WorkerId, _now_ns: u64) {
+        self.start_tile(worker);
+    }
+    /// [`Probe::end_tile`] with the edge's timestamp already taken (see
+    /// [`Probe::start_tile_at`]).
+    fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, _now_ns: u64) {
+        self.end_tile(x, y, w, h, worker);
+    }
     /// A scheduler event occurred on `worker` (see [`RuntimeEvent`]).
     fn runtime_event(&self, _worker: WorkerId, _event: RuntimeEvent) {}
     /// Whether this probe consumes [`RuntimeEvent`]s. The scheduling
@@ -318,13 +332,19 @@ impl Probe for MultiProbe {
         }
     }
     fn start_tile(&self, worker: WorkerId) {
-        for p in &self.probes {
-            p.start_tile(worker);
-        }
+        self.start_tile_at(worker, now_ns());
     }
     fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
+        self.end_tile_at(x, y, w, h, worker, now_ns());
+    }
+    fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
         for p in &self.probes {
-            p.end_tile(x, y, w, h, worker);
+            p.start_tile_at(worker, now_ns);
+        }
+    }
+    fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, now_ns: u64) {
+        for p in &self.probes {
+            p.end_tile_at(x, y, w, h, worker, now_ns);
         }
     }
     fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
@@ -484,6 +504,35 @@ mod tests {
             assert_eq!(p.starts.load(Ordering::Relaxed), 1);
             assert_eq!(p.ends.load(Ordering::Relaxed), 1);
         }
+    }
+
+    #[test]
+    fn stacked_probes_share_one_timestamp_per_edge() {
+        #[derive(Default)]
+        struct StampProbe(std::sync::Mutex<Vec<u64>>);
+        impl Probe for StampProbe {
+            fn start_tile_at(&self, _: WorkerId, now_ns: u64) {
+                self.0.lock().unwrap().push(now_ns);
+            }
+            fn end_tile_at(&self, _: usize, _: usize, _: usize, _: usize, _: WorkerId, t: u64) {
+                self.0.lock().unwrap().push(t);
+            }
+        }
+        let a = Arc::new(StampProbe::default());
+        let b = Arc::new(StampProbe::default());
+        // a probe that only knows the untimed hooks rides along through
+        // the `*_at` defaults, also when composites nest
+        let plain = Arc::new(CountingProbe::default());
+        let inner = Arc::new(MultiProbe::new(vec![b.clone(), plain.clone()]));
+        let multi = MultiProbe::new(vec![a.clone(), inner]);
+        multi.start_tile(0);
+        multi.end_tile(0, 0, 1, 1, 0);
+        let stamps = a.0.lock().unwrap().clone();
+        assert_eq!(stamps.len(), 2);
+        assert!(stamps[0] <= stamps[1]);
+        assert_eq!(*b.0.lock().unwrap(), stamps);
+        assert_eq!(plain.starts.load(Ordering::Relaxed), 1);
+        assert_eq!(plain.ends.load(Ordering::Relaxed), 1);
     }
 
     #[test]

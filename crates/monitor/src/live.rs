@@ -3,19 +3,16 @@
 //! Worker threads call [`ezp_core::kernel::Probe::start_tile`] /
 //! `end_tile` around every tile, so collection must not serialize them.
 //! Each worker gets its own cache-line-padded slot holding the open-tile
-//! timestamp and a private event channel: records ride an unbounded
-//! [`ezp_chan`] lane (a lock-free ring push on the default backend, so
-//! the tile hot path takes no lock), harvested into an accumulator when
-//! a report is requested. The backend is selectable via
-//! [`Monitor::with_tuning`], which is how the conformance matrix holds
-//! both substrates to identical reports.
+//! timestamp and the log of its finished tiles. Only the owning worker
+//! appends to a log, so its lock is uncontended on the tile hot path; a
+//! report locks the logs just long enough to copy them out, then merges
+//! the per-worker runs — each already in time order — into one vector.
 
 use crate::record::{DepEdge, TileRecord};
 use crate::report::{IterationSpan, MonitorReport};
-use ezp_chan::{unbounded, ChanReceiver, ChanSender, TryRecvError};
 use ezp_core::kernel::{EdgeKind, Probe};
 use ezp_core::time::now_ns;
-use ezp_core::{ChanTuning, TileGrid, WorkerId};
+use ezp_core::{TileGrid, WorkerId};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -26,43 +23,12 @@ use std::sync::Mutex;
 #[repr(align(128))]
 struct WorkerSlot {
     /// Timestamp of the currently open tile (`u64::MAX` when none).
-    /// counter-only: the timestamp is the entire payload; the monitor
-    /// thread tolerates reading one frame stale.
+    /// counter-only: the timestamp is the entire payload and only the
+    /// owning worker reads or writes it.
     open_start: AtomicU64,
-    /// This worker's event lane. Only this worker sends; unbounded, so
-    /// a send never blocks the tile hot path.
-    tx: Box<dyn ChanSender<TileRecord>>,
-    /// Harvest side of the lane, drained under `harvested`'s lock.
-    rx: Box<dyn ChanReceiver<TileRecord>>,
-    /// Everything harvested from the lane so far — reports are
-    /// snapshots, not drains, so records accumulate here.
-    harvested: Mutex<Vec<TileRecord>>,
-}
-
-impl WorkerSlot {
-    fn new(tuning: ChanTuning) -> Self {
-        let (mut txs, rx) = unbounded::<TileRecord>(tuning, 1);
-        WorkerSlot {
-            open_start: AtomicU64::new(u64::MAX),
-            tx: txs.pop().expect("one sender lane"),
-            rx,
-            harvested: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Drains the lane into the accumulator and copies everything
-    /// collected so far. The lock makes concurrent reports serialize,
-    /// so each in-flight record lands in the accumulator exactly once.
-    fn snapshot(&self) -> Vec<TileRecord> {
-        let mut harvested = self.harvested.lock().unwrap();
-        loop {
-            match self.rx.try_recv() {
-                Ok(r) => harvested.push(r),
-                Err(TryRecvError::Empty) | Err(TryRecvError::Closed) => break,
-            }
-        }
-        harvested.clone()
-    }
+    /// This worker's finished tiles in recording order. Reports are
+    /// snapshots, not drains, so records stay here for the next one.
+    log: Mutex<Vec<TileRecord>>,
 }
 
 /// The live monitor: a [`Probe`] implementation recording every tile.
@@ -82,16 +48,18 @@ pub struct Monitor {
 impl Monitor {
     /// Creates a monitor for `workers` threads over `grid`.
     pub fn new(workers: usize, grid: TileGrid) -> Self {
-        Self::with_tuning(workers, grid, ChanTuning::default())
-    }
-
-    /// [`Monitor::new`] with the event channel's backend and wait
-    /// policy chosen by `tuning` (`--chan-backend`, `--wait-policy`).
-    pub fn with_tuning(workers: usize, grid: TileGrid, tuning: ChanTuning) -> Self {
         assert!(workers > 0, "monitor needs at least one worker");
+        // Room for an even share of one iteration, allocated here rather
+        // than by a worker's first `end_tile`: a thread's first
+        // allocation makes it set up a malloc arena of its own, inside
+        // the iteration the monitor is timing.
+        let slot = || WorkerSlot {
+            open_start: AtomicU64::new(u64::MAX),
+            log: Mutex::new(Vec::with_capacity(grid.len().div_ceil(workers))),
+        };
         Monitor {
             grid,
-            slots: (0..workers).map(|_| WorkerSlot::new(tuning)).collect(),
+            slots: (0..workers).map(|_| slot()).collect(),
             current_iteration: AtomicU32::new(0),
             iterations: Mutex::new(Vec::new()),
             edges: Mutex::new(BTreeSet::new()),
@@ -106,10 +74,19 @@ impl Monitor {
     /// Harvests everything collected so far into an analysable report.
     /// The monitor can keep running; records are *copied* out.
     pub fn report(&self) -> MonitorReport {
-        let mut records: Vec<TileRecord> = Vec::new();
-        for slot in &self.slots {
-            records.extend(slot.snapshot());
+        // Workers only ever take their own lock and reports take them in
+        // slot order, so holding all of them (one consistent cut, and an
+        // exactly sized copy) cannot deadlock.
+        let logs: Vec<_> = self.slots.iter().map(|s| s.log.lock().unwrap()).collect();
+        let mut records = Vec::with_capacity(logs.iter().map(|log| log.len()).sum());
+        for log in &logs {
+            records.extend_from_slice(log);
         }
+        drop(logs);
+        // A worker records in time order, so this is k sorted runs end
+        // to end, which the standard stable sort — a natural-run merge
+        // sort — merges in one pass. It still sorts should a run be out
+        // of order (an iteration number that went backwards).
         records.sort_by_key(|r| (r.iteration, r.start_ns));
         let mut iterations = self.iterations.lock().unwrap().clone();
         // close a still-open iteration so that live snapshots work
@@ -158,28 +135,34 @@ impl Probe for Monitor {
     }
 
     fn start_tile(&self, worker: WorkerId) {
-        self.slot(worker).open_start.store(now_ns(), Ordering::Relaxed);
+        self.start_tile_at(worker, now_ns());
     }
 
     fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
+        self.end_tile_at(x, y, w, h, worker, now_ns());
+    }
+
+    fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
+        self.slot(worker).open_start.store(now_ns, Ordering::Relaxed);
+    }
+
+    fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, end: u64) {
         let slot = self.slot(worker);
-        let start = slot.open_start.swap(u64::MAX, Ordering::Relaxed);
-        let end = now_ns();
+        let start = slot.open_start.load(Ordering::Relaxed);
+        slot.open_start.store(u64::MAX, Ordering::Relaxed);
         // An end without a start is an instrumentation bug in the kernel;
         // record a zero-length task rather than poisoning the run.
         let start = if start == u64::MAX { end } else { start };
-        slot.tx
-            .send(TileRecord {
-                iteration: self.current_iteration.load(Ordering::Acquire),
-                x,
-                y,
-                w,
-                h,
-                start_ns: start,
-                end_ns: end,
-                worker,
-            })
-            .expect("monitor event lane closed while its slot is alive");
+        slot.log.lock().unwrap().push(TileRecord {
+            iteration: self.current_iteration.load(Ordering::Acquire),
+            x,
+            y,
+            w,
+            h,
+            start_ns: start,
+            end_ns: end,
+            worker,
+        });
     }
 
     fn dep_edge(&self, from: usize, to: usize, kind: EdgeKind) {
@@ -303,40 +286,6 @@ mod tests {
             }
         );
         assert_eq!(rep.edges[2].edge_kind(), Some(EdgeKind::Capacity));
-    }
-
-    #[test]
-    fn every_backend_and_policy_yields_the_same_report() {
-        use ezp_core::{ChanBackendKind, WaitPolicy};
-        let collect = |tuning| {
-            let m = Arc::new(Monitor::with_tuning(4, grid(), tuning));
-            m.iteration_start(1);
-            let handles: Vec<_> = (0..4)
-                .map(|w| {
-                    let m = m.clone();
-                    std::thread::spawn(move || {
-                        for i in 0..50 {
-                            m.start_tile(w);
-                            m.end_tile(i % 4 * 16, w * 16, 16, 16, w);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            m.iteration_end(1);
-            let mut rec = m.report().records;
-            rec.sort_by_key(|r| (r.worker, r.x, r.y));
-            rec.iter().map(|r| (r.worker, r.x, r.y, r.w, r.h)).collect::<Vec<_>>()
-        };
-        let baseline = collect(ChanTuning::default());
-        for backend in ChanBackendKind::all() {
-            for policy in WaitPolicy::all() {
-                let tuning = ChanTuning { backend, policy };
-                assert_eq!(collect(tuning), baseline, "{tuning:?}");
-            }
-        }
     }
 
     #[test]

@@ -49,6 +49,17 @@ impl TileRecord {
     }
 }
 
+/// The records of iteration `it` within `records`: the contiguous run
+/// found by binary search. `records` must be grouped by non-decreasing
+/// iteration — which [`crate::MonitorReport::new`] establishes and
+/// trace validation checks — so asking for every iteration in turn
+/// costs O(records) overall instead of one full scan per iteration.
+pub fn iteration_run(records: &[TileRecord], it: u32) -> &[TileRecord] {
+    let lo = records.partition_point(|r| r.iteration < it);
+    let len = records[lo..].partition_point(|r| r.iteration == it);
+    &records[lo..lo + len]
+}
+
 /// One task-graph dependency edge observed during a run: `from` must
 /// complete before `to` may start, for the reason `kind` encodes
 /// (data / width / capacity — see `ezp_core::kernel::EdgeKind`). Edges

@@ -1,7 +1,7 @@
 //! Analysis of harvested monitoring data: per-iteration per-CPU
 //! busy/idle accounting — the numbers behind the Activity Monitor window.
 
-use crate::record::{DepEdge, TileRecord};
+use crate::record::{iteration_run, DepEdge, TileRecord};
 use crate::tiling::{HeatMap, TilingSnapshot};
 use ezp_core::json::{FromJson, Json, ToJson};
 use ezp_core::TileGrid;
@@ -142,14 +142,20 @@ pub struct MonitorReport {
 }
 
 impl MonitorReport {
-    /// Assembles a report (records must already be sorted by iteration
-    /// then start time; [`crate::Monitor::report`] guarantees it).
+    /// Assembles a report. Records are expected sorted by iteration
+    /// then start time ([`crate::Monitor::report`] guarantees it); if
+    /// they are not even grouped by iteration they are stably re-sorted
+    /// by it, so the per-iteration queries — binary searches — see
+    /// exactly the records a full scan would, in the same order.
     pub fn new(
         workers: usize,
         grid: TileGrid,
         iterations: Vec<IterationSpan>,
-        records: Vec<TileRecord>,
+        mut records: Vec<TileRecord>,
     ) -> Self {
+        if !records.is_sorted_by_key(|r| r.iteration) {
+            records.sort_by_key(|r| r.iteration);
+        }
         MonitorReport {
             workers,
             grid,
@@ -168,7 +174,7 @@ impl MonitorReport {
 
     /// Records belonging to iteration `it`.
     pub fn records_of_iteration(&self, it: u32) -> impl Iterator<Item = &TileRecord> {
-        self.records.iter().filter(move |r| r.iteration == it)
+        iteration_run(&self.records, it).iter()
     }
 
     /// Per-CPU activity stats for iteration `it`, or `None` when the

@@ -21,6 +21,13 @@ pub struct CounterId(usize);
 #[derive(Default)]
 struct Slot(AtomicU64);
 
+/// Updates a cell that has a single writer: a load and a store, not a
+/// `lock`-prefixed RMW (which costs as much uncontended as contended).
+#[inline]
+pub(crate) fn owner_update(cell: &AtomicU64, f: impl FnOnce(u64) -> u64) {
+    cell.store(f(cell.load(Ordering::Relaxed)), Ordering::Relaxed);
+}
+
 /// A registry of named counters, one padded slot per worker each.
 pub struct CounterSet {
     workers: usize,
@@ -85,6 +92,16 @@ impl CounterSet {
     pub fn add(&self, id: CounterId, worker: usize, delta: u64) {
         let w = worker.min(self.workers - 1);
         self.slots[id.0][w].0.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// [`CounterSet::add`] for a slot that only `worker` itself writes
+    /// (the tile-bracket counters): a plain load and store instead of a
+    /// `lock`-prefixed RMW. Two threads writing one slot this way lose
+    /// updates — use `add` wherever a slot can be shared.
+    #[inline]
+    pub fn add_owned(&self, id: CounterId, worker: usize, delta: u64) {
+        let slot = &self.slots[id.0][worker.min(self.workers - 1)].0;
+        owner_update(slot, |v| v.wrapping_add(delta));
     }
 
     /// Adds 1 to the counter on `worker`'s slot.

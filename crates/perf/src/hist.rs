@@ -6,8 +6,9 @@
 //! `leading_zeros` and a handful of relaxed RMWs — but those RMWs hit
 //! shared cache lines, so a histogram recorded by *every worker on
 //! every tile* must not be shared: [`ShardedHistogram`] gives each
-//! worker its own cache-line-aligned shard and merges at read time,
-//! the same write-local/read-merge split `CounterSet` uses. That is
+//! worker its own cache-line-aligned shard — written with plain loads
+//! and stores, since the shard has one writer — and merges at read
+//! time, the same write-local/read-merge split `CounterSet` uses. That is
 //! what keeps histogram recording inside the tile-bracket hot path the
 //! `perf_overhead` bench gates at ≤5%.
 //!
@@ -18,6 +19,7 @@
 //! alike" from "a heavy tail" — the distinction the advisor rules and
 //! `docs/profiling.md` trade on.
 
+use crate::counters::owner_update;
 use ezp_core::json::{Json, ToJson};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,6 +80,19 @@ impl LogHistogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// [`LogHistogram::record`] for a histogram with one writer at a
+    /// time (a worker's shard of a [`ShardedHistogram`]): plain loads
+    /// and stores, none of `record`'s five RMWs and two CAS loops.
+    ///
+    /// ORDERING: counter-only, as in `record`.
+    fn record_owned(&self, v: u64) {
+        owner_update(&self.buckets[bucket_of(v)], |n| n.wrapping_add(1));
+        owner_update(&self.count, |n| n.wrapping_add(1));
+        owner_update(&self.sum, |sum| sum.wrapping_add(v));
+        owner_update(&self.min, |min| min.min(v));
+        owner_update(&self.max, |max| max.max(v));
     }
 
     /// Observations recorded so far.
@@ -173,11 +188,12 @@ impl ShardedHistogram {
         self.shards[0].name
     }
 
-    /// Records one observation into `worker`'s shard. Out-of-range
-    /// workers clamp to the last shard rather than panic (same policy
-    /// as the probe's tile-start slots).
+    /// Records one observation into `worker`'s shard, which only that
+    /// worker may be writing (two writers on one shard lose updates).
+    /// Out-of-range workers clamp to the last shard rather than panic
+    /// (same policy as the probe's tile-start slots).
     pub fn record(&self, worker: usize, v: u64) {
-        self.shards[worker.min(self.shards.len() - 1)].record(v);
+        self.shards[worker.min(self.shards.len() - 1)].record_owned(v);
     }
 
     /// Observations recorded so far, across all shards.

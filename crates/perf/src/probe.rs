@@ -179,76 +179,39 @@ pub struct PerfProbe {
 }
 
 impl PerfProbe {
-    /// A probe for `workers` worker threads with the default span
-    /// ring capacity.
+    /// A probe for `workers` worker threads.
     pub fn new(workers: usize) -> Self {
-        Self::with_span_capacity(workers, DEFAULT_CAPACITY)
-    }
-
-    /// A probe whose span rings hold `capacity` records per worker.
-    pub fn with_span_capacity(workers: usize, capacity: usize) -> Self {
         let mut counters = CounterSet::new(workers);
-        let tasks = counters.register(names::TASKS_EXECUTED);
-        let chunks = counters.register(names::CHUNKS_DISPENSED);
-        let steals_att = counters.register(names::STEALS_ATTEMPTED);
-        let steals_ok = counters.register(names::STEALS_SUCCEEDED);
-        let idle = counters.register(names::IDLE_NS);
-        let idle_by_cause =
-            names::IDLE_NS_BY_CAUSE.map(|name| counters.register(name));
-        let barriers = counters.register(names::BARRIER_WAITS);
-        let task_waits = counters.register(names::TASK_WAITS);
-        let deque_steals = counters.register(names::DEQUE_STEALS);
-        let pool_parks = counters.register(names::POOL_PARKS);
-        let pool_spins = counters.register(names::POOL_SPINS);
-        let shadow_races = counters.register(names::SHADOW_RACES);
-        let backpressure = counters.register(names::BACKPRESSURE_STALLS);
-        let frames_emitted = counters.register(names::FRAMES_EMITTED);
-        let frames_in_flight = counters.register(names::FRAMES_IN_FLIGHT);
-        let reorder_depth = counters.register(names::REORDER_BUFFER_DEPTH);
-        let stage_occupancy = counters.register(names::STAGE_OCCUPANCY);
-        let chan_sends = counters.register(names::CHAN_SENDS);
-        let chan_recvs = counters.register(names::CHAN_RECVS);
-        let chan_full_stalls = counters.register(names::CHAN_FULL_STALLS);
-        let chan_empty_stalls = counters.register(names::CHAN_EMPTY_STALLS);
+        let mut id = |name| counters.register(name);
         PerfProbe {
+            tasks: id(names::TASKS_EXECUTED),
+            chunks: id(names::CHUNKS_DISPENSED),
+            steals_att: id(names::STEALS_ATTEMPTED),
+            steals_ok: id(names::STEALS_SUCCEEDED),
+            idle: id(names::IDLE_NS),
+            idle_by_cause: names::IDLE_NS_BY_CAUSE.map(&mut id),
+            barriers: id(names::BARRIER_WAITS),
+            task_waits: id(names::TASK_WAITS),
+            deque_steals: id(names::DEQUE_STEALS),
+            pool_parks: id(names::POOL_PARKS),
+            pool_spins: id(names::POOL_SPINS),
+            shadow_races: id(names::SHADOW_RACES),
+            backpressure: id(names::BACKPRESSURE_STALLS),
+            frames_emitted: id(names::FRAMES_EMITTED),
+            frames_in_flight: id(names::FRAMES_IN_FLIGHT),
+            reorder_depth: id(names::REORDER_BUFFER_DEPTH),
+            stage_occupancy: id(names::STAGE_OCCUPANCY),
+            chan_sends: id(names::CHAN_SENDS),
+            chan_recvs: id(names::CHAN_RECVS),
+            chan_full_stalls: id(names::CHAN_FULL_STALLS),
+            chan_empty_stalls: id(names::CHAN_EMPTY_STALLS),
             counters,
-            spans: SpanSet::new(workers, capacity),
-            tasks,
-            chunks,
-            steals_att,
-            steals_ok,
-            idle,
-            idle_by_cause,
-            barriers,
-            task_waits,
-            deque_steals,
-            pool_parks,
-            pool_spins,
-            shadow_races,
-            backpressure,
-            frames_emitted,
-            frames_in_flight,
-            reorder_depth,
-            stage_occupancy,
-            chan_sends,
-            chan_recvs,
-            chan_full_stalls,
-            chan_empty_stalls,
+            spans: SpanSet::new(workers, DEFAULT_CAPACITY),
             iter_start: AtomicU64::new(0),
             tile_start: (0..workers.max(1)).map(|_| TileStart(AtomicU64::new(0))).collect(),
             task_hist: ShardedHistogram::new("task_ns", workers),
             frame_hist: LogHistogram::new("frame_ns"),
         }
-    }
-
-    /// The live counter set (for direct reads in tests).
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
-    }
-
-    /// The span rings.
-    pub fn spans(&self) -> &SpanSet {
-        &self.spans
     }
 
     /// Point-in-time copy of every counter.
@@ -293,16 +256,28 @@ impl Probe for PerfProbe {
     }
 
     fn start_tile(&self, worker: WorkerId) {
-        let slot = worker.min(self.tile_start.len() - 1);
-        self.tile_start[slot].0.store(now_ns(), Ordering::Relaxed);
+        self.start_tile_at(worker, now_ns());
     }
 
-    fn end_tile(&self, _x: usize, _y: usize, _w: usize, _h: usize, worker: WorkerId) {
-        self.counters.incr(self.tasks, worker);
+    fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
+        self.end_tile_at(x, y, w, h, worker, now_ns());
+    }
+
+    fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
         let slot = worker.min(self.tile_start.len() - 1);
-        let start = self.tile_start[slot].0.swap(0, Ordering::Relaxed);
+        self.tile_start[slot].0.store(now_ns, Ordering::Relaxed);
+    }
+
+    // A worker's tile brackets run on that worker alone, so everything
+    // they touch (its task counter slot, tile-start slot and histogram
+    // shard) is owner-written: plain loads and stores, no RMW.
+    fn end_tile_at(&self, _: usize, _: usize, _: usize, _: usize, worker: WorkerId, now_ns: u64) {
+        self.counters.add_owned(self.tasks, worker, 1);
+        let slot = &self.tile_start[worker.min(self.tile_start.len() - 1)].0;
+        let start = slot.load(Ordering::Relaxed);
+        slot.store(0, Ordering::Relaxed);
         if start != 0 {
-            self.task_hist.record(slot, now_ns().saturating_sub(start));
+            self.task_hist.record(worker, now_ns.saturating_sub(start));
         }
     }
 

@@ -85,11 +85,6 @@ impl SpanSet {
         }
     }
 
-    /// [`SpanSet::new`] with [`DEFAULT_CAPACITY`].
-    pub fn with_default_capacity(workers: usize) -> Self {
-        SpanSet::new(workers, DEFAULT_CAPACITY)
-    }
-
     /// Number of worker rings.
     pub fn workers(&self) -> usize {
         self.rings.len()

@@ -209,9 +209,12 @@ impl Admission {
                 retry_after_ms: 0,
             });
         }
-        match self.lanes[slot].tx.try_send(job) {
+        // Count the job before it becomes visible: a runner may take it,
+        // and decrement the depth, before this thread runs again.
+        let lane = &self.lanes[slot];
+        let depth = lane.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        match lane.tx.try_send(job) {
             Ok(()) => {
-                let depth = self.lanes[slot].depth.fetch_add(1, Ordering::Relaxed) + 1;
                 self.admit_seq.fetch_add(1, Ordering::SeqCst);
                 drop(gate);
                 self.metrics.admitted(slot, depth);
@@ -219,6 +222,7 @@ impl Admission {
                 Ok((id, tenant, slot))
             }
             Err(TrySendError::Full(_)) => {
+                lane.depth.fetch_sub(1, Ordering::Relaxed);
                 self.metrics.rejected(slot);
                 Err(Reject {
                     reason: format!(
@@ -229,6 +233,7 @@ impl Admission {
                 })
             }
             Err(TrySendError::Closed(_)) => {
+                lane.depth.fetch_sub(1, Ordering::Relaxed);
                 self.metrics.rejected(slot);
                 Err(Reject {
                     reason: "server is shutting down".to_string(),

@@ -17,7 +17,9 @@
 //!   unwind included — so a misbehaving job cannot leak a pool slot.
 //!
 //! Responses are written under a per-connection mutex so `Accepted`
-//! and `Done` frames from different threads never interleave bytes.
+//! and `Done` frames from different threads never interleave bytes;
+//! the reader holds it from enqueue to the `Accepted` write, so a
+//! job's `Accepted` always precedes its terminal frame.
 
 use crate::admission::{Admission, Job, JobTicket, ReplySink};
 use crate::metrics::ServeMetrics;
@@ -237,6 +239,11 @@ impl Conn {
     /// terminal frame, and the connection stays usable.
     fn send(&self, resp: &Response) {
         let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
+        self.write(&mut stream, resp);
+    }
+
+    /// [`Conn::send`] on the already locked write half.
+    fn write(&self, stream: &mut TcpStream, resp: &Response) {
         match write_frame(&mut *stream, &resp.to_json()) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
@@ -307,13 +314,20 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
 
 fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: JobSpec) {
     let reply: Arc<dyn ReplySink> = Arc::clone(conn) as Arc<dyn ReplySink>;
-    match shared.admission.submit(spec, Arc::clone(&conn.ticket), reply) {
-        Ok((job_id, tenant, _slot)) => conn.send(&Response::Accepted { job_id, tenant }),
-        Err(rej) => conn.send(&Response::Rejected {
+    // The job is runnable the moment it is enqueued, and a runner may
+    // finish it before this thread writes another byte. Holding the
+    // connection's writer across enqueue + `accepted` makes that
+    // runner's `done` wait its turn, so `accepted` is always the first
+    // frame of its job. (`submit` never writes to the reply sink.)
+    let mut stream = conn.stream.lock().unwrap_or_else(|e| e.into_inner());
+    let resp = match shared.admission.submit(spec, Arc::clone(&conn.ticket), reply) {
+        Ok((job_id, tenant, _slot)) => Response::Accepted { job_id, tenant },
+        Err(rej) => Response::Rejected {
             reason: rej.reason,
             retry_after_ms: rej.retry_after_ms,
-        }),
-    }
+        },
+    };
+    conn.write(&mut stream, &resp);
 }
 
 fn runner_loop(shared: Arc<Shared>) {

@@ -287,3 +287,37 @@ fn unknown_kernel_fails_the_job_not_the_daemon() {
     let (_adm, _rej, completed, _canc, failed) = summary.totals;
     assert_eq!((completed, failed), (1, 1));
 }
+
+#[test]
+fn accepted_always_precedes_the_terminal_frame() {
+    // regression: the job was enqueued before `accepted` was written,
+    // so a fast runner's `done` could overtake it (about one tiny job
+    // in a few hundred) and `Client::submit` desynchronised: it took
+    // the early `done` as terminal and the late `accepted` as the next
+    // job's answer
+    const JOBS: usize = 2000;
+    let server = Server::start(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+    let addr = server.addr().to_string();
+    std::thread::scope(|s| {
+        for tenant in ["t0", "t1"] {
+            let addr = &addr;
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let job = JobSpec { size: 16, ..small_job(tenant) };
+                let mut last_id = None;
+                for n in 0..JOBS {
+                    match client.submit(&job).expect("submit") {
+                        Response::Done { job_id, .. } => {
+                            assert!(Some(job_id) > last_id, "job ids go up per connection");
+                            last_id = Some(job_id);
+                        }
+                        other => panic!("job {n} of {tenant}: {}", other.to_json().dump()),
+                    }
+                }
+            });
+        }
+    });
+    let (admitted, rejected, completed, cancelled, failed) = server.shutdown().totals;
+    assert_eq!(admitted, 2 * JOBS as u64);
+    assert_eq!((rejected, completed, cancelled, failed), (0, admitted, 0, 0));
+}

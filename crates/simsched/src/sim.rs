@@ -144,7 +144,7 @@ impl SimResult {
     /// Re-materializes a [`MonitorReport`] for tiling/activity analyses.
     pub fn to_report(&self, cost_map: &CostMap, kernel: &str, variant: &str) -> MonitorReport {
         self.to_trace(cost_map, kernel, variant)
-            .to_report()
+            .into_report()
             .expect("simulated trace is always well-formed")
     }
 }

@@ -3,6 +3,7 @@
 use ezp_core::error::{Error, Result};
 use ezp_core::json::{FromJson, Json, ToJson};
 use ezp_core::{RunConfig, TileGrid};
+use ezp_monitor::record::iteration_run;
 use ezp_monitor::report::IterationSpan;
 use ezp_monitor::{DepEdge, MonitorReport, TileRecord};
 use ezp_perf::CounterSnapshot;
@@ -94,13 +95,20 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Builds a trace from a live monitoring report.
+    /// Builds a trace from a live monitoring report, copying it.
     pub fn from_report(meta: TraceMeta, report: &MonitorReport) -> Self {
+        Self::from_owned_report(meta, report.clone())
+    }
+
+    /// [`Trace::from_report`] for a caller that is done with the report
+    /// (or takes it back through [`Trace::into_report`]): the records
+    /// move instead of being copied.
+    pub fn from_owned_report(meta: TraceMeta, report: MonitorReport) -> Self {
         Trace {
             meta,
-            iterations: report.iterations.clone(),
-            tasks: report.records.clone(),
-            edges: report.edges.clone(),
+            iterations: report.iterations,
+            tasks: report.records,
+            edges: report.edges,
             counters: None,
         }
     }
@@ -115,13 +123,15 @@ impl Trace {
     /// Re-materializes a [`MonitorReport`] (the analysis entry point) so
     /// that every monitor-side analysis also works post mortem.
     pub fn to_report(&self) -> Result<MonitorReport> {
-        Ok(MonitorReport::new(
-            self.meta.threads,
-            self.meta.grid()?,
-            self.iterations.clone(),
-            self.tasks.clone(),
-        )
-        .with_edges(self.edges.clone()))
+        self.clone().into_report()
+    }
+
+    /// [`Trace::to_report`] consuming the trace: the tasks move into the
+    /// report instead of being copied.
+    pub fn into_report(self) -> Result<MonitorReport> {
+        let grid = self.meta.grid()?;
+        let report = MonitorReport::new(self.meta.threads, grid, self.iterations, self.tasks);
+        Ok(report.with_edges(self.edges))
     }
 
     /// Number of recorded iterations.
@@ -147,9 +157,10 @@ impl Trace {
         Some((start, end))
     }
 
-    /// Tasks of iteration `it`.
+    /// Tasks of iteration `it`: a binary search over `tasks`, which are
+    /// sorted by iteration (see [`Trace::validate`]).
     pub fn tasks_of_iteration(&self, it: u32) -> impl Iterator<Item = &TileRecord> {
-        self.tasks.iter().filter(move |t| t.iteration == it)
+        iteration_run(&self.tasks, it).iter()
     }
 
     /// Tasks executed by `worker` in iteration range `[lo, hi]`
