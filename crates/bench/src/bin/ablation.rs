@@ -38,7 +38,7 @@ fn main() {
         }
         println!();
     }
-    println!("(read: with costly dispatch, bigger chunks win; at zero overhead, k=1 is unbeatable)\n");
+    println!("(read: with costly dispatch, bigger chunks win; at zero overhead, the smallest chunks (k <= 2) win)\n");
 
     // 2) steal granularity for nonmonotonic:dynamic
     println!("== 2) nonmonotonic:dynamic steal/local chunk k (P={threads}, overhead 200ns) ==");

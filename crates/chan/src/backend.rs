@@ -6,8 +6,8 @@
 //! frame driver, the MPI rank mailboxes, the monitor event channel)
 //! program against, and what `--chan-backend {ring,mpsc}` switches: the
 //! conformance suite re-runs streaming kernels over both backends and
-//! asserts byte-identical output, and `ci/BENCH_chan.json` compares
-//! their throughput.
+//! asserts byte-identical output, and the `chan.*` per-layer metrics
+//! of `benchmark/` time both.
 //!
 //! Capacity semantics: for `bounded(…, producers, cap)` both backends
 //! guarantee *at least* `producers × cap` buffered items in aggregate —

@@ -61,18 +61,6 @@ pub struct ChanStats {
 }
 
 impl ChanStats {
-    /// `self - earlier`, saturating: the delta between two snapshots of
-    /// the same channel.
-    pub fn delta_since(&self, earlier: &ChanStats) -> ChanStats {
-        ChanStats {
-            sends: self.sends.saturating_sub(earlier.sends),
-            recvs: self.recvs.saturating_sub(earlier.recvs),
-            full_stalls: self.full_stalls.saturating_sub(earlier.full_stalls),
-            empty_stalls: self.empty_stalls.saturating_sub(earlier.empty_stalls),
-            stall_ns: self.stall_ns.saturating_sub(earlier.stall_ns),
-        }
-    }
-
     /// Component-wise sum, for merging stats across several channels.
     pub fn merge(&self, other: &ChanStats) -> ChanStats {
         ChanStats {

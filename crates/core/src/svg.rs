@@ -56,15 +56,6 @@ impl SvgCanvas {
         );
     }
 
-    /// Rectangle outline.
-    pub fn rect_outline(&mut self, x: f64, y: f64, w: f64, h: f64, stroke: Rgba, stroke_width: f64) {
-        let _ = writeln!(
-            self.body,
-            r#"<rect x="{x:.2}" y="{y:.2}" width="{w:.2}" height="{h:.2}" fill="none" stroke="{}" stroke-width="{stroke_width:.2}"/>"#,
-            svg_color(stroke)
-        );
-    }
-
     /// Straight line.
     pub fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: Rgba, width: f64) {
         let _ = writeln!(

@@ -31,8 +31,8 @@
 //!
 //! Everything is resolved per *crate* (manifest `package.name`), so a
 //! fixture crate that happens to reuse a field name cannot collide
-//! with the real workspace. Integration tests, benches and examples
-//! (`tests/`, `benches/`, `examples/` path components) and
+//! with the real workspace. Integration tests and examples
+//! (`tests/`, `examples/` path components) and
 //! `#[cfg(test)]` regions are excluded from the model: they exercise
 //! the invariants rather than define them.
 
@@ -234,12 +234,11 @@ impl std::fmt::Debug for Model {
     }
 }
 
-/// Does this workspace-relative path hold *production* code? Test,
-/// bench and example trees exercise invariants rather than define them,
-/// so the model skips them wholesale.
+/// Does this workspace-relative path hold *production* code? Test and
+/// example trees exercise invariants rather than define them, so the
+/// model skips them wholesale.
 fn is_prod_path(rel: &str) -> bool {
-    !rel.split('/')
-        .any(|c| c == "tests" || c == "benches" || c == "examples")
+    !rel.split('/').any(|c| c == "tests" || c == "examples")
 }
 
 /// Does the declared type text mention a real `std::sync::atomic` type

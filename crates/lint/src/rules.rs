@@ -421,8 +421,8 @@ pub fn check_manifest(rel: &str, m: &Manifest, out: &mut Vec<Diagnostic>) {
                 line: d.line,
                 message: format!(
                     "[{}] entry \"{}\" is not a workspace path dependency; the build is \
-                     hermetic — use an in-tree crate (ezp-testkit replaces rand/proptest/\
-                     criterion; std::sync replaces crossbeam/parking_lot)",
+                     hermetic — use an in-tree crate (ezp-testkit replaces rand/proptest; \
+                     std::sync replaces crossbeam/parking_lot)",
                     d.section, d.name
                 ),
             });

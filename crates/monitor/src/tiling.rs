@@ -61,17 +61,6 @@ impl TilingSnapshot {
         self.owners.iter().filter(|o| o.is_some()).count()
     }
 
-    /// Tiles computed per worker.
-    pub fn tiles_per_worker(&self, workers: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; workers];
-        for o in self.owners.iter().flatten() {
-            if *o < workers {
-                counts[*o] += 1;
-            }
-        }
-        counts
-    }
-
     /// Renders the window: each tile becomes a `cell`×`cell` pixel block
     /// painted with its owner's color (black when not computed).
     pub fn to_image(&self, cell: usize) -> Img2D<Rgba> {
@@ -268,7 +257,6 @@ mod tests {
         assert_eq!(snap.owner(2, 2), Some(2));
         assert_eq!(snap.owner(1, 1), None);
         assert_eq!(snap.computed_tiles(), 3);
-        assert_eq!(snap.tiles_per_worker(3), vec![1, 1, 1]);
     }
 
     #[test]

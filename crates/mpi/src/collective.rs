@@ -13,7 +13,6 @@ use ezp_core::json::{FromJson, ToJson};
 const TAG_BCAST: Tag = u32::MAX - 1;
 const TAG_GATHER: Tag = u32::MAX - 2;
 const TAG_REDUCE: Tag = u32::MAX - 3;
-const TAG_ALLTOALL: Tag = u32::MAX - 4;
 const TAG_SCATTER: Tag = u32::MAX - 5;
 
 /// Broadcasts `value` from `root` to every rank; each rank returns the
@@ -146,27 +145,6 @@ pub fn allreduce_sum(comm: &Comm, value: u64) -> Result<u64> {
     allreduce(comm, value, |a, b| a + b)
 }
 
-/// Personalized all-to-all (`MPI_Alltoall`): rank `i` sends
-/// `values[j]` to rank `j` and returns what every rank sent to `i`.
-pub fn alltoall<T: ToJson + FromJson>(comm: &Comm, values: Vec<T>) -> Result<Vec<T>> {
-    comm.note(|s| s.alltoalls += 1);
-    assert_eq!(values.len(), comm.size(), "one value per destination");
-    let mut out: Vec<Option<T>> = (0..comm.size()).map(|_| None).collect();
-    for (dst, v) in values.iter().enumerate() {
-        if dst == comm.rank() {
-            out[dst] = Some(T::from_json(&v.to_json()).unwrap());
-        } else {
-            comm.send(dst, TAG_ALLTOALL, v)?;
-        }
-    }
-    for (src, slot) in out.iter_mut().enumerate() {
-        if src != comm.rank() {
-            *slot = Some(comm.recv(src, TAG_ALLTOALL)?);
-        }
-    }
-    Ok(out.into_iter().map(|v| v.unwrap()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,21 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_transposes() {
-        let got = run(3, |comm| {
-            let my = comm.rank();
-            // rank i sends i*10 + j to rank j
-            let values: Vec<usize> = (0..3).map(|j| my * 10 + j).collect();
-            alltoall(comm, values)
-        })
-        .unwrap();
-        // rank j must receive [0*10+j, 1*10+j, 2*10+j]
-        for (j, received) in got.iter().enumerate() {
-            assert_eq!(received, &vec![j, 10 + j, 20 + j]);
-        }
-    }
-
-    #[test]
     fn collectives_compose_with_user_traffic() {
         // user messages on tag 0 interleaved with collectives must not mix
         let got = run(2, |comm| {
@@ -320,7 +283,6 @@ mod tests {
                 scatter::<u32>(comm, 0, None)?
             };
             allreduce_sum(comm, v as u64)?;
-            alltoall(comm, vec![0u32, 1, 2])?;
             Ok(())
         })
         .unwrap();
@@ -330,7 +292,6 @@ mod tests {
             assert_eq!(st.gathers, 1);
             assert_eq!(st.scatters, 1);
             assert_eq!(st.reduces, 1);
-            assert_eq!(st.alltoalls, 1);
         }
     }
 

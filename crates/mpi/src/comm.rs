@@ -54,7 +54,8 @@ pub struct CommStats {
     pub scatters: u64,
     /// Reduce/all-reduce participations.
     pub reduces: u64,
-    /// All-to-all participations.
+    /// All-to-all participations: always 0 (the collective is not
+    /// implemented); kept so the `--stats` rows stay where they were.
     pub alltoalls: u64,
 }
 

@@ -1,15 +1,11 @@
-//! Snapshot exporters: Prometheus-style text, CSV, and span JSON.
+//! Snapshot exporters: Prometheus-style text and CSV.
 //!
 //! JSON export for counters is the `ToJson` impl on
 //! [`CounterSnapshot`](crate::CounterSnapshot); Chrome traces live in
 //! [`trace_event`](crate::trace_event). This module holds the remaining
-//! text formats plus a Prometheus *parser* so snapshot round-trips can
-//! be property-tested without a real Prometheus.
+//! text formats.
 
 use crate::counters::CounterSnapshot;
-use crate::span::SpanRecord;
-use ezp_core::json::{Json, ToJson};
-use ezp_core::{Error, Result};
 use std::fmt::Write as _;
 
 /// Metric-name prefix for every exported counter.
@@ -42,86 +38,6 @@ pub fn to_prometheus(snap: &CounterSnapshot) -> String {
     out
 }
 
-/// Parses text produced by [`to_prometheus`] back into a snapshot.
-/// Exists so the export path is testable end-to-end; it handles exactly
-/// the subset this crate emits (counters with a `worker` label).
-pub fn from_prometheus(text: &str) -> Result<CounterSnapshot> {
-    let mut snap = CounterSnapshot::default();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |msg: &str| Error::Config(format!("prometheus line {}: {msg}", lineno + 1));
-        let (metric, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| err("expected `name value`"))?;
-        let value: u64 = value.parse().map_err(|_| err("bad sample value"))?;
-        let metric = metric
-            .strip_prefix(PROM_PREFIX)
-            .ok_or_else(|| err("metric without ezp_ prefix"))?;
-        match metric.split_once('{') {
-            Some((base, labels)) => {
-                let body = labels
-                    .strip_suffix('}')
-                    .ok_or_else(|| err("unterminated label set"))?;
-                // split off the worker label (if any); the rest of the
-                // labels belong to the counter *name* itself
-                let mut parts: Vec<&str> = body.split(',').collect();
-                let worker_at = parts.iter().position(|p| p.starts_with("worker=\""));
-                let Some(at) = worker_at else {
-                    // a label-bearing name's total line: cross-check
-                    let name = format!("{base}{{{body}}}");
-                    if let Some(c) = snap.get(&name) {
-                        if c.total() != value {
-                            return Err(err("total disagrees with worker samples"));
-                        }
-                    }
-                    continue;
-                };
-                let worker: usize = parts
-                    .remove(at)
-                    .strip_prefix("worker=\"")
-                    .and_then(|rest| rest.strip_suffix('"'))
-                    .ok_or_else(|| err("expected worker=\"N\" label"))?
-                    .parse()
-                    .map_err(|_| err("bad worker index"))?;
-                let name = if parts.is_empty() {
-                    base.to_string()
-                } else {
-                    format!("{base}{{{}}}", parts.join(","))
-                };
-                if snap.get(&name).is_none() {
-                    snap.push(&name, Vec::new());
-                }
-                let c = snap
-                    .counters
-                    .iter_mut()
-                    .find(|c| c.name == name)
-                    .expect("just pushed");
-                if c.per_worker.len() <= worker {
-                    c.per_worker.resize(worker + 1, 0);
-                }
-                c.per_worker[worker] = value;
-                snap.workers = snap.workers.max(worker + 1);
-            }
-            None => {
-                // unlabeled total: cross-check against the labeled samples
-                if let Some(c) = snap.get(metric) {
-                    if c.total() != value {
-                        return Err(err("total disagrees with worker samples"));
-                    }
-                }
-            }
-        }
-    }
-    // uniform width, so parse(print(s)) == s for real snapshots
-    for c in &mut snap.counters {
-        c.per_worker.resize(snap.workers, 0);
-    }
-    Ok(snap)
-}
-
 /// Renders a snapshot as `counter,worker,value` CSV (plus a `total`
 /// pseudo-worker row per counter) for spreadsheet-side analysis.
 pub fn to_csv(snap: &CounterSnapshot) -> String {
@@ -133,11 +49,6 @@ pub fn to_csv(snap: &CounterSnapshot) -> String {
         let _ = writeln!(out, "{},total,{}", c.name, c.total());
     }
     out
-}
-
-/// Spans as a JSON array (each `{name, worker, start_ns, end_ns}`).
-pub fn spans_to_json(spans: &[SpanRecord]) -> Json {
-    Json::Arr(spans.iter().map(ToJson::to_json).collect())
 }
 
 #[cfg(test)]
@@ -167,23 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_round_trips() {
-        let snap = sample();
-        let back = from_prometheus(&to_prometheus(&snap)).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn prometheus_parser_rejects_garbage() {
-        assert!(from_prometheus("ezp_x{worker=\"0\"} nope").is_err());
-        assert!(from_prometheus("tasks{worker=\"0\"} 1").is_err(), "missing prefix");
-        assert!(
-            from_prometheus("ezp_x{worker=\"0\"} 1\nezp_x 5").is_err(),
-            "total mismatch"
-        );
-    }
-
-    #[test]
     fn labeled_counter_names_merge_the_worker_label() {
         let mut set = CounterSet::new(2);
         let id = set.register("idle_ns{cause=\"steal\"}");
@@ -196,8 +90,6 @@ mod tests {
         assert!(text.contains("ezp_idle_ns{cause=\"steal\",worker=\"1\"} 2"));
         assert!(text.contains("ezp_idle_ns{cause=\"steal\"} 42"));
         assert!(!text.contains("}{"), "nested brace groups in:\n{text}");
-        let back = from_prometheus(&text).unwrap();
-        assert_eq!(back, snap);
     }
 
     #[test]
@@ -209,24 +101,11 @@ mod tests {
         assert!(text.contains("tasks_executed,total,12"));
     }
 
-    #[test]
-    fn spans_json_is_an_array() {
-        let spans = vec![SpanRecord {
-            name: "iteration",
-            worker: 0,
-            start_ns: 1,
-            end_ns: 2,
-        }];
-        let j = spans_to_json(&spans);
-        let items = j.as_arr().unwrap();
-        assert_eq!(items[0].get("name"), Some(&Json::Str("iteration".into())));
-    }
-
     ezp_proptest! {
-        // Prometheus and JSON exports both reconstruct arbitrary
-        // snapshots exactly (values include u64::MAX-scale extremes).
-        fn snapshot_exports_round_trip(seed in 0u64..u64::MAX) {
-            use ezp_core::json::FromJson;
+        // The JSON export reconstructs arbitrary snapshots exactly
+        // (values include u64::MAX-scale extremes).
+        fn snapshot_json_round_trips(seed in 0u64..u64::MAX) {
+            use ezp_core::json::{FromJson, Json, ToJson};
             use ezp_testkit::Rng;
             let mut rng = Rng::seed(seed);
             let workers = rng.gen_range(1usize..=4);
@@ -246,8 +125,6 @@ mod tests {
                 }
             }
             let snap = set.snapshot();
-            let prom = from_prometheus(&to_prometheus(&snap)).unwrap();
-            assert_eq!(prom, snap, "prometheus round-trip");
             let json =
                 CounterSnapshot::from_json(&Json::parse(&snap.to_json().dump()).unwrap())
                     .unwrap();

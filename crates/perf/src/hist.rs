@@ -9,8 +9,8 @@
 //! worker its own cache-line-aligned shard — written with plain loads
 //! and stores, since the shard has one writer — and merges at read
 //! time, the same write-local/read-merge split `CounterSet` uses. That is
-//! what keeps histogram recording inside the tile-bracket hot path the
-//! `perf_overhead` bench gates at ≤5%.
+//! what keeps histogram recording inside the tile-bracket hot path's
+//! ≤5% budget (`perf.overhead_ratio` in `benchmark/`).
 //!
 //! Quantiles come out of the bucket counts: the reported `pXX` is the
 //! geometric midpoint of the bucket holding the rank, clamped to the

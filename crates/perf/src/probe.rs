@@ -106,18 +106,6 @@ pub mod names {
     /// Nanoseconds a tenant's jobs spent queued before a runner picked
     /// them up — the serve-side idle attribution ("who waits and why").
     pub const TENANT_IDLE_NS: &str = "tenant_idle_ns";
-
-    /// Every serve-lane counter, in registration order (used by
-    /// `ezp-serve` and the docs/tests that assert the report shape).
-    pub const SERVE_COUNTERS: [&str; 7] = [
-        JOBS_ADMITTED,
-        JOBS_REJECTED,
-        JOBS_COMPLETED,
-        JOBS_CANCELLED,
-        JOBS_FAILED,
-        TENANT_QUEUE_DEPTH,
-        TENANT_IDLE_NS,
-    ];
 }
 
 /// Span names for the per-cause idle intervals, indexed like
@@ -168,8 +156,8 @@ pub struct PerfProbe {
     /// Per-worker start timestamp of the tile currently in flight.
     /// Each slot is padded to its own cache line: every tile bracket
     /// stores and swaps here, and adjacent workers sharing a line
-    /// would put false-sharing traffic on the hot path the
-    /// `perf_overhead` bench gates at <=5%.
+    /// would put false-sharing traffic on the hot path, whose
+    /// budget is <=5% (`perf.overhead_ratio` in `benchmark/`).
     tile_start: Vec<TileStart>,
     /// Task (tile) duration distribution, sharded per worker so the
     /// record in `end_tile` never touches another worker's lines.

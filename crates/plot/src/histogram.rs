@@ -5,7 +5,6 @@
 //! `schedule`), averages the y values per group, and draws one bar per
 //! group — the right chart when x is not numeric.
 
-use crate::dataset::Series;
 use ezp_core::color::{worker_color, Rgba};
 use ezp_core::csv::CsvTable;
 use ezp_core::error::{Error, Result};
@@ -100,23 +99,6 @@ pub fn render_bars_svg(bars: &[Bar], y_label: &str, width: f64, height: f64) -> 
     c.finish()
 }
 
-/// Convenience: turn an existing line dataset's series into bars using
-/// each series' mean y — the "histogram of the legend" view.
-pub fn bars_from_series(series: &[Series]) -> Vec<Bar> {
-    series
-        .iter()
-        .map(|s| Bar {
-            label: s.label.clone(),
-            value: if s.points.is_empty() {
-                0.0
-            } else {
-                s.points.iter().map(|p| p.1).sum::<f64>() / s.points.len() as f64
-            },
-            count: s.points.len(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,23 +154,5 @@ mod tests {
         // background + 3 bars
         assert_eq!(svg.matches("<rect").count(), 4);
         assert!(svg.contains("dynamic"));
-    }
-
-    #[test]
-    fn series_to_bars() {
-        let series = vec![
-            Series {
-                label: "a".into(),
-                points: vec![(1.0, 2.0), (2.0, 4.0)],
-            },
-            Series {
-                label: "b".into(),
-                points: vec![],
-            },
-        ];
-        let bars = bars_from_series(&series);
-        assert_eq!(bars[0].value, 3.0);
-        assert_eq!(bars[1].value, 0.0);
-        assert_eq!(bars[1].count, 0);
     }
 }

@@ -38,24 +38,6 @@ pub fn to_ansi(img: &Img2D<Rgba>) -> String {
     out
 }
 
-/// Renders `img` as plain-ASCII luminance art (for logs and tests where
-/// escape codes are unwelcome): 10-level ramp, one char per pixel.
-pub fn to_ascii_luma(img: &Img2D<Rgba>) -> String {
-    const RAMP: &[u8] = b" .:-=+*#%@";
-    let mut out = String::with_capacity((img.width() + 1) * img.height());
-    for y in 0..img.height() {
-        for x in 0..img.width() {
-            let p = img.get(x, y);
-            // integer Rec.601 luma
-            let luma = (299 * p.r() as u32 + 587 * p.g() as u32 + 114 * p.b() as u32) / 1000;
-            let idx = (luma as usize * (RAMP.len() - 1)) / 255;
-            out.push(RAMP[idx] as char);
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,35 +59,5 @@ mod tests {
         assert_eq!(s.lines().count(), 2);
         // last row's background is black padding
         assert!(s.contains("\x1b[48;2;0;0;0m"));
-    }
-
-    #[test]
-    fn luma_ramp_extremes() {
-        let mut img: Img2D<Rgba> = Img2D::filled(2, 1, Rgba::BLACK);
-        img.set(1, 0, Rgba::WHITE);
-        let s = to_ascii_luma(&img);
-        assert_eq!(s, " @\n");
-    }
-
-    #[test]
-    fn luma_is_monotonic_in_gray_level() {
-        let grays: Vec<Rgba> = (0..=255u32)
-            .step_by(17)
-            .map(|v| Rgba::new(v as u8, v as u8, v as u8, 255))
-            .collect();
-        let mut img: Img2D<Rgba> = Img2D::new(grays.len(), 1);
-        for (i, &g) in grays.iter().enumerate() {
-            img.set(i, 0, g);
-        }
-        let s = to_ascii_luma(&img);
-        const RAMP: &[u8] = b" .:-=+*#%@";
-        let levels: Vec<usize> = s
-            .trim_end()
-            .bytes()
-            .map(|b| RAMP.iter().position(|&r| r == b).unwrap())
-            .collect();
-        for w in levels.windows(2) {
-            assert!(w[0] <= w[1], "luma ramp not monotone: {levels:?}");
-        }
     }
 }

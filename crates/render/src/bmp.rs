@@ -45,12 +45,6 @@ pub fn to_bmp(img: &Img2D<Rgba>) -> Vec<u8> {
     out
 }
 
-/// Writes `img` to `path` as BMP.
-pub fn save_bmp(img: &Img2D<Rgba>, path: impl AsRef<std::path::Path>) -> ezp_core::Result<()> {
-    std::fs::write(path, to_bmp(img))?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,15 +88,5 @@ mod tests {
             let row = (w * 3).div_ceil(4) * 4;
             assert_eq!(bmp.len(), 54 + row * 2, "width {w}");
         }
-    }
-
-    #[test]
-    fn save_writes_file() {
-        let img: Img2D<Rgba> = Img2D::filled(4, 4, Rgba::YELLOW);
-        let path = std::env::temp_dir().join(format!("ezp_bmp_{}.bmp", std::process::id()));
-        save_bmp(&img, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..2], b"BM");
-        std::fs::remove_file(path).unwrap();
     }
 }

@@ -48,15 +48,10 @@ pub struct StealStats {
 /// ranks may race freely — the shared range words are CAS-protected.
 ///
 /// **Generations**: one dispenser *instance* serves one consumer
-/// generation — a single `parallel for` drained to exhaustion. The
-/// protocol above says nothing about *reuse*, and reuse is where the
-/// hazard lives: a stealing dispenser abandoned mid-drain leaves work
-/// parked in rank-private remainders, and naively resetting only the
-/// shared range words would let those stale intervals leak into the
-/// next generation as double grants. Streaming workloads that fan the
-/// same dispenser over frame after frame must re-arm it between
-/// generations with an exclusive-access reset (see
-/// [`StealingDispenser::rearm`]) rather than recycling it hot.
+/// generation — a single `parallel for` drained to exhaustion — and is
+/// then dropped. A stealing dispenser abandoned mid-drain leaves work
+/// parked in rank-private remainders, so an instance is never recycled;
+/// every region builds a fresh one ([`dispenser_for`]).
 pub trait Dispenser: Sync + Send {
     /// Next chunk for `rank`, as `(start, len)` with `len > 0`, or `None`
     /// when no work is left for this rank.
@@ -395,56 +390,6 @@ impl StealingDispenser {
         }
     }
 
-    /// Re-arms the dispenser for a new consumer generation over a fresh
-    /// iteration space `0..n`, restoring the initial static split.
-    ///
-    /// `&mut self` is the whole synchronization story: a re-arm is only
-    /// legal *between* generations, when no rank is calling [`next`]
-    /// (structurally guaranteed by exclusive access), so every slot can
-    /// be reset with plain Relaxed stores.
-    ///
-    /// Two resets matter, and the second is the latent one: besides the
-    /// shared range words, every rank's **private remainder** must be
-    /// cleared. A generation abandoned before exhaustion (a streamed
-    /// frame whose consumer stopped early) leaves stolen intervals
-    /// parked in those remainders; carrying one into the next
-    /// generation would re-grant indices of the *old* space inside the
-    /// new one — a double grant the lock-free protocol itself can never
-    /// produce. The regression tests pin exactly this scenario.
-    ///
-    /// Steal statistics are deliberately *not* reset: they are
-    /// cumulative over the dispenser's lifetime, matching how the perf
-    /// layer aggregates counters across a streamed run.
-    ///
-    /// [`next`]: Dispenser::next
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n > u32::MAX`, like [`StealingDispenser::new`].
-    pub fn rearm(&mut self, n: usize) {
-        assert!(
-            u32::try_from(n).is_ok(),
-            "StealingDispenser supports at most u32::MAX iterations (got {n})"
-        );
-        let threads = self.ranges.len();
-        self.n = n;
-        for (r, word) in self.ranges.iter().enumerate() {
-            let (start, len) = StaticBlock::block_of(n, threads, r);
-            // ORDERING: counter-only. `&mut self` proves no concurrent
-            // reader exists; publication to the next generation's
-            // workers happens via the region launch that hands the
-            // dispenser out, not via these stores.
-            word.0
-                .store(RangeWord::pack(start, start + len), Ordering::Relaxed);
-        }
-        for rem in &self.remainders {
-            // The latent-hazard reset: drop any interval a thief parked
-            // here during an abandoned generation.
-            rem.lo.store(0, Ordering::Relaxed);
-            rem.hi.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Takes up to `k` iterations from the front of `rank`'s stealable
     /// range (CAS loop against thieves shrinking `hi`), falling back to
     /// the rank's private remainder.
@@ -776,73 +721,6 @@ mod tests {
                 assert!(st.attempted >= st.succeeded);
             }
         }
-    }
-
-    #[test]
-    fn rearm_resets_to_a_fresh_static_split() {
-        let mut d = StealingDispenser::new(8, 2, 1);
-        let first = drain_interleaved(&d, 2);
-        assert_exact_cover(&first, 8);
-        // fully drained: a second generation over a *different* space
-        d.rearm(10);
-        assert_eq!(d.len(), 10);
-        let second = drain_interleaved(&d, 2);
-        assert_exact_cover(&second, 10);
-    }
-
-    #[test]
-    fn rearm_clears_stale_private_remainders() {
-        // The latent one-region-one-generation hazard: rank 1 drains its
-        // half and steals [2,4) from rank 0, which parks [3,4) in rank
-        // 1's *private remainder*. The generation is then abandoned
-        // mid-drain. Without the remainder reset in `rearm`, index 3 of
-        // the dead generation would be re-granted inside the next one —
-        // a double grant over the new space.
-        let mut d = StealingDispenser::new(8, 2, 1);
-        for _ in 0..4 {
-            d.next(1).unwrap(); // rank 1 drains [4,8)
-        }
-        assert_eq!(d.next(1), Some((2, 1))); // steal parks [3,4) privately
-        // abandon the generation here: remainder [3,4) is non-empty
-        d.rearm(6);
-        let got = drain_interleaved(&d, 2);
-        assert_exact_cover(&got, 6);
-    }
-
-    #[test]
-    fn rearm_streams_many_generations_exactly_once_each() {
-        // the streaming pattern: one dispenser re-armed across frames,
-        // each frame's space covered exactly once, under real threads
-        let threads = 4;
-        let mut d = StealingDispenser::new(0, threads, 1);
-        for frame in 0..12usize {
-            let n = 16 + frame; // vary the space across generations
-            d.rearm(n);
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let d_ref = &d;
-            std::thread::scope(|s| {
-                for rank in 0..threads {
-                    let hits = &hits;
-                    s.spawn(move || {
-                        while let Some((start, len)) = d_ref.next(rank) {
-                            for h in hits.iter().skip(start).take(len) {
-                                h.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(
-                    h.load(Ordering::Relaxed),
-                    1,
-                    "frame {frame}: index {i} granted a wrong number of times"
-                );
-            }
-        }
-        // stats survived the generations (cumulative, never reset)
-        let stats = d.steal_stats().unwrap();
-        assert!(stats.iter().map(|s| s.attempted).sum::<u64>() > 0);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl PoolMux {
         self.slots
     }
 
-    /// Worker threads per slot.
-    pub fn workers_per_slot(&self) -> usize {
-        self.workers
-    }
-
     /// Grants a lease immediately if a slot is free.
     pub fn try_lease(&self) -> Option<PoolLease<'_>> {
         let pool = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop()?;

@@ -212,21 +212,6 @@ pub fn parallel_for_tiles_img<T: Copy + Send + Sync>(
     });
 }
 
-/// Sequential tile loop with the same instrumentation — the `seq`/
-/// `tiled` baseline variants, so that traces of sequential runs are
-/// comparable in EASYVIEW.
-pub fn sequential_for_tiles(
-    grid: &TileGrid,
-    probe: &dyn Probe,
-    mut f: impl FnMut(Tile),
-) {
-    for tile in grid.iter() {
-        probe.start_tile(0);
-        f(tile);
-        probe.end_tile(tile.x, tile.y, tile.w, tile.h, 0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,23 +307,6 @@ mod tests {
                 assert_eq!(img.get(x, y), (x + 64 * y) as u32);
             }
         }
-    }
-
-    #[test]
-    fn sequential_for_tiles_uses_rank_zero() {
-        struct RankCheck(AtomicUsize);
-        impl Probe for RankCheck {
-            fn start_tile(&self, w: WorkerId) {
-                assert_eq!(w, 0);
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let probe = RankCheck(AtomicUsize::new(0));
-        let grid = TileGrid::square(16, 4).unwrap();
-        let mut seen = 0;
-        sequential_for_tiles(&grid, &probe, |_| seen += 1);
-        assert_eq!(seen, 16);
-        assert_eq!(probe.0.load(Ordering::Relaxed), 16);
     }
 
     #[test]

@@ -224,21 +224,18 @@ pub fn virtual_deque_taskgraph(
     Ok((order, steals))
 }
 
-/// The outcome of a virtual streaming run ([`virtual_pipeline`] /
-/// [`virtual_farm`]): the substrate's execution order, the frame ids in
-/// emission order, and the reorder-buffer peak the emission mode
-/// implied. Two runs from the same `(strategy kind, seed)` compare
-/// equal — the replay contract.
+/// The outcome of a virtual streaming run ([`virtual_pipeline`]): the
+/// substrate's execution order, the frame ids in emission order, and
+/// the reorder-buffer peak the emission mode implied. Two runs from
+/// the same `(strategy kind, seed)` compare equal — the replay contract.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VStream {
-    /// `(task, rank)` execution order of the underlying substrate —
-    /// graph nodes for a pipeline, frame ids for a farm.
+    /// `(task, rank)` execution order of the graph nodes.
     pub order: Vec<(usize, WorkerId)>,
     /// Frame ids in emission order: `0..frames` in ordered mode,
     /// completion order otherwise.
     pub emitted: Vec<usize>,
-    /// Successful steals (deque steals for a pipeline, dispenser steals
-    /// for a farm).
+    /// Successful deque steals.
     pub steals: u64,
     /// Peak count of completed-but-unemitted frames (always 0 in
     /// unordered mode, where completion emits immediately).
@@ -317,37 +314,6 @@ pub fn virtual_pipeline(
         steals,
         max_reorder_depth: re.max_depth,
     })
-}
-
-/// The virtual twin of the farm skeleton (`ezp_stream::Farm`): a fresh
-/// [`StealingDispenser`](crate::dispenser::StealingDispenser) generation
-/// over `frames` frames drained by `width` virtual lanes under
-/// `strategy`, with the same reorder model at the sink as
-/// [`virtual_pipeline`]. Build `strategy` for `width` workers.
-pub fn virtual_farm(
-    frames: usize,
-    width: usize,
-    ordered: bool,
-    strategy: &mut dyn Interleave,
-) -> VStream {
-    let width = width.max(1);
-    let disp = crate::dispenser::StealingDispenser::new(frames, width, 1);
-    let mut re = VReorder::new(frames, ordered);
-    let mut order = Vec::with_capacity(frames);
-    virtual_drain(&disp, width, strategy, |f, _, rank| {
-        order.push((f, rank));
-        re.complete(f);
-    });
-    let steals = disp
-        .steal_stats()
-        .map(|s| s.iter().map(|r| r.succeeded).sum())
-        .unwrap_or(0);
-    VStream {
-        order,
-        emitted: re.emitted,
-        steals,
-        max_reorder_depth: re.max_depth,
-    }
 }
 
 /// What a worker model is doing inside [`virtual_region_protocol`].
@@ -1115,22 +1081,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..30).collect::<Vec<_>>());
         assert_eq!(v.max_reorder_depth, 0, "unordered mode has no reorder buffer");
-    }
-
-    #[test]
-    fn virtual_farm_covers_and_replays() {
-        for ordered in [true, false] {
-            let mut s = RandomWalk::seeded(11);
-            let v = virtual_farm(33, 4, ordered, &mut s);
-            let mut sorted = v.emitted.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..33).collect::<Vec<_>>());
-            if ordered {
-                assert_eq!(v.emitted, sorted);
-            }
-            let mut s2 = RandomWalk::seeded(11);
-            assert_eq!(virtual_farm(33, 4, ordered, &mut s2), v, "no replay");
-        }
     }
 
     #[test]

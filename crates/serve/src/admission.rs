@@ -294,11 +294,6 @@ impl Admission {
         drop(gate);
         self.park.notify();
     }
-
-    /// Sum of current lane depths (telemetry).
-    pub fn queued_now(&self) -> u64 {
-        self.lanes.iter().map(|l| l.depth.load(Ordering::Relaxed)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +403,7 @@ mod tests {
         let t = JobTicket::new();
         for _ in 0..200 {
             a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
-            while a.queued_now() > 0 {
+            while a.lanes.iter().any(|l| l.depth.load(Ordering::Relaxed) > 0) {
                 std::thread::yield_now();
             }
         }

@@ -1,7 +1,6 @@
 //! Blocking client for the serve protocol.
 //!
-//! Used by `easypap submit`, the CI serve lane, and the bench load
-//! generator. One [`Client`] owns one TCP connection; `submit` is a
+//! Used by `easypap submit` and the CI serve lane. One [`Client`] owns one TCP connection; `submit` is a
 //! synchronous request/response exchange (wait for `accepted`, then
 //! for the terminal `done` / `failed` frame), which keeps the client
 //! trivially correct — concurrency comes from running several

@@ -30,8 +30,7 @@
 //!   `jobs_rejected`, `tenant_queue_depth`, `tenant_idle_ns`, ...) on
 //!   the lock-free `ezp_perf::CounterSet` spine, with the tenant slot
 //!   riding in the per-worker dimension.
-//! * [`client`] — a small blocking client used by `easypap submit`
-//!   and the bench harness.
+//! * [`client`] — a small blocking client used by `easypap submit`.
 //!
 //! See `docs/serving.md` for the protocol walk-through and failure
 //! semantics.

@@ -151,8 +151,7 @@ pub struct JobSpec {
     pub tenant: Option<String>,
     /// Synthetic per-job stall in microseconds, modeling the upstream
     /// ingest/IO latency of a replayed production request. Stalls
-    /// overlap across runner slots, which is exactly what the
-    /// concurrent-tenant benchmark measures; 0 for pure compute.
+    /// overlap across runner slots; 0 for pure compute.
     pub stall_us: u64,
 }
 

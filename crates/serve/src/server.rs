@@ -4,12 +4,15 @@
 //! ## Threading model
 //!
 //! * **acceptor** — blocks on `TcpListener::accept`, spawns one reader
-//!   per connection. Woken for shutdown by a loopback connect.
+//!   per connection and drops the table entries of readers that have
+//!   finished. Woken for shutdown by a loopback connect.
 //! * **readers** (one per live connection) — decode frames, answer
 //!   `stats` inline, push `submit`s through [`Admission`]. A malformed
 //!   frame gets an error response and closes *that* connection only; a
 //!   disconnect cancels the connection's in-flight jobs via their
-//!   [`JobTicket`]s. Readers never touch the worker pool.
+//!   [`JobTicket`]s; a connection that sends nothing for
+//!   `IDLE_TIMEOUT` with no job of its own queued or running is
+//!   closed. Readers never touch the worker pool.
 //! * **runners** (`slots` of them) — take jobs in round-robin tenant
 //!   order, lease a pool from the shared [`PoolMux`], install it, and
 //!   run the kernel exactly like the one-shot CLI would. A lease is
@@ -31,12 +34,18 @@ use ezp_core::{ChanTuning, RunConfig};
 use ezp_monitor::UnifiedReport;
 use ezp_perf::PerfProbe;
 use ezp_sched::{MuxStats, PoolMux};
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long a connection may send nothing, with no job of its own
+/// queued or running, before its reader closes it: an abandoned socket
+/// costs one thread and two descriptors for this long, not forever.
+const IDLE_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 150 } else { 60_000 });
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -86,9 +95,9 @@ struct Shared {
     workers: usize,
     stop: AtomicBool,
     addr: SocketAddr,
-    /// Reader threads park here so shutdown can join them; finished
-    /// readers leave their handle behind (joined at shutdown, cheap).
-    /// The paired stream clone lets shutdown unblock a reader that is
+    /// Live reader threads, so shutdown can join them; the acceptor
+    /// drops the entries of finished readers on every accept. The
+    /// paired stream clone lets shutdown unblock a reader that is
     /// mid-`read_frame` on a connection the client kept open.
     readers: Mutex<Vec<(JoinHandle<()>, TcpStream)>>,
 }
@@ -209,16 +218,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         // small frames, latency-sensitive protocol: defeat Nagle
         let _ = conn.set_nodelay(true);
+        let _ = conn.set_read_timeout(Some(IDLE_TIMEOUT));
         let Ok(shutdown_handle) = conn.try_clone() else {
             continue;
         };
         let shared2 = Arc::clone(&shared);
         let handle = std::thread::spawn(move || reader_loop(conn, shared2));
-        shared
-            .readers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((handle, shutdown_handle));
+        let mut readers = shared.readers.lock().unwrap_or_else(|e| e.into_inner());
+        // a finished reader has closed its socket; dropping its entry
+        // releases the descriptor of the clone and the thread handle
+        readers.retain(|(h, _)| !h.is_finished());
+        readers.push((handle, shutdown_handle));
     }
 }
 
@@ -273,6 +283,20 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
     });
     let mut reader = BufReader::new(stream);
     loop {
+        // Wait for the first byte of the next frame. A timeout here
+        // falls on a frame boundary, so a connection with work pending
+        // loses nothing by waiting again; a timeout inside `read_frame`
+        // is a stalled half-frame and costs the connection.
+        if let Err(e) = reader.fill_buf() {
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                // every queued or running job holds a clone of `conn`
+                // as its reply sink
+                if Arc::strong_count(&conn) > 1 {
+                    continue;
+                }
+                break;
+            }
+        }
         match read_frame(&mut reader) {
             Ok(FrameIn::Msg(msg)) => {
                 let req = match Request::from_json(&msg) {
@@ -417,4 +441,77 @@ fn digest_pixels(pixels: &[ezp_core::Rgba]) -> u64 {
         }
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use std::io::Read;
+    use std::time::Instant;
+
+    fn job(stall: Duration) -> JobSpec {
+        JobSpec {
+            kernel: "mandel".into(),
+            variant: "seq".into(),
+            size: 64,
+            tile: 16,
+            iterations: 1,
+            threads: 1,
+            tenant: Some("t".into()),
+            stall_us: stall.as_micros() as u64,
+        }
+    }
+
+    fn live_readers(server: &Server) -> usize {
+        server.shared.readers.lock().unwrap().len()
+    }
+
+    #[test]
+    fn reader_table_does_not_grow_with_connections_served() {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let addr = server.addr().to_string();
+        let mut done = 0;
+        for i in 0..300 {
+            let mut client = Client::connect(&addr).unwrap();
+            if i % 10 == 0 {
+                let resp = client.submit(&job(Duration::ZERO)).unwrap();
+                assert!(matches!(resp, Response::Done { .. }), "job {i} did not complete");
+                done += 1;
+            }
+        }
+        // Every accept reaps, but a reader may still be on its way out
+        // when the next connection arrives: keep knocking until only
+        // the knock itself (and at most one straggler) is in the table.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            drop(TcpStream::connect(server.addr()).unwrap());
+            std::thread::sleep(Duration::from_millis(5));
+            if live_readers(&server) <= 2 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{} reader entries left after 300 closed connections",
+                live_readers(&server)
+            );
+        }
+        let (admitted, _rejected, completed, cancelled, failed) = server.shutdown().totals;
+        assert_eq!(admitted, done);
+        assert_eq!(admitted, completed + cancelled + failed);
+    }
+
+    #[test]
+    fn idle_connections_are_closed_and_busy_ones_are_not() {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let mut idle = TcpStream::connect(server.addr()).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // silent for three idle periods, but with a job of its own running
+        let mut busy = Client::connect(&server.addr().to_string()).unwrap();
+        let resp = busy.submit(&job(3 * IDLE_TIMEOUT)).unwrap();
+        assert!(matches!(resp, Response::Done { .. }), "the busy connection was cut");
+        // the daemon hung up on the silent one meanwhile
+        assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0, "idle connection still open");
+        assert_eq!(server.shutdown().totals.2, 1);
+    }
 }

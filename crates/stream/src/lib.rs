@@ -7,9 +7,6 @@
 //! * [`Pipeline`] — heterogeneous stages with bounded inter-stage
 //!   buffers, each stage serial (`width 1`, frame-ordered, may hold
 //!   state) or replicated (`width k`, a farm);
-//! * [`Farm`] — a single replicated stage fanned out over the existing
-//!   [`StealingDispenser`](ezp_sched::dispenser::StealingDispenser),
-//!   re-armed per frame batch (the dispenser-generations contract);
 //! * [`map_reduce`] — per-leaf partial folds under any scheduling
 //!   policy, merged by a fixed-shape pairwise tree so the result is
 //!   byte-identical regardless of schedule or worker count.
@@ -34,13 +31,11 @@
 
 pub mod demos;
 pub mod engine;
-pub mod farm;
 pub mod mapreduce;
 pub mod pipeline;
 
 pub use demos::{stream_kernel, stream_registry, StreamKernel};
 pub use engine::{run_pipeline, run_pipeline_tuned, StreamStats};
 pub use ezp_core::{ChanBackendKind, ChanTuning, EmitMode, WaitPolicy};
-pub use farm::Farm;
 pub use mapreduce::map_reduce;
 pub use pipeline::Pipeline;

@@ -1,17 +1,14 @@
 //! `ezp-testkit` — the in-repo testing substrate for the EASYPAP workspace.
 //!
 //! The workspace builds fully offline: no registry dependencies are allowed
-//! anywhere. This crate supplies the three pieces of infrastructure that
-//! external crates used to provide:
+//! anywhere. This crate supplies the infrastructure that external crates
+//! used to provide:
 //!
 //! * [`rng`] — a deterministic `SplitMix64`-seeded Xoshiro256++ PRNG with
 //!   `gen_range`, `fill` and `shuffle`, replacing `rand`.
 //! * [`prop`] — a miniature property-testing harness (the [`ezp_proptest!`]
 //!   macro, generator combinators, and binary-search shrinking), replacing
 //!   `proptest`. Set `EZP_TEST_SEED=<u64>` to reproduce a run byte-for-byte.
-//! * [`bench`] — a wall-clock micro-benchmark runner (median-of-N with
-//!   warmup) whose CSV output is compatible with `ezp-core::csv`, replacing
-//!   `criterion`.
 //! * [`schedule`] — seed-driven interleaving strategies for the `ezp-check`
 //!   deterministic concurrency harness (round-robin, random-walk,
 //!   steal-heavy, starve-one), replayable from `(strategy, seed)`.
@@ -23,12 +20,10 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 pub mod schedule;
 
-pub use bench::{Bench, BenchResult, BenchSet};
 pub use prop::{
     grid_dims, select, vec_of, Strategy, StrategyExt, DEFAULT_CASES, DEFAULT_SEED,
 };

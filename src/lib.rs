@@ -51,7 +51,7 @@ pub mod prelude {
     pub use ezp_perf::PerfProbe;
     pub use ezp_sched::{TaskGraph, WorkerPool};
     pub use ezp_simsched::{simulate, simulate_iterations, CostMap, SimConfig};
-    pub use ezp_stream::{map_reduce, EmitMode, Farm, Pipeline, StreamStats};
+    pub use ezp_stream::{map_reduce, EmitMode, Pipeline, StreamStats};
     pub use ezp_trace::{Trace, TraceMeta};
     pub use ezp_view::{CoverageMap, GanttModel, TraceComparison};
 }

@@ -14,7 +14,7 @@ use easypap::core::shadow::{ShadowGrid, ShadowSession};
 use easypap::prelude::*;
 use easypap::sched::skeleton::{PipeShape, PipeStage};
 use easypap::sched::vexec::{
-    check_chan_oracle, virtual_chan, virtual_deque_taskgraph, virtual_farm, virtual_for_tiles,
+    check_chan_oracle, virtual_chan, virtual_deque_taskgraph, virtual_for_tiles,
     virtual_pipeline, virtual_region_protocol, virtual_taskgraph, Reachability,
 };
 use ezp_testkit::schedule::{RandomWalk, RoundRobin, StarveOne, StrategyKind};
@@ -426,43 +426,6 @@ fn virtual_pipeline_payload_slots_are_race_free() {
         !session.races().is_empty(),
         "cross-frame read without an edge was not flagged"
     );
-}
-
-/// The farm model under every interleaving family: a fresh stealing
-/// dispenser generation per run, exact frame cover, ordered emission in
-/// frame order, and byte-for-byte replay.
-#[test]
-fn virtual_farm_conforms_under_every_strategy() {
-    let frames = 29;
-    for kind in StrategyKind::all() {
-        for seed in 0..8u64 {
-            for width in [1usize, 2, 4] {
-                for ordered in [true, false] {
-                    let mut strategy = kind.build(seed, width);
-                    let v = virtual_farm(frames, width, ordered, &mut *strategy);
-                    let mut sorted = v.emitted.clone();
-                    sorted.sort_unstable();
-                    assert_eq!(
-                        sorted,
-                        (0..frames).collect::<Vec<_>>(),
-                        "{kind:?} seed {seed} width {width}: frames lost or duplicated"
-                    );
-                    if ordered {
-                        assert_eq!(
-                            v.emitted, sorted,
-                            "{kind:?} seed {seed} width {width}: ordered emission broke"
-                        );
-                    }
-                    let mut replay = kind.build(seed, width);
-                    assert_eq!(
-                        virtual_farm(frames, width, ordered, &mut *replay),
-                        v,
-                        "{kind:?} seed {seed} width {width}: run did not replay"
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// The channel model under every interleaving family: for SPSC and
