@@ -1,13 +1,11 @@
 //! The [`ChanBackend`](self) trait layer: channel endpoints as shared
-//! (`&self`) trait objects, selectable between the lock-free ring and a
-//! `std::sync::mpsc` baseline at run time.
+//! (`&self`) trait objects over either the lock-free ring or a
+//! `std::sync::mpsc` baseline.
 //!
-//! This is what the framework's three channel consumers (the streaming
-//! frame driver, the MPI rank mailboxes, the monitor event channel)
-//! program against, and what `--chan-backend {ring,mpsc}` switches: the
-//! conformance suite re-runs streaming kernels over both backends and
-//! asserts byte-identical output, and the `chan.*` per-layer metrics
-//! of `benchmark/` time both.
+//! `ezp-serve`'s admission lanes are built here (ring, `try_send` /
+//! `try_recv` only), and the `chan.mpmc2_ns_msg` /
+//! `chan.mpsc_backend_ns_msg` per-layer metrics of `benchmark/` time
+//! the same fan-in on both backends — the reason the baseline is kept.
 //!
 //! Capacity semantics: for `bounded(…, producers, cap)` both backends
 //! guarantee *at least* `producers × cap` buffered items in aggregate —
@@ -16,7 +14,7 @@
 //! only steers the ring backend; `std::sync::mpsc` blocks natively.
 
 use crate::errors::{RecvError, SendError, TryRecvError, TrySendError};
-use crate::mpmc::{mpmc, mpmc_unbounded, MpmcReceiver, MpmcSender};
+use crate::mpmc::{mpmc, MpmcReceiver, MpmcSender};
 use crate::stats::{ChanCounters, ChanStats};
 use ezp_core::time::now_ns;
 use ezp_core::{ChanBackendKind, ChanTuning};
@@ -68,37 +66,7 @@ pub fn bounded<'a, T: Send + 'a>(
             let senders = (0..producers)
                 .map(|_| {
                     Box::new(MpscTx {
-                        tx: Mutex::new(MpscTxKind::Bounded(tx.clone())),
-                        stats: Arc::clone(&stats),
-                    }) as Box<dyn ChanSender<T> + 'a>
-                })
-                .collect();
-            drop(tx);
-            (senders, Box::new(MpscRx { rx: Mutex::new(rx), stats }))
-        }
-    }
-}
-
-/// An unbounded (mailbox) channel: `send` never waits. Used where a
-/// producer must never block on a slow consumer (MPI rank mailboxes,
-/// the monitor's event channel).
-pub fn unbounded<'a, T: Send + 'a>(
-    tuning: ChanTuning,
-    producers: usize,
-) -> (Vec<Box<dyn ChanSender<T> + 'a>>, Box<dyn ChanReceiver<T> + 'a>) {
-    let producers = producers.max(1);
-    match tuning.backend {
-        ChanBackendKind::Ring => {
-            let (txs, rx) = mpmc_unbounded(producers, tuning.policy);
-            (boxed_senders(txs), Box::new(rx))
-        }
-        ChanBackendKind::Mpsc => {
-            let (tx, rx) = mpsc::channel();
-            let stats = Arc::new(ChanCounters::default());
-            let senders = (0..producers)
-                .map(|_| {
-                    Box::new(MpscTx {
-                        tx: Mutex::new(MpscTxKind::Unbounded(tx.clone())),
+                        tx: Mutex::new(tx.clone()),
                         stats: Arc::clone(&stats),
                     }) as Box<dyn ChanSender<T> + 'a>
                 })
@@ -144,13 +112,8 @@ impl<T: Send> ChanReceiver<T> for MpmcReceiver<T> {
 /// `Sender` — each trait endpoint owns its own handle (one per
 /// producer), so the lock is uncontended unless one endpoint is shared
 /// across threads.
-enum MpscTxKind<T> {
-    Bounded(mpsc::SyncSender<T>),
-    Unbounded(mpsc::Sender<T>),
-}
-
 struct MpscTx<T> {
-    tx: Mutex<MpscTxKind<T>>,
+    tx: Mutex<mpsc::SyncSender<T>>,
     stats: Arc<ChanCounters>,
 }
 
@@ -161,26 +124,18 @@ struct MpscRx<T> {
 
 impl<T: Send> ChanSender<T> for MpscTx<T> {
     fn send(&self, value: T) -> Result<(), SendError<T>> {
-        match &*self.tx.lock().expect("mpsc sender lock poisoned") {
-            MpscTxKind::Bounded(tx) => match tx.try_send(value) {
-                Ok(()) => {
-                    ChanCounters::bump(&self.stats.sends);
-                    Ok(())
-                }
-                Err(mpsc::TrySendError::Disconnected(v)) => Err(SendError(v)),
-                Err(mpsc::TrySendError::Full(v)) => {
-                    ChanCounters::bump(&self.stats.full_stalls);
-                    let t0 = now_ns();
-                    let res = tx.send(v).map_err(|e| SendError(e.0));
-                    self.stats.add_stall_ns(now_ns().saturating_sub(t0));
-                    if res.is_ok() {
-                        ChanCounters::bump(&self.stats.sends);
-                    }
-                    res
-                }
-            },
-            MpscTxKind::Unbounded(tx) => {
-                let res = tx.send(value).map_err(|e| SendError(e.0));
+        let tx = self.tx.lock().expect("mpsc sender lock poisoned");
+        match tx.try_send(value) {
+            Ok(()) => {
+                ChanCounters::bump(&self.stats.sends);
+                Ok(())
+            }
+            Err(mpsc::TrySendError::Disconnected(v)) => Err(SendError(v)),
+            Err(mpsc::TrySendError::Full(v)) => {
+                ChanCounters::bump(&self.stats.full_stalls);
+                let t0 = now_ns();
+                let res = tx.send(v).map_err(|e| SendError(e.0));
+                self.stats.add_stall_ns(now_ns().saturating_sub(t0));
                 if res.is_ok() {
                     ChanCounters::bump(&self.stats.sends);
                 }
@@ -190,22 +145,14 @@ impl<T: Send> ChanSender<T> for MpscTx<T> {
     }
 
     fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        match &*self.tx.lock().expect("mpsc sender lock poisoned") {
-            MpscTxKind::Bounded(tx) => match tx.try_send(value) {
-                Ok(()) => {
-                    ChanCounters::bump(&self.stats.sends);
-                    Ok(())
-                }
-                Err(mpsc::TrySendError::Full(v)) => Err(TrySendError::Full(v)),
-                Err(mpsc::TrySendError::Disconnected(v)) => Err(TrySendError::Closed(v)),
-            },
-            MpscTxKind::Unbounded(tx) => match tx.send(value) {
-                Ok(()) => {
-                    ChanCounters::bump(&self.stats.sends);
-                    Ok(())
-                }
-                Err(e) => Err(TrySendError::Closed(e.0)),
-            },
+        let tx = self.tx.lock().expect("mpsc sender lock poisoned");
+        match tx.try_send(value) {
+            Ok(()) => {
+                ChanCounters::bump(&self.stats.sends);
+                Ok(())
+            }
+            Err(mpsc::TrySendError::Full(v)) => Err(TrySendError::Full(v)),
+            Err(mpsc::TrySendError::Disconnected(v)) => Err(TrySendError::Closed(v)),
         }
     }
 
@@ -260,8 +207,8 @@ mod tests {
 
     fn tunings() -> Vec<ChanTuning> {
         let mut v = Vec::new();
-        for backend in ChanBackendKind::all() {
-            for policy in WaitPolicy::all() {
+        for backend in [ChanBackendKind::Ring, ChanBackendKind::Mpsc] {
+            for policy in [WaitPolicy::Yield, WaitPolicy::Park] {
                 v.push(ChanTuning { backend, policy });
             }
         }
@@ -288,19 +235,6 @@ mod tests {
                 }
                 assert!(rx.recv().is_err(), "{tuning:?}: closed after drain");
             });
-        }
-    }
-
-    #[test]
-    fn unbounded_send_never_blocks_on_either_backend() {
-        for tuning in tunings() {
-            let (txs, rx) = unbounded::<usize>(tuning, 1);
-            for i in 0..2000 {
-                txs[0].send(i).unwrap();
-            }
-            for i in 0..2000 {
-                assert_eq!(rx.recv().unwrap(), i, "{tuning:?}");
-            }
         }
     }
 

@@ -1,10 +1,10 @@
-//! # ezp-chan — lock-free SPSC/MPMC channels with configurable wait policies
+//! # ezp-chan — lock-free SPSC/MPMC channels, with an `mpsc` baseline to measure against
 //!
-//! EASYPAP's runtime moves work between threads in three places: the
-//! streaming frame driver hands finished frames to the presenter, MPI
-//! ranks exchange messages through mailboxes, and the monitor harvests
-//! trace events from workers. This crate gives all three one audited
-//! channel substrate instead of three ad-hoc hand-offs:
+//! The simulated MPI's rank mailboxes and `ezp-serve`'s admission lanes
+//! move items between threads through this crate's channels. It is a
+//! measured library, not a tuning surface: no flag or config field
+//! selects a backend or a waiting discipline (who actually waits on a
+//! channel is in `docs/channels.md`).
 //!
 //! * [`ring`] — the FastFlow-style bounded lock-free SPSC ring: two
 //!   cache-padded monotone cursors over a power-of-two slot array, one
@@ -18,15 +18,15 @@
 //! * [`mpmc`] — MPMC composed from one SPSC lane per producer with
 //!   claim-flag role migration: per-producer FIFO, clonable receivers,
 //!   and an unbounded "mailbox" mode whose sends never block.
-//! * [`backend`] — the [`ChanSender`]/[`ChanReceiver`] trait objects the
-//!   framework programs against, switchable between the ring and a
-//!   `std::sync::mpsc` baseline via `--chan-backend` ([`ChanBackendKind`]).
+//! * [`backend`] — [`bounded`]: the same channel behind object-safe
+//!   [`ChanSender`]/[`ChanReceiver`] endpoints, built on the ring or on
+//!   a `std::sync::mpsc` baseline ([`ChanBackendKind`]) so `benchmark/`
+//!   can time both on one cell.
 //!
-//! How endpoints wait is a run-time knob ([`WaitPolicy`], `--wait-policy`):
-//! spin, yield, or spin-then-park on `ezp_core::park::ParkLot`. Every
-//! channel counts sends/recvs/full-stalls/empty-stalls ([`ChanStats`]),
-//! which consumers forward as `RuntimeEvent::ChanOps` plus
-//! backpressure idle attribution into the unified report.
+//! A blocked ring endpoint yields or spins-then-parks on
+//! `ezp_core::park::ParkLot` ([`WaitPolicy`], a constructor argument).
+//! Every channel counts sends/recvs/full-stalls/empty-stalls
+//! ([`ChanStats`], read with `stats()` on either endpoint).
 //!
 //! The ring protocol itself is modeled step-by-step in
 //! `ezp_sched::vexec::virtual_chan` and swept by every `ezp-check`
@@ -49,7 +49,7 @@ pub mod spsc;
 mod stats;
 mod wait;
 
-pub use backend::{bounded, unbounded, ChanReceiver, ChanSender};
+pub use backend::{bounded, ChanReceiver, ChanSender};
 pub use errors::{RecvError, SendError, TryRecvError, TrySendError};
 pub use ezp_core::{ChanBackendKind, ChanTuning, WaitPolicy};
 pub use mpmc::{mpmc, mpmc_unbounded, MpmcReceiver, MpmcSender};

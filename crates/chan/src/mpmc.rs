@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_per_lane() {
-        let (txs, _rx) = mpmc::<u8>(1, 2, WaitPolicy::Spin);
+        let (txs, _rx) = mpmc::<u8>(1, 2, WaitPolicy::Yield);
         let tx = &txs[0];
         tx.try_send(1).unwrap();
         tx.try_send(2).unwrap();
@@ -495,7 +495,7 @@ mod tests {
 
     #[test]
     fn closed_only_after_drain() {
-        let (txs, rx) = mpmc::<u8>(2, 4, WaitPolicy::Spin);
+        let (txs, rx) = mpmc::<u8>(2, 4, WaitPolicy::Yield);
         txs[0].send(7).unwrap();
         drop(txs);
         assert_eq!(rx.recv(), Ok(7), "item sent before close is delivered");

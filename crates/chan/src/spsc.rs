@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn try_send_reports_full_and_closed() {
-        let (mut tx, rx) = spsc::<u8>(1, WaitPolicy::Spin);
+        let (mut tx, rx) = spsc::<u8>(1, WaitPolicy::Yield);
         tx.try_send(1).unwrap();
         assert!(matches!(tx.try_send(2), Err(TrySendError::Full(2))));
         drop(rx);

@@ -2,10 +2,9 @@
 //!
 //! Every channel — ring-backed or the `std::sync::mpsc` baseline —
 //! carries one [`ChanCounters`] block; [`ChanStats`] is the plain
-//! snapshot handed to callers, who typically forward it as a
-//! `RuntimeEvent::ChanOps` delta into the perf layer. Stall counts
-//! tally *episodes* (one per time an endpoint found the channel
-//! full/empty and had to wait), not retries inside a wait.
+//! snapshot handed to callers. Stall counts tally *episodes* (one per
+//! time an endpoint found the channel full/empty and had to wait), not
+//! retries inside a wait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,10 +1,6 @@
 //! Wait-policy plumbing: how an endpoint waits for "not full" / "not
 //! empty", parameterized by [`WaitPolicy`].
 //!
-//! * `Spin` — busy-poll with `spin_loop` hints and a periodic
-//!   `yield_now` escape valve, so a single-core or oversubscribed host
-//!   still makes progress (the peer needs CPU time to change the
-//!   state).
 //! * `Yield` — `yield_now` every iteration: cheap on oversubscribed
 //!   hosts, latency-paying on idle ones.
 //! * `Park` — spin briefly, then block on an [`ParkLot`]
@@ -23,18 +19,12 @@
 //! its `sleepers` registration inside the lot's mutex) to observe that
 //! store, which is exactly the visibility `ParkLot` requires. The
 //! fences run only under `WaitPolicy::Park` and only on the wake edge —
-//! spin/yield waiters re-poll, where plain eventual visibility
-//! suffices.
+//! yield waiters re-poll, where plain eventual visibility suffices.
 
 use ezp_core::time::now_ns;
 use ezp_core::WaitPolicy;
 use ezp_core::park::ParkLot;
 use std::sync::atomic::{fence, Ordering};
-
-/// Spin iterations between `yield_now` calls under `WaitPolicy::Spin`.
-/// Pure spinning livelocks a 1-CPU host (the peer never runs); the
-/// valve keeps `Spin` an aggressive-but-safe default for benches.
-const SPIN_YIELD_VALVE: u32 = 4096;
 
 /// The two parking lots of one channel plus the policy that decides
 /// whether they are ever used.
@@ -92,17 +82,6 @@ impl WaitHub {
     fn stall(&self, lot: &ParkLot, ready: impl Fn() -> bool) -> u64 {
         let t0 = now_ns();
         match self.policy {
-            WaitPolicy::Spin => {
-                let mut i = 0u32;
-                while !ready() {
-                    i = i.wrapping_add(1);
-                    if i % SPIN_YIELD_VALVE == 0 {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
             WaitPolicy::Yield => {
                 while !ready() {
                     std::thread::yield_now();

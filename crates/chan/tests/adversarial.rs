@@ -124,7 +124,7 @@ fn sender_parked_on_full_wakes_on_receiver_drop() {
 /// policy.
 #[test]
 fn wraparound_at_capacity_one() {
-    for policy in WaitPolicy::all() {
+    for policy in [WaitPolicy::Yield, WaitPolicy::Park] {
         let (mut tx, mut rx) = spsc::<usize>(1, policy);
         std::thread::scope(|s| {
             s.spawn(move || {
@@ -133,7 +133,7 @@ fn wraparound_at_capacity_one() {
                 }
             });
             for i in 0..10_000 {
-                assert_eq!(rx.recv().unwrap(), i, "{policy}: item {i}");
+                assert_eq!(rx.recv().unwrap(), i, "{policy:?}: item {i}");
             }
         });
     }
@@ -168,7 +168,7 @@ fn wraparound_near_u32_max_indices() {
 #[test]
 fn wraparound_across_usize_overflow() {
     let start = usize::MAX - 7;
-    let (mut tx, mut rx) = spsc_from_index::<usize>(4, WaitPolicy::Spin, start);
+    let (mut tx, mut rx) = spsc_from_index::<usize>(4, WaitPolicy::Yield, start);
     std::thread::scope(|s| {
         s.spawn(move || {
             for i in 0..1_024 {

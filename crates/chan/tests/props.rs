@@ -29,7 +29,7 @@ ezp_proptest! {
         ops in vec_of(0u8..2, 1..200),
         seed in any_u64(),
     ) {
-        let (mut tx, mut rx) = spsc::<usize>(cap, WaitPolicy::Spin);
+        let (mut tx, mut rx) = spsc::<usize>(cap, WaitPolicy::Yield);
         let mut model: VecDeque<usize> = VecDeque::new();
         let mut next_item = seed as usize & 0xFFFF;
         for op in ops {
@@ -66,7 +66,7 @@ ezp_proptest! {
         ops in vec_of(0u8..3, 1..200),
         seed in any_u64(),
     ) {
-        let (txs, rx) = mpmc::<(usize, usize)>(producers, 2, WaitPolicy::Spin);
+        let (txs, rx) = mpmc::<(usize, usize)>(producers, 2, WaitPolicy::Yield);
         let mut sent = vec![0usize; producers];
         let mut seen = vec![0usize; producers];
         let mut lane = seed as usize;
@@ -95,7 +95,7 @@ ezp_proptest! {
         cap in 1usize..17,
         ops in vec_of(0u8..3, 1..300),
     ) {
-        let (mut tx, mut rx) = spsc::<u32>(cap, WaitPolicy::Spin);
+        let (mut tx, mut rx) = spsc::<u32>(cap, WaitPolicy::Yield);
         let mut in_flight = 0usize;
         for op in ops {
             if op < 2 {
@@ -127,7 +127,7 @@ ezp_proptest! {
         let mut delivered = 0usize;
         {
             if unbounded == 0 {
-                let (mut tx, mut rx) = spsc::<Tracked>(8, WaitPolicy::Spin);
+                let (mut tx, mut rx) = spsc::<Tracked>(8, WaitPolicy::Yield);
                 let mut accepted = 0usize;
                 for i in 0..pushes {
                     if tx.try_send(Tracked(Arc::clone(&drops), i)).is_ok() {
@@ -140,7 +140,7 @@ ezp_proptest! {
                     assert_eq!(got.1, delivered - 1, "FIFO of tracked items");
                 }
             } else {
-                let (txs, rx) = ezp_chan::mpmc_unbounded::<Tracked>(1, WaitPolicy::Spin);
+                let (txs, rx) = ezp_chan::mpmc_unbounded::<Tracked>(1, WaitPolicy::Yield);
                 for i in 0..pushes {
                     txs[0].send(Tracked(Arc::clone(&drops), i)).unwrap();
                 }

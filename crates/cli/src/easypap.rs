@@ -189,15 +189,6 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
         ))
     })?;
     let mut out = String::new();
-    if !cfg.stage_widths.is_empty() {
-        // the built-in demos fix their own stage shapes, so accepting
-        // `--stages` here would silently do nothing — reject instead
-        return Err(Error::Config(format!(
-            "--stages is not supported by built-in streaming kernel '{}' \
-             (its stage shape is fixed; tune --farm-width instead)",
-            cfg.kernel
-        )));
-    }
     let mut pool = ezp_sched::acquire_pool(cfg.threads);
     let farm_width = if cfg.farm_width == 0 { cfg.threads } else { cfg.farm_width };
     let perf = if cfg.stats.is_some() || cfg.trace_events.is_some() {
@@ -216,15 +207,8 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
         None => Arc::new(NullProbe),
     };
     let sw = ezp_core::time::Stopwatch::start();
-    let (outputs, stats) = kernel.run_tuned(
-        cfg.dim,
-        frames,
-        cfg.stream_mode,
-        farm_width,
-        cfg.chan_tuning(),
-        &mut pool,
-        &*probe,
-    )?;
+    let (outputs, stats) =
+        kernel.run(cfg.dim, frames, cfg.stream_mode, farm_width, &mut pool, &*probe)?;
     let bytes: usize = outputs.iter().map(|(_, b)| b.len()).sum();
     writeln!(
         out,
@@ -241,17 +225,6 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
         stats.max_reorder_depth,
         stats.max_stage_occupancy,
         stats.backpressure_stalls
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "emission channel ({:?}/{:?}): {} sends, {} recvs, {} full stalls, {} empty stalls",
-        cfg.chan_backend,
-        cfg.wait_policy,
-        stats.chan_sends,
-        stats.chan_recvs,
-        stats.chan_full_stalls,
-        stats.chan_empty_stalls
     )
     .unwrap();
     observability_tail(&mut out, &cfg, None, perf.as_ref(), Vec::new())?;
@@ -819,20 +792,17 @@ mod tests {
         assert!(run_easypap(["--kernel", "mandel", "--variant", "nope", "--no-display"]).is_err());
     }
 
-    /// `--stages` used to be accepted and silently ignored for the
-    /// built-in (fixed-shape) streaming demos; now it is a config
-    /// error that names the alternative.
+    /// The retired channel knobs and `--stages` are ordinary unknown
+    /// options, with or without `--stream`.
     #[test]
-    fn stages_on_fixed_shape_streaming_kernels_is_rejected() {
-        for kernel in ["mandel_zoom", "frame_diff", "wordcount"] {
-            let err = run_easypap([
-                "--kernel", kernel, "--stream=2", "--stages", "1,2,1", "--no-display",
-            ])
-            .expect_err("--stages must be rejected")
-            .to_string();
-            assert!(err.contains("--stages is not supported"), "got: {err}");
-            assert!(err.contains(kernel), "names the kernel: {err}");
-            assert!(err.contains("--farm-width"), "points at the knob: {err}");
+    fn retired_channel_flags_are_unknown_options() {
+        for gone in ["--wait-policy=yield", "--chan-backend=mpsc", "--stages=1,2,1"] {
+            for stream in [&["--stream=2"][..], &[]] {
+                let mut args = vec!["--kernel", "mandel_zoom", "--no-display", gone];
+                args.extend_from_slice(stream);
+                let err = run_easypap(args).expect_err(gone).to_string();
+                assert!(err.contains("unknown option"), "{gone}: {err}");
+            }
         }
     }
 }

@@ -45,3 +45,45 @@ pub fn emit(out: &str) -> i32 {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    /// Every `"--flag"` literal in the non-test part of `source`.
+    fn flag_literals(source: &str) -> Vec<&str> {
+        let code = source.split("#[cfg(test)]").next().unwrap();
+        let mut flags = Vec::new();
+        for (at, _) in code.match_indices("\"--") {
+            let rest = &code[at + 1..];
+            let len = rest
+                .find(|c: char| c != '-' && !c.is_ascii_lowercase())
+                .unwrap_or(rest.len());
+            if len > 2 && rest[len..].starts_with('"') {
+                flags.push(&rest[..len]);
+            }
+        }
+        flags
+    }
+
+    /// `docs/knobs.md` is the ledger of every knob and what justifies
+    /// it; a flag added to a parser without a row there fails here.
+    #[test]
+    fn every_parsed_flag_has_a_row_in_the_knob_ledger() {
+        let ledger = include_str!("../../../docs/knobs.md");
+        let parsers = [
+            ("params.rs", include_str!("../../core/src/params.rs")),
+            ("serve_cmd.rs", include_str!("serve_cmd.rs")),
+            ("easyview.rs", include_str!("easyview.rs")),
+            ("easyplot.rs", include_str!("easyplot.rs")),
+        ];
+        for (file, source) in parsers {
+            let flags = flag_literals(source);
+            assert!(flags.len() >= 7, "{file}: flag extraction found only {flags:?}");
+            for flag in flags {
+                assert!(
+                    ledger.contains(&format!("`{flag}`")),
+                    "{file} parses {flag}, which has no row in docs/knobs.md"
+                );
+            }
+        }
+    }
+}

@@ -14,7 +14,6 @@
 
 use ezp_core::error::Error;
 use ezp_core::json::ToJson;
-use ezp_core::params::{ChanBackendKind, WaitPolicy};
 use ezp_core::Result;
 use ezp_serve::{Client, JobSpec, Response, ServeConfig, Server};
 use std::fmt::Write as _;
@@ -53,8 +52,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T> {
 }
 
 /// `easypap serve [--port N] [--workers N] [--slots N] [--max-tenants N]
-/// [--queue-cap N] [--chan-backend B] [--wait-policy P]` — run the
-/// daemon in the foreground until a client sends `shutdown`.
+/// [--queue-cap N]` — run the daemon in the foreground until a client
+/// sends `shutdown`.
 pub fn run_serve(args: &[String]) -> Result<String> {
     let mut cfg = ServeConfig { port: DEFAULT_PORT, ..ServeConfig::default() };
     let mut it = args.iter();
@@ -85,12 +84,6 @@ pub fn run_serve(args: &[String]) -> Result<String> {
                 if cfg.queue_cap == 0 {
                     return Err(Error::Config("--queue-cap must be > 0".into()));
                 }
-            }
-            "--chan-backend" => {
-                cfg.tuning.backend = ChanBackendKind::parse(flag_value(flag, inline, &mut it)?)?;
-            }
-            "--wait-policy" => {
-                cfg.tuning.policy = WaitPolicy::parse(flag_value(flag, inline, &mut it)?)?;
             }
             other => {
                 return Err(Error::Config(format!("easypap serve: unknown option `{other}`")))
@@ -228,6 +221,11 @@ mod tests {
         assert!(err.contains("easypap submit"), "got: {err}");
         assert!(run_serve(&argv(&["--workers", "0"])).is_err());
         assert!(run_serve(&argv(&["--port"])).is_err(), "missing value");
+        // the retired channel knobs are ordinary unknown options now
+        for gone in ["--wait-policy=park", "--chan-backend=mpsc", "--stages=1,2"] {
+            let err = run_serve(&argv(&[gone])).unwrap_err().to_string();
+            assert!(err.contains("unknown option"), "{gone}: {err}");
+        }
     }
 
     #[test]

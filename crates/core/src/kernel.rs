@@ -231,21 +231,6 @@ pub enum RuntimeEvent {
         /// Frames concurrently inside one stage at this instant.
         depth: usize,
     },
-    /// Channel activity of an `ezp-chan` channel (or its `mpsc`
-    /// baseline), reported as a delta snapshot by whoever owns the
-    /// channel (the streaming engine per run, the MPI world at
-    /// shutdown). Stall counts tally *episodes* — one per time an
-    /// endpoint found the ring full/empty and had to wait — not retries.
-    ChanOps {
-        /// Items successfully sent.
-        sends: u64,
-        /// Items successfully received.
-        recvs: u64,
-        /// Times a sender found the channel full and had to wait.
-        full_stalls: u64,
-        /// Times a receiver found the channel empty and had to wait.
-        empty_stalls: u64,
-    },
 }
 
 /// Instrumentation hooks — the Rust face of the paper's

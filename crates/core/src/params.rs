@@ -175,16 +175,12 @@ impl std::fmt::Display for EmitMode {
 /// What a channel endpoint does when it cannot make progress (ring
 /// full on send, ring empty on receive).
 ///
-/// The shared vocabulary between `ezp-chan` and the CLI (`--wait-policy`):
-/// `Spin` burns cycles for minimum latency (with a periodic yield escape
-/// hatch so oversubscribed hosts stay live), `Yield` releases the CPU
-/// every iteration, `Park` spins briefly then blocks on a
-/// `ParkLot`-style condvar (lowest CPU waste, a wakeup syscall on the
-/// state change). Tradeoffs are discussed in `docs/channels.md`.
+/// Half of [`ChanTuning`], `ezp-chan`'s constructor vocabulary: `Yield`
+/// releases the CPU every iteration, `Park` spins briefly then blocks
+/// on a `ParkLot`-style condvar (lowest CPU waste, a wakeup syscall on
+/// the state change). Who actually waits is in `docs/channels.md`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WaitPolicy {
-    /// Busy-wait with `spin_loop` hints (plus a rare yield).
-    Spin,
     /// `yield_now` between every recheck.
     Yield,
     /// Spin briefly, then park on a condvar until notified.
@@ -192,41 +188,10 @@ pub enum WaitPolicy {
     Park,
 }
 
-impl WaitPolicy {
-    /// Parses the value of `--wait-policy=<policy>`.
-    pub fn parse(s: &str) -> Result<WaitPolicy> {
-        match s {
-            "spin" => Ok(WaitPolicy::Spin),
-            "yield" => Ok(WaitPolicy::Yield),
-            "park" => Ok(WaitPolicy::Park),
-            other => Err(Error::Config(format!(
-                "--wait-policy: unknown policy `{other}` (expected spin, yield or park)"
-            ))),
-        }
-    }
-
-    /// Every policy, for exhaustive sweeps (conformance matrix, benches).
-    pub fn all() -> [WaitPolicy; 3] {
-        [WaitPolicy::Spin, WaitPolicy::Yield, WaitPolicy::Park]
-    }
-}
-
-impl std::fmt::Display for WaitPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            WaitPolicy::Spin => "spin",
-            WaitPolicy::Yield => "yield",
-            WaitPolicy::Park => "park",
-        })
-    }
-}
-
-/// Which channel substrate carries inter-thread messages
-/// (`--chan-backend`): `ezp-chan`'s lock-free ring, or `std::sync::mpsc`
-/// kept as the reference baseline. Every consumer of the
-/// `ezp_chan::ChanSender`/`ChanReceiver` traits accepts either, so the
-/// two stay behaviorally interchangeable (asserted byte-for-byte by the
-/// streaming conformance matrix).
+/// Which substrate an `ezp_chan::bounded` channel is built on:
+/// `ezp-chan`'s lock-free ring, or `std::sync::mpsc` kept as the
+/// measured baseline (`chan.mpmc2_ns_msg` vs `chan.mpsc_backend_ns_msg`
+/// in `benchmark/`). Not a run-time flag — see `docs/knobs.md`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ChanBackendKind {
     /// Bounded lock-free SPSC rings (MPMC = one ring per producer).
@@ -236,42 +201,13 @@ pub enum ChanBackendKind {
     Mpsc,
 }
 
-impl ChanBackendKind {
-    /// Parses the value of `--chan-backend=<backend>`.
-    pub fn parse(s: &str) -> Result<ChanBackendKind> {
-        match s {
-            "ring" => Ok(ChanBackendKind::Ring),
-            "mpsc" => Ok(ChanBackendKind::Mpsc),
-            other => Err(Error::Config(format!(
-                "--chan-backend: unknown backend `{other}` (expected ring or mpsc)"
-            ))),
-        }
-    }
-
-    /// Every backend, for exhaustive sweeps (conformance matrix, benches).
-    pub fn all() -> [ChanBackendKind; 2] {
-        [ChanBackendKind::Ring, ChanBackendKind::Mpsc]
-    }
-}
-
-impl std::fmt::Display for ChanBackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ChanBackendKind::Ring => "ring",
-            ChanBackendKind::Mpsc => "mpsc",
-        })
-    }
-}
-
-/// The channel knobs of a run, bundled so APIs that thread them through
-/// (streaming kernels, the pipeline engine) take one argument instead of
-/// two loose enums.
+/// The two choices `ezp_chan::bounded` takes, bundled so its callers
+/// pass one argument instead of two loose enums.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChanTuning {
-    /// Channel substrate (`--chan-backend`).
+    /// Channel substrate.
     pub backend: ChanBackendKind,
-    /// Behavior when a channel operation cannot progress
-    /// (`--wait-policy`).
+    /// Behavior when a channel operation cannot progress.
     pub policy: WaitPolicy,
 }
 
@@ -331,17 +267,9 @@ pub struct RunConfig {
     /// `--farm-width K`: replication width of farm stages in a
     /// streaming run (0 = auto: use `threads`).
     pub farm_width: usize,
-    /// `--stages a,b,c`: explicit per-stage widths overriding the
-    /// streamed kernel's default shape (empty = kernel default).
-    pub stage_widths: Vec<usize>,
     /// `--stream-mode ordered|unordered`: output ordering of a
     /// streaming run.
     pub stream_mode: EmitMode,
-    /// `--wait-policy spin|yield|park`: what channel endpoints do when
-    /// they cannot progress.
-    pub wait_policy: WaitPolicy,
-    /// `--chan-backend ring|mpsc`: the channel substrate messages ride.
-    pub chan_backend: ChanBackendKind,
 }
 
 impl Default for RunConfig {
@@ -369,10 +297,7 @@ impl Default for RunConfig {
             trace_events: None,
             stream_frames: None,
             farm_width: 0,
-            stage_widths: Vec::new(),
             stream_mode: EmitMode::Ordered,
-            wait_policy: WaitPolicy::Park,
-            chan_backend: ChanBackendKind::Ring,
         }
     }
 }
@@ -483,14 +408,7 @@ impl RunConfig {
                 "--farm-width" => {
                     cfg.farm_width = parse_num(&need_value(&mut it, arg)?, arg)?;
                 }
-                "--stages" => cfg.stage_widths = parse_stages(&need_value(&mut it, arg)?)?,
                 "--stream-mode" => cfg.stream_mode = EmitMode::parse(&need_value(&mut it, arg)?)?,
-                "--wait-policy" => {
-                    cfg.wait_policy = WaitPolicy::parse(&need_value(&mut it, arg)?)?;
-                }
-                "--chan-backend" => {
-                    cfg.chan_backend = ChanBackendKind::parse(&need_value(&mut it, arg)?)?;
-                }
                 other => {
                     // `--opt=value` spellings of the options above
                     if let Some(fmt) = other.strip_prefix("--stats=") {
@@ -499,14 +417,8 @@ impl RunConfig {
                         cfg.stream_frames = Some(parse_num(n, "--stream")?);
                     } else if let Some(k) = other.strip_prefix("--farm-width=") {
                         cfg.farm_width = parse_num(k, "--farm-width")?;
-                    } else if let Some(list) = other.strip_prefix("--stages=") {
-                        cfg.stage_widths = parse_stages(list)?;
                     } else if let Some(mode) = other.strip_prefix("--stream-mode=") {
                         cfg.stream_mode = EmitMode::parse(mode)?;
-                    } else if let Some(policy) = other.strip_prefix("--wait-policy=") {
-                        cfg.wait_policy = WaitPolicy::parse(policy)?;
-                    } else if let Some(backend) = other.strip_prefix("--chan-backend=") {
-                        cfg.chan_backend = ChanBackendKind::parse(backend)?;
                     } else {
                         return Err(Error::Config(format!("unknown option `{other}`")));
                     }
@@ -546,35 +458,19 @@ impl RunConfig {
             return Err(Error::Config("--stream must be > 0 frames".into()));
         }
         if self.stream_frames.is_none()
-            && (self.farm_width != 0
-                || !self.stage_widths.is_empty()
-                || self.stream_mode != EmitMode::Ordered)
+            && (self.farm_width != 0 || self.stream_mode != EmitMode::Ordered)
         {
             return Err(Error::Config(
-                "--farm-width/--stages/--stream-mode require --stream=N".into(),
-            ));
-        }
-        if self.stream_frames.is_none()
-            && (self.wait_policy != WaitPolicy::default()
-                || self.chan_backend != ChanBackendKind::default())
-        {
-            // channel knobs steer the streaming frame driver and the
-            // serve-mode admission lanes; rejecting them elsewhere keeps
-            // "accepted flag == effective flag" true
-            return Err(Error::Config(
-                "--wait-policy/--chan-backend require --stream=N (or `easypap serve`)".into(),
+                "--farm-width/--stream-mode require --stream=N".into(),
             ));
         }
         Ok(())
     }
 
-    /// The channel knobs of this run, bundled for APIs that take a
-    /// [`ChanTuning`].
+    // Compatibility shim: the frozen `benchmark/` is its only caller.
+    #[doc(hidden)]
     pub fn chan_tuning(&self) -> ChanTuning {
-        ChanTuning {
-            backend: self.chan_backend,
-            policy: self.wait_policy,
-        }
+        ChanTuning::default()
     }
 
     /// The tile grid implied by `--size` and `--tile-size`.
@@ -586,20 +482,6 @@ impl RunConfig {
 fn parse_num(s: &str, opt: &str) -> Result<usize> {
     s.parse()
         .map_err(|_| Error::Config(format!("option {opt}: `{s}` is not a number")))
-}
-
-/// Parses the `--stages a,b,c` per-stage width list.
-fn parse_stages(spec: &str) -> Result<Vec<usize>> {
-    let widths: Vec<usize> = spec
-        .split(',')
-        .map(|w| parse_num(w.trim(), "--stages"))
-        .collect::<Result<_>>()?;
-    if widths.is_empty() || widths.contains(&0) {
-        return Err(Error::Config(format!(
-            "--stages `{spec}`: stage widths must be >= 1"
-        )));
-    }
-    Ok(widths)
 }
 
 /// Extracts the rank count from an mpirun flag string such as `-np 2`.
@@ -787,15 +669,12 @@ mod tests {
             "16",
             "--farm-width",
             "4",
-            "--stages",
-            "1,4,1",
             "--stream-mode",
             "unordered",
         ])
         .unwrap();
         assert_eq!(cfg.stream_frames, Some(16));
         assert_eq!(cfg.farm_width, 4);
-        assert_eq!(cfg.stage_widths, vec![1, 4, 1]);
         assert_eq!(cfg.stream_mode, EmitMode::Unordered);
 
         let cfg = RunConfig::parse_args([
@@ -803,13 +682,11 @@ mod tests {
             "mandel_zoom",
             "--stream=8",
             "--farm-width=2",
-            "--stages=2,2",
             "--stream-mode=ordered",
         ])
         .unwrap();
         assert_eq!(cfg.stream_frames, Some(8));
         assert_eq!(cfg.farm_width, 2);
-        assert_eq!(cfg.stage_widths, vec![2, 2]);
         assert_eq!(cfg.stream_mode, EmitMode::Ordered);
     }
 
@@ -819,11 +696,9 @@ mod tests {
         assert!(RunConfig::parse_args(["--kernel", "x", "--stream=0"]).is_err());
         // streaming knobs without --stream
         assert!(RunConfig::parse_args(["--kernel", "x", "--farm-width=2"]).is_err());
-        assert!(RunConfig::parse_args(["--kernel", "x", "--stages=1,2"]).is_err());
         assert!(RunConfig::parse_args(["--kernel", "x", "--stream-mode=unordered"]).is_err());
         // malformed values
         assert!(RunConfig::parse_args(["--kernel", "x", "--stream=abc"]).is_err());
-        assert!(RunConfig::parse_args(["--kernel", "x", "--stream=4", "--stages=1,0"]).is_err());
         assert!(
             RunConfig::parse_args(["--kernel", "x", "--stream=4", "--stream-mode=sideways"])
                 .is_err()
@@ -832,7 +707,6 @@ mod tests {
         let plain = RunConfig::parse_args(["--kernel", "x"]).unwrap();
         assert_eq!(plain.stream_frames, None);
         assert_eq!(plain.farm_width, 0);
-        assert!(plain.stage_widths.is_empty());
         assert_eq!(plain.stream_mode, EmitMode::Ordered);
     }
 
@@ -842,73 +716,6 @@ mod tests {
             assert_eq!(EmitMode::parse(&m.to_string()).unwrap(), m);
         }
         assert!(EmitMode::parse("diagonal").is_err());
-    }
-
-    #[test]
-    fn chan_options_parse_in_both_spellings() {
-        let cfg = RunConfig::parse_args([
-            "--kernel",
-            "mandel_zoom",
-            "--stream",
-            "8",
-            "--wait-policy",
-            "spin",
-            "--chan-backend",
-            "mpsc",
-        ])
-        .unwrap();
-        assert_eq!(cfg.wait_policy, WaitPolicy::Spin);
-        assert_eq!(cfg.chan_backend, ChanBackendKind::Mpsc);
-        assert_eq!(
-            cfg.chan_tuning(),
-            ChanTuning {
-                backend: ChanBackendKind::Mpsc,
-                policy: WaitPolicy::Spin
-            }
-        );
-
-        let cfg = RunConfig::parse_args([
-            "--kernel",
-            "mandel_zoom",
-            "--stream=8",
-            "--wait-policy=yield",
-            "--chan-backend=ring",
-        ])
-        .unwrap();
-        assert_eq!(cfg.wait_policy, WaitPolicy::Yield);
-        assert_eq!(cfg.chan_backend, ChanBackendKind::Ring);
-    }
-
-    #[test]
-    fn chan_options_validate() {
-        // channel knobs without --stream
-        assert!(RunConfig::parse_args(["--kernel", "x", "--wait-policy=spin"]).is_err());
-        assert!(RunConfig::parse_args(["--kernel", "x", "--chan-backend=mpsc"]).is_err());
-        // malformed values
-        assert!(
-            RunConfig::parse_args(["--kernel", "x", "--stream=4", "--wait-policy=block"]).is_err()
-        );
-        assert!(
-            RunConfig::parse_args(["--kernel", "x", "--stream=4", "--chan-backend=flume"])
-                .is_err()
-        );
-        // defaults: park waits on the ring backend
-        let plain = RunConfig::parse_args(["--kernel", "x"]).unwrap();
-        assert_eq!(plain.wait_policy, WaitPolicy::Park);
-        assert_eq!(plain.chan_backend, ChanBackendKind::Ring);
-        assert_eq!(plain.chan_tuning(), ChanTuning::default());
-    }
-
-    #[test]
-    fn chan_enums_round_trip_through_display() {
-        for p in WaitPolicy::all() {
-            assert_eq!(WaitPolicy::parse(&p.to_string()).unwrap(), p);
-        }
-        assert!(WaitPolicy::parse("busy").is_err());
-        for b in ChanBackendKind::all() {
-            assert_eq!(ChanBackendKind::parse(&b.to_string()).unwrap(), b);
-        }
-        assert!(ChanBackendKind::parse("crossbeam").is_err());
     }
 
     #[test]
@@ -926,25 +733,10 @@ mod tests {
                 .expect_err("bogus value must not parse")
                 .to_string()
         };
-        let m = msg(&["--kernel", "x", "--stream=4", "--wait-policy=banana"]);
-        assert!(m.contains("expected spin, yield or park"), "got: {m}");
-        assert!(m.contains("banana"), "echoes the offender: {m}");
-        let m = msg(&["--kernel", "x", "--stream=4", "--chan-backend=tcp"]);
-        assert!(m.contains("expected ring or mpsc"), "got: {m}");
         let m = msg(&["--kernel", "x", "--stream=4", "--stream-mode=random"]);
         assert!(m.contains("expected ordered or unordered"), "got: {m}");
+        assert!(m.contains("random"), "echoes the offender: {m}");
         let m = msg(&["--kernel", "x", "--stats=xml"]);
         assert!(m.contains("expected text, json or csv"), "got: {m}");
-    }
-
-    /// Channel knobs off the streaming/serve paths are rejected, and the
-    /// rejection points at both legitimate homes.
-    #[test]
-    fn chan_knob_rejection_mentions_serve_mode() {
-        let err = RunConfig::parse_args(["--kernel", "x", "--wait-policy=spin"])
-            .expect_err("knob without --stream")
-            .to_string();
-        assert!(err.contains("--stream=N"), "got: {err}");
-        assert!(err.contains("easypap serve"), "got: {err}");
     }
 }

@@ -32,7 +32,7 @@ impl fmt::Display for Diagnostic {
 pub enum Format {
     /// One `path:line: [rule] message` line per diagnostic.
     Text,
-    /// A machine-readable report object (for `ci/lint-report.json`).
+    /// A machine-readable report object (`--format=json`).
     Json,
 }
 

@@ -9,7 +9,7 @@
 use crate::report::MonitorReport;
 use ezp_core::json::{Json, ToJson};
 use ezp_perf::export::{to_csv, to_prometheus};
-use ezp_perf::{CounterSnapshot, HistSummary, SpanRecord};
+use ezp_perf::{CounterSnapshot, SpanRecord};
 use std::fmt::Write as _;
 
 /// Everything one run produced, observability-wise.
@@ -22,9 +22,6 @@ pub struct UnifiedReport {
     pub counters: CounterSnapshot,
     /// Recorded spans, merged across workers and sorted by start time.
     pub spans: Vec<SpanRecord>,
-    /// Latency-distribution summaries (task/frame percentiles), when a
-    /// `PerfProbe` ran.
-    pub histograms: Vec<HistSummary>,
     /// The tenant this report belongs to, when the run was executed by
     /// `ezp-serve` on behalf of a client (None for standalone CLI runs).
     pub tenant: Option<String>,
@@ -41,7 +38,6 @@ impl UnifiedReport {
             monitor,
             counters,
             spans,
-            histograms: Vec::new(),
             tenant: None,
         }
     }
@@ -50,13 +46,6 @@ impl UnifiedReport {
     /// used by `ezp-serve` for per-job reports).
     pub fn with_tenant(mut self, tenant: &str) -> Self {
         self.tenant = Some(tenant.to_string());
-        self
-    }
-
-    /// The same report carrying latency-percentile summaries (builder
-    /// style, like [`MonitorReport::with_edges`]).
-    pub fn with_histograms(mut self, histograms: Vec<HistSummary>) -> Self {
-        self.histograms = histograms;
         self
     }
 
@@ -105,9 +94,6 @@ impl UnifiedReport {
         }
         pairs.push(("counters", self.counters.to_json()));
         pairs.push(("spans", self.spans.to_json()));
-        if !self.histograms.is_empty() {
-            pairs.push(("histograms", self.histograms.to_json()));
-        }
         if let Some(mon) = &self.monitor {
             pairs.push(("workers", mon.workers.to_json()));
             pairs.push(("tiles_recorded", mon.records.len().to_json()));
@@ -136,13 +122,6 @@ impl UnifiedReport {
         }
         for (name, count, total_ns) in self.span_summary() {
             let _ = writeln!(out, "# span {name}: {count} x, {total_ns} ns total");
-        }
-        for h in &self.histograms {
-            let _ = writeln!(
-                out,
-                "# hist {}: n={} p50={} p95={} p99={} max={} ns",
-                h.name, h.count, h.p50_ns, h.p95_ns, h.p99_ns, h.max_ns,
-            );
         }
         out.push_str(&to_prometheus(&self.counters));
         out
@@ -271,26 +250,6 @@ mod tests {
         let csv = sample().to_csv();
         assert!(csv.starts_with("counter,worker,value"));
         assert!(csv.contains("tasks_executed"));
-    }
-
-    #[test]
-    fn histograms_appear_in_json_and_text() {
-        let hist = ezp_perf::LogHistogram::new("task_ns");
-        for v in [100u64, 200, 5000] {
-            hist.record(v);
-        }
-        let rep = sample().with_histograms(vec![hist.summary()]);
-        let j = Json::parse(&rep.to_json().dump()).unwrap();
-        let hists = j.get("histograms").unwrap().as_arr().unwrap();
-        assert_eq!(hists.len(), 1);
-        assert_eq!(
-            hists[0].get("name"),
-            Some(&Json::Str("task_ns".into()))
-        );
-        assert!(hists[0].get("p99_ns").is_some());
-        assert!(rep.to_text().contains("# hist task_ns: n=3"));
-        // no histograms -> key omitted entirely
-        assert!(sample().to_json().get("histograms").is_none());
     }
 
     #[test]

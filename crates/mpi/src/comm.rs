@@ -1,18 +1,19 @@
 //! The communicator: ranks, typed point-to-point messages, `run`.
 //!
-//! Every rank owns one unbounded receive mailbox — an [`ezp_chan`]
-//! channel with one sender lane per peer rank, backend-selectable via
-//! [`ChanTuning`] (`run_tuned`). Sending never blocks (MPI buffered
-//! mode), receiving is *selective*: `recv(src, tag)` pulls messages
-//! into a pending list until the matching one arrives, so out-of-order
-//! traffic between rank pairs with different tags is safe — the
-//! property the Game-of-Life variant relies on when it exchanges ghost
-//! rows and tile-state metadata separately.
+//! Every rank owns one unbounded receive mailbox — an
+//! [`ezp_chan::mpmc_unbounded`] channel with one sender lane per peer
+//! rank, whose receiver parks while the mailbox is empty (the one place
+//! in the workspace where a thread really waits on a channel). Sending
+//! never blocks (MPI buffered mode), receiving is *selective*:
+//! `recv(src, tag)` pulls messages into a pending list until the
+//! matching one arrives, so out-of-order traffic between rank pairs
+//! with different tags is safe — the property the Game-of-Life variant
+//! relies on when it exchanges ghost rows and tile-state metadata
+//! separately.
 
-use ezp_chan::{unbounded, ChanReceiver, ChanSender};
+use ezp_chan::{mpmc_unbounded, MpmcReceiver, MpmcSender, WaitPolicy};
 use ezp_core::error::{Error, Result};
 use ezp_core::json::{FromJson, Json, ToJson};
-use ezp_core::ChanTuning;
 use std::cell::RefCell;
 use std::sync::{Arc, Barrier};
 
@@ -98,8 +99,8 @@ pub struct Comm {
     rank: usize,
     size: usize,
     /// `senders[dst]` is this rank's private lane into `dst`'s mailbox.
-    senders: Vec<Box<dyn ChanSender<Message>>>,
-    receiver: Box<dyn ChanReceiver<Message>>,
+    senders: Vec<MpmcSender<Message>>,
+    receiver: MpmcReceiver<Message>,
     /// Received-but-not-yet-requested messages (selective reception).
     pending: RefCell<Vec<Message>>,
     barrier: Arc<Barrier>,
@@ -255,29 +256,17 @@ where
     R: Send,
     F: Fn(&Comm) -> Result<R> + Sync,
 {
-    run_tuned(np, ChanTuning::default(), f)
-}
-
-/// [`run_with_stats`] with the mailbox channel's backend and wait
-/// policy chosen by `tuning` (`--chan-backend`, `--wait-policy`) — the
-/// knob the conformance matrix sweeps to hold both substrates to the
-/// same semantics.
-pub fn run_tuned<R, F>(np: usize, tuning: ChanTuning, f: F) -> Result<(Vec<R>, Vec<CommStats>)>
-where
-    R: Send,
-    F: Fn(&Comm) -> Result<R> + Sync,
-{
     if np == 0 {
         return Err(Error::Mpi("world size must be > 0".into()));
     }
     // One mailbox per rank, each with one sender lane per peer; rank
     // `src` takes lane `src` of every mailbox, so `senders[dst]` below
     // is a private per-producer lane (per-peer FIFO holds by
-    // construction on both backends).
+    // construction).
     let mut lanes_by_dst = Vec::with_capacity(np);
     let mut inboxes = Vec::with_capacity(np);
     for _ in 0..np {
-        let (txs, rx) = unbounded::<Message>(tuning, np);
+        let (txs, rx) = mpmc_unbounded::<Message>(np, WaitPolicy::Park);
         lanes_by_dst.push(txs.into_iter());
         inboxes.push(rx);
     }
@@ -536,29 +525,23 @@ mod tests {
     }
 
     #[test]
-    fn mailboxes_behave_identically_on_every_backend_and_policy() {
-        use ezp_core::{ChanBackendKind, WaitPolicy};
-        for backend in ChanBackendKind::all() {
-            for policy in WaitPolicy::all() {
-                let tuning = ChanTuning { backend, policy };
-                // the ring-pass exchange plus selective reception, the
-                // two mailbox behaviors the variants lean on
-                let (got, stats) = run_tuned(3, tuning, |comm| {
-                    let next = (comm.rank() + 1) % 3;
-                    let prev = (comm.rank() + 2) % 3;
-                    comm.send(next, 2, &(comm.rank() * 10))?;
-                    comm.send(next, 1, &comm.rank())?;
-                    // request tag 1 before tag 2: out-of-order pull
-                    let a: usize = comm.recv(prev, 1)?;
-                    let b: usize = comm.recv(prev, 2)?;
-                    Ok((a, b))
-                })
-                .unwrap();
-                assert_eq!(got, vec![(2, 20), (0, 0), (1, 10)], "{tuning:?}");
-                for st in &stats {
-                    assert_eq!((st.msgs_sent, st.msgs_received), (2, 2), "{tuning:?}");
-                }
-            }
+    fn mailboxes_keep_per_peer_order_and_receive_selectively() {
+        // the ring-pass exchange plus selective reception, the two
+        // mailbox behaviors the variants lean on
+        let (got, stats) = run_with_stats(3, |comm| {
+            let next = (comm.rank() + 1) % 3;
+            let prev = (comm.rank() + 2) % 3;
+            comm.send(next, 2, &(comm.rank() * 10))?;
+            comm.send(next, 1, &comm.rank())?;
+            // request tag 1 before tag 2: out-of-order pull
+            let a: usize = comm.recv(prev, 1)?;
+            let b: usize = comm.recv(prev, 2)?;
+            Ok((a, b))
+        })
+        .unwrap();
+        assert_eq!(got, vec![(2, 20), (0, 0), (1, 10)]);
+        for st in &stats {
+            assert_eq!((st.msgs_sent, st.msgs_received), (2, 2));
         }
     }
 

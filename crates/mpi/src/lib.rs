@@ -23,5 +23,5 @@ pub mod collective;
 pub mod comm;
 pub mod ghost;
 
-pub use comm::{run, run_tuned, run_with_stats, Comm, CommStats, Tag, ANY_SOURCE};
+pub use comm::{run, run_with_stats, Comm, CommStats, Tag, ANY_SOURCE};
 pub use ghost::BlockRows;

@@ -38,13 +38,11 @@
 
 pub mod counters;
 pub mod export;
-pub mod hist;
 pub mod probe;
 pub mod span;
 pub mod trace_event;
 
 pub use counters::{CounterId, CounterSet, CounterSnapshot, CounterValues};
-pub use hist::{HistSummary, LogHistogram, ShardedHistogram};
 pub use probe::{names, PerfProbe};
 pub use span::{Span, SpanRecord, SpanSet};
 pub use trace_event::TraceEvent;

@@ -10,7 +10,6 @@
 //! one process — the CLI test suite does this — never share numbers.
 
 use crate::counters::{CounterId, CounterSet, CounterSnapshot};
-use crate::hist::{HistSummary, LogHistogram, ShardedHistogram};
 use crate::span::{SpanRecord, SpanSet, DEFAULT_CAPACITY};
 use ezp_core::kernel::{IdleCause, Probe, RuntimeEvent};
 use ezp_core::time::now_ns;
@@ -78,14 +77,6 @@ pub mod names {
     /// High-water mark of any single stage's occupancy (gauge, worker
     /// slot 0).
     pub const STAGE_OCCUPANCY: &str = "stage_occupancy";
-    /// Items sent over `ezp-chan` channels (or their `mpsc` baseline).
-    pub const CHAN_SENDS: &str = "chan_sends";
-    /// Items received over `ezp-chan` channels.
-    pub const CHAN_RECVS: &str = "chan_recvs";
-    /// Sender stall episodes on a full channel.
-    pub const CHAN_FULL_STALLS: &str = "chan_full_stalls";
-    /// Receiver stall episodes on an empty channel.
-    pub const CHAN_EMPTY_STALLS: &str = "chan_empty_stalls";
     /// Jobs accepted into a tenant's admission queue by `ezp-serve`.
     /// Serve counters use the worker dimension as the *tenant slot*:
     /// `worker="2"` is tenant slot 2, not a pool thread.
@@ -119,11 +110,6 @@ const IDLE_SPAN_NAMES: [&str; 5] = [
     "idle:backpressure",
 ];
 
-/// One worker's in-flight tile start timestamp on its own cache line
-/// (see the `tile_start` field).
-#[repr(align(128))]
-struct TileStart(AtomicU64);
-
 /// Probe that accumulates runtime counters and iteration spans.
 pub struct PerfProbe {
     counters: CounterSet,
@@ -145,25 +131,10 @@ pub struct PerfProbe {
     frames_in_flight: CounterId,
     reorder_depth: CounterId,
     stage_occupancy: CounterId,
-    chan_sends: CounterId,
-    chan_recvs: CounterId,
-    chan_full_stalls: CounterId,
-    chan_empty_stalls: CounterId,
     /// Start timestamp of the iteration currently in flight.
     /// counter-only: the timestamp is the entire payload and only the
     /// iteration-bracketing thread writes it.
     iter_start: AtomicU64,
-    /// Per-worker start timestamp of the tile currently in flight.
-    /// Each slot is padded to its own cache line: every tile bracket
-    /// stores and swaps here, and adjacent workers sharing a line
-    /// would put false-sharing traffic on the hot path, whose
-    /// budget is <=5% (`perf.overhead_ratio` in `benchmark/`).
-    tile_start: Vec<TileStart>,
-    /// Task (tile) duration distribution, sharded per worker so the
-    /// record in `end_tile` never touches another worker's lines.
-    task_hist: ShardedHistogram,
-    /// Frame (iteration) duration distribution.
-    frame_hist: LogHistogram,
 }
 
 impl PerfProbe {
@@ -189,16 +160,9 @@ impl PerfProbe {
             frames_in_flight: id(names::FRAMES_IN_FLIGHT),
             reorder_depth: id(names::REORDER_BUFFER_DEPTH),
             stage_occupancy: id(names::STAGE_OCCUPANCY),
-            chan_sends: id(names::CHAN_SENDS),
-            chan_recvs: id(names::CHAN_RECVS),
-            chan_full_stalls: id(names::CHAN_FULL_STALLS),
-            chan_empty_stalls: id(names::CHAN_EMPTY_STALLS),
             counters,
             spans: SpanSet::new(workers, DEFAULT_CAPACITY),
             iter_start: AtomicU64::new(0),
-            tile_start: (0..workers.max(1)).map(|_| TileStart(AtomicU64::new(0))).collect(),
-            task_hist: ShardedHistogram::new("task_ns", workers),
-            frame_hist: LogHistogram::new("frame_ns"),
         }
     }
 
@@ -211,24 +175,6 @@ impl PerfProbe {
     pub fn span_snapshot(&self) -> Vec<SpanRecord> {
         self.spans.snapshot()
     }
-
-    /// The task (tile) duration histogram (per-worker shards).
-    pub fn task_hist(&self) -> &ShardedHistogram {
-        &self.task_hist
-    }
-
-    /// The frame (iteration) duration histogram.
-    pub fn frame_hist(&self) -> &LogHistogram {
-        &self.frame_hist
-    }
-
-    /// Percentile summaries of every histogram with observations.
-    pub fn hist_summaries(&self) -> Vec<HistSummary> {
-        [self.task_hist.summary(), self.frame_hist.summary()]
-            .into_iter()
-            .filter(|s| s.count > 0)
-            .collect()
-    }
 }
 
 impl Probe for PerfProbe {
@@ -238,35 +184,13 @@ impl Probe for PerfProbe {
 
     fn iteration_end(&self, _iteration: u32) {
         let start = self.iter_start.load(Ordering::Relaxed);
-        let end = now_ns();
-        self.spans.record(0, "iteration", start, end);
-        self.frame_hist.record(end.saturating_sub(start));
+        self.spans.record(0, "iteration", start, now_ns());
     }
 
-    fn start_tile(&self, worker: WorkerId) {
-        self.start_tile_at(worker, now_ns());
-    }
-
-    fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
-        self.end_tile_at(x, y, w, h, worker, now_ns());
-    }
-
-    fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
-        let slot = worker.min(self.tile_start.len() - 1);
-        self.tile_start[slot].0.store(now_ns, Ordering::Relaxed);
-    }
-
-    // A worker's tile brackets run on that worker alone, so everything
-    // they touch (its task counter slot, tile-start slot and histogram
-    // shard) is owner-written: plain loads and stores, no RMW.
-    fn end_tile_at(&self, _: usize, _: usize, _: usize, _: usize, worker: WorkerId, now_ns: u64) {
+    // A worker's tile brackets run on that worker alone, so its task
+    // counter slot is owner-written: a plain load and store, no RMW.
+    fn end_tile(&self, _: usize, _: usize, _: usize, _: usize, worker: WorkerId) {
         self.counters.add_owned(self.tasks, worker, 1);
-        let slot = &self.tile_start[worker.min(self.tile_start.len() - 1)].0;
-        let start = slot.load(Ordering::Relaxed);
-        slot.store(0, Ordering::Relaxed);
-        if start != 0 {
-            self.task_hist.record(worker, now_ns.saturating_sub(start));
-        }
     }
 
     fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
@@ -315,18 +239,6 @@ impl Probe for PerfProbe {
             }
             RuntimeEvent::StreamStageOccupancy { depth } => {
                 self.counters.max(self.stage_occupancy, 0, depth as u64)
-            }
-            RuntimeEvent::ChanOps {
-                sends,
-                recvs,
-                full_stalls,
-                empty_stalls,
-            } => {
-                self.counters.add(self.chan_sends, worker, sends);
-                self.counters.add(self.chan_recvs, worker, recvs);
-                self.counters.add(self.chan_full_stalls, worker, full_stalls);
-                self.counters
-                    .add(self.chan_empty_stalls, worker, empty_stalls);
             }
         }
     }
@@ -393,20 +305,7 @@ mod tests {
         probe.runtime_event(0, RuntimeEvent::StreamReorderDepth { depth: 4 });
         probe.runtime_event(0, RuntimeEvent::StreamReorderDepth { depth: 1 });
         probe.runtime_event(1, RuntimeEvent::StreamStageOccupancy { depth: 2 });
-        probe.runtime_event(
-            0,
-            RuntimeEvent::ChanOps {
-                sends: 16,
-                recvs: 15,
-                full_stalls: 4,
-                empty_stalls: 2,
-            },
-        );
         let snap = probe.snapshot();
-        assert_eq!(snap.total(names::CHAN_SENDS), 16);
-        assert_eq!(snap.total(names::CHAN_RECVS), 15);
-        assert_eq!(snap.total(names::CHAN_FULL_STALLS), 4);
-        assert_eq!(snap.total(names::CHAN_EMPTY_STALLS), 2);
         assert_eq!(snap.total(names::BACKPRESSURE_STALLS), 1);
         assert_eq!(snap.total(names::FRAMES_EMITTED), 2);
         assert_eq!(snap.total(names::FRAMES_IN_FLIGHT), 7);
@@ -471,36 +370,5 @@ mod tests {
                 cause
             );
         }
-    }
-
-    #[test]
-    fn tile_brackets_feed_the_task_histogram() {
-        let probe = PerfProbe::new(2);
-        for _ in 0..10 {
-            probe.start_tile(1);
-            probe.end_tile(0, 0, 8, 8, 1);
-        }
-        assert_eq!(probe.task_hist().count(), 10);
-        let summaries = probe.hist_summaries();
-        assert!(summaries.iter().any(|s| s.name == "task_ns"));
-        // no iterations ran: frame_ns has no observations, so it is
-        // filtered out of the summaries
-        assert!(!summaries.iter().any(|s| s.name == "frame_ns"));
-    }
-
-    #[test]
-    fn iterations_feed_the_frame_histogram() {
-        let probe = PerfProbe::new(1);
-        probe.iteration_start(0);
-        probe.iteration_end(0);
-        assert_eq!(probe.frame_hist().count(), 1);
-    }
-
-    #[test]
-    fn end_tile_without_start_records_no_duration() {
-        let probe = PerfProbe::new(1);
-        probe.end_tile(0, 0, 8, 8, 0);
-        assert_eq!(probe.task_hist().count(), 0);
-        assert_eq!(probe.snapshot().total(names::TASKS_EXECUTED), 1);
     }
 }

@@ -202,6 +202,11 @@ impl TaskGraph {
     /// with nothing to do park on a [`ParkLot`] whose wake condition
     /// (completion count moved, or a deque became non-empty) every
     /// completer makes true before notifying.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a task panics, once every worker has left the region
+    /// (tasks not yet started are skipped).
     pub fn run_probed(
         &self,
         pool: &mut WorkerPool,
@@ -238,8 +243,22 @@ impl TaskGraph {
         let pending = AtomicUsize::new(n);
         let active = AtomicUsize::new(0);
         let events = AtomicU64::new(0);
+        // Raised when the run cannot finish — the remainder is cyclic,
+        // or a task panicked — so every worker leaves the region.
         let cycle = AtomicBool::new(false);
         let idle = ParkLot::new();
+        // A task that unwinds never reports completion; without this
+        // its peers would park forever on `pending`. Releasing them
+        // closes the region, and the pool re-raises the panic.
+        struct ReleasePeersOnUnwind<'a>(&'a AtomicBool, &'a ParkLot);
+        impl Drop for ReleasePeersOnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::SeqCst);
+                    self.1.notify();
+                }
+            }
+        }
 
         crate::parallel::run_region_probed(pool, probe, timed, |rank| {
             let my = &deques[rank];
@@ -279,7 +298,10 @@ impl TaskGraph {
                     if timed {
                         probe.runtime_event(rank, RuntimeEvent::ChunkDispensed { len: 1 });
                     }
-                    f(task, rank);
+                    {
+                        let _release = ReleasePeersOnUnwind(&cycle, &idle);
+                        f(task, rank);
+                    }
                     let mut released = false;
                     // ORDERING: synchronizing. Each predecessor's Release
                     // half orders its task's effects before the decrement;
@@ -454,6 +476,27 @@ mod tests {
             })
             .unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn panicking_task_is_propagated_not_hung() {
+        // a chain keeps the other workers waiting on the task that dies
+        let mut g = TaskGraph::new(8);
+        for i in 0..7 {
+            g.add_dep(i, i + 1);
+        }
+        let mut pool = WorkerPool::new(3);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.run(&mut pool, |t, _| assert_ne!(t, 3, "student bug"))
+        }));
+        assert!(res.is_err(), "the task panic must propagate");
+        // the pool survives and the next graph runs to completion
+        let ran = AtomicUsize::new(0);
+        g.run(&mut pool, |_, _| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        assert_eq!(ran.into_inner(), 8);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Admission control: bounded per-tenant queues with round-robin
 //! drain.
 //!
-//! Each tenant slot owns one bounded `ezp-chan` lane (the same MPMC
-//! endpoints the streaming engine uses), created eagerly at daemon
-//! start so admission never allocates channel state under load. Submit
+//! Each tenant slot owns one bounded `ezp-chan` lane, created eagerly
+//! at daemon start so admission never allocates channel state under
+//! load. Nothing ever waits on a lane: drain is `try_recv` (an empty
+//! scan parks on this module's own `ParkLot`) and submit
 //! is `try_send`: a full lane is an immediate [`Reject`] with a
 //! retry-after hint — backpressure lives at the edge, not in unbounded
 //! buffering. Runner threads drain the lanes with a shared round-robin

@@ -30,7 +30,7 @@ use crate::proto::{read_frame, write_frame, FrameIn, JobSpec, Request, Response}
 use ezp_core::json::{FromJson, Json, ToJson};
 use ezp_core::kernel::Probe;
 use ezp_core::perf::run_kernel_boxed;
-use ezp_core::{ChanTuning, RunConfig};
+use ezp_core::RunConfig;
 use ezp_monitor::UnifiedReport;
 use ezp_perf::PerfProbe;
 use ezp_sched::{MuxStats, PoolMux};
@@ -60,8 +60,6 @@ pub struct ServeConfig {
     pub max_tenants: usize,
     /// Bounded depth of each tenant's admission queue.
     pub queue_cap: usize,
-    /// Channel substrate/wait policy of the admission lanes.
-    pub tuning: ChanTuning,
 }
 
 impl Default for ServeConfig {
@@ -72,7 +70,6 @@ impl Default for ServeConfig {
             slots: 2,
             max_tenants: 8,
             queue_cap: 16,
-            tuning: ChanTuning::default(),
         }
     }
 }
@@ -119,7 +116,8 @@ impl Server {
         let metrics = Arc::new(ServeMetrics::new(cfg.max_tenants));
         let slots = cfg.slots.max(1);
         let shared = Arc::new(Shared {
-            admission: Admission::new(cfg.tuning, Arc::clone(&metrics), cfg.queue_cap),
+            // default lanes (ring): admission only try_sends/try_recvs them
+            admission: Admission::new(Default::default(), Arc::clone(&metrics), cfg.queue_cap),
             metrics,
             mux: PoolMux::new(slots, cfg.workers.max(1)),
             workers: cfg.workers.max(1),

@@ -20,7 +20,7 @@
 //! with an [`EmitMode`] and a farm width). The streaming conformance
 //! matrix in `tests/conformance.rs` holds them to byte equality.
 
-use crate::engine::{run_pipeline_tuned, StreamStats};
+use crate::engine::{run_pipeline, StreamStats};
 use crate::pipeline::Pipeline;
 use ezp_core::error::Result;
 use ezp_core::kernel::Probe;
@@ -56,13 +56,10 @@ pub trait StreamKernel: Send + Sync {
         farm_width: usize,
         pool: &mut WorkerPool,
         probe: &dyn Probe,
-    ) -> Result<(Vec<FrameOut>, StreamStats)> {
-        self.run_tuned(dim, frames, mode, farm_width, ChanTuning::default(), pool, probe)
-    }
+    ) -> Result<(Vec<FrameOut>, StreamStats)>;
 
-    /// [`StreamKernel::run`] with the emission channel's backend and
-    /// wait policy chosen by `tuning` — what `--chan-backend` and
-    /// `--wait-policy` reach, and what the conformance matrix sweeps.
+    // Compatibility shim: the frozen `benchmark/` is its only caller.
+    #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
     fn run_tuned(
         &self,
@@ -70,10 +67,12 @@ pub trait StreamKernel: Send + Sync {
         frames: usize,
         mode: EmitMode,
         farm_width: usize,
-        tuning: ChanTuning,
+        _tuning: ChanTuning,
         pool: &mut WorkerPool,
         probe: &dyn Probe,
-    ) -> Result<(Vec<FrameOut>, StreamStats)>;
+    ) -> Result<(Vec<FrameOut>, StreamStats)> {
+        self.run(dim, frames, mode, farm_width, pool, probe)
+    }
 }
 
 /// Every streaming kernel, one instance each — the registry the CLI and
@@ -99,16 +98,14 @@ fn drive(
     pipe: &Pipeline<Vec<u8>>,
     frames: usize,
     mode: EmitMode,
-    tuning: ChanTuning,
     pool: &mut WorkerPool,
     probe: &dyn Probe,
 ) -> Result<(Vec<FrameOut>, StreamStats)> {
     let mut out = Vec::with_capacity(frames);
-    let stats = run_pipeline_tuned(
+    let stats = run_pipeline(
         pipe,
         frames,
         mode,
-        tuning,
         pool,
         probe,
         |_| Vec::new(),
@@ -173,17 +170,16 @@ impl StreamKernel for MandelZoom {
         collect_seq(&mandel_zoom_pipeline(dim, 1), frames)
     }
 
-    fn run_tuned(
+    fn run(
         &self,
         dim: usize,
         frames: usize,
         mode: EmitMode,
         farm_width: usize,
-        tuning: ChanTuning,
         pool: &mut WorkerPool,
         probe: &dyn Probe,
     ) -> Result<(Vec<FrameOut>, StreamStats)> {
-        drive(&mandel_zoom_pipeline(dim, farm_width), frames, mode, tuning, pool, probe)
+        drive(&mandel_zoom_pipeline(dim, farm_width), frames, mode, pool, probe)
     }
 }
 
@@ -236,17 +232,16 @@ impl StreamKernel for FrameDiff {
         collect_seq(&frame_diff_pipeline(dim, 1), frames)
     }
 
-    fn run_tuned(
+    fn run(
         &self,
         dim: usize,
         frames: usize,
         mode: EmitMode,
         farm_width: usize,
-        tuning: ChanTuning,
         pool: &mut WorkerPool,
         probe: &dyn Probe,
     ) -> Result<(Vec<FrameOut>, StreamStats)> {
-        drive(&frame_diff_pipeline(dim, farm_width), frames, mode, tuning, pool, probe)
+        drive(&frame_diff_pipeline(dim, farm_width), frames, mode, pool, probe)
     }
 }
 
@@ -313,17 +308,16 @@ impl StreamKernel for WordCount {
         collect_seq(&wordcount_pipeline(dim, 1), frames)
     }
 
-    fn run_tuned(
+    fn run(
         &self,
         dim: usize,
         frames: usize,
         mode: EmitMode,
         farm_width: usize,
-        tuning: ChanTuning,
         pool: &mut WorkerPool,
         probe: &dyn Probe,
     ) -> Result<(Vec<FrameOut>, StreamStats)> {
-        drive(&wordcount_pipeline(dim, farm_width), frames, mode, tuning, pool, probe)
+        drive(&wordcount_pipeline(dim, farm_width), frames, mode, pool, probe)
     }
 }
 

@@ -12,10 +12,13 @@
 //! ordering hold with no extra machinery.
 //!
 //! Frame payloads travel *in place*: one slot per in-window frame,
-//! handed from stage to stage. Every hand-off is ordered by a graph
-//! edge (happens-before), so the slot locks are uncontended by
-//! construction — they exist to keep the crate `#![deny(unsafe_code)]`,
-//! not to synchronize.
+//! handed from stage to stage and, after the final stage, left there
+//! until the window's barrier, when the engine drains the slots into
+//! the sink in emission order. Every hand-off is ordered by a graph
+//! edge or that barrier (happens-before), so the slot locks are
+//! uncontended by construction — they exist to keep the crate
+//! `#![deny(unsafe_code)]`, not to synchronize. Nothing here can wait
+//! on a buffer: backpressure is the graph's width/capacity edges only.
 //!
 //! Observability: the engine classifies *why* a unit became runnable.
 //! It keeps its own copy of the graph's indegrees; when the release
@@ -27,11 +30,10 @@
 //! probe (worker slot 0, so the reported total *is* the peak).
 
 use crate::pipeline::Pipeline;
-use ezp_chan::ChanStats;
 use ezp_core::error::Result;
 use ezp_core::kernel::{IdleCause, Probe, RuntimeEvent};
 use ezp_core::time::now_ns;
-use ezp_core::{ChanTuning, EmitMode};
+use ezp_core::EmitMode;
 use ezp_sched::WorkerPool;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -58,24 +60,12 @@ pub struct StreamStats {
     pub max_reorder_depth: usize,
     /// High-water mark of any single stage's concurrent occupancy.
     pub max_stage_occupancy: usize,
-    /// Items sent into the emission channel (one per frame).
-    pub chan_sends: u64,
-    /// Items drained from the emission channel (equals `chan_sends`).
-    pub chan_recvs: u64,
-    /// Times a worker found the emission channel full. Structurally 0:
-    /// each window's channel holds the whole window (see
-    /// `run_pipeline_tuned`), which is what makes the bounded emission
-    /// path deadlock-free.
-    pub chan_full_stalls: u64,
-    /// Times the drain found the emission channel empty and waited.
-    pub chan_empty_stalls: u64,
 }
 
 /// Reorder/emission bookkeeping shared by final-stage units, behind one
-/// lock. Payloads travel through the emission channel; this tracker
-/// only decides *when* a frame counts as emitted (gauges and events
-/// fire at the same logical points as the pre-channel engine: unordered
-/// on completion, ordered when the frontier passes the frame).
+/// lock. Payloads stay in their slots; this tracker decides *when* a
+/// frame counts as emitted (unordered on completion, ordered when the
+/// frontier passes the frame) and records that order for the drain.
 struct EmitTracker {
     /// Next frame id (window-local) the ordered mode may emit.
     frontier: usize,
@@ -83,6 +73,9 @@ struct EmitTracker {
     completed: usize,
     /// Which frames have completed (ordered mode's reorder markers).
     done: Vec<bool>,
+    /// Window-local frame ids in the order their `StreamFrameEmitted`
+    /// events fired — the order the sink sees them.
+    emitted: Vec<usize>,
     /// Peak of `completed - frontier` after each emission round.
     max_reorder_depth: usize,
 }
@@ -90,37 +83,15 @@ struct EmitTracker {
 /// Pushes `frames` frames through `pipe` on `pool`, emitting through
 /// `sink` in `mode` order. `source` builds the payload of a frame when
 /// the pipeline admits it (pull-based admission: backpressure reaches
-/// all the way to frame creation). The sink receives *global* frame
-/// ids; in [`EmitMode::Unordered`] its call order is
-/// schedule-dependent, in [`EmitMode::Ordered`] it is frame order.
+/// all the way to frame creation). The sink runs on the calling thread
+/// after each window's barrier and receives *global* frame ids: in
+/// [`EmitMode::Ordered`] `0, 1, 2, …`, in [`EmitMode::Unordered`] every
+/// id exactly once, in the (schedule-dependent) order the frames'
+/// `StreamFrameEmitted` events fired.
 pub fn run_pipeline<T: Send>(
     pipe: &Pipeline<T>,
     frames: usize,
     mode: EmitMode,
-    pool: &mut WorkerPool,
-    probe: &dyn Probe,
-    source: impl Fn(usize) -> T + Sync,
-    sink: impl FnMut(usize, T) + Send,
-) -> Result<StreamStats> {
-    run_pipeline_tuned(pipe, frames, mode, ChanTuning::default(), pool, probe, source, sink)
-}
-
-/// [`run_pipeline`] with the emission channel's backend and wait policy
-/// chosen by `tuning` (`--chan-backend`, `--wait-policy`).
-///
-/// Completed frames leave the workers through an `ezp_chan` bounded
-/// channel — one sender lane per worker, drained after the window's
-/// region barrier. Each window's channel holds `wlen` items per lane,
-/// and a window sends exactly `wlen` items total, so a send can never
-/// find the channel full: emission backpressure is explicitly bounded
-/// by the window and cannot deadlock, even at pipeline `capacity(1)`
-/// (pinned by `emission_channel_is_deadlock_free_at_capacity_one`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_tuned<T: Send>(
-    pipe: &Pipeline<T>,
-    frames: usize,
-    mode: EmitMode,
-    tuning: ChanTuning,
     pool: &mut WorkerPool,
     probe: &dyn Probe,
     source: impl Fn(usize) -> T + Sync,
@@ -137,8 +108,6 @@ pub fn run_pipeline_tuned<T: Send>(
     let occupancy: Vec<AtomicUsize> = (0..stages).map(|_| AtomicUsize::new(0)).collect();
     let max_occupancy = AtomicUsize::new(0);
     let mut max_reorder_depth = 0usize;
-    let mut chan_stats = ChanStats::default();
-    let lanes = pool.width().max(1);
 
     let mut base = 0usize;
     while base < frames {
@@ -157,16 +126,14 @@ pub fn run_pipeline_tuned<T: Send>(
         let data_ready: Vec<AtomicU64> =
             (0..graph.len()).map(|_| AtomicU64::new(window_t0)).collect();
         // One payload slot per in-window frame; hand-offs are ordered
-        // by graph edges, so these locks are uncontended.
+        // by graph edges and the drain by the region barrier, so these
+        // locks are uncontended.
         let slots: Vec<Mutex<Option<T>>> = (0..wlen).map(|_| Mutex::new(None)).collect();
-        // The window's emission channel: one lane per worker, each deep
-        // enough for the whole window, so no send can block (see the
-        // function docs for the deadlock-freedom argument).
-        let (txs, rx) = ezp_chan::bounded::<(usize, T)>(tuning, lanes, wlen);
         let tracker = Mutex::new(EmitTracker {
             frontier: 0,
             completed: 0,
             done: vec![false; wlen],
+            emitted: Vec::with_capacity(wlen),
             max_reorder_depth: 0,
         });
 
@@ -194,18 +161,19 @@ pub fn run_pipeline_tuned<T: Send>(
             pipe.apply(s, base + f, &mut payload);
             occupancy[s].fetch_sub(1, Ordering::Relaxed);
 
+            *slots[f].lock().unwrap() = Some(payload);
+
             if s + 1 == stages {
-                // final stage: the payload leaves through the channel;
-                // the tracker fires the emission events at the same
-                // logical points the in-place sink used to.
-                txs[worker.min(lanes - 1)]
-                    .send((base + f, payload))
-                    .unwrap_or_else(|_| panic!("emission channel closed mid-window"));
-                let mut st = tracker.lock().unwrap();
+                // final stage: the payload waits in its slot for the
+                // drain; the tracker fires the emission events and
+                // records their order under its one lock
+                let mut guard = tracker.lock().unwrap();
+                let st = &mut *guard;
                 st.completed += 1;
                 match mode {
                     EmitMode::Unordered => {
                         in_flight.fetch_sub(1, Ordering::Relaxed);
+                        st.emitted.push(f);
                         if want_events {
                             probe.runtime_event(worker, RuntimeEvent::StreamFrameEmitted);
                         }
@@ -214,6 +182,7 @@ pub fn run_pipeline_tuned<T: Send>(
                         st.done[f] = true;
                         while st.frontier < wlen && st.done[st.frontier] {
                             in_flight.fetch_sub(1, Ordering::Relaxed);
+                            st.emitted.push(st.frontier);
                             st.frontier += 1;
                             if want_events {
                                 probe.runtime_event(worker, RuntimeEvent::StreamFrameEmitted);
@@ -229,8 +198,6 @@ pub fn run_pipeline_tuned<T: Send>(
                         }
                     }
                 }
-            } else {
-                *slots[f].lock().unwrap() = Some(payload);
             }
 
             // classify the releases this completion performs: a node
@@ -264,50 +231,16 @@ pub fn run_pipeline_tuned<T: Send>(
             }
         })?;
 
-        // Drain the window: the region barrier above guarantees all
-        // `wlen` sends happened, so exactly `wlen` receives succeed.
-        // Unordered mode preserves arrival order (per-lane FIFO merged
-        // by the drain's rotation); ordered mode sorts by frame id —
-        // the sink sees frames in exactly the order the tracker
-        // reported them emitted.
-        let mut emitted: Vec<(usize, T)> = Vec::with_capacity(wlen);
-        for _ in 0..wlen {
-            emitted.push(rx.recv().expect("emission channel closed before the window drained"));
-        }
-        if mode == EmitMode::Ordered {
-            emitted.sort_unstable_by_key(|e| e.0);
-        }
-        for (id, payload) in emitted {
-            sink(id, payload);
-        }
-        chan_stats = chan_stats.merge(&rx.stats());
-        drop(txs);
-
+        // Drain the window: the region barrier above guarantees every
+        // frame finished its final stage and was recorded as emitted.
         let st = tracker.into_inner().unwrap();
-        debug_assert_eq!(st.frontier_or_completed(mode), wlen);
+        debug_assert_eq!(st.emitted.len(), wlen);
+        for f in st.emitted {
+            let payload = slots[f].lock().unwrap().take().expect("frame emitted twice");
+            sink(base + f, payload);
+        }
         max_reorder_depth = max_reorder_depth.max(st.max_reorder_depth);
         base += wlen;
-    }
-
-    if want_events && frames > 0 {
-        probe.runtime_event(
-            0,
-            RuntimeEvent::ChanOps {
-                sends: chan_stats.sends,
-                recvs: chan_stats.recvs,
-                full_stalls: chan_stats.full_stalls,
-                empty_stalls: chan_stats.empty_stalls,
-            },
-        );
-        if chan_stats.stall_ns > 0 {
-            probe.runtime_event(
-                0,
-                RuntimeEvent::IdleNs {
-                    ns: chan_stats.stall_ns,
-                    cause: IdleCause::Backpressure,
-                },
-            );
-        }
     }
 
     Ok(StreamStats {
@@ -316,23 +249,7 @@ pub fn run_pipeline_tuned<T: Send>(
         max_frames_in_flight: max_in_flight.into_inner(),
         max_reorder_depth,
         max_stage_occupancy: max_occupancy.into_inner(),
-        chan_sends: chan_stats.sends,
-        chan_recvs: chan_stats.recvs,
-        chan_full_stalls: chan_stats.full_stalls,
-        chan_empty_stalls: chan_stats.empty_stalls,
     })
-}
-
-impl EmitTracker {
-    /// Window-completion figure checked by the engine's debug assert:
-    /// ordered mode must have advanced the frontier through the whole
-    /// window; unordered must have completed every frame.
-    fn frontier_or_completed(&self, mode: EmitMode) -> usize {
-        match mode {
-            EmitMode::Ordered => self.frontier,
-            EmitMode::Unordered => self.completed,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,6 +259,7 @@ mod tests {
     use ezp_perf::{names, PerfProbe};
     use ezp_testkit::ezp_proptest;
     use ezp_testkit::prop::vec_of;
+    use std::sync::Arc;
 
     fn square_pipe(width: usize) -> Pipeline<u64> {
         Pipeline::new()
@@ -522,81 +440,144 @@ mod tests {
         );
         assert_eq!(snap.total(names::BACKPRESSURE_STALLS), stats.backpressure_stalls);
         assert!(stats.max_stage_occupancy >= 1);
-        // the emission channel's activity lands in the chan_* counters:
-        // one send and one receive per frame, and the bounded-window
-        // design means a send never finds the channel full
-        assert_eq!(snap.total(names::CHAN_SENDS), 64);
-        assert_eq!(snap.total(names::CHAN_RECVS), 64);
-        assert_eq!(snap.total(names::CHAN_FULL_STALLS), 0);
-        assert_eq!(stats.chan_sends, 64);
-        assert_eq!(stats.chan_recvs, 64);
-        assert_eq!(stats.chan_full_stalls, 0);
     }
 
-    fn tunings() -> Vec<ChanTuning> {
-        let mut v = Vec::new();
-        for backend in ezp_core::ChanBackendKind::all() {
-            for policy in ezp_core::WaitPolicy::all() {
-                v.push(ChanTuning { backend, policy });
+    /// A tight two-stage pipeline: farm head, `tail_width`-wide tail
+    /// that reports each frame it finishes, one buffer slot between.
+    fn capacity_one_pipe(
+        tail_width: usize,
+        finished: impl Fn(usize) + Send + Sync + 'static,
+    ) -> Pipeline<u64> {
+        Pipeline::new()
+            .farm_stage("head", 4, |_, x: &mut u64| *x = x.wrapping_mul(31))
+            .farm_stage("tail", tail_width, move |f, x: &mut u64| {
+                // uneven tail cost, so completion order is not frame order
+                *x = (0..(f % 5) * 200).fold(*x, |a, i| a.wrapping_add(i as u64));
+                finished(f);
+            })
+            .capacity(1)
+    }
+
+    #[test]
+    fn ordered_sink_sees_global_ids_in_order_across_windows_at_capacity_one() {
+        // The ordered half of the sink contract at the tightest buffer:
+        // nothing but graph edges can hold a frame back, so the run
+        // terminates and every window drains in frame order.
+        let frames = WINDOW + 7;
+        let mut pool = WorkerPool::new(4);
+        let mut got = Vec::new();
+        let stats = run_pipeline(
+            &capacity_one_pipe(1, |_| {}),
+            frames,
+            EmitMode::Ordered,
+            &mut pool,
+            &NullProbe,
+            |f| f as u64,
+            |f, _| got.push(f),
+        )
+        .unwrap();
+        assert_eq!(got, (0..frames).collect::<Vec<_>>());
+        assert_eq!(stats.frames, frames);
+    }
+
+    #[test]
+    fn unordered_sink_sees_each_id_once_in_emitted_event_order() {
+        // `StreamFrameEmitted` carries no frame id, so the event order
+        // is reconstructed from threads: the tail stage logs which
+        // thread finished which frame, the probe logs which thread
+        // fired each event; replaying the events against the per-thread
+        // logs yields the one frame order the sink may see.
+        use std::thread::{current, ThreadId};
+        struct EmitLog(Mutex<Vec<ThreadId>>);
+        impl Probe for EmitLog {
+            fn runtime_event(&self, _w: ezp_core::WorkerId, ev: RuntimeEvent) {
+                if let RuntimeEvent::StreamFrameEmitted = ev {
+                    self.0.lock().unwrap().push(current().id());
+                }
+            }
+            fn wants_runtime_events(&self) -> bool {
+                true
             }
         }
-        v
-    }
-
-    #[test]
-    fn every_backend_and_policy_matches_seq_byte_for_byte() {
-        let pipe = square_pipe(4);
-        let mut expect = Vec::new();
-        pipe.run_seq(100, |f| f as u64, |f, x| expect.push((f, x)));
+        let frames = WINDOW + 7;
+        let finished: Arc<Mutex<Vec<(ThreadId, usize)>>> = Arc::default();
+        let log = finished.clone();
+        let pipe = capacity_one_pipe(4, move |f| log.lock().unwrap().push((current().id(), f)));
+        let probe = EmitLog(Mutex::new(Vec::new()));
         let mut pool = WorkerPool::new(4);
-        for tuning in tunings() {
-            let mut got = Vec::new();
-            let stats = run_pipeline_tuned(
-                &pipe,
-                100,
-                EmitMode::Ordered,
-                tuning,
-                &mut pool,
-                &NullProbe,
-                |f| f as u64,
-                |f, x| got.push((f, x)),
-            )
-            .unwrap();
-            assert_eq!(got, expect, "{tuning:?} diverged from seq");
-            assert_eq!(stats.chan_sends, 100, "{tuning:?}");
-            assert_eq!(stats.chan_recvs, 100, "{tuning:?}");
-        }
+        let mut got = Vec::new();
+        run_pipeline(
+            &pipe,
+            frames,
+            EmitMode::Unordered,
+            &mut pool,
+            &probe,
+            |f| f as u64,
+            |f, _| got.push(f),
+        )
+        .unwrap();
+
+        let mut finished = std::mem::take(&mut *finished.lock().unwrap());
+        let expect: Vec<usize> = probe
+            .0
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .map(|thread| {
+                let at = finished.iter().position(|&(t, _)| t == thread).unwrap();
+                finished.remove(at).1
+            })
+            .collect();
+        assert_eq!(got, expect, "sink order is not the emitted-event order");
+        let mut ids = got;
+        ids.sort_unstable();
+        assert_eq!(ids, (0..frames).collect::<Vec<_>>(), "an id is missing or repeated");
     }
 
     #[test]
-    fn emission_channel_is_deadlock_free_at_capacity_one() {
-        // The reorder buffer's explicit bound: even with the tightest
-        // pipeline buffer (capacity 1, serial tail) and every wait
-        // policy, the window-sized emission channel can never fill, so
-        // no send blocks and the run terminates. Before the channel
-        // migration this bound was implicit in the in-place sink; this
-        // regression pins it now that emission really buffers.
-        for tuning in tunings() {
+    fn panicking_stage_fails_the_run_and_drops_every_payload_once() {
+        // a payload that counts its own drops, per frame
+        struct Counted(usize, Arc<Vec<AtomicUsize>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1[self.0].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let frames = WINDOW + 7;
+        let poisoned = WINDOW + 3; // past a window boundary
+        for mode in [EmitMode::Ordered, EmitMode::Unordered] {
+            let created: Vec<AtomicUsize> = (0..frames).map(|_| AtomicUsize::new(0)).collect();
+            let drops: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..frames).map(|_| AtomicUsize::new(0)).collect());
             let pipe = Pipeline::new()
-                .farm_stage("head", 4, |_, x: &mut u64| *x = x.wrapping_mul(31))
-                .stage("tail", |_, _| {})
-                .capacity(1);
-            let mut pool = WorkerPool::new(4);
-            let frames = WINDOW + 7; // cross a window boundary too
-            let mut got = Vec::new();
-            let stats = run_pipeline_tuned(
-                &pipe,
-                frames,
-                EmitMode::Ordered,
-                tuning,
-                &mut pool,
-                &NullProbe,
-                |f| f as u64,
-                |f, _| got.push(f),
-            )
-            .unwrap();
-            assert_eq!(got, (0..frames).collect::<Vec<_>>(), "{tuning:?}");
-            assert_eq!(stats.chan_full_stalls, 0, "{tuning:?}: emission filled up");
+                .farm_stage("head", 2, |_, _: &mut Counted| {})
+                .stage("tail", move |f, _| assert_ne!(f, poisoned, "student bug"));
+            let mut pool = WorkerPool::new(2);
+            let mut sunk = 0usize;
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_pipeline(
+                    &pipe,
+                    frames,
+                    mode,
+                    &mut pool,
+                    &NullProbe,
+                    |f| {
+                        created[f].fetch_add(1, Ordering::Relaxed);
+                        Counted(f, drops.clone())
+                    },
+                    |_, _| sunk += 1,
+                )
+            }));
+            assert!(result.is_err(), "{mode}: the stage panic must propagate");
+            assert_eq!(sunk, WINDOW, "{mode}: only the clean first window reaches the sink");
+            for f in 0..frames {
+                assert_eq!(
+                    drops[f].load(Ordering::Relaxed),
+                    created[f].load(Ordering::Relaxed),
+                    "{mode}: frame {f} leaked or dropped twice"
+                );
+            }
+            assert_eq!(created[poisoned].load(Ordering::Relaxed), 1);
         }
     }
 

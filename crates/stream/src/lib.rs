@@ -35,7 +35,7 @@ pub mod mapreduce;
 pub mod pipeline;
 
 pub use demos::{stream_kernel, stream_registry, StreamKernel};
-pub use engine::{run_pipeline, run_pipeline_tuned, StreamStats};
-pub use ezp_core::{ChanBackendKind, ChanTuning, EmitMode, WaitPolicy};
+pub use engine::{run_pipeline, StreamStats};
+pub use ezp_core::EmitMode;
 pub use mapreduce::map_reduce;
 pub use pipeline::Pipeline;

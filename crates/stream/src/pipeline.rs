@@ -104,11 +104,6 @@ impl<T> Pipeline<T> {
         self.stages.iter().map(|s| s.name.as_str()).collect()
     }
 
-    /// The per-stage widths, in order.
-    pub fn stage_widths(&self) -> Vec<usize> {
-        self.stages.iter().map(|s| s.width).collect()
-    }
-
     /// The scheduling shape of this pipeline — what the parallel engine
     /// compiles to a task graph.
     pub fn shape(&self) -> PipeShape {
@@ -186,12 +181,11 @@ mod tests {
         assert_eq!(shape.stage(1).width, 1);
         assert_eq!(shape.stage(0).capacity, 2);
         assert_eq!(pipe.stage_names(), vec!["a", "b"]);
-        assert_eq!(pipe.stage_widths(), vec![4, 1]);
     }
 
     #[test]
     fn zero_width_farm_stage_is_clamped() {
         let pipe = Pipeline::new().farm_stage("z", 0, |_, _: &mut ()| {});
-        assert_eq!(pipe.stage_widths(), vec![1]);
+        assert_eq!(pipe.shape().stage(0).width, 1);
     }
 }

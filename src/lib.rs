@@ -43,7 +43,6 @@ pub use ezp_view as view;
 pub mod prelude {
     pub use ezp_chan::{ChanReceiver, ChanSender, ChanStats};
     pub use ezp_core::kernel::{NullProbe, Probe};
-    pub use ezp_core::{ChanBackendKind, ChanTuning, WaitPolicy};
     pub use ezp_core::{
         Img2D, ImagePair, Kernel, KernelCtx, Registry, Rgba, RunConfig, Schedule, Tile, TileGrid,
     };

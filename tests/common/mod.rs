@@ -146,70 +146,6 @@ pub fn stream_cases() -> Vec<StreamCase> {
 /// Farm widths the streaming matrix sweeps.
 pub const FARM_WIDTHS: [usize; 3] = [1, 2, 4];
 
-/// Every channel tuning the streaming matrix re-sweeps: the full cross
-/// product of emission-channel backends and wait policies. Generated
-/// from the enums' own `all()` listings, so a new backend or policy is
-/// swept the moment it exists — `conformance.rs` pins the expected
-/// shape so the listings cannot silently shrink either.
-pub fn chan_tunings() -> Vec<easypap::stream::ChanTuning> {
-    use easypap::stream::{ChanBackendKind, ChanTuning, WaitPolicy};
-    let mut v = Vec::new();
-    for backend in ChanBackendKind::all() {
-        for policy in WaitPolicy::all() {
-            v.push(ChanTuning { backend, policy });
-        }
-    }
-    v
-}
-
-/// Runs the channel-tuning slice of the streaming matrix: every
-/// streamed kernel × both emit modes × every `(backend, wait policy)`
-/// tuning, at the given farm width and worker counts. The frame bytes
-/// must not depend on how frames travel to the sink: each cell must be
-/// byte-identical to the sequential baseline (Unordered cells after
-/// sorting by frame id). Returns one `(kernel, mode, tuning, workers)`
-/// line per divergence.
-pub fn run_stream_chan_matrix(width: usize, workers: &[usize]) -> Vec<String> {
-    use easypap::stream::{stream_kernel, EmitMode};
-    let mut failures = Vec::new();
-    for case in stream_cases() {
-        let kernel = stream_kernel(case.kernel).expect("case has no streaming kernel");
-        let baseline = kernel.run_seq(case.dim, case.frames);
-        for tuning in chan_tunings() {
-            for &w in workers {
-                let mut pool = WorkerPool::new(w);
-                for mode in [EmitMode::Ordered, EmitMode::Unordered] {
-                    let (mut got, stats) = kernel
-                        .run_tuned(
-                            case.dim,
-                            case.frames,
-                            mode,
-                            width,
-                            tuning,
-                            &mut pool,
-                            &NullProbe,
-                        )
-                        .unwrap();
-                    if mode == EmitMode::Unordered {
-                        got.sort_by_key(|&(f, _)| f);
-                    }
-                    let ok = got == baseline
-                        && stats.frames == case.frames
-                        && stats.chan_sends == case.frames as u64
-                        && stats.chan_recvs == case.frames as u64;
-                    if !ok {
-                        failures.push(format!(
-                            "({}, {mode}, {:?}/{:?}, {w} workers)",
-                            case.kernel, tuning.backend, tuning.policy
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    failures
-}
-
 /// Runs the streaming conformance matrix: every streamed kernel ×
 /// {Ordered, Unordered} × the given farm widths × the given worker
 /// counts, against the sequential one-frame-at-a-time baseline.

@@ -91,64 +91,6 @@ fn stream_conformance_full_matrix() {
     );
 }
 
-/// The channel-tuning registry gets the same exhaustiveness treatment
-/// as the kernel tables: the swept tuning list must be the full cross
-/// product of every channel backend and every wait policy, and the
-/// enums' `all()` listings must still carry the documented variants —
-/// shrinking either silently shrinks the matrix, so it fails here.
-#[test]
-fn chan_tuning_sweep_covers_every_backend_and_policy() {
-    use easypap::stream::{ChanBackendKind, WaitPolicy};
-    let tunings = common::chan_tunings();
-    let backends = ChanBackendKind::all();
-    let policies = WaitPolicy::all();
-    assert_eq!(tunings.len(), backends.len() * policies.len());
-    for backend in backends {
-        for policy in policies {
-            assert!(
-                tunings
-                    .iter()
-                    .any(|t| t.backend == backend && t.policy == policy),
-                "tuning {backend:?}/{policy:?} missing from the sweep"
-            );
-        }
-    }
-    // the listings themselves stay exhaustive (a new enum variant that
-    // is not listed in `all()` would dodge the whole matrix)
-    assert!(backends.contains(&ChanBackendKind::Ring));
-    assert!(backends.contains(&ChanBackendKind::Mpsc));
-    assert!(WaitPolicy::all().contains(&WaitPolicy::Spin));
-    assert!(WaitPolicy::all().contains(&WaitPolicy::Yield));
-    assert!(WaitPolicy::all().contains(&WaitPolicy::Park));
-}
-
-/// Always-on channel smoke: every streamed kernel × both emit modes ×
-/// every `(backend, wait policy)` tuning at 2 workers, farm width 2 —
-/// frame bytes must not depend on how frames travel to the sink.
-#[test]
-fn stream_chan_conformance_smoke_two_workers() {
-    let failures = common::run_stream_chan_matrix(2, &[2]);
-    assert!(
-        failures.is_empty(),
-        "streamed kernels diverged across channel tunings:\n  {}",
-        failures.join("\n  ")
-    );
-}
-
-/// The full channel-tuning matrix: every streamed kernel × both emit
-/// modes × every tuning × {1, 2, 4} workers. Tier-2 only.
-#[cfg(feature = "ezp-check")]
-#[test]
-fn stream_chan_conformance_full_matrix() {
-    let failures = common::run_stream_chan_matrix(2, &[1, 2, 4]);
-    assert!(
-        failures.is_empty(),
-        "{} channel-tuning matrix cells diverged:\n  {}",
-        failures.len(),
-        failures.join("\n  ")
-    );
-}
-
 /// Always-on smoke slice of the matrix: every kernel × every variant at
 /// 2 workers under the two extreme policies (fully static vs stealing).
 #[test]

@@ -9,14 +9,21 @@ use easypap::core::perf::run_kernel;
 use easypap::prelude::*;
 use std::sync::Arc;
 
-fn traced_run(kernel: &str, variant: &str, dim: usize, tile: usize, iters: u32) -> Trace {
+fn traced_run(
+    threads: usize,
+    kernel: &str,
+    variant: &str,
+    dim: usize,
+    tile: usize,
+    iters: u32,
+) -> Trace {
     let reg = easypap::kernels::registry();
     let cfg = RunConfig::new(kernel)
         .variant(variant)
         .size(dim)
         .tile(tile)
         .iterations(iters)
-        .threads(2)
+        .threads(threads)
         .schedule(Schedule::Dynamic(1));
     let monitor = Arc::new(Monitor::new(cfg.threads, cfg.grid().unwrap()));
     run_kernel(&reg, cfg.clone(), monitor.clone() as Arc<dyn Probe>).unwrap();
@@ -25,7 +32,7 @@ fn traced_run(kernel: &str, variant: &str, dim: usize, tile: usize, iters: u32) 
 
 #[test]
 fn mandel_trace_survives_disk_and_feeds_easyview() {
-    let trace = traced_run("mandel", "omp_tiled", 64, 16, 3);
+    let trace = traced_run(2, "mandel", "omp_tiled", 64, 16, 3);
     assert_eq!(trace.iteration_count(), 3);
     assert_eq!(trace.tasks.len(), 3 * 16, "16 tiles per iteration");
     trace.validate().unwrap();
@@ -69,28 +76,46 @@ fn mandel_trace_survives_disk_and_feeds_easyview() {
 
 #[test]
 fn blur_comparison_pipeline_aligns_tasks_and_shows_border_cost() {
-    // NOTE: wall-clock *ratios across runs* are too noisy to assert in a
-    // shared 1-vCPU debug-build test environment; the timing-shape
-    // claims of Fig. 10 are asserted in the release-mode benches
-    // (`fig10_blur_compare`). Here we check the structural pipeline plus
-    // the noise-robust intra-trace signal of Fig. 9b: in the *optimized*
-    // trace, border tiles (still running checked code) cost more than
-    // the branch-free inner tiles.
-    let basic = traced_run("blur", "omp_tiled", 96, 16, 2);
-    let opt = traced_run("blur", "omp_tiled_opt", 96, 16, 2);
+    // Wall-clock ratios across runs, or means within one, are too noisy
+    // to assert on a shared host: the timing-shape claims of Fig. 10
+    // live in `fig10_blur_compare`. Here: the structural pipeline, then
+    // the Fig. 9b signal in a form preemption cannot fake.
+    let basic = traced_run(2, "blur", "omp_tiled", 96, 16, 2);
+    let opt = traced_run(2, "blur", "omp_tiled_opt", 96, 16, 2);
     let cmp = TraceComparison::new(&basic, &opt).unwrap();
     let speedups = cmp.task_speedups();
     assert_eq!(speedups.len(), 2 * 36, "every task pair must be matched");
     assert!(speedups.iter().all(|s| s.base_ns > 0));
     assert!(cmp.per_iteration().len() == 2);
-
     let heat = opt.to_report().unwrap().heat_map(2);
-    let ratio = heat
-        .border_inner_ratio()
-        .expect("6x6 grid has inner tiles");
+    assert!(heat.border_inner_ratio().is_some(), "6x6 grid has inner tiles");
+
+    // Fig. 9b: in the *optimized* trace, border tiles (still running
+    // checked code) cost more than the branch-free inner tiles. Being
+    // preempted can only lengthen a tile, so the *fastest* tile of each
+    // class within one iteration of a one-thread run is that class's
+    // undisturbed cost; comparing inside an iteration (~2 ms) keeps a
+    // host that changes speed mid-run from skewing one class, and the
+    // majority vote absorbs the iteration where it changes.
+    const ITERS: u32 = 7;
+    let solo = traced_run(1, "blur", "omp_tiled_opt", 96, 16, ITERS);
+    let grid = TileGrid::square(96, 16).unwrap();
+    let border_wins = (1..=ITERS)
+        .filter(|&it| {
+            let fastest = |border: bool| {
+                solo.tasks_of_iteration(it)
+                    .filter(|t| grid.tile_of_pixel(t.x, t.y).is_border(&grid) == border)
+                    .map(|t| t.duration_ns())
+                    .min()
+                    .expect("both tile classes ran")
+            };
+            fastest(true) > fastest(false)
+        })
+        .count();
     assert!(
-        ratio > 1.0,
-        "optimized border tiles should out-cost inner tiles (got x{ratio:.2})"
+        border_wins > ITERS as usize / 2,
+        "optimized border tiles should out-cost inner tiles \
+         (did in only {border_wins} of {ITERS} iterations)"
     );
 }
 
