@@ -2,10 +2,11 @@
 # Tier-1 verification: hermetic build + tests, entirely offline.
 #
 # Lanes, in order: banned-dependency guard, ezp-lint, workspace build +
-# tests, results/ regenerated and diffed, ezp-check + conformance
-# matrix, the stats / explain / streaming / serve smoke lanes, and the
-# frozen benchmark's own tests plus one short run. No lane gates speed:
-# that is measured by benchmark/ (BENCHMARK.json) alone.
+# tests (the ezp-chan schedule explorer rerun by name), results/
+# regenerated and diffed, ezp-check + conformance matrix, the stats /
+# explain / streaming / serve smoke lanes, and the frozen benchmark's
+# own tests plus one short run. No lane gates speed: that is measured
+# by benchmark/ (BENCHMARK.json) alone.
 #
 # The workspace must build and pass its test suite without touching a
 # cargo registry. A grep guard keeps it that way: if any manifest
@@ -71,6 +72,11 @@ echo "verify: ezp-lint clean"
 # easypap-cli binary the smoke test below runs.
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The channel's schedule explorer (docs/channels.md): real
+# try_send/try_recv under every interleaving strategy family. Part of
+# the workspace run above; named here so it shows in this log even if
+# someone trims that lane, like the conformance smoke below.
+cargo test -q --offline -p ezp-chan --test explore
 
 # Figure lane (results/README.md): the virtual-time figure binaries are
 # pure functions of the code, so what results/ holds must be exactly

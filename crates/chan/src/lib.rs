@@ -28,10 +28,9 @@
 //! Every channel counts sends/recvs/full-stalls/empty-stalls
 //! ([`ChanStats`], read with `stats()` on either endpoint).
 //!
-//! The ring protocol itself is modeled step-by-step in
-//! `ezp_sched::vexec::virtual_chan` and swept by every `ezp-check`
-//! schedule-strategy family; the real-thread adversarial battery lives
-//! in this crate's `tests/`.
+//! `tests/explore.rs` drives the real `try_send`/`try_recv` one
+//! operation at a time under every `ezp-testkit` schedule-strategy
+//! family; the real-thread adversarial battery sits next to it.
 
 #![warn(missing_docs)]
 // `unsafe_code` is deliberately NOT denied: the SPSC ring slots are a

@@ -58,16 +58,3 @@ pub struct ChanStats {
     /// Wall time spent inside stall episodes, in nanoseconds.
     pub stall_ns: u64,
 }
-
-impl ChanStats {
-    /// Component-wise sum, for merging stats across several channels.
-    pub fn merge(&self, other: &ChanStats) -> ChanStats {
-        ChanStats {
-            sends: self.sends + other.sends,
-            recvs: self.recvs + other.recvs,
-            full_stalls: self.full_stalls + other.full_stalls,
-            empty_stalls: self.empty_stalls + other.empty_stalls,
-            stall_ns: self.stall_ns + other.stall_ns,
-        }
-    }
-}

@@ -303,7 +303,10 @@ fn observability_tail(
 /// `--frames DIR`: the animated-window replacement. The kernel runs one
 /// iteration at a time, refreshing and dumping a frame after each, so
 /// the directory ends up holding the same "series of images computed at
-/// each iteration" the SDL window would have shown.
+/// each iteration" the SDL window would have shown. One leased pool
+/// serves every iteration: each `compute(.., 1)` of a parallel variant
+/// calls `acquire_pool`, which without a lease would spawn and join a
+/// whole pool per frame.
 fn run_with_frames(
     reg: &ezp_core::Registry,
     cfg: RunConfig,
@@ -324,16 +327,18 @@ fn run_with_frames(
     kernel.refresh_image(&mut ctx)?;
     sink.present(ctx.images.cur())?; // initial state
     let sw = ezp_core::time::Stopwatch::start();
-    let mut completed = iterations;
-    for it in 1..=iterations {
-        let converged = kernel.compute(&mut ctx, &variant, 1)?;
-        kernel.refresh_image(&mut ctx)?;
-        sink.present(ctx.images.cur())?;
-        if converged.is_some() {
-            completed = it;
-            break;
+    let mux = ezp_sched::PoolMux::new(1, cfg.threads);
+    let completed = mux.lease().install(cfg.threads, || -> Result<u32> {
+        for it in 1..=iterations {
+            let converged = kernel.compute(&mut ctx, &variant, 1)?;
+            kernel.refresh_image(&mut ctx)?;
+            sink.present(ctx.images.cur())?;
+            if converged.is_some() {
+                return Ok(it);
+            }
         }
-    }
+        Ok(iterations)
+    })?;
     writeln!(out, "{completed} iterations completed in {} ms", sw.elapsed_ms()).unwrap();
     writeln!(
         out,
@@ -679,6 +684,44 @@ mod tests {
                 assert!(std::path::Path::new(&f).exists(), "missing {f}");
             }
         });
+    }
+
+    #[test]
+    fn frames_mode_serves_every_iteration_from_one_leased_pool() {
+        use ezp_core::{Kernel, KernelCtx};
+        // what `acquire_pool(..).is_shared()` said in each `compute`
+        static SHARED: std::sync::Mutex<Vec<bool>> = std::sync::Mutex::new(Vec::new());
+        struct PoolSpy;
+        impl Kernel for PoolSpy {
+            fn name(&self) -> &'static str {
+                "pool_spy"
+            }
+            fn variants(&self) -> Vec<&'static str> {
+                vec!["omp"]
+            }
+            fn init(&mut self, _: &mut KernelCtx) -> Result<()> {
+                Ok(())
+            }
+            fn compute(&mut self, ctx: &mut KernelCtx, _: &str, nb_iter: u32) -> Result<Option<u32>> {
+                assert_eq!(nb_iter, 1, "frames mode computes one iteration per frame");
+                let mut pool = ezp_sched::acquire_pool(ctx.cfg.threads);
+                SHARED.lock().unwrap().push(pool.is_shared());
+                pool.run(|_| {});
+                Ok(None)
+            }
+        }
+        let mut reg = ezp_core::Registry::new();
+        reg.register("pool_spy", || Box::new(PoolSpy));
+        in_tmp_dir(|| {
+            let cfg = RunConfig::parse_args([
+                "--kernel", "pool_spy", "--variant", "omp", "--size", "16", "--tile-size", "8",
+                "--iterations", "3", "--threads", "2", "--frames", "anim",
+            ])
+            .unwrap();
+            let out = run_with_frames(&reg, cfg, Arc::new(NullProbe), None, None, "anim").unwrap();
+            assert!(out.contains("3 iterations completed"), "{out}");
+        });
+        assert_eq!(*SHARED.lock().unwrap(), [true; 3], "an iteration spawned its own pool");
     }
 
     #[test]

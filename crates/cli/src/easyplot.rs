@@ -20,9 +20,6 @@ struct PlotArgs {
     y: String,
     filters: Vec<(String, String)>,
     speedup: bool,
-    /// `--hist COL`: bar chart grouped by a categorical column instead
-    /// of a line plot.
-    hist: Option<String>,
     svg: Option<String>,
 }
 
@@ -37,7 +34,6 @@ where
         y: "time_us".to_string(),
         filters: Vec::new(),
         speedup: false,
-        hist: None,
         svg: None,
     };
     let mut it = args.into_iter();
@@ -52,7 +48,6 @@ where
             "-x" | "--x" => out.x = need(it.next(), arg)?,
             "-y" | "--y" => out.y = need(it.next(), arg)?,
             "--speedup" => out.speedup = true,
-            "--hist" => out.hist = Some(need(it.next(), arg)?),
             "--svg" => out.svg = Some(need(it.next(), arg)?),
             // paper-style column filters: --kernel mandel, --variant ...
             "--kernel" | "--variant" | "--schedule" | "--machine" => {
@@ -87,18 +82,6 @@ where
             "no rows left after filtering {:?}",
             args.filters
         )));
-    }
-    if let Some(cat) = &args.hist {
-        let bars = ezp_plot::bars_from_table(&filtered, cat, &args.y)?;
-        let mut out = String::new();
-        match &args.svg {
-            Some(path) => {
-                std::fs::write(path, ezp_plot::render_bars_svg(&bars, &args.y, 480.0, 320.0))?;
-                writeln!(out, "histogram written to {path}").unwrap();
-            }
-            None => out.push_str(&ezp_plot::render_bars_ascii(&bars, &args.y, 40)),
-        }
-        return Ok(out);
     }
     let mut data = Dataset::from_table(&filtered, &args.x, &args.y, &["run"])?;
     if args.speedup {
@@ -218,22 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mode_groups_by_category() {
-        let csv = sample_csv("hist");
-        let out = run_easyplot([
-            "--input",
-            csv.to_str().unwrap(),
-            "--kernel",
-            "mandel",
-            "--hist",
-            "schedule",
-        ])
-        .unwrap();
-        assert!(out.contains("static"));
-        assert!(out.contains("dynamic,2"));
-        assert!(out.contains('#'));
-        assert!(out.contains("(3 runs)"));
-        std::fs::remove_file(csv).unwrap();
+    fn retired_hist_flag_is_an_unknown_option() {
+        let err = run_easyplot(["--hist", "schedule"]).unwrap_err();
+        assert!(err.to_string().contains("unknown option `--hist`"), "{err}");
     }
 
     #[test]

@@ -14,6 +14,9 @@ use ezp_core::error::{Error, Result};
 use ezp_view::{CoverageMap, GanttModel, TraceComparison};
 use std::fmt::Write as _;
 
+/// Columns of the ASCII Gantt chart.
+const GANTT_COLUMNS: usize = 100;
+
 /// Parsed `easyview` invocation.
 struct ViewArgs {
     trace_path: String,
@@ -25,7 +28,6 @@ struct ViewArgs {
     /// `--highlight out.ppm`: render the tiles under the mouse (at
     /// `--at T`, or mid-span) over a thumbnail, like Fig. 7's right pane.
     highlight: Option<String>,
-    width: usize,
     /// `easyview explain <trace>`: causal-profiling report instead of
     /// the Gantt chart.
     explain: bool,
@@ -44,7 +46,6 @@ where
         compare: None,
         svg: None,
         highlight: None,
-        width: 100,
         explain: false,
     };
     let mut it = args.into_iter();
@@ -81,11 +82,6 @@ where
             "--compare" => out.compare = Some(need(it.next(), arg)?),
             "--svg" => out.svg = Some(need(it.next(), arg)?),
             "--highlight" => out.highlight = Some(need(it.next(), arg)?),
-            "--width" => {
-                out.width = need(it.next(), arg)?
-                    .parse()
-                    .map_err(|_| Error::Config("bad width".into()))?
-            }
             "explain" if !out.explain && out.trace_path.is_empty() => out.explain = true,
             other if !other.starts_with('-') && out.trace_path.is_empty() => {
                 out.trace_path = other.to_string();
@@ -199,7 +195,7 @@ where
     writeln!(out, "\n=== Task statistics ===").unwrap();
     out.push_str(&ezp_view::stats::render(&trace));
     writeln!(out, "\n=== Gantt chart, iterations {lo}..{hi} ===").unwrap();
-    out.push_str(&gantt.to_ascii(args.width));
+    out.push_str(&gantt.to_ascii(GANTT_COLUMNS));
     if let Some(svg_path) = &args.svg {
         std::fs::write(svg_path, gantt.to_svg(1000.0, 24.0))?;
         writeln!(out, "SVG written to {svg_path}").unwrap();
@@ -366,5 +362,11 @@ mod tests {
         assert!(run_easyview([path.to_str().unwrap(), "--iter", "abc"]).is_err());
         assert!(run_easyview([path.to_str().unwrap(), "--bogus"]).is_err());
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn retired_width_flag_is_an_unknown_option() {
+        let err = run_easyview(["run.ezv", "--width", "80"]).unwrap_err();
+        assert!(err.to_string().contains("unknown option `--width`"), "{err}");
     }
 }

@@ -77,7 +77,7 @@ mod tests {
         ];
         for (file, source) in parsers {
             let flags = flag_literals(source);
-            assert!(flags.len() >= 7, "{file}: flag extraction found only {flags:?}");
+            assert!(flags.len() >= 6, "{file}: flag extraction found only {flags:?}");
             for flag in flags {
                 assert!(
                     ledger.contains(&format!("`{flag}`")),

@@ -19,8 +19,6 @@
 
 pub mod chart;
 pub mod dataset;
-pub mod histogram;
 
 pub use chart::{render_ascii, render_svg};
 pub use dataset::{Dataset, Series};
-pub use histogram::{bars_from_table, render_bars_ascii, render_bars_svg, Bar};

@@ -52,10 +52,9 @@ pub use parallel::{
 };
 pub use park::{ParkLot, WaitStats};
 pub use pool::{PoolSyncStats, WorkerPool};
-pub use skeleton::{PipeShape, PipeStage};
+pub use skeleton::{EmitTracker, PipeShape, PipeStage};
 pub use taskgraph::TaskGraph;
 #[cfg(feature = "ezp-check")]
 pub use vexec::{
-    check_chan_oracle, virtual_chan, virtual_drain, virtual_for_range, virtual_for_tiles,
-    virtual_taskgraph, Reachability, VChanReport, VStep,
+    virtual_drain, virtual_for_range, virtual_for_tiles, virtual_taskgraph, Reachability, VStep,
 };

@@ -46,6 +46,15 @@
 //! *before* publishing the next epoch and read *after* observing
 //! completion, both on the SeqCst spine above — a panic in region N is
 //! reported by region N and can never leak into region N+1.
+//!
+//! ## Protocol steps
+//!
+//! The protocol is written once, as non-blocking steps on `PoolState`:
+//! the caller's side is `publish` (steps 1–2) and `close` (step 4's
+//! read), a worker's side is `worker_step` (steps 2–3 for one region).
+//! The threads here call them between their [`ParkLot`] waits; under
+//! `ezp-check`, `vexec::virtual_region_protocol` calls the same steps
+//! on a thread-less `RegionDriver` under an explicit interleaving.
 
 use crate::park::ParkLot;
 use std::cell::UnsafeCell;
@@ -64,6 +73,18 @@ struct ErasedJob {
 // SAFETY: the pointer is only dereferenced while `run` keeps the original
 // closure alive (see protocol above), and the pointee is `Sync`.
 unsafe impl Send for ErasedJob {}
+
+impl ErasedJob {
+    fn erase(f: &(dyn Fn(usize) + Sync)) -> Self {
+        let ptr: *const (dyn Fn(usize) + Sync) = f;
+        // SAFETY: the transmute only erases the pointee's lifetime to
+        // `'static`; nothing is dereferenced here. Whoever publishes
+        // the job promises the pointee outlives the region (the
+        // contract of `PoolState::publish`).
+        let ptr: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(ptr) };
+        ErasedJob { ptr }
+    }
+}
 
 /// The seqlock payload: the current region's erased closure. Written
 /// only by `run` while the pool is quiescent, read by workers only
@@ -94,7 +115,7 @@ pub struct PoolSyncStats {
     pub park_ns: u64,
 }
 
-struct PoolState {
+pub(crate) struct PoolState {
     /// Published region sequence number (0 = no region yet).
     job_seq: AtomicU64,
     /// The erased closure of the published region.
@@ -121,7 +142,129 @@ struct PoolState {
     stat_park_ns: AtomicU64,
 }
 
+/// What one [`PoolState::worker_step`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WorkerStep {
+    /// Ran the newly published region and reported completion.
+    Ran,
+    /// No region newer than the last one this worker ran: nothing done.
+    Idle,
+    /// The pool is shutting down: the worker must exit.
+    Shutdown,
+}
+
 impl PoolState {
+    fn new() -> Self {
+        PoolState {
+            job_seq: AtomicU64::new(0),
+            job: JobCell(UnsafeCell::new(None)),
+            remaining: AtomicUsize::new(0),
+            done_seq: AtomicU64::new(0),
+            panics: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            idle: ParkLot::new(),
+            done: ParkLot::new(),
+            stat_parks: AtomicU64::new(0),
+            stat_spins: AtomicU64::new(0),
+            stat_park_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Protocol steps 1–2: resets the region accounting for `threads`
+    /// workers, installs `job` and publishes region `seq`.
+    ///
+    /// # Safety
+    ///
+    /// The pool must be quiescent — every region published before was
+    /// observed closed ([`PoolState::is_closed`]) by this caller — and
+    /// `job`'s closure must stay alive until region `seq` is observed
+    /// closed too.
+    // SAFETY: contract above — `dispatch` upholds it by blocking until
+    // the region closes, `RegionDriver` by asserting it and by borrowing
+    // the closure for its own lifetime.
+    #[inline]
+    unsafe fn publish(&self, seq: u64, threads: usize, job: ErasedJob) {
+        // ORDERING: synchronizing via the spine, not locally — these
+        // Relaxed resets are ordered before any worker activity of this
+        // region by the SeqCst `job_seq` publication below (workers only
+        // act after observing the epoch bump).
+        self.panics.store(0, Ordering::Relaxed);
+        self.remaining.store(threads, Ordering::Relaxed);
+        // SAFETY: the pool is quiescent (protocol step 1) — no worker
+        // reads the cell until the `job_seq` store below.
+        unsafe { *self.job.0.get() = Some(job) };
+        self.job_seq.store(seq, Ordering::SeqCst);
+        self.idle.notify();
+    }
+
+    /// The caller's wait condition: region `seq` fully completed.
+    #[inline]
+    fn is_closed(&self, seq: u64) -> bool {
+        self.done_seq.load(Ordering::SeqCst) == seq
+    }
+
+    /// Protocol step 4, after [`PoolState::is_closed`] held: how many
+    /// workers panicked in the region just closed.
+    #[inline]
+    fn close(&self, seq: u64) -> usize {
+        debug_assert!(self.is_closed(seq), "closed region {seq} before its last worker left");
+        self.panics.load(Ordering::SeqCst)
+    }
+
+    /// A worker's wait condition: a region newer than `last_seq` is
+    /// published, or the pool is shutting down.
+    #[inline]
+    pub(crate) fn has_work(&self, last_seq: u64) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || self.job_seq.load(Ordering::SeqCst) > last_seq
+    }
+
+    /// Protocol steps 2–3 for one worker: if a region newer than
+    /// `*last_seq` is published, runs it as `rank` and reports
+    /// completion (the last worker out closes the region).
+    #[inline]
+    pub(crate) fn worker_step(&self, rank: usize, last_seq: &mut u64) -> WorkerStep {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return WorkerStep::Shutdown;
+        }
+        // `job_seq` can only have advanced by exactly one: the next
+        // region is not published until every worker (us included)
+        // completed the previous one.
+        let seq = self.job_seq.load(Ordering::SeqCst);
+        if seq == *last_seq {
+            return WorkerStep::Idle;
+        }
+        *last_seq = seq;
+        // SAFETY: gated on the epoch bump (protocol step 2); `run`
+        // keeps the closure alive until we decrement `remaining`.
+        let job = unsafe { (*self.job.0.get()).expect("epoch published without a job") };
+        // SAFETY: `job.ptr` points at the closure `run` owns for this
+        // epoch; it stays valid until our `remaining` decrement below,
+        // which is the last thing this step does with it.
+        let f = unsafe { &*job.ptr };
+        if std::panic::catch_unwind(AssertUnwindSafe(|| f(rank))).is_err() {
+            self.panics.fetch_add(1, Ordering::SeqCst);
+        }
+        // ORDERING: synchronizing. AcqRel makes each worker's closure
+        // effects visible to whichever worker decrements last (Acquire
+        // pairs with every earlier Release decrement), and that last
+        // worker's SeqCst `done_seq` store releases the lot to `run`.
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Last worker out closes the region.
+            self.done_seq.store(seq, Ordering::SeqCst);
+            self.done.notify();
+        }
+        WorkerStep::Ran
+    }
+
+    /// Tells every worker to exit.
+    pub(crate) fn shut_down(&self) {
+        // SeqCst store before notify: a worker is either spinning (sees
+        // the flag on its next check) or parked with `shutdown` in its
+        // wait condition (the ParkLot protocol guarantees the wakeup).
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.idle.notify();
+    }
+
     fn record_wait(&self, stats: crate::park::WaitStats) {
         // ORDERING: counter-only. The spin/park totals feed the stats
         // report; nothing synchronizes on them, so Relaxed increments
@@ -156,19 +299,7 @@ impl WorkerPool {
     /// Spawns a pool of `threads` workers (ranks `0..threads`).
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "a pool needs at least one worker");
-        let state = Arc::new(PoolState {
-            job_seq: AtomicU64::new(0),
-            job: JobCell(UnsafeCell::new(None)),
-            remaining: AtomicUsize::new(0),
-            done_seq: AtomicU64::new(0),
-            panics: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            idle: ParkLot::new(),
-            done: ParkLot::new(),
-            stat_parks: AtomicU64::new(0),
-            stat_spins: AtomicU64::new(0),
-            stat_park_ns: AtomicU64::new(0),
-        });
+        let state = Arc::new(PoolState::new());
         let handles = (0..threads)
             .map(|rank| {
                 let state = state.clone();
@@ -259,31 +390,16 @@ impl WorkerPool {
         self.next_seq += 1;
         let seq = self.next_seq;
         let state = &*self.state;
-        // ORDERING: synchronizing via the spine, not locally — these
-        // Relaxed resets are ordered before any worker activity of this
-        // region by the SeqCst `job_seq` publication below (workers only
-        // act after observing the epoch bump).
-        state.panics.store(0, Ordering::Relaxed);
-        state.remaining.store(self.threads, Ordering::Relaxed);
-        let ptr: *const (dyn Fn(usize) + Sync) = f;
-        // SAFETY: the transmute only erases the pointee's lifetime to
-        // `'static`. The pointee outlives every dereference because `f`
-        // lives in the caller's frame and this function blocks until
-        // `done_seq == seq` (protocol step 4), which happens-after the
-        // last worker's use of the pointer — so no worker can
-        // dereference it after `f` is dropped.
-        let ptr: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(ptr) };
-        // SAFETY: the pool is quiescent (protocol step 1) — no worker
-        // reads the cell until the `job_seq` store below.
-        unsafe { *state.job.0.get() = Some(ErasedJob { ptr }) };
-        state.job_seq.store(seq, Ordering::SeqCst);
-        state.idle.notify();
+        // SAFETY: quiescent — the previous `dispatch` returned only
+        // after `is_closed` held for its region. The closure outlives
+        // every dereference because `f` lives in the caller's frame and
+        // this function blocks until `done_seq == seq` (protocol step
+        // 4), which happens-after the last worker's use of the pointer.
+        unsafe { state.publish(seq, self.threads, ErasedJob::erase(f)) };
         // Wait for completion: spin, then park on the done lot.
-        let wait = state
-            .done
-            .wait_until(|| state.done_seq.load(Ordering::SeqCst) == seq);
+        let wait = state.done.wait_until(|| state.is_closed(seq));
         state.record_wait(wait);
-        let panics = state.panics.load(Ordering::SeqCst);
+        let panics = state.close(seq);
         if panics > 0 {
             panic!("{panics} worker(s) panicked in parallel region {seq}");
         }
@@ -311,11 +427,7 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // SeqCst store before notify: a worker is either spinning (sees
-        // the flag on its next check) or parked with `shutdown` in its
-        // wait condition (the ParkLot protocol guarantees the wakeup).
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.idle.notify();
+        self.state.shut_down();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -326,36 +438,57 @@ fn worker_loop(rank: usize, state: Arc<PoolState>) {
     let mut last_seq = 0u64;
     loop {
         // Wait for a region newer than the last one we ran, or shutdown.
-        let wait = state.idle.wait_until(|| {
-            state.shutdown.load(Ordering::SeqCst) || state.job_seq.load(Ordering::SeqCst) > last_seq
-        });
+        let wait = state.idle.wait_until(|| state.has_work(last_seq));
         state.record_wait(wait);
-        if state.shutdown.load(Ordering::SeqCst) {
+        if state.worker_step(rank, &mut last_seq) == WorkerStep::Shutdown {
             return;
         }
-        // `job_seq` can only have advanced by exactly one: the next
-        // region is not published until every worker (us included)
-        // completed the previous one.
-        last_seq = state.job_seq.load(Ordering::SeqCst);
-        // SAFETY: gated on the epoch bump (protocol step 2); `run`
-        // keeps the closure alive until we decrement `remaining`.
-        let job = unsafe { (*state.job.0.get()).expect("epoch published without a job") };
-        // SAFETY: `job.ptr` points at the closure `run` owns for this
-        // epoch; it stays valid until our `remaining` decrement below,
-        // which is the last thing this iteration does with it.
-        let f = unsafe { &*job.ptr };
-        if std::panic::catch_unwind(AssertUnwindSafe(|| f(rank))).is_err() {
-            state.panics.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// The epoch protocol without threads: one [`PoolState`] whose steps
+/// the caller invokes itself, in any order it likes — the `ezp-check`
+/// executor under an interleaving strategy, the unit tests below by
+/// hand. Every region runs the one closure borrowed for `'f`, which is
+/// what makes [`RegionDriver::publish`] safe to call.
+#[cfg(any(test, feature = "ezp-check"))]
+pub(crate) struct RegionDriver<'f> {
+    /// The worker-side steps are called on this directly.
+    pub(crate) state: PoolState,
+    threads: usize,
+    seq: u64,
+    f: &'f (dyn Fn(usize) + Sync),
+}
+
+#[cfg(any(test, feature = "ezp-check"))]
+impl<'f> RegionDriver<'f> {
+    pub(crate) fn new(threads: usize, f: &'f (dyn Fn(usize) + Sync)) -> Self {
+        RegionDriver {
+            state: PoolState::new(),
+            threads,
+            seq: 0,
+            f,
         }
-        // ORDERING: synchronizing. AcqRel makes each worker's closure
-        // effects visible to whichever worker decrements last (Acquire
-        // pairs with every earlier Release decrement), and that last
-        // worker's SeqCst `done_seq` store releases the lot to `run`.
-        if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last worker out closes the region.
-            state.done_seq.store(last_seq, Ordering::SeqCst);
-            state.done.notify();
-        }
+    }
+
+    /// Publishes the next region (1-based) and returns its number.
+    pub(crate) fn publish(&mut self) -> u64 {
+        assert!(self.is_closed(), "published over an open region");
+        self.seq += 1;
+        // SAFETY: quiescent per the assert above, and the closure
+        // outlives `self` (`'f`), the only handle a step can run it by.
+        unsafe { self.state.publish(self.seq, self.threads, ErasedJob::erase(self.f)) };
+        self.seq
+    }
+
+    /// See [`PoolState::is_closed`], for the last published region.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.state.is_closed(self.seq)
+    }
+
+    /// See [`PoolState::close`].
+    pub(crate) fn close(&self) -> usize {
+        self.state.close(self.seq)
     }
 }
 
@@ -565,6 +698,66 @@ mod tests {
         pool.run(|_| {});
         std::thread::sleep(std::time::Duration::from_millis(2));
         drop(pool); // must not hang
+    }
+
+    #[test]
+    fn worker_step_without_a_new_epoch_is_idle_and_changes_nothing() {
+        let runs = AtomicU64::new(0);
+        let body = |_: usize| {
+            runs.fetch_add(1, Ordering::Relaxed);
+        };
+        let mut pool = RegionDriver::new(2, &body);
+        let mut last = [0u64; 2];
+        // nothing published yet
+        assert!(!pool.state.has_work(last[0]));
+        assert_eq!(pool.state.worker_step(0, &mut last[0]), WorkerStep::Idle);
+        assert_eq!((last[0], runs.load(Ordering::Relaxed)), (0, 0));
+
+        assert_eq!(pool.publish(), 1);
+        assert_eq!(pool.state.worker_step(0, &mut last[0]), WorkerStep::Ran);
+        // a second step in the same epoch neither reruns the body nor
+        // decrements `remaining` again: the region stays open for rank 1
+        assert!(!pool.state.has_work(last[0]));
+        assert_eq!(pool.state.worker_step(0, &mut last[0]), WorkerStep::Idle);
+        assert_eq!((last[0], runs.load(Ordering::Relaxed)), (1, 1));
+        assert!(!pool.is_closed(), "an idle step closed the region");
+        assert_eq!(pool.state.worker_step(1, &mut last[1]), WorkerStep::Ran);
+        assert!(pool.is_closed());
+
+        pool.state.shut_down();
+        assert!(pool.state.has_work(last[0]), "shutdown must end a worker's wait");
+        assert_eq!(pool.state.worker_step(0, &mut last[0]), WorkerStep::Shutdown);
+        assert_eq!(runs.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn close_reads_the_panic_count_of_exactly_the_region_it_published() {
+        // ranks 0 and 2 panic in region 1, nobody in region 2, rank 1
+        // in region 3 (resume_unwind: a panic without the hook's noise)
+        let region = AtomicU64::new(0);
+        let body = |rank: usize| {
+            let panics = match region.load(Ordering::Relaxed) {
+                1 => rank != 1,
+                3 => rank == 1,
+                _ => false,
+            };
+            if panics {
+                std::panic::resume_unwind(Box::new("planned"));
+            }
+        };
+        let mut pool = RegionDriver::new(3, &body);
+        let mut last = [0u64; 3];
+        let mut observed = Vec::new();
+        for _ in 0..3 {
+            region.store(pool.publish(), Ordering::Relaxed);
+            for rank in [2, 0, 1] {
+                assert!(!pool.is_closed(), "closed with rank {rank} still to run");
+                assert_eq!(pool.state.worker_step(rank, &mut last[rank]), WorkerStep::Ran);
+            }
+            assert!(pool.is_closed());
+            observed.push(pool.close());
+        }
+        assert_eq!(observed, vec![2, 0, 1]);
     }
 
     #[test]

@@ -31,9 +31,14 @@
 //! *by construction* — bounded stages cannot deadlock, a fact the
 //! `ezp-check` sweep (`virtual_pipeline` under the starve-one
 //! strategy) pins at the schedule level.
+//!
+//! The other half of a stream's semantics — *when* a finished frame
+//! counts as emitted — is [`EmitTracker`], next to the shape because
+//! both the engine and `virtual_pipeline` need exactly one of each.
 
 use crate::taskgraph::TaskGraph;
 use ezp_core::kernel::EdgeKind;
+use ezp_core::EmitMode;
 
 /// Default bounded-buffer capacity between stages.
 pub const DEFAULT_CAPACITY: usize = 4;
@@ -161,6 +166,76 @@ impl PipeShape {
     }
 }
 
+/// Reorder/emission bookkeeping over one window of `frames` frames:
+/// decides *when* a frame whose final stage completed counts as
+/// emitted — on completion ([`EmitMode::Unordered`]) or when the
+/// in-order frontier passes it ([`EmitMode::Ordered`]) — and records
+/// that order. It holds no payloads and no lock; `ezp-stream`'s engine
+/// keeps one behind a mutex, `virtual_pipeline` one on its stack.
+#[derive(Clone, Debug)]
+pub struct EmitTracker {
+    /// Final-stage completions so far.
+    completed: usize,
+    /// Which frames have completed (ordered mode's reorder markers).
+    done: Vec<bool>,
+    /// Window-local frame ids in emission order.
+    emitted: Vec<usize>,
+    /// Peak of [`EmitTracker::reorder_depth`] after each completion.
+    max_reorder_depth: usize,
+}
+
+impl EmitTracker {
+    /// A tracker for a window of `frames` frames, none completed.
+    pub fn new(frames: usize) -> Self {
+        EmitTracker {
+            completed: 0,
+            done: vec![false; frames],
+            emitted: Vec::with_capacity(frames),
+            max_reorder_depth: 0,
+        }
+    }
+
+    /// Records that `frame` finished its final stage and returns how
+    /// many frames that emitted: always 1 when unordered; when ordered,
+    /// however many the frontier could pass (0 if `frame` arrived ahead
+    /// of a predecessor). The newly emitted ids are the tail of
+    /// [`EmitTracker::emitted`].
+    pub fn complete(&mut self, frame: usize, mode: EmitMode) -> usize {
+        self.completed += 1;
+        let before = self.emitted.len();
+        match mode {
+            EmitMode::Unordered => self.emitted.push(frame),
+            EmitMode::Ordered => {
+                self.done[frame] = true;
+                // the frontier is `emitted.len()`: every frame below it
+                // has left, in order
+                while self.done.get(self.emitted.len()) == Some(&true) {
+                    self.emitted.push(self.emitted.len());
+                }
+                // depth after the frontier advance: in-order arrivals cost 0
+                self.max_reorder_depth = self.max_reorder_depth.max(self.reorder_depth());
+            }
+        }
+        self.emitted.len() - before
+    }
+
+    /// Completed-but-unemitted frames waiting behind the frontier
+    /// right now (ordered mode; unordered emits on completion).
+    pub fn reorder_depth(&self) -> usize {
+        self.completed - self.emitted.len()
+    }
+
+    /// Peak of [`EmitTracker::reorder_depth`] over the window.
+    pub fn max_reorder_depth(&self) -> usize {
+        self.max_reorder_depth
+    }
+
+    /// Window-local frame ids in the order they were emitted.
+    pub fn emitted(&self) -> &[usize] {
+        &self.emitted
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +329,42 @@ mod tests {
         assert_eq!(shape.stage(0).width, 1);
         assert_eq!(shape.stage(0).capacity, 1);
         shape.graph(4).run_seq(|_, _| {}).unwrap();
+    }
+
+    #[test]
+    fn emit_tracker_unordered_emits_on_completion() {
+        let mut t = EmitTracker::new(3);
+        for f in [2, 0, 1] {
+            assert_eq!(t.complete(f, EmitMode::Unordered), 1);
+            assert_eq!(t.reorder_depth(), 0);
+        }
+        assert_eq!(t.emitted(), [2, 0, 1]);
+        assert_eq!(t.max_reorder_depth(), 0);
+    }
+
+    #[test]
+    fn emit_tracker_ordered_in_order_arrival_never_buffers() {
+        let mut t = EmitTracker::new(3);
+        for f in 0..3 {
+            assert_eq!(t.complete(f, EmitMode::Ordered), 1);
+        }
+        assert_eq!(t.emitted(), [0, 1, 2]);
+        assert_eq!(t.max_reorder_depth(), 0);
+    }
+
+    #[test]
+    fn emit_tracker_ordered_holds_early_frames_behind_the_frontier() {
+        let mut t = EmitTracker::new(4);
+        assert_eq!(t.complete(2, EmitMode::Ordered), 0);
+        assert_eq!(t.complete(1, EmitMode::Ordered), 0);
+        assert_eq!(t.reorder_depth(), 2);
+        assert!(t.emitted().is_empty(), "frame 1 left before frame 0");
+        // frame 0 arrives: the frontier passes 0, 1 and 2 at once
+        assert_eq!(t.complete(0, EmitMode::Ordered), 3);
+        assert_eq!(t.reorder_depth(), 0);
+        assert_eq!(t.complete(3, EmitMode::Ordered), 1);
+        assert_eq!(t.emitted(), [0, 1, 2, 3]);
+        assert_eq!(t.max_reorder_depth(), 2);
     }
 
     ezp_proptest! {

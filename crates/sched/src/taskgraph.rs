@@ -139,7 +139,8 @@ impl TaskGraph {
     /// deliberately guarantees nothing else: which worker runs a task and
     /// how concurrent ready tasks interleave is up to the OS scheduler.
     /// Tests that need to explore those interleavings deterministically
-    /// should use `vexec::virtual_taskgraph` (feature `ezp-check`).
+    /// drive the executor's own step under an explicit strategy with
+    /// `vexec::virtual_deque_taskgraph` (feature `ezp-check`).
     ///
     /// Returns [`Error::Config`] when the graph has a cycle.
     pub fn run_seq(&self, mut f: impl FnMut(usize, WorkerId)) -> Result<()> {
@@ -213,11 +214,9 @@ impl TaskGraph {
         probe: &dyn Probe,
         f: impl Fn(usize, WorkerId) + Sync,
     ) -> Result<()> {
-        let n = self.len();
-        if n == 0 {
+        if self.is_empty() {
             return Ok(());
         }
-        let timed = probe.wants_runtime_events();
         // Edge provenance for tracers: enumerate the DAG once, before
         // any task runs, so the recorded trace is a timed graph rather
         // than a bag of intervals. Gated separately — O(edges) work only
@@ -225,154 +224,255 @@ impl TaskGraph {
         if probe.wants_dep_edges() {
             self.for_each_edge(|from, to, kind| probe.dep_edge(from, to, kind));
         }
-        let threads = pool.width();
-        let indegree: Vec<AtomicUsize> =
-            self.indegree.iter().map(|&d| AtomicUsize::new(d)).collect();
-        // One deque per worker, each sized for the whole graph: a worker
-        // can release at most n-1 dependents into its own deque.
-        let deques: Vec<TaskDeque> = (0..threads).map(|_| TaskDeque::with_capacity(n)).collect();
-        // Seed initially-ready tasks round-robin so every worker starts
-        // with local work when the frontier is wide.
-        {
-            let mut next = 0;
-            for t in (0..n).filter(|&t| self.indegree[t] == 0) {
-                deques[next % threads].push(t);
-                next += 1;
-            }
-        }
-        let pending = AtomicUsize::new(n);
-        let active = AtomicUsize::new(0);
-        let events = AtomicU64::new(0);
-        // Raised when the run cannot finish — the remainder is cyclic,
-        // or a task panicked — so every worker leaves the region.
-        let cycle = AtomicBool::new(false);
-        let idle = ParkLot::new();
-        // A task that unwinds never reports completion; without this
-        // its peers would park forever on `pending`. Releasing them
-        // closes the region, and the pool re-raises the panic.
-        struct ReleasePeersOnUnwind<'a>(&'a AtomicBool, &'a ParkLot);
-        impl Drop for ReleasePeersOnUnwind<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.store(true, Ordering::SeqCst);
-                    self.1.notify();
-                }
-            }
-        }
-
-        crate::parallel::run_region_probed(pool, probe, timed, |rank| {
-            let my = &deques[rank];
+        let run = GraphRun::new(self, pool.width(), probe);
+        crate::parallel::run_region_probed(pool, probe, run.timed, |rank| {
+            let mut busy = false;
             loop {
-                if pending.load(Ordering::SeqCst) == 0 || cycle.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Claim before looking: `active` makes this worker's
-                // pick attempts visible to concurrent cycle checks. It
-                // is raised once per busy *streak*, not per task, so
-                // consecutive local pops pay no extra RMW traffic.
-                active.fetch_add(1, Ordering::SeqCst);
-                loop {
-                    let mut task = my.pop();
-                    if task.is_none() {
-                        'victims: for i in 1..threads {
-                            let victim = &deques[(rank + i) % threads];
-                            loop {
-                                match victim.steal() {
-                                    Steal::Success(t) => {
-                                        if timed {
-                                            probe.runtime_event(rank, RuntimeEvent::DequeSteal);
-                                        }
-                                        task = Some(t);
-                                        break 'victims;
-                                    }
-                                    // A failed CAS means another thief won;
-                                    // re-read rather than move on, the victim
-                                    // may hold more.
-                                    Steal::Retry => std::hint::spin_loop(),
-                                    Steal::Empty => continue 'victims,
-                                }
-                            }
-                        }
-                    }
-                    let Some(task) = task else { break };
-                    if timed {
-                        probe.runtime_event(rank, RuntimeEvent::ChunkDispensed { len: 1 });
-                    }
-                    {
-                        let _release = ReleasePeersOnUnwind(&cycle, &idle);
-                        f(task, rank);
-                    }
-                    let mut released = false;
-                    // ORDERING: synchronizing. Each predecessor's Release
-                    // half orders its task's effects before the decrement;
-                    // the Acquire half of the *final* decrement (the one
-                    // seeing 1) makes every predecessor's effects visible
-                    // to whoever runs the released dependent.
-                    for &d in &self.dependents[task] {
-                        if indegree[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            my.push(d);
-                            released = true;
-                        }
-                    }
-                    // Publish completion: the pushes above happen-before
-                    // the `events` bump, which happens-before the
-                    // `pending` decrement — the order the cycle check
-                    // relies on. Notify last, once the wake conditions
-                    // are true — and only when a sleeper could actually
-                    // have something to do: a dependent became ready, or
-                    // this was the final task. A completion that releases
-                    // nothing mid-graph leaves parked workers parked
-                    // instead of waking the whole lot per task.
-                    events.fetch_add(1, Ordering::SeqCst);
-                    let left = pending.fetch_sub(1, Ordering::SeqCst);
-                    if released || left == 1 {
-                        idle.notify();
-                    }
-                }
-                {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    // Termination / cycle check (see module comment).
-                    let e0 = events.load(Ordering::SeqCst);
-                    let all_empty = deques.iter().all(|d| d.len_hint() == 0);
-                    let quiet = active.load(Ordering::SeqCst) == 0;
-                    let stable = events.load(Ordering::SeqCst) == e0;
-                    if pending.load(Ordering::SeqCst) == 0 {
-                        return;
-                    }
-                    if all_empty && quiet && stable {
-                        // No task running, none ready, some pending:
-                        // the remainder is cyclic.
-                        cycle.store(true, Ordering::SeqCst);
-                        idle.notify();
-                        return;
-                    }
-                    let t0 = if timed {
-                        probe.runtime_event(rank, RuntimeEvent::TaskWait);
-                        now_ns()
-                    } else {
-                        0
-                    };
-                    idle.wait_until(|| {
-                        pending.load(Ordering::SeqCst) == 0
-                            || cycle.load(Ordering::SeqCst)
-                            || events.load(Ordering::SeqCst) != e0
-                            || deques.iter().any(|d| d.len_hint() > 0)
-                    });
-                    if timed {
-                        probe.runtime_event(
-                            rank,
-                            RuntimeEvent::IdleNs {
-                                ns: now_ns().saturating_sub(t0),
-                                cause: IdleCause::DepStall,
-                            },
-                        );
-                    }
+                match run.step(rank, &mut busy, &f) {
+                    GraphStep::Ran => {}
+                    GraphStep::Idle(seen) => run.park(rank, seen),
+                    GraphStep::Done | GraphStep::Cyclic => return,
                 }
             }
         });
+        run.outcome()
+    }
+}
 
-        if cycle.load(Ordering::SeqCst) {
-            let done = n - pending.load(Ordering::SeqCst);
+/// What one [`GraphRun::step`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GraphStep {
+    /// Picked one task, ran it and released its dependents.
+    Ran,
+    /// Found no task anywhere, and cannot tell yet whether the rest is
+    /// cyclic: the worker should wait for [`GraphRun::should_wake`]
+    /// with this `events` snapshot.
+    Idle(u64),
+    /// Every task completed, or a peer halted the run: leave.
+    Done,
+    /// This worker proved the remainder cyclic and halted the run.
+    Cyclic,
+}
+
+/// The shared state of one [`TaskGraph::run_probed`] execution and its
+/// per-worker body as a non-blocking [`step`](GraphRun::step). The
+/// pool's workers call `step` in a loop, parking between idle steps;
+/// under `ezp-check`, `vexec::virtual_deque_taskgraph` calls the same
+/// `step` for logical workers under an explicit interleaving.
+pub(crate) struct GraphRun<'a> {
+    graph: &'a TaskGraph,
+    probe: &'a dyn Probe,
+    /// Whether `probe` wants runtime events (and so clock reads).
+    pub(crate) timed: bool,
+    /// One deque per worker, each sized for the whole graph: a worker
+    /// can release at most n-1 dependents into its own deque.
+    deques: Vec<TaskDeque>,
+    indegree: Vec<AtomicUsize>,
+    /// Tasks not yet completed.
+    pending: AtomicUsize,
+    /// Workers inside a busy streak.
+    active: AtomicUsize,
+    /// Completion epochs.
+    events: AtomicU64,
+    /// Raised when the run cannot finish — the remainder is cyclic, or
+    /// a task panicked — so every worker leaves the region.
+    halt: AtomicBool,
+    idle: ParkLot,
+}
+
+/// A task that unwinds never reports completion; without this its
+/// peers would park forever on `pending`. Releasing them closes the
+/// region, and the pool re-raises the panic.
+struct ReleasePeersOnUnwind<'a>(&'a AtomicBool, &'a ParkLot);
+
+impl Drop for ReleasePeersOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+            self.1.notify();
+        }
+    }
+}
+
+impl<'a> GraphRun<'a> {
+    pub(crate) fn new(graph: &'a TaskGraph, workers: usize, probe: &'a dyn Probe) -> Self {
+        let n = graph.len();
+        let deques: Vec<TaskDeque> = (0..workers).map(|_| TaskDeque::with_capacity(n)).collect();
+        // Seed initially-ready tasks round-robin so every worker starts
+        // with local work when the frontier is wide.
+        for (i, t) in (0..n).filter(|&t| graph.indegree[t] == 0).enumerate() {
+            deques[i % workers].push(t);
+        }
+        GraphRun {
+            graph,
+            probe,
+            timed: probe.wants_runtime_events(),
+            deques,
+            indegree: graph.indegree.iter().map(|&d| AtomicUsize::new(d)).collect(),
+            pending: AtomicUsize::new(n),
+            active: AtomicUsize::new(0),
+            events: AtomicU64::new(0),
+            halt: AtomicBool::new(false),
+            idle: ParkLot::new(),
+        }
+    }
+
+    /// One scheduling action of worker `rank`: run one task through
+    /// `f`, or — with no task in sight — the termination / cycle check.
+    /// `busy` is the worker's own flag (initially false) saying it is
+    /// counted in `active`.
+    #[inline]
+    pub(crate) fn step(
+        &self,
+        rank: WorkerId,
+        busy: &mut bool,
+        f: impl FnOnce(usize, WorkerId),
+    ) -> GraphStep {
+        let threads = self.deques.len();
+        let my = &self.deques[rank];
+        if !*busy {
+            if self.pending.load(Ordering::SeqCst) == 0 || self.halt.load(Ordering::SeqCst) {
+                return GraphStep::Done;
+            }
+            // Claim before looking: `active` makes this worker's
+            // pick attempts visible to concurrent cycle checks. It
+            // is raised once per busy *streak*, not per task, so
+            // consecutive local pops pay no extra RMW traffic.
+            self.active.fetch_add(1, Ordering::SeqCst);
+            *busy = true;
+        }
+        let mut task = my.pop();
+        if task.is_none() {
+            'victims: for i in 1..threads {
+                let victim = &self.deques[(rank + i) % threads];
+                loop {
+                    match victim.steal() {
+                        Steal::Success(t) => {
+                            if self.timed {
+                                self.probe.runtime_event(rank, RuntimeEvent::DequeSteal);
+                            }
+                            task = Some(t);
+                            break 'victims;
+                        }
+                        // A failed CAS means another thief won;
+                        // re-read rather than move on, the victim
+                        // may hold more.
+                        Steal::Retry => std::hint::spin_loop(),
+                        Steal::Empty => continue 'victims,
+                    }
+                }
+            }
+        }
+        let Some(task) = task else {
+            *busy = false;
+            self.active.fetch_sub(1, Ordering::SeqCst);
+            // Termination / cycle check (see `run_probed`'s docs).
+            let e0 = self.events.load(Ordering::SeqCst);
+            let all_empty = self.deques.iter().all(|d| d.len_hint() == 0);
+            let quiet = self.active.load(Ordering::SeqCst) == 0;
+            let stable = self.events.load(Ordering::SeqCst) == e0;
+            if self.pending.load(Ordering::SeqCst) == 0 {
+                return GraphStep::Done;
+            }
+            if all_empty && quiet && stable {
+                // No task running, none ready, some pending:
+                // the remainder is cyclic.
+                self.halt.store(true, Ordering::SeqCst);
+                self.idle.notify();
+                return GraphStep::Cyclic;
+            }
+            return GraphStep::Idle(e0);
+        };
+        if self.timed {
+            self.probe.runtime_event(rank, RuntimeEvent::ChunkDispensed { len: 1 });
+        }
+        {
+            let _release = ReleasePeersOnUnwind(&self.halt, &self.idle);
+            f(task, rank);
+        }
+        let mut released = false;
+        // ORDERING: synchronizing. Each predecessor's Release
+        // half orders its task's effects before the decrement;
+        // the Acquire half of the *final* decrement (the one
+        // seeing 1) makes every predecessor's effects visible
+        // to whoever runs the released dependent.
+        for &d in &self.graph.dependents[task] {
+            if self.indegree[d].fetch_sub(1, Ordering::AcqRel) == 1 {
+                my.push(d);
+                released = true;
+            }
+        }
+        // Publish completion: the pushes above happen-before
+        // the `events` bump, which happens-before the
+        // `pending` decrement — the order the cycle check
+        // relies on. Notify last, once the wake conditions
+        // are true — and only when a sleeper could actually
+        // have something to do: a dependent became ready, or
+        // this was the final task. A completion that releases
+        // nothing mid-graph leaves parked workers parked
+        // instead of waking the whole lot per task.
+        self.events.fetch_add(1, Ordering::SeqCst);
+        let left = self.pending.fetch_sub(1, Ordering::SeqCst);
+        if released || left == 1 {
+            self.idle.notify();
+        }
+        GraphStep::Ran
+    }
+
+    /// The wake condition of a worker whose step was `Idle(seen)`:
+    /// every completer makes it true before notifying.
+    #[inline]
+    pub(crate) fn should_wake(&self, seen: u64) -> bool {
+        self.pending.load(Ordering::SeqCst) == 0
+            || self.halt.load(Ordering::SeqCst)
+            || self.events.load(Ordering::SeqCst) != seen
+            || self.deques.iter().any(|d| d.len_hint() > 0)
+    }
+
+    /// Parks `rank` until [`GraphRun::should_wake`], reporting the wait.
+    fn park(&self, rank: WorkerId, seen: u64) {
+        let t0 = if self.timed {
+            self.probe.runtime_event(rank, RuntimeEvent::TaskWait);
+            now_ns()
+        } else {
+            0
+        };
+        self.idle.wait_until(|| self.should_wake(seen));
+        if self.timed {
+            self.probe.runtime_event(
+                rank,
+                RuntimeEvent::IdleNs {
+                    ns: now_ns().saturating_sub(t0),
+                    cause: IdleCause::DepStall,
+                },
+            );
+        }
+    }
+
+    /// The conservation laws that hold whenever no step is in flight:
+    /// `events` counts exactly the completed tasks, and `active` exactly
+    /// the workers whose `busy` flag is up (`busy` of them).
+    #[cfg(any(test, feature = "ezp-check"))]
+    pub(crate) fn assert_consistent(&self, busy: usize) {
+        let n = self.graph.len();
+        let pending = self.pending.load(Ordering::SeqCst);
+        assert_eq!(
+            self.events.load(Ordering::SeqCst) as usize,
+            n - pending,
+            "`events` lost a completion ({pending} of {n} tasks pending)"
+        );
+        assert_eq!(
+            self.active.load(Ordering::SeqCst),
+            busy,
+            "`active` does not count the workers in a busy streak"
+        );
+    }
+
+    /// After every worker left: `Ok`, or the cycle error.
+    pub(crate) fn outcome(&self) -> Result<()> {
+        if self.halt.load(Ordering::SeqCst) {
+            let n = self.graph.len();
+            let done = n - self.pending.load(Ordering::SeqCst);
             return Err(Error::Config(format!(
                 "task graph has a cycle: only {done}/{n} tasks runnable"
             )));
@@ -476,6 +576,58 @@ mod tests {
             })
             .unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn step_reports_a_cycle_only_once_no_worker_is_active() {
+        // 0 is free; 1 <-> 2 can never run
+        let mut g = TaskGraph::new(3);
+        g.add_dep(1, 2);
+        g.add_dep(2, 1);
+        let run = GraphRun::new(&g, 2, &NullProbe);
+        let mut busy = [false; 2];
+        let ran = std::cell::Cell::new(None);
+        let body = |t: usize, rank: WorkerId| ran.set(Some((t, rank)));
+
+        assert_eq!(run.step(0, &mut busy[0], body), GraphStep::Ran);
+        assert_eq!(ran.take(), Some((0, 0)));
+        // worker 0 is still in its busy streak: for all worker 1 knows
+        // it holds a task whose completion releases the rest
+        assert!(busy[0]);
+        run.assert_consistent(1);
+        let GraphStep::Idle(seen) = run.step(1, &mut busy[1], body) else {
+            panic!("worker 1 called the cycle while worker 0 was active");
+        };
+        assert!(!run.should_wake(seen), "nothing happened worker 1 should wake for");
+        run.assert_consistent(1);
+
+        // worker 0 finds nothing, leaves its streak, and is the last one
+        // active: only now is the remainder provably cyclic
+        assert_eq!(run.step(0, &mut busy[0], body), GraphStep::Cyclic);
+        run.assert_consistent(0);
+        assert!(run.should_wake(seen), "the halt must wake parked peers");
+        assert_eq!(run.step(1, &mut busy[1], body), GraphStep::Done);
+        assert_eq!(ran.take(), None, "a cyclic task ran");
+        let err = run.outcome().unwrap_err();
+        assert!(err.to_string().contains("only 1/3 tasks runnable"), "{err}");
+    }
+
+    #[test]
+    fn step_runs_one_task_and_ends_with_done() {
+        let mut g = TaskGraph::new(2);
+        g.add_dep(0, 1);
+        let run = GraphRun::new(&g, 1, &NullProbe);
+        let mut busy = false;
+        let order = std::cell::RefCell::new(Vec::new());
+        let body = |t: usize, _: WorkerId| order.borrow_mut().push(t);
+        assert_eq!(run.step(0, &mut busy, body), GraphStep::Ran);
+        assert_eq!(run.step(0, &mut busy, body), GraphStep::Ran);
+        run.assert_consistent(1);
+        // the streak ends on the step that finds nothing
+        assert_eq!(run.step(0, &mut busy, body), GraphStep::Done);
+        run.assert_consistent(0);
+        assert_eq!(*order.borrow(), [0, 1]);
+        run.outcome().unwrap();
     }
 
     #[test]

@@ -3,31 +3,51 @@
 //!
 //! The real [`WorkerPool`](crate::WorkerPool) leaves interleavings to the
 //! OS; a test that wants to *search* interleavings needs to own them.
-//! This module re-runs the three scheduling substrates — chunk dispensers
-//! ([`virtual_drain`] / [`virtual_for_range`] / [`virtual_for_tiles`])
-//! and task graphs ([`virtual_taskgraph`]) — on `N` *logical* workers
+//! This module runs the scheduling layer on `N` *logical* workers
 //! multiplexed onto the calling thread. Which worker acts next is decided
 //! by an explicit [`Interleave`] strategy from `ezp-testkit`, so a run is
 //! a pure function of `(strategy kind, seed)`: a failing interleaving
 //! found by a random walk replays byte-for-byte from its seed.
 //!
-//! The granularity of a virtual step is one dispenser call (one chunk) or
-//! one task. That is exactly the granularity at which the scheduling
-//! layer's invariants live — "every index handed out exactly once",
-//! "a task never starts before its predecessors" — and the granularity
-//! the shadow-write detector (`ezp_core::shadow`) needs: it judges
-//! conflicts by *writer identity and happens-before*, not by wall-clock
-//! order, so executing each chunk atomically loses no races.
+//! No executor here keeps protocol state of its own. Each one calls the
+//! production code a real worker thread calls between its waits, one
+//! call per scheduling point:
+//!
+//! | executor | drives |
+//! |---|---|
+//! | [`virtual_drain`] / [`virtual_for_range`] / [`virtual_for_tiles`] | [`Dispenser::next`] |
+//! | [`virtual_deque_taskgraph`] | `taskgraph::GraphRun::step` — the body of [`TaskGraph::run_probed`] |
+//! | [`virtual_pipeline`] | the same step over [`PipeShape::graph`], plus [`EmitTracker::complete`] |
+//! | [`virtual_region_protocol`] | `pool::PoolState::{publish, close, worker_step}` — the pool's epoch protocol |
+//!
+//! ([`virtual_taskgraph`] is the one abstract executor: it explores the
+//! *valid topological orders* of a graph for the shadow-write detector,
+//! and models no runtime structure at all.)
+//!
+//! The granularity of a virtual step is therefore one dispenser call
+//! (one chunk), one task, or one side of a region hand-shake. That is
+//! the granularity at which the scheduling layer's invariants live —
+//! "every index handed out exactly once", "a task never starts before
+//! its predecessors", "a region reports its own panics" — and the
+//! granularity the shadow-write detector (`ezp_core::shadow`) needs: it
+//! judges conflicts by *writer identity and happens-before*, not by
+//! wall-clock order, so executing each chunk atomically loses no races.
+//! What it cannot see is an interleaving *inside* a step, i.e. a
+//! memory-ordering bug; those stay with the real-thread adversarial
+//! tests and `ezp-lint`'s atomics-pairing pass (docs/testing.md).
 //!
 //! Everything here is compiled only under the `ezp-check` feature and is
 //! never linked into production runs.
 
-use crate::deque::{Steal, TaskDeque};
 use crate::dispenser::{dispenser_for, Dispenser};
-use crate::taskgraph::TaskGraph;
+use crate::pool::{RegionDriver, WorkerStep};
+use crate::skeleton::{EmitTracker, PipeShape};
+use crate::taskgraph::{GraphRun, GraphStep, TaskGraph};
 use ezp_core::error::{Error, Result};
-use ezp_core::{Schedule, Tile, TileGrid, WorkerId};
+use ezp_core::kernel::{Probe, RuntimeEvent};
+use ezp_core::{EmitMode, Schedule, Tile, TileGrid, WorkerId};
 use ezp_testkit::schedule::Interleave;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One step of a virtual schedule: `rank` called the dispenser and got
 /// `chunk` (`None` = exhausted; the rank leaves the schedule).
@@ -146,17 +166,33 @@ pub fn virtual_taskgraph(
     Ok(order)
 }
 
-/// The virtual twin of the *deque-based* task-graph executor
-/// ([`TaskGraph::run_probed`]): per-worker [`TaskDeque`]s with owner
-/// LIFO pops and thief FIFO steals, interleaved one scheduling action
-/// at a time by `strategy`.
+/// Counts the steals the task-graph step reports to its probe.
+#[derive(Default)]
+struct StealCount(AtomicU64);
+
+impl Probe for StealCount {
+    fn runtime_event(&self, _rank: WorkerId, event: RuntimeEvent) {
+        if let RuntimeEvent::DequeSteal = event {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn wants_runtime_events(&self) -> bool {
+        true
+    }
+}
+
+/// The *deque-based* task-graph executor ([`TaskGraph::run_probed`])
+/// under an explicit interleaving: each scheduling point, `strategy`
+/// picks a logical worker and that worker takes one production step —
+/// pop its own deque or steal, run the task, release dependents, or
+/// run the termination / cycle check when nothing is in sight.
 ///
-/// Unlike [`virtual_taskgraph`] (which models an abstract ready set),
-/// this drives the *real* lock-free deque through every strategy-chosen
-/// owner/thief sequence: each step the strategy picks a worker, which
-/// pops its own deque or — when empty — steals from the victim the
-/// strategy picks among the non-empty deques. Released dependents go to
-/// the acting worker's deque, exactly as in the threaded executor.
+/// A worker whose step came back idle leaves the runnable set until the
+/// executor's own wake condition holds, as a parked thread would — so
+/// unfair strategies (steal-heavy, starve-one) cannot spin on it, and a
+/// wakeup the completers fail to make true shows up as tasks left over.
+///
 /// Returns the `(task, rank)` execution order plus how many grabs were
 /// steals, or [`Error::Config`] on a cycle.
 pub fn virtual_deque_taskgraph(
@@ -166,62 +202,45 @@ pub fn virtual_deque_taskgraph(
     mut f: impl FnMut(usize, WorkerId),
 ) -> Result<(Vec<(usize, WorkerId)>, u64)> {
     assert!(workers > 0, "virtual execution needs at least one worker");
-    let n = graph.len();
-    let mut indegree: Vec<usize> = (0..n).map(|t| graph.indegree(t)).collect();
-    let deques: Vec<TaskDeque> = (0..workers).map(|_| TaskDeque::with_capacity(n.max(1))).collect();
-    // Same round-robin seeding as the threaded executor.
-    for (i, t) in (0..n).filter(|&t| indegree[t] == 0).enumerate() {
-        deques[i % workers].push(t);
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut steals = 0u64;
-    let runnable = vec![true; workers];
+    let steals = StealCount::default();
+    let run = GraphRun::new(graph, workers, &steals);
+    let mut order = Vec::with_capacity(graph.len());
+    let mut busy = vec![false; workers];
+    // `Some(seen)`: parked after an idle step with that snapshot.
+    let mut parked: Vec<Option<u64>> = vec![None; workers];
+    let mut runnable = vec![true; workers];
     loop {
-        if order.len() == n {
+        for w in 0..workers {
+            if parked[w].is_some_and(|seen| run.should_wake(seen)) {
+                parked[w] = None;
+                runnable[w] = true;
+            }
+        }
+        let Some(rank) = strategy.next_worker(&runnable) else {
             break;
-        }
-        // A cycle leaves every deque empty with tasks outstanding.
-        if deques.iter().all(|d| d.len_hint() == 0) {
-            return Err(Error::Config(format!(
-                "task graph has a cycle: only {}/{n} tasks runnable",
-                order.len()
-            )));
-        }
-        let rank = strategy
-            .next_worker(&runnable)
-            .expect("workers > 0 and all runnable");
-        let task = match deques[rank].pop() {
-            Some(t) => t,
-            None => {
-                // Steal from a strategy-chosen non-empty victim.
-                let victims: Vec<usize> = (0..workers)
-                    .filter(|&v| v != rank && deques[v].len_hint() > 0)
-                    .collect();
-                if victims.is_empty() {
-                    continue; // nothing to grab; another worker acts next
-                }
-                let victim = victims[strategy.pick(victims.len())];
-                match deques[victim].steal() {
-                    Steal::Success(t) => {
-                        steals += 1;
-                        t
-                    }
-                    // Serialized execution: a steal from a non-empty
-                    // deque cannot lose a race.
-                    Steal::Retry | Steal::Empty => unreachable!("uncontended steal failed"),
-                }
-            }
         };
-        f(task, rank);
-        order.push((task, rank));
-        for &d in graph.dependents(task) {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                deques[rank].push(d);
+        let step = run.step(rank, &mut busy[rank], |task, rank| {
+            f(task, rank);
+            order.push((task, rank));
+        });
+        match step {
+            GraphStep::Ran => {}
+            GraphStep::Idle(seen) => {
+                parked[rank] = Some(seen);
+                runnable[rank] = false;
             }
+            GraphStep::Done | GraphStep::Cyclic => runnable[rank] = false,
         }
+        run.assert_consistent(busy.iter().filter(|&&b| b).count());
     }
-    Ok((order, steals))
+    assert!(
+        parked.iter().all(Option::is_none),
+        "lost wakeup: a worker is parked with nothing left to wake it ({} of {} tasks ran)",
+        order.len(),
+        graph.len()
+    );
+    run.outcome()?;
+    Ok((order, steals.0.into_inner()))
 }
 
 /// The outcome of a virtual streaming run ([`virtual_pipeline`]): the
@@ -242,59 +261,18 @@ pub struct VStream {
     pub max_reorder_depth: usize,
 }
 
-/// Tracks the reorder buffer of an ordered (or pass-through unordered)
-/// emission as frames complete in schedule order.
-struct VReorder {
-    ordered: bool,
-    parked: Vec<bool>,
-    frontier: usize,
-    completed: usize,
-    emitted: Vec<usize>,
-    max_depth: usize,
-}
-
-impl VReorder {
-    fn new(frames: usize, ordered: bool) -> Self {
-        VReorder {
-            ordered,
-            parked: vec![false; frames],
-            frontier: 0,
-            completed: 0,
-            emitted: Vec::with_capacity(frames),
-            max_depth: 0,
-        }
-    }
-
-    fn complete(&mut self, frame: usize) {
-        self.completed += 1;
-        if !self.ordered {
-            self.emitted.push(frame);
-            return;
-        }
-        self.parked[frame] = true;
-        while self.frontier < self.parked.len() && self.parked[self.frontier] {
-            self.emitted.push(self.frontier);
-            self.frontier += 1;
-        }
-        // depth after the frontier advance: in-order arrivals cost 0,
-        // mirroring the engine's accounting
-        self.max_depth = self.max_depth.max(self.completed - self.frontier);
-    }
-}
-
-/// The virtual twin of the streaming pipeline engine
-/// (`ezp_stream::run_pipeline`): compiles `shape` over `frames` frames
-/// to its task graph ([`PipeShape::graph`]) and executes it on the real
-/// deque substrate under `strategy` ([`virtual_deque_taskgraph`]),
-/// modeling the ordered reorder buffer (or unordered pass-through) at
-/// the final stage.
+/// The streaming pipeline engine (`ezp_stream::run_pipeline`) under an
+/// explicit interleaving: compiles `shape` over `frames` frames to its
+/// task graph ([`PipeShape::graph`]), executes it with
+/// [`virtual_deque_taskgraph`], and feeds final-stage completions to
+/// the engine's own [`EmitTracker`].
 ///
 /// The invariants the `ezp_check` sweeps pin on the result: ordered
 /// emission is exactly `0..frames` (frame `n + 1` never leaves before
 /// `n`), unordered emission is a permutation of it, and the run replays
 /// byte-for-byte from its `(strategy, seed)`.
 pub fn virtual_pipeline(
-    shape: &crate::skeleton::PipeShape,
+    shape: &PipeShape,
     frames: usize,
     workers: usize,
     ordered: bool,
@@ -302,487 +280,119 @@ pub fn virtual_pipeline(
 ) -> Result<VStream> {
     let graph = shape.graph(frames);
     let last = shape.stages() - 1;
-    let mut re = VReorder::new(frames, ordered);
+    let mode = if ordered { EmitMode::Ordered } else { EmitMode::Unordered };
+    let mut tracker = EmitTracker::new(frames);
     let (order, steals) = virtual_deque_taskgraph(&graph, workers, strategy, |t, _| {
         if shape.stage_of(t) == last {
-            re.complete(shape.frame_of(t));
+            tracker.complete(shape.frame_of(t), mode);
         }
     })?;
     Ok(VStream {
         order,
-        emitted: re.emitted,
+        emitted: tracker.emitted().to_vec(),
         steals,
-        max_reorder_depth: re.max_depth,
+        max_reorder_depth: tracker.max_reorder_depth(),
     })
 }
 
-/// What a worker model is doing inside [`virtual_region_protocol`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WPhase {
-    /// Waiting for `job_seq` to pass its last seen region (or shutdown).
-    Parked,
-    /// Saw the epoch bump and copied the job; about to run it.
-    Running,
-    /// Ran the body (and recorded a panic, if told to); about to
-    /// decrement `remaining`.
-    Finishing,
-}
-
-/// A step-level model of the pool's epoch protocol (`pool.rs`): one
-/// master and `workers` virtual workers interleaved by `strategy`, each
-/// protocol step (publish, observe-epoch, run, decrement, observe-done,
-/// read-panics, shutdown) a separate scheduling point.
+/// The pool's epoch protocol (`pool.rs`) under an explicit
+/// interleaving: one master and `workers` logical workers, each taking
+/// the production step a real thread takes between its waits — the
+/// master `publish`, then (once the region is closed) `close`; a worker
+/// `worker_step`. Waiting is leaving the runnable set until the
+/// thread's own wait condition holds, so unfair strategies
+/// (steal-heavy, starve-one) cannot spin on an idle actor, and a
+/// condition nobody makes true surfaces as non-termination with work
+/// outstanding.
 ///
 /// `panic_plan(seq, rank)` says whether `rank`'s body panics in region
-/// `seq` (1-based). For every region the model asserts the invariants
-/// the threaded implementation's soundness comment claims:
+/// `seq` (1-based). For every region the executor asserts what the
+/// threaded implementation's soundness comment claims:
 ///
 /// * the master observes completion only after *every* worker ran that
-///   exact region and decremented `remaining` (no early unblock, no
-///   lost worker);
+///   exact region (no early unblock, no lost worker);
 /// * the panic count the master reads equals the plan's count for that
 ///   region — never a leftover from region N-1 (the S1 regression);
 /// * after the final region the master's shutdown reaches all workers,
 ///   including ones still parked (the shutdown-during-park schedule).
 ///
-/// Returns the per-region panic counts the master observed.
+/// Returns the per-region panic counts the master observed. Build
+/// `strategy` for `workers + 1` actors (the master is the last).
 pub fn virtual_region_protocol(
     regions: u64,
     workers: usize,
-    panic_plan: impl Fn(u64, WorkerId) -> bool,
+    panic_plan: impl Fn(u64, WorkerId) -> bool + Sync,
     strategy: &mut dyn Interleave,
 ) -> Vec<usize> {
     assert!(workers > 0, "virtual execution needs at least one worker");
-    // Shared words of the protocol (plain vars: the model is serial).
-    let mut job_seq = 0u64;
-    let mut done_seq = 0u64;
-    let mut remaining = 0usize;
-    let mut panics = 0usize;
-    let mut shutdown = false;
-    // Per-worker state.
-    let mut phase = vec![WPhase::Parked; workers];
+    // What the body sees: the region the master last published, and how
+    // often each rank ran since then.
+    let region = AtomicU64::new(0);
+    let ran: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+    let body = |rank: WorkerId| {
+        ran[rank].fetch_add(1, Ordering::SeqCst);
+        if panic_plan(region.load(Ordering::SeqCst), rank) {
+            // a panic that skips the hook: planned, so not worth a
+            // backtrace per region on stderr
+            std::panic::resume_unwind(Box::new("planned panic"));
+        }
+    };
+    let mut pool = RegionDriver::new(workers, &body);
     let mut last_seq = vec![0u64; workers];
-    let mut ran = vec![0u32; workers];
-    let mut alive = vec![true; workers];
-    // Master state.
-    let mut master_waiting = false; // between publish and observe-done
+    let mut exited = vec![false; workers];
+    // Master: between publish and close / after shutting the pool down.
+    let (mut waiting, mut master_exited) = (false, false);
     let mut observed = Vec::new();
 
-    // Slot `workers` is the master; workers are 0..workers. Parking is
-    // modeled as leaving the runnable set (a parked thread cannot be
-    // scheduled), and ParkLot notifies as re-entering it — so unfair
-    // strategies (steal-heavy, starve-one) cannot spin the model on an
-    // idle actor, and a lost wakeup would surface as non-termination
-    // with work outstanding.
+    // Slot `workers` is the master; workers are 0..workers. An actor is
+    // runnable when the wait a real thread sits in would return.
     let mut runnable = vec![true; workers + 1];
-    while let Some(actor) = strategy.next_worker(&runnable) {
-        if actor == workers {
-            // ---- master step ----
-            if master_waiting {
-                // observe-done + read-panics (protocol step 4)
-                if done_seq == job_seq {
-                    for (w, &r) in ran.iter().enumerate() {
-                        assert_eq!(
-                            r, 1,
-                            "master unblocked while worker {w} ran region {job_seq} {r} times"
-                        );
-                    }
-                    let expected = (0..workers).filter(|&w| panic_plan(job_seq, w)).count();
-                    assert_eq!(
-                        panics, expected,
-                        "region {job_seq}: master read a stale panic count"
-                    );
-                    observed.push(panics);
-                    master_waiting = false;
-                } else {
-                    // park on the done lot; the last finisher notifies
-                    runnable[workers] = false;
-                }
-            } else if job_seq < regions {
-                // publish (protocol steps 1-2): reset accounting, then
-                // bump the epoch and notify the idle lot — same order
-                // as WorkerPool::run
-                panics = 0;
-                remaining = workers;
-                ran = vec![0; workers];
-                job_seq += 1;
-                master_waiting = true;
-                for w in 0..workers {
-                    if alive[w] {
-                        runnable[w] = true;
-                    }
-                }
-            } else {
-                // all regions observed: set shutdown, notify the idle
-                // lot, exit (Drop joins, which the model's end-state
-                // assertions stand in for)
-                shutdown = true;
-                for w in 0..workers {
-                    if alive[w] {
-                        runnable[w] = true;
-                    }
-                }
-                runnable[workers] = false;
+    loop {
+        for w in 0..workers {
+            runnable[w] = !exited[w] && pool.state.has_work(last_seq[w]);
+        }
+        runnable[workers] = !master_exited && (!waiting || pool.is_closed());
+        let Some(actor) = strategy.next_worker(&runnable) else {
+            break;
+        };
+        if actor < workers {
+            match pool.state.worker_step(actor, &mut last_seq[actor]) {
+                WorkerStep::Ran => assert_eq!(
+                    last_seq[actor],
+                    region.load(Ordering::SeqCst),
+                    "worker {actor} ran a region other than the published one"
+                ),
+                WorkerStep::Idle => unreachable!("worker {actor} woke without work"),
+                WorkerStep::Shutdown => exited[actor] = true,
             }
+        } else if waiting {
+            let seq = region.load(Ordering::SeqCst);
+            for (w, r) in ran.iter().enumerate() {
+                let r = r.swap(0, Ordering::SeqCst);
+                assert_eq!(r, 1, "master unblocked while worker {w} ran region {seq} {r} times");
+            }
+            let panics = pool.close();
+            let expected = (0..workers).filter(|&w| panic_plan(seq, w)).count();
+            assert_eq!(panics, expected, "region {seq}: master read a stale panic count");
+            observed.push(panics);
+            waiting = false;
+        } else if (observed.len() as u64) < regions {
+            region.store(observed.len() as u64 + 1, Ordering::SeqCst);
+            assert_eq!(pool.publish(), region.load(Ordering::SeqCst));
+            waiting = true;
         } else {
-            // ---- worker step ----
-            match phase[actor] {
-                WPhase::Parked => {
-                    if shutdown {
-                        // shutdown observed from the parked wait — the
-                        // shutdown-during-park path
-                        alive[actor] = false;
-                        runnable[actor] = false;
-                    } else if job_seq > last_seq[actor] {
-                        assert_eq!(
-                            job_seq,
-                            last_seq[actor] + 1,
-                            "worker {actor} skipped an epoch"
-                        );
-                        last_seq[actor] = job_seq;
-                        phase[actor] = WPhase::Running;
-                    } else {
-                        // nothing to do: park on the idle lot
-                        runnable[actor] = false;
-                    }
-                }
-                WPhase::Running => {
-                    ran[actor] += 1;
-                    if panic_plan(last_seq[actor], actor) {
-                        panics += 1;
-                    }
-                    phase[actor] = WPhase::Finishing;
-                }
-                WPhase::Finishing => {
-                    remaining -= 1;
-                    if remaining == 0 {
-                        done_seq = last_seq[actor];
-                        // notify the done lot
-                        runnable[workers] = true;
-                    }
-                    phase[actor] = WPhase::Parked;
-                }
-            }
+            // all regions observed: shut down and exit (Drop joins,
+            // which the end-state assertion below stands in for)
+            pool.state.shut_down();
+            master_exited = true;
         }
     }
     assert!(
-        alive.iter().all(|&a| !a),
+        exited.iter().all(|&e| e),
         "shutdown lost: a worker is still parked after master exit"
     );
     assert_eq!(observed.len() as u64, regions, "master lost a region");
     observed
-}
-
-/// What a [`virtual_chan`] run observed: every popped item in pop
-/// order, plus the occupancy peak and stall counts. Two runs from the
-/// same `(strategy kind, seed)` compare equal — the replay contract.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VChanReport {
-    /// `(producer, seq)` for every popped item, in pop order. A read
-    /// that observed an unwritten slot (possible only with
-    /// `broken = true`) records `(lane, u64::MAX)`.
-    pub popped: Vec<(usize, u64)>,
-    /// Peak of `tail - head` over all lanes and steps.
-    pub max_occupancy: usize,
-    /// Times a producer found its lane full and parked.
-    pub full_stalls: u64,
-    /// Times a consumer swept every lane without work and parked.
-    pub empty_stalls: u64,
-}
-
-/// Per-lane state of the step-level channel model: the monotone
-/// counters and slot array of `ezp_chan::ring::RingCore`, one lane per
-/// producer as in the MPMC composition.
-struct VLane {
-    /// `cap` slots; `None` = unwritten (the model's `MaybeUninit`).
-    slots: Vec<Option<(usize, u64)>>,
-    head: u64,
-    tail: u64,
-    /// Pop-claim flag (`ezp_chan::mpmc`'s per-lane consumer claim).
-    claimed: bool,
-    /// Producer finished all its items (`tx_alive == false`).
-    done: bool,
-}
-
-/// Producer protocol step about to execute (one scheduling point each —
-/// the granularity at which the ring's release/acquire pairs matter).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PPhase {
-    /// Load `head`, compare against `cap`.
-    CheckFull,
-    /// Write the slot (`(*slot.get()).write(value)`).
-    WriteSlot,
-    /// Release-store the bumped `tail`.
-    PublishTail,
-}
-
-/// Consumer protocol step about to execute.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CPhase {
-    /// Sweep lanes from the rotation cursor; claim one with an item.
-    Claim,
-    /// Read the slot out (`assume_init_read`).
-    ReadSlot { lane: usize },
-    /// Release-store the bumped `head`, drop the claim.
-    PublishHead { lane: usize },
-}
-
-/// A step-level model of the `ezp-chan` MPMC channel — `producers`
-/// single-producer ring lanes of capacity `cap`, drained by `consumers`
-/// claim-rotating consumers — interleaved one protocol step at a time
-/// by `strategy`. This is the `virtual_chan` twin the real channel's
-/// adversarial battery leans on: the threaded tests can only sample
-/// interleavings, the model *enumerates* them under every strategy
-/// family and replays any failure from `(kind, seed)`.
-///
-/// Each producer pushes `items` values `0..items`; each push is three
-/// scheduling points (`CheckFull`, `WriteSlot`, `PublishTail` — the
-/// ring's load-acquire, slot write, and store-release). Each pop is
-/// three as well (`Claim`, `ReadSlot`, `PublishHead`). Parking is
-/// modeled as leaving the runnable set, with publishes and claim
-/// releases re-entering waiters — so unfair strategies (steal-heavy,
-/// starve-one) cannot spin the model on a blocked actor, and a lost
-/// wakeup surfaces as non-termination with work outstanding.
-///
-/// `broken = true` swaps the producer's `WriteSlot` and `PublishTail`
-/// steps — the bug the real ring's Release ordering on `tail` prevents:
-/// the new count is published *before* the slot holds the value. A
-/// consumer scheduled into that window reads an unwritten slot, which
-/// the model records as `(lane, u64::MAX)`; [`check_chan_oracle`]
-/// rejects it. `injected_broken_ordering_is_caught` in the ezp-check
-/// suite pins that the oracle really catches this.
-///
-/// Build `strategy` for `producers + consumers` actors (producers come
-/// first).
-pub fn virtual_chan(
-    producers: usize,
-    consumers: usize,
-    cap: usize,
-    items: u64,
-    broken: bool,
-    strategy: &mut dyn Interleave,
-) -> VChanReport {
-    let producers = producers.max(1);
-    let consumers = consumers.max(1);
-    let cap = cap.max(1) as u64;
-    let mut lanes: Vec<VLane> = (0..producers)
-        .map(|_| VLane {
-            slots: vec![None; cap as usize],
-            head: 0,
-            tail: 0,
-            claimed: false,
-            done: false,
-        })
-        .collect();
-    let mut p_phase = vec![PPhase::CheckFull; producers];
-    let mut p_next = vec![0u64; producers]; // next seq to push
-    let mut c_phase = vec![CPhase::Claim; consumers];
-    let mut c_cursor = vec![0usize; consumers]; // lane rotation
-    // Parked actors (out of the runnable set, awaiting a wake).
-    let mut p_parked = vec![false; producers];
-    let mut c_parked = vec![false; consumers];
-
-    let mut report = VChanReport {
-        popped: Vec::with_capacity((producers as u64 * items) as usize),
-        max_occupancy: 0,
-        full_stalls: 0,
-        empty_stalls: 0,
-    };
-
-    // Actors 0..producers are producers; producers..producers+consumers
-    // are consumers. `runnable[x] = false` models parked or finished.
-    let mut runnable = vec![true; producers + consumers];
-    if items == 0 {
-        for (p, r) in runnable.iter_mut().take(producers).enumerate() {
-            lanes[p].done = true;
-            *r = false;
-        }
-    }
-
-    // A publish (or a producer finishing) can satisfy any sleeping
-    // consumer; a drained slot or dropped claim can satisfy sleepers on
-    // the other side. Waking everyone parked on the event's side is
-    // exactly what `ParkLot::notify` (notify_all) does.
-    macro_rules! wake_consumers {
-        () => {
-            for (c, parked) in c_parked.iter_mut().enumerate() {
-                if *parked {
-                    *parked = false;
-                    runnable[producers + c] = true;
-                }
-            }
-        };
-    }
-
-    while let Some(actor) = strategy.next_worker(&runnable) {
-        if actor < producers {
-            // ---- producer step ----
-            let p = actor;
-            let lane = &mut lanes[p];
-            match p_phase[p] {
-                PPhase::CheckFull => {
-                    if lane.tail - lane.head >= cap {
-                        // full: park on the not-full lot
-                        report.full_stalls += 1;
-                        p_parked[p] = true;
-                        runnable[p] = false;
-                    } else {
-                        p_phase[p] =
-                            if broken { PPhase::PublishTail } else { PPhase::WriteSlot };
-                    }
-                }
-                PPhase::WriteSlot => {
-                    // In broken mode the publish already bumped `tail`,
-                    // so the item's slot is the one just published.
-                    let slot_of = if broken { lane.tail - 1 } else { lane.tail };
-                    let idx = (slot_of % cap) as usize;
-                    lane.slots[idx] = Some((p, p_next[p]));
-                    if broken {
-                        // broken ordering: the write lands *after* the
-                        // publish; this completes the push
-                        p_next[p] += 1;
-                        if p_next[p] == items {
-                            lane.done = true;
-                            runnable[p] = false;
-                            wake_consumers!();
-                        } else {
-                            p_phase[p] = PPhase::CheckFull;
-                        }
-                    } else {
-                        p_phase[p] = PPhase::PublishTail;
-                    }
-                }
-                PPhase::PublishTail => {
-                    // In broken mode the slot is still unwritten here —
-                    // the published count runs ahead of the data.
-                    lane.tail += 1;
-                    report.max_occupancy =
-                        report.max_occupancy.max((lane.tail - lane.head) as usize);
-                    debug_assert!(lane.tail - lane.head <= cap, "occupancy exceeded cap");
-                    if broken {
-                        p_phase[p] = PPhase::WriteSlot;
-                    } else {
-                        p_next[p] += 1;
-                        if p_next[p] == items {
-                            lane.done = true;
-                            runnable[p] = false;
-                        } else {
-                            p_phase[p] = PPhase::CheckFull;
-                        }
-                    }
-                    wake_consumers!();
-                }
-            }
-        } else {
-            // ---- consumer step ----
-            let c = actor - producers;
-            match c_phase[c] {
-                CPhase::Claim => {
-                    let mut claimed_lane = None;
-                    for off in 0..producers {
-                        let l = (c_cursor[c] + off) % producers;
-                        if !lanes[l].claimed && lanes[l].tail > lanes[l].head {
-                            lanes[l].claimed = true;
-                            c_cursor[c] = (l + 1) % producers;
-                            claimed_lane = Some(l);
-                            break;
-                        }
-                    }
-                    match claimed_lane {
-                        Some(l) => c_phase[c] = CPhase::ReadSlot { lane: l },
-                        None => {
-                            if lanes.iter().all(|l| l.done && l.tail == l.head) {
-                                // drained and every producer gone: the
-                                // channel is closed for good
-                                runnable[producers + c] = false;
-                            } else {
-                                // empty (or every populated lane claimed):
-                                // park on the not-empty lot
-                                report.empty_stalls += 1;
-                                c_parked[c] = true;
-                                runnable[producers + c] = false;
-                            }
-                        }
-                    }
-                }
-                CPhase::ReadSlot { lane } => {
-                    let l = &mut lanes[lane];
-                    // `take` models `assume_init_read`: the slot no
-                    // longer owns the value. Reading `None` means the
-                    // producer published before writing — the bug the
-                    // oracle exists to catch.
-                    let value = l.slots[(l.head % cap) as usize]
-                        .take()
-                        .unwrap_or((lane, u64::MAX));
-                    report.popped.push(value);
-                    c_phase[c] = CPhase::PublishHead { lane };
-                }
-                CPhase::PublishHead { lane } => {
-                    lanes[lane].head += 1;
-                    lanes[lane].claimed = false;
-                    c_phase[c] = CPhase::Claim;
-                    // a slot freed: wake the lane's producer; a claim
-                    // dropped (and possibly more items visible): wake
-                    // sleeping consumers
-                    if p_parked[lane] {
-                        p_parked[lane] = false;
-                        runnable[lane] = true;
-                    }
-                    wake_consumers!();
-                }
-            }
-        }
-    }
-
-    assert!(
-        lanes.iter().all(|l| l.done && l.tail == l.head),
-        "virtual_chan did not terminate cleanly: a lost wakeup left work outstanding"
-    );
-    report
-}
-
-/// The happens-before oracle over a [`virtual_chan`] run: every item
-/// pushed is popped exactly once, and each producer's items appear in
-/// pop order exactly as pushed (per-producer FIFO). Returns a
-/// diagnostic instead of panicking so the injected-bug test can assert
-/// the oracle *fires* on a broken ring.
-pub fn check_chan_oracle(
-    report: &VChanReport,
-    producers: usize,
-    items: u64,
-) -> std::result::Result<(), String> {
-    let expect_total = producers as u64 * items;
-    if report.popped.len() as u64 != expect_total {
-        return Err(format!(
-            "lost or duplicated items: popped {} of {expect_total}",
-            report.popped.len()
-        ));
-    }
-    let mut next = vec![0u64; producers];
-    for (i, &(p, seq)) in report.popped.iter().enumerate() {
-        if p >= producers {
-            return Err(format!("pop {i}: unknown producer {p}"));
-        }
-        if seq == u64::MAX {
-            return Err(format!(
-                "pop {i}: producer {p} slot read before it was written (torn publish)"
-            ));
-        }
-        if seq != next[p] {
-            return Err(format!(
-                "pop {i}: producer {p} out of order: got seq {seq}, expected {} \
-                 (lost, duplicated or reordered)",
-                next[p]
-            ));
-        }
-        next[p] += 1;
-    }
-    for (p, &n) in next.iter().enumerate() {
-        if n != items {
-            return Err(format!("producer {p}: only {n} of {items} items popped"));
-        }
-    }
-    Ok(())
 }
 
 /// Transitive happens-before over a [`TaskGraph`], as per-task descendant
@@ -1058,7 +668,7 @@ mod tests {
 
     #[test]
     fn virtual_pipeline_ordered_emits_in_frame_order() {
-        use crate::skeleton::{PipeShape, PipeStage};
+        use crate::skeleton::PipeStage;
         let shape = PipeShape::new(vec![
             PipeStage::farm(3),
             PipeStage::serial(),
@@ -1073,7 +683,7 @@ mod tests {
 
     #[test]
     fn virtual_pipeline_unordered_is_a_permutation() {
-        use crate::skeleton::{PipeShape, PipeStage};
+        use crate::skeleton::PipeStage;
         let shape = PipeShape::new(vec![PipeStage::farm(4), PipeStage::farm(2)]);
         let mut s = RandomWalk::seeded(5);
         let v = virtual_pipeline(&shape, 30, 4, false, &mut s).unwrap();
@@ -1081,76 +691,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..30).collect::<Vec<_>>());
         assert_eq!(v.max_reorder_depth, 0, "unordered mode has no reorder buffer");
-    }
-
-    #[test]
-    fn virtual_chan_single_producer_single_consumer_is_fifo() {
-        let mut s = RoundRobin::new();
-        let v = virtual_chan(1, 1, 4, 32, false, &mut s);
-        check_chan_oracle(&v, 1, 32).unwrap();
-        assert!(v.max_occupancy <= 4);
-        // round-robin alternates producer/consumer steps, so the ring
-        // never fills beyond a couple of items
-        assert!(v.max_occupancy >= 1);
-    }
-
-    #[test]
-    fn virtual_chan_backpressure_shows_as_full_stalls() {
-        // Starve the consumer (actor 1): the producer runs alone until
-        // the cap-1 ring fills, so it must park on every publish.
-        let mut s = StealHeavy::new(0);
-        let v = virtual_chan(1, 1, 1, 16, false, &mut s);
-        check_chan_oracle(&v, 1, 16).unwrap();
-        assert_eq!(v.max_occupancy, 1);
-        assert!(v.full_stalls >= 15, "cap-1 ring must stall: {v:?}");
-    }
-
-    #[test]
-    fn virtual_chan_replays_from_its_seed() {
-        for kind in StrategyKind::all() {
-            let mut a = kind.build(7, 5);
-            let mut b = kind.build(7, 5);
-            assert_eq!(
-                virtual_chan(2, 3, 2, 20, false, &mut *a),
-                virtual_chan(2, 3, 2, 20, false, &mut *b),
-                "{kind:?}: run did not replay from its seed"
-            );
-        }
-    }
-
-    #[test]
-    fn virtual_chan_oracle_rejects_handmade_corruption() {
-        let mut s = RoundRobin::new();
-        let good = virtual_chan(2, 1, 4, 8, false, &mut s);
-        check_chan_oracle(&good, 2, 8).unwrap();
-
-        let mut lost = good.clone();
-        lost.popped.pop();
-        assert!(check_chan_oracle(&lost, 2, 8).is_err(), "lost item missed");
-
-        let mut dup = good.clone();
-        let first = dup.popped[0];
-        dup.popped[1] = first;
-        assert!(check_chan_oracle(&dup, 2, 8).is_err(), "duplicate missed");
-
-        let mut reordered = good.clone();
-        // swap a producer's first two items in pop order
-        let idx: Vec<usize> = reordered
-            .popped
-            .iter()
-            .enumerate()
-            .filter(|(_, &(p, _))| p == 0)
-            .map(|(i, _)| i)
-            .collect();
-        reordered.popped.swap(idx[0], idx[1]);
-        assert!(
-            check_chan_oracle(&reordered, 2, 8).is_err(),
-            "per-producer reorder missed"
-        );
-
-        let mut torn = good;
-        torn.popped[3] = (0, u64::MAX);
-        assert!(check_chan_oracle(&torn, 2, 8).is_err(), "torn read missed");
     }
 
     #[test]

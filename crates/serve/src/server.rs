@@ -11,8 +11,8 @@
 //!   frame gets an error response and closes *that* connection only; a
 //!   disconnect cancels the connection's in-flight jobs via their
 //!   [`JobTicket`]s; a connection that sends nothing for
-//!   `IDLE_TIMEOUT` with no job of its own queued or running is
-//!   closed. Readers never touch the worker pool.
+//!   `IDLE_TIMEOUT` with no job of its own queued, running or finished
+//!   in that time is closed. Readers never touch the worker pool.
 //! * **runners** (`slots` of them) — take jobs in round-robin tenant
 //!   order, lease a pool from the shared [`PoolMux`], install it, and
 //!   run the kernel exactly like the one-shot CLI would. A lease is
@@ -37,14 +37,15 @@ use ezp_sched::{MuxStats, PoolMux};
 use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long a connection may send nothing, with no job of its own
-/// queued or running, before its reader closes it: an abandoned socket
-/// costs one thread and two descriptors for this long, not forever.
+/// queued, running or just finished, before its reader closes it: an
+/// abandoned socket costs one thread and two descriptors for this long
+/// (twice this after its last job), not forever.
 const IDLE_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 150 } else { 60_000 });
 
 /// Daemon configuration.
@@ -236,6 +237,11 @@ struct Conn {
     stream: Mutex<TcpStream>,
     /// Cancels this connection's jobs when the client goes away.
     ticket: Arc<JobTicket>,
+    /// Terminal (`done`/`failed`) frames written so far. The idle
+    /// timeout counts from the reader's last read, not from the last
+    /// job's end; a count that moved since the previous timeout tells
+    /// the reader the silence was a client waiting on its job.
+    terminals: AtomicU64,
 }
 
 impl Conn {
@@ -268,6 +274,10 @@ impl Conn {
 impl ReplySink for Conn {
     fn send(&self, resp: &Response) {
         Conn::send(self, resp);
+        // Before the runner drops the job (and with it the `Arc<Conn>`
+        // the reader counts), so a reader that sees the job gone also
+        // sees its frame counted.
+        self.terminals.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -278,8 +288,11 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
     let conn = Arc::new(Conn {
         stream: Mutex::new(write_half),
         ticket: JobTicket::new(),
+        terminals: AtomicU64::new(0),
     });
     let mut reader = BufReader::new(stream);
+    // `conn.terminals` as of the last forgiven timeout
+    let mut terminals_seen = 0;
     loop {
         // Wait for the first byte of the next frame. A timeout here
         // falls on a frame boundary, so a connection with work pending
@@ -290,6 +303,17 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
                 // every queued or running job holds a clone of `conn`
                 // as its reply sink
                 if Arc::strong_count(&conn) > 1 {
+                    continue;
+                }
+                // a job that ended inside this period kept the client
+                // waiting for most of it: the idle period starts over
+                // ORDERING: pairs with the Release decrement of the
+                // runner's `Arc` drop read (Relaxed) just above, so the
+                // count bumped before that drop is visible here.
+                fence(Ordering::Acquire);
+                let terminals = conn.terminals.load(Ordering::SeqCst);
+                if terminals != terminals_seen {
+                    terminals_seen = terminals;
                     continue;
                 }
                 break;
@@ -448,6 +472,20 @@ mod tests {
     use std::io::Read;
     use std::time::Instant;
 
+    /// Reads frames off a raw connection until a job's terminal one.
+    fn read_until_done(stream: &mut TcpStream) {
+        loop {
+            let FrameIn::Msg(msg) = read_frame(&mut *stream).unwrap() else {
+                panic!("connection cut before the job's terminal frame");
+            };
+            match Response::from_json(&msg).unwrap() {
+                Response::Accepted { .. } => {}
+                Response::Done { .. } => return,
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+
     fn job(stall: Duration) -> JobSpec {
         JobSpec {
             kernel: "mandel".into(),
@@ -511,5 +549,31 @@ mod tests {
         // the daemon hung up on the silent one meanwhile
         assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0, "idle connection still open");
         assert_eq!(server.shutdown().totals.2, 1);
+    }
+
+    #[test]
+    fn a_job_finishing_just_before_the_timeout_restarts_the_idle_period() {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        // The reader's last read is this frame; the job ends ~30 ms
+        // short of the timeout counted from it.
+        let sent = Instant::now();
+        let stall = IDLE_TIMEOUT * 4 / 5;
+        write_frame(&mut client, &Request::Submit(job(stall)).to_json()).unwrap();
+        read_until_done(&mut client);
+        assert!(sent.elapsed() >= stall);
+        // Silence from here on. The timeout fires at IDLE_TIMEOUT: the
+        // socket must outlive it ...
+        let until_mid_period = (IDLE_TIMEOUT * 3 / 2).saturating_sub(sent.elapsed());
+        client.set_read_timeout(Some(until_mid_period.max(Duration::from_millis(1)))).unwrap();
+        let err = client.read(&mut [0u8; 1]).expect_err("closed as idle right after its job");
+        assert!(matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut), "{err}");
+        // ... and go after one further full idle period.
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "idle connection still open");
+        assert!(sent.elapsed() >= 2 * IDLE_TIMEOUT, "closed after {:?}", sent.elapsed());
+        let (admitted, _rejected, completed, cancelled, failed) = server.shutdown().totals;
+        assert_eq!((admitted, completed), (1, 1));
+        assert_eq!(admitted, completed + cancelled + failed);
     }
 }

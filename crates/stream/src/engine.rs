@@ -34,7 +34,7 @@ use ezp_core::error::Result;
 use ezp_core::kernel::{IdleCause, Probe, RuntimeEvent};
 use ezp_core::time::now_ns;
 use ezp_core::EmitMode;
-use ezp_sched::WorkerPool;
+use ezp_sched::{EmitTracker, WorkerPool};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -60,24 +60,6 @@ pub struct StreamStats {
     pub max_reorder_depth: usize,
     /// High-water mark of any single stage's concurrent occupancy.
     pub max_stage_occupancy: usize,
-}
-
-/// Reorder/emission bookkeeping shared by final-stage units, behind one
-/// lock. Payloads stay in their slots; this tracker decides *when* a
-/// frame counts as emitted (unordered on completion, ordered when the
-/// frontier passes the frame) and records that order for the drain.
-struct EmitTracker {
-    /// Next frame id (window-local) the ordered mode may emit.
-    frontier: usize,
-    /// Final-stage completions so far in this window.
-    completed: usize,
-    /// Which frames have completed (ordered mode's reorder markers).
-    done: Vec<bool>,
-    /// Window-local frame ids in the order their `StreamFrameEmitted`
-    /// events fired — the order the sink sees them.
-    emitted: Vec<usize>,
-    /// Peak of `completed - frontier` after each emission round.
-    max_reorder_depth: usize,
 }
 
 /// Pushes `frames` frames through `pipe` on `pool`, emitting through
@@ -129,13 +111,9 @@ pub fn run_pipeline<T: Send>(
         // by graph edges and the drain by the region barrier, so these
         // locks are uncontended.
         let slots: Vec<Mutex<Option<T>>> = (0..wlen).map(|_| Mutex::new(None)).collect();
-        let tracker = Mutex::new(EmitTracker {
-            frontier: 0,
-            completed: 0,
-            done: vec![false; wlen],
-            emitted: Vec::with_capacity(wlen),
-            max_reorder_depth: 0,
-        });
+        // Decides when a finished frame counts as emitted, and records
+        // that order for the drain; shared by final-stage units.
+        let tracker = Mutex::new(EmitTracker::new(wlen));
 
         graph.run_probed(pool, probe, |t, worker| {
             let f = shape.frame_of(t);
@@ -167,35 +145,16 @@ pub fn run_pipeline<T: Send>(
                 // final stage: the payload waits in its slot for the
                 // drain; the tracker fires the emission events and
                 // records their order under its one lock
-                let mut guard = tracker.lock().unwrap();
-                let st = &mut *guard;
-                st.completed += 1;
-                match mode {
-                    EmitMode::Unordered => {
-                        in_flight.fetch_sub(1, Ordering::Relaxed);
-                        st.emitted.push(f);
-                        if want_events {
-                            probe.runtime_event(worker, RuntimeEvent::StreamFrameEmitted);
-                        }
+                let mut st = tracker.lock().unwrap();
+                let emitted = st.complete(f, mode);
+                in_flight.fetch_sub(emitted, Ordering::Relaxed);
+                if want_events {
+                    for _ in 0..emitted {
+                        probe.runtime_event(worker, RuntimeEvent::StreamFrameEmitted);
                     }
-                    EmitMode::Ordered => {
-                        st.done[f] = true;
-                        while st.frontier < wlen && st.done[st.frontier] {
-                            in_flight.fetch_sub(1, Ordering::Relaxed);
-                            st.emitted.push(st.frontier);
-                            st.frontier += 1;
-                            if want_events {
-                                probe.runtime_event(worker, RuntimeEvent::StreamFrameEmitted);
-                            }
-                        }
-                        let depth = st.completed - st.frontier;
-                        st.max_reorder_depth = st.max_reorder_depth.max(depth);
-                        if want_events {
-                            probe.runtime_event(
-                                worker,
-                                RuntimeEvent::StreamReorderDepth { depth },
-                            );
-                        }
+                    if mode == EmitMode::Ordered {
+                        let depth = st.reorder_depth();
+                        probe.runtime_event(worker, RuntimeEvent::StreamReorderDepth { depth });
                     }
                 }
             }
@@ -234,12 +193,12 @@ pub fn run_pipeline<T: Send>(
         // Drain the window: the region barrier above guarantees every
         // frame finished its final stage and was recorded as emitted.
         let st = tracker.into_inner().unwrap();
-        debug_assert_eq!(st.emitted.len(), wlen);
-        for f in st.emitted {
+        debug_assert_eq!(st.emitted().len(), wlen);
+        for &f in st.emitted() {
             let payload = slots[f].lock().unwrap().take().expect("frame emitted twice");
             sink(base + f, payload);
         }
-        max_reorder_depth = max_reorder_depth.max(st.max_reorder_depth);
+        max_reorder_depth = max_reorder_depth.max(st.max_reorder_depth());
         base += wlen;
     }
 

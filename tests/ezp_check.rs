@@ -14,8 +14,8 @@ use easypap::core::shadow::{ShadowGrid, ShadowSession};
 use easypap::prelude::*;
 use easypap::sched::skeleton::{PipeShape, PipeStage};
 use easypap::sched::vexec::{
-    check_chan_oracle, virtual_chan, virtual_deque_taskgraph, virtual_for_tiles,
-    virtual_pipeline, virtual_region_protocol, virtual_taskgraph, Reachability,
+    virtual_deque_taskgraph, virtual_for_tiles, virtual_pipeline, virtual_region_protocol,
+    virtual_taskgraph, Reachability,
 };
 use ezp_testkit::schedule::{RandomWalk, RoundRobin, StarveOne, StrategyKind};
 
@@ -261,7 +261,8 @@ fn deque_steal_path_conforms_under_every_strategy() {
 }
 
 /// The pool's atomic region protocol under every interleaving family:
-/// the model in `virtual_region_protocol` asserts no early unblock,
+/// `virtual_region_protocol` drives `pool.rs`'s own publish / close /
+/// worker steps and asserts no early unblock,
 /// exact per-region panic attribution (the S1 regression class), and
 /// shutdown reaching parked workers. Here we sweep strategies, seeds
 /// and panic plans; the per-region counts the master observes must
@@ -294,7 +295,9 @@ fn region_protocol_conforms_under_every_strategy() {
     }
 }
 
-/// The streaming pipeline model under every interleaving family: for a
+/// The streaming pipeline (the task-graph step over the compiled shape,
+/// emission through the engine's `EmitTracker`) under every
+/// interleaving family: for a
 /// shape mixing farm and serial stages, ordered emission must be
 /// exactly `0..frames` (frame `n + 1` never leaves the reorder buffer
 /// before `n`), unordered emission must be a permutation of it, and
@@ -346,7 +349,7 @@ fn virtual_pipeline_conforms_under_every_strategy() {
 /// Bounded stages must be deadlock-free even when the strategy starves
 /// one worker: capacity edges throttle admission but never wedge the
 /// graph, because every capacity edge points backward in frame-major
-/// order. A deadlock would surface as the model's cycle error or a
+/// order. A deadlock would surface as the executor's cycle error or a
 /// short emission list.
 #[test]
 fn virtual_pipeline_bounded_stages_survive_starvation() {
@@ -425,82 +428,6 @@ fn virtual_pipeline_payload_slots_are_race_free() {
     assert!(
         !session.races().is_empty(),
         "cross-frame read without an edge was not flagged"
-    );
-}
-
-/// The channel model under every interleaving family: for SPSC and
-/// MPMC shapes covering {1, 2, 4, 8} workers per side, every strategy
-/// and seed must satisfy the happens-before oracle — no lost,
-/// duplicated, torn or per-producer-reordered items — keep occupancy
-/// within the ring capacity, and replay byte-for-byte from its
-/// `(strategy, seed)`.
-#[test]
-fn virtual_chan_conforms_under_every_strategy() {
-    // (producers, consumers): SPSC, balanced fan at 2/4/8 workers a
-    // side, and the skewed fan-in / fan-out shapes the framework runs
-    // (stream emission is many-to-one, the monitor is one-to-one).
-    let shapes = [(1usize, 1usize), (2, 2), (4, 4), (8, 8), (4, 1), (1, 4)];
-    let items = 12u64;
-    for kind in StrategyKind::all() {
-        for seed in 0..8u64 {
-            for (producers, consumers) in shapes {
-                for cap in [1usize, 2, 8] {
-                    let actors = producers + consumers;
-                    let mut strategy = kind.build(seed, actors);
-                    let v = virtual_chan(producers, consumers, cap, items, false, &mut *strategy);
-                    let tag = format!(
-                        "{kind:?} seed {seed} {producers}p/{consumers}c cap {cap}"
-                    );
-                    check_chan_oracle(&v, producers, items)
-                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                    assert!(
-                        v.max_occupancy <= cap,
-                        "{tag}: occupancy {} exceeded lane capacity",
-                        v.max_occupancy
-                    );
-                    // Replay contract.
-                    let mut replay = kind.build(seed, actors);
-                    let v2 = virtual_chan(producers, consumers, cap, items, false, &mut *replay);
-                    assert_eq!(v, v2, "{tag}: run did not replay");
-                }
-            }
-        }
-    }
-}
-
-/// The injected-bug half of the channel battery: `broken = true` swaps
-/// the producer's slot write and tail publish — the exact bug the real
-/// ring's Release store on `tail` rules out. The oracle must catch it
-/// (a consumer scheduled into the two-step window reads an unwritten
-/// slot), the catch must replay from its seed, and the *unbroken* model
-/// must stay silent under the very same schedules — so a firing oracle
-/// means a broken ring, never a broken oracle.
-#[test]
-fn injected_broken_ordering_is_caught() {
-    let mut caught = 0usize;
-    for seed in 0..32u64 {
-        let mut strategy = RandomWalk::seeded(seed);
-        let v = virtual_chan(2, 2, 2, 16, true, &mut strategy);
-        if let Err(_e) = check_chan_oracle(&v, 2, 16) {
-            // Depending on where the consumer lands in the torn-publish
-            // window, the corruption surfaces as an unwritten-slot read
-            // or (when a late write resurrects a drained slot) as a
-            // duplicate/reorder — the oracle must fire either way.
-            caught += 1;
-            // the catch replays byte-for-byte
-            let mut replay = RandomWalk::seeded(seed);
-            let v2 = virtual_chan(2, 2, 2, 16, true, &mut replay);
-            assert_eq!(v, v2, "seed {seed}: broken run did not replay");
-        }
-        // control: the correct ordering is silent under the same seed
-        let mut control = RandomWalk::seeded(seed);
-        let good = virtual_chan(2, 2, 2, 16, false, &mut control);
-        check_chan_oracle(&good, 2, 16)
-            .unwrap_or_else(|e| panic!("seed {seed}: false positive: {e}"));
-    }
-    assert!(
-        caught > 0,
-        "no random walk out of 32 seeds drove a consumer into the torn-publish window"
     );
 }
 
