@@ -4,8 +4,8 @@
 # Lanes, in order: banned-dependency guard, ezp-lint, workspace build +
 # tests (the ezp-chan schedule explorer rerun by name), results/
 # regenerated and diffed, ezp-check + conformance matrix, the stats /
-# explain / streaming / serve smoke lanes, and the frozen benchmark's
-# own tests plus one short run. No lane gates speed: that is measured
+# explain / streaming / retired-knob / hostile-schedule / serve smoke
+# lanes, and the frozen benchmark's own tests plus one short run. No lane gates speed: that is measured
 # by benchmark/ (BENCHMARK.json) alone.
 #
 # The workspace must build and pass its test suite without touching a
@@ -165,6 +165,11 @@ explain_dir="$(mktemp -d)"
         echo "error: explain report has no advisor recommendation" >&2
         exit 1
     }
+    # 16-pixel mandel tiles are microseconds long: not a grain problem
+    if grep -qF '[grain-too-fine]' explain.out; then
+        echo "error: grain-too-fine fired on 16-pixel mandel tiles" >&2
+        exit 1
+    fi
     # per-cause attribution: the counter snapshot embedded in the trace
     # carries idle_ns{cause=...} slices that sum exactly to idle_ns
     sed -n '/^{/,$p' explain_run.out > explain_stats.json
@@ -222,6 +227,22 @@ stream_dir="$(mktemp -d)"
         grep -q "unknown option" gone.err
     done
     echo "verify: retired-knob smoke OK (three removed flags are unknown options)"
+
+    # Hostile-schedule lane: a chunk size from the command line that
+    # leaves `usize` when multiplied or added must neither hang the loop
+    # (static,K re-granted chunk 0 forever) nor run tiles twice
+    # (dynamic,K wrapped the cursor): 64 tiles, each executed once.
+    for hostile in dynamic,9223372036854775808 static,9223372036854775808; do
+        timeout 20 "$OLDPWD/target/release/easypap" --kernel mandel \
+            --variant omp_tiled --size 64 --tile-size 8 --threads 2 \
+            --schedule "$hostile" --stats=text --no-display > hostile.out
+        grep -qx "ezp_tasks_executed 64" hostile.out || {
+            echo "error: --schedule $hostile did not run each of 64 tiles once" >&2
+            grep "^ezp_tasks_executed" hostile.out >&2
+            exit 1
+        }
+    done
+    echo "verify: hostile-schedule smoke OK (overflowing chunk sizes: 64 tiles, once each)"
 )
 rm -rf "$stream_dir"
 

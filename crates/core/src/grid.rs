@@ -173,8 +173,25 @@ impl TileGrid {
     }
 
     /// Iterates over every tile in `collapse(2)` order.
-    pub fn iter(&self) -> impl Iterator<Item = Tile> + '_ {
-        (0..self.len()).map(move |i| self.tile_at(i))
+    pub fn iter(&self) -> TileChunk<'_> {
+        self.chunk(0, self.len())
+    }
+
+    /// Iterates over the `len` tiles from linear index `start`, in
+    /// `collapse(2)` order — one scheduler chunk. Equal to
+    /// `(start..start + len).map(|i| self.tile_at(i))`, but divides once
+    /// for the whole chunk and then steps `tx`/`ty`.
+    pub fn chunk(&self, start: usize, len: usize) -> TileChunk<'_> {
+        assert!(
+            start <= self.len() && len <= self.len() - start,
+            "tile chunk out of range"
+        );
+        TileChunk {
+            grid: self,
+            tx: start % self.tiles_x,
+            ty: start / self.tiles_x,
+            left: len,
+        }
     }
 
     /// Iterates over the tiles of grid row `ty`, left to right — the unit
@@ -197,9 +214,43 @@ impl TileGrid {
     }
 }
 
+/// The tiles of one contiguous run of linear indices; see
+/// [`TileGrid::chunk`].
+#[derive(Clone, Debug)]
+pub struct TileChunk<'g> {
+    grid: &'g TileGrid,
+    tx: usize,
+    ty: usize,
+    left: usize,
+}
+
+impl Iterator for TileChunk<'_> {
+    type Item = Tile;
+
+    #[inline]
+    fn next(&mut self) -> Option<Tile> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let tile = self.grid.tile(self.tx, self.ty);
+        self.tx += 1;
+        if self.tx == self.grid.tiles_x {
+            self.tx = 0;
+            self.ty += 1;
+        }
+        Some(tile)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ezp_testkit::ezp_proptest;
 
     #[test]
     fn rejects_degenerate_geometry() {
@@ -256,6 +307,31 @@ mod tests {
         for (i, t) in g.iter().enumerate() {
             assert_eq!(g.linear_index(t.tx, t.ty), i);
             assert_eq!(g.tile_at(i), t);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile chunk out of range")]
+    fn chunk_past_the_grid_is_rejected() {
+        let g = TileGrid::square(8, 4).unwrap();
+        let _ = g.chunk(3, 2);
+    }
+
+    ezp_proptest! {
+        fn prop_chunk_equals_tile_at_on_ragged_grids(
+            width in 1usize..70,
+            height in 1usize..70,
+            tile_w in 1usize..20,
+            tile_h in 1usize..20,
+            a in 0usize..5000,
+            b in 0usize..5000,
+        ) {
+            let g = TileGrid::new(width, height, tile_w, tile_h).unwrap();
+            let start = a % (g.len() + 1);
+            let len = b % (g.len() - start + 1);
+            let stepped: Vec<Tile> = g.chunk(start, len).collect();
+            let divided: Vec<Tile> = (start..start + len).map(|i| g.tile_at(i)).collect();
+            assert_eq!(stepped, divided);
         }
     }
 

@@ -38,7 +38,7 @@ pub mod time;
 
 pub use color::Rgba;
 pub use error::{Error, Result};
-pub use grid::{Tile, TileGrid};
+pub use grid::{Tile, TileChunk, TileGrid};
 pub use img::{Img2D, ImagePair};
 pub use kernel::{Kernel, KernelCtx};
 pub use params::{ChanBackendKind, ChanTuning, EmitMode, RunConfig, Schedule, WaitPolicy};

@@ -56,9 +56,7 @@ impl Kernel for Scrollup {
                             let w = cell.tile_writer(t);
                             for y in t.y..t.y + t.h {
                                 let from = (y + 1) % dim;
-                                for x in t.x..t.x + t.w {
-                                    w.set(x, y, src.get(x, from));
-                                }
+                                w.write_row(y, &src.row(from)[t.x..t.x + t.w]);
                             }
                         });
                     }
@@ -116,5 +114,7 @@ mod tests {
     #[test]
     fn variants_agree() {
         assert_eq!(run("seq", 24, 5), run("omp_tiled", 24, 5));
+        // 8-pixel tiles do not divide 29: clipped right and bottom tiles
+        assert_eq!(run("seq", 29, 5), run("omp_tiled", 29, 5));
     }
 }

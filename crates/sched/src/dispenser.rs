@@ -7,7 +7,8 @@
 //!
 //! * [`StaticBlock`] — `schedule(static)`: one contiguous block per rank;
 //! * [`StaticCyclic`] — `schedule(static, k)`: round-robin chunks of `k`;
-//! * [`DynamicChunks`] — `schedule(dynamic, k)`: first-come first-served;
+//! * [`DynamicChunks`] — `schedule(dynamic, k)`: first-come first-served
+//!   chunks of `k`, claimed in tapered batches on large loops (below);
 //! * [`GuidedChunks`] — `schedule(guided, k)`: exponentially shrinking
 //!   chunks, never below `k`;
 //! * [`StealingDispenser`] — `schedule(nonmonotonic:dynamic)`: "tiles are
@@ -18,6 +19,31 @@
 //! is a single stream, and packed per-rank range words updated by CAS
 //! for the stealing policy (see [`StealingDispenser`] for the
 //! no-double-grant argument).
+//!
+//! ## Tapered claims on the shared cursor
+//!
+//! `dynamic` and `guided` share one cursor and one claim step
+//! (`claim`): read what is left, size the claim from it, CAS the
+//! cursor forward. Guided sizes a claim at `remaining / (2 P)`. Dynamic
+//! sizes it at `remaining / (256 P)` rounded *down* to a multiple of
+//! `k`, and never below `k`: a cross-core read-modify-write on the one
+//! shared word costs ≈200 ns, more than an 8-pixel tile, so a loop of
+//! many thousand chunks takes several per claim while plenty is left
+//! and tapers to single chunks over its last `256 P`. The bound this
+//! buys: no rank ever holds more than `1/(256 P)` of the work that was
+//! left when it claimed, so the end-of-loop imbalance stays one chunk,
+//! as with one chunk per claim. A loop of at most `256 P` chunks — the
+//! tiling-window figures (Fig. 4b, Fig. 8) are all of that size — never
+//! sizes a claim above `k` and is the classic first-come-first-served
+//! sequence `(i k, k)`, unchanged by construction.
+//!
+//! ## Hostile chunk sizes
+//!
+//! `k` comes from the command line. Every constructor clamps it to
+//! `1..=max(n, 1)`, no cursor is ever moved past `n` (an exhausted
+//! dispenser answers `None` without a read-modify-write, however often
+//! it is asked), and index arithmetic that could still leave `usize`
+//! is checked.
 
 use ezp_core::Schedule;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -80,10 +106,17 @@ pub fn dispenser_for(schedule: Schedule, n: usize, threads: usize) -> Box<dyn Di
     match schedule {
         Schedule::Static => Box::new(StaticBlock::new(n, threads)),
         Schedule::StaticChunk(k) => Box::new(StaticCyclic::new(n, threads, k)),
-        Schedule::Dynamic(k) => Box::new(DynamicChunks::new(n, k)),
+        Schedule::Dynamic(k) => Box::new(DynamicChunks::new(n, threads, k)),
         Schedule::Guided(k) => Box::new(GuidedChunks::new(n, threads, k)),
         Schedule::NonmonotonicDynamic(k) => Box::new(StealingDispenser::new(n, threads, k)),
     }
+}
+
+/// A chunk size as the dispensers use it: at least 1, at most the whole
+/// loop. `k` is user input (`--schedule dynamic,K`); a value near
+/// `usize::MAX` must not reach the cursor arithmetic.
+fn clamp_chunk(k: usize, n: usize) -> usize {
+    k.clamp(1, n.max(1))
 }
 
 /// `schedule(static)`: rank `r` owns the contiguous block
@@ -153,12 +186,12 @@ pub struct StaticCyclic {
 }
 
 impl StaticCyclic {
-    /// Creates the dispenser; `k` is clamped to at least 1.
+    /// Creates the dispenser; `k` is clamped to `1..=max(n, 1)`.
     pub fn new(n: usize, threads: usize, k: usize) -> Self {
         StaticCyclic {
             n,
             threads,
-            k: k.max(1),
+            k: clamp_chunk(k, n),
             cursor: (0..threads).map(AtomicUsize::new).collect(),
         }
     }
@@ -169,14 +202,15 @@ impl Dispenser for StaticCyclic {
         if rank >= self.threads {
             return None;
         }
-        // ORDERING: counter-only (and per-rank private besides): the
-        // cursor is just an index generator; chunk bounds derive from
-        // immutable fields, so nothing synchronizes on this increment.
-        let chunk = self.cursor[rank].fetch_add(self.threads, Ordering::Relaxed);
-        let start = chunk * self.k;
-        if start >= self.n {
-            return None;
-        }
+        // ORDERING: counter-only, and rank-private by the calling
+        // protocol: the cursor is just this rank's index generator and
+        // chunk bounds derive from immutable fields, so nothing
+        // synchronizes on the load or the store. The cursor only moves
+        // while the rank still has a chunk, and saturates, so no number
+        // of further calls can wrap it back onto granted work.
+        let chunk = self.cursor[rank].load(Ordering::Relaxed);
+        let start = chunk.checked_mul(self.k).filter(|&s| s < self.n)?;
+        self.cursor[rank].store(chunk.saturating_add(self.threads), Ordering::Relaxed);
         Some((start, self.k.min(self.n - start)))
     }
 
@@ -185,23 +219,74 @@ impl Dispenser for StaticCyclic {
     }
 }
 
+/// One claim on a shared monotone cursor over `0..n`: `size(remaining)`
+/// iterations from the front of what is left (clipped to it), or `None`
+/// once nothing is. The step `dynamic` and `guided` share; they differ
+/// only in `size`.
+///
+/// The cursor never passes `n`: an exhausted dispenser is answered from
+/// the load alone, and a claim is clipped before it is published, so no
+/// chunk size and no number of calls can wrap it.
+fn claim(
+    cursor: &AtomicUsize,
+    n: usize,
+    size: impl Fn(usize) -> usize,
+) -> Option<(usize, usize)> {
+    // ORDERING: counter-only. The cursor is a pure index allocator; no
+    // other memory is published through it.
+    let mut cur = cursor.load(Ordering::Relaxed);
+    loop {
+        if cur >= n {
+            return None;
+        }
+        let remaining = n - cur;
+        let len = size(remaining).clamp(1, remaining);
+        // ORDERING: counter-only. A successful CAS atomically claims
+        // `[cur, cur+len)`; the claim itself is the whole payload, so
+        // Relaxed on success and failure both suffice.
+        match cursor.compare_exchange_weak(cur, cur + len, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return Some((cur, len)),
+            Err(seen) => cur = seen,
+        }
+    }
+}
+
+/// One [`DynamicChunks`] claim takes at most `1/(TAPER · P)` of what
+/// remains.
+const TAPER: usize = 256;
+
 /// `schedule(dynamic, k)`: a single atomic cursor; idle ranks grab the
-/// next `k` iterations — "the opportunistic nature of the dynamic
-/// clause" (Fig. 4b).
+/// next chunks of `k` iterations — "the opportunistic nature of the
+/// dynamic clause" (Fig. 4b).
+///
+/// One claim takes `max(k, ⌊remaining / (256 P) / k⌋ · k)` iterations
+/// and returns them as *one* chunk. While more than `256 P` chunks are
+/// left that is several chunks for one trip of the cursor's cache line
+/// between cores; over the last `256 P` chunks it is exactly `k`. So a
+/// rank never holds more than `1/(256 P)` of the remaining work, and a
+/// loop of at most `256 P` chunks is dispensed first come, first served
+/// one chunk per claim — the `(i k, k)` sequence of libgomp, which is
+/// what Fig. 4b and Fig. 8 are drawn from.
 pub struct DynamicChunks {
     n: usize,
     k: usize,
+    /// `256 · P · k`: the remaining work below which a claim is one
+    /// chunk.
+    taper: usize,
     /// counter-only: the monotone cursor is the entire payload; chunk
-    /// ownership comes from the fetch_add's atomicity alone.
+    /// ownership comes from the CAS's atomicity alone.
     cursor: AtomicUsize,
 }
 
 impl DynamicChunks {
-    /// Creates the dispenser; `k` is clamped to at least 1.
-    pub fn new(n: usize, k: usize) -> Self {
+    /// Creates the dispenser; `k` is clamped to `1..=max(n, 1)` and
+    /// `threads` to at least 1.
+    pub fn new(n: usize, threads: usize, k: usize) -> Self {
+        let k = clamp_chunk(k, n);
         DynamicChunks {
             n,
-            k: k.max(1),
+            k,
+            taper: TAPER.saturating_mul(threads.max(1)).saturating_mul(k),
             cursor: AtomicUsize::new(0),
         }
     }
@@ -209,14 +294,10 @@ impl DynamicChunks {
 
 impl Dispenser for DynamicChunks {
     fn next(&self, _rank: usize) -> Option<(usize, usize)> {
-        // ORDERING: counter-only. The fetch_add's atomicity hands each
-        // chunk out exactly once; the iteration payload is reached via
-        // the region's own synchronization, not this cursor.
-        let start = self.cursor.fetch_add(self.k, Ordering::Relaxed);
-        if start >= self.n {
-            return None;
-        }
-        Some((start, self.k.min(self.n - start)))
+        // ⌊⌊r / 256P⌋ / k⌋ = ⌊r / (256 P k)⌋: one division per claim.
+        claim(&self.cursor, self.n, |remaining| {
+            (remaining / self.taper * self.k).max(self.k)
+        })
     }
 
     fn len(&self) -> usize {
@@ -226,7 +307,7 @@ impl Dispenser for DynamicChunks {
 
 /// `schedule(guided, k)`: each grab takes `max(remaining / (2 P), k)`
 /// iterations, so "the size of chunks assigned to threads decreases over
-/// time" (Fig. 4d). Implemented with a CAS loop on the shared cursor.
+/// time" (Fig. 4d).
 pub struct GuidedChunks {
     n: usize,
     threads: usize,
@@ -237,14 +318,14 @@ pub struct GuidedChunks {
 }
 
 impl GuidedChunks {
-    /// Creates the dispenser; `k` and `threads` are clamped to at least
-    /// 1 (a `threads == 0` caller would otherwise divide by zero in the
-    /// chunk-size formula).
+    /// Creates the dispenser; `k` is clamped to `1..=max(n, 1)` and
+    /// `threads` to at least 1 (a `threads == 0` caller would otherwise
+    /// divide by zero in the chunk-size formula).
     pub fn new(n: usize, threads: usize, k: usize) -> Self {
         GuidedChunks {
             n,
             threads: threads.max(1),
-            k: k.max(1),
+            k: clamp_chunk(k, n),
             cursor: AtomicUsize::new(0),
         }
     }
@@ -252,28 +333,9 @@ impl GuidedChunks {
 
 impl Dispenser for GuidedChunks {
     fn next(&self, _rank: usize) -> Option<(usize, usize)> {
-        // ORDERING: counter-only. The cursor is a pure index allocator;
-        // no other memory is published through it.
-        let mut cur = self.cursor.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.n {
-                return None;
-            }
-            let remaining = self.n - cur;
-            let chunk = (remaining.div_ceil(2 * self.threads)).max(self.k).min(remaining);
-            // ORDERING: counter-only. A successful CAS atomically claims
-            // `[cur, cur+chunk)`; the claim itself is the whole payload,
-            // so Relaxed on success and failure both suffice.
-            match self.cursor.compare_exchange_weak(
-                cur,
-                cur + chunk,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some((cur, chunk)),
-                Err(seen) => cur = seen,
-            }
-        }
+        claim(&self.cursor, self.n, |remaining| {
+            remaining.div_ceil(2 * self.threads).max(self.k)
+        })
     }
 
     fn len(&self) -> usize {
@@ -363,7 +425,7 @@ struct StealSlot {
 }
 
 impl StealingDispenser {
-    /// Creates the dispenser; `k` is clamped to at least 1.
+    /// Creates the dispenser; `k` is clamped to `1..=max(n, 1)`.
     ///
     /// # Panics
     ///
@@ -383,7 +445,7 @@ impl StealingDispenser {
             .collect();
         StealingDispenser {
             n,
-            k: k.max(1),
+            k: clamp_chunk(k, n),
             ranges,
             remainders: (0..threads).map(|_| Remainder::default()).collect(),
             stats: (0..threads).map(|_| StealSlot::default()).collect(),
@@ -603,11 +665,51 @@ mod tests {
 
     #[test]
     fn dynamic_is_first_come_first_served() {
-        let d = DynamicChunks::new(5, 2);
+        let d = DynamicChunks::new(5, 2, 2);
         assert_eq!(d.next(1), Some((0, 2)));
         assert_eq!(d.next(0), Some((2, 2)));
         assert_eq!(d.next(1), Some((4, 1))); // last partial chunk
         assert_eq!(d.next(0), None);
+    }
+
+    #[test]
+    fn dynamic_claims_taper_to_single_chunks() {
+        // 16 384 units on 2 ranks: 256·P = 512, so the first claim is
+        // 16384/512 = 32 chunks and the last 512 claims are one each
+        let d = DynamicChunks::new(16_384, 2, 1);
+        let chunks = drain_rank(&d, 0);
+        assert_eq!(chunks[0], (0, 32));
+        assert!(chunks.windows(2).all(|w| w[0].1 >= w[1].1), "claims grew");
+        assert!(chunks[chunks.len() - 512..].iter().all(|&(_, len)| len == 1));
+        assert!((2_000..2_600).contains(&chunks.len()), "{} claims", chunks.len());
+    }
+
+    #[test]
+    fn hostile_chunk_sizes_cover_exactly_once_and_stay_exhausted() {
+        // `--schedule dynamic,9223372036854775808` used to wrap the
+        // cursor to 0 on the third fetch_add (every tile granted twice);
+        // `static,<same>` wrapped `chunk * k` to 0 and re-granted chunk
+        // 0 to rank 0 forever
+        let threads = 2;
+        let n = 64;
+        for k in [usize::MAX, 1 << (usize::BITS - 1), (1 << (usize::BITS - 1)) + 1] {
+            for sched in [
+                Schedule::Static,
+                Schedule::StaticChunk(k),
+                Schedule::Dynamic(k),
+                Schedule::Guided(k),
+                Schedule::NonmonotonicDynamic(k),
+            ] {
+                let d = dispenser_for(sched, n, threads);
+                let got = drain_interleaved(&*d, threads);
+                assert_exact_cover(&got, n);
+                for call in 0..6 {
+                    for rank in 0..threads {
+                        assert_eq!(d.next(rank), None, "{sched:?}: call {call} after exhaustion");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -739,7 +841,7 @@ mod tests {
     fn only_the_stealing_policy_reports_steal_stats() {
         assert!(StaticBlock::new(8, 2).steal_stats().is_none());
         assert!(StaticCyclic::new(8, 2, 1).steal_stats().is_none());
-        assert!(DynamicChunks::new(8, 1).steal_stats().is_none());
+        assert!(DynamicChunks::new(8, 2, 1).steal_stats().is_none());
         assert!(GuidedChunks::new(8, 2, 1).steal_stats().is_none());
     }
 
@@ -849,6 +951,44 @@ mod tests {
             let d = dispenser_for(sched, n, threads);
             let got = drain_interleaved(&*d, threads);
             assert_exact_cover(&got, n);
+        }
+
+        fn prop_dynamic_claims_are_k_multiples_within_the_hoarding_bound(
+            n in 0usize..200_000,
+            threads in 1usize..9,
+            k in 1usize..8,
+        ) {
+            let d = DynamicChunks::new(n, threads, k);
+            let chunks = drain_rank(&d, 0);
+            let mut next_start = 0;
+            for (i, &(start, len)) in chunks.iter().enumerate() {
+                assert_eq!(start, next_start, "claims are contiguous, in order");
+                let remaining = n - start;
+                assert!(len <= k.max(remaining / (TAPER * threads)), "claim {i} hoards {len} of {remaining}");
+                if i + 1 < chunks.len() {
+                    assert_eq!(len % k, 0, "claim {i} splits a chunk");
+                }
+                next_start = start + len;
+            }
+            assert_eq!(next_start, n);
+            let shared = DynamicChunks::new(n, threads, k);
+            assert_exact_cover(&drain_interleaved(&shared, threads), n);
+        }
+
+        fn prop_dynamic_is_classic_below_the_taper_threshold(
+            chunks in 0usize..=TAPER,
+            threads in 1usize..9,
+            k in 1usize..8,
+            ragged in 0usize..8,
+        ) {
+            // n <= 256·P·k: the `(i·k, k)` sequence of one chunk per
+            // claim, which is what keeps results/ still
+            let n = (chunks * threads * k).saturating_sub(ragged % k);
+            let d = DynamicChunks::new(n, threads, k);
+            let got = drain_rank(&d, 0);
+            let want: Vec<(usize, usize)> =
+                (0..n.div_ceil(k)).map(|i| (i * k, k.min(n - i * k))).collect();
+            assert_eq!(got, want);
         }
 
         fn prop_guided_non_increasing(n in 1usize..2000, threads in 1usize..9, k in 1usize..6) {

@@ -124,6 +124,41 @@ impl<'c, 'a, T: Copy> TileWriter<'c, 'a, T> {
         }
     }
 
+    /// Writes the tile's whole span of image row `y` from `src` — the
+    /// `memcpy` a copying kernel would otherwise spell as `tile.w`
+    /// checked [`set`](Self::set)s.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `y` is not a row of this writer's tile or `src` is
+    /// not exactly `tile.w` long.
+    #[inline]
+    pub fn write_row(&self, y: usize, src: &[T]) {
+        let t = self.tile;
+        assert!(
+            y >= t.y && y < t.y + t.h,
+            "row {y} outside tile ({},{},{}x{})",
+            t.x,
+            t.y,
+            t.w,
+            t.h
+        );
+        assert_eq!(src.len(), t.w, "row source length differs from the tile width");
+        // SAFETY: the destination `[t.x, t.x + t.w)` of row `y` lies
+        // inside this writer's tile (row checked above, tile inside the
+        // image by `tile_writer`), so it is in bounds and, as for `set`,
+        // no other in-flight writer touches it. `src` cannot overlap it:
+        // the cell holds the image's only borrow and never lends a
+        // reference into it. No `&mut [T]` over the image is formed.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                src.as_ptr(),
+                self.cell.ptr().add(y * self.cell.width + t.x),
+                t.w,
+            );
+        }
+    }
+
     /// Reads pixel `(x, y)` from anywhere in the image (stencils read
     /// neighbours outside their own tile).
     #[inline]
@@ -211,6 +246,56 @@ mod tests {
                 for x in t.x..t.x + t.w {
                     assert_eq!(img.get(x, y), want);
                 }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside tile")]
+    fn out_of_tile_row_panics() {
+        let mut img: Img2D<u32> = Img2D::square(8);
+        let grid = TileGrid::square(8, 4).unwrap();
+        let cell = ImgCell::new(&mut img);
+        let w = cell.tile_writer(grid.tile(0, 0));
+        w.write_row(4, &[1; 4]); // first row of the tile below
+    }
+
+    #[test]
+    #[should_panic(expected = "differs from the tile width")]
+    fn wrong_length_row_panics() {
+        let mut img: Img2D<u32> = Img2D::square(8);
+        let grid = TileGrid::square(8, 4).unwrap();
+        let cell = ImgCell::new(&mut img);
+        let w = cell.tile_writer(grid.tile(1, 0));
+        w.write_row(0, &[1; 5]); // would spill into the next row
+    }
+
+    #[test]
+    fn concurrent_disjoint_row_writes_land() {
+        // ragged grid: edge tiles are narrower and shorter
+        let mut img: Img2D<u32> = Img2D::new(50, 21);
+        let grid = TileGrid::new(50, 21, 16, 8).unwrap();
+        {
+            let cell = ImgCell::new(&mut img);
+            std::thread::scope(|s| {
+                for t in grid.iter() {
+                    let cell = &cell;
+                    s.spawn(move || {
+                        let w = cell.tile_writer(t);
+                        let id = grid.linear_index(t.tx, t.ty) as u32 + 1;
+                        let src: Vec<u32> = (0..t.w as u32).map(|i| id * 100 + i).collect();
+                        for y in t.y..t.y + t.h {
+                            w.write_row(y, &src);
+                        }
+                    });
+                }
+            });
+        }
+        for y in 0..21 {
+            for x in 0..50 {
+                let t = grid.tile_of_pixel(x, y);
+                let id = grid.linear_index(t.tx, t.ty) as u32 + 1;
+                assert_eq!(img.get(x, y), id * 100 + (x - t.x) as u32);
             }
         }
     }

@@ -102,8 +102,7 @@ pub fn parallel_for_tiles(
             if timed {
                 report_chunk(probe, rank, t0, len);
             }
-            for i in start..start + len {
-                let tile = grid.tile_at(i);
+            for tile in grid.chunk(start, len) {
                 probe.start_tile(rank);
                 f(tile, rank);
                 probe.end_tile(tile.x, tile.y, tile.w, tile.h, rank);

@@ -38,6 +38,23 @@ fn tile_loop_counts_sum_to_total_tasks() {
 }
 
 #[test]
+fn fine_dynamic_loop_claims_in_batches_that_taper() {
+    // the machine-independent proxy for what `dispatch_fine` gains:
+    // 16 384 units of `dynamic,1` on 2 workers are ~2 300 claims on the
+    // shared cursor per loop (32 at a time at first, singles over the
+    // last 512), not 16 384
+    let mut pool = WorkerPool::new(2);
+    let probe = PerfProbe::new(2);
+    let executed = AtomicUsize::new(0);
+    parallel_for_range_probed(&mut pool, 16_384, Schedule::Dynamic(1), &probe, |_, _| {
+        executed.fetch_add(1, Ordering::Relaxed);
+    });
+    assert_eq!(executed.load(Ordering::Relaxed), 16_384);
+    let chunks = probe.snapshot().total(names::CHUNKS_DISPENSED);
+    assert!((512..=4096).contains(&chunks), "{chunks} chunks dispensed");
+}
+
+#[test]
 fn range_loop_reports_chunks_and_idle() {
     let mut pool = WorkerPool::new(2);
     let probe = PerfProbe::new(2);

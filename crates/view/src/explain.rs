@@ -19,6 +19,10 @@ const REPLAY_THREADS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// The idle-cause labels, in `ezp_core::kernel::IdleCause` order.
 const CAUSE_LABELS: [&str; 5] = ["dep_stall", "steal", "barrier", "pool_park", "backpressure"];
 
+/// Median tile duration (ns) up to which the `grain-too-fine` rule
+/// looks at a trace.
+const GRAIN_FLOOR_NS: u64 = 1_000;
+
 /// How many bottleneck tasks the report keeps.
 const BOTTLENECK_LIMIT: usize = 5;
 
@@ -469,6 +473,28 @@ fn advise(r: &ExplainReport, has_edges: bool) -> Vec<Advice> {
         });
     }
 
+    // Per-tile cost outside the tile (dispatch, probe brackets, waiting)
+    // against the work inside it. Only short tiles qualify: on long ones
+    // the same ratio is imbalance, which the rules below name.
+    let tiles = r.percentiles.count as u64;
+    if !has_edges && tiles > 0 && r.percentiles.p50_ns <= GRAIN_FLOOR_NS {
+        let in_tile = r.work_ns / tiles;
+        let out_of_tile =
+            (r.threads as u64).saturating_mul(r.wall_ns).saturating_sub(r.work_ns) / tiles;
+        if out_of_tile >= in_tile {
+            out.push(Advice {
+                rule: "grain-too-fine",
+                text: format!(
+                    "a tile holds {in_tile} ns of work and costs {out_of_tile} ns outside it \
+                     (dispatch, monitoring brackets, waiting): the runtime, not the kernel, \
+                     sets this run's time, and more threads will not change that. Use a \
+                     larger --tile-size, or a larger chunk in --schedule, so each dispatch \
+                     carries more work."
+                ),
+            });
+        }
+    }
+
     if let Some(idle) = &r.idle {
         if let Some((label, ns)) = idle.dominant() {
             if idle.total_ns > 0 && ns * 100 >= idle.total_ns * 40 {
@@ -810,6 +836,64 @@ mod tests {
             "{:?}",
             r.advice
         );
+    }
+
+    /// An edge-free trace of `per_worker` back-to-back tiles on each of
+    /// `workers` workers: `dur(worker)` ns of work, then `gap` ns until
+    /// the worker's next tile starts.
+    fn loop_trace(workers: usize, per_worker: usize, gap: u64, dur: impl Fn(usize) -> u64) -> Trace {
+        let mut t = diamond_trace();
+        t.meta.threads = workers;
+        t.edges.clear();
+        t.tasks.clear();
+        let mut end = 0;
+        for worker in 0..workers {
+            let mut now = 0;
+            for i in 0..per_worker {
+                let tile = worker * per_worker + i;
+                t.tasks.push(TileRecord {
+                    iteration: 1,
+                    x: (tile % 4) * 16,
+                    y: (tile / 4 % 4) * 16,
+                    w: 16,
+                    h: 16,
+                    start_ns: now,
+                    end_ns: now + dur(worker),
+                    worker,
+                });
+                now += dur(worker) + gap;
+            }
+            end = end.max(now - gap);
+        }
+        t.tasks.sort_by_key(|r| r.start_ns);
+        t.iterations[0].end_ns = end;
+        t
+    }
+
+    #[test]
+    fn advisor_flags_tiles_cheaper_than_their_dispatch() {
+        // 50 ns tiles, 150 ns between them: the loop is all overhead
+        let r = explain(&loop_trace(2, 8, 150, |_| 50)).unwrap();
+        let a = r.advice.iter().find(|a| a.rule == "grain-too-fine").expect("rule fires");
+        assert!(a.text.contains("50 ns of work"), "{}", a.text);
+        // 2 workers x 1450 ns wall - 800 ns work, over 16 tiles
+        assert!(a.text.contains("costs 131 ns outside"), "{}", a.text);
+        assert!(a.text.contains("--tile-size"), "{}", a.text);
+    }
+
+    #[test]
+    fn advisor_leaves_imbalanced_long_tiles_to_the_other_rules() {
+        // mandel-like: worker 0 draws the 40 us tiles, the other three
+        // the 2 us ones and then idle at the barrier. Most of the four
+        // workers' time is outside any tile, but the tiles are not short
+        let t = loop_trace(4, 4, 100, |worker| if worker == 0 { 40_000 } else { 2_000 });
+        let r = explain(&t).unwrap();
+        assert!(r.percentiles.p50_ns > GRAIN_FLOOR_NS);
+        assert!(r.threads as u64 * r.wall_ns > 2 * r.work_ns);
+        assert!(r.advice.iter().all(|a| a.rule != "grain-too-fine"), "{:?}", r.advice);
+        // short tiles that fill the wall are fine-grained but not wasteful
+        let dense = explain(&loop_trace(2, 8, 10, |_| 50)).unwrap();
+        assert!(dense.advice.iter().all(|a| a.rule != "grain-too-fine"), "{:?}", dense.advice);
     }
 
     #[test]

@@ -72,6 +72,15 @@ fn mandel_trace_survives_disk_and_feeds_easyview() {
     assert_eq!(snap.computed_tiles(), 16);
     let heat = report.heat_map(2);
     assert!(heat.max_duration() > 0);
+
+    // the geometry of the ci/verify.sh explain lane: 16-pixel mandel
+    // tiles are microseconds long, not a grain problem
+    let explained = easypap::view::explain(&loaded).unwrap();
+    assert!(
+        explained.advice.iter().all(|a| a.rule != "grain-too-fine"),
+        "{:?}",
+        explained.advice
+    );
 }
 
 #[test]
