@@ -4,9 +4,10 @@
 # Lanes, in order: banned-dependency guard, ezp-lint, workspace build +
 # tests (the ezp-chan schedule explorer rerun by name), results/
 # regenerated and diffed, ezp-check + conformance matrix, the stats /
-# explain / streaming / retired-knob / hostile-schedule / serve smoke
-# lanes, and the frozen benchmark's own tests plus one short run. No lane gates speed: that is measured
-# by benchmark/ (BENCHMARK.json) alone.
+# explain / streaming / retired-knob / hostile-cap / hostile-schedule /
+# serve smoke lanes, and the frozen benchmark's own tests plus one short
+# run. No lane gates speed: that is measured by benchmark/
+# (BENCHMARK.json) alone.
 #
 # The workspace must build and pass its test suite without touching a
 # cargo registry. A grep guard keeps it that way: if any manifest
@@ -227,6 +228,30 @@ stream_dir="$(mktemp -d)"
         grep -q "unknown option" gone.err
     done
     echo "verify: retired-knob smoke OK (three removed flags are unknown options)"
+
+    # Retired variant: `mandel omp_tiled_x4` taught lanes by losing to
+    # scalar; every variant now runs the lane routine and the name is an
+    # unknown variant, not an alias.
+    if "$OLDPWD/target/release/easypap" --kernel mandel --variant omp_tiled_x4 \
+        --size 64 --no-display > gone.out 2> gone.err; then
+        echo "error: retired variant mandel/omp_tiled_x4 was accepted" >&2
+        exit 1
+    fi
+    grep -q "no variant \`omp_tiled_x4\`" gone.err
+    echo "verify: retired-variant smoke OK (mandel/omp_tiled_x4 is unknown)"
+
+    # Hostile-cap lane: `--arg N` is mandel's escape-time cap and sizes
+    # its palette table; 2^32-1 must be refused as a configuration error
+    # before anything is allocated or iterated, not run for hours.
+    status=0
+    timeout 20 "$OLDPWD/target/release/easypap" --kernel mandel \
+        --arg 4294967295 --size 64 --no-display > cap.out 2> cap.err || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "configuration error: mandel: max_iter .* exceeds the limit of 1048576" cap.err; then
+        echo "error: --arg 4294967295 exited $status without the limit message:" >&2
+        cat cap.err >&2
+        exit 1
+    fi
+    echo "verify: hostile-cap smoke OK (--arg 4294967295 is a configuration error)"
 
     # Hostile-schedule lane: a chunk size from the command line that
     # leaves `usize` when multiplied or added must neither hang the loop

@@ -11,6 +11,8 @@ use ezp_monitor::{activity, Monitor, MonitorReport, UnifiedReport};
 use ezp_perf::PerfProbe;
 use ezp_trace::{Trace, TraceMeta};
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::sync::Arc;
 
 /// Default CSV file of the performance mode.
@@ -121,7 +123,9 @@ where
     } else {
         // no SDL window in this reproduction: dump the final frame
         let frame = format!("{}-{}.ppm", cfg.kernel, cfg.variant);
-        std::fs::write(&frame, ctx.images.cur().to_ppm())?;
+        let mut file = BufWriter::new(File::create(&frame)?);
+        ctx.images.cur().write_ppm(&mut file)?;
+        file.flush()?;
         writeln!(out, "final frame written to {frame}").unwrap();
     }
     if cfg.ansi {

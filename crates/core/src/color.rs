@@ -152,6 +152,14 @@ pub fn mandel_color(iter: u32, max_iter: u32) -> Rgba {
     hsv_to_rgba(240.0 + 300.0 * t, 0.9, 0.2 + 0.8 * (t * std::f32::consts::PI).sin())
 }
 
+/// [`mandel_color`] tabulated over every count a run can produce:
+/// entry `n` is `mandel_color(n, max_iter)` for `n` in `0..=max_iter`.
+/// The colour is a pure function of the count, so kernels index this
+/// table instead of paying a `sin` and an HSV conversion per pixel.
+pub fn mandel_palette(max_iter: u32) -> Vec<Rgba> {
+    (0..=max_iter).map(|n| mandel_color(n, max_iter)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,6 +239,19 @@ mod tests {
         assert!(lum(heat_color(0.0)) < lum(heat_color(0.5)));
         assert!(lum(heat_color(0.5)) < lum(heat_color(1.0)));
         assert_eq!(heat_color(1.0), Rgba::WHITE);
+    }
+
+    #[test]
+    fn mandel_palette_is_mandel_color_entry_by_entry() {
+        // 0 and 1: the one- and two-entry tables of degenerate caps
+        for cap in [0u32, 1, 2, 255, 256, 1000] {
+            let table = mandel_palette(cap);
+            assert_eq!(table.len(), cap as usize + 1);
+            for n in 0..=cap {
+                assert_eq!(table[n as usize], mandel_color(n, cap), "entry {n} of cap {cap}");
+            }
+            assert_eq!(table[cap as usize], Rgba::BLACK);
+        }
     }
 
     #[test]

@@ -177,11 +177,23 @@ impl Img2D<Rgba> {
     /// and the CLI dump frames to `.ppm` files instead of a screen.
     pub fn to_ppm(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.data.len() * 3 + 32);
-        out.extend_from_slice(format!("P6\n{} {}\n255\n", self.width, self.height).as_bytes());
-        for px in &self.data {
-            out.extend_from_slice(&[px.r(), px.g(), px.b()]);
-        }
+        self.write_ppm(&mut out).expect("writing to a Vec cannot fail");
         out
+    }
+
+    /// Streams the [`to_ppm`](Self::to_ppm) encoding into `out`: the
+    /// header, then one reused `3 * width` buffer per image row, so a
+    /// frame goes to a file without first existing whole in memory.
+    pub fn write_ppm(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        write!(out, "P6\n{} {}\n255\n", self.width, self.height)?;
+        let mut rgb = vec![0u8; self.width * 3];
+        for y in 0..self.height {
+            for (dst, px) in rgb.chunks_exact_mut(3).zip(self.row(y)) {
+                dst.copy_from_slice(&[px.r(), px.g(), px.b()]);
+            }
+            out.write_all(&rgb)?;
+        }
+        Ok(())
     }
 
     /// Fraction of non-transparent pixels, used by sparse `life` datasets.
@@ -339,6 +351,25 @@ mod tests {
         assert!(ppm.starts_with(b"P6\n2 2\n255\n"));
         assert_eq!(ppm.len(), b"P6\n2 2\n255\n".len() + 4 * 3);
         assert_eq!(&ppm[ppm.len() - 3..], &[255, 0, 0]);
+    }
+
+    #[test]
+    fn write_ppm_bytes_equal_the_per_pixel_encoder() {
+        // ragged: width != height, neither a power of two; 0x0 and 0-wide too
+        for (w, h) in [(29usize, 17usize), (1, 5), (0, 0), (0, 3)] {
+            let mut img: Img2D<Rgba> = Img2D::new(w, h);
+            img.for_each_mut(|x, y, p| {
+                *p = Rgba::new((x * 7) as u8, (y * 13) as u8, (x ^ y) as u8, (x + y) as u8);
+            });
+            let mut old = format!("P6\n{w} {h}\n255\n").into_bytes();
+            for px in img.as_slice() {
+                old.extend_from_slice(&[px.r(), px.g(), px.b()]);
+            }
+            let mut streamed = Vec::new();
+            img.write_ppm(&mut streamed).unwrap();
+            assert_eq!(streamed, old, "{w}x{h}");
+            assert_eq!(img.to_ppm(), old, "{w}x{h}");
+        }
     }
 
     #[test]

@@ -13,12 +13,16 @@ use ezp_testkit::Rng;
 pub fn test_card(img: &mut Img2D<Rgba>) {
     let w = img.width().max(1);
     let h = img.height().max(1);
-    img.for_each_mut(|x, y, p| {
-        let r = (255 * x / w) as u8;
+    // red depends on x only, green on y only, blue on x + y: three small
+    // tables instead of three divisions per pixel
+    let red: Vec<u8> = (0..w).map(|x| (255 * x / w) as u8).collect();
+    let blue: Vec<u8> = (0..w + h).map(|s| (255 * s / (w + h)) as u8).collect();
+    for y in 0..img.height() {
         let g = (255 * y / h) as u8;
-        let b = (255 * (x + y) / (w + h)) as u8;
-        *p = Rgba::new(r, g, b, 255);
-    });
+        for (x, p) in img.row_mut(y).iter_mut().enumerate() {
+            *p = Rgba::new(red[x], g, blue[x + y], 255);
+        }
+    }
     // bright disc in the upper-left quadrant
     let (cx, cy, rad) = (w / 4, h / 4, (w.min(h) / 6).max(1));
     fill_disc(img, cx, cy, rad, Rgba::WHITE);
@@ -133,6 +137,26 @@ mod tests {
         assert!(img.as_slice().iter().all(|p| p.a() == 255));
         // gradients: corners differ
         assert_ne!(img.get(0, 0), img.get(31, 31));
+    }
+
+    #[test]
+    fn test_card_gradient_is_the_per_pixel_formula() {
+        for (w, h) in [(29, 17), (64, 64)] {
+            let mut img = Img2D::new(w, h);
+            test_card(&mut img);
+            let mut old = Img2D::new(w, h);
+            old.for_each_mut(|x, y, p| {
+                let r = (255 * x / w) as u8;
+                let g = (255 * y / h) as u8;
+                let b = (255 * (x + y) / (w + h)) as u8;
+                *p = Rgba::new(r, g, b, 255);
+            });
+            let (cx, cy, rad) = (w / 4, h / 4, (w.min(h) / 6).max(1));
+            fill_disc(&mut old, cx, cy, rad, Rgba::WHITE);
+            let side = (w.min(h) / 5).max(1);
+            fill_rect(&mut old, 3 * w / 5, 3 * h / 5, side, side, Rgba::new(10, 10, 10, 255));
+            assert!(img == old, "{w}x{h} test card moved");
+        }
     }
 
     #[test]

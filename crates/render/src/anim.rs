@@ -8,6 +8,8 @@
 //! `frame-0002.ppm`, ... with an optional frame-skip stride.
 
 use ezp_core::{Img2D, Result, Rgba};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// The on-disk format of dumped frames.
@@ -52,12 +54,17 @@ impl FrameSink {
         if !keep {
             return Ok(None);
         }
-        let (ext, bytes) = match self.format {
-            FrameFormat::Ppm => ("ppm", img.to_ppm()),
-            FrameFormat::Bmp => ("bmp", crate::bmp::to_bmp(img)),
+        let ext = match self.format {
+            FrameFormat::Ppm => "ppm",
+            FrameFormat::Bmp => "bmp",
         };
         let path = self.dir.join(format!("frame-{:04}.{ext}", self.written.len() + 1));
-        std::fs::write(&path, bytes)?;
+        let mut file = BufWriter::new(File::create(&path)?);
+        match self.format {
+            FrameFormat::Ppm => img.write_ppm(&mut file)?,
+            FrameFormat::Bmp => file.write_all(&crate::bmp::to_bmp(img))?,
+        }
+        file.flush()?;
         self.written.push(path.clone());
         Ok(Some(path))
     }

@@ -25,7 +25,7 @@ use crate::pipeline::Pipeline;
 use ezp_core::error::Result;
 use ezp_core::kernel::Probe;
 use ezp_core::{color, ChanTuning, EmitMode};
-use ezp_kernels::mandel::{escape_iterations, Viewport, DEFAULT_MAX_ITER};
+use ezp_kernels::mandel::{escape_row, Viewport, DEFAULT_MAX_ITER};
 use ezp_sched::WorkerPool;
 use ezp_testkit::Rng;
 use std::collections::BTreeMap;
@@ -130,6 +130,7 @@ struct MandelZoom;
 const ZOOM_MAX_ITER: u32 = DEFAULT_MAX_ITER / 4;
 
 fn mandel_zoom_pipeline(dim: usize, width: usize) -> Pipeline<Vec<u8>> {
+    let palette = color::mandel_palette(ZOOM_MAX_ITER);
     Pipeline::new()
         .farm_stage("render", width, move |frame, buf: &mut Vec<u8>| {
             let mut view = Viewport::default();
@@ -138,10 +139,10 @@ fn mandel_zoom_pipeline(dim: usize, width: usize) -> Pipeline<Vec<u8>> {
             }
             buf.clear();
             buf.reserve(dim * dim * 4);
+            let mut counts = vec![0u32; dim];
             for y in 0..dim {
-                for x in 0..dim {
-                    let (cx, cy) = view.pixel_to_complex(x, y, dim);
-                    let it = escape_iterations(cx, cy, ZOOM_MAX_ITER);
+                escape_row(&view, y, 0, dim, ZOOM_MAX_ITER, &mut counts);
+                for it in &counts {
                     buf.extend_from_slice(&it.to_le_bytes());
                 }
             }
@@ -151,7 +152,7 @@ fn mandel_zoom_pipeline(dim: usize, width: usize) -> Pipeline<Vec<u8>> {
             let mut px = Vec::with_capacity(buf.len());
             for it in buf.chunks_exact(4) {
                 let it = u32::from_le_bytes([it[0], it[1], it[2], it[3]]);
-                px.extend_from_slice(&color::mandel_color(it, ZOOM_MAX_ITER).0.to_le_bytes());
+                px.extend_from_slice(&palette[it as usize].0.to_le_bytes());
             }
             *buf = px;
         })
