@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: hermetic build + tests, entirely offline.
 #
-# Lanes, in order: banned-dependency guard, ezp-lint, workspace build +
-# tests (the ezp-chan schedule explorer rerun by name), results/
-# regenerated and diffed, ezp-check + conformance matrix, the stats /
+# Lanes, in order: banned-dependency guard, production-graph guard,
+# ezp-lint, workspace build + tests (the ezp-chan schedule explorer
+# rerun by name), results/ regenerated and diffed, ezp-check + conformance matrix, the stats /
 # explain / streaming / retired-knob / hostile-cap / hostile-schedule /
 # serve smoke lanes, and the frozen benchmark's own tests plus one short
 # run. No lane gates speed: that is measured by benchmark/
@@ -24,6 +24,23 @@ if grep -rE "$banned" crates/*/Cargo.toml Cargo.toml; then
     echo "std::sync, std::sync::mpsc, Vec<u8>, ezp-core::json." >&2
     exit 1
 fi
+
+# Production-graph lane (docs/channels.md): nothing that ships sends or
+# receives on ezp-chan — the crate is in the tree only for the frozen
+# benchmark's chan.* cells. Neither a manifest nor a resolved graph may
+# grow the edge back.
+if grep -rn 'ezp[-_]chan' --include=Cargo.toml crates src \
+    | grep -v '^crates/chan/Cargo.toml:'; then
+    echo "error: a manifest depends on ezp-chan again (matches above)." >&2
+    exit 1
+fi
+for pkg in easypap-cli ezp-serve ezp-mpi ezp-kernels; do
+    if cargo tree --offline -e normal -p "$pkg" | grep 'ezp-chan'; then
+        echo "error: $pkg reaches ezp-chan through its normal dependencies." >&2
+        exit 1
+    fi
+done
+echo "verify: no production package depends on ezp-chan"
 
 # Static analysis lane (see docs/static-analysis.md): ezp-lint enforces
 # the invariants the runtime's correctness argument leans on — SAFETY:

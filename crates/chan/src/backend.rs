@@ -2,16 +2,15 @@
 //! (`&self`) trait objects over either the lock-free ring or a
 //! `std::sync::mpsc` baseline.
 //!
-//! `ezp-serve`'s admission lanes are built here (ring, `try_send` /
-//! `try_recv` only), and the `chan.mpmc2_ns_msg` /
-//! `chan.mpsc_backend_ns_msg` per-layer metrics of `benchmark/` time
-//! the same fan-in on both backends — the reason the baseline is kept.
+//! The `chan.mpmc2_ns_msg` / `chan.mpsc_backend_ns_msg` per-layer
+//! metrics of `benchmark/` time the same fan-in on both backends — the
+//! reason the baseline is kept.
 //!
 //! Capacity semantics: for `bounded(…, producers, cap)` both backends
 //! guarantee *at least* `producers × cap` buffered items in aggregate —
 //! the ring gives each producer its own `cap`-deep lane, the mpsc
-//! baseline one shared buffer of `producers × cap`. The wait policy
-//! only steers the ring backend; `std::sync::mpsc` blocks natively.
+//! baseline one shared buffer of `producers × cap`. A stalled ring
+//! endpoint yields; `std::sync::mpsc` blocks natively.
 
 use crate::errors::{RecvError, SendError, TryRecvError, TrySendError};
 use crate::mpmc::{mpmc, MpmcReceiver, MpmcSender};
@@ -205,14 +204,9 @@ mod tests {
     use super::*;
     use ezp_core::WaitPolicy;
 
-    fn tunings() -> Vec<ChanTuning> {
-        let mut v = Vec::new();
-        for backend in [ChanBackendKind::Ring, ChanBackendKind::Mpsc] {
-            for policy in [WaitPolicy::Yield, WaitPolicy::Park] {
-                v.push(ChanTuning { backend, policy });
-            }
-        }
-        v
+    fn tunings() -> [ChanTuning; 2] {
+        [ChanBackendKind::Ring, ChanBackendKind::Mpsc]
+            .map(|backend| ChanTuning { backend, policy: WaitPolicy::Yield })
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # ezp-chan — lock-free SPSC/MPMC channels, with an `mpsc` baseline to measure against
 //!
-//! The simulated MPI's rank mailboxes and `ezp-serve`'s admission lanes
-//! move items between threads through this crate's channels. It is a
-//! measured library, not a tuning surface: no flag or config field
-//! selects a backend or a waiting discipline (who actually waits on a
-//! channel is in `docs/channels.md`).
+//! No production thread sends or receives on these channels any more
+//! (`docs/channels.md` says who waits where instead); the crate stays
+//! in the tree because the frozen `benchmark/` times `spsc` and
+//! `bounded` for its `chan.*` cells. It is a measured library, not a
+//! tuning surface: no flag or config field selects a backend.
 //!
 //! * [`ring`] — the FastFlow-style bounded lock-free SPSC ring: two
 //!   cache-padded monotone cursors over a power-of-two slot array, one
@@ -16,16 +16,14 @@
 //! * [`spsc`] — the raw endpoints over one ring: fastest path, role
 //!   uniqueness enforced by `&mut self` on non-`Clone` endpoints.
 //! * [`mpmc`] — MPMC composed from one SPSC lane per producer with
-//!   claim-flag role migration: per-producer FIFO, clonable receivers,
-//!   and an unbounded "mailbox" mode whose sends never block.
+//!   claim-flag role migration: per-producer FIFO, clonable receivers.
 //! * [`backend`] — [`bounded`]: the same channel behind object-safe
 //!   [`ChanSender`]/[`ChanReceiver`] endpoints, built on the ring or on
 //!   a `std::sync::mpsc` baseline ([`ChanBackendKind`]) so `benchmark/`
 //!   can time both on one cell.
 //!
-//! A blocked ring endpoint yields or spins-then-parks on
-//! `ezp_core::park::ParkLot` ([`WaitPolicy`], a constructor argument).
-//! Every channel counts sends/recvs/full-stalls/empty-stalls
+//! A blocked ring endpoint yields and re-polls ([`WaitPolicy`], a
+//! constructor argument with one value left). Every channel counts sends/recvs/full-stalls/empty-stalls
 //! ([`ChanStats`], read with `stats()` on either endpoint).
 //!
 //! `tests/explore.rs` drives the real `try_send`/`try_recv` one
@@ -51,6 +49,6 @@ mod wait;
 pub use backend::{bounded, ChanReceiver, ChanSender};
 pub use errors::{RecvError, SendError, TryRecvError, TrySendError};
 pub use ezp_core::{ChanBackendKind, ChanTuning, WaitPolicy};
-pub use mpmc::{mpmc, mpmc_unbounded, MpmcReceiver, MpmcSender};
+pub use mpmc::{mpmc, MpmcReceiver, MpmcSender};
 pub use spsc::{spsc, spsc_from_index, SpscReceiver, SpscSender};
 pub use stats::ChanStats;

@@ -19,64 +19,32 @@
 //! reads its own counter `Relaxed`" argument survives the role hopping.
 //! Claims also make the endpoints usable as `&self`/`Sync` trait
 //! objects ([`crate::backend`]).
-//!
-//! ## Unbounded ("mailbox") mode
-//!
-//! `mpmc_unbounded` channels never block the sender: each lane pairs
-//! its ring with a mutex-protected overflow `VecDeque` and a `spilled`
-//! flag. Sends go to the ring while there is room; on overflow the
-//! (single) producer of the lane re-tries once under the overflow lock
-//! and then spills. Receivers drain the ring first, then the overflow,
-//! clearing `spilled` under the lock — per-producer FIFO holds because
-//! ring items are always older than spilled items, and the producer
-//! only returns to the ring after the consumer has cleared the flag.
-//! This is the shape the MPI rank mailboxes and the monitor's event
-//! channel need (send from a worker must never block on a slow
-//! harvester).
 
 use crate::errors::{RecvError, SendError, TryRecvError, TrySendError};
 use crate::ring::RingCore;
 use crate::stats::{ChanCounters, ChanStats};
-use crate::wait::WaitHub;
+use crate::wait::stall_until;
 use ezp_core::WaitPolicy;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Ring capacity per lane in unbounded (mailbox) mode: big enough that
-/// the overflow path is rare, small enough to stay cache-friendly.
-const MAILBOX_LANE_CAP: usize = 256;
-
-struct Overflow<T> {
-    /// True while `q` may hold items; read/stored `SeqCst` because it
-    /// participates in Park-policy wait conditions and in the
-    /// FIFO-preserving spill protocol (see module docs).
-    spilled: AtomicBool,
-    q: Mutex<VecDeque<T>>,
-}
+use std::sync::Arc;
 
 struct Lane<T> {
     ring: RingCore<T>,
-    /// False once this lane's sender endpoint is dropped (SeqCst: wait
-    /// conditions read it).
+    /// False once this lane's sender endpoint is dropped (SeqCst: the
+    /// receivers' load of it makes the final push visible to their
+    /// re-drain, see `try_recv`).
     tx_alive: AtomicBool,
     push_claim: AtomicBool,
     pop_claim: AtomicBool,
-    /// `Some` in unbounded (mailbox) mode only.
-    overflow: Option<Overflow<T>>,
 }
 
 impl<T> Lane<T> {
-    fn new(cap: usize, unbounded: bool) -> Self {
+    fn new(cap: usize) -> Self {
         Lane {
             ring: RingCore::new(cap),
             tx_alive: AtomicBool::new(true),
             push_claim: AtomicBool::new(false),
             pop_claim: AtomicBool::new(false),
-            overflow: unbounded.then(|| Overflow {
-                spilled: AtomicBool::new(false),
-                q: Mutex::new(VecDeque::new()),
-            }),
         }
     }
 
@@ -94,28 +62,17 @@ impl<T> Lane<T> {
         // whoever claims next (pairs with the Acquire in `try_claim`).
         flag.store(false, Ordering::Release);
     }
-
-    /// True if this lane could satisfy a `pop` right now (SeqCst reads,
-    /// fit for Park-policy wait conditions).
-    fn has_item_sc(&self) -> bool {
-        self.ring.has_item_sc()
-            || self
-                .overflow
-                .as_ref()
-                .is_some_and(|of| of.spilled.load(Ordering::SeqCst))
-    }
 }
 
 struct MpmcShared<T> {
     lanes: Box<[Lane<T>]>,
     /// Live receiver endpoints; 0 means the channel is closed for
-    /// senders (SeqCst: senders' wait conditions read it).
+    /// senders.
     rx_count: AtomicUsize,
     /// Rotating start lane for receivers, for fairness across lanes.
     /// counter-only: the value is the entire payload — a stale read
     /// just shifts which lane a receiver polls first.
     next_lane: AtomicUsize,
-    hub: WaitHub,
     stats: ChanCounters,
 }
 
@@ -134,36 +91,18 @@ pub struct MpmcReceiver<T> {
 }
 
 /// A bounded MPMC channel with `producers` lanes of `cap` items each.
-/// `send` blocks per `policy` while the sender's lane is full.
+/// `send` yields while the sender's lane is full; the policy argument
+/// has one value left and steers nothing.
 pub fn mpmc<T: Send>(
     producers: usize,
     cap: usize,
-    policy: WaitPolicy,
-) -> (Vec<MpmcSender<T>>, MpmcReceiver<T>) {
-    build(producers, cap, policy, false)
-}
-
-/// An unbounded (mailbox) MPMC channel: `send` never blocks, spilling
-/// to a per-lane overflow queue when the ring is full.
-pub fn mpmc_unbounded<T: Send>(
-    producers: usize,
-    policy: WaitPolicy,
-) -> (Vec<MpmcSender<T>>, MpmcReceiver<T>) {
-    build(producers, MAILBOX_LANE_CAP, policy, true)
-}
-
-fn build<T: Send>(
-    producers: usize,
-    cap: usize,
-    policy: WaitPolicy,
-    unbounded: bool,
+    _policy: WaitPolicy,
 ) -> (Vec<MpmcSender<T>>, MpmcReceiver<T>) {
     let producers = producers.max(1);
     let shared = Arc::new(MpmcShared {
-        lanes: (0..producers).map(|_| Lane::new(cap, unbounded)).collect(),
+        lanes: (0..producers).map(|_| Lane::new(cap)).collect(),
         rx_count: AtomicUsize::new(1),
         next_lane: AtomicUsize::new(0),
-        hub: WaitHub::new(policy),
         stats: ChanCounters::default(),
     });
     let senders = (0..producers)
@@ -203,32 +142,22 @@ impl<T: Send> MpmcSender<T> {
         res
     }
 
-    /// Push one item without waiting. In unbounded (mailbox) mode this
-    /// spills instead of reporting `Full`, so it only ever fails with
-    /// `Closed`.
+    /// Push one item without waiting.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         if self.closed() {
             return Err(TrySendError::Closed(value));
         }
-        if self.lane().overflow.is_some() {
-            return match self.send_spill(value) {
-                Ok(()) => Ok(()),
-                Err(SendError(v)) => Err(TrySendError::Closed(v)),
-            };
-        }
         match self.ring_push(value) {
             Ok(()) => {
                 ChanCounters::bump(&self.shared.stats.sends);
-                self.shared.hub.wake_not_empty();
                 Ok(())
             }
             Err(v) => Err(TrySendError::Full(v)),
         }
     }
 
-    /// Push one item. Bounded mode waits per the channel's
-    /// [`WaitPolicy`] while the lane is full; unbounded mode never
-    /// waits. Fails only when every receiver is gone.
+    /// Push one item, yielding while the lane is full. Fails only when
+    /// every receiver is gone.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let mut value = value;
         loop {
@@ -240,56 +169,13 @@ impl<T: Send> MpmcSender<T> {
                     ChanCounters::bump(&self.shared.stats.full_stalls);
                     let shared = &*self.shared;
                     let lane = self.lane();
-                    let ns = shared.hub.stall_until_not_full(|| {
+                    let ns = stall_until(|| {
                         shared.rx_count.load(Ordering::SeqCst) == 0 || lane.ring.has_room_sc()
                     });
                     shared.stats.add_stall_ns(ns);
                 }
             }
         }
-    }
-
-    /// Unbounded-mode send: ring fast path, overflow spill on full.
-    fn send_spill(&self, value: T) -> Result<(), SendError<T>> {
-        let lane = self.lane();
-        let of = lane
-            .overflow
-            .as_ref()
-            .expect("send_spill on a bounded lane");
-        let mut value = value;
-        if !of.spilled.load(Ordering::SeqCst) {
-            // Not spilling: ring preserves FIFO on its own.
-            match self.ring_push(value) {
-                Ok(()) => {
-                    ChanCounters::bump(&self.shared.stats.sends);
-                    self.shared.hub.wake_not_empty();
-                    return Ok(());
-                }
-                Err(v) => value = v,
-            }
-        }
-        // Slow path, under the overflow lock. The receiver clears
-        // `spilled` under this same lock, so the re-check + ring retry
-        // below cannot interleave with a drain in a FIFO-breaking way.
-        let mut q = of.q.lock().expect("chan overflow lock poisoned");
-        if !of.spilled.load(Ordering::SeqCst) {
-            match self.ring_push(value) {
-                Ok(()) => {
-                    drop(q);
-                    ChanCounters::bump(&self.shared.stats.sends);
-                    self.shared.hub.wake_not_empty();
-                    return Ok(());
-                }
-                Err(v) => value = v,
-            }
-            of.spilled.store(true, Ordering::SeqCst);
-            ChanCounters::bump(&self.shared.stats.full_stalls);
-        }
-        q.push_back(value);
-        drop(q);
-        ChanCounters::bump(&self.shared.stats.sends);
-        self.shared.hub.wake_not_empty();
-        Ok(())
     }
 
     /// Snapshot of the channel's activity counters (shared across all
@@ -300,36 +186,13 @@ impl<T: Send> MpmcSender<T> {
 }
 
 impl<T: Send> MpmcReceiver<T> {
-    /// Claim-guarded pop from one lane: ring first (older items), then
-    /// the overflow queue.
+    /// Claim-guarded pop from one lane.
     fn lane_pop(lane: &Lane<T>) -> Option<T> {
         // SAFETY: the caller holds `pop_claim`, making this thread the
         // unique consumer of the lane's ring; the claim's
         // Acquire/Release edges order successive holders (module docs),
         // upholding `RingCore::pop`'s contract.
-        if let Some(v) = unsafe { lane.ring.pop() } {
-            return Some(v);
-        }
-        let of = lane.overflow.as_ref()?;
-        if !of.spilled.load(Ordering::SeqCst) {
-            return None;
-        }
-        let mut q = of.q.lock().expect("chan overflow lock poisoned");
-        match q.pop_front() {
-            Some(v) => {
-                if q.is_empty() {
-                    // Producer returns to the ring from its next send;
-                    // cleared under the lock so its re-check cannot
-                    // miss in-flight spills.
-                    of.spilled.store(false, Ordering::SeqCst);
-                }
-                Some(v)
-            }
-            None => {
-                of.spilled.store(false, Ordering::SeqCst);
-                None
-            }
-        }
+        unsafe { lane.ring.pop() }
     }
 
     /// Pop one item without waiting, rotating over lanes for fairness.
@@ -348,7 +211,6 @@ impl<T: Send> MpmcReceiver<T> {
             Lane::<T>::release_claim(&lane.pop_claim);
             if let Some(v) = got {
                 ChanCounters::bump(&shared.stats.recvs);
-                self.shared.hub.wake_not_full();
                 return Ok(v);
             }
         }
@@ -380,9 +242,8 @@ impl<T: Send> MpmcReceiver<T> {
         Err(TryRecvError::Empty)
     }
 
-    /// Pop one item, waiting per the channel's [`WaitPolicy`] while all
-    /// lanes are empty. Fails only when the channel is drained *and*
-    /// every sender is gone.
+    /// Pop one item, yielding while all lanes are empty. Fails only
+    /// when the channel is drained *and* every sender is gone.
     pub fn recv(&self) -> Result<T, RecvError> {
         loop {
             match self.try_recv() {
@@ -391,8 +252,8 @@ impl<T: Send> MpmcReceiver<T> {
                 Err(TryRecvError::Empty) => {
                     ChanCounters::bump(&self.shared.stats.empty_stalls);
                     let shared = &*self.shared;
-                    let ns = shared.hub.stall_until_not_empty(|| {
-                        shared.lanes.iter().any(Lane::has_item_sc)
+                    let ns = stall_until(|| {
+                        shared.lanes.iter().any(|l| l.ring.has_item_sc())
                             || shared
                                 .lanes
                                 .iter()
@@ -424,18 +285,13 @@ impl<T> Drop for MpmcSender<T> {
         self.shared.lanes[self.lane]
             .tx_alive
             .store(false, Ordering::SeqCst);
-        // Park-policy receivers must observe the close (their wait
-        // condition reads `tx_alive` SeqCst).
-        self.shared.hub.wake_not_empty();
     }
 }
 
 impl<T> Drop for MpmcReceiver<T> {
     fn drop(&mut self) {
-        if self.shared.rx_count.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Last receiver gone: blocked senders must observe Closed.
-            self.shared.hub.wake_not_full();
-        }
+        // the last one out closes the channel for senders
+        self.shared.rx_count.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -479,21 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_send_never_reports_full() {
-        let (txs, rx) = mpmc_unbounded::<usize>(1, WaitPolicy::Yield);
-        let tx = &txs[0];
-        // far beyond the internal lane ring capacity
-        for i in 0..(MAILBOX_LANE_CAP * 4) {
-            tx.send(i).unwrap();
-        }
-        for i in 0..(MAILBOX_LANE_CAP * 4) {
-            assert_eq!(rx.recv().unwrap(), i, "mailbox FIFO across the spill");
-        }
-        drop(txs);
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
     fn closed_only_after_drain() {
         let (txs, rx) = mpmc::<u8>(2, 4, WaitPolicy::Yield);
         txs[0].send(7).unwrap();
@@ -504,7 +345,7 @@ mod tests {
 
     #[test]
     fn send_fails_once_all_receivers_drop() {
-        let (txs, rx) = mpmc::<u8>(1, 4, WaitPolicy::Park);
+        let (txs, rx) = mpmc::<u8>(1, 4, WaitPolicy::Yield);
         let rx2 = rx.clone();
         drop(rx);
         drop(rx2);

@@ -168,20 +168,18 @@ impl<T> RingCore<T> {
         Some(value)
     }
 
-    /// Whether a `push` would currently succeed, read with `SeqCst`.
-    ///
-    /// Park-policy wait conditions must read the state they wait on
-    /// with `SeqCst` (the `ezp_core::park::ParkLot` contract); the
-    /// waking side pairs this with a `SeqCst` fence after its Release
-    /// publish.
+    /// Whether a `push` would currently succeed — what a stalled
+    /// sender polls between yields. Callable from either role, so it
+    /// reads both cursors `SeqCst` rather than lean on an own-cursor
+    /// argument.
     pub(crate) fn has_room_sc(&self) -> bool {
         let tail = self.tail.0.load(Ordering::SeqCst);
         let head = self.head.0.load(Ordering::SeqCst);
         tail.wrapping_sub(head) < self.cap
     }
 
-    /// Whether a `pop` would currently find an item, read with `SeqCst`
-    /// (see [`RingCore::has_room_sc`] for why).
+    /// Whether a `pop` would currently find an item — what a stalled
+    /// receiver polls (see [`RingCore::has_room_sc`]).
     pub(crate) fn has_item_sc(&self) -> bool {
         let tail = self.tail.0.load(Ordering::SeqCst);
         let head = self.head.0.load(Ordering::SeqCst);

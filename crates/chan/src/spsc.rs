@@ -1,6 +1,6 @@
 //! SPSC channel endpoints: the thinnest possible wrapper over
-//! [`RingCore`](crate::ring), adding lifecycle (close-on-drop), wait
-//! policies and stats.
+//! [`RingCore`](crate::ring), adding lifecycle (close-on-drop), blocking
+//! `send`/`recv` and stats.
 //!
 //! The single-producer / single-consumer role contract is enforced by
 //! the type system: neither endpoint is `Clone`, and every operation
@@ -12,30 +12,28 @@
 use crate::errors::{RecvError, SendError, TryRecvError, TrySendError};
 use crate::ring::RingCore;
 use crate::stats::{ChanCounters, ChanStats};
-use crate::wait::WaitHub;
+use crate::wait::stall_until;
 use ezp_core::WaitPolicy;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 pub(crate) struct SpscShared<T> {
     pub(crate) ring: RingCore<T>,
-    /// False once the sender endpoint is dropped. Stored/loaded SeqCst:
-    /// both flags participate in Park-policy wait conditions, which the
-    /// `ParkLot` contract requires to be SC-visible.
+    /// False once the sender endpoint is dropped. SeqCst: the
+    /// receiver's load of it makes the sender's final push visible to
+    /// the re-poll in `try_recv`.
     pub(crate) tx_alive: AtomicBool,
-    /// False once the receiver endpoint is dropped (SeqCst, as above).
+    /// False once the receiver endpoint is dropped.
     pub(crate) rx_alive: AtomicBool,
-    pub(crate) hub: WaitHub,
     pub(crate) stats: ChanCounters,
 }
 
 impl<T> SpscShared<T> {
-    fn new(cap: usize, policy: WaitPolicy, start_index: usize) -> Arc<Self> {
+    fn new(cap: usize, start_index: usize) -> Arc<Self> {
         Arc::new(SpscShared {
             ring: RingCore::with_start_index(cap, start_index),
             tx_alive: AtomicBool::new(true),
             rx_alive: AtomicBool::new(true),
-            hub: WaitHub::new(policy),
             stats: ChanCounters::default(),
         })
     }
@@ -54,7 +52,8 @@ pub struct SpscReceiver<T> {
     shared: Arc<SpscShared<T>>,
 }
 
-/// A bounded SPSC channel holding at most `cap` in-flight items.
+/// A bounded SPSC channel holding at most `cap` in-flight items. The
+/// policy argument has one value left and steers nothing.
 pub fn spsc<T: Send>(cap: usize, policy: WaitPolicy) -> (SpscSender<T>, SpscReceiver<T>) {
     spsc_from_index(cap, policy, 0)
 }
@@ -64,10 +63,10 @@ pub fn spsc<T: Send>(cap: usize, policy: WaitPolicy) -> (SpscSender<T>, SpscRece
 /// `RingCore::with_start_index`).
 pub fn spsc_from_index<T: Send>(
     cap: usize,
-    policy: WaitPolicy,
+    _policy: WaitPolicy,
     start: usize,
 ) -> (SpscSender<T>, SpscReceiver<T>) {
-    let shared = SpscShared::new(cap, policy, start);
+    let shared = SpscShared::new(cap, start);
     (
         SpscSender {
             shared: Arc::clone(&shared),
@@ -87,15 +86,14 @@ impl<T: Send> SpscSender<T> {
         match unsafe { self.shared.ring.push(value) } {
             Ok(()) => {
                 ChanCounters::bump(&self.shared.stats.sends);
-                self.shared.hub.wake_not_empty();
                 Ok(())
             }
             Err(value) => Err(TrySendError::Full(value)),
         }
     }
 
-    /// Push one item, waiting per the channel's [`WaitPolicy`] while
-    /// the ring is full. Fails only if the receiver is gone.
+    /// Push one item, yielding while the ring is full. Fails only if
+    /// the receiver is gone.
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
         let mut value = value;
         loop {
@@ -106,7 +104,7 @@ impl<T: Send> SpscSender<T> {
                     value = v;
                     ChanCounters::bump(&self.shared.stats.full_stalls);
                     let shared = &*self.shared;
-                    let ns = shared.hub.stall_until_not_full(|| {
+                    let ns = stall_until(|| {
                         !shared.rx_alive.load(Ordering::SeqCst) || shared.ring.has_room_sc()
                     });
                     shared.stats.add_stall_ns(ns);
@@ -128,7 +126,6 @@ impl<T: Send> SpscReceiver<T> {
         // the unique consumer, as `RingCore::pop` requires.
         if let Some(v) = unsafe { self.shared.ring.pop() } {
             ChanCounters::bump(&self.shared.stats.recvs);
-            self.shared.hub.wake_not_full();
             return Ok(v);
         }
         if !self.shared.tx_alive.load(Ordering::SeqCst) {
@@ -145,9 +142,8 @@ impl<T: Send> SpscReceiver<T> {
         Err(TryRecvError::Empty)
     }
 
-    /// Pop one item, waiting per the channel's [`WaitPolicy`] while the
-    /// ring is empty. Fails only when the channel is empty *and* the
-    /// sender is gone.
+    /// Pop one item, yielding while the ring is empty. Fails only when
+    /// the channel is empty *and* the sender is gone.
     pub fn recv(&mut self) -> Result<T, RecvError> {
         loop {
             match self.try_recv() {
@@ -156,7 +152,7 @@ impl<T: Send> SpscReceiver<T> {
                 Err(TryRecvError::Empty) => {
                     ChanCounters::bump(&self.shared.stats.empty_stalls);
                     let shared = &*self.shared;
-                    let ns = shared.hub.stall_until_not_empty(|| {
+                    let ns = stall_until(|| {
                         !shared.tx_alive.load(Ordering::SeqCst) || shared.ring.has_item_sc()
                     });
                     shared.stats.add_stall_ns(ns);
@@ -174,16 +170,12 @@ impl<T: Send> SpscReceiver<T> {
 impl<T> Drop for SpscSender<T> {
     fn drop(&mut self) {
         self.shared.tx_alive.store(false, Ordering::SeqCst);
-        // Park-policy receivers waiting on "not empty" must observe the
-        // close; their ready condition reads `tx_alive` SeqCst.
-        self.shared.hub.wake_not_empty();
     }
 }
 
 impl<T> Drop for SpscReceiver<T> {
     fn drop(&mut self) {
         self.shared.rx_alive.store(false, Ordering::SeqCst);
-        self.shared.hub.wake_not_full();
     }
 }
 

@@ -1,20 +1,20 @@
 //! Adversarial real-thread battery for `ezp-chan` (satellite of the
-//! channel tentpole): shutdown races against parked endpoints, the
-//! full-ring producer park/wake path, and index-wraparound (ABA)
-//! pinning at capacity 1 and near-`u32::MAX` cursor values.
+//! channel tentpole): shutdown races against waiting endpoints and
+//! index-wraparound (ABA) pinning at capacity 1 and near-`u32::MAX`
+//! cursor values.
 
 use ezp_chan::{mpmc, spsc, spsc_from_index, RecvError};
 use ezp_core::WaitPolicy;
 
-/// 2 producers / 2 consumers hammering a small parked channel, with the
-/// producers shutting down while consumers may be parked on "empty":
+/// 2 producers / 2 consumers hammering a small channel, with the
+/// producers shutting down while consumers may be waiting on "empty":
 /// every item must be delivered exactly once and both consumers must
-/// observe Closed (no lost wakeup, no hang).
+/// observe Closed (no hang).
 #[test]
-fn hammer_2p2c_with_shutdown_during_park() {
+fn hammer_2p2c_with_shutdown_during_wait() {
     const PER_PRODUCER: usize = 2_000;
     for round in 0..4 {
-        let (txs, rx) = mpmc::<(usize, usize)>(2, 4, WaitPolicy::Park);
+        let (txs, rx) = mpmc::<(usize, usize)>(2, 4, WaitPolicy::Yield);
         let rx2 = rx.clone();
         let consume = |rx: ezp_chan::MpmcReceiver<(usize, usize)>| {
             move || {
@@ -34,7 +34,7 @@ fn hammer_2p2c_with_shutdown_during_park() {
                         tx.send((p, i)).unwrap();
                     }
                     // tx dropped here: the shutdown edge races the
-                    // consumers' park on "empty"
+                    // consumers' wait on "empty"
                 });
             }
             (c1.join().unwrap(), c2.join().unwrap())
@@ -64,51 +64,28 @@ fn hammer_2p2c_with_shutdown_during_park() {
     }
 }
 
-/// Producers parked on a full ring must be woken by the consumer's
-/// head-advance (the `wake_not_full` edge). A tiny ring and a slow
-/// consumer force the park path on nearly every send.
+/// A receiver waiting on an empty ring must return when the *sender*
+/// drops (shutdown during the wait) — the SPSC variant of the hammer
+/// above.
 #[test]
-fn full_ring_producer_parks_and_wakes() {
-    const ITEMS: usize = 5_000;
-    let (mut tx, mut rx) = spsc::<usize>(1, WaitPolicy::Park);
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            for i in 0..ITEMS {
-                tx.send(i).unwrap();
-            }
-        });
-        for i in 0..ITEMS {
-            if i % 64 == 0 {
-                // let the producer hit the full ring and actually park
-                std::thread::yield_now();
-            }
-            assert_eq!(rx.recv().unwrap(), i);
-        }
-        assert_eq!(rx.recv(), Err(RecvError));
-    });
-}
-
-/// Receivers parked on an empty ring must be woken when the *sender*
-/// drops (shutdown during park) — the SPSC variant of the hammer above.
-#[test]
-fn spsc_receiver_parked_on_empty_wakes_on_sender_drop() {
+fn spsc_receiver_waiting_on_empty_sees_sender_drop() {
     for _ in 0..50 {
-        let (tx, mut rx) = spsc::<usize>(4, WaitPolicy::Park);
+        let (tx, mut rx) = spsc::<usize>(4, WaitPolicy::Yield);
         std::thread::scope(|s| {
             let h = s.spawn(move || rx.recv());
-            // drop the sender while the receiver is spinning or parked
+            // drop the sender while the receiver is polling
             drop(tx);
             assert_eq!(h.join().unwrap(), Err(RecvError));
         });
     }
 }
 
-/// Senders parked on a full channel must be woken when the *receiver*
-/// drops: send returns the undeliverable item instead of hanging.
+/// A sender waiting on a full channel must return when the *receiver*
+/// drops: send hands back the undeliverable item instead of hanging.
 #[test]
-fn sender_parked_on_full_wakes_on_receiver_drop() {
+fn sender_waiting_on_full_sees_receiver_drop() {
     for _ in 0..50 {
-        let (mut tx, rx) = spsc::<usize>(1, WaitPolicy::Park);
+        let (mut tx, rx) = spsc::<usize>(1, WaitPolicy::Yield);
         tx.send(0).unwrap();
         std::thread::scope(|s| {
             let h = s.spawn(move || tx.send(1));
@@ -120,23 +97,20 @@ fn sender_parked_on_full_wakes_on_receiver_drop() {
 }
 
 /// Capacity-1 wraparound: the cursor parity/index mapping must hold
-/// across thousands of wraps of a single-slot ring, under every wait
-/// policy.
+/// across thousands of wraps of a single-slot ring.
 #[test]
 fn wraparound_at_capacity_one() {
-    for policy in [WaitPolicy::Yield, WaitPolicy::Park] {
-        let (mut tx, mut rx) = spsc::<usize>(1, policy);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..10_000 {
-                    tx.send(i).unwrap();
-                }
-            });
+    let (mut tx, mut rx) = spsc::<usize>(1, WaitPolicy::Yield);
+    std::thread::scope(|s| {
+        s.spawn(move || {
             for i in 0..10_000 {
-                assert_eq!(rx.recv().unwrap(), i, "{policy:?}: item {i}");
+                tx.send(i).unwrap();
             }
         });
-    }
+        for i in 0..10_000 {
+            assert_eq!(rx.recv().unwrap(), i, "item {i}");
+        }
+    });
 }
 
 /// Index wraparound near `u32::MAX`: on 32-bit-cursor designs this is
@@ -181,11 +155,10 @@ fn wraparound_across_usize_overflow() {
     });
 }
 
-/// Stall accounting under Park: a forced full-ring episode and a forced
-/// empty-ring episode both land in the stats.
+/// Stall accounting: a forced full-ring episode lands in the stats.
 #[test]
-fn park_stalls_are_counted() {
-    let (mut tx, mut rx) = spsc::<usize>(1, WaitPolicy::Park);
+fn stalls_are_counted() {
+    let (mut tx, mut rx) = spsc::<usize>(1, WaitPolicy::Yield);
     std::thread::scope(|s| {
         s.spawn(move || {
             tx.send(0).unwrap();

@@ -46,7 +46,7 @@ fn explore(
     items: u64,
     strategy: &mut dyn Interleave,
 ) -> Run {
-    let (txs, rx) = mpmc::<(usize, u64)>(producers, cap, WaitPolicy::Park);
+    let (txs, rx) = mpmc::<(usize, u64)>(producers, cap, WaitPolicy::Yield);
     // a producer that has nothing to send drops its endpoint up front
     let mut txs: Vec<_> = txs.into_iter().map(|tx| (items > 0).then_some(tx)).collect();
     let mut rxs: Vec<_> = (0..consumers).map(|_| Some(rx.clone())).collect();

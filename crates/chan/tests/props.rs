@@ -117,37 +117,25 @@ ezp_proptest! {
 
     /// Dropping a channel mid-stream releases every item exactly once:
     /// items popped out are dropped by the caller, items still in
-    /// flight (ring slots and mailbox overflow) by the channel's Drop.
+    /// flight in ring slots by the channel's Drop.
     fn prop_drop_mid_stream_releases_all_items_exactly_once(
         pushes in 0usize..40,
         pops in 0usize..40,
-        unbounded in 0u8..2,
     ) {
         let drops = Arc::new(AtomicUsize::new(0));
         let mut delivered = 0usize;
         {
-            if unbounded == 0 {
-                let (mut tx, mut rx) = spsc::<Tracked>(8, WaitPolicy::Yield);
-                let mut accepted = 0usize;
-                for i in 0..pushes {
-                    if tx.try_send(Tracked(Arc::clone(&drops), i)).is_ok() {
-                        accepted += 1;
-                    }
+            let (mut tx, mut rx) = spsc::<Tracked>(8, WaitPolicy::Yield);
+            let mut accepted = 0usize;
+            for i in 0..pushes {
+                if tx.try_send(Tracked(Arc::clone(&drops), i)).is_ok() {
+                    accepted += 1;
                 }
-                for _ in 0..pops.min(accepted) {
-                    let got = rx.try_recv().expect("accepted items are there");
-                    delivered += 1;
-                    assert_eq!(got.1, delivered - 1, "FIFO of tracked items");
-                }
-            } else {
-                let (txs, rx) = ezp_chan::mpmc_unbounded::<Tracked>(1, WaitPolicy::Yield);
-                for i in 0..pushes {
-                    txs[0].send(Tracked(Arc::clone(&drops), i)).unwrap();
-                }
-                for _ in 0..pops.min(pushes) {
-                    rx.recv().expect("sent items are there");
-                    delivered += 1;
-                }
+            }
+            for _ in 0..pops.min(accepted) {
+                let got = rx.try_recv().expect("accepted items are there");
+                delivered += 1;
+                assert_eq!(got.1, delivered - 1, "FIFO of tracked items");
             }
             // endpoints (and any in-flight items) dropped here
         }

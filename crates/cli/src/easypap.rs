@@ -1,10 +1,10 @@
 //! The `easypap` command: run a kernel variant under the framework.
 
 use ezp_core::ezp_debug;
-use ezp_core::kernel::{MultiProbe, NullProbe, Probe};
-use ezp_core::params::{DisplayMode, StatsFormat};
-use ezp_core::perf::run_kernel_boxed;
-use ezp_core::{Result, RunConfig};
+use ezp_core::kernel::{EdgeKind, MultiProbe, NullProbe, Probe, RuntimeEvent};
+use ezp_core::params::{reject_flags, DisplayMode, StatsFormat};
+use ezp_core::perf::{run_kernel_boxed, RunOutcome};
+use ezp_core::{Result, RunConfig, WorkerId};
 use ezp_kernels::life::Life;
 use ezp_kernels::registry;
 use ezp_monitor::{activity, Monitor, MonitorReport, UnifiedReport};
@@ -13,6 +13,7 @@ use ezp_trace::{Trace, TraceMeta};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Default CSV file of the performance mode.
@@ -59,6 +60,18 @@ where
     // Fig. 13 special case: MPI debugging shows every rank's windows;
     // the per-rank reports live on the concrete Life kernel.
     if cfg.kernel == "life" && cfg.variant == "mpi_omp" && cfg.debug_mpi {
+        // the ranks' reports are all this mode collects
+        reject_flags(
+            "--debug M",
+            &[
+                ("--stats", cfg.stats.is_some()),
+                ("--trace", cfg.trace),
+                ("--trace-events", cfg.trace_events.is_some()),
+                ("--explain", cfg.explain),
+                ("--frames", cfg.frames_dir.is_some()),
+                ("--ansi", cfg.ansi),
+            ],
+        )?;
         return run_life_mpi_debug(cfg);
     }
 
@@ -110,14 +123,17 @@ where
 
     // `--frames DIR` replaces the animated window: run iteration by
     // iteration and dump each frame
-    if let Some(frames_dir) = cfg.frames_dir.clone() {
-        return run_with_frames(&reg, cfg, probe, monitor.as_deref(), perf.as_ref(), &frames_dir);
-    }
-
-    let (outcome, ctx, kernel) = run_kernel_boxed(&reg, cfg.clone(), probe)?;
+    let (outcome, ctx, kernel) = match &cfg.frames_dir {
+        Some(dir) => run_with_frames(&reg, cfg.clone(), probe, dir)?,
+        None => run_kernel_boxed(&reg, cfg.clone(), probe)?,
+    };
     writeln!(out, "{}", outcome.summary()).unwrap();
 
-    if cfg.display == DisplayMode::None {
+    if let Some(dir) = &cfg.frames_dir {
+        // the initial state, then one frame per completed iteration
+        let frames = outcome.completed_iterations + 1;
+        writeln!(out, "{frames} frames written to {dir}/").unwrap();
+    } else if cfg.display == DisplayMode::None {
         outcome.append_csv(PERF_CSV, 0)?;
         writeln!(out, "result appended to {PERF_CSV}").unwrap();
     } else {
@@ -195,11 +211,7 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
     let mut out = String::new();
     let mut pool = ezp_sched::acquire_pool(cfg.threads);
     let farm_width = if cfg.farm_width == 0 { cfg.threads } else { cfg.farm_width };
-    let perf = if cfg.stats.is_some() || cfg.trace_events.is_some() {
-        Some(Arc::new(PerfProbe::new(cfg.threads)))
-    } else {
-        None
-    };
+    let perf = cfg.stats.map(|_| Arc::new(PerfProbe::new(cfg.threads)));
     ezp_debug!(
         "easypap",
         "stream mode: {} frames, farm width {farm_width}, {} emission",
@@ -253,8 +265,8 @@ fn lend_as_trace(
 
 /// The `--trace-events` file and the `--stats` report, appended after
 /// everything else so scripted consumers can split the report off the
-/// human-readable lines above. Shared by the plain, `--frames` and
-/// `--stream` runs; `extra_counters` carries kernel-provided counters
+/// human-readable lines above. Shared by the one-shot (with or without
+/// `--frames`) and `--stream` runs; `extra_counters` carries kernel-provided counters
 /// (per-worker values) into the `--stats` snapshot.
 fn observability_tail(
     out: &mut String,
@@ -304,6 +316,50 @@ fn observability_tail(
     Ok(())
 }
 
+/// What `run_with_frames` puts in front of the run's probes: each of
+/// its `compute(.., 1)` calls announces "iteration 1", and a monitor or
+/// trace needs the run's numbering, so iteration ids are shifted by the
+/// iterations already `done`. Everything else is forwarded untouched.
+struct FrameNumbering {
+    inner: Arc<dyn Probe>,
+    /// counter-only: the count is the entire payload. The driver stores
+    /// it between two `compute` calls and the next call reads it.
+    done: AtomicU32,
+}
+
+impl Probe for FrameNumbering {
+    fn iteration_start(&self, iteration: u32) {
+        self.inner.iteration_start(self.done.load(Ordering::Relaxed) + iteration);
+    }
+    fn iteration_end(&self, iteration: u32) {
+        self.inner.iteration_end(self.done.load(Ordering::Relaxed) + iteration);
+    }
+    fn start_tile(&self, worker: WorkerId) {
+        self.inner.start_tile(worker);
+    }
+    fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
+        self.inner.end_tile(x, y, w, h, worker);
+    }
+    fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
+        self.inner.start_tile_at(worker, now_ns);
+    }
+    fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, now_ns: u64) {
+        self.inner.end_tile_at(x, y, w, h, worker, now_ns);
+    }
+    fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
+        self.inner.runtime_event(worker, event);
+    }
+    fn wants_runtime_events(&self) -> bool {
+        self.inner.wants_runtime_events()
+    }
+    fn dep_edge(&self, from: usize, to: usize, kind: EdgeKind) {
+        self.inner.dep_edge(from, to, kind);
+    }
+    fn wants_dep_edges(&self) -> bool {
+        self.inner.wants_dep_edges()
+    }
+}
+
 /// `--frames DIR`: the animated-window replacement. The kernel runs one
 /// iteration at a time, refreshing and dumping a frame after each, so
 /// the directory ends up holding the same "series of images computed at
@@ -315,44 +371,37 @@ fn run_with_frames(
     reg: &ezp_core::Registry,
     cfg: RunConfig,
     probe: Arc<dyn Probe>,
-    monitor: Option<&Monitor>,
-    perf: Option<&Arc<PerfProbe>>,
     frames_dir: &str,
-) -> Result<String> {
-    use ezp_core::KernelCtx;
+) -> Result<(RunOutcome, ezp_core::KernelCtx, Box<dyn ezp_core::Kernel>)> {
     use ezp_render::anim::{FrameFormat, FrameSink};
-    let mut out = String::new();
     let mut kernel = reg.create_variant(&cfg.kernel, &cfg.variant)?;
-    let variant = cfg.variant.clone();
-    let iterations = cfg.iterations;
-    let mut ctx = KernelCtx::new(cfg.clone())?.with_probe(probe);
+    let numbering = Arc::new(FrameNumbering { inner: probe, done: AtomicU32::new(0) });
+    let mut ctx = ezp_core::KernelCtx::new(cfg.clone())?.with_probe(numbering.clone());
     kernel.init(&mut ctx)?;
     let mut sink = FrameSink::new(frames_dir, FrameFormat::Ppm, 1)?;
     kernel.refresh_image(&mut ctx)?;
     sink.present(ctx.images.cur())?; // initial state
     let sw = ezp_core::time::Stopwatch::start();
     let mux = ezp_sched::PoolMux::new(1, cfg.threads);
-    let completed = mux.lease().install(cfg.threads, || -> Result<u32> {
-        for it in 1..=iterations {
-            let converged = kernel.compute(&mut ctx, &variant, 1)?;
+    let converged_at = mux.lease().install(cfg.threads, || -> Result<Option<u32>> {
+        for it in 1..=cfg.iterations {
+            let converged = kernel.compute(&mut ctx, &cfg.variant, 1)?;
             kernel.refresh_image(&mut ctx)?;
             sink.present(ctx.images.cur())?;
+            numbering.done.store(it, Ordering::Relaxed);
             if converged.is_some() {
-                return Ok(it);
+                return Ok(Some(it));
             }
         }
-        Ok(iterations)
+        Ok(None)
     })?;
-    writeln!(out, "{completed} iterations completed in {} ms", sw.elapsed_ms()).unwrap();
-    writeln!(
-        out,
-        "{} frames written to {frames_dir}/",
-        sink.frames().len()
-    )
-    .unwrap();
-    let report = monitor.map(|m| m.report());
-    observability_tail(&mut out, &cfg, report, perf, kernel.stats_counters())?;
-    Ok(out)
+    let outcome = RunOutcome {
+        elapsed_ns: sw.elapsed_ns(),
+        completed_iterations: converged_at.unwrap_or(cfg.iterations),
+        converged_at,
+        cfg,
+    };
+    Ok((outcome, ctx, kernel))
 }
 
 /// `easypap --kernel life --variant mpi_omp --mpirun "-np N" --debug M`:
@@ -722,10 +771,80 @@ mod tests {
                 "--iterations", "3", "--threads", "2", "--frames", "anim",
             ])
             .unwrap();
-            let out = run_with_frames(&reg, cfg, Arc::new(NullProbe), None, None, "anim").unwrap();
-            assert!(out.contains("3 iterations completed"), "{out}");
+            let (outcome, ..) = run_with_frames(&reg, cfg, Arc::new(NullProbe), "anim").unwrap();
+            assert_eq!(outcome.completed_iterations, 3);
         });
         assert_eq!(*SHARED.lock().unwrap(), [true; 3], "an iteration spawned its own pool");
+    }
+
+    #[test]
+    fn frames_mode_honours_every_observability_flag() {
+        in_tmp_dir(|| {
+            let out = run_easypap([
+                "--kernel", "mandel", "--variant", "omp_tiled", "--size", "64", "--tile-size",
+                "16", "--iterations", "2", "--threads", "2", "--frames", "anim", "--trace",
+                "--explain", "--monitoring", "--ansi", "--stats=json",
+            ])
+            .unwrap();
+            assert!(out.contains("3 frames written to anim/"), "{out}");
+            assert!(out.contains("Activity Monitor"), "{out}");
+            assert!(out.contains("Tiling window (iteration 2)"), "{out}");
+            assert!(out.contains("Explain (causal profile)"), "{out}");
+            assert!(out.contains("\u{2580}"), "no --ansi preview");
+            assert!(out.contains("\"tasks_executed\""), "no --stats report");
+            // one compute per frame, yet the trace keeps the run's numbering
+            let trace = ezp_trace::io::load("trace.ezv").unwrap();
+            assert_eq!(trace.iteration_count(), 2);
+            assert_eq!(trace.tasks.len(), 2 * 16);
+            assert!(trace.tasks.iter().any(|t| t.iteration == 2));
+        });
+    }
+
+    /// A mode that cannot honour a flag says so (naming both) instead
+    /// of running without it.
+    #[test]
+    fn stream_and_mpi_debug_modes_reject_the_flags_they_would_drop() {
+        let cases: [(&[&str], &str, &[&[&str]]); 2] = [
+            (
+                &["--kernel", "mandel_zoom", "--stream=4", "--size", "16"],
+                "--stream=N",
+                &[
+                    &["--monitoring"],
+                    &["--trace"],
+                    &["--trace-events", "te.json"],
+                    &["--explain"],
+                    &["--frames", "f"],
+                    &["--ansi"],
+                ],
+            ),
+            (
+                &[
+                    "--kernel", "life", "--variant", "mpi_omp", "--size", "64", "--tile-size",
+                    "16", "--mpirun", "-np 2", "--debug", "M",
+                ],
+                "--debug M",
+                &[
+                    &["--stats=json"],
+                    &["--trace"],
+                    &["--trace-events", "te.json"],
+                    &["--explain"],
+                    &["--frames", "f"],
+                    &["--ansi"],
+                ],
+            ),
+        ];
+        in_tmp_dir(|| {
+            for (base, mode, dropped) in cases {
+                for extra in dropped {
+                    let args: Vec<&str> = base.iter().chain(extra.iter()).copied().collect();
+                    let err = run_easypap(args).expect_err(extra[0]).to_string();
+                    let flag = extra[0].split('=').next().unwrap();
+                    assert!(err.contains("configuration error"), "{err}");
+                    assert!(err.contains(flag) && err.contains(mode), "{mode} + {flag}: {err}");
+                }
+            }
+            assert_eq!(std::fs::read_dir(".").unwrap().count(), 0, "a rejected run left files");
+        });
     }
 
     #[test]

@@ -175,20 +175,17 @@ impl std::fmt::Display for EmitMode {
 /// What a channel endpoint does when it cannot make progress (ring
 /// full on send, ring empty on receive).
 ///
-/// Half of [`ChanTuning`], `ezp-chan`'s constructor vocabulary: `Yield`
-/// releases the CPU every iteration, `Park` spins briefly then blocks
-/// on a `ParkLot`-style condvar (lowest CPU waste, a wakeup syscall on
-/// the state change). Who actually waits is in `docs/channels.md`.
+/// Half of [`ChanTuning`], `ezp-chan`'s constructor vocabulary. One
+/// variant is left: no production thread waits on an `ezp-chan`
+/// channel (`docs/channels.md`), and `benchmark/` names only `Yield`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WaitPolicy {
     /// `yield_now` between every recheck.
-    Yield,
-    /// Spin briefly, then park on a condvar until notified.
     #[default]
-    Park,
+    Yield,
 }
 
-/// Which substrate an `ezp_chan::bounded` channel is built on:
+/// Which substrate `ezp-chan`'s `bounded` channel is built on:
 /// `ezp-chan`'s lock-free ring, or `std::sync::mpsc` kept as the
 /// measured baseline (`chan.mpmc2_ns_msg` vs `chan.mpsc_backend_ns_msg`
 /// in `benchmark/`). Not a run-time flag — see `docs/knobs.md`.
@@ -201,7 +198,7 @@ pub enum ChanBackendKind {
     Mpsc,
 }
 
-/// The two choices `ezp_chan::bounded` takes, bundled so its callers
+/// The two choices `ezp-chan`'s `bounded` takes, bundled so its callers
 /// pass one argument instead of two loose enums.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChanTuning {
@@ -464,6 +461,21 @@ impl RunConfig {
                 "--farm-width/--stream-mode require --stream=N".into(),
             ));
         }
+        if self.stream_frames.is_some() {
+            // a streamed run has no tile grid to monitor or trace and
+            // no final image to show
+            reject_flags(
+                "--stream=N",
+                &[
+                    ("--monitoring", self.display == DisplayMode::Monitoring),
+                    ("--trace", self.trace),
+                    ("--trace-events", self.trace_events.is_some()),
+                    ("--explain", self.explain),
+                    ("--frames", self.frames_dir.is_some()),
+                    ("--ansi", self.ansi),
+                ],
+            )?;
+        }
         Ok(())
     }
 
@@ -476,6 +488,18 @@ impl RunConfig {
     /// The tile grid implied by `--size` and `--tile-size`.
     pub fn grid(&self) -> Result<crate::TileGrid> {
         crate::TileGrid::square(self.dim, self.tile_size)
+    }
+}
+
+/// For a run mode that cannot honour some flags: a configuration error
+/// naming `mode` and the first flag of `flags` that is set, instead of
+/// a run that silently drops it.
+pub fn reject_flags(mode: &str, flags: &[(&str, bool)]) -> Result<()> {
+    match flags.iter().find(|(_, set)| *set) {
+        Some((flag, _)) => Err(Error::Config(format!(
+            "{flag} cannot be combined with {mode}: that mode has nothing to feed it"
+        ))),
+        None => Ok(()),
     }
 }
 

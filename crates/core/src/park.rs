@@ -51,9 +51,9 @@ pub struct WaitStats {
 
 /// A condvar-backed parking spot with a spin phase in front.
 ///
-/// Public beyond the scheduler: `ezp-chan`'s `WaitPolicy::Park` reuses
-/// this exact recipe for full-ring producer and empty-ring consumer
-/// waits, so the workspace has one audited blocking fallback, not two.
+/// Public beyond the scheduler: `ezp-serve`'s admission runners wait
+/// for the next job on this exact recipe, so the workspace has one
+/// audited blocking fallback, not two.
 #[derive(Debug, Default)]
 pub struct ParkLot {
     sleepers: AtomicUsize,

@@ -9,16 +9,16 @@
 //! |--------|--------|----------|
 //! | [`mandel`]    | III-A | `seq`, `tiled`, `omp`, `omp_tiled`, `gpu` |
 //! | [`blur`]      | III-B | `seq`, `omp_tiled` (border tests everywhere), `omp_tiled_opt` (specialized inner tiles) |
-//! | [`life`]      | III-D | `seq`, `omp_tiled`, `lazy`, `mpi_omp` — bit-packed low-memory boards |
+//! | [`life`]      | III-D | `seq`, `omp`, `omp_tiled`, `lazy`, `mpi_omp` — bit-packed low-memory boards |
 //! | [`ccomp`]     | III-C | `seq`, `taskdep` (OpenMP-style task dependencies, Fig. 11) |
 //! | [`sandpile`]  | II-A  | `seq` (synchronous), `async` (Gauss-Seidel, abelian-equal), `omp_tiled` |
 //! | [`heat`]      | III-B | `seq`, `omp_tiled` — f32 Jacobi diffusion stencil |
-//! | [`rotate`]    | II-A  | `seq`, `omp_tiled` — quarter-turn per iteration |
+//! | [`rotate90`](rotate) | II-A | `seq`, `omp_tiled` — quarter-turn per iteration |
 //! | [`scrollup`]  | II-A  | `seq`, `omp_tiled` — the first-session animated kernel |
 //! | [`transpose`] | II-A  | `seq`, `omp_tiled` |
 //! | [`invert`]    | II-A  | `seq`, `omp`, `gpu` |
 //! | [`pixelize`]  | II-A  | `seq`, `omp_tiled` |
-//! | [`spin`]      | II-A  | `seq`, `omp` — compute-bound trigonometry |
+//! | [`spin`]      | II-A  | `seq`, `omp_tiled` — compute-bound trigonometry |
 //!
 //! Variant names keep the paper's OpenMP-flavoured spelling (`omp`,
 //! `omp_tiled`...) even though the runtime is this workspace's own
@@ -69,6 +69,29 @@ pub fn registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The variant table in this crate's docs is the first thing a
+    /// reader sees; a row that drifts from `variants()` fails here.
+    #[test]
+    fn every_row_of_the_variant_table_matches_the_registry() {
+        let reg = registry();
+        let rows: Vec<Vec<&str>> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | [`"))
+            .map(|l| l.split('|').collect())
+            .collect();
+        let mut documented: Vec<&str> = Vec::new();
+        for cells in &rows {
+            let name = cells[0].split('`').next().unwrap();
+            let kernel = reg.create(name).unwrap_or_else(|e| panic!("table row `{name}`: {e}"));
+            // the variants are the backticked words of the third cell
+            let variants: Vec<&str> = cells[2].split('`').skip(1).step_by(2).collect();
+            assert_eq!(variants, kernel.variants(), "variants of `{name}`");
+            documented.push(name);
+        }
+        documented.sort_unstable();
+        assert_eq!(documented, reg.kernel_names(), "kernels without a table row");
+    }
 
     #[test]
     fn registry_contains_all_paper_kernels() {

@@ -1,20 +1,21 @@
 //! The communicator: ranks, typed point-to-point messages, `run`.
 //!
-//! Every rank owns one unbounded receive mailbox — an
-//! [`ezp_chan::mpmc_unbounded`] channel with one sender lane per peer
-//! rank, whose receiver parks while the mailbox is empty (the one place
-//! in the workspace where a thread really waits on a channel). Sending
-//! never blocks (MPI buffered mode), receiving is *selective*:
+//! Every rank owns one unbounded receive mailbox — a
+//! [`std::sync::mpsc::channel`] into which every rank holds a `Sender`
+//! clone; a rank with nothing to read blocks in `Receiver::recv`. A
+//! channel keeps each sender's messages in order, which is the per-peer
+//! FIFO selective reception relies on. Sending never blocks (MPI
+//! buffered mode), receiving is *selective*:
 //! `recv(src, tag)` pulls messages into a pending list until the
 //! matching one arrives, so out-of-order traffic between rank pairs
 //! with different tags is safe — the property the Game-of-Life variant
 //! relies on when it exchanges ghost rows and tile-state metadata
 //! separately.
 
-use ezp_chan::{mpmc_unbounded, MpmcReceiver, MpmcSender, WaitPolicy};
 use ezp_core::error::{Error, Result};
 use ezp_core::json::{FromJson, Json, ToJson};
 use std::cell::RefCell;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
 /// Message tag, like MPI's. Use distinct tags for logically distinct
@@ -98,9 +99,9 @@ impl FromJson for CommStats {
 pub struct Comm {
     rank: usize,
     size: usize,
-    /// `senders[dst]` is this rank's private lane into `dst`'s mailbox.
-    senders: Vec<MpmcSender<Message>>,
-    receiver: MpmcReceiver<Message>,
+    /// `senders[dst]` is this rank's handle on `dst`'s mailbox.
+    senders: Vec<Sender<Message>>,
+    receiver: Receiver<Message>,
     /// Received-but-not-yet-requested messages (selective reception).
     pending: RefCell<Vec<Message>>,
     barrier: Arc<Barrier>,
@@ -259,17 +260,10 @@ where
     if np == 0 {
         return Err(Error::Mpi("world size must be > 0".into()));
     }
-    // One mailbox per rank, each with one sender lane per peer; rank
-    // `src` takes lane `src` of every mailbox, so `senders[dst]` below
-    // is a private per-producer lane (per-peer FIFO holds by
-    // construction).
-    let mut lanes_by_dst = Vec::with_capacity(np);
-    let mut inboxes = Vec::with_capacity(np);
-    for _ in 0..np {
-        let (txs, rx) = mpmc_unbounded::<Message>(np, WaitPolicy::Park);
-        lanes_by_dst.push(txs.into_iter());
-        inboxes.push(rx);
-    }
+    // One mailbox per rank; every rank gets a clone of every sender.
+    // A mailbox's receiver dies with its rank, which is what turns a
+    // send to a finished rank into an error.
+    let (senders, inboxes): (Vec<_>, Vec<_>) = (0..np).map(|_| channel::<Message>()).unzip();
     let barrier = Arc::new(Barrier::new(np));
     let comms: Vec<Comm> = inboxes
         .into_iter()
@@ -277,10 +271,7 @@ where
         .map(|(rank, receiver)| Comm {
             rank,
             size: np,
-            senders: lanes_by_dst
-                .iter_mut()
-                .map(|lanes| lanes.next().expect("one sender lane per rank"))
-                .collect(),
+            senders: senders.clone(),
             receiver,
             pending: RefCell::new(Vec::new()),
             barrier: barrier.clone(),
@@ -467,6 +458,25 @@ mod tests {
             Ok(())
         });
         assert!(got.is_ok());
+    }
+
+    #[test]
+    fn send_to_a_rank_that_already_returned_is_an_error_not_a_hang() {
+        let got = run(2, |comm| {
+            if comm.rank() == 1 {
+                return Ok(String::new());
+            }
+            // rank 1's mailbox dies when its closure returns; keep
+            // sending until that shows
+            loop {
+                if let Err(e) = comm.send(1, 0, &0u32) {
+                    return Ok(e.to_string());
+                }
+                std::thread::yield_now();
+            }
+        })
+        .unwrap();
+        assert!(got[0].contains("rank 1 has terminated"), "{}", got[0]);
     }
 
     #[test]

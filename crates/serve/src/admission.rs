@@ -1,25 +1,34 @@
 //! Admission control: bounded per-tenant queues with round-robin
 //! drain.
 //!
-//! Each tenant slot owns one bounded `ezp-chan` lane, created eagerly
-//! at daemon start so admission never allocates channel state under
-//! load. Nothing ever waits on a lane: drain is `try_recv` (an empty
-//! scan parks on this module's own `ParkLot`) and submit
-//! is `try_send`: a full lane is an immediate [`Reject`] with a
+//! All queue state — one `VecDeque` per tenant slot and the `closed`
+//! flag — lives under a single mutex. Submit is lock → closed? → full?
+//! → push → unlock: a full queue is an immediate [`Reject`] with a
 //! retry-after hint — backpressure lives at the edge, not in unbounded
-//! buffering. Runner threads drain the lanes with a shared round-robin
+//! buffering. Runner threads drain the queues with a shared round-robin
 //! cursor, so a tenant flooding its own queue cannot starve the others:
 //! each scan visits every tenant once before revisiting any.
+//!
+//! What a runner waits on is not the lock but a wake sequence
+//! (`admit_seq`) behind a spin-then-park [`ParkLot`]: between two
+//! closed-loop jobs the next submit usually lands while the runner is
+//! still spinning, and that — not the queue — is what a job's latency
+//! pays for. No wakeup is lost because a runner samples the sequence
+//! *under the lock*, after its empty scan, while `submit` and `close`
+//! bump it *after* they unlock: a push (or close) that my scan missed
+//! took the lock after I released it, so its bump comes after my
+//! sample and the wait falls through. Bumping inside the lock would be
+//! just as correct but sends the woken runner straight into the
+//! submitter's critical section.
 
 use crate::metrics::ServeMetrics;
 use crate::proto::{JobSpec, Response};
-use ezp_chan::backend::{bounded, ChanReceiver, ChanSender};
-use ezp_chan::TrySendError;
 use ezp_core::park::ParkLot;
 use ezp_core::time::now_ns;
 use ezp_core::ChanTuning;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The tenant name used when a job arrives without one.
 pub const DEFAULT_TENANT: &str = "default";
@@ -98,29 +107,23 @@ pub struct Reject {
     pub retry_after_ms: u64,
 }
 
-struct Lane {
-    tx: Box<dyn ChanSender<Job>>,
-    rx: Box<dyn ChanReceiver<Job>>,
-    /// Current queue depth. counter-only telemetry: admission is
-    /// bounded by the channel itself, so a stale depth misleads no one.
-    depth: AtomicU64,
+/// Everything `submit`, `next_job` and `close` agree on.
+struct Queues {
+    /// One FIFO per tenant slot, each at most `queue_cap` deep.
+    lanes: Vec<VecDeque<Job>>,
+    /// Set once at shutdown: no push follows it, so a runner that finds
+    /// every lane empty and `closed` set has seen the last job.
+    closed: bool,
 }
 
 /// Bounded per-tenant admission queues plus the wake-up plumbing for
 /// runner threads.
 pub struct Admission {
-    lanes: Vec<Lane>,
+    queues: Mutex<Queues>,
     metrics: Arc<ServeMetrics>,
-    /// Bumped on every admit; runners park on this when every lane is
-    /// empty.
+    /// Bumped after every admit and after `close`; runners park on this
+    /// when every lane is empty (see the module docs for the ordering).
     admit_seq: AtomicU64,
-    /// Set once at shutdown; parked runners re-check it on wake.
-    closed: AtomicBool,
-    /// Serializes `submit`'s closed-check + enqueue against `close`'s
-    /// closed-store: once `close` holds this lock, no job can slip into
-    /// a lane after runners' final post-close drain, so every admitted
-    /// job reaches a terminal state.
-    gate: Mutex<()>,
     park: ParkLot,
     /// counter-only: the monotone id is the entire payload; uniqueness
     /// comes from the fetch_add's atomicity alone.
@@ -129,26 +132,16 @@ pub struct Admission {
 }
 
 impl Admission {
-    /// Builds one bounded lane per tenant slot (capacity `queue_cap`
-    /// each).
-    pub fn new(tuning: ChanTuning, metrics: Arc<ServeMetrics>, queue_cap: usize) -> Self {
+    /// Builds one queue per tenant slot (capacity `queue_cap` each).
+    /// `_tuning` is ignored: it is benchmark-only vocabulary from when
+    /// the queues were `ezp-chan` lanes, kept so `benchmark/` compiles.
+    pub fn new(_tuning: ChanTuning, metrics: Arc<ServeMetrics>, queue_cap: usize) -> Self {
         let queue_cap = queue_cap.max(1);
-        let lanes = (0..metrics.max_tenants())
-            .map(|_| {
-                let (mut txs, rx) = bounded::<Job>(tuning, 1, queue_cap);
-                Lane {
-                    tx: txs.pop().expect("one producer endpoint"),
-                    rx,
-                    depth: AtomicU64::new(0),
-                }
-            })
-            .collect();
+        let lanes = (0..metrics.max_tenants()).map(|_| VecDeque::new()).collect();
         Admission {
-            lanes,
+            queues: Mutex::new(Queues { lanes, closed: false }),
             metrics,
             admit_seq: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            gate: Mutex::new(()),
             park: ParkLot::new(),
             next_job_id: AtomicU64::new(1),
             queue_cap,
@@ -158,6 +151,18 @@ impl Admission {
     /// Per-tenant queue capacity.
     pub fn queue_cap(&self) -> usize {
         self.queue_cap
+    }
+
+    /// The critical sections only move jobs between containers, so a
+    /// poisoned lock still guards consistent queues.
+    fn queues(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Makes waiting runners rescan. Call after releasing the lock.
+    fn wake_runners(&self) {
+        self.admit_seq.fetch_add(1, Ordering::SeqCst);
+        self.park.notify();
     }
 
     /// Admits `spec` for `ticket`'s connection, or rejects it with a
@@ -199,32 +204,14 @@ impl Admission {
             ticket,
             reply,
         };
-        // the gate orders this check + enqueue against `close`: a close
-        // cannot land between them, so an Ok send always happens-before
-        // `closed` turns true (and is therefore seen by the runners'
-        // final drain)
-        let gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(Reject {
-                reason: "server is shutting down".to_string(),
-                retry_after_ms: 0,
-            });
-        }
-        // Count the job before it becomes visible: a runner may take it,
-        // and decrement the depth, before this thread runs again.
-        let lane = &self.lanes[slot];
-        let depth = lane.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        match lane.tx.try_send(job) {
-            Ok(()) => {
-                self.admit_seq.fetch_add(1, Ordering::SeqCst);
-                drop(gate);
-                self.metrics.admitted(slot, depth);
-                self.park.notify();
-                Ok((id, tenant, slot))
-            }
-            Err(TrySendError::Full(_)) => {
-                lane.depth.fetch_sub(1, Ordering::Relaxed);
-                self.metrics.rejected(slot);
+        let pushed = {
+            let mut q = self.queues();
+            if q.closed {
+                Err(Reject {
+                    reason: "server is shutting down".to_string(),
+                    retry_after_ms: 0,
+                })
+            } else if q.lanes[slot].len() >= self.queue_cap {
                 Err(Reject {
                     reason: format!(
                         "tenant `{tenant}` queue full ({} jobs)",
@@ -232,68 +219,58 @@ impl Admission {
                     ),
                     retry_after_ms: 25,
                 })
+            } else {
+                q.lanes[slot].push_back(job);
+                Ok(q.lanes[slot].len() as u64)
             }
-            Err(TrySendError::Closed(_)) => {
-                lane.depth.fetch_sub(1, Ordering::Relaxed);
+        };
+        match pushed {
+            Ok(queued) => {
+                self.wake_runners();
+                self.metrics.admitted(slot, queued);
+                Ok((id, tenant, slot))
+            }
+            Err(reject) => {
                 self.metrics.rejected(slot);
-                Err(Reject {
-                    reason: "server is shutting down".to_string(),
-                    retry_after_ms: 0,
-                })
+                Err(reject)
             }
         }
-    }
-
-    /// One round-robin scan over every lane starting after `cursor`'s
-    /// last position. Fairness: the shared cursor advances by one per
-    /// *successful* take, so consecutive takes start their scans at
-    /// consecutive tenants and a busy tenant cannot shadow later slots.
-    fn scan(&self, cursor: &AtomicUsize) -> Option<Job> {
-        let n = self.lanes.len();
-        let start = cursor.load(Ordering::Relaxed);
-        for i in 0..n {
-            let slot = (start + i) % n;
-            if let Ok(job) = self.lanes[slot].rx.try_recv() {
-                self.lanes[slot].depth.fetch_sub(1, Ordering::Relaxed);
-                cursor.store((slot + 1) % n, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
     }
 
     /// Takes the next job in round-robin tenant order, parking until
     /// one is admitted. `None` means the admission is closed *and*
-    /// drained — the runner should exit.
+    /// drained — the runner should exit. Fairness: the shared cursor
+    /// advances by one per *successful* take, so consecutive takes
+    /// start their scans at consecutive tenants and a busy tenant
+    /// cannot shadow later slots.
     pub fn next_job(&self, cursor: &AtomicUsize) -> Option<Job> {
         loop {
-            // sample the wake sequence BEFORE scanning: an admit that
-            // races the scan bumps admit_seq past `seen`, so wait_until
-            // falls through instead of parking over the queued job
-            let seen = self.admit_seq.load(Ordering::SeqCst);
-            if let Some(job) = self.scan(cursor) {
-                return Some(job);
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                // final drain AFTER observing `closed`: the gate orders
-                // every admitted enqueue before the closed-store, so
-                // this rescan sees any job that raced the close
-                return self.scan(cursor);
-            }
-            self.park.wait_until(|| {
-                self.admit_seq.load(Ordering::SeqCst) != seen
-                    || self.closed.load(Ordering::SeqCst)
-            });
+            let seen = {
+                let mut q = self.queues();
+                let n = q.lanes.len();
+                let start = cursor.load(Ordering::Relaxed);
+                for i in 0..n {
+                    let slot = (start + i) % n;
+                    if let Some(job) = q.lanes[slot].pop_front() {
+                        cursor.store((slot + 1) % n, Ordering::Relaxed);
+                        return Some(job);
+                    }
+                }
+                if q.closed {
+                    return None;
+                }
+                self.admit_seq.load(Ordering::SeqCst)
+            };
+            self.park
+                .wait_until(|| self.admit_seq.load(Ordering::SeqCst) != seen);
         }
     }
 
     /// Closes admission: future submits are rejected, parked runners
     /// wake, and `next_job` returns `None` once the lanes are drained.
     pub fn close(&self) {
-        let gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.closed.store(true, Ordering::SeqCst);
-        drop(gate);
-        self.park.notify();
+        self.queues().closed = true;
+        self.wake_runners();
     }
 }
 
@@ -385,12 +362,23 @@ mod tests {
     }
 
     #[test]
+    fn submit_after_close_is_rejected_and_counted() {
+        let a = adm(2, 4);
+        a.close();
+        let rej = a.submit(spec("x"), JobTicket::new(), Arc::new(NullSink)).unwrap_err();
+        assert!(rej.reason.contains("shutting down"), "{}", rej.reason);
+        assert_eq!(rej.retry_after_ms, 0, "permanent rejection");
+        let (admitted, rejected, ..) = a.metrics.totals();
+        assert_eq!((admitted, rejected), (0, 1));
+    }
+
+    #[test]
     fn ping_pong_submits_are_never_lost_to_a_parking_race() {
-        // regression: `seen` sampled after the empty scan let an admit
-        // land in the scan→load window, so the predicate was already
-        // "satisfied" and the runner parked over a queued job. The
-        // ping-pong maximizes park/submit interleavings; a lost wakeup
-        // hangs the spin below (the consumer never drains job k).
+        // regression: a wake sequence sampled outside the scan's
+        // critical section lets an admit land in between, so the runner
+        // parks over a queued job. The ping-pong maximizes park/submit
+        // interleavings; a lost wakeup hangs the spin below (the
+        // consumer never drains job k).
         let a = Arc::new(adm(1, 4));
         let a2 = Arc::clone(&a);
         let consumer = std::thread::spawn(move || {
@@ -404,7 +392,7 @@ mod tests {
         let t = JobTicket::new();
         for _ in 0..200 {
             a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
-            while a.lanes.iter().any(|l| l.depth.load(Ordering::Relaxed) > 0) {
+            while a.queues().lanes.iter().any(|l| !l.is_empty()) {
                 std::thread::yield_now();
             }
         }
@@ -414,11 +402,10 @@ mod tests {
 
     #[test]
     fn a_submit_racing_close_cannot_strand_an_admitted_job() {
-        // regression: `closed` was checked before try_send without any
-        // ordering against close(), so a job could be enqueued after
-        // the runners' final drain — admitted but never terminal. The
-        // gate now orders every Ok enqueue before the closed-store, so
-        // the post-close drain must account for every admitted job.
+        // regression: `closed` checked and the job enqueued without one
+        // lock ordering both against close() lets a job land after the
+        // runners' final drain — admitted but never terminal. The
+        // post-close drain must account for every admitted job.
         for _ in 0..50 {
             let a = Arc::new(adm(1, 64));
             let a2 = Arc::clone(&a);

@@ -15,8 +15,8 @@
 //!   (bad prefix, truncated body, oversized payload, non-JSON bytes)
 //!   are diagnosed without panicking and poison only the connection
 //!   that sent them.
-//! * [`admission`] — bounded per-tenant admission lanes built on
-//!   `ezp-chan`. A full lane answers *reject with retry-after*
+//! * [`admission`] — bounded per-tenant admission queues under one
+//!   mutex. A full queue answers *reject with retry-after*
 //!   (backpressure) rather than buffering without bound, and the
 //!   drain side round-robins across tenants so one noisy tenant
 //!   cannot starve the others.

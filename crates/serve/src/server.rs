@@ -117,7 +117,7 @@ impl Server {
         let metrics = Arc::new(ServeMetrics::new(cfg.max_tenants));
         let slots = cfg.slots.max(1);
         let shared = Arc::new(Shared {
-            // default lanes (ring): admission only try_sends/try_recvs them
+            // the tuning argument is benchmark-only vocabulary, ignored
             admission: Admission::new(Default::default(), Arc::clone(&metrics), cfg.queue_cap),
             metrics,
             mux: PoolMux::new(slots, cfg.workers.max(1)),

@@ -8,16 +8,15 @@
 //! and turns all of it into ranked, rule-based recommendations.
 
 use ezp_core::error::Result;
+use ezp_core::kernel::IdleCause;
 use ezp_core::{Schedule, TileGrid};
+use ezp_perf::names::idle_cause_counter;
 use ezp_simsched::{simulate_taskgraph, speedup_curve, CostMap};
 use ezp_trace::Trace;
 use std::fmt::Write as _;
 
 /// Thread counts the virtual replay sweeps.
 const REPLAY_THREADS: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
-/// The idle-cause labels, in `ezp_core::kernel::IdleCause` order.
-const CAUSE_LABELS: [&str; 5] = ["dep_stall", "steal", "barrier", "pool_park", "backpressure"];
 
 /// Median tile duration (ns) up to which the `grain-too-fine` rule
 /// looks at a trace.
@@ -60,7 +59,7 @@ pub struct Bottleneck {
 pub struct IdleBreakdown {
     /// Total `idle_ns` over all causes and workers.
     pub total_ns: u64,
-    /// Per-cause totals, in [`CAUSE_LABELS`] order.
+    /// Per-cause totals, in [`IdleCause::ALL`] order.
     pub by_cause: [u64; 5],
 }
 
@@ -75,7 +74,7 @@ impl IdleBreakdown {
         if ns == 0 {
             return None;
         }
-        Some((CAUSE_LABELS[i], ns))
+        Some((IdleCause::ALL[i].label(), ns))
     }
 }
 
@@ -172,17 +171,12 @@ impl IterDag {
     }
 }
 
-/// Builds the longest-path DP for one iteration. `preds`/`succs` carry
-/// the edge lists in topological-friendly adjacency form; tile ids are
-/// assumed acyclic (validated by construction in the executors; a cycle
-/// would only inflate spans, never panic, because the relaxation runs
-/// over a fixed id order twice).
-fn iter_dag(n: usize, dur: Vec<u64>, preds: &[Vec<usize>], succs: &[Vec<usize>]) -> IterDag {
-    // Kahn-style order over the DAG so each relaxation sees final
-    // predecessor values; edges always point to distinct tiles
-    let order = topo_order(n, preds, succs);
+/// Builds the longest-path DP for one iteration. `order` is a
+/// topological order of the `preds`/`succs` adjacency, so each
+/// relaxation sees final predecessor values.
+fn iter_dag(dur: Vec<u64>, order: &[usize], preds: &[Vec<usize>], succs: &[Vec<usize>]) -> IterDag {
     let mut head = dur.clone();
-    for &i in &order {
+    for &i in order {
         let best = preds[i].iter().map(|&p| head[p]).max().unwrap_or(0);
         head[i] = dur[i] + best;
     }
@@ -200,16 +194,15 @@ fn iter_dag(n: usize, dur: Vec<u64>, preds: &[Vec<usize>], succs: &[Vec<usize>])
     }
 }
 
-/// Topological order via Kahn's algorithm; falls back to id order for
-/// nodes stuck in a cycle (defensive — recorded graphs are acyclic).
-fn topo_order(n: usize, preds: &[Vec<usize>], succs: &[Vec<usize>]) -> Vec<usize> {
+/// Topological order via Kahn's algorithm; `None` when some node never
+/// drains, i.e. the edges close a cycle.
+fn topo_order(preds: &[Vec<usize>], succs: &[Vec<usize>]) -> Option<Vec<usize>> {
+    let n = preds.len();
     let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
     let mut queue: std::collections::VecDeque<usize> =
         (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
     while let Some(i) = queue.pop_front() {
-        seen[i] = true;
         order.push(i);
         for &s in &succs[i] {
             indeg[s] -= 1;
@@ -218,26 +211,7 @@ fn topo_order(n: usize, preds: &[Vec<usize>], succs: &[Vec<usize>]) -> Vec<usize
             }
         }
     }
-    order.extend((0..n).filter(|&i| !seen[i]));
-    order
-}
-
-/// Kahn's algorithm as a cycle check: true iff every node drains.
-fn is_acyclic(n: usize, preds: &[Vec<usize>], succs: &[Vec<usize>]) -> bool {
-    let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-    let mut queue: std::collections::VecDeque<usize> =
-        (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut drained = 0;
-    while let Some(i) = queue.pop_front() {
-        drained += 1;
-        for &s in &succs[i] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push_back(s);
-            }
-        }
-    }
-    drained == n
+    (order.len() == n).then_some(order)
 }
 
 /// Analyses `trace` into a full causal-profiling report.
@@ -262,10 +236,11 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
     // cycles. No single-DAG span/slack/replay is meaningful over the
     // union, so fall back to the edgeless analysis instead of
     // reporting a bogus critical path or deadlocking the replay.
-    if !is_acyclic(n, &preds, &succs) {
+    let order = topo_order(&preds, &succs).unwrap_or_else(|| {
         preds.iter_mut().for_each(Vec::clear);
         succs.iter_mut().for_each(Vec::clear);
-    }
+        (0..n).collect()
+    });
     let has_dag = succs.iter().any(|v| !v.is_empty());
 
     let work_ns: u64 = trace.tasks.iter().map(|t| t.duration_ns()).sum();
@@ -280,7 +255,7 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
             let idx = grid.linear_index(t.x / grid.tile_w().max(1), t.y / grid.tile_h().max(1));
             dur[idx] += t.duration_ns();
         }
-        let dag = iter_dag(n, dur, &preds, &succs);
+        let dag = iter_dag(dur, &order, &preds, &succs);
         span_ns += dag.span;
         if best.as_ref().is_none_or(|(_, b)| dag.span > b.span) {
             best = Some((s.iteration, dag));
@@ -339,18 +314,14 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
     };
 
     let idle = trace.counters.as_ref().map(|c| {
-        let mut by_cause = [0u64; 5];
-        for (i, label) in CAUSE_LABELS.iter().enumerate() {
-            by_cause[i] = c.total(&format!("idle_ns{{cause=\"{label}\"}}"));
-        }
         IdleBreakdown {
-            total_ns: c.total("idle_ns"),
-            by_cause,
+            total_ns: c.total(ezp_perf::names::IDLE_NS),
+            by_cause: IdleCause::ALL.map(|cause| c.total(idle_cause_counter(cause))),
         }
     });
 
     let percentiles = task_percentiles(trace);
-    let scaling = virtual_scaling(trace, &grid, &preds, &succs);
+    let scaling = virtual_scaling(trace, &grid, &succs);
 
     let achieved_speedup = if wall_ns == 0 {
         1.0
@@ -411,7 +382,6 @@ fn task_percentiles(trace: &Trace) -> Percentiles {
 fn virtual_scaling(
     trace: &Trace,
     grid: &TileGrid,
-    preds: &[Vec<usize>],
     succs: &[Vec<usize>],
 ) -> Vec<ScalingPoint> {
     if trace.tasks.is_empty() {
@@ -441,7 +411,6 @@ fn virtual_scaling(
             graph.add_dep(from, to);
         }
     }
-    let _ = preds; // adjacency already folded into the graph
     let costs: Vec<u64> = (0..grid.len()).map(|i| cost_map.cost(i)).collect();
     let mut points = Vec::with_capacity(REPLAY_THREADS.len());
     let mut base = None;
@@ -607,11 +576,11 @@ impl ExplainReport {
         );
         if let Some(idle) = &self.idle {
             let _ = writeln!(out, "# idle breakdown: total {}", fmt_ns(idle.total_ns));
-            for (i, label) in CAUSE_LABELS.iter().enumerate() {
-                let ns = idle.by_cause[i];
+            for (cause, ns) in IdleCause::ALL.into_iter().zip(idle.by_cause) {
                 if ns == 0 {
                     continue;
                 }
+                let label = cause.label();
                 let pct = if idle.total_ns > 0 {
                     ns * 100 / idle.total_ns
                 } else {

@@ -23,7 +23,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub use ezp_cache as cache;
-pub use ezp_chan as chan;
 pub use ezp_core as core;
 pub use ezp_exp as exp;
 pub use ezp_gpu as gpu;
@@ -41,7 +40,6 @@ pub use ezp_view as view;
 
 /// The most commonly used types, in one import.
 pub mod prelude {
-    pub use ezp_chan::{ChanReceiver, ChanSender, ChanStats};
     pub use ezp_core::kernel::{NullProbe, Probe};
     pub use ezp_core::{
         Img2D, ImagePair, Kernel, KernelCtx, Registry, Rgba, RunConfig, Schedule, Tile, TileGrid,
