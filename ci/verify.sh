@@ -3,11 +3,12 @@
 #
 # Lanes, in order: banned-dependency guard, production-graph guard,
 # ezp-lint, workspace build + tests (the ezp-chan schedule explorer
-# rerun by name), results/ regenerated and diffed, ezp-check + conformance matrix, the stats /
-# explain / streaming / retired-knob / hostile-cap / hostile-schedule /
-# serve smoke lanes, and the frozen benchmark's own tests plus one short
-# run. No lane gates speed: that is measured by benchmark/
-# (BENCHMARK.json) alone.
+# rerun by name), results/ regenerated and diffed, ezp-check +
+# conformance matrix, the stats / explain / streaming / serve smoke
+# lanes, and the frozen benchmark's own tests plus one short run.
+# Hostile and retired command lines are not lanes here: they are cases
+# of the table-driven tests in crates/cli (docs/testing.md). No lane
+# gates speed: that is measured by benchmark/ (BENCHMARK.json) alone.
 #
 # The workspace must build and pass its test suite without touching a
 # cargo registry. A grep guard keeps it that way: if any manifest
@@ -232,59 +233,6 @@ stream_dir="$(mktemp -d)"
     grep -A2 '"name": *"frames_emitted"' stream_stats.json \
         | grep -qE '"total": *16'
     echo "verify: streaming smoke OK (16 frames, counters present)"
-
-    # Retired-knob lane (docs/knobs.md): the channel-tuning flags and
-    # --stages steered nothing and are gone; each must now be refused
-    # like any other unknown option, not accepted and ignored.
-    for gone in --wait-policy=yield --chan-backend=mpsc --stages=1,2; do
-        if "$OLDPWD/target/release/easypap" --kernel mandel_zoom --stream=16 \
-            --threads 2 --size 32 --no-display "$gone" > gone.out 2> gone.err; then
-            echo "error: retired flag $gone was accepted" >&2
-            exit 1
-        fi
-        grep -q "unknown option" gone.err
-    done
-    echo "verify: retired-knob smoke OK (three removed flags are unknown options)"
-
-    # Retired variant: `mandel omp_tiled_x4` taught lanes by losing to
-    # scalar; every variant now runs the lane routine and the name is an
-    # unknown variant, not an alias.
-    if "$OLDPWD/target/release/easypap" --kernel mandel --variant omp_tiled_x4 \
-        --size 64 --no-display > gone.out 2> gone.err; then
-        echo "error: retired variant mandel/omp_tiled_x4 was accepted" >&2
-        exit 1
-    fi
-    grep -q "no variant \`omp_tiled_x4\`" gone.err
-    echo "verify: retired-variant smoke OK (mandel/omp_tiled_x4 is unknown)"
-
-    # Hostile-cap lane: `--arg N` is mandel's escape-time cap and sizes
-    # its palette table; 2^32-1 must be refused as a configuration error
-    # before anything is allocated or iterated, not run for hours.
-    status=0
-    timeout 20 "$OLDPWD/target/release/easypap" --kernel mandel \
-        --arg 4294967295 --size 64 --no-display > cap.out 2> cap.err || status=$?
-    if [ "$status" -ne 1 ] || ! grep -q "configuration error: mandel: max_iter .* exceeds the limit of 1048576" cap.err; then
-        echo "error: --arg 4294967295 exited $status without the limit message:" >&2
-        cat cap.err >&2
-        exit 1
-    fi
-    echo "verify: hostile-cap smoke OK (--arg 4294967295 is a configuration error)"
-
-    # Hostile-schedule lane: a chunk size from the command line that
-    # leaves `usize` when multiplied or added must neither hang the loop
-    # (static,K re-granted chunk 0 forever) nor run tiles twice
-    # (dynamic,K wrapped the cursor): 64 tiles, each executed once.
-    for hostile in dynamic,9223372036854775808 static,9223372036854775808; do
-        timeout 20 "$OLDPWD/target/release/easypap" --kernel mandel \
-            --variant omp_tiled --size 64 --tile-size 8 --threads 2 \
-            --schedule "$hostile" --stats=text --no-display > hostile.out
-        grep -qx "ezp_tasks_executed 64" hostile.out || {
-            echo "error: --schedule $hostile did not run each of 64 tiles once" >&2
-            grep "^ezp_tasks_executed" hostile.out >&2
-            exit 1
-        }
-    done
-    echo "verify: hostile-schedule smoke OK (overflowing chunk sizes: 64 tiles, once each)"
 )
 rm -rf "$stream_dir"
 

@@ -1,12 +1,5 @@
 //! The `easypap` command-line entry point.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match easypap_cli::run_easypap(args.iter().map(String::as_str)) {
-        Ok(out) => std::process::exit(easypap_cli::emit(&out)),
-        Err(e) => {
-            eprintln!("easypap: {e}");
-            std::process::exit(1);
-        }
-    }
+    easypap_cli::run_main("easypap", easypap_cli::run_easypap)
 }

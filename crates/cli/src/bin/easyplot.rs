@@ -1,12 +1,5 @@
 //! The `easyplot` command-line entry point.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match easypap_cli::run_easyplot(args.iter().map(String::as_str)) {
-        Ok(out) => std::process::exit(easypap_cli::emit(&out)),
-        Err(e) => {
-            eprintln!("easyplot: {e}");
-            std::process::exit(1);
-        }
-    }
+    easypap_cli::run_main("easyplot", easypap_cli::run_easyplot)
 }

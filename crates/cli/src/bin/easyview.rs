@@ -1,12 +1,5 @@
 //! The `easyview` command-line entry point.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match easypap_cli::run_easyview(args.iter().map(String::as_str)) {
-        Ok(out) => std::process::exit(easypap_cli::emit(&out)),
-        Err(e) => {
-            eprintln!("easyview: {e}");
-            std::process::exit(1);
-        }
-    }
+    easypap_cli::run_main("easyview", easypap_cli::run_easyview)
 }

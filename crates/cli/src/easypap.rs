@@ -2,9 +2,9 @@
 
 use ezp_core::ezp_debug;
 use ezp_core::kernel::{EdgeKind, MultiProbe, NullProbe, Probe, RuntimeEvent};
-use ezp_core::params::{reject_flags, DisplayMode, StatsFormat};
+use ezp_core::params::{DisplayMode, StatsFormat};
 use ezp_core::perf::{run_kernel_boxed, RunOutcome};
-use ezp_core::{Result, RunConfig, WorkerId};
+use ezp_core::{Error, Result, RunConfig, WorkerId};
 use ezp_kernels::life::Life;
 use ezp_kernels::registry;
 use ezp_monitor::{activity, Monitor, MonitorReport, UnifiedReport};
@@ -34,9 +34,10 @@ where
         Some("submit") => return crate::serve_cmd::run_submit(&args[1..]),
         _ => {}
     }
+    let cfg = RunConfig::parse_args(args.iter().map(String::as_str))?;
     // `easypap --list`: enumerate kernels and variants, like the original
     // framework's discovery of `<kernel>_compute_<variant>` symbols
-    if args.iter().any(|a| a == "--list" || a == "-l") {
+    if cfg.list {
         let reg = registry();
         let mut out = String::from("available kernels:\n");
         for name in reg.kernel_names() {
@@ -49,7 +50,6 @@ where
         }
         return Ok(out);
     }
-    let cfg = RunConfig::parse_args(args.iter().map(String::as_str))?;
     // `--debug` raises the process-wide log level; EZP_LOG still works
     // for runs without the flag.
     if cfg.debug {
@@ -59,19 +59,7 @@ where
 
     // Fig. 13 special case: MPI debugging shows every rank's windows;
     // the per-rank reports live on the concrete Life kernel.
-    if cfg.kernel == "life" && cfg.variant == "mpi_omp" && cfg.debug_mpi {
-        // the ranks' reports are all this mode collects
-        reject_flags(
-            "--debug M",
-            &[
-                ("--stats", cfg.stats.is_some()),
-                ("--trace", cfg.trace),
-                ("--trace-events", cfg.trace_events.is_some()),
-                ("--explain", cfg.explain),
-                ("--frames", cfg.frames_dir.is_some()),
-                ("--ansi", cfg.ansi),
-            ],
-        )?;
+    if cfg.shows_rank_windows() {
         return run_life_mpi_debug(cfg);
     }
 
@@ -169,7 +157,7 @@ where
         lend_as_trace(&cfg, &mut report, |trace| {
             trace.counters = perf.as_ref().map(|p| p.snapshot());
             if cfg.trace {
-                ezp_trace::io::save(trace, &cfg.trace_file)?;
+                at(&cfg.trace_file, ezp_trace::io::save(trace, &cfg.trace_file))?;
                 writeln!(
                     out,
                     "trace ({} tasks, {} iterations, {} edges) written to {}",
@@ -192,12 +180,20 @@ where
     Ok(out)
 }
 
+/// An I/O error says "No such file or directory" and not which: put the
+/// path a flag pointed at in front of it.
+fn at<T>(path: &str, result: Result<T>) -> Result<T> {
+    result.map_err(|e| match e {
+        Error::Io(io) => Error::Io(std::io::Error::new(io.kind(), format!("{path}: {io}"))),
+        other => other,
+    })
+}
+
 /// `--kernel <name> --stream=N`: push N frames through a streaming
 /// skeleton kernel. Farm stages replicate `--farm-width` ways (0 =
 /// one replica per thread) and frames leave the pipeline in
 /// `--stream-mode` order.
 fn run_stream(cfg: RunConfig) -> Result<String> {
-    use ezp_core::error::Error;
     use ezp_stream::{stream_kernel, stream_registry};
     let frames = cfg.stream_frames.unwrap_or(0);
     let kernel = stream_kernel(&cfg.kernel).ok_or_else(|| {
@@ -279,7 +275,7 @@ fn observability_tail(
     if let Some(path) = &cfg.trace_events {
         lend_as_trace(cfg, &mut report, |trace| {
             let doc = ezp_trace::to_chrome(trace, &spans);
-            std::fs::write(path, doc.dump())?;
+            at(path, std::fs::write(path, doc.dump()).map_err(Error::from))?;
             writeln!(
                 out,
                 "trace events ({} tiles, {} spans) written to {path}",
@@ -378,7 +374,7 @@ fn run_with_frames(
     let numbering = Arc::new(FrameNumbering { inner: probe, done: AtomicU32::new(0) });
     let mut ctx = ezp_core::KernelCtx::new(cfg.clone())?.with_probe(numbering.clone());
     kernel.init(&mut ctx)?;
-    let mut sink = FrameSink::new(frames_dir, FrameFormat::Ppm, 1)?;
+    let mut sink = at(frames_dir, FrameSink::new(frames_dir, FrameFormat::Ppm, 1))?;
     kernel.refresh_image(&mut ctx)?;
     sink.present(ctx.images.cur())?; // initial state
     let sw = ezp_core::time::Stopwatch::start();
@@ -956,6 +952,72 @@ mod tests {
         assert!(run_easypap(["--bogus"]).is_err());
         assert!(run_easypap(["--kernel", "unknown-kernel", "--no-display"]).is_err());
         assert!(run_easypap(["--kernel", "mandel", "--variant", "nope", "--no-display"]).is_err());
+    }
+
+    /// Lines that used to wrap, panic, abort or hang, and the hostile
+    /// lanes `ci/verify.sh` ran as shell: each is refused by name before
+    /// anything is allocated, spawned or written.
+    #[test]
+    fn hostile_values_are_refused_by_name() {
+        let cases: [(&[&str], &[&str]); 12] = [
+            (&["--iterations", "4294967296"], &["--iterations", "0..=4294967295"]),
+            (&["--size", "4294967296"], &["--size", "1..=8192"]),
+            (&["--size", "1000000"], &["--size", "1..=8192"]),
+            (&["--variant", "omp_tiled", "--threads", "100000"], &["--threads", "1..=128"]),
+            (&["--mpirun", "-np 100000"], &["--mpirun -np", "1..=32"]),
+            (&["--stream=18446744073709551615"], &["--stream", "1..=1000000"]),
+            (&["--farm-width", "18446744073709551615", "--stream=16"], &["--farm-width", "0..=128"]),
+            (&["--trace=1"], &["--trace takes no value"]),
+            // a default the user never typed is called one
+            (&["--size", "16"], &["--tile-size 32 (the default)", "pass --tile-size 16"]),
+            // the escape-time cap sizes mandel's palette table
+            (&["--arg", "4294967295", "--size", "64"], &["max_iter", "exceeds the limit of 1048576"]),
+            // a row per rank: rank 17 of 16 rows indexed past the board
+            (&["-k", "life", "-v", "mpi_omp", "-s", "16", "-ts", "8", "--mpirun", "-np 17"], &["-np 17"]),
+            // retired, not an alias
+            (&["--variant", "omp_tiled_x4", "--size", "64"], &["no variant `omp_tiled_x4`"]),
+        ];
+        in_tmp_dir(|| {
+            for (line, wanted) in cases {
+                let args = ["--kernel", "mandel", "--no-display"].iter().chain(line).copied();
+                let err = run_easypap(args).expect_err(line[0]).to_string();
+                let config = err.starts_with("configuration error") || err.starts_with("no variant");
+                assert!(config && wanted.iter().all(|w| err.contains(w)), "{line:?}: {err}");
+            }
+            assert_eq!(std::fs::read_dir(".").unwrap().count(), 0, "a refused run left files");
+        });
+    }
+
+    /// "No such file or directory" names the file: the path a flag
+    /// pointed at is in the error.
+    #[test]
+    fn io_errors_name_the_path_the_flag_pointed_at() {
+        let sinks: [&[&str]; 3] =
+            [&["--trace", "--trace-file", "file/t"], &["--trace-events", "file/t"], &["--frames", "file/t"]];
+        in_tmp_dir(|| {
+            std::fs::write("file", "").unwrap();
+            for sink in sinks {
+                let args = ["-k", "mandel", "-s", "32", "-ts", "8", "-n"].iter().chain(sink).copied();
+                let err = run_easypap(args).expect_err(sink[0]).to_string();
+                assert!(err.starts_with("I/O error: file/t: "), "{sink:?}: {err}");
+            }
+        });
+    }
+
+    /// A chunk size that leaves `usize` when multiplied or added must
+    /// neither hang the loop nor run tiles twice; `--size=64` is `--size 64`.
+    #[test]
+    fn overflowing_schedule_chunks_run_each_of_64_tiles_once() {
+        in_tmp_dir(|| {
+            for schedule in ["dynamic,9223372036854775808", "static,9223372036854775808"] {
+                let out = run_easypap([
+                    "--kernel", "mandel", "--variant", "omp_tiled", "--size=64", "--tile-size=8",
+                    "--threads", "2", "--schedule", schedule, "--stats=text", "--no-display",
+                ])
+                .unwrap();
+                assert!(out.lines().any(|l| l == "ezp_tasks_executed 64"), "{schedule}: {out}");
+            }
+        });
     }
 
     /// The retired channel knobs and `--stages` are ordinary unknown

@@ -11,66 +11,65 @@
 
 use ezp_core::csv::CsvTable;
 use ezp_core::error::{Error, Result};
+use ezp_core::params::Grammar::{Switch, Text};
+use ezp_core::params::{parse, Command, Flag};
 use ezp_plot::{render_ascii, render_svg, Dataset};
 use std::fmt::Write as _;
 
-struct PlotArgs {
-    input: String,
-    x: String,
-    y: String,
+/// Parsed `easyplot` invocation.
+#[derive(Default)]
+pub(crate) struct PlotArgs {
+    /// `None`: the performance mode's `easypap.csv`.
+    input: Option<String>,
+    /// `None`: `threads`.
+    x: Option<String>,
+    /// `None`: `time_us`.
+    y: Option<String>,
     filters: Vec<(String, String)>,
     speedup: bool,
     svg: Option<String>,
 }
 
-fn parse_args<I, S>(args: I) -> Result<PlotArgs>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut out = PlotArgs {
-        input: crate::easypap::PERF_CSV.to_string(),
-        x: "threads".to_string(),
-        y: "time_us".to_string(),
-        filters: Vec::new(),
-        speedup: false,
-        svg: None,
-    };
-    let mut it = args.into_iter();
-    let need = |v: Option<S>, opt: &str| -> Result<String> {
-        v.map(|s| s.as_ref().to_string())
-            .ok_or_else(|| Error::Config(format!("option {opt} requires a value")))
-    };
-    while let Some(arg) = it.next() {
-        let arg = arg.as_ref();
-        match arg {
-            "--input" | "-i" => out.input = need(it.next(), arg)?,
-            "-x" | "--x" => out.x = need(it.next(), arg)?,
-            "-y" | "--y" => out.y = need(it.next(), arg)?,
-            "--speedup" => out.speedup = true,
-            "--svg" => out.svg = Some(need(it.next(), arg)?),
-            // paper-style column filters: --kernel mandel, --variant ...
-            "--kernel" | "--variant" | "--schedule" | "--machine" => {
-                out.filters.push((arg[2..].to_string(), need(it.next(), arg)?));
-            }
-            "--dim" | "--tile" | "--iterations" => {
-                out.filters.push((arg[2..].to_string(), need(it.next(), arg)?));
-            }
-            other => return Err(Error::Config(format!("unknown option `{other}`"))),
-        }
+impl PlotArgs {
+    fn keep(&mut self, column: &str, value: &str) {
+        self.filters.push((column.to_string(), value.to_string()));
     }
-    Ok(out)
 }
+
+/// The `easyplot` flag table.
+#[rustfmt::skip]
+pub(crate) static EASYPLOT: Command<PlotArgs> = Command {
+    name: "easyplot",
+    positionals: 0,
+    modes: &[],
+    flags: &[
+        Flag::new(&["--input", "-i"], Text(|a, s| a.input = Some(s.to_string()))),
+        Flag::new(&["--x", "-x"], Text(|a, s| a.x = Some(s.to_string()))),
+        Flag::new(&["--y", "-y"], Text(|a, s| a.y = Some(s.to_string()))),
+        Flag::new(&["--speedup"], Switch(|a| a.speedup = true)),
+        Flag::new(&["--svg"], Text(|a, s| a.svg = Some(s.to_string()))),
+        // paper-style filters, one per CSV column: --kernel mandel, ...
+        Flag::new(&["--kernel"], Text(|a, s| a.keep("kernel", s))),
+        Flag::new(&["--variant"], Text(|a, s| a.keep("variant", s))),
+        Flag::new(&["--schedule"], Text(|a, s| a.keep("schedule", s))),
+        Flag::new(&["--machine"], Text(|a, s| a.keep("machine", s))),
+        Flag::new(&["--dim"], Text(|a, s| a.keep("dim", s))),
+        Flag::new(&["--tile"], Text(|a, s| a.keep("tile", s))),
+        Flag::new(&["--iterations"], Text(|a, s| a.keep("iterations", s))),
+    ],
+};
 
 /// Runs `easyplot` and returns the console output (the ASCII chart, or
 /// a confirmation line in SVG mode).
-pub fn run_easyplot<I, S>(args: I) -> Result<String>
+pub fn run_easyplot<I, S>(argv: I) -> Result<String>
 where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let args = parse_args(args)?;
-    let table = CsvTable::load(&args.input)?;
+    let mut args = PlotArgs::default();
+    parse(&EASYPLOT, argv, &mut args)?;
+    let (x, y) = (args.x.as_deref().unwrap_or("threads"), args.y.as_deref().unwrap_or("time_us"));
+    let table = CsvTable::load(args.input.as_deref().unwrap_or(crate::easypap::PERF_CSV))?;
     // apply the column filters
     let filtered = table.filter(|row| {
         args.filters
@@ -83,9 +82,9 @@ where
             args.filters
         )));
     }
-    let mut data = Dataset::from_table(&filtered, &args.x, &args.y, &["run"])?;
+    let mut data = Dataset::from_table(&filtered, x, y, &["run"])?;
     if args.speedup {
-        let ref_time = reference_time(&filtered, &args.x)?;
+        let ref_time = reference_time(&filtered, x)?;
         data = data.into_speedup(ref_time);
     }
     let mut out = String::new();

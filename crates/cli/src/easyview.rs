@@ -11,15 +11,18 @@
 //! ```
 
 use ezp_core::error::{Error, Result};
+use ezp_core::params::Grammar::{Custom, Int, Text};
+use ezp_core::params::{fit, int_in, parse, Command, Flag};
 use ezp_view::{CoverageMap, GanttModel, TraceComparison};
 use std::fmt::Write as _;
 
 /// Columns of the ASCII Gantt chart.
 const GANTT_COLUMNS: usize = 100;
 
-/// Parsed `easyview` invocation.
-struct ViewArgs {
-    trace_path: String,
+/// Parsed `easyview` options; the bare words (`explain`, the trace) are
+/// what [`parse`] hands back.
+#[derive(Default)]
+pub(crate) struct ViewArgs {
     iter_range: Option<(u32, u32)>,
     cpu: Option<usize>,
     at: Option<u64>,
@@ -28,72 +31,29 @@ struct ViewArgs {
     /// `--highlight out.ppm`: render the tiles under the mouse (at
     /// `--at T`, or mid-span) over a thumbnail, like Fig. 7's right pane.
     highlight: Option<String>,
-    /// `easyview explain <trace>`: causal-profiling report instead of
-    /// the Gantt chart.
-    explain: bool,
 }
 
-fn parse_args<I, S>(args: I) -> Result<ViewArgs>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut out = ViewArgs {
-        trace_path: String::new(),
-        iter_range: None,
-        cpu: None,
-        at: None,
-        compare: None,
-        svg: None,
-        highlight: None,
-        explain: false,
-    };
-    let mut it = args.into_iter();
-    let need = |v: Option<S>, opt: &str| -> Result<String> {
-        v.map(|s| s.as_ref().to_string())
-            .ok_or_else(|| Error::Config(format!("option {opt} requires a value")))
-    };
-    while let Some(arg) = it.next() {
-        let arg = arg.as_ref();
-        match arg {
-            "--iter" => {
-                let spec = need(it.next(), arg)?;
-                let (lo, hi) = spec
-                    .split_once(':')
-                    .ok_or_else(|| Error::Config(format!("--iter wants lo:hi, got `{spec}`")))?;
-                let lo = lo.parse().map_err(|_| Error::Config(format!("bad iteration `{lo}`")))?;
-                let hi = hi.parse().map_err(|_| Error::Config(format!("bad iteration `{hi}`")))?;
-                out.iter_range = Some((lo, hi));
-            }
-            "--cpu" => {
-                out.cpu = Some(
-                    need(it.next(), arg)?
-                        .parse()
-                        .map_err(|_| Error::Config("bad cpu rank".into()))?,
-                )
-            }
-            "--at" => {
-                out.at = Some(
-                    need(it.next(), arg)?
-                        .parse()
-                        .map_err(|_| Error::Config("bad timestamp".into()))?,
-                )
-            }
-            "--compare" => out.compare = Some(need(it.next(), arg)?),
-            "--svg" => out.svg = Some(need(it.next(), arg)?),
-            "--highlight" => out.highlight = Some(need(it.next(), arg)?),
-            "explain" if !out.explain && out.trace_path.is_empty() => out.explain = true,
-            other if !other.starts_with('-') && out.trace_path.is_empty() => {
-                out.trace_path = other.to_string();
-            }
-            other => return Err(Error::Config(format!("unknown option `{other}`"))),
-        }
-    }
-    if out.trace_path.is_empty() {
-        return Err(Error::Config("usage: easyview <trace.ezv> [options]".into()));
-    }
-    Ok(out)
-}
+/// The `easyview` flag table. `--iter` and `--cpu` are held to the
+/// loaded trace's own ranges once it is read.
+#[rustfmt::skip]
+pub(crate) static EASYVIEW: Command<ViewArgs> = Command {
+    name: "easyview",
+    positionals: 2,
+    modes: &[],
+    flags: &[
+        Flag::new(&["--iter"], Custom("1:3", |a, s| {
+            let (lo, hi) = s.split_once(':').ok_or_else(|| Error::Config(format!("--iter wants lo:hi, got `{s}`")))?;
+            let bound = |n| int_in("--iter", n, 0, u32::MAX as u64).map(fit);
+            a.iter_range = Some((bound(lo)?, bound(hi)?));
+            Ok(())
+        })),
+        Flag::new(&["--cpu"], Int(0, 65535, |a, n| a.cpu = Some(fit(n)))),
+        Flag::new(&["--at"], Int(0, u64::MAX, |a, n| a.at = Some(n))),
+        Flag::new(&["--compare"], Text(|a, s| a.compare = Some(s.to_string()))),
+        Flag::new(&["--svg"], Text(|a, s| a.svg = Some(s.to_string()))),
+        Flag::new(&["--highlight"], Text(|a, s| a.highlight = Some(s.to_string()))),
+    ],
+};
 
 /// Runs `easyview` and returns the console output.
 pub fn run_easyview<I, S>(args: I) -> Result<String>
@@ -101,8 +61,31 @@ where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let args = parse_args(args)?;
-    let trace = ezp_trace::io::load(&args.trace_path)?;
+    let mut opts = ViewArgs::default();
+    let words = parse(&EASYVIEW, args, &mut opts)?;
+    // `easyview explain <trace>`: causal-profiling report instead of
+    // the Gantt chart
+    let (explain, trace_path) = match words.as_slice() {
+        [verb, path] if verb == "explain" => (true, path),
+        [path] if path != "explain" => (false, path),
+        [_, extra] => return Err(EASYVIEW.unknown(extra)),
+        _ => return Err(Error::Config("usage: easyview [explain] <trace.ezv> [options]".into())),
+    };
+    let trace = ezp_trace::io::load(trace_path)?;
+    let first = trace.iterations.first().map_or(1, |s| s.iteration);
+    let last = trace.iterations.last().map_or(1, |s| s.iteration);
+    let (lo, hi) = match opts.iter_range {
+        None => (first, last),
+        Some((lo, hi)) if first <= lo && lo <= hi && hi <= last => (lo, hi),
+        Some((lo, hi)) => {
+            return Err(Error::Config(format!(
+                "`--iter {lo}:{hi}`: want lo <= hi, both among the trace's iterations {first}..={last}"
+            )))
+        }
+    };
+    if let Some(cpu) = opts.cpu {
+        int_in("--cpu", &cpu.to_string(), 0, trace.meta.threads.saturating_sub(1) as u64)?;
+    }
     let mut out = String::new();
     writeln!(
         out,
@@ -115,13 +98,13 @@ where
     )
     .unwrap();
 
-    if args.explain {
+    if explain {
         writeln!(out, "\n=== Explain (causal profile) ===").unwrap();
         out.push_str(&ezp_view::explain(&trace)?.render());
         return Ok(out);
     }
 
-    if let Some(other_path) = &args.compare {
+    if let Some(other_path) = &opts.compare {
         let other = ezp_trace::io::load(other_path)?;
         let cmp = TraceComparison::new(&trace, &other)?;
         writeln!(out, "\n=== Trace comparison ===").unwrap();
@@ -141,15 +124,10 @@ where
         return Ok(out);
     }
 
-    let (lo, hi) = args.iter_range.unwrap_or_else(|| {
-        let lo = trace.iterations.first().map(|s| s.iteration).unwrap_or(1);
-        let hi = trace.iterations.last().map(|s| s.iteration).unwrap_or(1);
-        (lo, hi)
-    });
     let gantt = GanttModel::new(&trace, lo, hi);
 
-    if args.at.is_some() || args.highlight.is_some() {
-        let t = args
+    if opts.at.is_some() || opts.highlight.is_some() {
+        let t = opts
             .at
             .unwrap_or_else(|| gantt.t0 + (gantt.t1.saturating_sub(gantt.t0)) / 2);
         writeln!(out, "\n=== Tasks crossing t={t} (vertical mouse mode) ===").unwrap();
@@ -157,7 +135,7 @@ where
         for task in &crossing {
             writeln!(out, "  {}", GanttModel::bubble(task)).unwrap();
         }
-        if let Some(path) = &args.highlight {
+        if let Some(path) = &opts.highlight {
             // Fig. 7's right pane: highlighted tiles over a thumbnail of
             // the computed surface (a neutral grid stands in for the
             // image, which the trace does not store)
@@ -178,7 +156,7 @@ where
         return Ok(out);
     }
 
-    if let Some(cpu) = args.cpu {
+    if let Some(cpu) = opts.cpu {
         writeln!(out, "\n=== Coverage map of CPU {cpu}, iterations {lo}..{hi} ===").unwrap();
         let cov = CoverageMap::new(&trace, cpu, lo, hi)?;
         out.push_str(&cov.to_ascii());
@@ -196,7 +174,7 @@ where
     out.push_str(&ezp_view::stats::render(&trace));
     writeln!(out, "\n=== Gantt chart, iterations {lo}..{hi} ===").unwrap();
     out.push_str(&gantt.to_ascii(GANTT_COLUMNS));
-    if let Some(svg_path) = &args.svg {
+    if let Some(svg_path) = &opts.svg {
         std::fs::write(svg_path, gantt.to_svg(1000.0, 24.0))?;
         writeln!(out, "SVG written to {svg_path}").unwrap();
     }
@@ -361,6 +339,26 @@ mod tests {
         let path = sample_trace_file("err");
         assert!(run_easyview([path.to_str().unwrap(), "--iter", "abc"]).is_err());
         assert!(run_easyview([path.to_str().unwrap(), "--bogus"]).is_err());
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A selection the trace cannot satisfy used to print an empty
+    /// chart and exit 0; each names the flag and what the trace holds.
+    #[test]
+    fn selections_outside_the_trace_are_configuration_errors() {
+        let path = sample_trace_file("outside");
+        let cases = [
+            (["--iter", "2:1"], "iterations 1..=2"), // lo > hi
+            (["--iter", "7:9"], "iterations 1..=2"), // past the last iteration
+            (["--cpu", "99"], "0..=1"),              // the trace has 2 CPUs
+        ];
+        for (selection, range) in cases {
+            let err = run_easyview([path.to_str().unwrap(), selection[0], selection[1]])
+                .expect_err(selection[1])
+                .to_string();
+            assert!(err.starts_with("configuration error"), "{selection:?}: {err}");
+            assert!(err.contains(selection[0]) && err.contains(range), "{selection:?}: {err}");
+        }
         std::fs::remove_file(path).unwrap();
     }
 

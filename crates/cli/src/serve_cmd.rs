@@ -14,6 +14,8 @@
 
 use ezp_core::error::Error;
 use ezp_core::json::ToJson;
+use ezp_core::params::Grammar::{Int, Switch, Text};
+use ezp_core::params::{fit, parse, Command, Flag, MAX_DIM, MAX_THREADS};
 use ezp_core::Result;
 use ezp_serve::{Client, JobSpec, Response, ServeConfig, Server};
 use std::fmt::Write as _;
@@ -21,75 +23,27 @@ use std::fmt::Write as _;
 /// Default TCP port of `easypap serve` / `easypap submit`.
 pub const DEFAULT_PORT: u16 = 7878;
 
-/// Splits `--flag=value` / `--flag value` argument styles: returns the
-/// flag name and, for the `=` style, the inline value.
-fn split_flag(arg: &str) -> (&str, Option<&str>) {
-    match arg.split_once('=') {
-        Some((flag, value)) => (flag, Some(value)),
-        None => (arg, None),
-    }
-}
+/// The `easypap serve` flag table. The daemon spawns `--slots` pools of
+/// `--workers` threads up front, hence the caps on both.
+#[rustfmt::skip]
+pub(crate) static SERVE: Command<ServeConfig> = Command {
+    name: "easypap serve",
+    positionals: 0,
+    modes: &[],
+    flags: &[
+        Flag::new(&["--port"], Int(0, 65535, |c, n| c.port = fit(n))),
+        Flag::new(&["--workers"], Int(1, MAX_THREADS, |c, n| c.workers = fit(n))),
+        Flag::new(&["--slots"], Int(1, 32, |c, n| c.slots = fit(n))),
+        Flag::new(&["--max-tenants"], Int(1, 4096, |c, n| c.max_tenants = fit(n))),
+        Flag::new(&["--queue-cap"], Int(1, 65536, |c, n| c.queue_cap = fit(n))),
+    ],
+};
 
-/// The value of `flag`, inline or as the following argument.
-fn flag_value<'a>(
-    flag: &str,
-    inline: Option<&'a str>,
-    it: &mut std::slice::Iter<'a, String>,
-) -> Result<&'a str> {
-    match inline {
-        Some(v) => Ok(v),
-        None => it
-            .next()
-            .map(String::as_str)
-            .ok_or_else(|| Error::Config(format!("{flag} needs a value"))),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T> {
-    value
-        .parse()
-        .map_err(|_| Error::Config(format!("{flag}: invalid value `{value}`")))
-}
-
-/// `easypap serve [--port N] [--workers N] [--slots N] [--max-tenants N]
-/// [--queue-cap N]` — run the daemon in the foreground until a client
+/// `easypap serve`: run the daemon in the foreground until a client
 /// sends `shutdown`.
 pub fn run_serve(args: &[String]) -> Result<String> {
     let mut cfg = ServeConfig { port: DEFAULT_PORT, ..ServeConfig::default() };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let (flag, inline) = split_flag(arg);
-        match flag {
-            "--port" => cfg.port = parse_num(flag, flag_value(flag, inline, &mut it)?)?,
-            "--workers" => {
-                cfg.workers = parse_num(flag, flag_value(flag, inline, &mut it)?)?;
-                if cfg.workers == 0 {
-                    return Err(Error::Config("--workers must be > 0".into()));
-                }
-            }
-            "--slots" => {
-                cfg.slots = parse_num(flag, flag_value(flag, inline, &mut it)?)?;
-                if cfg.slots == 0 {
-                    return Err(Error::Config("--slots must be > 0".into()));
-                }
-            }
-            "--max-tenants" => {
-                cfg.max_tenants = parse_num(flag, flag_value(flag, inline, &mut it)?)?;
-                if cfg.max_tenants == 0 {
-                    return Err(Error::Config("--max-tenants must be > 0".into()));
-                }
-            }
-            "--queue-cap" => {
-                cfg.queue_cap = parse_num(flag, flag_value(flag, inline, &mut it)?)?;
-                if cfg.queue_cap == 0 {
-                    return Err(Error::Config("--queue-cap must be > 0".into()));
-                }
-            }
-            other => {
-                return Err(Error::Config(format!("easypap serve: unknown option `{other}`")))
-            }
-        }
-    }
+    parse(&SERVE, args, &mut cfg)?;
     let server = Server::start(cfg.clone())?;
     // the summary text below only materializes at shutdown; tell the
     // operator we are up via stderr so scripts can synchronize
@@ -123,47 +77,54 @@ pub fn run_serve(args: &[String]) -> Result<String> {
     Ok(out)
 }
 
-/// `easypap submit [--host H] [--port N] [--kernel K] [--variant V]
-/// [-s N] [-ts N] [-i N] [-t N] [--tenant T] [--stall-us N] [--retry]
-/// [--report] | --server-stats | --stop` — submit one job to a running
-/// daemon (or query/stop it).
+/// Parsed `easypap submit` invocation.
+#[derive(Default)]
+pub(crate) struct SubmitArgs {
+    /// `None`: the loopback address.
+    host: Option<String>,
+    /// `None`: [`DEFAULT_PORT`].
+    port: Option<u16>,
+    spec: JobSpec,
+    retry: bool,
+    report: bool,
+    stats_mode: bool,
+    stop_mode: bool,
+}
+
+/// The `easypap submit` flag table. The job-geometry rows are
+/// `easypap`'s, names and ranges alike (a test compares them); the
+/// daemon applies its stricter `MAX_JOB_*` limits at admission.
+#[rustfmt::skip]
+pub(crate) static SUBMIT: Command<SubmitArgs> = Command {
+    name: "easypap submit",
+    positionals: 0,
+    modes: &[],
+    flags: &[
+        Flag::new(&["--host"], Text(|a, s| a.host = Some(s.to_string()))),
+        Flag::new(&["--port"], Int(0, 65535, |a, n| a.port = Some(fit(n)))),
+        Flag::new(&["--kernel", "-k"], Text(|a, s| a.spec.kernel = s.to_string())),
+        Flag::new(&["--variant", "-v"], Text(|a, s| a.spec.variant = s.to_string())),
+        Flag::new(&["--size", "-s"], Int(1, MAX_DIM, |a, n| a.spec.size = fit(n))),
+        Flag::new(&["--tile-size", "--grain", "-ts", "-g"], Int(1, MAX_DIM, |a, n| a.spec.tile = fit(n))),
+        Flag::new(&["--iterations", "-i"], Int(0, u32::MAX as u64, |a, n| a.spec.iterations = fit(n))),
+        Flag::new(&["--threads", "-t"], Int(1, MAX_THREADS, |a, n| a.spec.threads = fit(n))),
+        Flag::new(&["--tenant"], Text(|a, s| a.spec.tenant = Some(s.to_string()))),
+        Flag::new(&["--stall-us"], Int(0, 60_000_000, |a, n| a.spec.stall_us = n)),
+        Flag::new(&["--retry"], Switch(|a| a.retry = true)),
+        Flag::new(&["--report"], Switch(|a| a.report = true)),
+        Flag::new(&["--server-stats"], Switch(|a| a.stats_mode = true)),
+        Flag::new(&["--stop"], Switch(|a| a.stop_mode = true)),
+    ],
+};
+
+/// `easypap submit`: submit one job to a running daemon, or query it
+/// (`--server-stats`) or stop it (`--stop`).
 pub fn run_submit(args: &[String]) -> Result<String> {
-    let mut host = "127.0.0.1".to_string();
-    let mut port = DEFAULT_PORT;
-    let mut spec = JobSpec::default();
-    let (mut retry, mut report, mut stats_mode, mut stop_mode) = (false, false, false, false);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let (flag, inline) = split_flag(arg);
-        match flag {
-            "--host" => host = flag_value(flag, inline, &mut it)?.to_string(),
-            "--port" => port = parse_num(flag, flag_value(flag, inline, &mut it)?)?,
-            "--kernel" | "-k" => spec.kernel = flag_value(flag, inline, &mut it)?.to_string(),
-            "--variant" | "-v" => spec.variant = flag_value(flag, inline, &mut it)?.to_string(),
-            "--size" | "-s" => spec.size = parse_num(flag, flag_value(flag, inline, &mut it)?)?,
-            "--tile-size" | "-ts" => {
-                spec.tile = parse_num(flag, flag_value(flag, inline, &mut it)?)?
-            }
-            "--iterations" | "-i" => {
-                spec.iterations = parse_num(flag, flag_value(flag, inline, &mut it)?)?
-            }
-            "--threads" | "-t" => {
-                spec.threads = parse_num(flag, flag_value(flag, inline, &mut it)?)?
-            }
-            "--tenant" => spec.tenant = Some(flag_value(flag, inline, &mut it)?.to_string()),
-            "--stall-us" => {
-                spec.stall_us = parse_num(flag, flag_value(flag, inline, &mut it)?)?
-            }
-            "--retry" => retry = true,
-            "--report" => report = true,
-            "--server-stats" => stats_mode = true,
-            "--stop" => stop_mode = true,
-            other => {
-                return Err(Error::Config(format!("easypap submit: unknown option `{other}`")))
-            }
-        }
-    }
-    let addr = format!("{host}:{port}");
+    let mut parsed = SubmitArgs::default();
+    parse(&SUBMIT, args, &mut parsed)?;
+    let SubmitArgs { host, port, spec, retry, report, stats_mode, stop_mode } = parsed;
+    let host = host.as_deref().unwrap_or("127.0.0.1");
+    let addr = format!("{host}:{}", port.unwrap_or(DEFAULT_PORT));
     let mut client = Client::connect(&addr)
         .map_err(|e| Error::Config(format!("cannot reach easypap serve at {addr}: {e}")))?;
     if stats_mode {

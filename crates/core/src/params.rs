@@ -11,6 +11,7 @@
 
 use crate::error::{Error, Result};
 use crate::{DEFAULT_DIM, DEFAULT_TILE_SIZE};
+use Grammar::{Custom, Int, OneOf, OptOneOf, Switch, Text};
 
 /// An OpenMP-style loop scheduling policy (paper Fig. 4).
 ///
@@ -120,20 +121,6 @@ pub enum StatsFormat {
     Csv,
 }
 
-impl StatsFormat {
-    /// Parses the value of `--stats=<fmt>`.
-    pub fn parse(s: &str) -> Result<StatsFormat> {
-        match s {
-            "text" | "prometheus" => Ok(StatsFormat::Text),
-            "json" => Ok(StatsFormat::Json),
-            "csv" => Ok(StatsFormat::Csv),
-            other => Err(Error::Config(format!(
-                "--stats: unknown format `{other}` (expected text, json or csv)"
-            ))),
-        }
-    }
-}
-
 /// Output-ordering mode of a streaming (`--stream=N`) run.
 ///
 /// The shared vocabulary between `ezp-stream`'s skeletons and the CLI:
@@ -148,19 +135,6 @@ pub enum EmitMode {
     Ordered,
     /// Emit frames as they complete, in schedule-dependent order.
     Unordered,
-}
-
-impl EmitMode {
-    /// Parses the value of `--stream-mode=<mode>`.
-    pub fn parse(s: &str) -> Result<EmitMode> {
-        match s {
-            "ordered" => Ok(EmitMode::Ordered),
-            "unordered" => Ok(EmitMode::Unordered),
-            other => Err(Error::Config(format!(
-                "--stream-mode: unknown mode `{other}` (expected ordered or unordered)"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for EmitMode {
@@ -206,6 +180,167 @@ pub struct ChanTuning {
     pub backend: ChanBackendKind,
     /// Behavior when a channel operation cannot progress.
     pub policy: WaitPolicy,
+}
+
+/// What follows a flag on the command line, with the setter that takes
+/// the checked value.
+pub enum Grammar<C: 'static> {
+    /// No value (`--trace`).
+    Switch(fn(&mut C)),
+    /// Any string: a name or a path.
+    Text(fn(&mut C, &str)),
+    /// A whole number in the inclusive `min..=max`.
+    Int(u64, u64, fn(&mut C, u64)),
+    /// One word of a set; the setter gets its index.
+    OneOf(&'static [&'static str], fn(&mut C, usize)),
+    /// `OneOf` whose bare flag means the first word and whose value can
+    /// only be glued on with `=` (`--stats`, `--stats=json`).
+    OptOneOf(&'static [&'static str], fn(&mut C, usize)),
+    /// A grammar the setter parses itself; the string is one valid
+    /// value (`dynamic,2`, `-np 2`, `1:3`).
+    Custom(&'static str, fn(&mut C, &str) -> Result<()>),
+}
+
+/// One row of a command's flag table: what the program knows about a
+/// flag is written here and nowhere else.
+pub struct Flag<C: 'static> {
+    /// Every spelling, the documented one first.
+    pub names: &'static [&'static str],
+    /// The value it takes and where the value goes.
+    pub grammar: Grammar<C>,
+    /// The [`Mode`]s (by name) with nothing to feed it.
+    pub refused_in: &'static [&'static str],
+}
+
+impl<C> Flag<C> {
+    /// A row no run mode refuses.
+    pub const fn new(names: &'static [&'static str], grammar: Grammar<C>) -> Self {
+        Flag { names, grammar, refused_in: &[] }
+    }
+
+    /// `--size|-s 1..=8192`: the row as an unknown-option message shows it.
+    pub fn usage(&self) -> String {
+        let value = match self.grammar {
+            Switch(_) => String::new(),
+            Text(_) => " TEXT".to_string(),
+            Int(min, max, _) => format!(" {min}..={max}"),
+            OneOf(words, _) => format!(" {}", words.join("|")),
+            OptOneOf(words, _) => format!("[={}]", words.join("|")),
+            Custom(example, _) => format!(" '{example}'"),
+        };
+        self.names.join("|") + &value
+    }
+}
+
+/// A way of running that cannot honour some flags (`--stream=N` has no
+/// tile grid to trace): the name errors use, and whether the parsed
+/// configuration runs that way.
+pub type Mode<C> = (&'static str, fn(&C) -> bool);
+
+/// A command's whole command-line grammar.
+pub struct Command<C: 'static> {
+    /// The command as the user types it (`easypap serve`).
+    pub name: &'static str,
+    /// One row per flag.
+    pub flags: &'static [Flag<C>],
+    /// The run modes rows can be refused in.
+    pub modes: &'static [Mode<C>],
+    /// How many bare words (`easyview explain <trace>`) it accepts.
+    pub positionals: usize,
+}
+
+impl<C> Command<C> {
+    /// The error for an argument no row names; it lists the rows, which
+    /// is all the `--help` there is.
+    pub fn unknown(&self, arg: &str) -> Error {
+        let rows: Vec<String> = self.flags.iter().map(Flag::usage).collect();
+        Error::Config(format!("unknown option `{arg}`; {} takes: {}", self.name, rows.join(", ")))
+    }
+
+    /// Holds a number that did not come through [`parse`] (a config
+    /// built in code) to the range of the integer row `flag`.
+    pub fn check_int(&self, flag: &str, n: u64) -> Result<()> {
+        match self.flags.iter().find(|f| f.names[0] == flag).map(|f| &f.grammar) {
+            Some(&Int(min, max, _)) => int_in(flag, &n.to_string(), min, max).map(drop),
+            _ => panic!("{} has no integer row {flag}", self.name),
+        }
+    }
+}
+
+/// Parses `text` as a whole number in `min..=max`; the error names
+/// `flag`, the offending text and the accepted range.
+pub fn int_in(flag: &str, text: &str, min: u64, max: u64) -> Result<u64> {
+    let why = match text.parse::<u64>() {
+        Ok(n) if (min..=max).contains(&n) => return Ok(n),
+        Err(_) if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) => "not a whole number in",
+        _ => "out of range",
+    };
+    Err(Error::Config(format!("`{flag} {text}`: {why} {min}..={max}")))
+}
+
+/// Narrows a number its row has bounded to the field's type. A `max`
+/// that does not fit the field is a bug in the row; the boundary test
+/// feeds every row its `max` and lands here.
+pub fn fit<T: TryFrom<u64>>(n: u64) -> T {
+    T::try_from(n).ok().expect("a row's max exceeds the type of the field it sets")
+}
+
+/// The one argv loop: walks `args` against `cmd`'s table, storing each
+/// value into `cfg` through its row's setter, and returns the bare
+/// words. Every valued flag takes `--flag value` and `--flag=value`.
+pub fn parse<C, I, S>(cmd: &Command<C>, args: I, cfg: &mut C) -> Result<Vec<String>>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    let mut bare = Vec::new();
+    let mut seen = vec![false; cmd.flags.len()];
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        let arg = arg.as_ref();
+        if !arg.starts_with('-') {
+            if bare.len() == cmd.positionals {
+                return Err(cmd.unknown(arg));
+            }
+            bare.push(arg.to_string());
+            continue;
+        }
+        let (name, glued) = arg.split_once('=').map_or((arg, None), |(n, v)| (n, Some(v)));
+        let row = cmd.flags.iter().position(|f| f.names.contains(&name));
+        let row = row.ok_or_else(|| cmd.unknown(arg))?;
+        seen[row] = true;
+        let grammar = &cmd.flags[row].grammar;
+        let next: S;
+        let value = match (grammar, glued) {
+            (Switch(_), Some(_)) => {
+                return Err(Error::Config(format!("option {name} takes no value (got `{arg}`)")))
+            }
+            (Switch(_), None) => "",
+            (OptOneOf(words, _), None) => words[0],
+            (_, Some(value)) => value,
+            (_, None) => {
+                let missing = || Error::Config(format!("option {name} requires a value"));
+                next = it.next().ok_or_else(missing)?;
+                next.as_ref()
+            }
+        };
+        match *grammar {
+            Switch(set) => set(cfg),
+            Text(set) => set(cfg, value),
+            Int(min, max, set) => set(cfg, int_in(name, value, min, max)?),
+            OneOf(words, set) | OptOneOf(words, set) => {
+                let (last, init) = words.split_last().expect("a one-of row lists its words");
+                let expected = || format!("`{name} {value}`: expected {} or {last}", init.join(", "));
+                set(cfg, words.iter().position(|w| *w == value).ok_or_else(|| Error::Config(expected()))?)
+            }
+            Custom(_, set) => set(cfg, value)?,
+        }
+    }
+    for (mode, _) in cmd.modes.iter().filter(|(_, active)| active(cfg)) {
+        let refused = |(f, &seen): (&Flag<C>, &bool)| (f.names[0], seen && f.refused_in.contains(mode));
+        reject_flags(mode, &cmd.flags.iter().zip(&seen).map(refused).collect::<Vec<_>>())?;
+    }
+    Ok(bare)
 }
 
 /// Fully parsed run configuration — the Rust face of the `easypap`
@@ -267,6 +402,8 @@ pub struct RunConfig {
     /// `--stream-mode ordered|unordered`: output ordering of a
     /// streaming run.
     pub stream_mode: EmitMode,
+    /// `--list`: enumerate kernels and variants instead of running one.
+    pub list: bool,
 }
 
 impl Default for RunConfig {
@@ -295,6 +432,7 @@ impl Default for RunConfig {
             stream_frames: None,
             farm_width: 0,
             stream_mode: EmitMode::Ordered,
+            list: false,
         }
     }
 }
@@ -345,114 +483,43 @@ impl RunConfig {
     }
 
     /// Parses an `easypap`-style argument vector (without the program
-    /// name). Mirrors the options shown throughout §II of the paper.
+    /// name) against [`EASYPAP`]. Mirrors the options shown throughout
+    /// §II of the paper.
     pub fn parse_args<I, S>(args: I) -> Result<Self>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
         let mut cfg = RunConfig::default();
-        let mut it = args.into_iter();
-        let need_value = |it: &mut dyn Iterator<Item = S>, opt: &str| -> Result<String> {
-            it.next()
-                .map(|s| s.as_ref().to_string())
-                .ok_or_else(|| Error::Config(format!("option {opt} requires a value")))
-        };
-        while let Some(arg) = it.next() {
-            let arg = arg.as_ref();
-            match arg {
-                "--kernel" | "-k" => cfg.kernel = need_value(&mut it, arg)?,
-                "--variant" | "-v" => cfg.variant = need_value(&mut it, arg)?,
-                "--size" | "-s" => {
-                    cfg.dim = parse_num(&need_value(&mut it, arg)?, arg)?;
-                }
-                "--tile-size" | "--grain" | "-ts" | "-g" => {
-                    cfg.tile_size = parse_num(&need_value(&mut it, arg)?, arg)?;
-                }
-                "--iterations" | "-i" => {
-                    cfg.iterations = parse_num(&need_value(&mut it, arg)?, arg)? as u32;
-                }
-                "--threads" | "-t" => {
-                    cfg.threads = parse_num(&need_value(&mut it, arg)?, arg)?;
-                }
-                "--schedule" => cfg.schedule = Schedule::parse(&need_value(&mut it, arg)?)?,
-                "--no-display" | "-n" => cfg.display = DisplayMode::None,
-                "--monitoring" | "-m" => cfg.display = DisplayMode::Monitoring,
-                "--trace" | "-tr" => cfg.trace = true,
-                "--trace-file" => cfg.trace_file = need_value(&mut it, arg)?,
-                "--explain" => cfg.explain = true,
-                "--mpirun" => {
-                    // the paper passes the raw mpirun flags, e.g. "-np 2"
-                    let spec = need_value(&mut it, arg)?;
-                    cfg.mpi_ranks = parse_mpirun(&spec)?;
-                }
-                "--debug" => {
-                    let flags = need_value(&mut it, arg)?;
-                    cfg.debug = true;
-                    if flags.contains('M') {
-                        cfg.debug_mpi = true;
-                    }
-                }
-                "--arg" | "-a" => cfg.kernel_arg = Some(need_value(&mut it, arg)?),
-                "--frames" => cfg.frames_dir = Some(need_value(&mut it, arg)?),
-                "--ansi" => cfg.ansi = true,
-                "--seed" => cfg.seed = parse_num(&need_value(&mut it, arg)?, arg)? as u64,
-                "--stats" => cfg.stats = Some(StatsFormat::Text),
-                "--trace-events" => cfg.trace_events = Some(need_value(&mut it, arg)?),
-                "--stream" => {
-                    cfg.stream_frames = Some(parse_num(&need_value(&mut it, arg)?, arg)?);
-                }
-                "--farm-width" => {
-                    cfg.farm_width = parse_num(&need_value(&mut it, arg)?, arg)?;
-                }
-                "--stream-mode" => cfg.stream_mode = EmitMode::parse(&need_value(&mut it, arg)?)?,
-                other => {
-                    // `--opt=value` spellings of the options above
-                    if let Some(fmt) = other.strip_prefix("--stats=") {
-                        cfg.stats = Some(StatsFormat::parse(fmt)?);
-                    } else if let Some(n) = other.strip_prefix("--stream=") {
-                        cfg.stream_frames = Some(parse_num(n, "--stream")?);
-                    } else if let Some(k) = other.strip_prefix("--farm-width=") {
-                        cfg.farm_width = parse_num(k, "--farm-width")?;
-                    } else if let Some(mode) = other.strip_prefix("--stream-mode=") {
-                        cfg.stream_mode = EmitMode::parse(mode)?;
-                    } else {
-                        return Err(Error::Config(format!("unknown option `{other}`")));
-                    }
-                }
-            }
-        }
+        parse(&EASYPAP, args, &mut cfg)?;
         cfg.validate()?;
         Ok(cfg)
     }
 
-    /// Sanity-checks the configuration.
+    /// Sanity-checks the configuration: the cross-field conditions no
+    /// single row can state, and the rows' ranges for a config that was
+    /// built in code instead of parsed.
     pub fn validate(&self) -> Result<()> {
+        if self.list {
+            return Ok(());
+        }
         if self.kernel.is_empty() {
             return Err(Error::Config("--kernel is required".into()));
         }
-        if self.dim == 0 {
-            return Err(Error::Config("--size must be > 0".into()));
+        let set = [self.dim, self.tile_size, self.threads, self.farm_width, self.stream_frames.unwrap_or(1)];
+        for (flag, n) in ["--size", "--tile-size", "--threads", "--farm-width", "--stream"].into_iter().zip(set) {
+            EASYPAP.check_int(flag, n as u64)?;
         }
-        if self.tile_size == 0 {
-            return Err(Error::Config("--tile-size must be > 0".into()));
-        }
+        int_in("--mpirun -np", &self.mpi_ranks.to_string(), 1, MAX_RANKS)?;
         if self.tile_size > self.dim && self.stream_frames.is_none() {
             // streaming runs have no tile grid, so the default tile
             // size must not constrain small streamed frames
+            let whose = if self.tile_size == DEFAULT_TILE_SIZE { " (the default)" } else { "" };
             return Err(Error::Config(format!(
-                "--tile-size {} exceeds image dimension {}",
-                self.tile_size, self.dim
+                "--tile-size {}{whose} exceeds image dimension {dim}: pass --tile-size {dim} or smaller",
+                self.tile_size,
+                dim = self.dim
             )));
-        }
-        if self.threads == 0 {
-            return Err(Error::Config("--threads must be > 0".into()));
-        }
-        if self.mpi_ranks == 0 {
-            return Err(Error::Config("--mpirun needs at least one rank".into()));
-        }
-        if self.stream_frames == Some(0) {
-            return Err(Error::Config("--stream must be > 0 frames".into()));
         }
         if self.stream_frames.is_none()
             && (self.farm_width != 0 || self.stream_mode != EmitMode::Ordered)
@@ -461,22 +528,13 @@ impl RunConfig {
                 "--farm-width/--stream-mode require --stream=N".into(),
             ));
         }
-        if self.stream_frames.is_some() {
-            // a streamed run has no tile grid to monitor or trace and
-            // no final image to show
-            reject_flags(
-                "--stream=N",
-                &[
-                    ("--monitoring", self.display == DisplayMode::Monitoring),
-                    ("--trace", self.trace),
-                    ("--trace-events", self.trace_events.is_some()),
-                    ("--explain", self.explain),
-                    ("--frames", self.frames_dir.is_some()),
-                    ("--ansi", self.ansi),
-                ],
-            )?;
-        }
         Ok(())
+    }
+
+    /// `--debug M` on `life mpi_omp`: the run shows every rank's
+    /// monitor windows (Fig. 13) and collects nothing else.
+    pub fn shows_rank_windows(&self) -> bool {
+        self.debug_mpi && self.kernel == "life" && self.variant == "mpi_omp"
     }
 
     // Compatibility shim: the frozen `benchmark/` is its only caller.
@@ -491,6 +549,59 @@ impl RunConfig {
     }
 }
 
+/// Largest `--size` / `--tile-size`: two 8192² RGBA images are 512 MiB.
+pub const MAX_DIM: u64 = 8192;
+/// Largest `--threads` / `--farm-width` / `serve --workers`.
+pub const MAX_THREADS: u64 = 128;
+/// Largest `--mpirun -np`: every rank spawns a pool of `--threads`.
+pub const MAX_RANKS: u64 = 32;
+
+/// A streamed run has no tile grid, monitor or final image.
+const STREAMED: &str = "--stream=N";
+/// See [`RunConfig::shows_rank_windows`].
+const RANK_WINDOWS: &str = "--debug M";
+/// Both: the modes with nothing to trace, explain or show.
+const UNOBSERVED: &[&str] = &[STREAMED, RANK_WINDOWS];
+
+/// The `easypap` flag table: one row per option of the paper's §II.
+#[rustfmt::skip]
+pub static EASYPAP: Command<RunConfig> = Command {
+    name: "easypap",
+    positionals: 0,
+    modes: &[(STREAMED, |c| c.stream_frames.is_some()), (RANK_WINDOWS, RunConfig::shows_rank_windows)],
+    flags: &[
+        Flag::new(&["--kernel", "-k"], Text(|c, s| c.kernel = s.to_string())),
+        Flag::new(&["--variant", "-v"], Text(|c, s| c.variant = s.to_string())),
+        Flag::new(&["--size", "-s"], Int(1, MAX_DIM, |c, n| c.dim = fit(n))),
+        Flag::new(&["--tile-size", "--grain", "-ts", "-g"], Int(1, MAX_DIM, |c, n| c.tile_size = fit(n))),
+        Flag::new(&["--iterations", "-i"], Int(0, u32::MAX as u64, |c, n| c.iterations = fit(n))),
+        Flag::new(&["--threads", "-t"], Int(1, MAX_THREADS, |c, n| c.threads = fit(n))),
+        Flag::new(&["--schedule"], Custom("dynamic,2", |c, s| Schedule::parse(s).map(|p| c.schedule = p))),
+        Flag::new(&["--no-display", "-n"], Switch(|c| c.display = DisplayMode::None)),
+        Flag { names: &["--monitoring", "-m"], grammar: Switch(|c| c.display = DisplayMode::Monitoring), refused_in: &[STREAMED] },
+        Flag { names: &["--trace", "-tr"], grammar: Switch(|c| c.trace = true), refused_in: UNOBSERVED },
+        Flag::new(&["--trace-file"], Text(|c, s| c.trace_file = s.to_string())),
+        Flag { names: &["--explain"], grammar: Switch(|c| c.explain = true), refused_in: UNOBSERVED },
+        // the paper passes the raw mpirun flags, e.g. "-np 2"
+        Flag::new(&["--mpirun"], Custom("-np 2", |c, s| parse_mpirun(s).map(|n| c.mpi_ranks = n))),
+        Flag::new(&["--debug"], Text(|c, s| { c.debug = true; c.debug_mpi |= s.contains('M') })),
+        Flag::new(&["--arg", "-a"], Text(|c, s| c.kernel_arg = Some(s.to_string()))),
+        Flag { names: &["--frames"], grammar: Text(|c, s| c.frames_dir = Some(s.to_string())), refused_in: UNOBSERVED },
+        Flag { names: &["--ansi"], grammar: Switch(|c| c.ansi = true), refused_in: UNOBSERVED },
+        Flag::new(&["--seed"], Int(0, u64::MAX, |c, n| c.seed = n)),
+        Flag {
+            names: &["--stats"],
+            grammar: OptOneOf(&["text", "json", "csv"], |c, i| c.stats = Some([StatsFormat::Text, StatsFormat::Json, StatsFormat::Csv][i])),
+            refused_in: &[RANK_WINDOWS],
+        },
+        Flag { names: &["--trace-events"], grammar: Text(|c, s| c.trace_events = Some(s.to_string())), refused_in: UNOBSERVED },
+        Flag::new(&["--stream"], Int(1, 1_000_000, |c, n| c.stream_frames = Some(fit(n)))),
+        Flag::new(&["--farm-width"], Int(0, MAX_THREADS, |c, n| c.farm_width = fit(n))),
+        Flag::new(&["--stream-mode"], OneOf(&["ordered", "unordered"], |c, i| c.stream_mode = [EmitMode::Ordered, EmitMode::Unordered][i])),
+        Flag::new(&["--list", "-l"], Switch(|c| c.list = true)),
+    ],
+};
+
 /// For a run mode that cannot honour some flags: a configuration error
 /// naming `mode` and the first flag of `flags` that is set, instead of
 /// a run that silently drops it.
@@ -503,23 +614,13 @@ pub fn reject_flags(mode: &str, flags: &[(&str, bool)]) -> Result<()> {
     }
 }
 
-fn parse_num(s: &str, opt: &str) -> Result<usize> {
-    s.parse()
-        .map_err(|_| Error::Config(format!("option {opt}: `{s}` is not a number")))
-}
-
 /// Extracts the rank count from an mpirun flag string such as `-np 2`.
 fn parse_mpirun(spec: &str) -> Result<usize> {
-    let mut words = spec.split_whitespace();
-    while let Some(w) = words.next() {
-        if w == "-np" || w == "-n" {
-            let v = words
-                .next()
-                .ok_or_else(|| Error::Config(format!("--mpirun `{spec}`: -np needs a value")))?;
-            return parse_num(v, "--mpirun -np");
-        }
+    let mut words = spec.split_whitespace().skip_while(|w| !["-np", "-n"].contains(w));
+    match (words.next(), words.next()) {
+        (Some(_), Some(n)) => int_in("--mpirun -np", n, 1, MAX_RANKS).map(fit),
+        _ => Err(Error::Config(format!("--mpirun `{spec}`: expected `-np N`"))),
     }
-    Err(Error::Config(format!("--mpirun `{spec}`: no -np flag found")))
 }
 
 #[cfg(test)]
@@ -737,9 +838,10 @@ mod tests {
     #[test]
     fn emit_mode_round_trips_through_display() {
         for m in [EmitMode::Ordered, EmitMode::Unordered] {
-            assert_eq!(EmitMode::parse(&m.to_string()).unwrap(), m);
+            let flag = format!("--stream-mode={m}");
+            let cfg = RunConfig::parse_args(["--kernel", "x", "--stream=2", &flag]).unwrap();
+            assert_eq!(cfg.stream_mode, m);
         }
-        assert!(EmitMode::parse("diagonal").is_err());
     }
 
     #[test]

@@ -227,6 +227,13 @@ impl Life {
     fn compute_mpi(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Result<Option<u32>> {
         let dim = ctx.dim();
         let np = ctx.cfg.mpi_ranks;
+        if np > dim {
+            // a rank without a row indexes past the board, and its
+            // neighbours wait for its ghost rows forever
+            return Err(Error::Config(format!(
+                "--mpirun -np {np}: a {dim}-row image has rows for at most {dim} ranks"
+            )));
+        }
         let threads = ctx.threads();
         let grid = ctx.grid;
         // ship each rank its initial rows
