@@ -8,16 +8,28 @@
 use crate::color::Rgba;
 use crate::error::{Error, Result};
 
+/// Bytes in a cache line: where row 0 of every [`Img2D`] starts.
+pub const CACHE_LINE: usize = 64;
+
 /// A dense row-major 2D buffer of `T`.
 ///
 /// EASYPAP "works on square shape images" but nothing in the framework
 /// actually requires squareness, so width and height are kept separate;
 /// the [`Img2D::square`] constructor covers the common case.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Row 0 starts on a [`CACHE_LINE`] boundary (the allocation is one line
+/// longer than the pixels and indexed from its first aligned element),
+/// so when a row is a whole number of lines, a tile row of a whole
+/// number of lines shares none with its neighbours, and an 8-pixel
+/// `Rgba` row never straddles two. Cloning re-places the pixels and
+/// equality compares pixels only: where the line falls in the
+/// allocation is not part of an image's value.
 pub struct Img2D<T> {
     width: usize,
     height: usize,
-    data: Vec<T>,
+    /// The pixels are `buf[off..]`.
+    buf: Vec<T>,
+    off: usize,
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for Img2D<T> {
@@ -26,32 +38,76 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Img2D<T> {
     }
 }
 
+impl<T: Copy> Clone for Img2D<T> {
+    fn clone(&self) -> Self {
+        Self::placed(self.width, self.height, self.as_slice())
+    }
+}
+
+impl<T: Copy + PartialEq> PartialEq for Img2D<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.width, self.height) == (other.width, other.height)
+            && self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Copy + Eq> Eq for Img2D<T> {}
+
+/// Elements of `T` in one cache line: the most [`aligned_offset`] skips.
+fn line_elems<T>() -> usize {
+    CACHE_LINE / std::mem::size_of::<T>().max(1)
+}
+
+/// Index of the first element of the allocation at `start` that sits on
+/// a cache line, or 0 when none within one line of it does (a `T` whose
+/// size does not divide the line).
+fn aligned_offset<T>(start: *const T) -> usize {
+    let off = start.align_offset(CACHE_LINE);
+    if off <= line_elems::<T>() {
+        off
+    } else {
+        0
+    }
+}
+
 impl<T: Copy + Default> Img2D<T> {
     /// Creates a `width`×`height` buffer filled with `T::default()`.
     pub fn new(width: usize, height: usize) -> Self {
-        Img2D {
-            width,
-            height,
-            data: vec![T::default(); width * height],
-        }
+        Self::filled(width, height, T::default())
     }
 
     /// Creates a `dim`×`dim` buffer, the shape used by every paper kernel.
     pub fn square(dim: usize) -> Self {
         Self::new(dim, dim)
     }
-
-    /// Creates a buffer filled with `value`.
-    pub fn filled(width: usize, height: usize, value: T) -> Self {
-        Img2D {
-            width,
-            height,
-            data: vec![value; width * height],
-        }
-    }
 }
 
 impl<T: Copy> Img2D<T> {
+    /// Creates a buffer filled with `value`.
+    pub fn filled(width: usize, height: usize, value: T) -> Self {
+        let len = width * height;
+        // `vec![v; n]`, not `resize`: a zero integer `v` is a zeroed allocation
+        let mut buf = vec![value; len + line_elems::<T>()];
+        let off = aligned_offset(buf.as_ptr());
+        buf.truncate(off + len);
+        Img2D { width, height, buf, off }
+    }
+
+    /// A `width`×`height` image of `pixels`, copied behind an aligned
+    /// offset of a fresh allocation.
+    fn placed(width: usize, height: usize, pixels: &[T]) -> Self {
+        debug_assert_eq!(pixels.len(), width * height);
+        let mut buf = Vec::with_capacity(pixels.len() + line_elems::<T>());
+        let off = pixels.first().map_or(0, |&first| {
+            let off = aligned_offset(buf.as_ptr());
+            // within capacity, so the allocation `off` was taken from stays
+            buf.resize(off, first);
+            off
+        });
+        buf.extend_from_slice(pixels);
+        Img2D { width, height, buf, off }
+    }
+
     /// Builds an image from an existing row-major vector.
     ///
     /// Returns [`Error::Geometry`] when `data.len() != width * height`.
@@ -64,7 +120,7 @@ impl<T: Copy> Img2D<T> {
                 height
             )));
         }
-        Ok(Img2D { width, height, data })
+        Ok(Self::placed(width, height, &data))
     }
 
     /// Image width in pixels.
@@ -91,14 +147,14 @@ impl<T: Copy> Img2D<T> {
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> T {
         debug_assert!(x < self.width && y < self.height);
-        self.data[y * self.width + x]
+        self.buf[self.off + y * self.width + x]
     }
 
     /// Writes pixel `(x, y)`.
     #[inline]
     pub fn set(&mut self, x: usize, y: usize, v: T) {
         debug_assert!(x < self.width && y < self.height);
-        self.data[y * self.width + x] = v;
+        self.buf[self.off + y * self.width + x] = v;
     }
 
     /// Bounds-checked read returning `None` outside the image. Handy for
@@ -109,37 +165,37 @@ impl<T: Copy> Img2D<T> {
         if x < 0 || y < 0 || x as usize >= self.width || y as usize >= self.height {
             None
         } else {
-            Some(self.data[y as usize * self.width + x as usize])
+            Some(self.buf[self.off + y as usize * self.width + x as usize])
         }
     }
 
     /// Borrow of row `y`.
     #[inline]
     pub fn row(&self, y: usize) -> &[T] {
-        &self.data[y * self.width..(y + 1) * self.width]
+        &self.buf[self.off + y * self.width..self.off + (y + 1) * self.width]
     }
 
     /// Mutable borrow of row `y`.
     #[inline]
     pub fn row_mut(&mut self, y: usize) -> &mut [T] {
-        &mut self.data[y * self.width..(y + 1) * self.width]
+        &mut self.buf[self.off + y * self.width..self.off + (y + 1) * self.width]
     }
 
     /// The whole buffer in row-major order.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        &self.data
+        &self.buf[self.off..]
     }
 
     /// Mutable access to the whole buffer in row-major order.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
+        &mut self.buf[self.off..]
     }
 
     /// Fills the whole image with `value`.
     pub fn fill(&mut self, value: T) {
-        self.data.fill(value);
+        self.as_mut_slice().fill(value);
     }
 
     /// Copies the contents of `src` (same geometry required).
@@ -149,7 +205,7 @@ impl<T: Copy> Img2D<T> {
             (src.width, src.height),
             "copy_from: geometry mismatch"
         );
-        self.data.copy_from_slice(&src.data);
+        self.as_mut_slice().copy_from_slice(src.as_slice());
     }
 
     /// Splits the image into non-overlapping mutable horizontal bands of
@@ -158,14 +214,15 @@ impl<T: Copy> Img2D<T> {
     /// to a different worker.
     pub fn bands_mut(&mut self, rows_per_band: usize) -> Vec<&mut [T]> {
         assert!(rows_per_band > 0, "bands_mut: zero rows per band");
-        self.data.chunks_mut(rows_per_band * self.width).collect()
+        let width = self.width;
+        self.as_mut_slice().chunks_mut(rows_per_band * width).collect()
     }
 
     /// Applies `f` to every pixel coordinate in row-major order.
     pub fn for_each_mut(&mut self, mut f: impl FnMut(usize, usize, &mut T)) {
         for y in 0..self.height {
             for x in 0..self.width {
-                f(x, y, &mut self.data[y * self.width + x]);
+                f(x, y, &mut self.buf[self.off + y * self.width + x]);
             }
         }
     }
@@ -176,7 +233,7 @@ impl Img2D<Rgba> {
     /// This replaces the SDL window of the original framework: examples
     /// and the CLI dump frames to `.ppm` files instead of a screen.
     pub fn to_ppm(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data.len() * 3 + 32);
+        let mut out = Vec::with_capacity(self.width * self.height * 3 + 32);
         self.write_ppm(&mut out).expect("writing to a Vec cannot fail");
         out
     }
@@ -198,11 +255,12 @@ impl Img2D<Rgba> {
 
     /// Fraction of non-transparent pixels, used by sparse `life` datasets.
     pub fn occupancy(&self) -> f64 {
-        if self.data.is_empty() {
+        let pixels = self.as_slice();
+        if pixels.is_empty() {
             return 0.0;
         }
-        let live = self.data.iter().filter(|p| !p.is_transparent()).count();
-        live as f64 / self.data.len() as f64
+        let live = pixels.iter().filter(|p| !p.is_transparent()).count();
+        live as f64 / pixels.len() as f64
     }
 }
 
@@ -304,6 +362,50 @@ mod tests {
             Img2D::from_vec(2, 2, vec![1u8; 5]),
             Err(Error::Geometry(_))
         ));
+    }
+
+    fn line_offset<T: Copy>(img: &Img2D<T>) -> usize {
+        img.as_slice().as_ptr() as usize % CACHE_LINE
+    }
+
+    #[test]
+    fn row_zero_starts_on_a_cache_line_after_every_constructor() {
+        // sizes on both sides of malloc's mmap threshold, and ragged ones
+        for (w, h) in [(1usize, 1usize), (8, 8), (29, 17), (64, 64), (512, 512)] {
+            let new: Img2D<Rgba> = Img2D::new(w, h);
+            assert_eq!(line_offset(&new), 0, "new {w}x{h}");
+            assert_eq!(line_offset(&Img2D::filled(w, h, Rgba::RED)), 0, "filled {w}x{h}");
+            assert_eq!(line_offset(&Img2D::filled(w, h, 7u8)), 0, "filled u8 {w}x{h}");
+            let from = Img2D::from_vec(w, h, vec![3u16; w * h]).unwrap();
+            assert_eq!(line_offset(&from), 0, "from_vec {w}x{h}");
+            assert_eq!(from.as_slice(), vec![3u16; w * h]);
+            assert_eq!(line_offset(&new.clone()), 0, "clone {w}x{h}");
+            let mut pair = ImagePair::from_image(new);
+            pair.swap();
+            assert_eq!(line_offset(pair.cur()), 0, "swap cur {w}x{h}");
+            assert_eq!(line_offset(pair.next()), 0, "swap next {w}x{h}");
+        }
+        // nothing to place: an empty image is an empty slice
+        let empty: Img2D<Rgba> = Img2D::new(0, 3);
+        assert!(empty.clone().as_slice().is_empty());
+        assert!(Img2D::<u8>::from_vec(0, 0, Vec::new()).unwrap().as_slice().is_empty());
+        // a size that does not divide the line falls back to offset 0, intact
+        let odd = Img2D::filled(5, 5, [1u8, 2, 3]);
+        assert_eq!(odd.clone().as_slice(), [[1u8, 2, 3]; 25]);
+    }
+
+    #[test]
+    fn equality_is_over_pixels_not_over_padding() {
+        let mut a: Img2D<u32> = Img2D::new(3, 3);
+        a.set(1, 2, 9);
+        // the same pixels behind one more element of (different) padding
+        let off = a.off + 1;
+        let b = Img2D { width: 3, height: 3, buf: [&vec![77; off][..], a.as_slice()].concat(), off };
+        assert_eq!(a, b);
+        let mut c = b.clone();
+        c.set(0, 0, 1);
+        assert_ne!(a, c);
+        assert_ne!(a, Img2D::new(9, 1), "same pixels, other geometry");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`StaticBlock`] — `schedule(static)`: one contiguous block per rank;
 //! * [`StaticCyclic`] — `schedule(static, k)`: round-robin chunks of `k`;
 //! * [`DynamicChunks`] — `schedule(dynamic, k)`: first-come first-served
-//!   chunks of `k`, claimed in tapered batches on large loops (below);
+//!   chunks of `k`, claimed geometrically on large loops (below);
 //! * [`GuidedChunks`] — `schedule(guided, k)`: exponentially shrinking
 //!   chunks, never below `k`;
 //! * [`StealingDispenser`] — `schedule(nonmonotonic:dynamic)`: "tiles are
@@ -20,22 +20,23 @@
 //! for the stealing policy (see [`StealingDispenser`] for the
 //! no-double-grant argument).
 //!
-//! ## Tapered claims on the shared cursor
+//! ## Geometric claims on the shared cursor
 //!
-//! `dynamic` and `guided` share one cursor and one claim step
+//! `dynamic` and `guided` share one padded cursor and one claim step
 //! (`claim`): read what is left, size the claim from it, CAS the
 //! cursor forward. Guided sizes a claim at `remaining / (2 P)`. Dynamic
-//! sizes it at `remaining / (256 P)` rounded *down* to a multiple of
-//! `k`, and never below `k`: a cross-core read-modify-write on the one
-//! shared word costs ≈200 ns, more than an 8-pixel tile, so a loop of
-//! many thousand chunks takes several per claim while plenty is left
-//! and tapers to single chunks over its last `256 P`. The bound this
-//! buys: no rank ever holds more than `1/(256 P)` of the work that was
-//! left when it claimed, so the end-of-loop imbalance stays one chunk,
-//! as with one chunk per claim. A loop of at most `256 P` chunks — the
-//! tiling-window figures (Fig. 4b, Fig. 8) are all of that size — never
-//! sizes a claim above `k` and is the classic first-come-first-served
-//! sequence `(i k, k)`, unchanged by construction.
+//! on a loop of more than `256 P` chunks (`CLASSIC_CHUNKS`) sizes it
+//! at `remaining / (16 P)` (`CLAIM_SHARE`) rounded *down* to a
+//! multiple of `k`, and never below `k`: a claim is two cross-core
+//! transfers of the cursor's line (the load and the CAS), ≈0.7–1 µs on
+//! the measurement host and several times an 8-pixel tile, so a loop of
+//! many thousand chunks takes them geometrically — `16 P ln(n / 16 P k)`
+//! claims instead of `n / k` — and ends on single chunks over its last
+//! `16 P`. The bound this buys: no rank ever holds more than `1/(16 P)`
+//! of the work that was left when it claimed. A loop of at most `256 P`
+//! chunks — the tiling-window figures (Fig. 4b, Fig. 8) are all of that
+//! size — is the classic first-come-first-served sequence `(i k, k)`,
+//! one chunk per claim.
 //!
 //! ## Hostile chunk sizes
 //!
@@ -219,6 +220,15 @@ impl Dispenser for StaticCyclic {
     }
 }
 
+/// The shared cursor of `dynamic` and `guided`, alone on its cache lines
+/// (128 bytes: the adjacent-line prefetcher pairs them): every claim
+/// moves the line between cores, which must not drag `n` and `k` along.
+/// counter-only: the monotone index is the entire payload; chunk
+/// ownership comes from the CAS's atomicity alone.
+#[repr(align(128))]
+#[derive(Default)]
+struct Cursor(AtomicUsize);
+
 /// One claim on a shared monotone cursor over `0..n`: `size(remaining)`
 /// iterations from the front of what is left (clipped to it), or `None`
 /// once nothing is. The step `dynamic` and `guided` share; they differ
@@ -228,12 +238,13 @@ impl Dispenser for StaticCyclic {
 /// the load alone, and a claim is clipped before it is published, so no
 /// chunk size and no number of calls can wrap it.
 fn claim(
-    cursor: &AtomicUsize,
+    cursor: &Cursor,
     n: usize,
     size: impl Fn(usize) -> usize,
 ) -> Option<(usize, usize)> {
     // ORDERING: counter-only. The cursor is a pure index allocator; no
     // other memory is published through it.
+    let cursor = &cursor.0;
     let mut cur = cursor.load(Ordering::Relaxed);
     loop {
         if cur >= n {
@@ -251,31 +262,34 @@ fn claim(
     }
 }
 
-/// One [`DynamicChunks`] claim takes at most `1/(TAPER · P)` of what
-/// remains.
-const TAPER: usize = 256;
+/// A `dynamic` loop of at most `CLASSIC_CHUNKS · P` chunks is dispensed
+/// one chunk per claim, exactly as libgomp does: every loop the figures
+/// draw tile by tile (Fig. 4b, Fig. 8, the ablation cells) is of that
+/// size, so what they show is the textbook policy.
+const CLASSIC_CHUNKS: usize = 256;
+
+/// On a longer loop one [`DynamicChunks`] claim takes `1/(CLAIM_SHARE · P)`
+/// of what is left, so no rank ever holds more than that share of the
+/// work that remained when it claimed; `guided`'s share is `1/(2 P)`.
+const CLAIM_SHARE: usize = 16;
 
 /// `schedule(dynamic, k)`: a single atomic cursor; idle ranks grab the
 /// next chunks of `k` iterations — "the opportunistic nature of the
 /// dynamic clause" (Fig. 4b).
 ///
-/// One claim takes `max(k, ⌊remaining / (256 P) / k⌋ · k)` iterations
-/// and returns them as *one* chunk. While more than `256 P` chunks are
-/// left that is several chunks for one trip of the cursor's cache line
-/// between cores; over the last `256 P` chunks it is exactly `k`. So a
-/// rank never holds more than `1/(256 P)` of the remaining work, and a
-/// loop of at most `256 P` chunks is dispensed first come, first served
-/// one chunk per claim — the `(i k, k)` sequence of libgomp, which is
-/// what Fig. 4b and Fig. 8 are drawn from.
+/// A loop of at most `256 P` chunks is first come, first served one
+/// chunk per claim — the `(i k, k)` sequence of libgomp. On a longer
+/// loop one claim takes `max(k, ⌊remaining / (16 P) / k⌋ · k)`
+/// iterations and returns them as *one* chunk: many chunks for one trip
+/// of the cursor's cache line between cores while plenty is left,
+/// exactly `k` over the last `16 P` chunks.
 pub struct DynamicChunks {
     n: usize,
     k: usize,
-    /// `256 · P · k`: the remaining work below which a claim is one
-    /// chunk.
-    taper: usize,
-    /// counter-only: the monotone cursor is the entire payload; chunk
-    /// ownership comes from the CAS's atomicity alone.
-    cursor: AtomicUsize,
+    /// `16 · P · k` on a loop above the classic threshold; `usize::MAX`
+    /// on a classic one, which therefore never sizes a claim above `k`.
+    share: usize,
+    cursor: Cursor,
 }
 
 impl DynamicChunks {
@@ -283,20 +297,21 @@ impl DynamicChunks {
     /// `threads` to at least 1.
     pub fn new(n: usize, threads: usize, k: usize) -> Self {
         let k = clamp_chunk(k, n);
-        DynamicChunks {
-            n,
-            k,
-            taper: TAPER.saturating_mul(threads.max(1)).saturating_mul(k),
-            cursor: AtomicUsize::new(0),
-        }
+        let per_rank = threads.max(1).saturating_mul(k);
+        let share = if n > CLASSIC_CHUNKS.saturating_mul(per_rank) {
+            CLAIM_SHARE.saturating_mul(per_rank)
+        } else {
+            usize::MAX
+        };
+        DynamicChunks { n, k, share, cursor: Cursor::default() }
     }
 }
 
 impl Dispenser for DynamicChunks {
     fn next(&self, _rank: usize) -> Option<(usize, usize)> {
-        // ⌊⌊r / 256P⌋ / k⌋ = ⌊r / (256 P k)⌋: one division per claim.
+        // ⌊⌊r / 16P⌋ / k⌋ = ⌊r / (16 P k)⌋: one division per claim.
         claim(&self.cursor, self.n, |remaining| {
-            (remaining / self.taper * self.k).max(self.k)
+            (remaining / self.share).saturating_mul(self.k).max(self.k)
         })
     }
 
@@ -312,9 +327,7 @@ pub struct GuidedChunks {
     n: usize,
     threads: usize,
     k: usize,
-    /// counter-only: the monotone cursor is the entire payload; chunk
-    /// ownership comes from the CAS's atomicity alone.
-    cursor: AtomicUsize,
+    cursor: Cursor,
 }
 
 impl GuidedChunks {
@@ -326,7 +339,7 @@ impl GuidedChunks {
             n,
             threads: threads.max(1),
             k: clamp_chunk(k, n),
-            cursor: AtomicUsize::new(0),
+            cursor: Cursor::default(),
         }
     }
 }
@@ -674,14 +687,17 @@ mod tests {
 
     #[test]
     fn dynamic_claims_taper_to_single_chunks() {
-        // 16 384 units on 2 ranks: 256·P = 512, so the first claim is
-        // 16384/512 = 32 chunks and the last 512 claims are one each
+        // 16 384 units on 2 ranks, above the classic 256·P = 512: the
+        // first claim is 16384/(16·P) = 512 chunks, sizes only shrink,
+        // and at least the last 16·P = 32 claims are one chunk each
         let d = DynamicChunks::new(16_384, 2, 1);
         let chunks = drain_rank(&d, 0);
-        assert_eq!(chunks[0], (0, 32));
+        assert_eq!(chunks[0], (0, 512));
         assert!(chunks.windows(2).all(|w| w[0].1 >= w[1].1), "claims grew");
-        assert!(chunks[chunks.len() - 512..].iter().all(|&(_, len)| len == 1));
-        assert!((2_000..2_600).contains(&chunks.len()), "{} claims", chunks.len());
+        let singles = chunks.iter().rev().take_while(|&&(_, len)| len == 1).count();
+        assert!((32..64).contains(&singles), "{singles} single-chunk claims at the tail");
+        // ≈ 16·P·(1 + ln(n / 16·P)) = 32 · 7.2
+        assert!((200..=260).contains(&chunks.len()), "{} claims", chunks.len());
     }
 
     #[test]
@@ -689,23 +705,29 @@ mod tests {
         // `--schedule dynamic,9223372036854775808` used to wrap the
         // cursor to 0 on the third fetch_add (every tile granted twice);
         // `static,<same>` wrapped `chunk * k` to 0 and re-granted chunk
-        // 0 to rank 0 forever
+        // 0 to rank 0 forever.
+        // n = 64 is a classic loop for every k; 2 000 is above the
+        // threshold for k = 1 and 0 (clamped to 1), where the geometric
+        // sizing runs, and a 1-tile grid is the other edge
         let threads = 2;
-        let n = 64;
-        for k in [usize::MAX, 1 << (usize::BITS - 1), (1 << (usize::BITS - 1)) + 1] {
-            for sched in [
-                Schedule::Static,
-                Schedule::StaticChunk(k),
-                Schedule::Dynamic(k),
-                Schedule::Guided(k),
-                Schedule::NonmonotonicDynamic(k),
-            ] {
-                let d = dispenser_for(sched, n, threads);
-                let got = drain_interleaved(&*d, threads);
-                assert_exact_cover(&got, n);
-                for call in 0..6 {
-                    for rank in 0..threads {
-                        assert_eq!(d.next(rank), None, "{sched:?}: call {call} after exhaustion");
+        let top = 1 << (usize::BITS - 1);
+        for n in [1, 64, 2_000] {
+            for k in [0, 1, usize::MAX, top, top + 1] {
+                for sched in [
+                    Schedule::Static,
+                    Schedule::StaticChunk(k),
+                    Schedule::Dynamic(k),
+                    Schedule::Guided(k),
+                    Schedule::NonmonotonicDynamic(k),
+                ] {
+                    let d = dispenser_for(sched, n, threads);
+                    // an index at or past `n` would break the cover too
+                    let got = drain_interleaved(&*d, threads);
+                    assert_exact_cover(&got, n);
+                    for call in 0..6 {
+                        for rank in 0..threads {
+                            assert_eq!(d.next(rank), None, "{sched:?}: call {call} after exhaustion");
+                        }
                     }
                 }
             }
@@ -964,9 +986,12 @@ mod tests {
             for (i, &(start, len)) in chunks.iter().enumerate() {
                 assert_eq!(start, next_start, "claims are contiguous, in order");
                 let remaining = n - start;
-                assert!(len <= k.max(remaining / (TAPER * threads)), "claim {i} hoards {len} of {remaining}");
+                assert!(len <= k.max(remaining / (CLAIM_SHARE * threads)), "claim {i} hoards {len} of {remaining}");
                 if i + 1 < chunks.len() {
                     assert_eq!(len % k, 0, "claim {i} splits a chunk");
+                }
+                if remaining <= CLAIM_SHARE * threads * k {
+                    assert_eq!(len, k.min(remaining), "claim {i}: the last 16·P chunks go singly");
                 }
                 next_start = start + len;
             }
@@ -976,7 +1001,7 @@ mod tests {
         }
 
         fn prop_dynamic_is_classic_below_the_taper_threshold(
-            chunks in 0usize..=TAPER,
+            chunks in 0usize..=CLASSIC_CHUNKS,
             threads in 1usize..9,
             k in 1usize..8,
             ragged in 0usize..8,

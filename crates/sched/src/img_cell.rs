@@ -11,6 +11,7 @@
 //! covers a distinct tile — which the dispensers guarantee by handing
 //! each tile out exactly once — all writes are disjoint.
 
+use ezp_core::img::CACHE_LINE;
 use ezp_core::{Img2D, Tile};
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
@@ -82,6 +83,17 @@ impl<'a, T: Copy> ImgCell<'a, T> {
         assert!(
             tile.x + tile.w <= self.width && tile.y + tile.h <= self.height,
             "tile exceeds image bounds"
+        );
+        // `Img2D` starts row 0 on a cache line, so a tile whose rows are
+        // whole lines (16 `Rgba` pixels) a whole number of lines into the
+        // image starts on one too, and shares no line with a neighbour
+        let size = std::mem::size_of::<T>();
+        let whole_lines = |pixels: usize| pixels * size % CACHE_LINE == 0;
+        debug_assert!(
+            !(whole_lines(tile.w) && whole_lines(tile.y * self.width + tile.x))
+                || self.ptr() as usize % CACHE_LINE == 0
+                || CACHE_LINE.checked_rem(size) != Some(0),
+            "a line-wide tile row straddles cache lines: the image is not line-aligned"
         );
         TileWriter { cell: self, tile }
     }

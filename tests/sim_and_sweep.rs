@@ -151,8 +151,8 @@ fn fig6_simulation_respects_scheduling_theory() {
 
 /// `dynamic,1` claims several tiles at once while a fine-grained loop is
 /// long (see `ezp_sched::dispenser`); because a claim never exceeds
-/// 1/(256 P) of what is left and the tail is single tiles, the greedy
-/// bound of one-tile-per-claim list scheduling still holds.
+/// 1/(16 P) of what is left and the last 16 P claims are single tiles,
+/// the greedy bound of one-tile-per-claim list scheduling still holds.
 #[test]
 fn batched_dynamic_claims_stay_within_the_graham_bound() {
     let dim = 1024;
