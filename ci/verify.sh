@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: hermetic build + tests, entirely offline.
 #
-# Lanes, in order: banned-dependency guard, production-graph guard,
+# Lanes, in order: resolved-graph guard, production-graph guard,
 # ezp-lint, workspace build + tests (the ezp-chan schedule explorer
 # rerun by name), results/ regenerated and diffed, ezp-check +
 # conformance matrix, the stats / explain / streaming / serve smoke
@@ -11,18 +11,21 @@
 # gates speed: that is measured by benchmark/ (BENCHMARK.json) alone.
 #
 # The workspace must build and pass its test suite without touching a
-# cargo registry. A grep guard keeps it that way: if any manifest
-# reintroduces one of the dependencies this repo replaced with in-tree
-# substitutes (see "Hermetic build & testkit" in DESIGN.md), verification
-# fails before wasting time on a build.
+# cargo registry. Every build below runs --offline, which cannot resolve
+# a registry dependency in the first place; a resolved one leaves a
+# `source = ` line in a lockfile, transitive dependencies included, so
+# that is what the guard reads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-banned='^(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde)'
-if grep -rE "$banned" crates/*/Cargo.toml Cargo.toml; then
-    echo "error: registry dependency reintroduced (see matches above)." >&2
-    echo "Use the in-tree substitutes: ezp-testkit (rng/proptest)," >&2
-    echo "std::sync, std::sync::mpsc, Vec<u8>, ezp-core::json." >&2
+if grep -n '^source = ' Cargo.lock benchmark/Cargo.lock; then
+    echo "error: a lockfile resolves a non-path dependency (matches above);" >&2
+    echo "use the in-tree substitutes (DESIGN.md, Hermetic build & testkit)." >&2
+    exit 1
+fi
+# The deny lints of [workspace.lints] reach a crate only if it inherits them.
+if grep -L '^\[lints\]' Cargo.toml crates/*/Cargo.toml | grep .; then
+    echo "error: the manifests above lack \`[lints] workspace = true\`." >&2
     exit 1
 fi
 
@@ -43,16 +46,14 @@ for pkg in easypap-cli ezp-serve ezp-mpi ezp-kernels; do
 done
 echo "verify: no production package depends on ezp-chan"
 
-# Static analysis lane (see docs/static-analysis.md): ezp-lint enforces
-# the invariants the runtime's correctness argument leans on — SAFETY:
-# comments on unsafe, ORDERING: justifications on weak atomics, a
-# lock-free scheduler hot path, seed-replay determinism in the ezp-check
-# modules, hermetic manifests, and live cfg(feature) gates. It runs
-# before the build lanes: the linter is std-only and compiles even when
-# the rest of the tree is broken, and its findings are cheaper to read
-# than a failed tier-2 lane. The JSON report feeds the budget check
-# below and is not kept; on failure the human-readable rerun prints the
-# findings.
+# Static analysis lane (docs/static-analysis.md): ezp-lint enforces what
+# no compiler lint reads — SAFETY: comments on unsafe, ORDERING:
+# justifications and acquire/release pairing on weak atomics, no lock
+# types in the scheduler hot-path files, seed-replay determinism in the
+# ezp-check modules. It runs before the build lanes: the linter is
+# std-only and compiles even when the rest of the tree is broken. The
+# JSON report feeds the budget check below and is not kept; on failure
+# the human-readable rerun prints the findings.
 lint_report="$(mktemp)"
 if ! cargo run -q --offline -p ezp-lint -- --format=json > "$lint_report"; then
     cargo run -q --offline -p ezp-lint || true
@@ -60,9 +61,9 @@ if ! cargo run -q --offline -p ezp-lint -- --format=json > "$lint_report"; then
     echo "       docs/static-analysis.md)." >&2
     exit 1
 fi
-# The version-2 report carries per-pass finding counts and wall-times;
+# The version-2 report carries the pass's finding count and wall-time;
 # echo them into the log and fail the lane if the whole lint run blew
-# its 5-second budget — a cross-file pass regressing into quadratic
+# its 5-second budget — the cross-file pass regressing into quadratic
 # behaviour on workspace growth should be a CI failure, not slow creep.
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$lint_report" <<'EOF'
@@ -77,12 +78,10 @@ if total > 5000:
 print(f"verify: lint lane within budget ({total:.0f} ms of 5000 ms)")
 EOF
 else
-    # Fallback: the three passes must be present in the report; no
-    # budget arithmetic without python3.
-    for pass_name in atomics-pairing guard-leak counter-registry; do
-        grep -q "\"name\": *\"$pass_name\"" "$lint_report"
-    done
-    echo "verify: lint passes present in report (grep fallback, no budget check)"
+    # Fallback: the pass must be present in the report; no budget
+    # arithmetic without python3.
+    grep -q '"name": *"atomics-pairing"' "$lint_report"
+    echo "verify: lint pass present in report (grep fallback, no budget check)"
 fi
 rm -f "$lint_report"
 echo "verify: ezp-lint clean"

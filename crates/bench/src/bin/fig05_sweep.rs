@@ -34,7 +34,7 @@ fn main() {
         if full { " [FULL]" } else { " [scaled; EZP_FULL=1 for paper size]" }
     );
     let csv = "fig05.csv";
-    let _ = std::fs::remove_file(csv);
+    std::fs::remove_file(csv).ok();
     let outcomes = sweep.execute(&ezp_kernels::registry(), csv).unwrap();
     let total_ms: u64 = outcomes.iter().map(|o| o.elapsed_ns / 1_000_000).sum();
     println!(

@@ -260,10 +260,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_line_size_rejected() {
-        let _ = CacheSim::new(CacheConfig {
+        drop(CacheSim::new(CacheConfig {
             size_bytes: 120,
             line_bytes: 15,
             ways: 2,
-        });
+        }));
     }
 }

@@ -447,7 +447,7 @@ mod tests {
         std::env::set_current_dir(&dir).unwrap();
         let r = f();
         std::env::set_current_dir(old).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).ok();
         r
     }
 

@@ -33,7 +33,7 @@ fn run_with_closed_stdout(args: &[&str], tag: &str) -> (std::process::ExitStatus
     // this is `head -1` in the limit: take nothing, close the pipe
     drop(child.stdout.take());
     let out = child.wait_with_output().expect("wait easypap");
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
     (out.status, String::from_utf8_lossy(&out.stderr).into_owned())
 }
 

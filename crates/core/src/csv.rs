@@ -313,7 +313,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ezp_csv_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("perf.csv");
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
         let header = ["kernel", "time_us"];
         CsvTable::append_row_to_file(&path, &header, &["mandel".into(), "10".into()]).unwrap();
         CsvTable::append_row_to_file(&path, &header, &["blur".into(), "20".into()]).unwrap();

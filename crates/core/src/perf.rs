@@ -230,7 +230,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ezp_perf_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("perf.csv");
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
         let cfg = RunConfig::new("painter").size(16).tile(8).iterations(2);
         for run in 0..3 {
             let (out, _) = run_kernel(&reg(), cfg.clone(), Arc::new(NullProbe)).unwrap();

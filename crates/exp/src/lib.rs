@@ -159,7 +159,7 @@ mod tests {
 
     fn tmp_csv(name: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!("ezp_exp_{}_{}.csv", name, std::process::id()));
-        let _ = std::fs::remove_file(&p);
+        std::fs::remove_file(&p).ok();
         p
     }
 
@@ -236,12 +236,12 @@ mod tests {
         let csv = tmp_csv("bad");
         let sweep = Sweep::new().fixed("--kernel", "noop").fixed("--tile-size", 0);
         assert!(sweep.execute(&registry(), &csv).is_err());
-        let _ = std::fs::remove_file(&csv);
+        std::fs::remove_file(&csv).ok();
     }
 
     #[test]
     #[should_panic(expected = "at least one value")]
     fn empty_axis_rejected() {
-        let _ = Sweep::new().set("--grain", Vec::<String>::new());
+        drop(Sweep::new().set("--grain", Vec::<String>::new()));
     }
 }

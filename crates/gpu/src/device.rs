@@ -203,6 +203,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one CU")]
     fn zero_cu_rejected() {
-        let _ = VirtualDevice::new(0);
+        drop(VirtualDevice::new(0));
     }
 }

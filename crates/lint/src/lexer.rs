@@ -15,8 +15,6 @@
 //!   blanked to spaces (length-preserving, so char positions line up
 //!   with the original),
 //! * `comment` — only the comment text, similarly aligned,
-//! * `strings` — the contents of string literals that *start* on the
-//!   line, for rules that inspect them (`cfg(feature = "…")`),
 //! * `in_test` — whether the line sits inside a `#[cfg(test)]` /
 //!   `#[test]` item, tracked by brace depth,
 //! * `allows` — rule names suppressed via an `allow(rule)` marker
@@ -35,9 +33,6 @@ pub struct Line {
     pub code: String,
     /// Comment text only, everything else blanked to spaces.
     pub comment: String,
-    /// `(char_position_of_opening_quote, content)` for every string
-    /// literal starting on this line.
-    pub strings: Vec<(usize, String)>,
     /// True when the line is inside a `#[cfg(test)]` or `#[test]` item.
     pub in_test: bool,
     /// Rule names suppressed on this line (and, by the engine's
@@ -68,10 +63,6 @@ pub fn lex_file(src: &str) -> Vec<Line> {
     let mut cur_code: Vec<char> = Vec::new();
     let mut cur_comment: Vec<char> = Vec::new();
     let mut state = State::Code;
-    // Start position (in `cur_code`) and buffer of the string literal
-    // currently being read, if any.
-    let mut str_start: usize = 0;
-    let mut str_buf: String = String::new();
 
     let mut i = 0usize;
     while i < chars.len() {
@@ -133,8 +124,6 @@ pub fn lex_file(src: &str) -> Vec<Line> {
                     } else {
                         State::Str { escaped: false }
                     };
-                    str_start = cur_code.len();
-                    str_buf.clear();
                     cur_code.push('"');
                     cur_comment.push(' ');
                     i += 1;
@@ -197,24 +186,17 @@ pub fn lex_file(src: &str) -> Vec<Line> {
             State::Str { escaped } => {
                 if escaped {
                     state = State::Str { escaped: false };
-                    str_buf.push(c);
                     cur_code.push(' ');
-                    cur_comment.push(' ');
                 } else if c == '\\' {
                     state = State::Str { escaped: true };
-                    str_buf.push(c);
                     cur_code.push(' ');
-                    cur_comment.push(' ');
                 } else if c == '"' {
                     state = State::Code;
-                    cur.strings.push((str_start, std::mem::take(&mut str_buf)));
                     cur_code.push('"');
-                    cur_comment.push(' ');
                 } else {
-                    str_buf.push(c);
                     cur_code.push(' ');
-                    cur_comment.push(' ');
                 }
+                cur_comment.push(' ');
                 i += 1;
             }
             State::RawStr { hashes } => {
@@ -223,7 +205,6 @@ pub fn lex_file(src: &str) -> Vec<Line> {
                     let closes = (0..hashes).all(|k| chars.get(i + 1 + k) == Some(&'#'));
                     if closes {
                         state = State::Code;
-                        cur.strings.push((str_start, std::mem::take(&mut str_buf)));
                         cur_code.push('"');
                         cur_comment.push(' ');
                         for _ in 0..hashes {
@@ -234,7 +215,6 @@ pub fn lex_file(src: &str) -> Vec<Line> {
                         continue;
                     }
                 }
-                str_buf.push(c);
                 cur_code.push(' ');
                 cur_comment.push(' ');
                 i += 1;
@@ -299,6 +279,16 @@ pub fn justified(lines: &[Line], line: usize, tag: &str, window: usize) -> bool 
         }
     }
     false
+}
+
+/// Is `rule` switched off at 0-based line `idx` by an `allow(rule)`
+/// marker comment on that line or on the line directly above it?
+pub fn allowed_at(lines: &[Line], idx: usize, rule: &str) -> bool {
+    [idx.checked_sub(1), Some(idx)].into_iter().flatten().any(|i| {
+        lines
+            .get(i)
+            .is_some_and(|l| l.allows.iter().any(|a| a == rule))
+    })
 }
 
 /// The struct field (or static) an atomic method call is invoked on.
@@ -546,8 +536,7 @@ mod tests {
         let lines = lex_file("let m = \"Mutex\"; // Mutex here too\n");
         assert!(!has_word(&lines[0].code, "Mutex"));
         assert!(lines[0].comment.contains("Mutex here too"));
-        assert_eq!(lines[0].strings.len(), 1);
-        assert_eq!(lines[0].strings[0].1, "Mutex");
+        assert!(lines[0].code.starts_with("let m = \"     \";"));
     }
 
     #[test]
@@ -566,7 +555,6 @@ mod tests {
         let src = "let s = r#\"quote \" unsafe \"#; unsafe_fn();\n";
         let lines = lex_file(src);
         assert!(!has_word(&lines[0].code, "unsafe"));
-        assert_eq!(lines[0].strings[0].1, "quote \" unsafe ");
         assert!(has_word(&lines[0].code, "unsafe_fn"));
     }
 
@@ -617,6 +605,16 @@ fn after() { y(); }
         let lines = lex_file(src);
         assert!(lines[2].in_test);
         assert!(!lines[4].in_test);
+    }
+
+    #[test]
+    fn suppression_covers_own_and_next_line() {
+        let lines = lex_file(
+            "// ezp-lint: allow(determinism)\nlet t = x();\nlet u = y();\n",
+        );
+        assert!(allowed_at(&lines, 0, "determinism"));
+        assert!(allowed_at(&lines, 1, "determinism"));
+        assert!(!allowed_at(&lines, 2, "determinism"));
     }
 
     #[test]

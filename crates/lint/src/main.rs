@@ -33,8 +33,7 @@ EXIT STATUS:
 Suppress a finding on one line (or the line below the comment) with:
     // ezp-lint: allow(<rule-name>)
 Cross-file pass findings may also be suppressed at the declaration that
-anchors them (the atomic field, guard type, acquiring fn, counter
-registration or enum variant).
+anchors them (the atomic field).
 ";
 
 fn main() -> ExitCode {

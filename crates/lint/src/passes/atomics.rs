@@ -70,8 +70,8 @@ pub fn check(model: &Model) -> Vec<Diagnostic> {
     }
 
     for ((krate, field), field_decls) in &decls {
-        // Files outside any manifest resolve to an empty crate name.
-        let krate_desc = if krate.is_empty() { "this crate".to_string() } else { format!("crate {krate}") };
+        // The root package's own `src/` resolves to an empty crate name.
+        let krate_desc = if krate.is_empty() { "this crate" } else { krate };
         let decl_allowed = field_decls.iter().any(|d| model.is_allowed(&d.site, RULE));
         let Some(list) = accs.get(&(krate, field)) else {
             continue; // declared but never accessed (or only in tests)
@@ -151,8 +151,7 @@ mod tests {
 
     fn model_of(src: &str) -> Model {
         let mut m = Model::new();
-        m.add_source("crates/x/src/lib.rs", "x", &lex_file(src));
-        m.finish();
+        m.add_source("crates/x/src/lib.rs", &lex_file(src));
         m
     }
 

@@ -1,22 +1,20 @@
-//! Phase-2 cross-file passes over the [`crate::model::Model`].
+//! Phase 2: the cross-file pass over the [`crate::model::Model`].
 //!
-//! Each pass is a pure function from the finished symbol model to a
-//! list of diagnostics; suppression is resolved inside the pass (a
+//! A pass is a pure function from the finished symbol model to a list
+//! of diagnostics; suppression is resolved inside the pass (a
 //! cross-file finding may be silenced either at the reported site or
-//! at the declaration that anchors the invariant — see each pass's
-//! docs). [`run`] times every pass individually so the CI report can
-//! track per-pass cost against the lint lane's 5-second budget.
+//! at the declaration that anchors the invariant — see the pass's
+//! docs). [`run`] times it so the CI report can track its cost against
+//! the lint lane's 5-second budget.
 
 pub mod atomics;
-pub mod guards;
-pub mod registry;
 
 use crate::diag::Diagnostic;
 use crate::model::Model;
 use std::time::Instant;
 
-/// Names of the cross-file passes, in run order.
-pub const PASS_NAMES: &[&str] = &["atomics-pairing", "guard-leak", "counter-registry"];
+/// Name of the cross-file pass.
+pub const PASS_NAME: &str = "atomics-pairing";
 
 /// Wall-time and finding count for one pass execution.
 #[derive(Debug, Clone)]
@@ -29,28 +27,15 @@ pub struct PassStat {
     pub wall_ms: f64,
 }
 
-/// Runs the cross-file passes (all of them, or just `only`) and
-/// returns their diagnostics plus per-pass statistics.
-pub fn run(model: &Model, only: Option<&str>) -> (Vec<Diagnostic>, Vec<PassStat>) {
-    let passes: [(&'static str, fn(&Model) -> Vec<Diagnostic>); 3] = [
-        ("atomics-pairing", atomics::check),
-        ("guard-leak", guards::check),
-        ("counter-registry", registry::check),
-    ];
-    let mut diags = Vec::new();
-    let mut stats = Vec::new();
-    for (name, pass) in passes {
-        if only.is_some_and(|o| o != name) {
-            continue;
-        }
-        let t0 = Instant::now();
-        let found = pass(model);
-        stats.push(PassStat {
-            name,
-            findings: found.len(),
-            wall_ms: t0.elapsed().as_secs_f64() * 1000.0,
-        });
-        diags.extend(found);
-    }
-    (diags, stats)
+/// Runs the cross-file pass and returns its diagnostics plus its
+/// statistics.
+pub fn run(model: &Model) -> (Vec<Diagnostic>, PassStat) {
+    let t0 = Instant::now();
+    let found = atomics::check(model);
+    let stat = PassStat {
+        name: PASS_NAME,
+        findings: found.len(),
+        wall_ms: t0.elapsed().as_secs_f64() * 1000.0,
+    };
+    (found, stat)
 }

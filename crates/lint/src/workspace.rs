@@ -1,23 +1,20 @@
 //! Workspace discovery and the lint engine driver.
 //!
-//! [`lint_workspace`] walks a directory tree, collects every `.rs` file,
-//! `Cargo.toml` and observability docs file (skipping `target/`, VCS
-//! metadata and the intentionally-bad `lint_fixtures/` corpora), then
-//! runs the two-phase engine: **phase 1** lexes each source once,
-//! running the per-line rules *and* feeding the same lexed lines into
-//! the [`crate::model::Model`]; **phase 2** runs the cross-file
-//! [`crate::passes`] over the finished model. Per-line findings are
-//! filtered through suppressions here; pass findings resolve their own
-//! suppressions (they may be anchored at a declaration site far from
-//! the finding).
+//! [`lint_workspace`] walks a directory tree, collects every `.rs` file
+//! (skipping `target/`, VCS metadata and the intentionally-bad
+//! `lint_fixtures/` corpora), then runs the two-phase engine:
+//! **phase 1** lexes each source once, running the per-line rules *and*
+//! feeding the same lexed lines into the [`crate::model::Model`];
+//! **phase 2** runs the cross-file pass of [`crate::passes`] over the
+//! finished model. Per-line findings are filtered through suppressions
+//! here; pass findings resolve their own suppressions (they may be
+//! anchored at a declaration site far from the finding).
 
 use crate::diag::Diagnostic;
-use crate::lexer::{lex_file, Line};
-use crate::manifest::{self, Manifest};
+use crate::lexer::{allowed_at, lex_file};
 use crate::model::Model;
 use crate::passes::{self, PassStat};
 use crate::rules::{self, SourceFile};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -29,15 +26,15 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "lint_fixtures", "node_modules"];
 pub struct Report {
     /// Findings that survived suppression, in file/line order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Number of files (sources + manifests + docs) scanned.
+    /// Number of source files scanned.
     pub files_scanned: usize,
-    /// Per-pass finding counts and wall-times (cross-file passes only).
+    /// Finding count and wall-time of the cross-file pass, when it ran.
     pub pass_stats: Vec<PassStat>,
     /// Wall time of the whole run in milliseconds.
     pub total_ms: f64,
 }
 
-/// Lints every source file, manifest and docs table under `root`.
+/// Lints every source file under `root`.
 pub fn lint_workspace(root: &Path) -> Report {
     lint_workspace_only(root, None)
 }
@@ -45,87 +42,38 @@ pub fn lint_workspace(root: &Path) -> Report {
 /// [`lint_workspace`], restricted to the single rule or pass named by
 /// `only` when it is `Some` (the CLI's `--only` flag).
 pub fn lint_workspace_only(root: &Path, only: Option<&str>) -> Report {
-    let mut sources = Vec::new();
-    let mut manifests = Vec::new();
-    let mut docs = Vec::new();
-    walk(root, &mut sources, &mut manifests, &mut docs);
-    lint_files(root, &sources, &manifests, &docs, only)
-}
-
-/// Runs the engine over an explicit file set (fixture tests use this to
-/// point it at a corpus directory). `root` anchors relative paths and
-/// the nearest-manifest search; `docs` lists observability docs files
-/// for the counter-registry pass.
-pub fn lint_files(
-    root: &Path,
-    sources: &[PathBuf],
-    manifests: &[PathBuf],
-    docs: &[PathBuf],
-    only: Option<&str>,
-) -> Report {
     let t0 = Instant::now();
+    let mut sources = Vec::new();
+    walk(root, &mut sources);
     let mut report = Report::default();
-    let line_rule = |name: &str| only.is_none_or(|o| o == name);
-
-    // Parse every manifest once; key by owning directory.
-    let mut by_dir: BTreeMap<PathBuf, Manifest> = BTreeMap::new();
-    for mpath in manifests {
-        let Ok(text) = std::fs::read_to_string(mpath) else {
-            continue;
-        };
-        let m = manifest::parse(&text);
-        if line_rule("hermeticity") {
-            rules::check_manifest(&rel_path(root, mpath), &m, &mut report.diagnostics);
-        }
-        report.files_scanned += 1;
-        if let Some(dir) = mpath.parent() {
-            by_dir.insert(dir.to_path_buf(), m);
-        }
-    }
-
-    // Workspace member names in underscore form, for `extern crate`.
-    let workspace_crates: Vec<String> = by_dir
-        .values()
-        .filter_map(|m| m.package_name.as_ref())
-        .map(|n| n.replace('-', "_"))
-        .collect();
+    let wanted = |name: &str| only.is_none_or(|o| o == name);
 
     let mut model = Model::new();
-    for spath in sources {
+    for spath in &sources {
         let Ok(text) = std::fs::read_to_string(spath) else {
             continue;
         };
         report.files_scanned += 1;
         let lines = lex_file(&text);
-        let owning = nearest_manifest(&by_dir, root, spath);
-        let features = owning.map(|m| m.known_features()).unwrap_or_default();
         let rel = rel_path(root, spath);
-        let krate = owning
-            .and_then(|m| m.package_name.clone())
-            .unwrap_or_default();
-        model.add_source(&rel, &krate, &lines);
-        let file = SourceFile {
-            rel: &rel,
-            lines: &lines,
-            crate_features: &features,
-            workspace_crates: &workspace_crates,
-        };
+        model.add_source(&rel, &lines);
+        let file = SourceFile { rel: &rel, lines: &lines };
         let mut found = Vec::new();
         rules::check_source(&file, &mut found);
         report.diagnostics.extend(
             found
                 .into_iter()
-                .filter(|d| line_rule(d.rule) && !suppressed(&lines, d)),
+                .filter(|d| wanted(d.rule) && !allowed_at(&lines, d.line - 1, d.rule)),
         );
         // Validate the suppressions themselves: an `allow(...)` naming
         // an unknown rule silently does nothing — exactly how a typo
         // would disarm a real suppression — so it is itself a finding.
-        if line_rule("unknown-suppression") {
+        if wanted(rules::UNKNOWN_SUPPRESSION) {
             for (i, line) in lines.iter().enumerate() {
                 for a in &line.allows {
                     if !rules::is_known_rule(a) {
                         report.diagnostics.push(Diagnostic {
-                            rule: "unknown-suppression",
+                            rule: rules::UNKNOWN_SUPPRESSION,
                             path: rel.clone(),
                             line: i + 1,
                             message: format!(
@@ -139,24 +87,11 @@ pub fn lint_files(
         }
     }
 
-    // Phase 2: the cross-file passes over the finished model.
-    for dpath in docs {
-        let Ok(text) = std::fs::read_to_string(dpath) else {
-            continue;
-        };
-        report.files_scanned += 1;
-        model.add_docs(&rel_path(root, dpath), &text);
-    }
-    model.finish();
-    match only {
-        Some(o) if !passes::PASS_NAMES.contains(&o) => {
-            // a line rule was requested: run no passes
-        }
-        _ => {
-            let (diags, stats) = passes::run(&model, only);
-            report.diagnostics.extend(diags);
-            report.pass_stats = stats;
-        }
+    // Phase 2: the cross-file pass over the finished model.
+    if wanted(passes::PASS_NAME) {
+        let (diags, stat) = passes::run(&model);
+        report.diagnostics.extend(diags);
+        report.pass_stats.push(stat);
     }
 
     report.diagnostics.sort_by(|a, b| {
@@ -164,38 +99,6 @@ pub fn lint_files(
     });
     report.total_ms = t0.elapsed().as_secs_f64() * 1000.0;
     report
-}
-
-/// Is `d` switched off by an `allow(rule)` marker comment on its own
-/// line or on the line directly above it?
-fn suppressed(lines: &[Line], d: &Diagnostic) -> bool {
-    let idx = d.line - 1; // diagnostics are 1-based
-    let covering = [idx.checked_sub(1), Some(idx)];
-    covering.into_iter().flatten().any(|i| {
-        lines
-            .get(i)
-            .is_some_and(|l| l.allows.iter().any(|a| a == d.rule))
-    })
-}
-
-/// The manifest owning `file`: nearest `Cargo.toml` walking up from the
-/// file's directory, stopping at `root`.
-fn nearest_manifest<'m>(
-    by_dir: &'m BTreeMap<PathBuf, Manifest>,
-    root: &Path,
-    file: &Path,
-) -> Option<&'m Manifest> {
-    let mut dir = file.parent();
-    while let Some(d) = dir {
-        if let Some(m) = by_dir.get(d) {
-            return Some(m);
-        }
-        if d == root {
-            break;
-        }
-        dir = d.parent();
-    }
-    None
 }
 
 /// `/`-separated path of `p` relative to `root`.
@@ -207,14 +110,8 @@ fn rel_path(root: &Path, p: &Path) -> String {
         .join("/")
 }
 
-/// Recursively collects `.rs` sources, `Cargo.toml` manifests and
-/// observability docs files.
-fn walk(
-    dir: &Path,
-    sources: &mut Vec<PathBuf>,
-    manifests: &mut Vec<PathBuf>,
-    docs: &mut Vec<PathBuf>,
-) {
+/// Recursively collects `.rs` sources.
+fn walk(dir: &Path, sources: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -229,13 +126,9 @@ fn walk(
             if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
                 continue;
             }
-            walk(&path, sources, manifests, docs);
-        } else if name == "Cargo.toml" {
-            manifests.push(path);
+            walk(&path, sources);
         } else if name.ends_with(".rs") {
             sources.push(path);
-        } else if name == "observability.md" {
-            docs.push(path);
         }
     }
 }
@@ -248,21 +141,5 @@ mod tests {
     fn rel_paths_are_slash_separated_and_root_relative() {
         let root = Path::new("/a/b");
         assert_eq!(rel_path(root, Path::new("/a/b/c/d.rs")), "c/d.rs");
-    }
-
-    #[test]
-    fn suppression_covers_own_and_next_line() {
-        let lines = lex_file(
-            "// ezp-lint: allow(determinism)\nlet t = x();\nlet u = y();\n",
-        );
-        let mk = |line| Diagnostic {
-            rule: "determinism",
-            path: "f.rs".into(),
-            line,
-            message: String::new(),
-        };
-        assert!(suppressed(&lines, &mk(1)));
-        assert!(suppressed(&lines, &mk(2)));
-        assert!(!suppressed(&lines, &mk(3)));
     }
 }

@@ -1,9 +1,8 @@
 //! Pass-suppression corpus: the same unpaired-Release shape as
 //! `atomics_pairing/bad`, switched off by an `allow(atomics-pairing)`
 //! anchored at the field *declaration* — one marker covers every
-//! access site — plus a deliberately-not-RAII ticket suppressed at its
-//! type declaration. Both markers name passes, so a clean run here
-//! also proves pass names validate as known suppressions.
+//! access site. The marker names the pass, so a clean run here also
+//! proves pass names validate as known suppressions.
 
 pub struct State {
     // release-only by design: the consumer side lives out-of-process
@@ -15,10 +14,4 @@ impl State {
     pub fn publish(&self) {
         self.flag.store(true, Ordering::Release);
     }
-}
-
-// shared token, not a scope guard: release is the reader observing it
-// ezp-lint: allow(guard-leak)
-pub struct ShareTicket {
-    live: bool,
 }

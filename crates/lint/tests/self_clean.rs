@@ -20,8 +20,8 @@ fn workspace_is_lint_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // Sanity: the walk actually visited the tree (sources + manifests),
-    // rather than silently scanning an empty directory.
+    // Sanity: the walk actually visited the tree, rather than silently
+    // scanning an empty directory.
     assert!(
         report.files_scanned > 100,
         "suspiciously few files scanned: {}",

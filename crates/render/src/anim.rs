@@ -86,7 +86,7 @@ mod tests {
 
     fn tmp_dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ezp_anim_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
+        std::fs::remove_dir_all(&d).ok();
         d
     }
 
@@ -128,6 +128,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "stride")]
     fn zero_stride_rejected() {
-        let _ = FrameSink::new(std::env::temp_dir(), FrameFormat::Ppm, 0);
+        drop(FrameSink::new(std::env::temp_dir(), FrameFormat::Ppm, 0));
     }
 }

@@ -97,7 +97,22 @@ impl PoolMux {
         self.slots
     }
 
-    /// Grants a lease immediately if a slot is free.
+    /// Grants a lease immediately if a slot is free. Discarding the
+    /// result hands the slot straight back, so both spellings are
+    /// compile errors under the workspace lint table:
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_must_use)]
+    /// let mux = ezp_sched::PoolMux::new(1, 1);
+    /// mux.try_lease();
+    /// ```
+    ///
+    /// ```compile_fail
+    /// #![deny(let_underscore_drop)]
+    /// let mux = ezp_sched::PoolMux::new(1, 1);
+    /// let _ = mux.try_lease();
+    /// ```
+    #[must_use = "dropping the lease returns the slot at once; bind it for the job's lifetime"]
     pub fn try_lease(&self) -> Option<PoolLease<'_>> {
         let pool = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop()?;
         // ORDERING: Relaxed — counter-only statistic, synchronizes with
@@ -106,7 +121,21 @@ impl PoolMux {
         Some(PoolLease { mux: self, pool: Some(pool) })
     }
 
-    /// Grants a lease, blocking until a slot frees up.
+    /// Grants a lease, blocking until a slot frees up. A discarded
+    /// lease is a compile error in both spellings:
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_must_use)]
+    /// let mux = ezp_sched::PoolMux::new(1, 1);
+    /// mux.lease();
+    /// ```
+    ///
+    /// ```compile_fail
+    /// #![deny(let_underscore_drop)]
+    /// let mux = ezp_sched::PoolMux::new(1, 1);
+    /// let _ = mux.lease();
+    /// ```
+    #[must_use = "an unbound lease blocks for a slot and hands it straight back"]
     pub fn lease(&self) -> PoolLease<'_> {
         let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
         if free.is_empty() {
@@ -155,6 +184,7 @@ impl PoolMux {
 /// [`PoolLease::install`], drop replaces it with a fresh pool so the
 /// mux never shrinks — a slot is an epoch-protocol resource the service
 /// must not leak.
+#[must_use = "dropping the lease returns the slot at once; bind it for the job's lifetime"]
 pub struct PoolLease<'m> {
     mux: &'m PoolMux,
     pool: Option<WorkerPool>,
@@ -213,7 +243,20 @@ impl Drop for PoolLease<'_> {
 /// thread is running under a [`PoolLease::install`] scope (narrowed to
 /// `min(n, threads)` ranks), otherwise a freshly spawned pool owned by
 /// the handle. Kernels use this instead of `WorkerPool::new` so the
-/// same code serves both the one-shot CLI and the daemon.
+/// same code serves both the one-shot CLI and the daemon. A discarded
+/// handle spawns (or checks out) a pool and gives it up on the spot,
+/// which is a compile error in both spellings:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// ezp_sched::acquire_pool(2);
+/// ```
+///
+/// ```compile_fail
+/// #![deny(let_underscore_drop)]
+/// let _ = ezp_sched::acquire_pool(2);
+/// ```
+#[must_use = "an unbound handle takes a pool and gives it up before any region runs"]
 pub fn acquire_pool(n: usize) -> PoolHandle {
     let installed = INSTALLED.with(|slot| slot.borrow_mut().take());
     match installed {
@@ -232,6 +275,7 @@ pub fn acquire_pool(n: usize) -> PoolHandle {
 /// [`WorkerPool`]; on drop a shared pool goes back to the thread-local
 /// slot (for the next `acquire_pool` in the same job), an owned pool
 /// joins its threads.
+#[must_use = "dropping the handle releases the pool at once; bind it while regions run"]
 pub struct PoolHandle {
     pool: Option<WorkerPool>,
     shared: bool,

@@ -429,7 +429,7 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.state.shut_down();
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            h.join().ok();
         }
     }
 }
@@ -682,7 +682,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_is_rejected() {
-        let _ = WorkerPool::new(0);
+        drop(WorkerPool::new(0));
     }
 
     #[test]

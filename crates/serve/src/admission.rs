@@ -76,7 +76,6 @@ impl ReplySink for NullSink {
 /// the runner *observing* `live == false`, not a scope ending — so no
 /// `Drop` impl, and call sites may clone it freely.
 #[derive(Default)]
-// ezp-lint: allow(guard-leak)
 pub struct JobTicket {
     live: AtomicBool,
 }

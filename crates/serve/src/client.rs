@@ -26,7 +26,7 @@ impl Client {
         let stream = TcpStream::connect(addr).map_err(Error::Io)?;
         // request/response frames are small; Nagle + delayed ACK would
         // add tens of ms to every exchange
-        let _ = stream.set_nodelay(true);
+        stream.set_nodelay(true).ok();
         let writer = stream.try_clone().map_err(Error::Io)?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }

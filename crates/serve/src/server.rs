@@ -174,12 +174,12 @@ impl Server {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.admission.close();
         // wake the blocking accept with a throwaway connection
-        let _ = TcpStream::connect(self.shared.addr);
+        TcpStream::connect(self.shared.addr).ok();
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+            h.join().ok();
         }
         for h in self.runners.drain(..) {
-            let _ = h.join();
+            h.join().ok();
         }
         let readers = std::mem::take(
             &mut *self.shared.readers.lock().unwrap_or_else(|e| e.into_inner()),
@@ -187,8 +187,8 @@ impl Server {
         for (h, stream) in readers {
             // a client may keep its connection open indefinitely; yank
             // the socket so the blocked read returns EOF before the join
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            let _ = h.join();
+            stream.shutdown(std::net::Shutdown::Both).ok();
+            h.join().ok();
         }
     }
 }
@@ -216,8 +216,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             return;
         }
         // small frames, latency-sensitive protocol: defeat Nagle
-        let _ = conn.set_nodelay(true);
-        let _ = conn.set_read_timeout(Some(IDLE_TIMEOUT));
+        conn.set_nodelay(true).ok();
+        conn.set_read_timeout(Some(IDLE_TIMEOUT)).ok();
         let Ok(shutdown_handle) = conn.try_clone() else {
             continue;
         };
@@ -336,7 +336,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
                         shared.stop.store(true, Ordering::SeqCst);
                         shared.admission.close();
                         // wake the acceptor so Server::shutdown joins fast
-                        let _ = TcpStream::connect(shared.addr);
+                        TcpStream::connect(shared.addr).ok();
                         break;
                     }
                 }
@@ -355,7 +355,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
     // actively close the socket — the shutdown handle stored in
     // `shared.readers` would otherwise hold it open (the client would
     // never see EOF) until daemon shutdown
-    let _ = reader.get_ref().shutdown(std::net::Shutdown::Both);
+    reader.get_ref().shutdown(std::net::Shutdown::Both).ok();
 }
 
 fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: JobSpec) {

@@ -155,7 +155,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn from_vec_checks_length() {
-        let _ = CostMap::from_vec(grid(), vec![1; 3]);
+        drop(CostMap::from_vec(grid(), vec![1; 3]));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! replays the DAG across virtual worker counts with `ezp-simsched`,
 //! and turns all of it into ranked, rule-based recommendations.
 
+use crate::stats::nearest_rank;
 use ezp_core::error::Result;
 use ezp_core::kernel::IdleCause;
 use ezp_core::{Schedule, TileGrid};
@@ -362,17 +363,12 @@ fn task_percentiles(trace: &Trace) -> Percentiles {
         return Percentiles::default();
     }
     durs.sort_unstable();
-    let n = durs.len();
-    let at = |q: f64| {
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        durs[rank - 1]
-    };
     Percentiles {
-        count: n,
-        p50_ns: at(0.50),
-        p95_ns: at(0.95),
-        p99_ns: at(0.99),
-        max_ns: durs[n - 1],
+        count: durs.len(),
+        p50_ns: nearest_rank(&durs, 0.50),
+        p95_ns: nearest_rank(&durs, 0.95),
+        p99_ns: nearest_rank(&durs, 0.99),
+        max_ns: durs[durs.len() - 1],
     }
 }
 
@@ -916,11 +912,17 @@ mod tests {
 
     #[test]
     fn percentiles_are_exact_over_task_durations() {
-        let r = explain(&diamond_trace()).unwrap();
+        let trace = diamond_trace();
+        let r = explain(&trace).unwrap();
         // durations sorted: 5, 10, 20, 30
         assert_eq!(r.percentiles.count, 4);
         assert_eq!(r.percentiles.p50_ns, 10);
         assert_eq!(r.percentiles.max_ns, 30);
+        // an even count is where a rounded index and a nearest rank
+        // part ways (3rd vs 2nd shortest): `easyview` and `easyview
+        // explain` must print the same p50/p95 for one trace
+        let stats = crate::stats::trace_stats(&trace);
+        assert_eq!((stats.p50_ns, stats.p95_ns), (r.percentiles.p50_ns, r.percentiles.p95_ns));
     }
 
     #[test]

@@ -47,18 +47,14 @@ impl DurationStats {
         durations.sort_unstable();
         let count = durations.len();
         let total: u64 = durations.iter().sum();
-        let pct = |p: f64| -> u64 {
-            let idx = ((count as f64 - 1.0) * p).round() as usize;
-            durations[idx]
-        };
         DurationStats {
             count,
             total_ns: total,
             mean_ns: total as f64 / count as f64,
             min_ns: durations[0],
             max_ns: durations[count - 1],
-            p50_ns: pct(0.5),
-            p95_ns: pct(0.95),
+            p50_ns: nearest_rank(&durations, 0.5),
+            p95_ns: nearest_rank(&durations, 0.95),
         }
     }
 
@@ -72,6 +68,15 @@ impl DurationStats {
             self.max_ns as f64 / self.p50_ns as f64
         }
     }
+}
+
+/// The `q`-quantile of a non-empty ascending slice by nearest rank: the
+/// value at 1-based rank `ceil(q * n)`. The one percentile definition
+/// of this crate, behind `easyview`'s stats block and `easyview
+/// explain`'s task-latency line.
+pub(crate) fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let n = sorted.len();
+    sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
 }
 
 /// Statistics over all tasks of a trace.

@@ -13,7 +13,7 @@ use easypap::plot::{render_ascii, Dataset};
 
 fn main() -> easypap::core::Result<()> {
     let csv = std::env::temp_dir().join("easypap-sweep-example.csv");
-    let _ = std::fs::remove_file(&csv);
+    std::fs::remove_file(&csv).ok();
 
     // easypap_options["--kernel "] = ["mandel"] ... (Fig. 5)
     let sweep = Sweep::new()

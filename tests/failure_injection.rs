@@ -101,7 +101,7 @@ fn corrupt_trace_files_never_panic() {
         let mut bad = bytes.clone();
         bad[pos] ^= 0xff;
         let r = std::panic::catch_unwind(move || {
-            let _ = easypap::trace::io::from_bytes(&bad);
+            easypap::trace::io::from_bytes(&bad).ok();
         });
         assert!(r.is_ok(), "corruption at {pos} panicked");
     }
@@ -143,7 +143,7 @@ fn mpi_rank_crash_surfaces_as_error() {
         }
         // rank 0 may or may not get to communicate; either way the world
         // must shut down with an error, not a hang
-        let _ = comm.send(1, 0, &1u32);
+        comm.send(1, 0, &1u32).ok();
         Ok(())
     });
     assert!(result.is_err());

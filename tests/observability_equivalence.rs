@@ -15,6 +15,7 @@ use easypap::perf::{CounterSet, SpanRecord};
 use easypap::prelude::*;
 use ezp_testkit::prop::any_u64;
 use ezp_testkit::{ezp_proptest, Rng};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn grid() -> TileGrid {
@@ -377,4 +378,62 @@ fn fixed_report_renders_byte_identical_to_the_goldens() {
     // easyview explain over the same trace
     let explained = easypap::view::explain(&trace).unwrap().render();
     check_golden("observe_explain.txt", explained.as_bytes());
+}
+
+/// Counter names documented in `docs/observability.md`: the backticked
+/// spans in the first cell of every row of a table headed `counter`
+/// (`` `a` / `b` `` and `` `a`, `b` `` are two names each). The per-rank
+/// MPI table is headed differently and stays unread: its values are
+/// reported by kernels, not registered on a `CounterSet`.
+fn documented_counters(docs: &str) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let mut in_table = false;
+    for line in docs.lines() {
+        let Some(first) = line.trim().strip_prefix('|').and_then(|l| l.split('|').next()) else {
+            in_table = false;
+            continue;
+        };
+        if in_table {
+            names.extend(first.split('`').skip(1).step_by(2).map(str::to_string));
+        } else {
+            in_table = first.trim() == "counter";
+        }
+    }
+    names
+}
+
+/// `(registered but undocumented, documented but not registered)`.
+fn counter_drift(registered: &BTreeSet<String>, docs: &str) -> (Vec<String>, Vec<String>) {
+    let documented = documented_counters(docs);
+    (
+        registered.difference(&documented).cloned().collect(),
+        documented.difference(registered).cloned().collect(),
+    )
+}
+
+/// The counters that run — every name in a fresh `PerfProbe` and
+/// `ServeMetrics` snapshot, the only `CounterSet` owners that ship —
+/// are exactly the *Counter reference* rows of `docs/observability.md`.
+#[test]
+fn registered_counters_and_the_docs_table_agree_both_ways() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/observability.md");
+    let docs = std::fs::read_to_string(&path).unwrap();
+    let registered: BTreeSet<String> = PerfProbe::new(1)
+        .snapshot()
+        .counters
+        .into_iter()
+        .chain(ezp_serve::ServeMetrics::new(1).snapshot().counters)
+        .map(|c| c.name)
+        .collect();
+    let (undocumented, stale) = counter_drift(&registered, &docs);
+    assert!(undocumented.is_empty(), "registered, no docs row: {undocumented:?}");
+    assert!(stale.is_empty(), "docs row, never registered: {stale:?}");
+    assert!(!documented_counters(&docs).contains("mpi_msgs_sent"));
+
+    // the comparison has teeth in both directions
+    let mut grown = registered.clone();
+    grown.insert("orphan_counter".into());
+    assert_eq!(counter_drift(&grown, &docs).0, ["orphan_counter"]);
+    let stale_docs = docs.replace("| `barrier_waits` |", "| `barrier_waits`, `stale_counter` |");
+    assert_eq!(counter_drift(&registered, &stale_docs).1, ["stale_counter"]);
 }

@@ -93,7 +93,7 @@ fn fig8_patterns_emerge_from_simulated_dynamic_schedule() {
 fn sweep_csv_plot_pipeline() {
     use easypap::exp::Sweep;
     let csv = std::env::temp_dir().join(format!("ezp_it_sweep_{}.csv", std::process::id()));
-    let _ = std::fs::remove_file(&csv);
+    std::fs::remove_file(&csv).ok();
     Sweep::new()
         .fixed("--kernel", "invert")
         .fixed("--variant", "omp")
