@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: hermetic build + tests, entirely offline.
 #
-# Lanes, in order: resolved-graph guard, production-graph guard,
-# ezp-lint, workspace build + tests (the ezp-chan schedule explorer
-# rerun by name), results/ regenerated and diffed, ezp-check +
-# conformance matrix, the stats / explain / streaming / serve smoke
-# lanes, and the frozen benchmark's own tests plus one short run.
+# Lanes, in order: resolved-graph, [lints], dead-manifest-edge and
+# production-graph guards, ezp-lint, workspace build + tests (the
+# ezp-chan explorer rerun by name), results/ regenerated and diffed,
+# ezp-check + conformance matrix, the stats / explain / streaming /
+# serve smoke lanes, the frozen benchmark's own tests and one short run.
 # Hostile and retired command lines are not lanes here: they are cases
 # of the table-driven tests in crates/cli (docs/testing.md). No lane
 # gates speed: that is measured by benchmark/ (BENCHMARK.json) alone.
@@ -28,6 +28,15 @@ if grep -L '^\[lints\]' Cargo.toml crates/*/Cargo.toml | grep .; then
     echo "error: the manifests above lack \`[lints] workspace = true\`." >&2
     exit 1
 fi
+# Dead-edge guard: a dependency-table line `ezp-x` ([features] rows are not
+# edges) must be named, as `ezp_x`, by some .rs file of that package.
+for m in Cargo.toml crates/*/Cargo.toml; do
+    d="$(dirname "$m")"; [ "$d" = . ] && d="src tests examples"
+    for dep in $(awk '/^\[/{t=/^\[(dev-)?dependencies\]/} t&&/^ezp-/{sub(/[ .=].*/,"");print}' "$m"); do
+        grep -rqw --include='*.rs' "${dep//-/_}" $d ||
+            { echo "error: $m depends on $dep, which none of its sources names." >&2; exit 1; }
+    done
+done
 
 # Production-graph lane (docs/channels.md): nothing that ships sends or
 # receives on ezp-chan — the crate is in the tree only for the frozen

@@ -369,12 +369,11 @@ fn run_with_frames(
     probe: Arc<dyn Probe>,
     frames_dir: &str,
 ) -> Result<(RunOutcome, ezp_core::KernelCtx, Box<dyn ezp_core::Kernel>)> {
-    use ezp_render::anim::{FrameFormat, FrameSink};
     let mut kernel = reg.create_variant(&cfg.kernel, &cfg.variant)?;
     let numbering = Arc::new(FrameNumbering { inner: probe, done: AtomicU32::new(0) });
     let mut ctx = ezp_core::KernelCtx::new(cfg.clone())?.with_probe(numbering.clone());
     kernel.init(&mut ctx)?;
-    let mut sink = at(frames_dir, FrameSink::new(frames_dir, FrameFormat::Ppm, 1))?;
+    let mut sink = at(frames_dir, ezp_render::FrameSink::new(frames_dir))?;
     kernel.refresh_image(&mut ctx)?;
     sink.present(ctx.images.cur())?; // initial state
     let sw = ezp_core::time::Stopwatch::start();
@@ -523,6 +522,22 @@ mod tests {
             assert!(out.contains("Tiling window"));
             assert!(out.contains("Heat map"));
             assert!(out.contains("CPU  0"));
+        });
+    }
+
+    /// A `gpu` variant brackets its work-groups as tiles (on CPU 0: the
+    /// host runs them in turn), so every observer has something to show.
+    #[test]
+    fn gpu_variant_is_seen_by_monitor_trace_and_explain() {
+        in_tmp_dir(|| {
+            let out = run_easypap([
+                "-k", "mandel", "-v", "gpu", "-s", "64", "-ts", "16", "-i", "2", "-n", "-t", "2",
+                "--monitoring", "--trace", "--explain",
+            ])
+            .unwrap();
+            assert_eq!(out.matches("16 tiles").count(), 2, "{out}");
+            assert!(out.contains("trace (32 tasks, 2 iterations, 0 edges)"), "{out}");
+            assert!(out.contains("P=4 ") && !out.contains("[no-tasks]"), "{out}");
         });
     }
 
@@ -800,7 +815,7 @@ mod tests {
     /// of running without it.
     #[test]
     fn stream_and_mpi_debug_modes_reject_the_flags_they_would_drop() {
-        let cases: [(&[&str], &str, &[&[&str]]); 2] = [
+        let cases: [(&[&str], &str, &[&[&str]]); 3] = [
             (
                 &["--kernel", "mandel_zoom", "--stream=4", "--size", "16"],
                 "--stream=N",
@@ -827,6 +842,15 @@ mod tests {
                     &["--frames", "f"],
                     &["--ansi"],
                 ],
+            ),
+            // the ranks' tiles reach no monitor this run could report from
+            (
+                &[
+                    "--kernel", "life", "--variant", "mpi_omp", "--size", "64", "--tile-size",
+                    "16", "--iterations", "2", "--no-display", "--mpirun", "-np 2",
+                ],
+                "distributed run (mpi_omp) without --debug M",
+                &[&["--monitoring"], &["--trace"], &["--trace-events", "te.json"], &["--explain"]],
             ),
         ];
         in_tmp_dir(|| {

@@ -534,7 +534,13 @@ impl RunConfig {
     /// `--debug M` on `life mpi_omp`: the run shows every rank's
     /// monitor windows (Fig. 13) and collects nothing else.
     pub fn shows_rank_windows(&self) -> bool {
-        self.debug_mpi && self.kernel == "life" && self.variant == "mpi_omp"
+        self.debug_mpi && self.is_distributed()
+    }
+
+    /// `life mpi_omp`: every rank records its tiles into a monitor of
+    /// its own, which only the rank windows of `--debug M` collect.
+    fn is_distributed(&self) -> bool {
+        self.kernel == "life" && self.variant == "mpi_omp"
     }
 
     // Compatibility shim: the frozen `benchmark/` is its only caller.
@@ -562,13 +568,22 @@ const STREAMED: &str = "--stream=N";
 const RANK_WINDOWS: &str = "--debug M";
 /// Both: the modes with nothing to trace, explain or show.
 const UNOBSERVED: &[&str] = &[STREAMED, RANK_WINDOWS];
+/// The run's own monitor sees no tile of a distributed run (see
+/// `RunConfig::is_distributed`); the counters of `--stats` still do.
+const RANKS_UNCOLLECTED: &str = "a distributed run (mpi_omp) without --debug M";
+/// Every mode: none leaves a tile in the run's monitor to write out.
+const UNTRACED: &[&str] = &[STREAMED, RANK_WINDOWS, RANKS_UNCOLLECTED];
 
 /// The `easypap` flag table: one row per option of the paper's §II.
 #[rustfmt::skip]
 pub static EASYPAP: Command<RunConfig> = Command {
     name: "easypap",
     positionals: 0,
-    modes: &[(STREAMED, |c| c.stream_frames.is_some()), (RANK_WINDOWS, RunConfig::shows_rank_windows)],
+    modes: &[
+        (STREAMED, |c| c.stream_frames.is_some()),
+        (RANK_WINDOWS, RunConfig::shows_rank_windows),
+        (RANKS_UNCOLLECTED, |c| c.is_distributed() && !c.debug_mpi),
+    ],
     flags: &[
         Flag::new(&["--kernel", "-k"], Text(|c, s| c.kernel = s.to_string())),
         Flag::new(&["--variant", "-v"], Text(|c, s| c.variant = s.to_string())),
@@ -578,10 +593,10 @@ pub static EASYPAP: Command<RunConfig> = Command {
         Flag::new(&["--threads", "-t"], Int(1, MAX_THREADS, |c, n| c.threads = fit(n))),
         Flag::new(&["--schedule"], Custom("dynamic,2", |c, s| Schedule::parse(s).map(|p| c.schedule = p))),
         Flag::new(&["--no-display", "-n"], Switch(|c| c.display = DisplayMode::None)),
-        Flag { names: &["--monitoring", "-m"], grammar: Switch(|c| c.display = DisplayMode::Monitoring), refused_in: &[STREAMED] },
-        Flag { names: &["--trace", "-tr"], grammar: Switch(|c| c.trace = true), refused_in: UNOBSERVED },
+        Flag { names: &["--monitoring", "-m"], grammar: Switch(|c| c.display = DisplayMode::Monitoring), refused_in: &[STREAMED, RANKS_UNCOLLECTED] },
+        Flag { names: &["--trace", "-tr"], grammar: Switch(|c| c.trace = true), refused_in: UNTRACED },
         Flag::new(&["--trace-file"], Text(|c, s| c.trace_file = s.to_string())),
-        Flag { names: &["--explain"], grammar: Switch(|c| c.explain = true), refused_in: UNOBSERVED },
+        Flag { names: &["--explain"], grammar: Switch(|c| c.explain = true), refused_in: UNTRACED },
         // the paper passes the raw mpirun flags, e.g. "-np 2"
         Flag::new(&["--mpirun"], Custom("-np 2", |c, s| parse_mpirun(s).map(|n| c.mpi_ranks = n))),
         Flag::new(&["--debug"], Text(|c, s| { c.debug = true; c.debug_mpi |= s.contains('M') })),
@@ -594,7 +609,7 @@ pub static EASYPAP: Command<RunConfig> = Command {
             grammar: OptOneOf(&["text", "json", "csv"], |c, i| c.stats = Some([StatsFormat::Text, StatsFormat::Json, StatsFormat::Csv][i])),
             refused_in: &[RANK_WINDOWS],
         },
-        Flag { names: &["--trace-events"], grammar: Text(|c, s| c.trace_events = Some(s.to_string())), refused_in: UNOBSERVED },
+        Flag { names: &["--trace-events"], grammar: Text(|c, s| c.trace_events = Some(s.to_string())), refused_in: UNTRACED },
         Flag::new(&["--stream"], Int(1, 1_000_000, |c, n| c.stream_frames = Some(fit(n)))),
         Flag::new(&["--farm-width"], Int(0, MAX_THREADS, |c, n| c.farm_width = fit(n))),
         Flag::new(&["--stream-mode"], OneOf(&["ordered", "unordered"], |c, i| c.stream_mode = [EmitMode::Ordered, EmitMode::Unordered][i])),

@@ -4,7 +4,6 @@
 
 use ezp_core::error::{Error, Result};
 use ezp_core::{Kernel, KernelCtx, Rgba, TileGrid};
-use ezp_gpu::{NdRange, VirtualDevice};
 use ezp_sched::parallel_for_tiles_img;
 
 /// RGB complement, alpha preserved.
@@ -67,16 +66,9 @@ impl Kernel for Invert {
                 }
             }
             "gpu" => {
-                let device = VirtualDevice::new(ctx.threads());
                 for it in 1..=nb_iter {
                     ctx.probe.iteration_start(it);
-                    let range = NdRange {
-                        global: (dim, dim),
-                        local: (ctx.cfg.tile_size, ctx.cfg.tile_size),
-                    };
-                    let (out, _) =
-                        device.launch(range, ctx.images.cur(), |x, y, src| invert_pixel(src.get(x, y)))?;
-                    ctx.images.cur_mut().copy_from(&out);
+                    crate::gpu::launch(ctx, |x, y, src| invert_pixel(src.get(x, y)));
                     ctx.probe.iteration_end(it);
                 }
             }

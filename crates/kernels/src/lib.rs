@@ -33,6 +33,7 @@
 
 pub mod blur;
 pub mod ccomp;
+mod gpu;
 pub mod heat;
 pub mod invert;
 pub mod life;

@@ -23,7 +23,6 @@
 use ezp_core::color::mandel_palette;
 use ezp_core::error::{Error, Result};
 use ezp_core::{Kernel, KernelCtx, Rgba, Tile, TileGrid};
-use ezp_gpu::{NdRange, VirtualDevice};
 use ezp_sched::parallel_for_tiles_img;
 
 /// Default escape-time iteration cap. Large enough to show the black
@@ -323,29 +322,19 @@ impl Mandel {
         Ok(())
     }
 
-    /// OpenCL-style variant on the virtual device (one work-item per
-    /// pixel, work-groups = tiles).
-    fn compute_gpu(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Result<()> {
+    /// OpenCL-style variant: one work-item per pixel, work-groups =
+    /// tiles ([`crate::gpu::launch`]).
+    fn compute_gpu(&mut self, ctx: &mut KernelCtx, nb_iter: u32) {
         let dim = ctx.dim();
-        let device = VirtualDevice::new(ctx.threads());
         for it in 1..=nb_iter {
             ctx.probe.iteration_start(it);
-            let view = self.view;
-            let max_iter = self.max_iter;
-            let palette = &self.palette;
-            let range = NdRange {
-                global: (dim, dim),
-                local: (ctx.cfg.tile_size, ctx.cfg.tile_size),
-            };
-            let (out, _profile) = device.launch(range, ctx.images.cur(), |x, y, _| {
-                let (cx, cy) = view.pixel_to_complex(x, y, dim);
-                palette[escape_iterations(cx, cy, max_iter) as usize]
-            })?;
-            ctx.images.cur_mut().copy_from(&out);
+            crate::gpu::launch(ctx, |x, y, _| {
+                let (cx, cy) = self.view.pixel_to_complex(x, y, dim);
+                self.palette[escape_iterations(cx, cy, self.max_iter) as usize]
+            });
             self.view.zoom();
             ctx.probe.iteration_end(it);
         }
-        Ok(())
     }
 }
 
@@ -381,7 +370,7 @@ impl Kernel for Mandel {
             "tiled" => self.compute_tiled(ctx, nb_iter),
             "omp" => self.compute_parallel(ctx, nb_iter, true)?,
             "omp_tiled" => self.compute_parallel(ctx, nb_iter, false)?,
-            "gpu" => self.compute_gpu(ctx, nb_iter)?,
+            "gpu" => self.compute_gpu(ctx, nb_iter),
             other => {
                 return Err(Error::UnknownKernel {
                     kernel: "mandel".into(),

@@ -3,7 +3,7 @@
 //! The interesting parallel aspect is memory access: a tile `(tx, ty)`
 //! of the destination reads tile `(ty, tx)` of the source, so tiled
 //! execution turns a strided full-image sweep into cache-friendly
-//! blocked accesses (which `ezp-cache` can quantify).
+//! blocked accesses.
 
 use ezp_core::error::{Error, Result};
 use ezp_core::{Kernel, KernelCtx};

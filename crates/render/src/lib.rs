@@ -9,8 +9,6 @@
 //! * [`ansi`] — true-color terminal preview using half-block glyphs
 //!   (two pixels per character cell), so `--monitoring` sessions show
 //!   the actual image in the terminal;
-//! * [`bmp`] — dependency-free 24-bit BMP encoder (every image viewer
-//!   opens it), complementing the PPM writer in `ezp-core`;
 //! * [`scale`] — box-filter downscaling for EASYVIEW's "reduced view of
 //!   the surface computed" thumbnails, plus nearest-neighbour upscaling
 //!   for tiny tiling maps;
@@ -27,12 +25,10 @@
 
 pub mod anim;
 pub mod ansi;
-pub mod bmp;
 pub mod overlay;
 pub mod scale;
 
 pub use anim::FrameSink;
 pub use ansi::to_ansi;
-pub use bmp::to_bmp;
 pub use overlay::highlight_tiles;
 pub use scale::{downscale, upscale_nearest};

@@ -383,7 +383,7 @@ impl WorkerPool {
     }
 
     /// Dispatches one epoch to every worker (the full seqlock protocol;
-    /// see the module docs). Width limiting happens in the wrappers —
+    /// see the module docs). Width limiting happens in `run` —
     /// this layer always involves all `threads` workers so `remaining`
     /// accounting stays uniform.
     fn dispatch(&mut self, f: &(dyn Fn(usize) + Sync)) {
@@ -403,25 +403,6 @@ impl WorkerPool {
         if panics > 0 {
             panic!("{panics} worker(s) panicked in parallel region {seq}");
         }
-    }
-
-    /// Runs a region over exactly `n` conceptual workers even when the
-    /// pool (or its current width) is larger or smaller: ranks `>= n`
-    /// return immediately. Convenient for `--threads` smaller than the
-    /// pool.
-    ///
-    /// `n == 0` is a no-op: no region is dispatched, so `regions_run`
-    /// and the per-region perf counters are untouched.
-    pub fn run_limited(&mut self, n: usize, f: impl Fn(usize) + Sync) {
-        let n = n.min(self.width);
-        if n == 0 {
-            return;
-        }
-        self.dispatch(&|rank| {
-            if rank < n {
-                f(rank);
-            }
-        });
     }
 }
 
@@ -542,36 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn run_limited_skips_high_ranks() {
-        let mut pool = WorkerPool::new(4);
-        let hits = [const { AtomicU64::new(0) }; 4];
-        pool.run_limited(2, |rank| {
-            hits[rank].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits[0].load(Ordering::Relaxed), 1);
-        assert_eq!(hits[1].load(Ordering::Relaxed), 1);
-        assert_eq!(hits[2].load(Ordering::Relaxed), 0);
-        assert_eq!(hits[3].load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn run_limited_zero_is_a_no_op() {
-        let mut pool = WorkerPool::new(4);
-        let hits = AtomicU64::new(0);
-        pool.run_limited(0, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 0);
-        assert_eq!(pool.regions_run(), 0, "no region may be dispatched for n == 0");
-        // and the pool still works afterwards
-        pool.run_limited(4, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-        assert_eq!(pool.regions_run(), 1);
-    }
-
-    #[test]
     fn width_limits_ranks_and_is_reversible() {
         let mut pool = WorkerPool::new(4);
         assert_eq!(pool.width(), 4);
@@ -607,17 +558,6 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn run_limited_respects_width() {
-        let mut pool = WorkerPool::new(4);
-        pool.set_width(2);
-        let count = AtomicU64::new(0);
-        pool.run_limited(4, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 2, "run_limited may not exceed width");
     }
 
     #[test]

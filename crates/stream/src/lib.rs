@@ -2,16 +2,12 @@
 //!
 //! EASYPAP's classic mode iterates one 2D kernel over one image. This
 //! crate adds the missing *scheduling shape*: streaming — a sequence of
-//! frames (video-style load) flowing through composable skeletons:
+//! frames (video-style load) flowing through a [`Pipeline`] —
+//! heterogeneous stages with bounded inter-stage buffers, each stage
+//! serial (`width 1`, frame-ordered, may hold state) or replicated
+//! (`width k`, a farm).
 //!
-//! * [`Pipeline`] — heterogeneous stages with bounded inter-stage
-//!   buffers, each stage serial (`width 1`, frame-ordered, may hold
-//!   state) or replicated (`width k`, a farm);
-//! * [`map_reduce`] — per-leaf partial folds under any scheduling
-//!   policy, merged by a fixed-shape pairwise tree so the result is
-//!   byte-identical regardless of schedule or worker count.
-//!
-//! Skeletons do not bring their own scheduler: a pipeline over a window
+//! The skeleton does not bring its own scheduler: a pipeline over a window
 //! of frames compiles to a [`TaskGraph`](ezp_sched::TaskGraph) via
 //! [`PipeShape`](ezp_sched::PipeShape) (see
 //! `ezp_sched::skeleton`), and the Chase-Lev deques plus steal path do
@@ -31,11 +27,9 @@
 
 pub mod demos;
 pub mod engine;
-pub mod mapreduce;
 pub mod pipeline;
 
 pub use demos::{stream_kernel, stream_registry, StreamKernel};
 pub use engine::{run_pipeline, StreamStats};
 pub use ezp_core::EmitMode;
-pub use mapreduce::map_reduce;
 pub use pipeline::Pipeline;

@@ -22,10 +22,8 @@
 
 pub mod chrome;
 pub mod io;
-pub mod merge;
 pub mod model;
 pub mod varint;
 
 pub use chrome::to_chrome;
-pub use merge::merge_ranks;
 pub use model::{Trace, TraceMeta};

@@ -424,6 +424,17 @@ fn virtual_scaling(
 
 /// The rule-based advisor. Always returns at least one recommendation.
 fn advise(r: &ExplainReport, has_edges: bool) -> Vec<Advice> {
+    // No rule below can speak about a run it did not see, `healthy`
+    // least of all.
+    if r.percentiles.count == 0 {
+        return vec![Advice {
+            rule: "no-tasks",
+            text: "no tile was recorded, so there is nothing to analyse: record with \
+                   --monitoring or --trace on a variant that brackets its tiles \
+                   (start_tile/end_tile around each one)."
+                .into(),
+        }];
+    }
     let mut out = Vec::new();
 
     if has_edges && r.avg_parallelism < r.threads as f64 * 0.8 {
@@ -892,6 +903,11 @@ mod tests {
         t.iterations[0].end_ns = 25;
         let r = explain(&t).unwrap();
         assert!(!r.advice.is_empty());
+        // and a trace with no task is told exactly that, not `[healthy]`
+        t.tasks.clear();
+        let r = explain(&t).unwrap();
+        assert_eq!(r.advice.len(), 1, "{:?}", r.advice);
+        assert_eq!(r.advice[0].rule, "no-tasks");
     }
 
     #[test]

@@ -22,10 +22,8 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub use ezp_cache as cache;
 pub use ezp_core as core;
 pub use ezp_exp as exp;
-pub use ezp_gpu as gpu;
 pub use ezp_kernels as kernels;
 pub use ezp_monitor as monitor;
 pub use ezp_mpi as mpi;
@@ -48,7 +46,7 @@ pub mod prelude {
     pub use ezp_perf::PerfProbe;
     pub use ezp_sched::{TaskGraph, WorkerPool};
     pub use ezp_simsched::{simulate, simulate_iterations, CostMap, SimConfig};
-    pub use ezp_stream::{map_reduce, EmitMode, Pipeline, StreamStats};
+    pub use ezp_stream::{EmitMode, Pipeline, StreamStats};
     pub use ezp_trace::{Trace, TraceMeta};
     pub use ezp_view::{CoverageMap, GanttModel, TraceComparison};
 }

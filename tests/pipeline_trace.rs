@@ -129,21 +129,22 @@ fn blur_comparison_pipeline_aligns_tasks_and_shows_border_cost() {
 }
 
 #[test]
-fn gpu_profile_feeds_the_same_pipeline() {
-    use easypap::gpu::{NdRange, VirtualDevice};
-    let device = VirtualDevice::new(3);
-    let src: Img2D<Rgba> = Img2D::square(64);
-    let range = NdRange::square(64, 16);
-    let (_, profile) = device
-        .launch(range, &src, |x, y, _| Rgba((x * y) as u32))
-        .unwrap();
-    let grid = range.grid().unwrap();
-    let trace = profile.to_trace(&grid, "custom").unwrap();
-    let gantt = GanttModel::new(&trace, 1, 1);
-    assert_eq!(gantt.tasks().len(), 16);
-    // per-CU coverage maps cover the whole NDRange
-    let total: usize = (0..3)
-        .map(|cu| CoverageMap::new(&trace, cu, 1, 1).unwrap().covered_tiles())
-        .sum();
-    assert_eq!(total, 16);
+fn gpu_variants_record_every_work_group_as_a_tile_on_worker_0() {
+    // the host runs the work-groups one after another, so that is what
+    // the monitor must see; what P compute units would make of them is
+    // the replay's answer, not a second scheduler's
+    for kernel in ["mandel", "invert"] {
+        let trace = traced_run(2, kernel, "gpu", 64, 16, 2);
+        trace.validate().unwrap();
+        assert_eq!(trace.tasks.len(), 2 * 16, "{kernel}: 16 work-groups per iteration");
+        assert!(trace.tasks.iter().all(|t| t.worker == 0), "{kernel}");
+        for it in 1..=2 {
+            let cov = CoverageMap::new(&trace, 0, it, it).unwrap();
+            // 32 tasks in all, so each iteration covers every tile once
+            assert_eq!(cov.covered_tiles(), 16, "{kernel}: iteration {it}");
+        }
+        let explained = easypap::view::explain(&trace).unwrap();
+        let at4 = explained.scaling.iter().find(|p| p.threads == 4);
+        assert!(at4.is_some_and(|p| p.speedup > 1.0), "{kernel}: {:?}", explained.scaling);
+    }
 }

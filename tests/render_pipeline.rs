@@ -4,7 +4,7 @@
 use easypap::core::kernel::Probe;
 use easypap::core::perf::run_kernel;
 use easypap::prelude::*;
-use easypap::render::anim::{FrameFormat, FrameSink};
+use easypap::render::FrameSink;
 use std::sync::Arc;
 
 #[test]
@@ -28,7 +28,7 @@ fn life_animation_frames_show_the_glider_moving() {
     let mut kernel = reg.create("life").unwrap();
     kernel.init(&mut ctx).unwrap();
 
-    let mut sink = FrameSink::new(&dir, FrameFormat::Bmp, 1).unwrap();
+    let mut sink = FrameSink::new(&dir).unwrap();
     let mut previous: Vec<Rgba> = Vec::new();
     for _ in 0..4 {
         kernel.refresh_image(&mut ctx).unwrap();
@@ -43,7 +43,7 @@ fn life_animation_frames_show_the_glider_moving() {
     assert_eq!(sink.frames().len(), 4);
     for f in sink.frames() {
         let bytes = std::fs::read(f).unwrap();
-        assert!(bytes.starts_with(b"BM"));
+        assert!(bytes.starts_with(b"P6"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -80,9 +80,6 @@ fn mandel_thumbnail_and_overlay_pipeline() {
     // ANSI rendering of the overlay works (one row per 2 pixels)
     let ansi = easypap::render::to_ansi(&thumb);
     assert_eq!(ansi.lines().count(), 32);
-    // BMP export round-trips through the header
-    let bmp = easypap::render::to_bmp(&thumb);
-    assert_eq!(&bmp[..2], b"BM");
 }
 
 #[test]
