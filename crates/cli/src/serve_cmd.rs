@@ -210,6 +210,10 @@ mod tests {
         assert!(out.contains("(tenant cli-test) done: 2 iteration(s)"), "got: {out}");
         assert!(out.contains("digest "), "got: {out}");
         assert!(out.contains("\"tenant\": \"cli-test\""), "report rides along: {out}");
+        // the per-job report lists what the job moved; a counter that
+        // read 0 is absent
+        assert!(out.contains("\"tasks_executed\""), "got: {out}");
+        assert!(!out.contains("\"steals_attempted\""), "a zero counter was printed: {out}");
 
         let stats = run_submit(&argv(&["--port", &port, "--server-stats"])).unwrap();
         assert!(stats.contains("\"jobs_admitted\""), "got: {stats}");

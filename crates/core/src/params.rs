@@ -11,6 +11,7 @@
 
 use crate::error::{Error, Result};
 use crate::{DEFAULT_DIM, DEFAULT_TILE_SIZE};
+use std::sync::OnceLock;
 use Grammar::{Custom, Int, OneOf, OptOneOf, Switch, Text};
 
 /// An OpenMP-style loop scheduling policy (paper Fig. 4).
@@ -414,7 +415,7 @@ impl Default for RunConfig {
             dim: DEFAULT_DIM,
             tile_size: DEFAULT_TILE_SIZE,
             iterations: 1,
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            threads: default_threads(),
             schedule: Schedule::default(),
             display: DisplayMode::Display,
             trace: false,
@@ -435,6 +436,13 @@ impl Default for RunConfig {
             list: false,
         }
     }
+}
+
+/// `available_parallelism()`, read once per process: it reads cgroup
+/// files on every call (11–14 µs), and a daemon builds a config per job.
+fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 impl RunConfig {
@@ -641,6 +649,13 @@ fn parse_mpirun(spec: &str) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_threads_is_the_available_parallelism() {
+        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(RunConfig::new("x").threads, n);
+        assert_eq!(RunConfig::new("y").threads, n, "the cached value");
+    }
 
     #[test]
     fn schedule_parse_all_forms() {

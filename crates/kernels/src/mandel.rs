@@ -24,6 +24,7 @@ use ezp_core::color::mandel_palette;
 use ezp_core::error::{Error, Result};
 use ezp_core::{Kernel, KernelCtx, Rgba, Tile, TileGrid};
 use ezp_sched::parallel_for_tiles_img;
+use std::sync::{Arc, OnceLock};
 
 /// Default escape-time iteration cap. Large enough to show the black
 /// interior, small enough for laptop-scale runs.
@@ -216,6 +217,18 @@ pub const MAX_ITER_LIMIT: u32 = 1 << 20;
 /// [`LANES`], so only a row's last segment has a scalar tail.
 const ROW_SEG: usize = 64;
 
+/// The palette of cap `max_iter`. The default cap's table is built once
+/// per process and shared (a daemon job paid ≈ 8 µs for it); any other
+/// cap builds its own, as every run did before.
+fn palette(max_iter: u32) -> Arc<[Rgba]> {
+    static DEFAULT: OnceLock<Arc<[Rgba]>> = OnceLock::new();
+    if max_iter == DEFAULT_MAX_ITER {
+        Arc::clone(DEFAULT.get_or_init(|| mandel_palette(DEFAULT_MAX_ITER).into()))
+    } else {
+        mandel_palette(max_iter).into()
+    }
+}
+
 /// The Mandelbrot kernel state.
 pub struct Mandel {
     /// Current viewport (zooms every iteration).
@@ -224,9 +237,9 @@ pub struct Mandel {
     max_iter: u32,
     /// `mandel_color(n, max_iter)` for every count `n` in `0..=max_iter`:
     /// the colour is a pure function of the count, so its `sin` and HSV
-    /// conversion are paid once per run, not once per pixel. Empty until
-    /// `init`.
-    palette: Vec<Rgba>,
+    /// conversion are paid once per palette, not once per pixel. Empty
+    /// until `init`.
+    palette: Arc<[Rgba]>,
 }
 
 impl Default for Mandel {
@@ -234,7 +247,7 @@ impl Default for Mandel {
         Mandel {
             view: Viewport::default(),
             max_iter: DEFAULT_MAX_ITER,
-            palette: Vec::new(),
+            palette: Arc::from([]),
         }
     }
 }
@@ -359,7 +372,7 @@ impl Kernel for Mandel {
                 )));
             }
         }
-        self.palette = mandel_palette(self.max_iter);
+        self.palette = palette(self.max_iter);
         ctx.images.cur_mut().fill(Rgba::BLACK);
         Ok(())
     }

@@ -58,15 +58,16 @@ pub struct Job {
 pub trait ReplySink: Send + Sync {
     /// Deliver one response frame toward the client. Best effort: a
     /// dead peer is signalled through the job's [`JobTicket`], not an
-    /// error here.
-    fn send(&self, resp: &Response);
+    /// error here. Takes the response by value so its report moves into
+    /// the frame.
+    fn send(&self, resp: Response);
 }
 
 /// Discards every response (fire-and-forget jobs, tests).
 pub struct NullSink;
 
 impl ReplySink for NullSink {
-    fn send(&self, _resp: &Response) {}
+    fn send(&self, _resp: Response) {}
 }
 
 /// Shared cancellation state between a connection and the runner

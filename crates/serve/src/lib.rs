@@ -5,8 +5,8 @@
 //! every single invocation. `ezp-serve` keeps all of that warm in a
 //! long-running daemon: clients connect over loopback TCP, submit
 //! compute jobs (`kernel`, `variant`, `size`, `iterations`, and an
-//! optional tenant id), and stream back a frame digest plus a full
-//! per-job [`ezp_monitor::UnifiedReport`].
+//! optional tenant id), and stream back a frame digest plus a per-job
+//! [`ezp_monitor::UnifiedReport`] of the counters the job moved.
 //!
 //! The moving parts, one module each:
 //!

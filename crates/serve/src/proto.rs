@@ -312,7 +312,9 @@ pub enum Response {
         iterations: u32,
         /// FNV-1a digest of the final frame's pixels, as hex.
         digest: String,
-        /// Per-job `UnifiedReport` (counters + spans), tenant-tagged.
+        /// Per-job `UnifiedReport` (counters + spans), tenant-tagged. A
+        /// counter that stayed 0 on every worker is omitted: absent
+        /// means 0.
         report: Json,
     },
     /// The job was admitted but failed to run (unknown kernel/variant,
@@ -332,17 +334,19 @@ pub enum Response {
     ShuttingDown,
 }
 
-impl ToJson for Response {
-    fn to_json(&self) -> Json {
-        match self {
+/// The encoding the daemon sends: a `done`'s report and a `stats`
+/// document move into the frame instead of being deep-copied.
+impl From<Response> for Json {
+    fn from(resp: Response) -> Json {
+        match resp {
             Response::Accepted { job_id, tenant } => Json::obj([
                 ("type", "accepted".to_json()),
                 ("job_id", job_id.to_json()),
-                ("tenant", tenant.to_json()),
+                ("tenant", Json::Str(tenant)),
             ]),
             Response::Rejected { reason, retry_after_ms } => Json::obj([
                 ("type", "rejected".to_json()),
-                ("reason", reason.to_json()),
+                ("reason", Json::Str(reason)),
                 ("retry_after_ms", retry_after_ms.to_json()),
             ]),
             Response::Done {
@@ -355,25 +359,29 @@ impl ToJson for Response {
             } => Json::obj([
                 ("type", "done".to_json()),
                 ("job_id", job_id.to_json()),
-                ("tenant", tenant.to_json()),
+                ("tenant", Json::Str(tenant)),
                 ("elapsed_ns", elapsed_ns.to_json()),
                 ("iterations", iterations.to_json()),
-                ("digest", digest.to_json()),
-                ("report", report.clone()),
+                ("digest", Json::Str(digest)),
+                ("report", report),
             ]),
             Response::Failed { job_id, error } => Json::obj([
                 ("type", "failed".to_json()),
                 ("job_id", job_id.to_json()),
-                ("error", error.to_json()),
+                ("error", Json::Str(error)),
             ]),
-            Response::Stats(j) => {
-                Json::obj([("type", "stats".to_json()), ("stats", j.clone())])
-            }
+            Response::Stats(j) => Json::obj([("type", "stats".to_json()), ("stats", j)]),
             Response::Error(msg) => {
-                Json::obj([("type", "error".to_json()), ("error", msg.to_json())])
+                Json::obj([("type", "error".to_json()), ("error", Json::Str(msg))])
             }
             Response::ShuttingDown => Json::obj([("type", "shutting_down".to_json())]),
         }
+    }
+}
+
+impl ToJson for Response {
+    fn to_json(&self) -> Json {
+        self.clone().into()
     }
 }
 
@@ -460,7 +468,11 @@ mod tests {
                 elapsed_ns: 1234,
                 iterations: 3,
                 digest: format!("{:016x}", fnv1a(b"pixels")),
-                report: Json::obj([("counters", Json::Arr(vec![]))]),
+                report: Json::obj([
+                    ("tenant", "acme".to_json()),
+                    ("counters", Json::obj([("workers", 1u64.to_json())])),
+                    ("spans", Json::Arr(vec![])),
+                ]),
             },
             Response::Failed { job_id: 9, error: "unknown kernel".to_string() },
             Response::Stats(Json::obj([("tenants", Json::Arr(vec![]))])),
@@ -468,9 +480,12 @@ mod tests {
             Response::ShuttingDown,
         ];
         for resp in samples {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &resp.to_json()).unwrap();
-            let FrameIn::Msg(v) = read_frame(&mut Cursor::new(buf)).unwrap() else {
+            let mut cloned = Vec::new();
+            write_frame(&mut cloned, &resp.to_json()).unwrap();
+            let mut moved = Vec::new();
+            write_frame(&mut moved, &Json::from(resp.clone())).unwrap();
+            assert_eq!(moved, cloned, "moved and cloned encodings of {resp:?}");
+            let FrameIn::Msg(v) = read_frame(&mut Cursor::new(moved)).unwrap() else {
                 panic!("no frame")
             };
             assert_eq!(Response::from_json(&v).unwrap(), resp);

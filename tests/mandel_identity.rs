@@ -172,6 +172,25 @@ fn frames_match_the_digests_pinned_at_the_parent() {
     }
 }
 
+/// Same as [`PARENT_64_X3`] with `--arg 64 --threads 2`.
+const PARENT_64_X3_CAP64: u64 = 0x38f9_bd63_1229_3595;
+
+#[test]
+fn the_shared_palette_is_keyed_by_the_cap() {
+    // the default cap's palette is built once per process: a run at
+    // another cap between two default runs must neither reuse it nor
+    // leave its own behind (`--arg 256` is the default cap, spelled out)
+    for (arg, want) in [
+        (None, PARENT_64_X3),
+        (Some("64"), PARENT_64_X3_CAP64),
+        (None, PARENT_64_X3),
+        (Some("256"), PARENT_64_X3),
+        (Some("64"), PARENT_64_X3_CAP64),
+    ] {
+        assert_eq!(frame_digest(mandel("seq", 64, 16, 3, arg)), want, "--arg {arg:?}");
+    }
+}
+
 #[test]
 fn max_iter_from_the_command_line_is_bounded() {
     // the cap sizes the palette table: refused before anything is sized by it
