@@ -450,6 +450,15 @@ mod tests {
         r
     }
 
+    /// The `--stats=json` report, which a run prints as its last line:
+    /// the raw line and its counters.
+    fn stats_json(out: &str) -> (&str, ezp_perf::CounterSnapshot) {
+        use ezp_core::json::{FromJson, Json};
+        let line = out.lines().rev().find(|l| l.starts_with('{')).expect("no JSON in output");
+        let doc = Json::parse(line).unwrap();
+        (line, ezp_perf::CounterSnapshot::from_json(doc.get("counters").unwrap()).unwrap())
+    }
+
     #[test]
     fn list_shows_all_kernels_and_variants() {
         let out = run_easypap(["--list"]).unwrap();
@@ -590,13 +599,37 @@ mod tests {
                 "2",
                 "--explain",
                 "--no-display",
+                "--stats=json",
             ])
             .unwrap();
-            assert!(out.contains("Explain (causal profile)"), "{out}");
-            assert!(out.contains("work T1"), "{out}");
-            assert!(out.contains("span Tinf"), "{out}");
-            assert!(out.contains("task latency"), "{out}");
-            assert!(out.contains("# advice:"), "{out}");
+            let needles =
+                ["Explain (causal profile)", "work T1", "span Tinf", "task latency", "p99", "# advice:"];
+            for needle in needles {
+                assert!(out.contains(needle), "no {needle:?} in {out}");
+            }
+            // at least one advisor slug, `[a-z-]+` in brackets
+            let slug = |s: &str| s.split_once(']').is_some_and(|(w, _)| {
+                !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')
+            });
+            assert!(out.split('[').skip(1).any(slug), "no advisor recommendation in {out}");
+            // 16-pixel mandel tiles are microseconds long: not a grain problem
+            assert!(!out.contains("[grain-too-fine]"), "{out}");
+
+            // the --stats=json report: schema 2, no counter that is 0 on
+            // every slot, and idle causes that sum exactly to idle_ns
+            let (line, counters) = stats_json(&out);
+            assert!(line.starts_with("{\"schema\":2,"), "{line}");
+            for c in &counters.counters {
+                assert!(c.per_worker.iter().any(|&v| v != 0), "{} is 0 everywhere", c.name);
+            }
+            let causes: u64 = counters
+                .counters
+                .iter()
+                .filter(|c| c.name.starts_with("idle_ns{cause="))
+                .map(|c| c.total())
+                .sum();
+            assert!(causes > 0, "no per-cause idle counters");
+            assert_eq!(causes, counters.total("idle_ns"));
         });
     }
 
@@ -609,29 +642,9 @@ mod tests {
                 "--arg", "random:0.3",
             ])
             .unwrap();
-            // the JSON object is the last block of the output
-            let json_start = out.find('{').expect("no JSON in output");
-            let j = ezp_core::json::Json::parse(&out[json_start..]).unwrap();
-            let counters = j.get("counters").unwrap();
-            let tasks = counters
-                .get("counters")
-                .unwrap()
-                .as_arr()
-                .unwrap()
-                .iter()
-                .find(|c| c.field::<String>("name").unwrap() == "tasks_executed")
-                .expect("tasks_executed counter missing");
-            assert!(tasks.field::<u64>("total").unwrap() > 0, "no tasks counted");
-            assert!(
-                counters
-                    .get("counters")
-                    .unwrap()
-                    .as_arr()
-                    .unwrap()
-                    .iter()
-                    .any(|c| c.field::<String>("name").unwrap() == "chunks_dispensed"),
-                "scheduler counters missing"
-            );
+            let (_, counters) = stats_json(&out);
+            assert_eq!(counters.total("tasks_executed"), 3 * 16);
+            assert!(counters.total("chunks_dispensed") > 0, "scheduler counters missing");
         });
     }
 
@@ -664,18 +677,8 @@ mod tests {
                 "--no-display", "--stats=json", "--arg", "random:0.3",
             ])
             .unwrap();
-            let json_start = out.find('{').expect("no JSON in output");
-            let j = ezp_core::json::Json::parse(&out[json_start..]).unwrap();
-            let arr = j.get("counters").unwrap().get("counters").unwrap();
-            let find = |name: &str| {
-                arr.as_arr()
-                    .unwrap()
-                    .iter()
-                    .find(|c| c.field::<String>("name").unwrap() == name)
-                    .unwrap_or_else(|| panic!("{name} missing"))
-                    .field::<u64>("total")
-                    .unwrap()
-            };
+            let (_, counters) = stats_json(&out);
+            let find = |name: &str| counters.total(name);
             // 2 ranks exchange ghost rows every iteration
             assert!(find("mpi_msgs_sent") > 0);
             assert!(find("mpi_bytes_sent") > 0);
@@ -912,21 +915,21 @@ mod tests {
             .unwrap();
             assert!(out.contains("8 frames streamed"), "{out}");
             assert!(out.contains("ordered emission"), "{out}");
-            let json_start = out.find('{').expect("no JSON in output");
-            let j = ezp_core::json::Json::parse(&out[json_start..]).unwrap();
-            let arr = j.get("counters").unwrap().get("counters").unwrap();
-            let find = |name: &str| {
-                arr.as_arr()
-                    .unwrap()
-                    .iter()
-                    .find(|c| c.field::<String>("name").unwrap() == name)
-                    .unwrap_or_else(|| panic!("{name} missing"))
-                    .field::<u64>("total")
-                    .unwrap()
-            };
-            assert_eq!(find("frames_emitted"), 8);
-            assert!(find("frames_in_flight") > 0);
-            assert!(find("stage_occupancy") > 0);
+            let (_, counters) = stats_json(&out);
+            assert_eq!(counters.total("frames_emitted"), 8);
+            assert!(counters.total("frames_in_flight") > 0);
+            assert!(counters.total("stage_occupancy") > 0);
+            // the gauges and the stall count are the run's StreamStats,
+            // as the summary line prints them (an absent row is a 0)
+            let summary = format!(
+                "in flight <= {}, reorder depth <= {}, stage occupancy <= {}, \
+                 {} backpressure stalls",
+                counters.total("frames_in_flight"),
+                counters.total("reorder_buffer_depth"),
+                counters.total("stage_occupancy"),
+                counters.total("backpressure_stalls"),
+            );
+            assert!(out.contains(&summary), "no {summary:?} in {out}");
         });
     }
 

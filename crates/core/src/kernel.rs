@@ -149,8 +149,8 @@ pub enum RuntimeEvent {
         /// Number of loop iterations in the chunk.
         len: usize,
     },
-    /// Work-stealing activity of the worker over one parallel loop
-    /// (reported once per loop, after the dispenser is drained).
+    /// Work-stealing activity of the worker over one parallel loop,
+    /// reported by that worker when its dispenser runs dry.
     Steals {
         /// Times the worker entered steal mode (local range empty).
         attempted: u64,
@@ -168,24 +168,12 @@ pub enum RuntimeEvent {
         /// Why the worker was idle.
         cause: IdleCause,
     },
-    /// The worker ran out of work and reached the end-of-loop barrier.
-    BarrierWait,
     /// The worker waited for ready tasks in a task-graph run.
     TaskWait,
     /// A successful steal from another worker's ready deque in a
     /// task-graph run (the deque analogue of [`RuntimeEvent::Steals`],
     /// which covers range dispensers).
     DequeSteal,
-    /// Blocking-fallback activity of the worker pool's lock-free epoch
-    /// protocol over one parallel region: spin iterations burned and
-    /// condvar parks taken while waiting for a region to open or close.
-    /// Reported once per probed region, as a delta.
-    PoolSync {
-        /// Condvar parks (threads that genuinely blocked).
-        parks: u64,
-        /// Spin-phase iterations before the condition held.
-        spins: u64,
-    },
     /// The `ezp-check` shadow-write detector flagged a data race at pixel
     /// `(x, y)`: `writer` (a chunk or task id) conflicted with
     /// `prev_writer`, which last touched the pixel in the same parallel
@@ -211,24 +199,24 @@ pub enum RuntimeEvent {
     /// A streamed frame left the pipeline's final stage and was handed
     /// to the output sink.
     StreamFrameEmitted,
-    /// High-water-mark gauge: `frames` frames were simultaneously in
-    /// flight inside a streaming pipeline. Counter probes fold this
-    /// with `max`, not `add`.
+    /// High-water-mark gauge, sent once per streaming run: at most
+    /// `frames` frames were simultaneously in flight inside the
+    /// pipeline. Counter probes fold the gauges with `max`, not `add`.
     StreamInFlight {
-        /// Concurrent frames observed at this instant.
+        /// Peak of concurrent frames.
         frames: usize,
     },
-    /// High-water-mark gauge: the ordered-emission reorder buffer held
-    /// `depth` completed frames waiting for an earlier frame to finish.
+    /// High-water-mark gauge, sent once per run: the ordered-emission
+    /// reorder buffer held at most `depth` completed frames waiting for
+    /// an earlier frame to finish.
     StreamReorderDepth {
-        /// Completed-but-unemitted frames at this instant.
+        /// Peak of completed-but-unemitted frames.
         depth: usize,
     },
-    /// High-water-mark gauge: some single stage had `depth` frames in
-    /// service at once (its observed occupancy, bounded by the stage
-    /// width).
+    /// High-water-mark gauge, sent once per run: some single stage had
+    /// `depth` frames in service at once (bounded by the stage width).
     StreamStageOccupancy {
-        /// Frames concurrently inside one stage at this instant.
+        /// Peak of frames concurrently inside one stage.
         depth: usize,
     },
 }
@@ -538,7 +526,7 @@ mod tests {
         let loud = Arc::new(EventProbe(AtomicUsize::new(0)));
         let multi = MultiProbe::new(vec![Arc::new(CountingProbe::default()), loud.clone()]);
         assert!(multi.wants_runtime_events());
-        multi.runtime_event(0, RuntimeEvent::BarrierWait);
+        multi.runtime_event(0, RuntimeEvent::TaskWait);
         multi.runtime_event(1, RuntimeEvent::ChunkDispensed { len: 4 });
         assert_eq!(loud.0.load(Ordering::Relaxed), 2);
     }

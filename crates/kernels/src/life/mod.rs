@@ -478,7 +478,6 @@ impl Kernel for Life {
             ("mpi_gathers".into(), per_rank(|s| s.gathers)),
             ("mpi_scatters".into(), per_rank(|s| s.scatters)),
             ("mpi_reduces".into(), per_rank(|s| s.reduces)),
-            ("mpi_alltoalls".into(), per_rank(|s| s.alltoalls)),
         ]
     }
 }

@@ -5,6 +5,11 @@
 //! counters know *what the runtime did* (chunks, steals, idle waits);
 //! spans know *how phases nest*. `--stats` reports all three together,
 //! so this type is the single thing the CLI serializes.
+//!
+//! A counter that stayed 0 on every worker is left out: an absent
+//! counter means 0, in every format and in the serve `done` report.
+//! The JSON form starts with `"schema": 2` so a reader can tell that
+//! rule from documents written before it, which listed every counter.
 
 use crate::report::MonitorReport;
 use ezp_core::json::{Json, ToJson};
@@ -12,13 +17,17 @@ use ezp_perf::export::{to_csv, to_prometheus};
 use ezp_perf::{CounterSnapshot, SpanRecord};
 use std::fmt::Write as _;
 
+/// Version of the `--stats=json` document: 2 since counters that
+/// stayed 0 everywhere are omitted.
+const SCHEMA: u64 = 2;
+
 /// Everything one run produced, observability-wise.
 #[derive(Clone, Debug, Default)]
 pub struct UnifiedReport {
     /// Tile-level monitoring data, when a [`crate::Monitor`] ran.
     pub monitor: Option<MonitorReport>,
-    /// Runtime counters (scheduler events, MPI traffic, cache totals —
-    /// anything pushed into the snapshot).
+    /// Runtime counters (scheduler events, MPI traffic — anything
+    /// pushed into the snapshot) that moved on some worker.
     pub counters: CounterSnapshot,
     /// Recorded spans, merged across workers and sorted by start time.
     pub spans: Vec<SpanRecord>,
@@ -28,12 +37,14 @@ pub struct UnifiedReport {
 }
 
 impl UnifiedReport {
-    /// Bundles the three data sources into one report.
+    /// Bundles the three data sources into one report, dropping the
+    /// counters that are 0 on every worker.
     pub fn new(
         monitor: Option<MonitorReport>,
-        counters: CounterSnapshot,
+        mut counters: CounterSnapshot,
         spans: Vec<SpanRecord>,
     ) -> Self {
+        counters.counters.retain(|c| c.per_worker.iter().any(|&v| v != 0));
         UnifiedReport {
             monitor,
             counters,
@@ -88,7 +99,7 @@ impl UnifiedReport {
 
     /// The whole report as one JSON object — what `--stats=json` prints.
     pub fn to_json(&self) -> Json {
-        let mut pairs = Vec::new();
+        let mut pairs = vec![("schema", SCHEMA.to_json())];
         if let Some(tenant) = &self.tenant {
             pairs.push(("tenant", tenant.to_json()));
         }
@@ -181,6 +192,7 @@ mod tests {
         let c = set.register("tasks_executed");
         set.add(c, 0, 1);
         set.add(c, 1, 1);
+        set.register("steals_attempted"); // 0 everywhere: left out
         let spans = vec![
             SpanRecord {
                 name: "iteration",
@@ -201,12 +213,15 @@ mod tests {
     #[test]
     fn json_carries_all_three_sources() {
         let rep = sample();
-        let j = Json::parse(&rep.to_json().dump()).unwrap();
+        let text = rep.to_json().dump();
+        assert!(text.starts_with("{\"schema\":2,"), "{text}");
+        let j = Json::parse(&text).unwrap();
         assert_eq!(j.field::<u64>("workers").unwrap(), 2);
         assert_eq!(j.field::<u64>("tiles_recorded").unwrap(), 2);
         assert_eq!(j.field::<u64>("total_busy_ns").unwrap(), 100);
         let counters = CounterSnapshot::from_json(j.get("counters").unwrap()).unwrap();
         assert_eq!(counters.total("tasks_executed"), 2);
+        assert_eq!(counters.counters.len(), 1, "a counter 0 everywhere is absent");
         let iters = j.get("iterations").unwrap().as_arr().unwrap();
         assert_eq!(iters.len(), 1);
         assert_eq!(iters[0].field::<u64>("total_idle_ns").unwrap(), 100);
@@ -229,6 +244,7 @@ mod tests {
         assert!(text.contains("# iter 1:"), "{text}");
         assert!(text.contains("# span iteration: 2 x, 180 ns total"), "{text}");
         assert!(text.contains("ezp_tasks_executed 2"), "{text}");
+        assert!(!text.contains("steals_attempted"), "{text}");
     }
 
     #[test]
@@ -250,6 +266,7 @@ mod tests {
         let csv = sample().to_csv();
         assert!(csv.starts_with("counter,worker,value"));
         assert!(csv.contains("tasks_executed"));
+        assert!(!csv.contains("steals_attempted"));
     }
 
     #[test]

@@ -56,43 +56,6 @@ pub struct CommStats {
     pub scatters: u64,
     /// Reduce/all-reduce participations.
     pub reduces: u64,
-    /// All-to-all participations: always 0 (the collective is not
-    /// implemented); kept so the `--stats` rows stay where they were.
-    pub alltoalls: u64,
-}
-
-impl ToJson for CommStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("msgs_sent", self.msgs_sent.to_json()),
-            ("bytes_sent", self.bytes_sent.to_json()),
-            ("msgs_received", self.msgs_received.to_json()),
-            ("bytes_received", self.bytes_received.to_json()),
-            ("barriers", self.barriers.to_json()),
-            ("broadcasts", self.broadcasts.to_json()),
-            ("gathers", self.gathers.to_json()),
-            ("scatters", self.scatters.to_json()),
-            ("reduces", self.reduces.to_json()),
-            ("alltoalls", self.alltoalls.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CommStats {
-    fn from_json(v: &Json) -> Result<Self> {
-        Ok(CommStats {
-            msgs_sent: v.field("msgs_sent")?,
-            bytes_sent: v.field("bytes_sent")?,
-            msgs_received: v.field("msgs_received")?,
-            bytes_received: v.field("bytes_received")?,
-            barriers: v.field("barriers")?,
-            broadcasts: v.field("broadcasts")?,
-            gathers: v.field("gathers")?,
-            scatters: v.field("scatters")?,
-            reduces: v.field("reduces")?,
-            alltoalls: v.field("alltoalls")?,
-        })
-    }
 }
 
 /// The per-rank communicator handle (an `MPI_COMM_WORLD` member).
@@ -514,24 +477,6 @@ mod tests {
             assert_eq!(st.bytes_received, 1);
             assert_eq!(st.barriers, 1);
         }
-    }
-
-    #[test]
-    fn comm_stats_json_round_trips() {
-        let st = CommStats {
-            msgs_sent: 3,
-            bytes_sent: u64::MAX,
-            msgs_received: 2,
-            bytes_received: 40,
-            barriers: 1,
-            broadcasts: 5,
-            gathers: 6,
-            scatters: 7,
-            reduces: 8,
-            alltoalls: 9,
-        };
-        let back = CommStats::from_json(&Json::parse(&st.to_json().dump()).unwrap()).unwrap();
-        assert_eq!(back, st);
     }
 
     #[test]

@@ -47,21 +47,6 @@ impl CounterSet {
         }
     }
 
-    /// Number of worker slots per counter.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Number of registered counters.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when no counter is registered.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Registers `name` (idempotent: an existing name returns its id).
     /// Registration takes `&mut self` — do it before sharing the set
     /// with workers; increments are then lock-free.
@@ -76,13 +61,8 @@ impl CounterSet {
     }
 
     /// Looks up a registered counter by name.
-    pub fn id(&self, name: &str) -> Option<CounterId> {
+    fn id(&self, name: &str) -> Option<CounterId> {
         self.names.iter().position(|n| n == name).map(CounterId)
-    }
-
-    /// The name of `id`.
-    pub fn name(&self, id: CounterId) -> &str {
-        &self.names[id.0]
     }
 
     /// Adds `delta` to the counter on `worker`'s slot. Out-of-range
@@ -189,8 +169,9 @@ impl CounterSnapshot {
         self.get(name).map(CounterValues::total).unwrap_or(0)
     }
 
-    /// Appends a counter computed elsewhere (MPI rank stats, cache
-    /// totals) so one snapshot can carry the whole run's numbers.
+    /// Appends a counter computed elsewhere (a run-level total a layer
+    /// already returns, such as the MPI rank stats) so one snapshot
+    /// carries the whole run's numbers.
     pub fn push(&mut self, name: &str, per_worker: Vec<u64>) {
         self.counters.push(CounterValues {
             name: name.to_string(),
@@ -249,8 +230,8 @@ mod tests {
         assert_eq!(set.register("tasks"), a);
         assert_eq!(set.id("steals"), Some(b));
         assert_eq!(set.id("nope"), None);
-        assert_eq!(set.name(a), "tasks");
-        assert_eq!(set.len(), 2);
+        let names: Vec<String> = set.snapshot().counters.into_iter().map(|c| c.name).collect();
+        assert_eq!(names, ["tasks", "steals"]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Snapshot exporters: Prometheus-style text and CSV.
 //!
 //! JSON export for counters is the `ToJson` impl on
-//! [`CounterSnapshot`](crate::CounterSnapshot); Chrome traces live in
-//! [`trace_event`](crate::trace_event). This module holds the remaining
+//! [`CounterSnapshot`](crate::CounterSnapshot); this module holds the
 //! text formats.
 
 use crate::counters::CounterSnapshot;

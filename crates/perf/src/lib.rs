@@ -4,10 +4,10 @@
 //! (§II-B monitoring, §II-C traces). This crate is the quantitative half
 //! of that story: named per-worker counters with cache-padded lock-free
 //! slots ([`CounterSet`]), a low-overhead span profiler backed by
-//! per-worker fixed-capacity ring buffers ([`SpanSet`] / [`Span`]), and
-//! three export formats — a Prometheus-style text snapshot, JSON via
-//! `ezp_core::json`, and Chrome Trace Event Format loadable by
-//! `chrome://tracing` and Perfetto ([`trace_event`]).
+//! per-worker fixed-capacity ring buffers ([`SpanSet`]), and the
+//! counter exports — a Prometheus-style text snapshot, CSV, and JSON
+//! via `ezp_core::json`. The Chrome Trace Event export of spans and
+//! tiles lives with the trace model, in `ezp_trace::chrome`.
 //!
 //! The scheduling layer reports through the [`ezp_core::kernel::Probe`]
 //! trait's `runtime_event` hook; [`PerfProbe`] is the implementation
@@ -17,7 +17,7 @@
 //! `Probe::wants_runtime_events`, runs without `--stats` pay nothing.
 //!
 //! ```
-//! use ezp_perf::{CounterSet, Span, SpanSet};
+//! use ezp_perf::{CounterSet, SpanSet};
 //!
 //! let mut counters = CounterSet::new(2);
 //! let tasks = counters.register("tasks_executed");
@@ -26,10 +26,8 @@
 //! assert_eq!(counters.total(tasks), 4);
 //!
 //! let spans = SpanSet::new(2, 64);
-//! {
-//!     let _s = Span::enter(&spans, 0, "phase");
-//! } // recorded on drop
-//! assert_eq!(spans.snapshot().len(), 1);
+//! spans.record(0, "phase", 1_000, 4_000); // timestamps in ns
+//! assert_eq!(spans.snapshot()[0].duration_ns(), 3_000);
 //! ```
 
 #![warn(missing_docs)]
@@ -40,9 +38,7 @@ pub mod counters;
 pub mod export;
 pub mod probe;
 pub mod span;
-pub mod trace_event;
 
 pub use counters::{CounterId, CounterSet, CounterSnapshot, CounterValues};
 pub use probe::{names, PerfProbe};
-pub use span::{Span, SpanRecord, SpanSet};
-pub use trace_event::TraceEvent;
+pub use span::{SpanRecord, SpanSet};

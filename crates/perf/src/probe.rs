@@ -46,18 +46,10 @@ pub mod names {
     pub fn idle_cause_counter(cause: super::IdleCause) -> &'static str {
         IDLE_NS_BY_CAUSE[cause.index()]
     }
-    /// End-of-loop barrier entries.
-    pub const BARRIER_WAITS: &str = "barrier_waits";
     /// Task-graph waits on an empty ready queue.
     pub const TASK_WAITS: &str = "task_waits";
     /// Successful steals from another worker's task-graph ready deque.
     pub const DEQUE_STEALS: &str = "deque_steals";
-    /// Condvar parks taken by the pool's epoch protocol (region
-    /// launch/close blocking fallback).
-    pub const POOL_PARKS: &str = "pool_parks";
-    /// Spin iterations burned by the pool's epoch protocol before a
-    /// region opened or closed.
-    pub const POOL_SPINS: &str = "pool_spins";
     /// Races flagged by the `ezp-check` shadow-write detector (always
     /// zero outside checked runs).
     pub const SHADOW_RACES: &str = "shadow_races";
@@ -68,8 +60,8 @@ pub mod names {
     /// Frames handed to the output sink of a streaming run.
     pub const FRAMES_EMITTED: &str = "frames_emitted";
     /// High-water mark of frames simultaneously in flight inside a
-    /// streaming pipeline (gauge: folded with `max`, reported on worker
-    /// slot 0, so the total *is* the peak).
+    /// streaming pipeline (gauge: sent once per run, folded with `max`
+    /// on worker slot 0, so the total *is* the peak).
     pub const FRAMES_IN_FLIGHT: &str = "frames_in_flight";
     /// High-water mark of the ordered-emission reorder buffer (gauge,
     /// worker slot 0).
@@ -120,11 +112,8 @@ pub struct PerfProbe {
     steals_ok: CounterId,
     idle: CounterId,
     idle_by_cause: [CounterId; 5],
-    barriers: CounterId,
     task_waits: CounterId,
     deque_steals: CounterId,
-    pool_parks: CounterId,
-    pool_spins: CounterId,
     shadow_races: CounterId,
     backpressure: CounterId,
     frames_emitted: CounterId,
@@ -149,11 +138,8 @@ impl PerfProbe {
             steals_ok: id(names::STEALS_SUCCEEDED),
             idle: id(names::IDLE_NS),
             idle_by_cause: names::IDLE_NS_BY_CAUSE.map(&mut id),
-            barriers: id(names::BARRIER_WAITS),
             task_waits: id(names::TASK_WAITS),
             deque_steals: id(names::DEQUE_STEALS),
-            pool_parks: id(names::POOL_PARKS),
-            pool_spins: id(names::POOL_SPINS),
             shadow_races: id(names::SHADOW_RACES),
             backpressure: id(names::BACKPRESSURE_STALLS),
             frames_emitted: id(names::FRAMES_EMITTED),
@@ -218,13 +204,8 @@ impl Probe for PerfProbe {
                     );
                 }
             }
-            RuntimeEvent::BarrierWait => self.counters.incr(self.barriers, worker),
             RuntimeEvent::TaskWait => self.counters.incr(self.task_waits, worker),
             RuntimeEvent::DequeSteal => self.counters.incr(self.deque_steals, worker),
-            RuntimeEvent::PoolSync { parks, spins } => {
-                self.counters.add(self.pool_parks, worker, parks);
-                self.counters.add(self.pool_spins, worker, spins);
-            }
             RuntimeEvent::ShadowRace { .. } => self.counters.incr(self.shadow_races, worker),
             RuntimeEvent::StreamStall => self.counters.incr(self.backpressure, worker),
             RuntimeEvent::StreamFrameEmitted => self.counters.incr(self.frames_emitted, worker),
@@ -285,16 +266,8 @@ mod tests {
                 cause: IdleCause::Steal,
             },
         );
-        probe.runtime_event(0, RuntimeEvent::BarrierWait);
         probe.runtime_event(1, RuntimeEvent::TaskWait);
         probe.runtime_event(0, RuntimeEvent::DequeSteal);
-        probe.runtime_event(
-            1,
-            RuntimeEvent::PoolSync {
-                parks: 2,
-                spins: 40,
-            },
-        );
         probe.runtime_event(0, RuntimeEvent::StreamStall);
         probe.runtime_event(1, RuntimeEvent::StreamFrameEmitted);
         probe.runtime_event(1, RuntimeEvent::StreamFrameEmitted);
@@ -316,11 +289,10 @@ mod tests {
         assert_eq!(snap.total(names::STEALS_SUCCEEDED), 1);
         assert_eq!(snap.total(names::IDLE_NS), 500);
         assert_eq!(snap.total(names::idle_cause_counter(IdleCause::Steal)), 500);
-        assert_eq!(snap.total(names::BARRIER_WAITS), 1);
         assert_eq!(snap.total(names::TASK_WAITS), 1);
         assert_eq!(snap.total(names::DEQUE_STEALS), 1);
-        assert_eq!(snap.total(names::POOL_PARKS), 2);
-        assert_eq!(snap.total(names::POOL_SPINS), 40);
+        // every registered counter is in the snapshot, moved or not
+        assert_eq!(snap.counters.len(), 18);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Span profiling: named time intervals in per-worker ring buffers.
 //!
-//! A [`Span`] brackets a phase (`Span::enter(&spans, worker, "compute")`)
-//! and records `[start, end)` timestamps into the worker's *fixed
-//! capacity* ring when dropped. The rings never allocate after
-//! construction and each worker only touches its own (cache-padded)
-//! ring, so the hot path is two clock reads plus one uncontended lock —
+//! [`SpanSet::record`] stores a phase's `[start, end)` timestamps, taken
+//! by the caller, into the worker's *fixed capacity* ring. The rings
+//! never allocate after construction and each worker only touches its
+//! own (cache-padded) ring, so recording is one uncontended lock —
 //! negligible next to any real phase. When a ring wraps, the oldest
 //! spans are overwritten and counted as dropped rather than growing
 //! without bound — profiling must not change the memory behaviour of
 //! the profiled program.
 
 use ezp_core::json::{Json, ToJson};
-use ezp_core::time::now_ns;
 use std::sync::Mutex;
 
 /// Default ring capacity per worker.
@@ -21,7 +19,7 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// allocates; phase names are compile-time strings by construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Phase name as passed to [`Span::enter`].
+    /// Phase name as passed to [`SpanSet::record`].
     pub name: &'static str,
     /// Worker whose ring holds the span.
     pub worker: usize,
@@ -85,26 +83,6 @@ impl SpanSet {
         }
     }
 
-    /// Number of worker rings.
-    pub fn workers(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Ring capacity per worker.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Opens a span on `worker`; recorded when the guard drops.
-    pub fn enter(&self, worker: usize, name: &'static str) -> Span<'_> {
-        Span {
-            set: self,
-            worker,
-            name,
-            start_ns: now_ns(),
-        }
-    }
-
     /// Records a finished span directly (timestamps taken by the caller).
     pub fn record(&self, worker: usize, name: &'static str, start_ns: u64, end_ns: u64) {
         let ring = &self.rings[worker.min(self.rings.len() - 1)];
@@ -156,59 +134,21 @@ impl SpanSet {
     }
 }
 
-/// RAII guard for an open span; records into the set on drop.
-pub struct Span<'a> {
-    set: &'a SpanSet,
-    worker: usize,
-    name: &'static str,
-    start_ns: u64,
-}
-
-impl<'a> Span<'a> {
-    /// Opens a span — the `Span::enter("phase")` spelling of the span
-    /// API (equivalent to [`SpanSet::enter`]).
-    pub fn enter(set: &'a SpanSet, worker: usize, name: &'static str) -> Span<'a> {
-        set.enter(worker, name)
-    }
-
-    /// Closes the span now (otherwise the drop does).
-    pub fn end(self) {}
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.set.record(self.worker, self.name, self.start_ns, now_ns());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn guard_records_on_drop() {
+    fn record_lands_on_its_worker() {
         let set = SpanSet::new(2, 8);
-        {
-            let _s = Span::enter(&set, 1, "phase");
-            std::hint::black_box(());
-        }
+        set.record(1, "phase", 10, 30);
         let spans = set.snapshot();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "phase");
         assert_eq!(spans[0].worker, 1);
-        assert!(spans[0].end_ns >= spans[0].start_ns);
+        assert_eq!(spans[0].duration_ns(), 20);
         assert_eq!(set.recorded(), 1);
         assert_eq!(set.dropped(), 0);
-    }
-
-    #[test]
-    fn explicit_end_closes_early() {
-        let set = SpanSet::new(1, 8);
-        let s = set.enter(0, "a");
-        s.end();
-        let t_after = now_ns();
-        let spans = set.snapshot();
-        assert!(spans[0].end_ns <= t_after);
     }
 
     #[test]

@@ -49,15 +49,6 @@
 use ezp_core::Schedule;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Work-stealing activity of one rank over a dispenser's lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StealStats {
-    /// Times the rank entered the steal path (its own range was empty).
-    pub attempted: u64,
-    /// Attempts that obtained work from a victim.
-    pub succeeded: u64,
-}
-
 /// A concurrent source of chunks over `0..n`.
 ///
 /// Implementations must collectively hand out every index exactly once,
@@ -92,11 +83,13 @@ pub trait Dispenser: Sync + Send {
         self.len() == 0
     }
 
-    /// Per-rank steal counters, for dispensers that steal. `None` for
-    /// policies without stealing, so the scheduling layer emits steal
-    /// events only where they mean something.
-    fn steal_stats(&self) -> Option<Vec<StealStats>> {
-        None
+    /// `(attempted, succeeded)` steals of `rank` so far: how often its
+    /// own range was empty, and how often a victim then yielded work.
+    /// Only `rank` itself may ask (the rank-serial protocol above), so
+    /// the count is always that thread's own. `(0, 0)` for policies
+    /// without stealing.
+    fn steals(&self, _rank: usize) -> (u64, u64) {
+        (0, 0)
     }
 }
 
@@ -395,10 +388,9 @@ pub struct StealingDispenser {
     k: usize,
     /// Per-rank stealable ranges as packed `hi << 32 | lo` words.
     ranges: Vec<RangeWord>,
-    /// Per-rank private remainders (stolen intervals being drained).
+    /// Per-rank private remainders (stolen intervals being drained) and
+    /// steal counters.
     remainders: Vec<Remainder>,
-    /// Per-rank steal counters; each rank only writes its own slot.
-    stats: Vec<StealSlot>,
 }
 
 /// A padded packed-range word (`hi << 32 | lo`).
@@ -415,25 +407,23 @@ impl RangeWord {
     }
 }
 
-/// A rank-private stolen interval, drained front-first by its owner.
-/// Single-writer by the rank-serial protocol; atomics only so that a
-/// protocol violation stays a logic error. Both fields are
-/// synchronizing via the spine, not locally (via-the-spine): the
-/// rank-serial protocol orders every access, so `Relaxed` suffices.
+/// A rank-private stolen interval, drained front-first by its owner,
+/// and the owner's steal counters. Single-writer by the rank-serial
+/// protocol; atomics only so that a protocol violation stays a logic
+/// error.
 #[repr(align(128))]
 #[derive(Default)]
 struct Remainder {
+    // `lo` and `hi` are synchronizing via the spine, not locally
+    // (via-the-spine): the rank-serial protocol orders every access,
+    // so `Relaxed` suffices.
     lo: AtomicUsize,
     hi: AtomicUsize,
-}
-
-/// Padded per-rank steal counters (owner-writes-only, like the monitor's
-/// worker slots). Both fields are counter-only: statistics whose value
-/// is the entire payload.
-#[repr(align(128))]
-#[derive(Default)]
-struct StealSlot {
+    /// Times the rank entered the steal path. counter-only: a tally
+    /// only its own rank writes and reads.
     attempted: AtomicU64,
+    /// Attempts that obtained work from a victim. counter-only, like
+    /// `attempted`.
     succeeded: AtomicU64,
 }
 
@@ -461,7 +451,6 @@ impl StealingDispenser {
             k: clamp_chunk(k, n),
             ranges,
             remainders: (0..threads).map(|_| Remainder::default()).collect(),
-            stats: (0..threads).map(|_| StealSlot::default()).collect(),
         }
     }
 
@@ -506,10 +495,10 @@ impl StealingDispenser {
     /// Steals half of the largest victim's stealable remainder into
     /// `rank`'s private remainder, then serves from it.
     fn steal(&self, rank: usize) -> Option<(usize, usize)> {
-        // ORDERING: counter-only here; the later Release increment of
-        // `succeeded` is what publishes this attempt to stats readers
-        // (see `steal_stats` for the pairing).
-        self.stats[rank].attempted.fetch_add(1, Ordering::Relaxed);
+        let own = &self.remainders[rank];
+        // ORDERING: counter-only (rank-private, read back by this rank
+        // alone in `steals`).
+        own.attempted.fetch_add(1, Ordering::Relaxed);
         loop {
             // Pick the victim with the most stealable work left.
             let mut victim = None;
@@ -554,17 +543,13 @@ impl StealingDispenser {
             // ORDERING: counter-only (rank-private slots, same argument
             // as in `take_local` — only this rank touches them).
             debug_assert!(
-                self.remainders[rank].lo.load(Ordering::Relaxed)
-                    >= self.remainders[rank].hi.load(Ordering::Relaxed),
+                own.lo.load(Ordering::Relaxed) >= own.hi.load(Ordering::Relaxed),
                 "stealing with private work left"
             );
-            self.remainders[rank].lo.store(start, Ordering::Relaxed);
-            self.remainders[rank].hi.store(hi, Ordering::Relaxed);
-            // ORDERING: synchronizing. Release-publish the success
-            // *after* the attempt increment (program order) so a stats
-            // reader that Acquire-loads this count also sees the
-            // matching attempt — the attempted >= succeeded invariant.
-            self.stats[rank].succeeded.fetch_add(1, Ordering::Release);
+            own.lo.store(start, Ordering::Relaxed);
+            own.hi.store(hi, Ordering::Relaxed);
+            // ORDERING: counter-only, like `attempted` above.
+            own.succeeded.fetch_add(1, Ordering::Relaxed);
             return self.take_local(rank);
         }
     }
@@ -582,28 +567,12 @@ impl Dispenser for StealingDispenser {
         self.n
     }
 
-    fn steal_stats(&self) -> Option<Vec<StealStats>> {
-        Some(
-            self.stats
-                .iter()
-                .map(|s| {
-                    // ORDERING: synchronizing (coherent mid-flight
-                    // snapshot). Load `succeeded` first — Acquire, pairing
-                    // with the Release increment in `steal` — then
-                    // `attempted` (Relaxed: its visibility rides the same
-                    // pair). Every success counted was preceded by its
-                    // attempt increment in the writer's program order, so
-                    // attempted >= succeeded holds in every report, even
-                    // one racing the steal path.
-                    let succeeded = s.succeeded.load(Ordering::Acquire);
-                    let attempted = s.attempted.load(Ordering::Relaxed);
-                    StealStats {
-                        attempted,
-                        succeeded,
-                    }
-                })
-                .collect(),
-        )
+    fn steals(&self, rank: usize) -> (u64, u64) {
+        self.remainders.get(rank).map_or((0, 0), |own| {
+            // ORDERING: counter-only. The caller is `rank` itself, so
+            // both loads see that thread's own last increments.
+            (own.attempted.load(Ordering::Relaxed), own.succeeded.load(Ordering::Relaxed))
+        })
     }
 }
 
@@ -783,9 +752,9 @@ mod tests {
         assert_eq!(d.next(0), Some((1, 1)));
         assert_eq!(d.next(0), None); // rank 0 attempt: nothing left
         assert_eq!(d.next(1), None); // rank 1 attempt #2: nothing left
-        let stats = d.steal_stats().unwrap();
-        assert_eq!(stats[1], StealStats { attempted: 2, succeeded: 1 });
-        assert_eq!(stats[0], StealStats { attempted: 1, succeeded: 0 });
+        assert_eq!(d.steals(1), (2, 1));
+        assert_eq!(d.steals(0), (1, 0));
+        assert_eq!(d.steals(2), (0, 0), "out-of-range rank");
     }
 
     #[test]
@@ -796,55 +765,6 @@ mod tests {
         assert_exact_cover(&got, 100);
         // and the empty space stays empty
         assert_eq!(GuidedChunks::new(0, 0, 1).next(0), None);
-    }
-
-    #[test]
-    fn steal_stats_never_report_more_successes_than_attempts() {
-        // S3 regression: sample the stats *while* ranks are draining
-        // through the steal path; every snapshot, per rank, must satisfy
-        // attempted >= succeeded (the release/acquire pairing on the
-        // succeeded counter).
-        for round in 0..10 {
-            let threads = 4;
-            let n = 64 + round;
-            let d = StealingDispenser::new(n, threads, 1);
-            let stop = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|rank| {
-                        let d = &d;
-                        s.spawn(move || while d.next(rank).is_some() {})
-                    })
-                    .collect();
-                let d = &d;
-                let stop = &stop;
-                s.spawn(move || {
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        for (rank, st) in d.steal_stats().unwrap().iter().enumerate() {
-                            assert!(
-                                st.attempted >= st.succeeded,
-                                "rank {rank}: mid-flight report shows {} successes \
-                                 but only {} attempts",
-                                st.succeeded,
-                                st.attempted
-                            );
-                        }
-                    }
-                });
-                // let the sampler race the drain; release it once the
-                // workers are done
-                for w in workers {
-                    w.join().unwrap();
-                }
-                stop.store(1, Ordering::Relaxed);
-            });
-            // final report still satisfies the invariant and counts
-            // at least one attempt somewhere (k=1 forces steal traffic
-            // unless the interleaving drained everything locally)
-            for st in d.steal_stats().unwrap() {
-                assert!(st.attempted >= st.succeeded);
-            }
-        }
     }
 
     #[test]
@@ -860,11 +780,14 @@ mod tests {
     }
 
     #[test]
-    fn only_the_stealing_policy_reports_steal_stats() {
-        assert!(StaticBlock::new(8, 2).steal_stats().is_none());
-        assert!(StaticCyclic::new(8, 2, 1).steal_stats().is_none());
-        assert!(DynamicChunks::new(8, 2, 1).steal_stats().is_none());
-        assert!(GuidedChunks::new(8, 2, 1).steal_stats().is_none());
+    fn only_the_stealing_policy_counts_steals() {
+        let policies =
+            [Schedule::Static, Schedule::StaticChunk(1), Schedule::Dynamic(1), Schedule::Guided(1)];
+        for sched in policies {
+            let d = dispenser_for(sched, 8, 2);
+            drain_interleaved(&*d, 2);
+            assert_eq!((d.steals(0), d.steals(1)), ((0, 0), (0, 0)), "{sched:?}");
+        }
     }
 
     #[test]

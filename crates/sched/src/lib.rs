@@ -44,14 +44,14 @@ pub mod taskgraph;
 pub mod vexec;
 
 pub use deque::{Steal, TaskDeque};
-pub use dispenser::{dispenser_for, Dispenser, StealStats};
+pub use dispenser::{dispenser_for, Dispenser};
 pub use img_cell::{ImgCell, TileWriter};
 pub use mux::{acquire_pool, MuxStats, PoolHandle, PoolLease, PoolMux};
 pub use parallel::{
     parallel_for_range, parallel_for_range_probed, parallel_for_tiles, parallel_for_tiles_img,
 };
-pub use park::{ParkLot, WaitStats};
-pub use pool::{PoolSyncStats, WorkerPool};
+pub use park::ParkLot;
+pub use pool::WorkerPool;
 pub use skeleton::{EmitTracker, PipeShape, PipeStage};
 pub use taskgraph::TaskGraph;
 #[cfg(feature = "ezp-check")]

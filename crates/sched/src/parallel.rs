@@ -57,7 +57,7 @@ pub fn parallel_for_range_probed(
             let t0 = if timed { now_ns() } else { 0 };
             let Some((start, len)) = disp.next(rank) else {
                 if timed {
-                    report_loop_end(probe, rank, t0);
+                    report_loop_end(probe, &*disp, rank, t0);
                 }
                 break;
             };
@@ -69,9 +69,6 @@ pub fn parallel_for_range_probed(
             }
         }
     });
-    if timed {
-        report_steals(probe, &*disp);
-    }
 }
 
 /// Runs `f(tile, rank)` for every tile of `grid` (`collapse(2)` order),
@@ -95,7 +92,7 @@ pub fn parallel_for_tiles(
             let t0 = if timed { now_ns() } else { 0 };
             let Some((start, len)) = disp.next(rank) else {
                 if timed {
-                    report_loop_end(probe, rank, t0);
+                    report_loop_end(probe, &*disp, rank, t0);
                 }
                 break;
             };
@@ -109,37 +106,23 @@ pub fn parallel_for_tiles(
             }
         }
     });
-    if timed {
-        report_steals(probe, &*disp);
-    }
 }
 
-/// Runs one pool region and, when `timed`, reports the pool's
-/// epoch-protocol spin/park delta for it as a single
-/// [`RuntimeEvent::PoolSync`] (attributed to rank 0: the pool counters
-/// are global, not per-worker). Shared by the probed loop helpers and
-/// the task-graph executor.
+/// Runs one pool region and, when `timed`, reports the time the pool's
+/// epoch protocol spent parked for it as one `pool_park` idle slice
+/// (attributed to rank 0: the pool's tally is global, not per-worker).
+/// Shared by the probed loop helpers and the task-graph executor.
 pub(crate) fn run_region_probed(
     pool: &mut WorkerPool,
     probe: &dyn Probe,
     timed: bool,
     f: impl Fn(WorkerId) + Sync,
 ) {
-    let before = timed.then(|| pool.sync_stats());
+    let before = timed.then(|| pool.park_ns());
     pool.run(f);
-    if let Some(b) = before {
-        let a = pool.sync_stats();
-        probe.runtime_event(
-            0,
-            RuntimeEvent::PoolSync {
-                parks: a.parks.saturating_sub(b.parks),
-                spins: a.spins.saturating_sub(b.spins),
-            },
-        );
-        let park_ns = a.park_ns.saturating_sub(b.park_ns);
+    if let Some(before) = before {
+        let park_ns = pool.park_ns().saturating_sub(before);
         if park_ns > 0 {
-            // Kernel-blocked time of the epoch protocol, attributed to
-            // rank 0 like PoolSync (the pool counters are global).
             probe.runtime_event(
                 0,
                 RuntimeEvent::IdleNs {
@@ -165,8 +148,9 @@ fn report_chunk(probe: &dyn Probe, rank: WorkerId, t0: u64, len: usize) {
     probe.runtime_event(rank, RuntimeEvent::ChunkDispensed { len });
 }
 
-/// The wait ended in exhaustion: the rank hits the loop-end barrier.
-fn report_loop_end(probe: &dyn Probe, rank: WorkerId, t0: u64) {
+/// The wait ended in exhaustion: the rank hits the loop-end barrier,
+/// and its steal count for the loop is final, so the rank reports it.
+fn report_loop_end(probe: &dyn Probe, disp: &dyn Dispenser, rank: WorkerId, t0: u64) {
     probe.runtime_event(
         rank,
         RuntimeEvent::IdleNs {
@@ -174,21 +158,9 @@ fn report_loop_end(probe: &dyn Probe, rank: WorkerId, t0: u64) {
             cause: IdleCause::Barrier,
         },
     );
-    probe.runtime_event(rank, RuntimeEvent::BarrierWait);
-}
-
-/// After the loop: forward the dispenser's steal counters (if any).
-fn report_steals(probe: &dyn Probe, disp: &dyn Dispenser) {
-    if let Some(stats) = disp.steal_stats() {
-        for (rank, s) in stats.iter().enumerate() {
-            probe.runtime_event(
-                rank,
-                RuntimeEvent::Steals {
-                    attempted: s.attempted,
-                    succeeded: s.succeeded,
-                },
-            );
-        }
+    let (attempted, succeeded) = disp.steals(rank);
+    if attempted > 0 {
+        probe.runtime_event(rank, RuntimeEvent::Steals { attempted, succeeded });
     }
 }
 

@@ -96,25 +96,6 @@ struct JobCell(UnsafeCell<Option<ErasedJob>>);
 // epoch-gated — so the cell is never accessed concurrently.
 unsafe impl Sync for JobCell {}
 
-/// Cumulative blocking-fallback activity of a pool (all regions so
-/// far): how often threads had to spin or actually park instead of
-/// finding the epoch already advanced. Exposed so the observability
-/// layer can report the cost of region launch/close synchronization
-/// (see `pool_parks` / `pool_spins` in docs/observability.md).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolSyncStats {
-    /// Times a thread (worker or the caller of `run`) blocked on a
-    /// condvar waiting for an epoch to advance.
-    pub parks: u64,
-    /// Spin-phase iterations executed while waiting for an epoch.
-    pub spins: u64,
-    /// Wall time spent in the park (slow) path, in nanoseconds. This is
-    /// the `cause="pool_park"` slice of idle-cause attribution: time a
-    /// thread was blocked in the kernel between regions rather than
-    /// spinning or working.
-    pub park_ns: u64,
-}
-
 pub(crate) struct PoolState {
     /// Published region sequence number (0 = no region yet).
     job_seq: AtomicU64,
@@ -132,14 +113,10 @@ pub(crate) struct PoolState {
     idle: ParkLot,
     /// `run` waits here for region completion.
     done: ParkLot,
-    // The three stat fields are counter-only: cumulative tallies whose
-    // value is the entire payload.
-    /// Cumulative parks across all threads and regions.
-    stat_parks: AtomicU64,
-    /// Cumulative spin iterations across all threads and regions.
-    stat_spins: AtomicU64,
-    /// Cumulative nanoseconds spent parked across all threads/regions.
-    stat_park_ns: AtomicU64,
+    /// Nanoseconds spent parked, across all threads and regions — the
+    /// `cause="pool_park"` idle slice. counter-only: a cumulative tally
+    /// whose value is the entire payload.
+    park_ns: AtomicU64,
 }
 
 /// What one [`PoolState::worker_step`] did.
@@ -164,9 +141,7 @@ impl PoolState {
             shutdown: AtomicBool::new(false),
             idle: ParkLot::new(),
             done: ParkLot::new(),
-            stat_parks: AtomicU64::new(0),
-            stat_spins: AtomicU64::new(0),
-            stat_park_ns: AtomicU64::new(0),
+            park_ns: AtomicU64::new(0),
         }
     }
 
@@ -265,18 +240,12 @@ impl PoolState {
         self.idle.notify();
     }
 
-    fn record_wait(&self, stats: crate::park::WaitStats) {
-        // ORDERING: counter-only. The spin/park totals feed the stats
-        // report; nothing synchronizes on them, so Relaxed increments
-        // suffice (monotonicity is all the readers rely on).
-        if stats.spins > 0 {
-            self.stat_spins.fetch_add(stats.spins, Ordering::Relaxed);
-        }
-        if stats.parks > 0 {
-            self.stat_parks.fetch_add(stats.parks, Ordering::Relaxed);
-        }
-        if stats.park_ns > 0 {
-            self.stat_park_ns.fetch_add(stats.park_ns, Ordering::Relaxed);
+    fn record_wait(&self, park_ns: u64) {
+        // ORDERING: counter-only. The total feeds the idle report;
+        // nothing synchronizes on it, so a Relaxed increment suffices
+        // (monotonicity is all the reader relies on).
+        if park_ns > 0 {
+            self.park_ns.fetch_add(park_ns, Ordering::Relaxed);
         }
     }
 }
@@ -348,18 +317,13 @@ impl WorkerPool {
         self.next_seq
     }
 
-    /// Cumulative spin/park counts of the epoch protocol (all regions
-    /// so far). Deltas across a region quantify how much launching and
-    /// closing it had to block.
-    pub fn sync_stats(&self) -> PoolSyncStats {
-        // ORDERING: counter-only snapshot of the Relaxed totals above;
-        // the two loads need no ordering between them (the report is
-        // explicitly approximate while a region is in flight).
-        PoolSyncStats {
-            parks: self.state.stat_parks.load(Ordering::Relaxed),
-            spins: self.state.stat_spins.load(Ordering::Relaxed),
-            park_ns: self.state.stat_park_ns.load(Ordering::Relaxed),
-        }
+    /// Nanoseconds the epoch protocol has spent parked, over all
+    /// threads and regions so far. The delta across a region is what
+    /// launching and closing it blocked.
+    pub(crate) fn park_ns(&self) -> u64 {
+        // ORDERING: counter-only load of the Relaxed total (approximate
+        // while a region is in flight; read between regions here).
+        self.state.park_ns.load(Ordering::Relaxed)
     }
 
     /// Runs one parallel region: every rank `< width()` executes
@@ -397,8 +361,7 @@ impl WorkerPool {
         // 4), which happens-after the last worker's use of the pointer.
         unsafe { state.publish(seq, self.threads, ErasedJob::erase(f)) };
         // Wait for completion: spin, then park on the done lot.
-        let wait = state.done.wait_until(|| state.is_closed(seq));
-        state.record_wait(wait);
+        state.record_wait(state.done.wait_until(|| state.is_closed(seq)));
         let panics = state.close(seq);
         if panics > 0 {
             panic!("{panics} worker(s) panicked in parallel region {seq}");
@@ -419,8 +382,7 @@ fn worker_loop(rank: usize, state: Arc<PoolState>) {
     let mut last_seq = 0u64;
     loop {
         // Wait for a region newer than the last one we ran, or shutdown.
-        let wait = state.idle.wait_until(|| state.has_work(last_seq));
-        state.record_wait(wait);
+        state.record_wait(state.idle.wait_until(|| state.has_work(last_seq)));
         if state.worker_step(rank, &mut last_seq) == WorkerStep::Shutdown {
             return;
         }
@@ -701,14 +663,19 @@ mod tests {
     }
 
     #[test]
-    fn sync_stats_accumulate_monotonically() {
+    fn a_region_after_a_pause_records_the_workers_park() {
+        // a waiter parks once its spin phase runs out, so only time can
+        // force a park: retry until one pause outlasted the spins. A
+        // worker records its wait before it runs the region, so the
+        // total is final by the time `run` returns.
         let mut pool = WorkerPool::new(2);
-        let before = pool.sync_stats();
-        for _ in 0..10 {
+        let parked = (0..50).any(|_| {
             pool.run(|_| {});
-        }
-        let after = pool.sync_stats();
-        assert!(after.parks >= before.parks);
-        assert!(after.spins >= before.spins);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let before = pool.park_ns();
+            pool.run(|_| {});
+            pool.park_ns() > before
+        });
+        assert!(parked, "no region after a pause found a parked worker");
     }
 }

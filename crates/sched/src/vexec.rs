@@ -499,8 +499,8 @@ mod tests {
         let mut strategy = StealHeavy::new(2);
         let mut hits = vec![0u32; n];
         virtual_drain(&d, 4, &mut strategy, |i, _, _| hits[i] += 1);
-        let stats = d.steal_stats().unwrap();
-        assert!(stats[2].succeeded > 0, "favourite never stole: {stats:?}");
+        let (attempted, succeeded) = d.steals(2);
+        assert!(succeeded > 0, "favourite never stole ({attempted} attempts)");
         // and nothing was lost or duplicated while it raided the others
         assert_exact_cover(&hits, "steal-heavy over stealing dispenser");
     }

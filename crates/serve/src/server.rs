@@ -440,8 +440,6 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
     for (name, per_worker) in kernel.stats_counters() {
         snapshot.push(&name, per_worker);
     }
-    // the frame says what the job moved: a counter absent from it is 0
-    snapshot.counters.retain(|c| c.per_worker.iter().any(|&v| v != 0));
     let report = UnifiedReport::new(None, snapshot, probe.span_snapshot())
         .with_tenant(&job.tenant)
         .to_json();

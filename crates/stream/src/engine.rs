@@ -25,9 +25,10 @@
 //! that makes a node ready arrives over a **non-data** edge (width or
 //! capacity), the frame was data-ready but waiting on buffer space —
 //! one backpressure stall. Gauges (`frames_in_flight`,
-//! `reorder_buffer_depth`, `stage_occupancy`) are high-water marks,
-//! reported through [`RuntimeEvent`]s and folded with `max` by the perf
-//! probe (worker slot 0, so the reported total *is* the peak).
+//! `reorder_buffer_depth`, `stage_occupancy`) are the high-water marks
+//! of [`StreamStats`], sent as [`RuntimeEvent`]s once, after the last
+//! window, and folded with `max` by the perf probe (worker slot 0, so
+//! the reported total *is* the peak).
 
 use crate::pipeline::Pipeline;
 use ezp_core::error::Result;
@@ -123,9 +124,6 @@ pub fn run_pipeline<T: Send>(
             let mut payload = if s == 0 {
                 let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
                 max_in_flight.fetch_max(now, Ordering::Relaxed);
-                if want_events {
-                    probe.runtime_event(worker, RuntimeEvent::StreamInFlight { frames: now });
-                }
                 source(base + f)
             } else {
                 slots[f].lock().unwrap().take().expect("payload lost between stages")
@@ -133,9 +131,6 @@ pub fn run_pipeline<T: Send>(
 
             let occ = occupancy[s].fetch_add(1, Ordering::Relaxed) + 1;
             max_occupancy.fetch_max(occ, Ordering::Relaxed);
-            if want_events {
-                probe.runtime_event(worker, RuntimeEvent::StreamStageOccupancy { depth: occ });
-            }
             pipe.apply(s, base + f, &mut payload);
             occupancy[s].fetch_sub(1, Ordering::Relaxed);
 
@@ -151,10 +146,6 @@ pub fn run_pipeline<T: Send>(
                 if want_events {
                     for _ in 0..emitted {
                         probe.runtime_event(worker, RuntimeEvent::StreamFrameEmitted);
-                    }
-                    if mode == EmitMode::Ordered {
-                        let depth = st.reorder_depth();
-                        probe.runtime_event(worker, RuntimeEvent::StreamReorderDepth { depth });
                     }
                 }
             }
@@ -202,13 +193,23 @@ pub fn run_pipeline<T: Send>(
         base += wlen;
     }
 
-    Ok(StreamStats {
+    let stats = StreamStats {
         frames,
         backpressure_stalls: stalls.into_inner(),
         max_frames_in_flight: max_in_flight.into_inner(),
         max_reorder_depth,
         max_stage_occupancy: max_occupancy.into_inner(),
-    })
+    };
+    if want_events {
+        for gauge in [
+            RuntimeEvent::StreamInFlight { frames: stats.max_frames_in_flight },
+            RuntimeEvent::StreamStageOccupancy { depth: stats.max_stage_occupancy },
+            RuntimeEvent::StreamReorderDepth { depth: stats.max_reorder_depth },
+        ] {
+            probe.runtime_event(0, gauge);
+        }
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -6,55 +6,96 @@
 //! (`"ph": "X"`) events on their worker's lane with the tile rectangle
 //! in `args`, iterations become complete events on a synthetic lane one
 //! past the last worker, and extra [`SpanRecord`]s land on their
-//! worker's lane under the `span` category.
+//! worker's lane under the `span` category (`idle` for the idle-cause
+//! intervals).
 
 use crate::model::Trace;
-use ezp_core::json::Json;
-use ezp_perf::trace_event::{chrome_trace, thread_name, TraceEvent};
+use ezp_core::json::{Json, ToJson};
 use ezp_perf::SpanRecord;
 
 /// The `tid` of the synthetic iterations lane.
-pub fn iterations_lane(trace: &Trace) -> usize {
+fn iterations_lane(trace: &Trace) -> usize {
     trace.meta.threads
 }
 
+/// A complete (`"ph": "X"`) slice on lane `tid`. The format counts in
+/// microseconds; ours are nanoseconds, so they become fractional µs
+/// here (and only here), which keeps sub-microsecond tiles visible.
+fn slice(
+    name: &str,
+    cat: &str,
+    start_ns: u64,
+    dur_ns: u64,
+    tid: usize,
+    args: Option<Json>,
+) -> Json {
+    let mut fields: Vec<(String, Json)> = [
+        ("name", name.to_json()),
+        ("cat", cat.to_json()),
+        ("ph", "X".to_json()),
+        ("ts", Json::Float(start_ns as f64 / 1000.0)),
+        ("dur", Json::Float(dur_ns as f64 / 1000.0)),
+        ("pid", Json::UInt(0)),
+        ("tid", tid.to_json()),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect();
+    fields.extend(args.map(|a| ("args".to_string(), a)));
+    Json::Obj(fields)
+}
+
+/// A `"ph": "M"` metadata event naming lane `tid` in the viewer.
+fn thread_name(tid: usize, name: &str) -> Json {
+    Json::obj([
+        ("name", "thread_name".to_json()),
+        ("ph", "M".to_json()),
+        ("pid", Json::UInt(0)),
+        ("tid", tid.to_json()),
+        ("args", Json::obj([("name", name.to_json())])),
+    ])
+}
+
 /// Converts `trace` (and optional perf `spans`) to a Chrome Trace Event
-/// JSON document.
+/// JSON document: `{"traceEvents": [...], "displayTimeUnit": "ms"}`.
 pub fn to_chrome(trace: &Trace, spans: &[SpanRecord]) -> Json {
     // An iteration still open at export time carries the u64::MAX
     // sentinel; clamp it to the last observed timestamp so the viewer
     // does not draw a 584-year bar.
     let clamp_end = trace.time_bounds().map(|(_, end)| end).unwrap_or(0);
-    let mut events: Vec<TraceEvent> = Vec::with_capacity(
-        trace.tasks.len() + trace.iterations.len() + spans.len(),
-    );
-    for t in &trace.tasks {
-        events.push(
-            TraceEvent::complete("tile", "tile", t.start_ns, t.duration_ns(), t.worker)
-                .arg("iteration", Json::UInt(t.iteration as u64))
-                .arg("x", Json::UInt(t.x as u64))
-                .arg("y", Json::UInt(t.y as u64))
-                .arg("w", Json::UInt(t.w as u64))
-                .arg("h", Json::UInt(t.h as u64)),
-        );
-    }
     let iter_tid = iterations_lane(trace);
+    let mut items: Vec<Json> = (0..trace.meta.threads)
+        .map(|w| thread_name(w, &format!("worker {w}")))
+        .collect();
+    items.push(thread_name(iter_tid, "iterations"));
+    items.reserve(trace.tasks.len() + trace.iterations.len() + spans.len());
+    for t in &trace.tasks {
+        let args = Json::obj([
+            ("iteration", Json::UInt(t.iteration as u64)),
+            ("x", Json::UInt(t.x as u64)),
+            ("y", Json::UInt(t.y as u64)),
+            ("w", Json::UInt(t.w as u64)),
+            ("h", Json::UInt(t.h as u64)),
+        ]);
+        items.push(slice("tile", "tile", t.start_ns, t.duration_ns(), t.worker, Some(args)));
+    }
     for s in &trace.iterations {
         let end = if s.end_ns == u64::MAX { clamp_end } else { s.end_ns };
-        events.push(TraceEvent::complete(
-            &format!("iteration {}", s.iteration),
-            "iteration",
-            s.start_ns,
-            end.saturating_sub(s.start_ns),
-            iter_tid,
-        ));
+        let name = format!("iteration {}", s.iteration);
+        let dur_ns = end.saturating_sub(s.start_ns);
+        items.push(slice(&name, "iteration", s.start_ns, dur_ns, iter_tid, None));
     }
-    events.extend(spans.iter().map(TraceEvent::from));
-    let mut metadata: Vec<Json> = (0..trace.meta.threads)
-        .map(|w| thread_name(0, w, &format!("worker {w}")))
-        .collect();
-    metadata.push(thread_name(0, iter_tid, "iterations"));
-    chrome_trace(&events, metadata)
+    // Idle-cause intervals ("idle:steal", "idle:backpressure", ...) get
+    // their own category so Perfetto can filter the *why a lane is
+    // dark* slices separately from compute spans.
+    for s in spans {
+        let cat = if s.name.starts_with("idle:") { "idle" } else { "span" };
+        items.push(slice(s.name, cat, s.start_ns, s.duration_ns(), s.worker, None));
+    }
+    Json::obj([
+        ("traceEvents", Json::Arr(items)),
+        ("displayTimeUnit", "ms".to_json()),
+    ])
 }
 
 #[cfg(test)]
@@ -126,19 +167,34 @@ mod tests {
     #[test]
     fn perf_spans_ride_along() {
         let t = sample_trace();
-        let spans = vec![SpanRecord {
-            name: "compute",
-            worker: 1,
-            start_ns: 10,
-            end_ns: 30,
-        }];
+        let spans = vec![
+            SpanRecord {
+                name: "compute",
+                worker: 1,
+                start_ns: 10,
+                end_ns: 30,
+            },
+            SpanRecord {
+                name: "idle:backpressure",
+                worker: 0,
+                start_ns: 100,
+                end_ns: 400,
+            },
+        ];
         let j = to_chrome(&t, &spans);
         let evs = events(&j);
-        let span = of_phase(&evs, "X")
-            .into_iter()
-            .find(|e| e.field::<String>("cat").unwrap() == "span")
-            .unwrap();
+        let of_cat = |cat: &str| {
+            of_phase(&evs, "X")
+                .into_iter()
+                .find(|e| e.field::<String>("cat").unwrap() == cat)
+                .unwrap()
+        };
+        let span = of_cat("span");
         assert_eq!(span.field::<String>("name").unwrap(), "compute");
         assert_eq!(span.field::<u64>("tid").unwrap(), 1);
+        // idle-cause intervals are filterable on their own
+        let idle = of_cat("idle");
+        assert_eq!(idle.field::<String>("name").unwrap(), "idle:backpressure");
+        assert!((idle.field::<f64>("dur").unwrap() - 0.3).abs() < 1e-12);
     }
 }

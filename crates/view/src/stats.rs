@@ -3,7 +3,7 @@
 //! EASYVIEW "cannot always capture some subtle properties such as the
 //! heterogeneity of tasks duration" from the live view alone — the
 //! post-mortem statistics here make that heterogeneity a number: count,
-//! mean, extremes and percentiles per trace, per worker, per iteration.
+//! mean, extremes and percentiles per trace and per worker.
 //! `easyview` prints this block by default, and the blur analysis uses
 //! the bimodality detector to spot the fast-inner/slow-border split of
 //! Fig. 10 automatically.
@@ -98,16 +98,6 @@ pub fn per_worker_stats(trace: &Trace) -> Vec<DurationStats> {
             )
         })
         .collect()
-}
-
-/// Statistics of one iteration.
-pub fn iteration_stats(trace: &Trace, iteration: u32) -> DurationStats {
-    DurationStats::of(
-        trace
-            .tasks_of_iteration(iteration)
-            .map(TileRecord::duration_ns)
-            .collect(),
-    )
 }
 
 /// Renders the statistics block `easyview` prints.
@@ -224,20 +214,6 @@ mod tests {
         let bimodal = trace_with_durations(&bimodal_input);
         assert!((trace_stats(&uniform).heterogeneity() - 1.0).abs() < 1e-9);
         assert!(trace_stats(&bimodal).heterogeneity() >= 10.0);
-    }
-
-    #[test]
-    fn iteration_scoping() {
-        let mut t = trace_with_durations(&[(10, 0), (20, 1)]);
-        t.tasks[1].iteration = 2;
-        t.iterations.push(IterationSpan {
-            iteration: 2,
-            start_ns: 10,
-            end_ns: 30,
-        });
-        assert_eq!(iteration_stats(&t, 1).count, 1);
-        assert_eq!(iteration_stats(&t, 2).total_ns, 20);
-        assert_eq!(iteration_stats(&t, 3).count, 0);
     }
 
     #[test]

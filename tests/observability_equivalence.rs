@@ -371,6 +371,10 @@ fn fixed_report_renders_byte_identical_to_the_goldens() {
             end_ns: 900_000,
         },
     ];
+    // the --trace-events document (golden written while the Chrome
+    // export still went through ezp-perf's event builder)
+    let chrome = easypap::trace::to_chrome(&trace, &spans).dump();
+    check_golden("observe_chrome.json", chrome.as_bytes());
     let unified = UnifiedReport::new(Some(report), golden_counters(), spans);
     check_golden("observe_stats.json", unified.to_json().dump().as_bytes());
     check_golden("observe_stats.txt", unified.to_text().as_bytes());
@@ -434,6 +438,6 @@ fn registered_counters_and_the_docs_table_agree_both_ways() {
     let mut grown = registered.clone();
     grown.insert("orphan_counter".into());
     assert_eq!(counter_drift(&grown, &docs).0, ["orphan_counter"]);
-    let stale_docs = docs.replace("| `barrier_waits` |", "| `barrier_waits`, `stale_counter` |");
+    let stale_docs = docs.replace("| `task_waits` |", "| `task_waits`, `stale_counter` |");
     assert_eq!(counter_drift(&registered, &stale_docs).1, ["stale_counter"]);
 }
