@@ -3,12 +3,13 @@
 #
 # Lanes, in order: resolved-graph, [lints], dead-manifest-edge and
 # production-graph guards, ezp-lint, workspace build + tests (the
-# ezp-chan explorer rerun by name), results/ regenerated and diffed,
-# ezp-check + conformance matrix, the serve smoke lane, the frozen
-# benchmark's own tests and one short run. Hostile and retired command
-# lines are not lanes here: they are cases of the table-driven tests in
-# crates/cli (docs/testing.md), and so are the --stats, --explain and
-# --stream runs (`stats_json_reports_nonzero_task_counts`,
+# ezp-chan explorer included), results/ regenerated and diffed,
+# ezp-check + conformance matrix (its two-worker smoke included), the
+# serve smoke lane, the frozen benchmark's own tests and one short run.
+# Hostile and retired command lines are not lanes here: they are cases
+# of the table-driven tests in crates/cli (docs/testing.md), and so are
+# the --stats, --explain and --stream runs
+# (`stats_json_reports_nonzero_task_counts`,
 # `explain_flag_appends_causal_profile`,
 # `stream_mode_runs_a_demo_and_reports_counters`). No lane gates speed:
 # that is measured by benchmark/ (BENCHMARK.json) alone.
@@ -102,11 +103,6 @@ echo "verify: ezp-lint clean"
 # easypap-cli binary the smoke test below runs.
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# The channel's schedule explorer (docs/channels.md): real
-# try_send/try_recv under every interleaving strategy family. Part of
-# the workspace run above; named here so it shows in this log even if
-# someone trims that lane, like the conformance smoke below.
-cargo test -q --offline -p ezp-chan --test explore
 
 # Figure lane (results/README.md): the virtual-time figure binaries are
 # pure functions of the code, so what results/ holds must be exactly
@@ -138,11 +134,6 @@ echo "verify: results/ matches the five deterministic figure binaries"
 # adds nothing to a default build.
 cargo test -q --offline -p ezp-sched -p ezp-core --features ezp-check
 cargo test -q --offline -p easypap --features ezp-check
-# Conformance smoke at 2 workers, named explicitly so a matrix-wide
-# regression is visible in this log even if someone trims the lanes
-# above.
-cargo test -q --offline -p easypap --features ezp-check \
-    --test conformance -- conformance_smoke_two_workers
 
 # Serve lane (docs/serving.md): one persistent daemon, a good job via
 # the submit client, an over-quota rejection with a retry-after hint,

@@ -25,8 +25,7 @@
 //! The task-graph executor guarantees this structurally (deque `r`
 //! belongs to worker rank `r`). Violating it cannot corrupt memory
 //! (every slot is an atomic) but can hand out a task twice — the same
-//! rank-serial contract the [`Dispenser`](crate::Dispenser) trait
-//! documents.
+//! rank-serial contract [`Dispenser`](crate::Dispenser) documents.
 
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 

@@ -7,9 +7,10 @@
 //!
 //! * [`WorkerPool`] — a persistent pool of worker threads executing
 //!   parallel regions (`#pragma omp parallel`);
-//! * [`dispenser`] — OpenMP loop-scheduling policies (`static`,
-//!   `static,k`, `dynamic,k`, `guided,k`, `nonmonotonic:dynamic`) as
-//!   concurrent chunk dispensers over a linear iteration space;
+//! * [`dispenser`] — the OpenMP loop-scheduling policies (`static`,
+//!   `static,k`, `dynamic,k`, `guided,k`, `nonmonotonic:dynamic`) as one
+//!   concurrent chunk [`Dispenser`] over three sources: per-rank range
+//!   words, per-rank cyclic cursors and one shared cursor;
 //! * [`parallel`] — `parallel_for`-style helpers over index ranges and
 //!   tile grids, with the paper's `monitoring_start_tile`/`end_tile`
 //!   instrumentation built in (§II-B);
@@ -44,7 +45,7 @@ pub mod taskgraph;
 pub mod vexec;
 
 pub use deque::{Steal, TaskDeque};
-pub use dispenser::{dispenser_for, Dispenser};
+pub use dispenser::Dispenser;
 pub use img_cell::{ImgCell, TileWriter};
 pub use mux::{acquire_pool, MuxStats, PoolHandle, PoolLease, PoolMux};
 pub use parallel::{

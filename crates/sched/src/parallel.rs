@@ -14,7 +14,7 @@
 //! brackets every tile with the probe's `start_tile`/`end_tile` — the
 //! instrumentation EASYPAP asks students to insert by hand.
 
-use crate::dispenser::{dispenser_for, Dispenser};
+use crate::dispenser::Dispenser;
 use crate::img_cell::{ImgCell, TileWriter};
 use crate::pool::WorkerPool;
 use ezp_core::kernel::{IdleCause, NullProbe, Probe, RuntimeEvent};
@@ -43,30 +43,9 @@ pub fn parallel_for_range_probed(
     probe: &dyn Probe,
     f: impl Fn(usize, WorkerId) + Sync,
 ) {
-    if n == 0 {
-        // An empty range is a no-op: dispatching a region anyway would
-        // bump `regions_run` and emit per-worker barrier events for a
-        // loop that never existed.
-        return;
-    }
-    let threads = pool.width();
-    let disp = dispenser_for(schedule, n, threads);
-    let timed = probe.wants_runtime_events();
-    run_region_probed(pool, probe, timed, |rank| {
-        loop {
-            let t0 = if timed { now_ns() } else { 0 };
-            let Some((start, len)) = disp.next(rank) else {
-                if timed {
-                    report_loop_end(probe, &*disp, rank, t0);
-                }
-                break;
-            };
-            if timed {
-                report_chunk(probe, rank, t0, len);
-            }
-            for i in start..start + len {
-                f(i, rank);
-            }
+    run_chunks(pool, n, schedule, probe, |start, len, rank| {
+        for i in start..start + len {
+            f(i, rank);
         }
     });
 }
@@ -81,30 +60,46 @@ pub fn parallel_for_tiles(
     probe: &dyn Probe,
     f: impl Fn(Tile, WorkerId) + Sync,
 ) {
-    if grid.len() == 0 {
+    run_chunks(pool, grid.len(), schedule, probe, |start, len, rank| {
+        for tile in grid.chunk(start, len) {
+            probe.start_tile(rank);
+            f(tile, rank);
+            probe.end_tile(tile.x, tile.y, tile.w, tile.h, rank);
+        }
+    });
+}
+
+/// The loop both helpers run: every rank takes chunks `(start, len)` of
+/// `0..n` from one [`Dispenser`] and runs `body` on each until the
+/// dispenser is exhausted, reporting each wait to the probe when it
+/// wants runtime events.
+fn run_chunks(
+    pool: &mut WorkerPool,
+    n: usize,
+    schedule: Schedule,
+    probe: &dyn Probe,
+    body: impl Fn(usize, usize, WorkerId) + Sync,
+) {
+    if n == 0 {
+        // An empty range is a no-op: dispatching a region anyway would
+        // bump `regions_run` and emit per-worker barrier events for a
+        // loop that never existed.
         return;
     }
-    let threads = pool.width();
-    let disp = dispenser_for(schedule, grid.len(), threads);
+    let disp = Dispenser::new(schedule, n, pool.width());
     let timed = probe.wants_runtime_events();
-    run_region_probed(pool, probe, timed, |rank| {
-        loop {
-            let t0 = if timed { now_ns() } else { 0 };
-            let Some((start, len)) = disp.next(rank) else {
-                if timed {
-                    report_loop_end(probe, &*disp, rank, t0);
-                }
-                break;
-            };
+    run_region_probed(pool, probe, timed, |rank| loop {
+        let t0 = if timed { now_ns() } else { 0 };
+        let Some((start, len)) = disp.next(rank) else {
             if timed {
-                report_chunk(probe, rank, t0, len);
+                report_loop_end(probe, &disp, rank, t0);
             }
-            for tile in grid.chunk(start, len) {
-                probe.start_tile(rank);
-                f(tile, rank);
-                probe.end_tile(tile.x, tile.y, tile.w, tile.h, rank);
-            }
+            break;
+        };
+        if timed {
+            report_chunk(probe, rank, t0, len);
         }
+        body(start, len, rank);
     });
 }
 
@@ -150,7 +145,7 @@ fn report_chunk(probe: &dyn Probe, rank: WorkerId, t0: u64, len: usize) {
 
 /// The wait ended in exhaustion: the rank hits the loop-end barrier,
 /// and its steal count for the loop is final, so the rank reports it.
-fn report_loop_end(probe: &dyn Probe, disp: &dyn Dispenser, rank: WorkerId, t0: u64) {
+fn report_loop_end(probe: &dyn Probe, disp: &Dispenser, rank: WorkerId, t0: u64) {
     probe.runtime_event(
         rank,
         RuntimeEvent::IdleNs {

@@ -15,7 +15,7 @@
 //!
 //! | executor | drives |
 //! |---|---|
-//! | [`virtual_drain`] / [`virtual_for_range`] / [`virtual_for_tiles`] | [`Dispenser::next`] |
+//! | [`virtual_drain`] / [`virtual_for_range`] / [`virtual_for_tiles`] | [`Dispenser::next`] of every source |
 //! | [`virtual_deque_taskgraph`] | `taskgraph::GraphRun::step` — the body of [`TaskGraph::run_probed`] |
 //! | [`virtual_pipeline`] | the same step over [`PipeShape::graph`], plus [`EmitTracker::complete`] |
 //! | [`virtual_region_protocol`] | `pool::PoolState::{publish, close, worker_step}` — the pool's epoch protocol |
@@ -39,7 +39,7 @@
 //! Everything here is compiled only under the `ezp-check` feature and is
 //! never linked into production runs.
 
-use crate::dispenser::{dispenser_for, Dispenser};
+use crate::dispenser::Dispenser;
 use crate::pool::{RegionDriver, WorkerStep};
 use crate::skeleton::{EmitTracker, PipeShape};
 use crate::taskgraph::{GraphRun, GraphStep, TaskGraph};
@@ -66,7 +66,7 @@ pub struct VStep {
 /// identity the shadow detector keys on. Returns the full step trace,
 /// which is byte-for-byte reproducible for a given strategy state.
 pub fn virtual_drain(
-    disp: &dyn Dispenser,
+    disp: &Dispenser,
     workers: usize,
     strategy: &mut dyn Interleave,
     mut f: impl FnMut(usize, usize, WorkerId),
@@ -105,8 +105,7 @@ pub fn virtual_for_range(
     strategy: &mut dyn Interleave,
     f: impl FnMut(usize, usize, WorkerId),
 ) -> Vec<VStep> {
-    let disp = dispenser_for(schedule, n, workers);
-    virtual_drain(&*disp, workers, strategy, f)
+    virtual_drain(&Dispenser::new(schedule, n, workers), workers, strategy, f)
 }
 
 /// The virtual twin of [`parallel_for_tiles`](crate::parallel_for_tiles):
@@ -119,8 +118,8 @@ pub fn virtual_for_tiles(
     strategy: &mut dyn Interleave,
     mut f: impl FnMut(Tile, usize, WorkerId),
 ) -> Vec<VStep> {
-    let disp = dispenser_for(schedule, grid.len(), workers);
-    virtual_drain(&*disp, workers, strategy, |i, chunk, rank| {
+    let disp = Dispenser::new(schedule, grid.len(), workers);
+    virtual_drain(&disp, workers, strategy, |i, chunk, rank| {
         f(grid.tile_at(i), chunk, rank)
     })
 }
@@ -445,7 +444,6 @@ impl Reachability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispenser::StealingDispenser;
     use ezp_testkit::schedule::{RandomWalk, RoundRobin, StarveOne, StealHeavy, StrategyKind};
 
     fn assert_exact_cover(hits: &[u32], what: &str) {
@@ -495,7 +493,7 @@ mod tests {
     #[test]
     fn steal_heavy_schedule_forces_steals() {
         let n = 64;
-        let d = StealingDispenser::new(n, 4, 1);
+        let d = Dispenser::new(Schedule::NonmonotonicDynamic(1), n, 4);
         let mut strategy = StealHeavy::new(2);
         let mut hits = vec![0u32; n];
         virtual_drain(&d, 4, &mut strategy, |i, _, _| hits[i] += 1);

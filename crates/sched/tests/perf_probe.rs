@@ -4,9 +4,9 @@
 
 use ezp_core::kernel::IdleCause;
 use ezp_perf::{names, PerfProbe};
-use ezp_sched::dispenser::drain_rank;
 use ezp_sched::{
-    dispenser_for, parallel_for_range, parallel_for_range_probed, parallel_for_tiles, TaskGraph, WorkerPool,
+    parallel_for_range, parallel_for_range_probed, parallel_for_tiles, Dispenser, TaskGraph,
+    WorkerPool,
 };
 use ezp_core::{Schedule, TileGrid};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,7 +57,11 @@ fn fine_dynamic_loop_claims_in_batches_that_taper() {
     assert!(chunks <= 300, "{chunks} chunks dispensed");
     // a claim is sized from the cursor alone, so whichever rank makes it
     // the pool saw exactly the sequence one rank drains
-    let claims = drain_rank(&*dispenser_for(Schedule::Dynamic(1), 16_384, 2), 0);
+    let disp = Dispenser::new(Schedule::Dynamic(1), 16_384, 2);
+    let mut claims = Vec::new();
+    while let Some(claim) = disp.next(0) {
+        claims.push(claim);
+    }
     assert_eq!(chunks, claims.len() as u64);
     let singles = claims.iter().rev().take_while(|&&(_, len)| len == 1).count();
     assert!(singles >= 32, "{singles} single-unit claims at the tail");

@@ -1,5 +1,5 @@
-//! Speedup curves and policy sweeps over simulated executions — the
-//! machinery behind the Fig. 6 reproduction.
+//! Speedup curves over simulated executions — the machinery behind the
+//! Fig. 6 reproduction.
 
 use crate::cost::CostMap;
 use crate::sim::{simulate_iterations, SimConfig};
@@ -50,26 +50,6 @@ pub fn speedup_curve(
         .collect()
 }
 
-/// Sweeps several schedules at once; returns `(schedule, curve)` pairs —
-/// one plotline per schedule, like the legend of Fig. 6.
-pub fn schedule_comparison(
-    cost_map: &CostMap,
-    schedules: &[Schedule],
-    thread_counts: &[usize],
-    iterations: u32,
-    dispatch_overhead_ns: u64,
-) -> Vec<(Schedule, Vec<SpeedupPoint>)> {
-    schedules
-        .iter()
-        .map(|&s| {
-            (
-                s,
-                speedup_curve(cost_map, s, thread_counts, iterations, dispatch_overhead_ns),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,21 +94,6 @@ mod tests {
         let curve = speedup_curve(&m, Schedule::Dynamic(1), &[1, 2, 4, 8], 1, 0);
         for w in curve.windows(2) {
             assert!(w[1].speedup >= w[0].speedup - 1e-9);
-        }
-    }
-
-    #[test]
-    fn comparison_has_one_curve_per_schedule() {
-        let m = mandel_like_costs();
-        let schedules = Schedule::paper_policies();
-        let cmp = schedule_comparison(&m, &schedules, &[2, 4], 1, 100);
-        assert_eq!(cmp.len(), 4);
-        for (s, curve) in &cmp {
-            assert!(schedules.contains(s));
-            assert_eq!(curve.len(), 2);
-            for p in curve {
-                assert!(p.speedup > 0.0);
-            }
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::cost::CostMap;
 use ezp_core::{Schedule, WorkerId};
 use ezp_monitor::report::IterationSpan;
 use ezp_monitor::{MonitorReport, TileRecord};
-use ezp_sched::dispenser::dispenser_for;
+use ezp_sched::Dispenser;
 use ezp_trace::{Trace, TraceMeta};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -166,7 +166,7 @@ pub fn simulate_iterations(cost_map: &CostMap, config: SimConfig, iterations: u3
     let mut now = 0u64; // barrier time at the start of each iteration
 
     for it in 1..=iterations {
-        let disp = dispenser_for(config.schedule, n, config.threads);
+        let disp = Dispenser::new(config.schedule, n, config.threads);
         // min-heap of (available_time, rank): lowest clock asks first
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
             (0..config.threads).map(|r| Reverse((now, r))).collect();

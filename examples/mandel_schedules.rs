@@ -14,7 +14,7 @@
 
 use easypap::kernels::mandel;
 use easypap::prelude::*;
-use easypap::simsched::analysis::schedule_comparison;
+use easypap::simsched::speedup_curve;
 use easypap::view::patterns;
 
 fn main() -> easypap::core::Result<()> {
@@ -47,16 +47,14 @@ fn main() -> easypap::core::Result<()> {
         println!("\n== Fig. 6: speedup vs threads (grain = {grain}) ==");
         let grid = TileGrid::square(dim, grain)?;
         let costs = CostMap::from_fn(grid, |t| mandel::tile_cost(&view, t, dim, max_iter));
-        let comparison =
-            schedule_comparison(&costs, &Schedule::paper_policies(), &threads, 10, 200);
         print!("{:>24}", "threads:");
         for t in &threads {
             print!("{t:>7}");
         }
         println!();
-        for (schedule, curve) in comparison {
+        for schedule in Schedule::paper_policies() {
             print!("{:>24}", schedule.as_omp_str());
-            for p in curve {
+            for p in speedup_curve(&costs, schedule, &threads, 10, 200) {
                 print!("{:>7.2}", p.speedup);
             }
             println!();

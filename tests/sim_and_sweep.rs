@@ -149,23 +149,29 @@ fn fig6_simulation_respects_scheduling_theory() {
     }
 }
 
-/// `dynamic,1` claims several tiles at once while a fine-grained loop is
-/// long (see `ezp_sched::dispenser`); because a claim never exceeds
-/// 1/(16 P) of what is left and the last 16 P claims are single tiles,
-/// the greedy bound of one-tile-per-claim list scheduling still holds.
+/// The greedy bound of one-tile-per-claim list scheduling,
+/// `total/P + max`, holds for both adaptive policies on a fine-grained
+/// mandel map (see `ezp_sched::dispenser`). `dynamic,1` claims several
+/// tiles at once while the loop is long, but a claim never exceeds
+/// 1/(16 P) of what is left and the last 16 P claims are single tiles.
+/// `nonmonotonic:dynamic,1` starts from static blocks, and a thief
+/// publishes the half it stole, so a later thief can split that half
+/// again instead of running dry while the first one holds the interior.
 #[test]
-fn batched_dynamic_claims_stay_within_the_graham_bound() {
+fn batched_and_stealing_claims_stay_within_the_graham_bound() {
     let dim = 1024;
     let view = mandel::Viewport::default();
     let grid = TileGrid::square(dim, 8).unwrap(); // 128x128 tiles
     let costs = CostMap::from_fn(grid, |t| mandel::tile_cost(&view, t, dim, 256).max(1));
     for threads in [2, 6, 12] {
-        let sim = simulate(&costs, SimConfig::new(threads, Schedule::Dynamic(1)).overhead(0));
         let bound = costs.total() / threads as u64 + costs.max();
-        assert!(
-            sim.makespan_ns <= bound,
-            "P={threads}: makespan {} above total/P + max = {bound}",
-            sim.makespan_ns
-        );
+        for schedule in [Schedule::Dynamic(1), Schedule::NonmonotonicDynamic(1)] {
+            let sim = simulate(&costs, SimConfig::new(threads, schedule).overhead(0));
+            assert!(
+                sim.makespan_ns <= bound,
+                "{schedule:?} at P={threads}: makespan {} above total/P + max = {bound}",
+                sim.makespan_ns
+            );
+        }
     }
 }
