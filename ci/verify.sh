@@ -5,13 +5,14 @@
 # production-graph guards, ezp-lint, workspace build + tests (the
 # ezp-chan explorer included), results/ regenerated and diffed,
 # ezp-check + conformance matrix (its two-worker smoke included), the
-# serve smoke lane, the frozen benchmark's own tests and one short run.
+# frozen benchmark's own tests and one short run.
 # Hostile and retired command lines are not lanes here: they are cases
 # of the table-driven tests in crates/cli (docs/testing.md), and so are
-# the --stats, --explain and --stream runs
-# (`stats_json_reports_nonzero_task_counts`,
+# the --stats, --explain and --stream runs and the daemon's over-quota
+# submit (`stats_json_reports_nonzero_task_counts`,
 # `explain_flag_appends_causal_profile`,
-# `stream_mode_runs_a_demo_and_reports_counters`). No lane gates speed:
+# `stream_mode_runs_a_demo_and_reports_counters`,
+# `serve_subcommand_runs_until_remotely_stopped`). No lane gates speed:
 # that is measured by benchmark/ (BENCHMARK.json) alone.
 #
 # The workspace must build and pass its test suite without touching a
@@ -99,8 +100,8 @@ fi
 rm -f "$lint_report"
 echo "verify: ezp-lint clean"
 
-# --workspace matters: the root package alone does not pull in the
-# easypap-cli binary the smoke test below runs.
+# --workspace matters: the root package alone builds and tests neither
+# the easypap-cli binaries nor the crates' own tests.
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
@@ -135,85 +136,6 @@ echo "verify: results/ matches the five deterministic figure binaries"
 cargo test -q --offline -p ezp-sched -p ezp-core --features ezp-check
 cargo test -q --offline -p easypap --features ezp-check
 
-# Serve lane (docs/serving.md): one persistent daemon, a good job via
-# the submit client, an over-quota rejection with a retry-after hint,
-# per-tenant counters in the stats JSON, and a clean remote stop.
-serve_dir="$(mktemp -d)"
-(
-    cd "$serve_dir"
-    port=39473
-    "$OLDPWD/target/release/easypap" serve --port "$port" --workers 1 \
-        --slots 1 --queue-cap 1 --max-tenants 4 \
-        > serve_summary.out 2> serve.log &
-    serve_pid=$!
-    up=0
-    for _ in $(seq 1 100); do
-        if "$OLDPWD/target/release/easypap" submit --port "$port" \
-            --server-stats > /dev/null 2>&1; then up=1; break; fi
-        sleep 0.1
-    done
-    if [ "$up" != 1 ]; then
-        echo "error: easypap serve never came up" >&2
-        cat serve.log >&2
-        exit 1
-    fi
-
-    "$OLDPWD/target/release/easypap" submit --port "$port" --kernel mandel \
-        --variant seq -s 64 -i 2 --tenant ci > submit.out
-    grep -q "(tenant ci) done: 2 iteration(s)" submit.out
-    grep -qE "digest [0-9a-f]{16}" submit.out
-
-    # over-quota: two stalled jobs occupy the single runner slot and the
-    # 1-deep admission lane; the third must bounce with a retry hint
-    "$OLDPWD/target/release/easypap" submit --port "$port" --kernel mandel \
-        --variant seq -s 64 --tenant ci --stall-us 500000 > bg1.out &
-    bg1=$!
-    sleep 0.2
-    "$OLDPWD/target/release/easypap" submit --port "$port" --kernel mandel \
-        --variant seq -s 64 --tenant ci --stall-us 500000 > bg2.out &
-    bg2=$!
-    sleep 0.2
-    if "$OLDPWD/target/release/easypap" submit --port "$port" --kernel mandel \
-        --variant seq -s 64 --tenant ci 2> reject.err; then
-        echo "error: over-quota submit was not rejected" >&2
-        exit 1
-    fi
-    grep -q "rejected" reject.err
-    grep -q "retry after" reject.err
-    wait "$bg1" "$bg2"
-
-    "$OLDPWD/target/release/easypap" submit --port "$port" --server-stats \
-        > stats.json
-    if command -v python3 >/dev/null 2>&1; then
-        python3 - stats.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-row = next(t for t in doc["tenants"] if t["tenant"] == "ci")
-assert row["jobs_admitted"] == 3, row
-assert row["jobs_completed"] == 3, row
-assert row["jobs_rejected"] >= 1, row
-assert row["tenant_queue_depth"] >= 1, row
-assert "tenant_idle_ns" in row, row
-print(f"verify: serve per-tenant counters OK ({row['jobs_admitted']} admitted, "
-      f"{row['jobs_rejected']} rejected for tenant ci)")
-EOF
-    else
-        for key in jobs_admitted jobs_rejected jobs_completed \
-                   tenant_queue_depth tenant_idle_ns; do
-            grep -q "\"$key\"" stats.json
-        done
-        echo "verify: serve per-tenant counters OK (grep fallback)"
-    fi
-
-    "$OLDPWD/target/release/easypap" submit --port "$port" --stop > stop.out
-    grep -q "acknowledged shutdown" stop.out
-    wait "$serve_pid"
-    grep -q "served 3 job(s) (3 completed, 0 cancelled, 0 failed), 1 rejected" \
-        serve_summary.out
-    echo "verify: serve smoke OK (job + rejection + stats + remote stop)"
-)
-rm -rf "$serve_dir"
-
 # End-to-end benchmark lane (benchmark/README.md): the frozen benchmark
 # must still build against the workspace, pass its own unit tests, and
 # complete a short `observe_record` run — a monitored, traced,
@@ -225,4 +147,4 @@ rm -rf "$serve_dir"
 bash benchmark/run.sh --workload observe_record --seed 1 --seconds 2 --trace 0 >/dev/null
 echo "verify: benchmark builds, its tests pass, observe_record output checks pass"
 
-echo "verify: OK (offline build + tests green, no registry deps, results/ reproduced, serve smoke lane passes)"
+echo "verify: OK (offline build + tests green, no registry deps, results/ reproduced, benchmark checks pass)"

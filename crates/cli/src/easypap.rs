@@ -190,9 +190,8 @@ fn at<T>(path: &str, result: Result<T>) -> Result<T> {
 }
 
 /// `--kernel <name> --stream=N`: push N frames through a streaming
-/// skeleton kernel. Farm stages replicate `--farm-width` ways (0 =
-/// one replica per thread) and frames leave the pipeline in
-/// `--stream-mode` order.
+/// skeleton kernel. Farm stages replicate once per `--threads` worker
+/// and frames leave the pipeline in `--stream-mode` order.
 fn run_stream(cfg: RunConfig) -> Result<String> {
     use ezp_stream::{stream_kernel, stream_registry};
     let frames = cfg.stream_frames.unwrap_or(0);
@@ -206,7 +205,7 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
     })?;
     let mut out = String::new();
     let mut pool = ezp_sched::acquire_pool(cfg.threads);
-    let farm_width = if cfg.farm_width == 0 { cfg.threads } else { cfg.farm_width };
+    let farm_width = cfg.threads;
     let perf = cfg.stats.map(|_| Arc::new(PerfProbe::new(cfg.threads)));
     ezp_debug!(
         "easypap",
@@ -905,8 +904,6 @@ mod tests {
                 "--stream=8",
                 "--threads",
                 "2",
-                "--farm-width",
-                "2",
                 "--size",
                 "16",
                 "--no-display",
@@ -963,15 +960,9 @@ mod tests {
     fn stream_mode_rejects_unknown_kernels_and_bad_flags() {
         // a classic kernel is not a streaming kernel
         assert!(run_easypap(["--kernel", "mandel", "--stream=4", "--no-display"]).is_err());
-        // streaming flags without --stream are a config error
-        assert!(run_easypap([
-            "--kernel",
-            "mandel_zoom",
-            "--farm-width",
-            "2",
-            "--no-display"
-        ])
-        .is_err());
+        // a streaming flag without --stream is a config error
+        let args = ["--kernel", "mandel_zoom", "--stream-mode", "unordered", "--no-display"];
+        assert!(run_easypap(args).is_err());
     }
 
     #[test]
@@ -986,14 +977,13 @@ mod tests {
     /// anything is allocated, spawned or written.
     #[test]
     fn hostile_values_are_refused_by_name() {
-        let cases: [(&[&str], &[&str]); 12] = [
+        let cases: [(&[&str], &[&str]); 11] = [
             (&["--iterations", "4294967296"], &["--iterations", "0..=4294967295"]),
             (&["--size", "4294967296"], &["--size", "1..=8192"]),
             (&["--size", "1000000"], &["--size", "1..=8192"]),
             (&["--variant", "omp_tiled", "--threads", "100000"], &["--threads", "1..=128"]),
             (&["--mpirun", "-np 100000"], &["--mpirun -np", "1..=32"]),
             (&["--stream=18446744073709551615"], &["--stream", "1..=1000000"]),
-            (&["--farm-width", "18446744073709551615", "--stream=16"], &["--farm-width", "0..=128"]),
             (&["--trace=1"], &["--trace takes no value"]),
             // a default the user never typed is called one
             (&["--size", "16"], &["--tile-size 32 (the default)", "pass --tile-size 16"]),
@@ -1047,11 +1037,16 @@ mod tests {
         });
     }
 
-    /// The retired channel knobs and `--stages` are ordinary unknown
-    /// options, with or without `--stream`.
+    /// The retired channel knobs, `--stages` and `--farm-width` are
+    /// ordinary unknown options, with or without `--stream`.
     #[test]
     fn retired_channel_flags_are_unknown_options() {
-        for gone in ["--wait-policy=yield", "--chan-backend=mpsc", "--stages=1,2,1"] {
+        for gone in [
+            "--wait-policy=yield",
+            "--chan-backend=mpsc",
+            "--stages=1,2,1",
+            "--farm-width=2",
+        ] {
             for stream in [&["--stream=2"][..], &[]] {
                 let mut args = vec!["--kernel", "mandel_zoom", "--no-display", gone];
                 args.extend_from_slice(stream);

@@ -362,6 +362,56 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
+    /// `Trace::validate` does not check where a task sits, so a trace
+    /// with a task far below a 64-pixel image saves and loads. Every
+    /// mode must answer it, skipping the tile no view can place.
+    #[test]
+    fn a_task_outside_the_image_is_skipped_by_every_mode() {
+        let trace = Trace {
+            meta: TraceMeta {
+                kernel: "mandel".into(),
+                variant: "omp".into(),
+                dim: 64,
+                tile_size: 16,
+                threads: 1,
+                schedule: "static".into(),
+                label: "hostile".into(),
+            },
+            iterations: vec![IterationSpan { iteration: 1, start_ns: 0, end_ns: 10 }],
+            tasks: vec![TileRecord {
+                iteration: 1,
+                x: 0,
+                y: 1 << 20,
+                w: 16,
+                h: 16,
+                start_ns: 0,
+                end_ns: 10,
+                worker: 0,
+            }],
+            edges: Vec::new(),
+            counters: None,
+        };
+        let bytes = ezp_trace::io::to_bytes(&trace).unwrap();
+        assert_eq!(ezp_trace::io::from_bytes(&bytes).unwrap(), trace);
+        let path = std::env::temp_dir().join(format!("ezp_view_far_{}.ezv", std::process::id()));
+        let thumb = path.with_extension("ppm");
+        std::fs::write(&path, bytes).unwrap();
+        let (p, t) = (path.to_str().unwrap(), thumb.to_str().unwrap());
+        let modes: [&[&str]; 5] = [
+            &[p],
+            &[p, "--cpu", "0"],
+            &[p, "--at", "5", "--highlight", t],
+            &[p, "--compare", p],
+            &["explain", p],
+        ];
+        let run = |argv: &&[&str]| run_easyview(*argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        let outs: Vec<String> = modes.iter().map(run).collect();
+        assert!(outs[1].contains("covered 0 tiles"), "{}", outs[1]);
+        assert!(outs[4].contains("n=1 ") && !outs[4].contains("tile #"), "{}", outs[4]);
+        std::fs::remove_file(path).unwrap();
+        std::fs::remove_file(thumb).unwrap();
+    }
+
     #[test]
     fn retired_width_flag_is_an_unknown_option() {
         let err = run_easyview(["run.ezv", "--width", "80"]).unwrap_err();

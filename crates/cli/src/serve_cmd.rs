@@ -225,13 +225,20 @@ mod tests {
         assert_eq!(summary.totals.2, 1, "one completed job");
     }
 
+    /// One daemon through the foreground `serve` path: a job, an
+    /// over-quota `submit` and what it leaves in the stats and the
+    /// summary, then a remote stop.
     #[test]
     fn serve_subcommand_runs_until_remotely_stopped() {
+        use ezp_core::json::{FromJson, Json};
+        use ezp_serve::proto::{read_frame, write_frame, FrameIn};
+        use ezp_serve::Request;
+
         // fixed port: the foreground `serve` path cannot report an
         // ephemeral port back to the test
         let port = "39471";
         let handle = {
-            let args = argv(&["--port", port, "--workers", "1", "--slots", "1"]);
+            let args = argv(&["--port", port, "--workers", "1", "--slots", "1", "--queue-cap=1"]);
             std::thread::spawn(move || run_serve(&args))
         };
         // wait for the listener, then run one job and stop the daemon
@@ -249,10 +256,48 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         assert!(served, "daemon never came up: {last_err}");
+
+        // Over quota, held by `stall_us` rather than by sleeps: on one
+        // connection a stalled `hold` job, then a `ci` job. The single
+        // runner scans tenants round robin from the slot after the one it
+        // last served, so it takes `hold` (registered before `ci`) and
+        // stalls while the `ci` job fills that tenant's one-deep lane.
+        let mut conn = std::net::TcpStream::connect(format!("127.0.0.1:{port}")).unwrap();
+        let mut replies = std::io::BufReader::new(conn.try_clone().unwrap());
+        let mut next = || match read_frame(&mut replies).unwrap() {
+            FrameIn::Msg(v) => Response::from_json(&v).unwrap(),
+            other => panic!("expected a frame, got {other:?}"),
+        };
+        let hold = JobSpec { tenant: Some("hold".into()), stall_us: 500_000, ..JobSpec::default() };
+        let queued = JobSpec { tenant: Some("ci".into()), ..JobSpec::default() };
+        for spec in [hold, queued] {
+            write_frame(&mut conn, &Request::Submit(spec).to_json()).unwrap();
+            assert!(matches!(next(), Response::Accepted { .. }));
+        }
+        let err = run_submit(&argv(&["--port", port, "-k", "mandel", "-s", "64", "--tenant", "ci"]))
+            .unwrap_err()
+            .to_string();
+        for needle in ["rejected", "retry after", "--retry"] {
+            assert!(err.contains(needle), "no {needle:?} in: {err}");
+        }
+        for _ in 0..2 {
+            assert!(matches!(next(), Response::Done { .. }));
+        }
+        drop(conn);
+
+        let stats = run_submit(&argv(&["--port", port, "--server-stats"])).unwrap();
+        let stats = Json::parse(&stats).unwrap();
+        let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
+        let ci = tenants.iter().find(|t| t.field::<String>("tenant").unwrap() == "ci").unwrap();
+        assert!(ci.field::<u64>("jobs_rejected").unwrap() >= 1, "{}", ci.dump());
+        assert!(ci.field::<u64>("tenant_queue_depth").unwrap() >= 1, "{}", ci.dump());
+        assert!(ci.get("tenant_idle_ns").is_some(), "{}", ci.dump());
+
         run_submit(&argv(&["--port", port, "--stop"])).unwrap();
         let summary = handle.join().unwrap().unwrap();
-        assert!(summary.contains("served 1 job(s) (1 completed"), "got: {summary}");
-        assert!(summary.contains("pool leases: 1"), "got: {summary}");
+        let totals = "served 3 job(s) (3 completed, 0 cancelled, 0 failed), 1 rejected";
+        assert!(summary.contains(totals), "got: {summary}");
+        assert!(summary.contains("pool leases: 3"), "got: {summary}");
     }
 
     #[test]

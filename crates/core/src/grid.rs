@@ -172,6 +172,15 @@ impl TileGrid {
         self.tile(px / self.tile_w, py / self.tile_h)
     }
 
+    /// Linear index of the tile containing pixel `(px, py)`, or `None`
+    /// when the pixel lies outside the image: the checked lookup for
+    /// positions read from a record or a trace file.
+    #[inline]
+    pub fn index_of_pixel(&self, px: usize, py: usize) -> Option<usize> {
+        (px < self.width && py < self.height)
+            .then(|| self.linear_index(px / self.tile_w, py / self.tile_h))
+    }
+
     /// Iterates over every tile in `collapse(2)` order.
     pub fn iter(&self) -> TileChunk<'_> {
         self.chunk(0, self.len())
@@ -342,8 +351,11 @@ mod tests {
             for px in 0..10 {
                 let t = g.tile_of_pixel(px, py);
                 assert!(t.contains(px, py));
+                assert_eq!(g.index_of_pixel(px, py), Some(g.linear_index(t.tx, t.ty)));
             }
         }
+        assert_eq!(g.index_of_pixel(10, 0), None);
+        assert_eq!(g.index_of_pixel(0, 1 << 20), None);
     }
 
     #[test]

@@ -397,8 +397,10 @@ pub struct RunConfig {
     /// `--stream N`: push `N` frames through a streaming skeleton
     /// instead of iterating one image (`None` = classic mode).
     pub stream_frames: Option<usize>,
-    /// `--farm-width K`: replication width of farm stages in a
-    /// streaming run (0 = auto: use `threads`).
+    // Compatibility field: the frozen `benchmark/` is its only reader,
+    // and no flag sets it (`--farm-width` is retired, `docs/knobs.md`).
+    // A streamed run's farm width is `threads`.
+    #[doc(hidden)]
     pub farm_width: usize,
     /// `--stream-mode ordered|unordered`: output ordering of a
     /// streaming run.
@@ -514,8 +516,8 @@ impl RunConfig {
         if self.kernel.is_empty() {
             return Err(Error::Config("--kernel is required".into()));
         }
-        let set = [self.dim, self.tile_size, self.threads, self.farm_width, self.stream_frames.unwrap_or(1)];
-        for (flag, n) in ["--size", "--tile-size", "--threads", "--farm-width", "--stream"].into_iter().zip(set) {
+        let set = [self.dim, self.tile_size, self.threads, self.stream_frames.unwrap_or(1)];
+        for (flag, n) in ["--size", "--tile-size", "--threads", "--stream"].into_iter().zip(set) {
             EASYPAP.check_int(flag, n as u64)?;
         }
         int_in("--mpirun -np", &self.mpi_ranks.to_string(), 1, MAX_RANKS)?;
@@ -529,12 +531,8 @@ impl RunConfig {
                 dim = self.dim
             )));
         }
-        if self.stream_frames.is_none()
-            && (self.farm_width != 0 || self.stream_mode != EmitMode::Ordered)
-        {
-            return Err(Error::Config(
-                "--farm-width/--stream-mode require --stream=N".into(),
-            ));
+        if self.stream_frames.is_none() && self.stream_mode != EmitMode::Ordered {
+            return Err(Error::Config("--stream-mode requires --stream=N".into()));
         }
         Ok(())
     }
@@ -565,7 +563,7 @@ impl RunConfig {
 
 /// Largest `--size` / `--tile-size`: two 8192² RGBA images are 512 MiB.
 pub const MAX_DIM: u64 = 8192;
-/// Largest `--threads` / `--farm-width` / `serve --workers`.
+/// Largest `--threads` / `serve --workers`.
 pub const MAX_THREADS: u64 = 128;
 /// Largest `--mpirun -np`: every rank spawns a pool of `--threads`.
 pub const MAX_RANKS: u64 = 32;
@@ -619,7 +617,6 @@ pub static EASYPAP: Command<RunConfig> = Command {
         },
         Flag { names: &["--trace-events"], grammar: Text(|c, s| c.trace_events = Some(s.to_string())), refused_in: UNTRACED },
         Flag::new(&["--stream"], Int(1, 1_000_000, |c, n| c.stream_frames = Some(fit(n)))),
-        Flag::new(&["--farm-width"], Int(0, MAX_THREADS, |c, n| c.farm_width = fit(n))),
         Flag::new(&["--stream-mode"], OneOf(&["ordered", "unordered"], |c, i| c.stream_mode = [EmitMode::Ordered, EmitMode::Unordered][i])),
         Flag::new(&["--list", "-l"], Switch(|c| c.list = true)),
     ],
@@ -822,26 +819,21 @@ mod tests {
             "mandel_zoom",
             "--stream",
             "16",
-            "--farm-width",
-            "4",
             "--stream-mode",
             "unordered",
         ])
         .unwrap();
         assert_eq!(cfg.stream_frames, Some(16));
-        assert_eq!(cfg.farm_width, 4);
         assert_eq!(cfg.stream_mode, EmitMode::Unordered);
 
         let cfg = RunConfig::parse_args([
             "--kernel",
             "mandel_zoom",
             "--stream=8",
-            "--farm-width=2",
             "--stream-mode=ordered",
         ])
         .unwrap();
         assert_eq!(cfg.stream_frames, Some(8));
-        assert_eq!(cfg.farm_width, 2);
         assert_eq!(cfg.stream_mode, EmitMode::Ordered);
     }
 
@@ -849,8 +841,7 @@ mod tests {
     fn streaming_options_validate() {
         // zero frames
         assert!(RunConfig::parse_args(["--kernel", "x", "--stream=0"]).is_err());
-        // streaming knobs without --stream
-        assert!(RunConfig::parse_args(["--kernel", "x", "--farm-width=2"]).is_err());
+        // a streaming knob without --stream
         assert!(RunConfig::parse_args(["--kernel", "x", "--stream-mode=unordered"]).is_err());
         // malformed values
         assert!(RunConfig::parse_args(["--kernel", "x", "--stream=abc"]).is_err());
@@ -861,7 +852,6 @@ mod tests {
         // defaults stay classic
         let plain = RunConfig::parse_args(["--kernel", "x"]).unwrap();
         assert_eq!(plain.stream_frames, None);
-        assert_eq!(plain.farm_width, 0);
         assert_eq!(plain.stream_mode, EmitMode::Ordered);
     }
 

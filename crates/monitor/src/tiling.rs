@@ -30,9 +30,8 @@ impl TilingSnapshot {
     ) -> Self {
         let mut owners = vec![None; grid.len()];
         for r in records {
-            if r.x < grid.width() && r.y < grid.height() {
-                let t = grid.tile_of_pixel(r.x, r.y);
-                owners[grid.linear_index(t.tx, t.ty)] = Some(r.worker);
+            if let Some(i) = grid.index_of_pixel(r.x, r.y) {
+                owners[i] = Some(r.worker);
             }
         }
         TilingSnapshot {
@@ -125,9 +124,8 @@ impl HeatMap {
     ) -> Self {
         let mut durations_ns = vec![0u64; grid.len()];
         for r in records {
-            if r.x < grid.width() && r.y < grid.height() {
-                let t = grid.tile_of_pixel(r.x, r.y);
-                durations_ns[grid.linear_index(t.tx, t.ty)] += r.duration_ns();
+            if let Some(i) = grid.index_of_pixel(r.x, r.y) {
+                durations_ns[i] += r.duration_ns();
             }
         }
         HeatMap {

@@ -1,8 +1,9 @@
 //! Blocking client for the serve protocol.
 //!
-//! Used by `easypap submit` and the CI serve lane. One [`Client`] owns one TCP connection; `submit` is a
-//! synchronous request/response exchange (wait for `accepted`, then
-//! for the terminal `done` / `failed` frame), which keeps the client
+//! Used by `easypap submit` and the daemon's tests. One [`Client`] owns
+//! one TCP connection; `submit` is a synchronous request/response
+//! exchange (wait for `accepted`, then for the terminal `done` /
+//! `failed` frame), which keeps the client
 //! trivially correct — concurrency comes from running several
 //! clients, exactly like independent tenants would.
 

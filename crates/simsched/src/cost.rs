@@ -48,9 +48,8 @@ impl CostMap {
         let grid = trace.meta.grid()?;
         let mut costs = vec![0u64; grid.len()];
         for t in trace.tasks_of_iteration(iteration) {
-            if t.x < grid.width() && t.y < grid.height() {
-                let tile = grid.tile_of_pixel(t.x, t.y);
-                costs[grid.linear_index(tile.tx, tile.ty)] += t.duration_ns();
+            if let Some(i) = grid.index_of_pixel(t.x, t.y) {
+                costs[i] += t.duration_ns();
             }
         }
         Ok(CostMap { grid, costs })

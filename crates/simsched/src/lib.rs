@@ -32,7 +32,7 @@ pub mod cost;
 pub mod sim;
 pub mod taskgraph;
 
-pub use analysis::{speedup_curve, SpeedupPoint};
+pub use analysis::{speedup_curve, taskgraph_speedup_curve, SpeedupPoint};
 pub use cost::CostMap;
 pub use sim::{simulate, simulate_iterations, SimConfig, SimResult, SimTask};
 pub use taskgraph::{simulate_taskgraph, TaskGraphSim};

@@ -92,16 +92,6 @@ impl SimResult {
         self.speedup() / self.config.threads as f64
     }
 
-    /// Which worker executed each tile of iteration `it`, in linear tile
-    /// order (`None` = not executed).
-    pub fn owners(&self, it: u32, tiles: usize) -> Vec<Option<WorkerId>> {
-        let mut owners = vec![None; tiles];
-        for t in self.tasks.iter().filter(|t| t.iteration == it) {
-            owners[t.tile_index] = Some(t.worker);
-        }
-        owners
-    }
-
     /// Converts the simulation into a regular trace over `cost_map`'s
     /// grid, so EASYVIEW and the monitor analyses apply unchanged.
     pub fn to_trace(&self, cost_map: &CostMap, kernel: &str, variant: &str) -> Trace {
@@ -311,10 +301,10 @@ mod tests {
     fn static_assignment_is_contiguous_blocks() {
         let m = CostMap::uniform(grid4(), 5);
         let r = simulate(&m, no_overhead(4, Schedule::Static));
-        let owners = r.owners(1, 16);
+        assert_eq!(r.tasks.len(), 16);
         // 16 tiles / 4 threads: tiles 0..4 -> worker 0, 4..8 -> 1, ...
-        for (i, o) in owners.iter().enumerate() {
-            assert_eq!(*o, Some(i / 4));
+        for t in &r.tasks {
+            assert_eq!(t.worker, t.tile_index / 4);
         }
     }
 

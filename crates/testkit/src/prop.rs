@@ -131,25 +131,6 @@ impl Strategy for Range<f64> {
     }
 }
 
-impl Strategy for RangeInclusive<bool> {
-    type Value = bool;
-    fn generate(&self, rng: &mut Rng) -> bool {
-        rng.gen_bool(0.5)
-    }
-    fn shrink(&self, v: &bool) -> Vec<bool> {
-        if *v {
-            vec![false]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-/// Strategy for a boolean coin flip (`false` is considered simpler).
-pub fn any_bool() -> RangeInclusive<bool> {
-    false..=true
-}
-
 /// Strategy covering the full u64 domain.
 pub fn any_u64() -> RangeInclusive<u64> {
     0..=u64::MAX

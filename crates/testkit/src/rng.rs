@@ -52,11 +52,6 @@ impl Rng {
         result
     }
 
-    /// Next 32-bit output (upper half of the 64-bit stream).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform u64 in `[0, span)`, unbiased via rejection sampling.
     fn bounded_u64(&mut self, span: u64) -> u64 {
         debug_assert!(span > 0, "bounded_u64 requires a non-empty span");

@@ -8,6 +8,7 @@
 
 use ezp_core::error::{Error, Result};
 use ezp_trace::Trace;
+use std::collections::HashMap;
 
 /// The aligned comparison of two traces.
 #[derive(Clone, Debug)]
@@ -16,6 +17,8 @@ pub struct TraceComparison<'a> {
     pub base: &'a Trace,
     /// Candidate run (e.g. the optimized blur).
     pub opt: &'a Trace,
+    /// The matched tasks, in `base` order (see [`Self::task_speedups`]).
+    speedups: Vec<TaskSpeedup>,
 }
 
 /// Duration statistics of matched tasks (same tile, same iteration).
@@ -54,7 +57,26 @@ impl<'a> TraceComparison<'a> {
                 opt.meta.tile_size
             )));
         }
-        Ok(TraceComparison { base, opt })
+        // one keyed pass over each trace; the first `opt` record of a
+        // tile in an iteration is its match
+        let mut first = HashMap::with_capacity(opt.tasks.len());
+        for o in &opt.tasks {
+            first.entry((o.iteration, o.x, o.y)).or_insert(o.duration_ns());
+        }
+        let speedups = base
+            .tasks
+            .iter()
+            .filter_map(|b| {
+                Some(TaskSpeedup {
+                    x: b.x,
+                    y: b.y,
+                    iteration: b.iteration,
+                    base_ns: b.duration_ns(),
+                    opt_ns: *first.get(&(b.iteration, b.x, b.y))?,
+                })
+            })
+            .collect();
+        Ok(TraceComparison { base, opt, speedups })
     }
 
     /// Overall wall-clock speedup `base / opt` over the recorded spans.
@@ -76,42 +98,22 @@ impl<'a> TraceComparison<'a> {
             .collect()
     }
 
-    /// Matches tasks by `(iteration, tile x, tile y)` and reports their
-    /// duration ratios — the hover comparison students perform in
-    /// Fig. 10.
-    pub fn task_speedups(&self) -> Vec<TaskSpeedup> {
-        let mut out = Vec::new();
-        for b in &self.base.tasks {
-            if let Some(o) = self
-                .opt
-                .tasks
-                .iter()
-                .find(|o| o.iteration == b.iteration && o.x == b.x && o.y == b.y)
-            {
-                out.push(TaskSpeedup {
-                    x: b.x,
-                    y: b.y,
-                    iteration: b.iteration,
-                    base_ns: b.duration_ns(),
-                    opt_ns: o.duration_ns(),
-                });
-            }
-        }
-        out
+    /// Every `base` task matched by `(iteration, tile x, tile y)` with
+    /// the first such `opt` task, and their duration ratios — the hover
+    /// comparison students perform in Fig. 10.
+    pub fn task_speedups(&self) -> &[TaskSpeedup] {
+        &self.speedups
     }
 
     /// The tasks whose ratio is at least `threshold` — "short durations
     /// do always correspond to inner tiles".
     pub fn tasks_faster_than(&self, threshold: f64) -> Vec<TaskSpeedup> {
-        self.task_speedups()
-            .into_iter()
-            .filter(|t| t.ratio() >= threshold)
-            .collect()
+        self.speedups.iter().filter(|t| t.ratio() >= threshold).copied().collect()
     }
 
     /// A textual summary in the spirit of the Fig. 10 caption.
     pub fn summary(&self) -> String {
-        let speedups = self.task_speedups();
+        let speedups = &self.speedups;
         let mean_ratio = if speedups.is_empty() {
             1.0
         } else {
@@ -225,6 +227,20 @@ mod tests {
         opt.tasks.truncate(4);
         let cmp = TraceComparison::new(&base, &opt).unwrap();
         assert_eq!(cmp.task_speedups().len(), 4);
+    }
+
+    #[test]
+    fn the_first_record_of_a_tile_is_its_match() {
+        // a two-phase kernel records tile (0,0) twice in one iteration
+        let base = blur_trace("basic", 100, 100);
+        let mut opt = blur_trace("opt", 100, 100);
+        let end = opt.iterations[0].end_ns;
+        opt.tasks.push(TileRecord { start_ns: end, end_ns: end + 50, ..opt.tasks[0] });
+        let cmp = TraceComparison::new(&base, &opt).unwrap();
+        assert_eq!(cmp.task_speedups().len(), 9);
+        assert_eq!((cmp.task_speedups()[0].x, cmp.task_speedups()[0].y), (0, 0));
+        assert_eq!(cmp.task_speedups()[0].opt_ns, 100);
+        assert!(cmp.tasks_faster_than(1.5).is_empty());
     }
 
     #[test]

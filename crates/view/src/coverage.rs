@@ -27,15 +27,7 @@ pub struct CoverageMap {
 impl CoverageMap {
     /// Coverage of `worker` over iterations `[lo, hi]` of `trace`.
     pub fn new(trace: &Trace, worker: usize, lo: u32, hi: u32) -> ezp_core::Result<Self> {
-        let grid = trace.meta.grid()?;
-        let mut hits = vec![0u32; grid.len()];
-        for t in trace.tasks_of_worker(worker, lo, hi) {
-            if t.x < grid.width() && t.y < grid.height() {
-                let tile = grid.tile_of_pixel(t.x, t.y);
-                hits[grid.linear_index(tile.tx, tile.ty)] += 1;
-            }
-        }
-        Ok(CoverageMap { grid, worker, hits })
+        Ok(Self::from_records(trace.meta.grid()?, worker, trace.tasks_of_worker(worker, lo, hi)))
     }
 
     /// Builds directly from records (used with a [`crate::GanttModel`]'s
@@ -47,9 +39,8 @@ impl CoverageMap {
     ) -> Self {
         let mut hits = vec![0u32; grid.len()];
         for t in records.filter(|t| t.worker == worker) {
-            if t.x < grid.width() && t.y < grid.height() {
-                let tile = grid.tile_of_pixel(t.x, t.y);
-                hits[grid.linear_index(tile.tx, tile.ty)] += 1;
+            if let Some(i) = grid.index_of_pixel(t.x, t.y) {
+                hits[i] += 1;
             }
         }
         CoverageMap { grid, worker, hits }

@@ -28,6 +28,8 @@ pub struct DurationStats {
     pub p50_ns: u64,
     /// 95th percentile.
     pub p95_ns: u64,
+    /// 99th percentile.
+    pub p99_ns: u64,
 }
 
 impl DurationStats {
@@ -42,6 +44,7 @@ impl DurationStats {
                 max_ns: 0,
                 p50_ns: 0,
                 p95_ns: 0,
+                p99_ns: 0,
             };
         }
         durations.sort_unstable();
@@ -55,6 +58,7 @@ impl DurationStats {
             max_ns: durations[count - 1],
             p50_ns: nearest_rank(&durations, 0.5),
             p95_ns: nearest_rank(&durations, 0.95),
+            p99_ns: nearest_rank(&durations, 0.99),
         }
     }
 
@@ -74,7 +78,7 @@ impl DurationStats {
 /// value at 1-based rank `ceil(q * n)`. The one percentile definition
 /// of this crate, behind `easyview`'s stats block and `easyview
 /// explain`'s task-latency line.
-pub(crate) fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     let n = sorted.len();
     sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
 }
@@ -184,6 +188,7 @@ mod tests {
         assert_eq!(s.max_ns, 100);
         assert_eq!(s.p50_ns, 30);
         assert_eq!(s.p95_ns, 100);
+        assert_eq!(s.p99_ns, 100);
         assert!((s.heterogeneity() - 100.0 / 30.0).abs() < 1e-9);
     }
 

@@ -29,17 +29,12 @@ fn sim_static_assignment_matches_real_scheduler() {
 
     // simulated execution over a uniform cost map
     let costs = CostMap::uniform(grid, 10);
-    let sim = simulate(&costs, SimConfig::new(threads, Schedule::Static));
-    let sim_owners = sim.owners(1, grid.len());
+    let sim = simulate(&costs, SimConfig::new(threads, Schedule::Static))
+        .to_report(&costs, "spin", "omp_tiled")
+        .tiling_snapshot(1);
 
-    for (i, owner) in sim_owners.iter().enumerate() {
-        let t = grid.tile_at(i);
-        assert_eq!(
-            real.owner(t.tx, t.ty),
-            *owner,
-            "static assignment differs at tile {i}"
-        );
-    }
+    assert_eq!(sim.computed_tiles(), grid.len());
+    assert_eq!(sim.owners(), real.owners(), "static assignment differs");
 }
 
 /// Fig. 8 reproduced end to end: a mandel cost map under `dynamic,1`
