@@ -133,13 +133,30 @@ mod tests {
 
     /// `docs/knobs.md` is the ledger of every knob and what justifies
     /// it. Two-way: a row without a ledger line fails, and so does a
-    /// ledger line (outside *Removed*) naming a flag no table has.
+    /// ledger line (outside *Removed*) naming a flag no table has — or
+    /// a *Removed* line naming one a table still has.
     #[test]
     fn the_knob_ledger_and_the_flag_tables_list_the_same_flags() {
         fn names<C>(cmd: &Command<C>) -> Vec<&'static str> {
             cmd.flags.iter().flat_map(|f| f.names).copied().collect()
         }
         let ledger = include_str!("../../../docs/knobs.md");
+        let removed = &ledger[ledger.find("\n## Removed").expect("no section Removed")..];
+        let tables = [
+            ("easypap", names(&EASYPAP)),
+            ("easypap serve", names(&SERVE)),
+            ("easypap submit", names(&SUBMIT)),
+            ("easyview", names(&EASYVIEW)),
+            ("easyplot", names(&EASYPLOT)),
+        ];
+        // `command --flag` tokens in the first cell of each Removed line
+        let gone = removed.lines().filter_map(|line| line.strip_prefix("| ")?.split(" | ").next());
+        for token in gone.flat_map(|cell| cell.split('`').skip(1).step_by(2)) {
+            let Some((command, flag)) = token.rsplit_once(' ') else { continue };
+            for (_, names) in tables.iter().filter(|(name, _)| *name == command) {
+                assert!(!names.contains(&flag), "`{token}` is listed as removed, but parses");
+            }
+        }
         let sections = [
             ("## `easypap` (", names(&EASYPAP)),
             ("## `easypap serve`", [names(&SERVE), names(&SUBMIT)].concat()),

@@ -109,7 +109,6 @@ pub(crate) static SUBMIT: Command<SubmitArgs> = Command {
         Flag::new(&["--iterations", "-i"], Int(0, u32::MAX as u64, |a, n| a.spec.iterations = fit(n))),
         Flag::new(&["--threads", "-t"], Int(1, MAX_THREADS, |a, n| a.spec.threads = fit(n))),
         Flag::new(&["--tenant"], Text(|a, s| a.spec.tenant = Some(s.to_string()))),
-        Flag::new(&["--stall-us"], Int(0, 60_000_000, |a, n| a.spec.stall_us = n)),
         Flag::new(&["--retry"], Switch(|a| a.retry = true)),
         Flag::new(&["--report"], Switch(|a| a.report = true)),
         Flag::new(&["--server-stats"], Switch(|a| a.stats_mode = true)),
@@ -187,6 +186,9 @@ mod tests {
             let err = run_serve(&argv(&[gone])).unwrap_err().to_string();
             assert!(err.contains("unknown option"), "{gone}: {err}");
         }
+        // a stall is set on the wire (`JobSpec::stall_us`), not from the CLI
+        let err = run_submit(&argv(&["--stall-us", "1000"])).unwrap_err().to_string();
+        assert!(err.contains("unknown option"), "--stall-us: {err}");
     }
 
     #[test]
@@ -261,7 +263,8 @@ mod tests {
         // connection a stalled `hold` job, then a `ci` job. The single
         // runner scans tenants round robin from the slot after the one it
         // last served, so it takes `hold` (registered before `ci`) and
-        // stalls while the `ci` job fills that tenant's one-deep lane.
+        // stalls on the one pool slot, which keeps the `ci` job off the
+        // reader's inline path: it fills that tenant's one-deep lane.
         let mut conn = std::net::TcpStream::connect(format!("127.0.0.1:{port}")).unwrap();
         let mut replies = std::io::BufReader::new(conn.try_clone().unwrap());
         let mut next = || match read_frame(&mut replies).unwrap() {

@@ -38,9 +38,9 @@ const YIELD_SHIFT: u32 = 3;
 
 /// A condvar-backed parking spot with a spin phase in front.
 ///
-/// Public beyond the scheduler: `ezp-serve`'s admission runners wait
-/// for the next job on this exact recipe, so the workspace has one
-/// audited blocking fallback, not two.
+/// The scheduler's pool and task graph share this one audited blocking
+/// fallback. `ezp-serve`'s admission runners do not spin: small jobs
+/// run on the connection's reader, so theirs is a plain `Condvar` wait.
 #[derive(Debug, Default)]
 pub struct ParkLot {
     sleepers: AtomicUsize,

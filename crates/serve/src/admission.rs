@@ -1,34 +1,30 @@
 //! Admission control: bounded per-tenant queues with round-robin
 //! drain.
 //!
-//! All queue state — one `VecDeque` per tenant slot and the `closed`
-//! flag — lives under a single mutex. Submit is lock → closed? → full?
-//! → push → unlock: a full queue is an immediate [`Reject`] with a
-//! retry-after hint — backpressure lives at the edge, not in unbounded
-//! buffering. Runner threads drain the queues with a shared round-robin
-//! cursor, so a tenant flooding its own queue cannot starve the others:
-//! each scan visits every tenant once before revisiting any.
+//! All queue state — one `VecDeque` per tenant slot, the `closed` flag
+//! and the number of idle runners — lives under a single mutex. Submit
+//! is lock → closed? → full? → push → unlock: a full queue is an
+//! immediate [`Reject`] with a retry-after hint — backpressure lives at
+//! the edge, not in unbounded buffering. Runner threads drain the
+//! queues with a shared round-robin cursor, so a tenant flooding its
+//! own queue cannot starve the others: each scan visits every tenant
+//! once before revisiting any. A runner whose scan came up empty waits
+//! on a condvar under the same mutex, and a push notifies only when
+//! some runner is waiting.
 //!
-//! What a runner waits on is not the lock but a wake sequence
-//! (`admit_seq`) behind a spin-then-park [`ParkLot`]: between two
-//! closed-loop jobs the next submit usually lands while the runner is
-//! still spinning, and that — not the queue — is what a job's latency
-//! pays for. No wakeup is lost because a runner samples the sequence
-//! *under the lock*, after its empty scan, while `submit` and `close`
-//! bump it *after* they unlock: a push (or close) that my scan missed
-//! took the lock after I released it, so its bump comes after my
-//! sample and the wait falls through. Bumping inside the lock would be
-//! just as correct but sends the woken runner straight into the
-//! submitter's critical section.
+//! `Admission::admit` may hand an admitted job back to the submitter
+//! to run on its own thread instead of queueing it, but only when every
+//! lane is empty: the job then overtakes no queued one, so the
+//! round-robin order above is all the fairness there is.
 
 use crate::metrics::ServeMetrics;
 use crate::proto::{JobSpec, Response};
-use ezp_core::park::ParkLot;
 use ezp_core::time::now_ns;
 use ezp_core::ChanTuning;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// The tenant name used when a job arrives without one.
 pub const DEFAULT_TENANT: &str = "default";
@@ -114,17 +110,26 @@ struct Queues {
     /// Set once at shutdown: no push follows it, so a runner that finds
     /// every lane empty and `closed` set has seen the last job.
     closed: bool,
+    /// Runners waiting on `job_ready`: a push with none skips the
+    /// notify, which is a syscall even when nobody waits.
+    idle_runners: usize,
+}
+
+/// What [`Admission::admit`] did with a job it admitted: queued it for a
+/// runner as `(job_id, tenant, slot)`, or handed it back to the caller
+/// to run, with what the `inline` callback granted.
+pub(crate) enum Admitted<L> {
+    Queued(u64, String, usize),
+    Inline(Job, L),
 }
 
 /// Bounded per-tenant admission queues plus the wake-up plumbing for
 /// runner threads.
 pub struct Admission {
     queues: Mutex<Queues>,
+    /// Signalled by a push that found a runner idle, and by `close`.
+    job_ready: Condvar,
     metrics: Arc<ServeMetrics>,
-    /// Bumped after every admit and after `close`; runners park on this
-    /// when every lane is empty (see the module docs for the ordering).
-    admit_seq: AtomicU64,
-    park: ParkLot,
     /// counter-only: the monotone id is the entire payload; uniqueness
     /// comes from the fetch_add's atomicity alone.
     next_job_id: AtomicU64,
@@ -139,10 +144,9 @@ impl Admission {
         let queue_cap = queue_cap.max(1);
         let lanes = (0..metrics.max_tenants()).map(|_| VecDeque::new()).collect();
         Admission {
-            queues: Mutex::new(Queues { lanes, closed: false }),
+            queues: Mutex::new(Queues { lanes, closed: false, idle_runners: 0 }),
+            job_ready: Condvar::new(),
             metrics,
-            admit_seq: AtomicU64::new(0),
-            park: ParkLot::new(),
             next_job_id: AtomicU64::new(1),
             queue_cap,
         }
@@ -159,21 +163,33 @@ impl Admission {
         self.queues.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Makes waiting runners rescan. Call after releasing the lock.
-    fn wake_runners(&self) {
-        self.admit_seq.fetch_add(1, Ordering::SeqCst);
-        self.park.notify();
-    }
-
-    /// Admits `spec` for `ticket`'s connection, or rejects it with a
-    /// retry hint. On success the assigned `(job_id, tenant, slot)` is
-    /// returned and one runner is woken.
+    /// Admits `spec` for `ticket`'s connection and queues it, or rejects
+    /// it with a retry hint. On success the assigned `(job_id, tenant,
+    /// slot)` is returned and an idle runner, if any, is woken.
     pub fn submit(
         &self,
         spec: JobSpec,
         ticket: Arc<JobTicket>,
         reply: Arc<dyn ReplySink>,
     ) -> Result<(u64, String, usize), Reject> {
+        match self.admit(spec, ticket, reply, |_| None::<Infallible>)? {
+            Admitted::Queued(id, tenant, slot) => Ok((id, tenant, slot)),
+            Admitted::Inline(_, never) => match never {},
+        }
+    }
+
+    /// [`Admission::submit`], except that when every lane is empty,
+    /// `inline` decides — inside the critical section that would push —
+    /// whether the caller runs the job itself: what it grants comes back
+    /// with the job, and no runner hears of it. Rejections and the
+    /// `jobs_admitted` count are the same on both paths.
+    pub(crate) fn admit<L>(
+        &self,
+        spec: JobSpec,
+        ticket: Arc<JobTicket>,
+        reply: Arc<dyn ReplySink>,
+        inline: impl FnOnce(&JobSpec) -> Option<L>,
+    ) -> Result<Admitted<L>, Reject> {
         let tenant = spec
             .tenant
             .clone()
@@ -204,73 +220,65 @@ impl Admission {
             ticket,
             reply,
         };
-        let pushed = {
-            let mut q = self.queues();
-            if q.closed {
-                Err(Reject {
-                    reason: "server is shutting down".to_string(),
-                    retry_after_ms: 0,
-                })
-            } else if q.lanes[slot].len() >= self.queue_cap {
-                Err(Reject {
-                    reason: format!(
-                        "tenant `{tenant}` queue full ({} jobs)",
-                        self.queue_cap
-                    ),
-                    retry_after_ms: 25,
-                })
-            } else {
-                q.lanes[slot].push_back(job);
-                Ok(q.lanes[slot].len() as u64)
+        let mut q = self.queues();
+        let (reason, retry_after_ms) = if q.closed {
+            ("server is shutting down".to_string(), 0)
+        } else if q.lanes[slot].len() >= self.queue_cap {
+            (format!("tenant `{tenant}` queue full ({} jobs)", self.queue_cap), 25)
+        } else {
+            let all_empty = q.lanes.iter().all(VecDeque::is_empty);
+            let (admitted, wake) = match all_empty.then(|| inline(&job.spec)).flatten() {
+                Some(grant) => (Admitted::Inline(job, grant), false),
+                None => {
+                    q.lanes[slot].push_back(job);
+                    (Admitted::Queued(id, tenant, slot), q.idle_runners > 0)
+                }
+            };
+            let depth = q.lanes[slot].len() as u64;
+            drop(q);
+            if wake {
+                self.job_ready.notify_one();
             }
+            self.metrics.admitted(slot, depth);
+            return Ok(admitted);
         };
-        match pushed {
-            Ok(queued) => {
-                self.wake_runners();
-                self.metrics.admitted(slot, queued);
-                Ok((id, tenant, slot))
-            }
-            Err(reject) => {
-                self.metrics.rejected(slot);
-                Err(reject)
-            }
-        }
+        drop(q);
+        self.metrics.rejected(slot);
+        Err(Reject { reason, retry_after_ms })
     }
 
-    /// Takes the next job in round-robin tenant order, parking until
+    /// Takes the next job in round-robin tenant order, waiting until
     /// one is admitted. `None` means the admission is closed *and*
     /// drained — the runner should exit. Fairness: the shared cursor
     /// advances by one per *successful* take, so consecutive takes
     /// start their scans at consecutive tenants and a busy tenant
     /// cannot shadow later slots.
     pub fn next_job(&self, cursor: &AtomicUsize) -> Option<Job> {
+        let mut q = self.queues();
         loop {
-            let seen = {
-                let mut q = self.queues();
-                let n = q.lanes.len();
-                let start = cursor.load(Ordering::Relaxed);
-                for i in 0..n {
-                    let slot = (start + i) % n;
-                    if let Some(job) = q.lanes[slot].pop_front() {
-                        cursor.store((slot + 1) % n, Ordering::Relaxed);
-                        return Some(job);
-                    }
+            let n = q.lanes.len();
+            let start = cursor.load(Ordering::Relaxed);
+            for i in 0..n {
+                let slot = (start + i) % n;
+                if let Some(job) = q.lanes[slot].pop_front() {
+                    cursor.store((slot + 1) % n, Ordering::Relaxed);
+                    return Some(job);
                 }
-                if q.closed {
-                    return None;
-                }
-                self.admit_seq.load(Ordering::SeqCst)
-            };
-            self.park
-                .wait_until(|| self.admit_seq.load(Ordering::SeqCst) != seen);
+            }
+            if q.closed {
+                return None;
+            }
+            q.idle_runners += 1;
+            q = self.job_ready.wait(q).unwrap_or_else(|e| e.into_inner());
+            q.idle_runners -= 1;
         }
     }
 
-    /// Closes admission: future submits are rejected, parked runners
+    /// Closes admission: future submits are rejected, waiting runners
     /// wake, and `next_job` returns `None` once the lanes are drained.
     pub fn close(&self) {
         self.queues().closed = true;
-        self.wake_runners();
+        self.job_ready.notify_all();
     }
 }
 
@@ -374,11 +382,12 @@ mod tests {
 
     #[test]
     fn ping_pong_submits_are_never_lost_to_a_parking_race() {
-        // regression: a wake sequence sampled outside the scan's
-        // critical section lets an admit land in between, so the runner
-        // parks over a queued job. The ping-pong maximizes park/submit
-        // interleavings; a lost wakeup hangs the spin below (the
-        // consumer never drains job k).
+        // regression: a runner that decides to wait outside the scan's
+        // critical section lets an admit land in between, so it sleeps
+        // over a queued job (and a submit that skips the notify while
+        // the runner is not yet counted idle does the same). The
+        // ping-pong maximizes wait/submit interleavings; a lost wakeup
+        // hangs the spin below (the consumer never drains job k).
         let a = Arc::new(adm(1, 4));
         let a2 = Arc::clone(&a);
         let consumer = std::thread::spawn(move || {
@@ -428,6 +437,50 @@ mod tests {
             }
             assert_eq!(drained, admitted, "admitted jobs lost at shutdown");
         }
+    }
+
+    #[test]
+    fn an_eligible_job_queues_behind_another_tenants_queued_job() {
+        let a = adm(2, 4);
+        let t = JobTicket::new();
+        a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
+        let admitted = a.admit(spec("y"), t, Arc::new(NullSink), |_| Some(())).unwrap();
+        assert!(matches!(admitted, Admitted::Queued(2, ref tenant, 1) if tenant == "y"));
+        let cursor = AtomicUsize::new(0);
+        let order: Vec<String> = (0..2).map(|_| a.next_job(&cursor).unwrap().tenant).collect();
+        assert_eq!(order, ["x", "y"]);
+    }
+
+    #[test]
+    fn with_every_lane_empty_the_job_is_handed_back_and_counted_once() {
+        let a = adm(2, 4);
+        let admitted = a.admit(spec("x"), JobTicket::new(), Arc::new(NullSink), |s| {
+            Some(s.size)
+        });
+        let Ok(Admitted::Inline(job, grant)) = admitted else { panic!("job was not handed back") };
+        assert_eq!((job.id, job.tenant.as_str(), grant), (1, "x", 64));
+        assert!(a.queues().lanes.iter().all(VecDeque::is_empty), "the job was also pushed");
+        let (admitted, rejected, ..) = a.metrics.totals();
+        assert_eq!((admitted, rejected), (1, 0));
+        // a declined grant queues the next job instead
+        let admitted = a.admit(spec("x"), JobTicket::new(), Arc::new(NullSink), |_| None::<()>);
+        assert!(matches!(admitted, Ok(Admitted::Queued(2, ..))));
+        assert_eq!(a.queues().lanes[0].len(), 1);
+    }
+
+    #[test]
+    fn after_close_an_eligible_job_is_rejected_without_a_grant() {
+        let a = adm(2, 4);
+        a.close();
+        let rej = a
+            .admit(spec("x"), JobTicket::new(), Arc::new(NullSink), |_| -> Option<()> {
+                panic!("asked to run a job after close")
+            })
+            .err()
+            .expect("admitted after close");
+        assert!(rej.reason.contains("shutting down"), "{}", rej.reason);
+        assert_eq!(rej.retry_after_ms, 0, "permanent rejection");
+        assert_eq!(a.metrics.totals().1, 1);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   drain side round-robins across tenants so one noisy tenant
 //!   cannot starve the others.
 //! * [`server`] — the daemon: an acceptor thread, one reader thread
-//!   per connection, and a set of runner threads that lease
-//!   [`ezp_sched::WorkerPool`]s from a shared [`ezp_sched::PoolMux`]
-//!   so independent jobs execute concurrently on disjoint worker
-//!   sets. Kernel panics are caught per job; a client disconnect
-//!   cancels its queued jobs.
+//!   per connection (which runs a small job itself when nothing is
+//!   queued), and runner threads; both lease [`ezp_sched::WorkerPool`]s
+//!   from a shared [`ezp_sched::PoolMux`], so independent jobs run
+//!   concurrently on disjoint worker sets. Kernel panics are caught
+//!   per job; a client disconnect cancels its queued jobs.
 //! * [`metrics`] — per-tenant service counters (`jobs_admitted`,
 //!   `jobs_rejected`, `tenant_queue_depth`, `tenant_idle_ns`, ...) on
 //!   the lock-free `ezp_perf::CounterSet` spine, with the tenant slot

@@ -12,19 +12,22 @@
 //!   disconnect cancels the connection's in-flight jobs via their
 //!   [`JobTicket`]s; a connection that sends nothing for
 //!   `IDLE_TIMEOUT` with no job of its own queued, running or finished
-//!   in that time is closed. Readers never touch the worker pool.
+//!   in that time is closed. A small job (no stall, at most
+//!   `INLINE_MAX_PIXEL_ITERATIONS` of work) that finds every lane empty
+//!   and a pool slot free runs on the reader itself, which answers
+//!   `accepted` and the terminal frame in one write: no runner is woken.
 //! * **runners** (`slots` of them) — take jobs in round-robin tenant
-//!   order, lease a pool from the shared [`PoolMux`], install it, and
-//!   run the kernel exactly like the one-shot CLI would. A lease is
-//!   returned (and its epoch left closed) whatever the job did — panic
-//!   unwind included — so a misbehaving job cannot leak a pool slot.
+//!   order, lease a pool from the shared [`PoolMux`], and run them
+//!   like the one-shot CLI would, through the readers' `execute`. A
+//!   lease is returned (and its epoch left closed) whatever the job
+//!   did — panic unwind included — so a job cannot leak a pool slot.
 //!
-//! Responses are written under a per-connection mutex so `Accepted`
-//! and `Done` frames from different threads never interleave bytes;
-//! the reader holds it from enqueue to the `Accepted` write, so a
-//! job's `Accepted` always precedes its terminal frame.
+//! Responses are written under a per-connection mutex, one `write` per
+//! batch, so frames from different threads never interleave bytes; the
+//! reader holds it from enqueue to the `Accepted` write, so a job's
+//! `Accepted` always precedes its terminal frame.
 
-use crate::admission::{Admission, Job, JobTicket, ReplySink};
+use crate::admission::{Admission, Admitted, Job, JobTicket, ReplySink};
 use crate::metrics::ServeMetrics;
 use crate::proto::{read_frame, write_frame, FrameIn, JobSpec, Request, Response};
 use ezp_core::json::{FromJson, Json};
@@ -33,8 +36,8 @@ use ezp_core::perf::run_kernel_boxed;
 use ezp_core::{Registry, RunConfig};
 use ezp_monitor::UnifiedReport;
 use ezp_perf::PerfProbe;
-use ezp_sched::{MuxStats, PoolMux};
-use std::io::{BufRead, BufReader, ErrorKind};
+use ezp_sched::{MuxStats, PoolLease, PoolMux};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -47,6 +50,19 @@ use std::time::Duration;
 /// abandoned socket costs one thread and two descriptors for this long
 /// (twice this after its last job), not forever.
 const IDLE_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 150 } else { 60_000 });
+
+/// Most `size² × iterations` a reader runs itself instead of queueing
+/// (a 64² image for 16 iterations). A computing reader cannot notice
+/// its client hanging up, so this bounds how long it is deaf.
+const INLINE_MAX_PIXEL_ITERATIONS: u64 = 64 * 64 * 16;
+
+/// Small enough to run on the reader that decoded it: no synthetic
+/// stall, and at most [`INLINE_MAX_PIXEL_ITERATIONS`] of work.
+fn runs_inline(spec: &JobSpec) -> bool {
+    let size = spec.size as u64;
+    let work = size.saturating_mul(size).saturating_mul(spec.iterations.into());
+    spec.stall_us == 0 && work <= INLINE_MAX_PIXEL_ITERATIONS
+}
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -248,35 +264,36 @@ struct Conn {
 }
 
 impl Conn {
-    /// Sends one response; on a dead peer, cancels the connection's
-    /// jobs instead of erroring (the job already ran — nobody is left
-    /// to care). An oversized response (`InvalidData`) is the daemon's
-    /// fault, not the peer's: the frame is replaced by a small error
-    /// note so the client is not left waiting on a silently dropped
-    /// terminal frame, and the connection stays usable.
-    fn send(&self, resp: Response) {
+    /// Sends `resps` in one `write_all`; on a dead peer, cancels the
+    /// connection's jobs instead of erroring (the job already ran —
+    /// nobody is left to care). An oversized response (`InvalidData`)
+    /// is the daemon's fault, not the peer's: the frame is replaced by
+    /// a small error note so the client is not left waiting on a
+    /// silently dropped terminal frame, and the connection stays usable.
+    fn send(&self, resps: impl IntoIterator<Item = Response>) {
         let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        self.write(&mut stream, resp);
+        self.write(&mut stream, resps);
     }
 
     /// [`Conn::send`] on the already locked write half.
-    fn write(&self, stream: &mut TcpStream, resp: Response) {
-        match write_frame(&mut *stream, &resp.into()) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+    fn write(&self, stream: &mut TcpStream, resps: impl IntoIterator<Item = Response>) {
+        let mut bytes = Vec::new();
+        for resp in resps {
+            // encoding into memory fails only on size, writing nothing
+            if let Err(e) = write_frame(&mut bytes, &resp.into()) {
                 let note = Response::Error(format!("response dropped: {e}"));
-                if write_frame(&mut *stream, &note.into()).is_err() {
-                    self.ticket.cancel();
-                }
+                write_frame(&mut bytes, &note.into()).ok();
             }
-            Err(_) => self.ticket.cancel(),
+        }
+        if stream.write_all(&bytes).is_err() {
+            self.ticket.cancel();
         }
     }
 }
 
 impl ReplySink for Conn {
     fn send(&self, resp: Response) {
-        Conn::send(self, resp);
+        Conn::send(self, [resp]);
         // Before the runner drops the job (and with it the `Arc<Conn>`
         // the reader counts), so a reader that sees the job gone also
         // sees its frame counted.
@@ -327,15 +344,15 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
                 let req = match Request::from_json(&msg) {
                     Ok(r) => r,
                     Err(e) => {
-                        conn.send(Response::Error(e.to_string()));
+                        conn.send([Response::Error(e.to_string())]);
                         break;
                     }
                 };
                 match req {
                     Request::Submit(spec) => handle_submit(&shared, &conn, spec),
-                    Request::Stats => conn.send(Response::Stats(shared.metrics.to_json())),
+                    Request::Stats => conn.send([Response::Stats(shared.metrics.to_json())]),
                     Request::Shutdown => {
-                        conn.send(Response::ShuttingDown);
+                        conn.send([Response::ShuttingDown]);
                         shared.stop.store(true, Ordering::SeqCst);
                         shared.admission.close();
                         // wake the acceptor so Server::shutdown joins fast
@@ -346,7 +363,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
             }
             Ok(FrameIn::Eof) => break,
             Ok(FrameIn::Malformed(why)) => {
-                conn.send(Response::Error(format!("malformed frame: {why}")));
+                conn.send([Response::Error(format!("malformed frame: {why}"))]);
                 break;
             }
             Err(_) => break,
@@ -367,31 +384,49 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: JobSpec) {
     // finish it before this thread writes another byte. Holding the
     // connection's writer across enqueue + `accepted` makes that
     // runner's `done` wait its turn, so `accepted` is always the first
-    // frame of its job. (`submit` never writes to the reply sink.)
+    // frame of its job. (`admit` never writes to the reply sink.)
     let mut stream = conn.stream.lock().unwrap_or_else(|e| e.into_inner());
-    let resp = match shared.admission.submit(spec, Arc::clone(&conn.ticket), reply) {
-        Ok((job_id, tenant, _slot)) => Response::Accepted { job_id, tenant },
+    let inline = |spec: &JobSpec| runs_inline(spec).then(|| shared.mux.try_lease()).flatten();
+    let resp = match shared.admission.admit(spec, Arc::clone(&conn.ticket), reply, inline) {
+        Ok(Admitted::Queued(job_id, tenant, _slot)) => Response::Accepted { job_id, tenant },
+        Ok(Admitted::Inline(job, lease)) => {
+            // no other thread writes this job's frames: compute unlocked
+            drop(stream);
+            let accepted = Response::Accepted { job_id: job.id, tenant: job.tenant.clone() };
+            let terminal = execute(shared, job, lease);
+            conn.send(std::iter::once(accepted).chain(terminal));
+            return;
+        }
         Err(rej) => Response::Rejected {
             reason: rej.reason,
             retry_after_ms: rej.retry_after_ms,
         },
     };
-    conn.write(&mut stream, resp);
+    conn.write(&mut stream, [resp]);
 }
 
 fn runner_loop(shared: Arc<Shared>) {
     let cursor = AtomicUsize::new(0);
     while let Some(job) = shared.admission.next_job(&cursor) {
-        run_one(&shared, job);
+        // a client that left while its job was queued costs no slot
+        if !job.ticket.is_live() {
+            shared.metrics.cancelled(job.tenant_slot);
+            continue;
+        }
+        // leased before any stall, so a stall occupies its slot
+        let lease = shared.mux.lease();
+        let reply = Arc::clone(&job.reply);
+        if let Some(resp) = execute(&shared, job, lease) {
+            reply.send(resp);
+        }
     }
 }
 
-fn run_one(shared: &Arc<Shared>, job: Job) {
+/// Runs `job` on `lease`'s pool, for a runner or for the reader that
+/// decoded it, and returns its terminal frame — `None` when the client
+/// left while it ran.
+fn execute(shared: &Shared, job: Job, mut lease: PoolLease<'_>) -> Option<Response> {
     let slot = job.tenant_slot;
-    if !job.ticket.is_live() {
-        shared.metrics.cancelled(slot);
-        return;
-    }
     let queued_ns = ezp_core::time::now_ns().saturating_sub(job.enqueued_ns);
     // synthetic upstream latency of a replayed request: stalls overlap
     // across runner slots, compute does not (on fewer cores than slots)
@@ -407,33 +442,27 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
         .threads(threads);
     let probe = Arc::new(PerfProbe::new(threads));
     let probe_dyn: Arc<dyn Probe> = probe.clone();
-    let mut lease = shared.mux.lease();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         lease.install(threads, || run_kernel_boxed(&shared.registry, cfg, probe_dyn))
     }));
     drop(lease); // slot back in the mux before any response I/O
-    let outcome = match result {
-        Ok(Ok(ok)) => ok,
+    let (run, ctx, kernel) = match result {
+        Ok(Ok(outcome)) => outcome,
         Ok(Err(e)) => {
             shared.metrics.failed(slot);
-            job.reply.send(Response::Failed { job_id: job.id, error: e.to_string() });
-            return;
+            return Some(Response::Failed { job_id: job.id, error: e.to_string() });
         }
         Err(_) => {
             shared.metrics.failed(slot);
-            job.reply.send(Response::Failed {
-                job_id: job.id,
-                error: "kernel panicked".to_string(),
-            });
-            return;
+            let error = "kernel panicked".to_string();
+            return Some(Response::Failed { job_id: job.id, error });
         }
     };
-    let (run, ctx, kernel) = outcome;
     if !job.ticket.is_live() {
         // ran to completion for a client that left mid-job; count it as
         // cancelled — the epoch is closed either way
         shared.metrics.cancelled(slot);
-        return;
+        return None;
     }
     shared.metrics.completed(slot, queued_ns);
     let mut snapshot = probe.snapshot();
@@ -444,14 +473,14 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
         .with_tenant(&job.tenant)
         .to_json();
     let digest = format!("{:016x}", digest_pixels(ctx.images.cur().as_slice()));
-    job.reply.send(Response::Done {
+    Some(Response::Done {
         job_id: job.id,
         tenant: job.tenant,
         elapsed_ns: run.elapsed_ns,
         iterations: run.completed_iterations,
         digest,
         report,
-    });
+    })
 }
 
 /// FNV-1a over the frame's pixel words, little-endian byte order — the
@@ -523,6 +552,26 @@ mod tests {
         }
         assert!(counters.get("steals_attempted").is_none());
         assert_eq!(server.shutdown().totals.2, 1);
+    }
+
+    #[test]
+    fn the_inline_bound_is_inclusive_and_does_not_overflow() {
+        let at = |size, iterations, stall_us| JobSpec {
+            size,
+            tile: 1,
+            iterations,
+            stall_us,
+            ..JobSpec::default()
+        };
+        assert_eq!(INLINE_MAX_PIXEL_ITERATIONS, 64 * 64 * 16);
+        assert!(runs_inline(&at(64, 16, 0)), "the constant itself");
+        assert!(!runs_inline(&at(64, 16, 1)), "any stall queues");
+        // 65 537 is prime: only a 1² image reaches the constant + 1
+        assert!(!runs_inline(&at(1, 64 * 64 * 16 + 1, 0)), "the constant + 1");
+        let largest = at(crate::MAX_JOB_SIZE, crate::MAX_JOB_ITERATIONS, 0);
+        assert!(largest.validate().is_ok());
+        assert!(!runs_inline(&largest), "MAX_JOB_SIZE² × MAX_JOB_ITERATIONS");
+        assert!(!runs_inline(&at(usize::MAX, u32::MAX, 0)), "saturates instead of wrapping");
     }
 
     fn live_readers(server: &Server) -> usize {

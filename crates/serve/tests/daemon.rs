@@ -288,6 +288,80 @@ fn unknown_kernel_fails_the_job_not_the_daemon() {
     assert_eq!((completed, failed), (1, 1));
 }
 
+/// Submits `spec` on a raw connection and returns its job id, after
+/// checking that `accepted` comes first and `done` names the same job.
+fn submit_in_order(
+    conn: &mut TcpStream,
+    replies: &mut BufReader<TcpStream>,
+    spec: &JobSpec,
+) -> u64 {
+    write_frame(conn, &Request::Submit(spec.clone()).to_json()).unwrap();
+    let mut next = || match read_frame(replies).unwrap() {
+        FrameIn::Msg(v) => Response::from_json(&v).unwrap(),
+        other => panic!("expected a frame, got {other:?}"),
+    };
+    let Response::Accepted { job_id, .. } = next() else { panic!("first frame is not `accepted`") };
+    match next() {
+        Response::Done { job_id: done, .. } => assert_eq!(done, job_id),
+        other => panic!("job {job_id}: {}", other.to_json().dump()),
+    }
+    job_id
+}
+
+#[test]
+fn inline_and_queued_jobs_keep_the_invariant_side_by_side() {
+    // Two connections of tiny jobs, which readers run themselves while
+    // every lane is empty, beside one of stalled jobs, which always
+    // queue; that client hangs up in the middle of its last stall.
+    const TINY: u64 = 300;
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let connect = || {
+        let conn = TcpStream::connect(&addr).unwrap();
+        // a frame is two writes: Nagle would hold the body for an ACK
+        conn.set_nodelay(true).unwrap();
+        let replies = BufReader::new(conn.try_clone().unwrap());
+        (conn, replies)
+    };
+    std::thread::scope(|s| {
+        for tenant in ["t0", "t1"] {
+            s.spawn(move || {
+                let (mut conn, mut replies) = connect();
+                let mut last_id = 0;
+                for _ in 0..TINY {
+                    let id = submit_in_order(&mut conn, &mut replies, &small_job(tenant));
+                    assert!(id > last_id, "job ids go up per connection");
+                    last_id = id;
+                }
+            });
+        }
+        s.spawn(move || {
+            let (mut conn, mut replies) = connect();
+            let stalled = JobSpec { stall_us: 5_000, ..small_job("stall") };
+            let mut last_id = 0;
+            for _ in 0..5 {
+                let id = submit_in_order(&mut conn, &mut replies, &stalled);
+                assert!(id > last_id, "job ids go up per connection");
+                last_id = id;
+            }
+            let ghost = JobSpec { stall_us: 400_000, ..stalled };
+            write_frame(&mut conn, &Request::Submit(ghost).to_json()).unwrap();
+            let FrameIn::Msg(v) = read_frame(&mut replies).unwrap() else { panic!("no frame") };
+            assert!(matches!(Response::from_json(&v).unwrap(), Response::Accepted { .. }));
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        });
+    });
+    let summary = server.shutdown();
+    let (admitted, rejected, completed, cancelled, failed) = summary.totals;
+    assert_eq!((rejected, cancelled, failed), (0, 1, 0));
+    assert_eq!(completed, 2 * TINY + 5);
+    assert_eq!(admitted, completed + cancelled + failed);
+    // one lease per job run; the cancelled job also held one through
+    // its stall unless its client left before a runner took it
+    let ran = completed + failed;
+    assert!((ran..=ran + cancelled).contains(&summary.mux.leases), "{:?}", summary.mux);
+}
+
 #[test]
 fn accepted_always_precedes_the_terminal_frame() {
     // regression: the job was enqueued before `accepted` was written,
