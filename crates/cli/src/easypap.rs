@@ -1,7 +1,7 @@
 //! The `easypap` command: run a kernel variant under the framework.
 
 use ezp_core::ezp_debug;
-use ezp_core::kernel::{EdgeKind, MultiProbe, NullProbe, Probe, RuntimeEvent};
+use ezp_core::kernel::{EdgeKind, MultiProbe, NullProbe, Probe, RuntimeEvent, TileStamp};
 use ezp_core::params::{DisplayMode, StatsFormat};
 use ezp_core::perf::{run_kernel_boxed, RunOutcome};
 use ezp_core::{Error, Result, RunConfig, WorkerId};
@@ -103,10 +103,12 @@ where
         monitor.is_some(),
         perf.is_some()
     );
-    let probe: Arc<dyn Probe> = if probes.is_empty() {
-        Arc::new(NullProbe)
-    } else {
-        Arc::new(MultiProbe::new(probes))
+    let probe: Arc<dyn Probe> = match probes.len() {
+        0 => Arc::new(NullProbe),
+        // a composite reads the clock for every bracket; a lone
+        // `PerfProbe` (`--stats` alone) needs none
+        1 => probes.remove(0),
+        _ => Arc::new(MultiProbe::new(probes)),
     };
 
     // `--frames DIR` replaces the animated window: run iteration by
@@ -340,6 +342,12 @@ impl Probe for FrameNumbering {
     }
     fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, now_ns: u64) {
         self.inner.end_tile_at(x, y, w, h, worker, now_ns);
+    }
+    fn wants_tile_stamps(&self) -> bool {
+        self.inner.wants_tile_stamps()
+    }
+    fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
+        self.inner.tiles_done(worker, stamps);
     }
     fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
         self.inner.runtime_event(worker, event);
@@ -811,6 +819,22 @@ mod tests {
             assert_eq!(trace.tasks.len(), 2 * 16);
             assert!(trace.tasks.iter().any(|t| t.iteration == 2));
         });
+    }
+
+    #[test]
+    fn frame_numbering_keeps_the_monitor_on_stamps() {
+        let grid = ezp_core::TileGrid::square(16, 8).unwrap();
+        let monitor = Arc::new(Monitor::new(1, grid));
+        let numbering = FrameNumbering { inner: monitor.clone(), done: AtomicU32::new(2) };
+        // without forwarding, `--frames --monitoring` falls back to brackets
+        assert!(numbering.wants_tile_stamps());
+        numbering.iteration_start(1);
+        let stamps: Vec<TileStamp> =
+            grid.iter().map(|tile| TileStamp { tile, start_ns: 1, end_ns: 2 }).collect();
+        numbering.tiles_done(0, &stamps);
+        let records = monitor.report().records;
+        assert_eq!(records.len(), grid.len());
+        assert!(records.iter().all(|r| r.iteration == 3), "{records:?}");
     }
 
     /// A mode that cannot honour a flag says so (naming both) instead

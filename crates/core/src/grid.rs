@@ -11,7 +11,7 @@ use crate::error::{Error, Result};
 
 /// One rectangular chunk of image, `(x, y)` top-left corner plus size —
 /// exactly the quadruple EASYPAP passes to `do_tile(x, y, width, height)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Tile {
     /// Left pixel column.
     pub x: usize,

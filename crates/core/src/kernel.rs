@@ -10,7 +10,7 @@
 //! pair, the tile grid and the instrumentation probe.
 
 use crate::error::Result;
-use crate::grid::TileGrid;
+use crate::grid::{Tile, TileGrid};
 use crate::img::ImagePair;
 use crate::params::RunConfig;
 use crate::time::now_ns;
@@ -221,6 +221,18 @@ pub enum RuntimeEvent {
     },
 }
 
+/// A finished tile with the timestamps the scheduler took around it,
+/// handed to [`Probe::tiles_done`] in batches.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TileStamp {
+    /// The tile computed.
+    pub tile: Tile,
+    /// Clock read before the tile (often the previous tile's `end_ns`).
+    pub start_ns: u64,
+    /// Clock read after the tile.
+    pub end_ns: u64,
+}
+
 /// Instrumentation hooks — the Rust face of the paper's
 /// `monitoring_start_tile` / `monitoring_end_tile` calls (§II-B).
 ///
@@ -250,6 +262,21 @@ pub trait Probe: Send + Sync {
     /// [`Probe::start_tile_at`]).
     fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, _now_ns: u64) {
         self.end_tile(x, y, w, h, worker);
+    }
+    /// Whether this probe takes tiles the scheduler timed, in
+    /// [`Probe::tiles_done`] batches, instead of a bracket per tile.
+    /// `parallel_for_tiles` reads its tile clocks only when this says so.
+    fn wants_tile_stamps(&self) -> bool {
+        false
+    }
+    /// Worker `worker` finished `stamps`, in order. The default replays
+    /// each through [`Probe::start_tile_at`] / [`Probe::end_tile_at`], so
+    /// a probe that only knows brackets still sees every tile.
+    fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
+        for s in stamps {
+            self.start_tile_at(worker, s.start_ns);
+            self.end_tile_at(s.tile.x, s.tile.y, s.tile.w, s.tile.h, worker, s.end_ns);
+        }
     }
     /// A scheduler event occurred on `worker` (see [`RuntimeEvent`]).
     fn runtime_event(&self, _worker: WorkerId, _event: RuntimeEvent) {}
@@ -318,6 +345,14 @@ impl Probe for MultiProbe {
     fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, now_ns: u64) {
         for p in &self.probes {
             p.end_tile_at(x, y, w, h, worker, now_ns);
+        }
+    }
+    fn wants_tile_stamps(&self) -> bool {
+        self.probes.iter().any(|p| p.wants_tile_stamps())
+    }
+    fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
+        for p in &self.probes {
+            p.tiles_done(worker, stamps);
         }
     }
     fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
@@ -506,6 +541,36 @@ mod tests {
         assert_eq!(*b.0.lock().unwrap(), stamps);
         assert_eq!(plain.starts.load(Ordering::Relaxed), 1);
         assert_eq!(plain.ends.load(Ordering::Relaxed), 1);
+
+        // one probe that takes stamps turns the whole stack to stamps,
+        // and every probe that only knows brackets gets each one replayed
+        #[derive(Default)]
+        struct BatchProbe(std::sync::Mutex<Vec<TileStamp>>);
+        impl Probe for BatchProbe {
+            fn wants_tile_stamps(&self) -> bool {
+                true
+            }
+            fn tiles_done(&self, _: WorkerId, stamps: &[TileStamp]) {
+                self.0.lock().unwrap().extend_from_slice(stamps);
+            }
+        }
+        assert!(!multi.wants_tile_stamps());
+        let batch = Arc::new(BatchProbe::default());
+        let stamped = MultiProbe::new(vec![batch.clone(), Arc::new(multi)]);
+        assert!(stamped.wants_tile_stamps());
+        let tiles: Vec<TileStamp> = TileGrid::square(8, 4)
+            .unwrap()
+            .iter()
+            .zip((0u64..).step_by(10))
+            .map(|(tile, t)| TileStamp { tile, start_ns: t, end_ns: t + 10 })
+            .collect();
+        stamped.tiles_done(0, &tiles);
+        assert_eq!(*batch.0.lock().unwrap(), tiles);
+        let edges: Vec<u64> = tiles.iter().flat_map(|s| [s.start_ns, s.end_ns]).collect();
+        assert_eq!(a.0.lock().unwrap()[2..], edges);
+        assert_eq!(b.0.lock().unwrap()[2..], edges);
+        assert_eq!(plain.starts.load(Ordering::Relaxed), 1 + tiles.len());
+        assert_eq!(plain.ends.load(Ordering::Relaxed), 1 + tiles.len());
     }
 
     #[test]

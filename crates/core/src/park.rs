@@ -113,12 +113,14 @@ mod tests {
             let lot = &lot;
             let flag = &flag;
             let h = s.spawn(move || lot.wait_until(|| flag.load(Ordering::SeqCst)));
-            // let the waiter burn through its spin phase and park
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            // flip the flag only once the waiter has registered to park:
+            // a sleep cannot promise that the waiter has even started
+            while lot.sleepers.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
             flag.store(true, Ordering::SeqCst);
             lot.notify();
-            // the waiter outlived its spin phase, so it parked, and a
-            // park takes measurable time
+            // the waiter parked, and a park takes measurable time
             assert!(h.join().unwrap() > 0);
         });
     }

@@ -1,18 +1,20 @@
 //! The live monitoring probe: low-overhead per-worker event collection.
 //!
-//! Worker threads call [`ezp_core::kernel::Probe::start_tile`] /
-//! `end_tile` around every tile, so collection must not serialize them.
-//! Each worker gets its own cache-line-padded slot holding the open-tile
-//! timestamp and the log of its finished tiles. Only the owning worker
-//! appends to a log, so its lock is uncontended on the tile hot path; a
-//! report locks the logs just long enough to copy them out, then merges
-//! the per-worker runs — each already in time order — into one vector.
+//! Worker threads report every tile — `parallel_for_tiles` in timed
+//! batches of up to 64 ([`Probe::tiles_done`]), kernel-authored loops
+//! with `start_tile` / `end_tile` — so collection must not serialize
+//! them. Each worker gets its own cache-line-padded slot holding the
+//! open-tile timestamp and the log of its finished tiles. Only the
+//! owning worker appends to a log, so its lock is uncontended on the
+//! tile hot path; a report locks the logs just long enough to merge the
+//! per-worker runs — each already in time order — into one vector. A
+//! live report misses the tiles of a batch not yet handed over.
 
 use crate::record::{DepEdge, TileRecord};
 use crate::report::{IterationSpan, MonitorReport};
-use ezp_core::kernel::{EdgeKind, Probe};
+use ezp_core::kernel::{EdgeKind, Probe, TileStamp};
 use ezp_core::time::now_ns;
-use ezp_core::{TileGrid, WorkerId};
+use ezp_core::{Tile, TileGrid, WorkerId};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -78,16 +80,8 @@ impl Monitor {
         // slot order, so holding all of them (one consistent cut, and an
         // exactly sized copy) cannot deadlock.
         let logs: Vec<_> = self.slots.iter().map(|s| s.log.lock().unwrap()).collect();
-        let mut records = Vec::with_capacity(logs.iter().map(|log| log.len()).sum());
-        for log in &logs {
-            records.extend_from_slice(log);
-        }
+        let records = merge_runs(logs.iter().map(|log| log.as_slice()).collect());
         drop(logs);
-        // A worker records in time order, so this is k sorted runs end
-        // to end, which the standard stable sort — a natural-run merge
-        // sort — merges in one pass. It still sorts should a run be out
-        // of order (an iteration number that went backwards).
-        records.sort_by_key(|r| (r.iteration, r.start_ns));
         let mut iterations = self.iterations.lock().unwrap().clone();
         // close a still-open iteration so that live snapshots work
         if let Some(last) = iterations.last_mut() {
@@ -115,6 +109,32 @@ impl Monitor {
         );
         &self.slots[worker]
     }
+}
+
+/// The per-worker logs merged in `(iteration, start_ns)` order, ties to
+/// the lowest worker: a stable sort of their concatenation, which is
+/// the fallback should a log be out of order (an iteration number that
+/// went backwards). A worker records in time order, so it rarely is.
+fn merge_runs(runs: Vec<&[TileRecord]>) -> Vec<TileRecord> {
+    let key = |r: &TileRecord| (r.iteration, r.start_ns);
+    if !runs.iter().all(|run| run.is_sorted_by_key(key)) {
+        let mut out = runs.concat();
+        out.sort_by_key(key);
+        return out;
+    }
+    let total = runs.iter().map(|run| run.len()).sum();
+    let mut out = Vec::with_capacity(total);
+    let mut heads: Vec<_> = runs.iter().map(|run| run.iter().peekable()).collect();
+    for _ in 0..total {
+        // one run per worker: scanning the heads beats a heap, and
+        // `min_by_key` keeps the first of equal keys, the lowest worker
+        let (w, _) = (0..heads.len())
+            .filter_map(|w| Some((w, key(heads[w].peek()?))))
+            .min_by_key(|&(_, k)| k)
+            .expect("a head is left while records are");
+        out.extend(heads[w].next());
+    }
+    out
 }
 
 impl Probe for Monitor {
@@ -165,6 +185,19 @@ impl Probe for Monitor {
         });
     }
 
+    fn wants_tile_stamps(&self) -> bool {
+        true
+    }
+
+    fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
+        let iteration = self.current_iteration.load(Ordering::Acquire);
+        let records = stamps.iter().map(|s| {
+            let Tile { x, y, w, h, .. } = s.tile;
+            TileRecord { iteration, x, y, w, h, start_ns: s.start_ns, end_ns: s.end_ns, worker }
+        });
+        self.slot(worker).log.lock().unwrap().extend(records);
+    }
+
     fn dep_edge(&self, from: usize, to: usize, kind: EdgeKind) {
         self.edges.lock().unwrap().insert((from, to, kind.as_u8()));
     }
@@ -177,10 +210,40 @@ impl Probe for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ezp_testkit::prop::any_u64;
+    use ezp_testkit::{ezp_proptest, Rng};
     use std::sync::Arc;
 
     fn grid() -> TileGrid {
         TileGrid::square(64, 16).unwrap()
+    }
+
+    ezp_proptest! {
+        /// Sorted per-worker runs with keys tied within and across runs,
+        /// and in half the cases one run reversed out of order: the merge
+        /// equals a stable sort of the concatenation.
+        fn merged_runs_equal_the_stable_sort(workers in 1usize..6, seed in any_u64()) {
+            let mut rng = Rng::seed(seed);
+            let mut runs: Vec<Vec<TileRecord>> = (0..workers)
+                .map(|worker| {
+                    let (mut iteration, mut start_ns) = (1u32, 0u64);
+                    (0..rng.gen_range(0..40usize))
+                        .map(|x| {
+                            iteration += rng.gen_bool(0.1) as u32;
+                            start_ns += rng.gen_range(0..3u64);
+                            let end_ns = start_ns;
+                            TileRecord { iteration, x, y: 0, w: 1, h: 1, start_ns, end_ns, worker }
+                        })
+                        .collect()
+                })
+                .collect();
+            if rng.gen_bool(0.5) {
+                runs[rng.gen_range(0..workers)].reverse();
+            }
+            let mut expected = runs.concat();
+            expected.sort_by_key(|r| (r.iteration, r.start_ns));
+            assert_eq!(merge_runs(runs.iter().map(Vec::as_slice).collect()), expected);
+        }
     }
 
     #[test]

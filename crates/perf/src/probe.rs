@@ -2,16 +2,17 @@
 //! activity into counters and spans.
 //!
 //! The scheduling layer already reports to a [`Probe`] (tile brackets
-//! for the monitor/tracer, [`RuntimeEvent`]s for whoever listens).
-//! `PerfProbe` is the listener: every tile bracket counts as one task
-//! executed on that worker, every runtime event lands in the matching
-//! named counter, and iteration brackets become `"iteration"` spans.
+//! or stamps for the monitor, [`RuntimeEvent`]s for whoever listens).
+//! `PerfProbe` is the listener: every tile, bracketed or stamped, counts
+//! as one task executed on that worker, every runtime event lands in the
+//! matching named counter, and iteration brackets become `"iteration"`
+//! spans.
 //! It is instance-based (not a process-global) so concurrent runs in
 //! one process — the CLI test suite does this — never share numbers.
 
 use crate::counters::{CounterId, CounterSet, CounterSnapshot};
 use crate::span::{SpanRecord, SpanSet, DEFAULT_CAPACITY};
-use ezp_core::kernel::{IdleCause, Probe, RuntimeEvent};
+use ezp_core::kernel::{IdleCause, Probe, RuntimeEvent, TileStamp};
 use ezp_core::time::now_ns;
 use ezp_core::WorkerId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Canonical counter names, shared between the probe and everything
 /// that reads snapshots (exporters, `ci/verify.sh`, docs).
 pub mod names {
-    /// Tiles computed (every `start_tile`/`end_tile` bracket is a task).
+    /// Tiles computed (every `start_tile`/`end_tile` bracket and every
+    /// stamp of a `tiles_done` batch is a task).
     pub const TASKS_EXECUTED: &str = "tasks_executed";
     /// Chunks handed out by dispensers.
     pub const CHUNKS_DISPENSED: &str = "chunks_dispensed";
@@ -179,6 +181,12 @@ impl Probe for PerfProbe {
         self.counters.add_owned(self.tasks, worker, 1);
     }
 
+    // Counting needs no clock, so the probe does not ask for stamps; it
+    // takes them when it shares a stack with one that does.
+    fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
+        self.counters.add_owned(self.tasks, worker, stamps.len() as u64);
+    }
+
     fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
         match event {
             RuntimeEvent::ChunkDispensed { .. } => self.counters.incr(self.chunks, worker),
@@ -239,11 +247,14 @@ mod tests {
         probe.start_tile(1);
         probe.end_tile(0, 0, 8, 8, 1);
         probe.end_tile(8, 0, 8, 8, 2);
+        // a stamped batch counts one task per stamp
+        assert!(!probe.wants_tile_stamps());
+        probe.tiles_done(2, &[TileStamp::default(); 5]);
         let snap = probe.snapshot();
-        assert_eq!(snap.total(names::TASKS_EXECUTED), 2);
+        assert_eq!(snap.total(names::TASKS_EXECUTED), 7);
         assert_eq!(
             snap.get(names::TASKS_EXECUTED).unwrap().per_worker,
-            vec![0, 1, 1]
+            vec![0, 1, 6]
         );
     }
 

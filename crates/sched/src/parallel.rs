@@ -11,15 +11,20 @@
 //!
 //! becomes [`parallel_for_tiles`], which linearizes the grid
 //! (`collapse(2)`), carves it up with the requested [`Schedule`] and
-//! brackets every tile with the probe's `start_tile`/`end_tile` — the
-//! instrumentation EASYPAP asks students to insert by hand.
+//! reports every tile to the probe — the instrumentation EASYPAP asks
+//! students to insert by hand: stamped in batches for a probe that
+//! takes stamps (the monitor), else bracketed by `start_tile`/`end_tile`.
 
 use crate::dispenser::Dispenser;
 use crate::img_cell::{ImgCell, TileWriter};
 use crate::pool::WorkerPool;
-use ezp_core::kernel::{IdleCause, NullProbe, Probe, RuntimeEvent};
+use ezp_core::kernel::{IdleCause, NullProbe, Probe, RuntimeEvent, TileStamp};
 use ezp_core::time::now_ns;
 use ezp_core::{Img2D, Schedule, Tile, TileGrid, WorkerId};
+
+/// Most tiles [`parallel_for_tiles`] stamps per `tiles_done` call: a
+/// 4 KiB array per rank, and how far a live report can lag per worker.
+const TILE_STAMP_BATCH: usize = 64;
 
 /// Runs `f(i, rank)` for every `i in 0..n`, scheduled by `schedule`
 /// over the pool's workers (`#pragma omp for schedule(...)`).
@@ -43,16 +48,18 @@ pub fn parallel_for_range_probed(
     probe: &dyn Probe,
     f: impl Fn(usize, WorkerId) + Sync,
 ) {
-    run_chunks(pool, n, schedule, probe, |start, len, rank| {
-        for i in start..start + len {
-            f(i, rank);
-        }
+    let f = &f;
+    run_chunks(pool, n, schedule, probe, |rank| {
+        move |start, len| (start..start + len).for_each(|i| f(i, rank))
     });
 }
 
 /// Runs `f(tile, rank)` for every tile of `grid` (`collapse(2)` order),
-/// scheduled by `schedule`, with monitoring brackets around each tile
-/// and [`RuntimeEvent`]s for probes that want them.
+/// scheduled by `schedule`, reporting each tile to the probe and
+/// [`RuntimeEvent`]s to probes that want them. A stamped tile *i* ends
+/// on the clock read tile *i+1* starts on; the clock is read afresh
+/// after each `tiles_done` call and at each chunk, so neither the probe
+/// nor the dispenser lands inside a tile.
 pub fn parallel_for_tiles(
     pool: &mut WorkerPool,
     grid: &TileGrid,
@@ -60,25 +67,48 @@ pub fn parallel_for_tiles(
     probe: &dyn Probe,
     f: impl Fn(Tile, WorkerId) + Sync,
 ) {
-    run_chunks(pool, grid.len(), schedule, probe, |start, len, rank| {
-        for tile in grid.chunk(start, len) {
-            probe.start_tile(rank);
-            f(tile, rank);
-            probe.end_tile(tile.x, tile.y, tile.w, tile.h, rank);
+    let f = &f;
+    if !probe.wants_tile_stamps() {
+        run_chunks(pool, grid.len(), schedule, probe, |rank| {
+            move |start, len| {
+                for tile in grid.chunk(start, len) {
+                    probe.start_tile(rank);
+                    f(tile, rank);
+                    probe.end_tile(tile.x, tile.y, tile.w, tile.h, rank);
+                }
+            }
+        });
+        return;
+    }
+    run_chunks(pool, grid.len(), schedule, probe, |rank| {
+        let mut batch = [TileStamp::default(); TILE_STAMP_BATCH];
+        move |start, len| {
+            for at in (start..start + len).step_by(TILE_STAMP_BATCH) {
+                let n = TILE_STAMP_BATCH.min(start + len - at);
+                let mut start_ns = now_ns();
+                for (stamp, tile) in batch[..n].iter_mut().zip(grid.chunk(at, n)) {
+                    f(tile, rank);
+                    let end_ns = now_ns();
+                    *stamp = TileStamp { tile, start_ns, end_ns };
+                    start_ns = end_ns;
+                }
+                probe.tiles_done(rank, &batch[..n]);
+            }
         }
     });
 }
 
-/// The loop both helpers run: every rank takes chunks `(start, len)` of
-/// `0..n` from one [`Dispenser`] and runs `body` on each until the
-/// dispenser is exhausted, reporting each wait to the probe when it
-/// wants runtime events.
-fn run_chunks(
+/// The loop both helpers run: every rank builds its chunk body with
+/// `rank_body(rank)`, then takes chunks `(start, len)` of `0..n` from
+/// one [`Dispenser`] and runs the body on each until the dispenser is
+/// exhausted, reporting each wait to the probe when it wants runtime
+/// events.
+fn run_chunks<B: FnMut(usize, usize)>(
     pool: &mut WorkerPool,
     n: usize,
     schedule: Schedule,
     probe: &dyn Probe,
-    body: impl Fn(usize, usize, WorkerId) + Sync,
+    rank_body: impl Fn(WorkerId) -> B + Sync,
 ) {
     if n == 0 {
         // An empty range is a no-op: dispatching a region anyway would
@@ -88,18 +118,21 @@ fn run_chunks(
     }
     let disp = Dispenser::new(schedule, n, pool.width());
     let timed = probe.wants_runtime_events();
-    run_region_probed(pool, probe, timed, |rank| loop {
-        let t0 = if timed { now_ns() } else { 0 };
-        let Some((start, len)) = disp.next(rank) else {
+    run_region_probed(pool, probe, timed, |rank| {
+        let mut body = rank_body(rank);
+        loop {
+            let t0 = if timed { now_ns() } else { 0 };
+            let Some((start, len)) = disp.next(rank) else {
+                if timed {
+                    report_loop_end(probe, &disp, rank, t0);
+                }
+                break;
+            };
             if timed {
-                report_loop_end(probe, &disp, rank, t0);
+                report_chunk(probe, rank, t0, len);
             }
-            break;
-        };
-        if timed {
-            report_chunk(probe, rank, t0, len);
+            body(start, len);
         }
-        body(start, len, rank);
     });
 }
 
@@ -234,18 +267,68 @@ mod tests {
                 self.ends.fetch_add(1, Ordering::Relaxed);
                 self.pixels.fetch_add(w * h, Ordering::Relaxed);
             }
+            fn tiles_done(&self, _: WorkerId, _: &[TileStamp]) {
+                panic!("a probe that does not ask for stamps gets none");
+            }
         }
-        let probe = Counter {
-            starts: AtomicUsize::new(0),
-            ends: AtomicUsize::new(0),
-            pixels: AtomicUsize::new(0),
-        };
         let mut pool = WorkerPool::new(2);
         let grid = TileGrid::new(20, 12, 8, 8).unwrap(); // ragged: 3x2 tiles
-        parallel_for_tiles(&mut pool, &grid, Schedule::Static, &probe, |_, _| {});
-        assert_eq!(probe.starts.load(Ordering::Relaxed), 6);
-        assert_eq!(probe.ends.load(Ordering::Relaxed), 6);
-        assert_eq!(probe.pixels.load(Ordering::Relaxed), 240); // 20*12
+        for sched in [Schedule::Static, Schedule::Dynamic(1)] {
+            let probe = Counter {
+                starts: AtomicUsize::new(0),
+                ends: AtomicUsize::new(0),
+                pixels: AtomicUsize::new(0),
+            };
+            parallel_for_tiles(&mut pool, &grid, sched, &probe, |_, _| {});
+            assert_eq!(probe.starts.load(Ordering::Relaxed), 6);
+            assert_eq!(probe.ends.load(Ordering::Relaxed), 6);
+            assert_eq!(probe.pixels.load(Ordering::Relaxed), 240); // 20*12
+        }
+    }
+
+    /// Every `tiles_done` batch, in call order, with its worker.
+    #[derive(Default)]
+    struct StampLog(std::sync::Mutex<Vec<(WorkerId, Vec<TileStamp>)>>);
+
+    impl Probe for StampLog {
+        fn wants_tile_stamps(&self) -> bool {
+            true
+        }
+        fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
+            self.0.lock().unwrap().push((worker, stamps.to_vec()));
+        }
+    }
+
+    #[test]
+    fn stamping_probe_gets_every_tile_once_one_clock_read_per_boundary() {
+        let mut pool = WorkerPool::new(2);
+        for per_rank in [63, 64, 65, 129] {
+            // `static` gives each of the two ranks one chunk of `per_rank` tiles
+            let grid = TileGrid::new(per_rank, 2, 1, 1).unwrap();
+            let probe = StampLog::default();
+            parallel_for_tiles(&mut pool, &grid, Schedule::Static, &probe, |_, _| {
+                std::hint::black_box((0..100u64).sum::<u64>());
+            });
+            let batches = probe.0.into_inner().unwrap();
+            let mut seen: Vec<Tile> =
+                batches.iter().flat_map(|(_, b)| b.iter().map(|s| s.tile)).collect();
+            seen.sort_by_key(|t| (t.y, t.x));
+            assert_eq!(seen, grid.iter().collect::<Vec<_>>(), "{per_rank} tiles per rank");
+            for rank in 0..2 {
+                let mine: Vec<&Vec<TileStamp>> =
+                    batches.iter().filter(|(w, _)| *w == rank).map(|(_, b)| b).collect();
+                let sizes: Vec<usize> = mine.iter().map(|b| b.len()).collect();
+                assert_eq!(sizes.len(), per_rank.div_ceil(TILE_STAMP_BATCH), "{sizes:?}");
+                assert!(sizes.iter().all(|&n| (1..=TILE_STAMP_BATCH).contains(&n)), "{sizes:?}");
+                for batch in &mine {
+                    // tile i ends on the clock read tile i+1 starts on
+                    assert!(batch.windows(2).all(|p| p[1].start_ns == p[0].end_ns), "{batch:?}");
+                }
+                let stamps: Vec<&TileStamp> = mine.into_iter().flatten().collect();
+                assert!(stamps.iter().all(|s| s.start_ns <= s.end_ns));
+                assert!(stamps.windows(2).all(|p| p[0].end_ns <= p[1].start_ns));
+            }
+        }
     }
 
     #[test]

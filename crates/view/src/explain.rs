@@ -351,7 +351,7 @@ fn advise(r: &ExplainReport, has_edges: bool) -> Vec<Advice> {
         });
     }
 
-    // Per-tile cost outside the tile (dispatch, probe brackets, waiting)
+    // Per-tile cost outside the tile (dispatch, waiting)
     // against the work inside it. Only short tiles qualify: on long ones
     // the same ratio is imbalance, which the rules below name.
     let tiles = r.percentiles.count as u64;
@@ -364,7 +364,7 @@ fn advise(r: &ExplainReport, has_edges: bool) -> Vec<Advice> {
                 rule: "grain-too-fine",
                 text: format!(
                     "a tile holds {in_tile} ns of work and costs {out_of_tile} ns outside it \
-                     (dispatch, monitoring brackets, waiting): the runtime, not the kernel, \
+                     (dispatch, waiting): the runtime, not the kernel, \
                      sets this run's time, and more threads will not change that. Use a \
                      larger --tile-size, or a larger chunk in --schedule, so each dispatch \
                      carries more work."
