@@ -11,8 +11,7 @@ use ezp_monitor::{activity, Monitor, MonitorReport, UnifiedReport};
 use ezp_perf::PerfProbe;
 use ezp_trace::{Trace, TraceMeta};
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -129,9 +128,7 @@ where
     } else {
         // no SDL window in this reproduction: dump the final frame
         let frame = format!("{}-{}.ppm", cfg.kernel, cfg.variant);
-        let mut file = BufWriter::new(File::create(&frame)?);
-        ctx.images.cur().write_ppm(&mut file)?;
-        file.flush()?;
+        ezp_core::file::rewrite(&frame, |w| Ok(ctx.images.cur().write_ppm(w)?))?;
         writeln!(out, "final frame written to {frame}").unwrap();
     }
     if cfg.ansi {
@@ -161,7 +158,7 @@ where
         lend_as_trace(&cfg, &mut report, |trace| {
             trace.counters = perf.as_ref().map(|p| p.snapshot());
             if cfg.trace {
-                at(&cfg.trace_file, ezp_trace::io::save(trace, &cfg.trace_file))?;
+                ezp_trace::io::save(trace, &cfg.trace_file)?;
                 writeln!(
                     out,
                     "trace ({} tasks, {} iterations, {} edges) written to {}",
@@ -278,7 +275,7 @@ fn observability_tail(
     if let Some(path) = &cfg.trace_events {
         lend_as_trace(cfg, &mut report, |trace| {
             let doc = ezp_trace::to_chrome(trace, &spans);
-            at(path, std::fs::write(path, doc.dump()).map_err(Error::from))?;
+            ezp_core::file::rewrite(path, |w| Ok(w.write_all(doc.dump().as_bytes())?))?;
             writeln!(
                 out,
                 "trace events ({} tiles, {} spans) written to {path}",
@@ -1035,14 +1032,20 @@ mod tests {
     /// pointed at is in the error.
     #[test]
     fn io_errors_name_the_path_the_flag_pointed_at() {
-        let sinks: [&[&str]; 3] =
-            [&["--trace", "--trace-file", "file/t"], &["--trace-events", "file/t"], &["--frames", "file/t"]];
+        let sinks: [(&[&str], &str); 4] = [
+            (&["-n", "--trace", "--trace-file", "file/t"], "file/t"),
+            (&["-n", "--trace-events", "file/t"], "file/t"),
+            (&["-n", "--frames", "file/t"], "file/t"),
+            // the final frame, whose name the run picks
+            (&[], "mandel-seq.ppm"),
+        ];
         in_tmp_dir(|| {
             std::fs::write("file", "").unwrap();
-            for sink in sinks {
-                let args = ["-k", "mandel", "-s", "32", "-ts", "8", "-n"].iter().chain(sink).copied();
-                let err = run_easypap(args).expect_err(sink[0]).to_string();
-                assert!(err.starts_with("I/O error: file/t: "), "{sink:?}: {err}");
+            std::fs::create_dir("mandel-seq.ppm").unwrap();
+            for (sink, path) in sinks {
+                let args = ["-k", "mandel", "-s", "32", "-ts", "8"].iter().chain(sink).copied();
+                let err = run_easypap(args).expect_err(path).to_string();
+                assert!(err.starts_with(&format!("I/O error: {path}: ")), "{sink:?}: {err}");
             }
         });
     }

@@ -15,6 +15,7 @@ use ezp_core::params::Grammar::{Switch, Text};
 use ezp_core::params::{parse, Command, Flag};
 use ezp_plot::{render_ascii, render_svg, Dataset};
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Parsed `easyplot` invocation.
 #[derive(Default)]
@@ -90,7 +91,9 @@ where
     let mut out = String::new();
     match &args.svg {
         Some(path) => {
-            std::fs::write(path, render_svg(&data, 640.0, 420.0))?;
+            ezp_core::file::rewrite(path, |w| {
+                Ok(w.write_all(render_svg(&data, 640.0, 420.0).as_bytes())?)
+            })?;
             writeln!(out, "plot written to {path}").unwrap();
             writeln!(out, "{}", data.constants_line()).unwrap();
         }

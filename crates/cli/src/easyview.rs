@@ -15,6 +15,7 @@ use ezp_core::params::Grammar::{Custom, Int, Text};
 use ezp_core::params::{fit, int_in, parse, Command, Flag};
 use ezp_view::{CoverageMap, GanttModel, TraceComparison};
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Columns of the ASCII Gantt chart.
 const GANTT_COLUMNS: usize = 100;
@@ -150,7 +151,7 @@ where
                 .map(|r| grid.tile_of_pixel(r.x.min(grid.width() - 1), r.y.min(grid.height() - 1)))
                 .collect();
             ezp_render::highlight_tiles(&mut thumb, trace.meta.dim, &tiles, ezp_core::Rgba::YELLOW);
-            std::fs::write(path, thumb.to_ppm())?;
+            ezp_core::file::rewrite(path, |w| Ok(thumb.write_ppm(w)?))?;
             writeln!(out, "highlight thumbnail -> {path}").unwrap();
         }
         return Ok(out);
@@ -175,7 +176,9 @@ where
     writeln!(out, "\n=== Gantt chart, iterations {lo}..{hi} ===").unwrap();
     out.push_str(&gantt.to_ascii(GANTT_COLUMNS));
     if let Some(svg_path) = &opts.svg {
-        std::fs::write(svg_path, gantt.to_svg(1000.0, 24.0))?;
+        ezp_core::file::rewrite(svg_path, |w| {
+            Ok(w.write_all(gantt.to_svg(1000.0, 24.0).as_bytes())?)
+        })?;
         writeln!(out, "SVG written to {svg_path}").unwrap();
     }
     Ok(out)

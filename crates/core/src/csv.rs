@@ -108,8 +108,7 @@ impl CsvTable {
 
     /// Writes the whole table to a file, replacing any previous content.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        std::fs::write(path, self.to_string())?;
-        Ok(())
+        crate::file::rewrite(path, |w| Ok(w.write_all(self.to_string().as_bytes())?))
     }
 
     /// Appends one row to a CSV file, writing the header first when the

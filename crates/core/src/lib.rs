@@ -22,6 +22,7 @@
 pub mod color;
 pub mod csv;
 pub mod error;
+pub mod file;
 pub mod grid;
 pub mod img;
 pub mod json;

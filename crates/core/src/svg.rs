@@ -108,8 +108,9 @@ impl SvgCanvas {
 
     /// Writes the document to a file.
     pub fn save(self, path: impl AsRef<std::path::Path>) -> crate::error::Result<()> {
-        std::fs::write(path, self.finish())?;
-        Ok(())
+        crate::file::rewrite(path, |w| {
+            Ok(std::io::Write::write_all(w, self.finish().as_bytes())?)
+        })
     }
 }
 

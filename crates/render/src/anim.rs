@@ -8,8 +8,6 @@
 //! `frame-0002.ppm`, ...
 
 use ezp_core::{Img2D, Result, Rgba};
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Writes numbered PPM frames into a directory.
@@ -31,9 +29,7 @@ impl FrameSink {
     /// Writes one frame as the next numbered binary PPM (P6).
     pub fn present(&mut self, img: &Img2D<Rgba>) -> Result<()> {
         let path = self.dir.join(format!("frame-{:04}.ppm", self.written.len() + 1));
-        let mut file = BufWriter::new(File::create(&path)?);
-        img.write_ppm(&mut file)?;
-        file.flush()?;
+        ezp_core::file::rewrite(&path, |w| Ok(img.write_ppm(w)?))?;
         self.written.push(path);
         Ok(())
     }

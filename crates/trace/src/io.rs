@@ -30,71 +30,113 @@ use ezp_core::json::{FromJson, Json, ToJson};
 use ezp_monitor::report::IterationSpan;
 use ezp_monitor::{DepEdge, TileRecord};
 use ezp_perf::CounterSnapshot;
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC_V1: &[u8; 4] = b"EZV\x01";
 const MAGIC_V2: &[u8; 4] = b"EZV\x02";
 
+/// Bytes a task record takes at most when its coordinates are below
+/// 2¹⁴, tile sides, worker and iteration below 2⁷, and its start delta
+/// and duration below 2²¹ ns (≈ 2 ms): 15, rounded up. A 1024² run of
+/// 16² tiles averages ≈ 12.5.
+const TASK_BYTES: usize = 16;
+
+/// A validated trace with its JSON sections dumped: what both
+/// [`to_bytes`] and [`save`] encode.
+struct Encoding<'a> {
+    trace: &'a Trace,
+    meta: String,
+    counters: Option<String>,
+}
+
+impl<'a> Encoding<'a> {
+    fn new(trace: &'a Trace) -> Result<Self> {
+        trace.validate()?;
+        Ok(Encoding {
+            trace,
+            meta: trace.meta.to_json().dump(),
+            counters: trace.counters.as_ref().map(|c| c.to_json().dump()),
+        })
+    }
+
+    /// An encoded length that a trace whose tasks fit [`TASK_BYTES`]
+    /// does not exceed, so [`to_bytes`] allocates once.
+    fn len_bound(&self) -> usize {
+        let trace = self.trace;
+        // magic, four counts or flags and a JSON length: 64 bytes;
+        // a closed span is at most 5 + 10 + 1 + 10 bytes, an edge
+        // between tasks below 2²¹ 3 + 3 + 1
+        64 + self.meta.len()
+            + self.counters.as_ref().map_or(0, String::len)
+            + trace.iterations.len() * 26
+            + trace.tasks.len() * TASK_BYTES
+            + trace.edges.len() * 8
+    }
+
+    fn write(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let trace = self.trace;
+        out.write_all(MAGIC_V2)?;
+        write_usize(out, self.meta.len())?;
+        out.write_all(self.meta.as_bytes())?;
+
+        write_usize(out, trace.iterations.len())?;
+        for s in &trace.iterations {
+            write_u64(out, s.iteration as u64)?;
+            write_u64(out, s.start_ns)?;
+            if s.end_ns == u64::MAX {
+                write_u64(out, 0)?; // open
+            } else {
+                write_u64(out, 1)?; // closed
+                write_u64(out, s.end_ns - s.start_ns)?;
+            }
+        }
+
+        write_usize(out, trace.tasks.len())?;
+        let mut prev_start = 0u64;
+        for t in &trace.tasks {
+            write_u64(out, t.iteration as u64)?;
+            write_usize(out, t.x)?;
+            write_usize(out, t.y)?;
+            write_usize(out, t.w)?;
+            write_usize(out, t.h)?;
+            write_usize(out, t.worker)?;
+            // starts are non-decreasing within an iteration but may step back
+            // across iterations; encode a sign flag + magnitude
+            let (sign, delta) = if t.start_ns >= prev_start {
+                (0u64, t.start_ns - prev_start)
+            } else {
+                (1u64, prev_start - t.start_ns)
+            };
+            write_u64(out, sign)?;
+            write_u64(out, delta)?;
+            write_u64(out, t.end_ns - t.start_ns)?;
+            prev_start = t.start_ns;
+        }
+
+        write_usize(out, trace.edges.len())?;
+        for e in &trace.edges {
+            write_usize(out, e.from)?;
+            write_usize(out, e.to)?;
+            write_u64(out, e.kind as u64)?;
+        }
+
+        match &self.counters {
+            None => write_u64(out, 0),
+            Some(json) => {
+                write_u64(out, 1)?;
+                write_usize(out, json.len())?;
+                out.write_all(json.as_bytes())
+            }
+        }
+    }
+}
+
 /// Serializes a trace to `.ezv` bytes.
 pub fn to_bytes(trace: &Trace) -> Result<Vec<u8>> {
-    trace.validate()?;
-    let mut out = Vec::with_capacity(64 + trace.tasks.len() * 8);
-    out.extend_from_slice(MAGIC_V2);
-
-    let meta = trace.meta.to_json().dump().into_bytes();
-    write_usize(&mut out, meta.len());
-    out.extend_from_slice(&meta);
-
-    write_usize(&mut out, trace.iterations.len());
-    for s in &trace.iterations {
-        write_u64(&mut out, s.iteration as u64);
-        write_u64(&mut out, s.start_ns);
-        if s.end_ns == u64::MAX {
-            write_u64(&mut out, 0); // open
-        } else {
-            write_u64(&mut out, 1); // closed
-            write_u64(&mut out, s.end_ns - s.start_ns);
-        }
-    }
-
-    write_usize(&mut out, trace.tasks.len());
-    let mut prev_start = 0u64;
-    for t in &trace.tasks {
-        write_u64(&mut out, t.iteration as u64);
-        write_usize(&mut out, t.x);
-        write_usize(&mut out, t.y);
-        write_usize(&mut out, t.w);
-        write_usize(&mut out, t.h);
-        write_usize(&mut out, t.worker);
-        // starts are non-decreasing within an iteration but may step back
-        // across iterations; encode a sign flag + magnitude
-        let (sign, delta) = if t.start_ns >= prev_start {
-            (0u64, t.start_ns - prev_start)
-        } else {
-            (1u64, prev_start - t.start_ns)
-        };
-        write_u64(&mut out, sign);
-        write_u64(&mut out, delta);
-        write_u64(&mut out, t.end_ns - t.start_ns);
-        prev_start = t.start_ns;
-    }
-
-    write_usize(&mut out, trace.edges.len());
-    for e in &trace.edges {
-        write_usize(&mut out, e.from);
-        write_usize(&mut out, e.to);
-        write_u64(&mut out, e.kind as u64);
-    }
-
-    match &trace.counters {
-        None => write_u64(&mut out, 0),
-        Some(c) => {
-            write_u64(&mut out, 1);
-            let json = c.to_json().dump().into_bytes();
-            write_usize(&mut out, json.len());
-            out.extend_from_slice(&json);
-        }
-    }
+    let encoding = Encoding::new(trace)?;
+    let mut out = Vec::with_capacity(encoding.len_bound());
+    encoding.write(&mut out)?;
     Ok(out)
 }
 
@@ -126,11 +168,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Trace> {
     let iter_count = read_usize(&mut buf)?;
     let mut iterations = Vec::with_capacity(iter_count.min(1 << 20));
     for _ in 0..iter_count {
-        let iteration = read_u64(&mut buf)? as u32;
+        let iteration = read_iteration(&mut buf)?;
         let start_ns = read_u64(&mut buf)?;
         let end_ns = match read_u64(&mut buf)? {
             0 => u64::MAX,
-            1 => start_ns + read_u64(&mut buf)?,
+            1 => add_ns(start_ns, read_u64(&mut buf)?, "iteration span end")?,
             other => {
                 return Err(Error::TraceFormat(format!("bad span flag {other}")));
             }
@@ -146,7 +188,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Trace> {
     let mut tasks = Vec::with_capacity(task_count.min(1 << 20));
     let mut prev_start = 0u64;
     for _ in 0..task_count {
-        let iteration = read_u64(&mut buf)? as u32;
+        let iteration = read_iteration(&mut buf)?;
         let x = read_usize(&mut buf)?;
         let y = read_usize(&mut buf)?;
         let w = read_usize(&mut buf)?;
@@ -155,13 +197,13 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Trace> {
         let sign = read_u64(&mut buf)?;
         let delta = read_u64(&mut buf)?;
         let start_ns = match sign {
-            0 => prev_start + delta,
+            0 => add_ns(prev_start, delta, "task start")?,
             1 => prev_start.checked_sub(delta).ok_or_else(|| {
                 Error::TraceFormat("negative timestamp after delta decoding".into())
             })?,
             other => return Err(Error::TraceFormat(format!("bad delta sign {other}"))),
         };
-        let end_ns = start_ns + read_u64(&mut buf)?;
+        let end_ns = add_ns(start_ns, read_u64(&mut buf)?, "task end")?;
         prev_start = start_ns;
         tasks.push(TileRecord {
             iteration,
@@ -230,10 +272,24 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Trace> {
     Ok(trace)
 }
 
-/// Writes a trace to `path` in binary `.ezv` form.
+/// Reads an iteration number, which must fit the `u32` it is stored in.
+fn read_iteration(buf: &mut &[u8]) -> Result<u32> {
+    let v = read_u64(buf)?;
+    u32::try_from(v).map_err(|_| Error::TraceFormat(format!("iteration {v} exceeds u32")))
+}
+
+/// `base + delta` for a decoded timestamp, which must not leave `u64`.
+fn add_ns(base: u64, delta: u64, what: &str) -> Result<u64> {
+    base.checked_add(delta)
+        .ok_or_else(|| Error::TraceFormat(format!("{what} overflows u64 ({base} + {delta} ns)")))
+}
+
+/// Writes a trace to `path` in binary `.ezv` form, encoding straight
+/// into the file (see [`ezp_core::file::rewrite`]). An invalid trace is
+/// refused before the file is opened.
 pub fn save(trace: &Trace, path: impl AsRef<Path>) -> Result<()> {
-    std::fs::write(path, to_bytes(trace)?)?;
-    Ok(())
+    let encoding = Encoding::new(trace)?;
+    ezp_core::file::rewrite(path, |out| Ok(encoding.write(out)?))
 }
 
 /// Loads a binary `.ezv` trace from `path`.
@@ -352,10 +408,45 @@ mod tests {
         let t = sample();
         let path =
             std::env::temp_dir().join(format!("ezp_trace_test_{}.ezv", std::process::id()));
+        // over a longer file: the saved bytes are `to_bytes`, no old tail
+        std::fs::write(&path, vec![0xAA; 4096]).unwrap();
         save(&t, &path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), to_bytes(&t).unwrap());
         let back = load(&path).unwrap();
         assert_eq!(back, t);
+        // an invalid trace is refused before the file is touched
+        let mut bad = t.clone();
+        bad.tasks[0].worker = 99;
+        assert!(matches!(save(&bad, &path), Err(Error::TraceFormat(_))));
+        assert_eq!(load(&path).unwrap(), t);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn to_bytes_allocates_once_for_a_recorded_run() {
+        // 15 iterations of 4096 16² tiles on 2 workers, a task every 700 ns
+        let mut t = sample();
+        t.meta.dim = 1024;
+        t.tasks = (0..15 * 4096u64)
+            .map(|i| {
+                let tile = (i % 4096) as usize;
+                TileRecord {
+                    iteration: 1 + (i / 4096) as u32,
+                    x: tile % 64 * 16,
+                    y: tile / 64 * 16,
+                    w: 16,
+                    h: 16,
+                    start_ns: i * 700,
+                    end_ns: i * 700 + 500 + i % 3000,
+                    worker: (i % 2) as usize,
+                }
+            })
+            .collect();
+        let bound = Encoding::new(&t).unwrap().len_bound();
+        let bytes = to_bytes(&t).unwrap();
+        assert!(bytes.len() <= bound, "{} > {bound}", bytes.len());
+        assert_eq!(bytes.capacity(), bound, "the buffer grew");
+        assert_eq!(from_bytes(&bytes).unwrap(), t);
     }
 
     #[test]
@@ -384,39 +475,101 @@ mod tests {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC_V1);
         let meta = t.meta.to_json().dump().into_bytes();
-        write_usize(&mut out, meta.len());
+        write_usize(&mut out, meta.len()).unwrap();
         out.extend_from_slice(&meta);
-        write_usize(&mut out, t.iterations.len());
+        write_usize(&mut out, t.iterations.len()).unwrap();
         for s in &t.iterations {
-            write_u64(&mut out, s.iteration as u64);
-            write_u64(&mut out, s.start_ns);
+            write_u64(&mut out, s.iteration as u64).unwrap();
+            write_u64(&mut out, s.start_ns).unwrap();
             if s.end_ns == u64::MAX {
-                write_u64(&mut out, 0);
+                write_u64(&mut out, 0).unwrap();
             } else {
-                write_u64(&mut out, 1);
-                write_u64(&mut out, s.end_ns - s.start_ns);
+                write_u64(&mut out, 1).unwrap();
+                write_u64(&mut out, s.end_ns - s.start_ns).unwrap();
             }
         }
-        write_usize(&mut out, t.tasks.len());
+        write_usize(&mut out, t.tasks.len()).unwrap();
         let mut prev_start = 0u64;
         for task in &t.tasks {
-            write_u64(&mut out, task.iteration as u64);
-            write_usize(&mut out, task.x);
-            write_usize(&mut out, task.y);
-            write_usize(&mut out, task.w);
-            write_usize(&mut out, task.h);
-            write_usize(&mut out, task.worker);
+            write_u64(&mut out, task.iteration as u64).unwrap();
+            write_usize(&mut out, task.x).unwrap();
+            write_usize(&mut out, task.y).unwrap();
+            write_usize(&mut out, task.w).unwrap();
+            write_usize(&mut out, task.h).unwrap();
+            write_usize(&mut out, task.worker).unwrap();
             let (sign, delta) = if task.start_ns >= prev_start {
                 (0u64, task.start_ns - prev_start)
             } else {
                 (1u64, prev_start - task.start_ns)
             };
-            write_u64(&mut out, sign);
-            write_u64(&mut out, delta);
-            write_u64(&mut out, task.end_ns - task.start_ns);
+            write_u64(&mut out, sign).unwrap();
+            write_u64(&mut out, delta).unwrap();
+            write_u64(&mut out, task.end_ns - task.start_ns).unwrap();
             prev_start = task.start_ns;
         }
         out
+    }
+
+    /// `.ezv` v1 bytes for the sample's metadata, written field by field
+    /// as a hostile file could: each span is `[iteration, start, 1,
+    /// duration]`, each task `[iteration, x, y, w, h, worker, sign,
+    /// delta, duration]`.
+    fn crafted(spans: &[[u64; 4]], tasks: &[[u64; 9]]) -> Vec<u8> {
+        let mut out = MAGIC_V1.to_vec();
+        let meta = sample().meta.to_json().dump();
+        write_usize(&mut out, meta.len()).unwrap();
+        out.extend_from_slice(meta.as_bytes());
+        let sections = [
+            &[spans.len() as u64][..],
+            spans.as_flattened(),
+            &[tasks.len() as u64],
+            tasks.as_flattened(),
+        ];
+        for &v in sections.concat().iter() {
+            write_u64(&mut out, v).unwrap();
+        }
+        out
+    }
+
+    fn format_error(bytes: &[u8]) -> String {
+        match from_bytes(bytes) {
+            Err(Error::TraceFormat(msg)) => msg,
+            other => panic!("expected a trace format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_span_end_past_u64_is_rejected() {
+        let msg = format_error(&crafted(&[[1, u64::MAX - 1, 1, 2]], &[]));
+        assert!(msg.contains("iteration span end overflows"), "{msg}");
+    }
+
+    #[test]
+    fn a_task_start_past_u64_is_rejected() {
+        let tasks = [
+            [1, 0, 0, 16, 16, 0, 0, u64::MAX, 0],
+            [1, 0, 0, 16, 16, 0, 0, 1, 0],
+        ];
+        let msg = format_error(&crafted(&[], &tasks));
+        assert!(msg.contains("task start overflows"), "{msg}");
+    }
+
+    #[test]
+    fn a_task_end_past_u64_is_rejected() {
+        let msg = format_error(&crafted(&[], &[[1, 0, 0, 16, 16, 0, 0, u64::MAX, 1]]));
+        assert!(msg.contains("task end overflows"), "{msg}");
+    }
+
+    #[test]
+    fn a_span_iteration_past_u32_is_rejected_by_value() {
+        let msg = format_error(&crafted(&[[(1 << 32) + 1, 10, 1, 5]], &[]));
+        assert!(msg.contains("iteration 4294967297 exceeds u32"), "{msg}");
+    }
+
+    #[test]
+    fn a_task_iteration_past_u32_is_rejected_by_value() {
+        let msg = format_error(&crafted(&[], &[[(1 << 32) + 1, 0, 0, 16, 16, 0, 0, 12, 3]]));
+        assert!(msg.contains("iteration 4294967297 exceeds u32"), "{msg}");
     }
 
     #[test]

@@ -10,20 +10,22 @@
 //! so sequential decoding is just repeated calls on the same cursor.
 
 use ezp_core::error::{Error, Result};
+use std::io::{self, Write};
 
 /// Maximum encoded size of a `u64` varint.
 pub const MAX_LEN: usize = 10;
 
-/// Appends `value` to `out` as LEB128.
-pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
+/// Writes `value` to `out` as LEB128, one byte at a time: into a `Vec`
+/// or a buffered writer that is a store and a length check per byte.
+#[inline]
+pub fn write_u64(out: &mut impl Write, mut value: u64) -> io::Result<()> {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
-            out.push(byte);
-            return;
+            return out.write_all(&[byte]);
         }
-        out.push(byte | 0x80);
+        out.write_all(&[byte | 0x80])?;
     }
 }
 
@@ -53,8 +55,9 @@ pub fn read_u64(buf: &mut &[u8]) -> Result<u64> {
 }
 
 /// Convenience: `write_u64` for `usize`.
-pub fn write_usize(out: &mut Vec<u8>, value: usize) {
-    write_u64(out, value as u64);
+#[inline]
+pub fn write_usize(out: &mut impl Write, value: usize) -> io::Result<()> {
+    write_u64(out, value as u64)
 }
 
 /// Convenience: `read_u64` narrowed to `usize`.
@@ -71,7 +74,7 @@ mod tests {
 
     fn round_trip(v: u64) -> u64 {
         let mut buf = Vec::new();
-        write_u64(&mut buf, v);
+        write_u64(&mut buf, v).unwrap();
         let mut slice = buf.as_slice();
         let got = read_u64(&mut slice).unwrap();
         assert!(slice.is_empty(), "trailing bytes after decoding {v}");
@@ -82,7 +85,7 @@ mod tests {
     fn small_values_are_one_byte() {
         for v in 0..128u64 {
             let mut buf = Vec::new();
-            write_u64(&mut buf, v);
+            write_u64(&mut buf, v).unwrap();
             assert_eq!(buf.len(), 1);
             assert_eq!(round_trip(v), v);
         }
@@ -94,14 +97,14 @@ mod tests {
             assert_eq!(round_trip(v), v);
         }
         let mut buf = Vec::new();
-        write_u64(&mut buf, u64::MAX);
+        write_u64(&mut buf, u64::MAX).unwrap();
         assert_eq!(buf.len(), MAX_LEN);
     }
 
     #[test]
     fn truncated_input_fails() {
         let mut buf = Vec::new();
-        write_u64(&mut buf, 300);
+        write_u64(&mut buf, 300).unwrap();
         let mut short = &buf[..1];
         assert!(read_u64(&mut short).is_err());
         let mut empty: &[u8] = &[];
@@ -123,7 +126,7 @@ mod tests {
     #[test]
     fn usize_round_trip() {
         let mut buf = Vec::new();
-        write_usize(&mut buf, 123_456);
+        write_usize(&mut buf, 123_456).unwrap();
         let mut slice = buf.as_slice();
         assert_eq!(read_usize(&mut slice).unwrap(), 123_456);
     }
@@ -136,7 +139,7 @@ mod tests {
         fn prop_streams_concatenate(values in vec_of(any_u64(), 0..64)) {
             let mut buf = Vec::new();
             for &v in &values {
-                write_u64(&mut buf, v);
+                write_u64(&mut buf, v).unwrap();
             }
             let mut slice = buf.as_slice();
             for &v in &values {
