@@ -5,7 +5,9 @@
 # production-graph guards, ezp-lint, workspace build + tests (the
 # ezp-chan explorer included), results/ regenerated and diffed,
 # ezp-check + conformance matrix (its two-worker smoke included), the
-# frozen benchmark's own tests and one short run.
+# frozen benchmark's own tests and two short runs (observe_record, and
+# serve_jobs, whose client decodes every `done` frame and checks its
+# digest).
 # Hostile and retired command lines are not lanes here: they are cases
 # of the table-driven tests in crates/cli (docs/testing.md), and so are
 # the --stats, --explain and --stream runs and the daemon's over-quota
@@ -141,10 +143,13 @@ cargo test -q --offline -p easypap --features ezp-check
 # complete a short `observe_record` run — a monitored, traced,
 # --stats=json run read back by `easyview explain` — with every output
 # check of its own passing (.ezv re-encode identity, PPM identity, task
-# and row counts). Exit status only: two seconds on a CI host say
-# nothing about speed, so no metric is gated here.
+# and row counts), then a short `serve_jobs` run, whose frozen client
+# decodes each `done` frame of a spawned `easypap serve` and checks its
+# digest. Exit status only: two seconds on a CI host say nothing about
+# speed, so no metric is gated here.
 (cd benchmark && cargo test -q --offline)
 bash benchmark/run.sh --workload observe_record --seed 1 --seconds 2 --trace 0 >/dev/null
-echo "verify: benchmark builds, its tests pass, observe_record output checks pass"
+bash benchmark/run.sh --workload serve_jobs --seed 1 --seconds 2 --trace 0 >/dev/null
+echo "verify: benchmark builds, its tests pass, observe_record and serve_jobs output checks pass"
 
 echo "verify: OK (offline build + tests green, no registry deps, results/ reproduced, benchmark checks pass)"

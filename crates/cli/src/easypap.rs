@@ -621,10 +621,10 @@ mod tests {
             // 16-pixel mandel tiles are microseconds long: not a grain problem
             assert!(!out.contains("[grain-too-fine]"), "{out}");
 
-            // the --stats=json report: schema 2, no counter that is 0 on
+            // the --stats=json report: schema 3, no counter that is 0 on
             // every slot, and idle causes that sum exactly to idle_ns
             let (line, counters) = stats_json(&out);
-            assert!(line.starts_with("{\"schema\":2,"), "{line}");
+            assert!(line.starts_with("{\"schema\":3,"), "{line}");
             for c in &counters.counters {
                 assert!(c.per_worker.iter().any(|&v| v != 0), "{} is 0 everywhere", c.name);
             }
@@ -651,6 +651,25 @@ mod tests {
             let (_, counters) = stats_json(&out);
             assert_eq!(counters.total("tasks_executed"), 3 * 16);
             assert!(counters.total("chunks_dispensed") > 0, "scheduler counters missing");
+        });
+    }
+
+    #[test]
+    fn spans_lost_to_a_wrapped_ring_are_counted() {
+        // one iteration span a run on worker 0, whose ring holds 4096
+        in_tmp_dir(|| {
+            let out = run_easypap([
+                "-k", "mandel", "-v", "seq", "-s", "16", "-ts", "16", "-i", "5000", "-n",
+                "--stats=json",
+            ])
+            .unwrap();
+            let (line, counters) = stats_json(&out);
+            assert_eq!(counters.total("spans_dropped"), 5000 - 4096);
+            let doc = ezp_core::json::Json::parse(line).unwrap();
+            let spans = doc.get("spans").unwrap().as_arr().unwrap();
+            assert_eq!(spans.len(), 1, "{line}");
+            assert_eq!(spans[0].field::<String>("name").unwrap(), "iteration");
+            assert_eq!(spans[0].field::<u64>("count").unwrap(), 4096);
         });
     }
 

@@ -10,6 +10,7 @@
 //! easypap serve --port 7878 --workers 4 --slots 2 --max-tenants 8 &
 //! easypap submit --port 7878 --kernel mandel --variant seq -s 256 --tenant acme
 //! job 1 (tenant acme) done: 1 iteration(s) in 12.3 ms, digest 59ca7…
+//! { "schema": 3, "counters": …, "spans": [queue, lease, compute, iteration totals] }
 //! ```
 
 use ezp_core::error::Error;
@@ -86,7 +87,6 @@ pub(crate) struct SubmitArgs {
     port: Option<u16>,
     spec: JobSpec,
     retry: bool,
-    report: bool,
     stats_mode: bool,
     stop_mode: bool,
 }
@@ -110,18 +110,17 @@ pub(crate) static SUBMIT: Command<SubmitArgs> = Command {
         Flag::new(&["--threads", "-t"], Int(1, MAX_THREADS, |a, n| a.spec.threads = fit(n))),
         Flag::new(&["--tenant"], Text(|a, s| a.spec.tenant = Some(s.to_string()))),
         Flag::new(&["--retry"], Switch(|a| a.retry = true)),
-        Flag::new(&["--report"], Switch(|a| a.report = true)),
         Flag::new(&["--server-stats"], Switch(|a| a.stats_mode = true)),
         Flag::new(&["--stop"], Switch(|a| a.stop_mode = true)),
     ],
 };
 
-/// `easypap submit`: submit one job to a running daemon, or query it
-/// (`--server-stats`) or stop it (`--stop`).
+/// `easypap submit`: submit one job to a running daemon and print its
+/// report, or query the daemon (`--server-stats`) or stop it (`--stop`).
 pub fn run_submit(args: &[String]) -> Result<String> {
     let mut parsed = SubmitArgs::default();
     parse(&SUBMIT, args, &mut parsed)?;
-    let SubmitArgs { host, port, spec, retry, report, stats_mode, stop_mode } = parsed;
+    let SubmitArgs { host, port, spec, retry, stats_mode, stop_mode } = parsed;
     let host = host.as_deref().unwrap_or("127.0.0.1");
     let addr = format!("{host}:{}", port.unwrap_or(DEFAULT_PORT));
     let mut client = Client::connect(&addr)
@@ -136,7 +135,7 @@ pub fn run_submit(args: &[String]) -> Result<String> {
     }
     let resp = if retry { client.submit_retrying(&spec)? } else { client.submit(&spec)? };
     match resp {
-        Response::Done { job_id, tenant, elapsed_ns, iterations, digest, report: rep } => {
+        Response::Done { job_id, tenant, elapsed_ns, iterations, digest, report } => {
             let mut out = String::new();
             writeln!(
                 out,
@@ -145,10 +144,8 @@ pub fn run_submit(args: &[String]) -> Result<String> {
                 elapsed_ns as f64 / 1e6
             )
             .unwrap();
-            if report {
-                out.push_str(&rep.pretty());
-                out.push('\n');
-            }
+            out.push_str(&report.pretty());
+            out.push('\n');
             Ok(out)
         }
         Response::Rejected { reason, retry_after_ms } => Err(Error::Config(format!(
@@ -186,9 +183,12 @@ mod tests {
             let err = run_serve(&argv(&[gone])).unwrap_err().to_string();
             assert!(err.contains("unknown option"), "{gone}: {err}");
         }
-        // a stall is set on the wire (`JobSpec::stall_us`), not from the CLI
-        let err = run_submit(&argv(&["--stall-us", "1000"])).unwrap_err().to_string();
-        assert!(err.contains("unknown option"), "--stall-us: {err}");
+        // a stall is set on the wire (`JobSpec::stall_us`), not from the
+        // CLI, and a job's report always prints
+        for gone in [&["--stall-us", "1000"][..], &["--report"]] {
+            let err = run_submit(&argv(gone)).unwrap_err().to_string();
+            assert!(err.contains("unknown option"), "{gone:?}: {err}");
+        }
     }
 
     #[test]
@@ -206,12 +206,15 @@ mod tests {
         let port = server.addr().port().to_string();
         let out = run_submit(&argv(&[
             "--port", &port, "--kernel", "mandel", "--variant", "seq", "-s", "64", "-i", "2",
-            "--tenant", "cli-test", "--report",
+            "--tenant", "cli-test",
         ]))
         .unwrap();
         assert!(out.contains("(tenant cli-test) done: 2 iteration(s)"), "got: {out}");
         assert!(out.contains("digest "), "got: {out}");
-        assert!(out.contains("\"tenant\": \"cli-test\""), "report rides along: {out}");
+        // the report prints without asking, its phases first
+        assert!(out.contains("\"schema\": 3"), "no report: {out}");
+        assert!(out.contains("\"name\": \"queue\""), "got: {out}");
+        assert!(!out.contains("\"tenant\""), "the tenant is in the done line only: {out}");
         // the per-job report lists what the job moved; a counter that
         // read 0 is absent
         assert!(out.contains("\"tasks_executed\""), "got: {out}");

@@ -1,15 +1,19 @@
 //! The unified observability report: monitor tile accounting merged
-//! with `ezp-perf` runtime counters and spans into one document.
+//! with `ezp-perf` runtime counters and span totals into one document.
 //!
 //! The Activity Monitor knows *where time went per tile*; the perf
 //! counters know *what the runtime did* (chunks, steals, idle waits);
-//! spans know *how phases nest*. `--stats` reports all three together,
-//! so this type is the single thing the CLI serializes.
+//! the span totals know *how long each named phase took, summed*.
+//! `--stats` reports all three together, so this type is the single
+//! thing the CLI serializes. A raw span timeline is the business of
+//! `--trace-events`, not of this report: its size is bounded by the
+//! number of span names, whatever the run's length.
 //!
 //! A counter that stayed 0 on every worker is left out: an absent
 //! counter means 0, in every format and in the serve `done` report.
-//! The JSON form starts with `"schema": 2` so a reader can tell that
-//! rule from documents written before it, which listed every counter.
+//! The JSON form starts with `"schema": 3` so a reader can tell its
+//! span totals from the raw spans of schema 2, and both from documents
+//! older than the rule, which listed every counter.
 
 use crate::report::MonitorReport;
 use ezp_core::json::{Json, ToJson};
@@ -18,8 +22,8 @@ use ezp_perf::{CounterSnapshot, SpanRecord};
 use std::fmt::Write as _;
 
 /// Version of the `--stats=json` document: 2 since counters that
-/// stayed 0 everywhere are omitted.
-const SCHEMA: u64 = 2;
+/// stayed 0 everywhere are omitted, 3 since spans are summed by name.
+const SCHEMA: u64 = 3;
 
 /// Everything one run produced, observability-wise.
 #[derive(Clone, Debug, Default)]
@@ -29,51 +33,31 @@ pub struct UnifiedReport {
     /// Runtime counters (scheduler events, MPI traffic — anything
     /// pushed into the snapshot) that moved on some worker.
     pub counters: CounterSnapshot,
-    /// Recorded spans, merged across workers and sorted by start time.
-    pub spans: Vec<SpanRecord>,
-    /// The tenant this report belongs to, when the run was executed by
-    /// `ezp-serve` on behalf of a client (None for standalone CLI runs).
-    pub tenant: Option<String>,
+    /// Spans summed by name over every worker, `(name, count,
+    /// total_ns)`, in the order each name first starts.
+    pub spans: Vec<(&'static str, u64, u64)>,
 }
 
 impl UnifiedReport {
     /// Bundles the three data sources into one report, dropping the
-    /// counters that are 0 on every worker.
+    /// counters that are 0 on every worker and summing `spans` by name.
     pub fn new(
         monitor: Option<MonitorReport>,
         mut counters: CounterSnapshot,
         spans: Vec<SpanRecord>,
     ) -> Self {
         counters.counters.retain(|c| c.per_worker.iter().any(|&v| v != 0));
-        UnifiedReport {
-            monitor,
-            counters,
-            spans,
-            tenant: None,
-        }
-    }
-
-    /// The same report tagged with the owning tenant (builder style,
-    /// used by `ezp-serve` for per-job reports).
-    pub fn with_tenant(mut self, tenant: &str) -> Self {
-        self.tenant = Some(tenant.to_string());
-        self
-    }
-
-    /// Spans aggregated by name: `(name, count, total_ns)`, in first-seen
-    /// order.
-    pub fn span_summary(&self) -> Vec<(&str, u64, u64)> {
-        let mut out: Vec<(&str, u64, u64)> = Vec::new();
-        for s in &self.spans {
-            match out.iter_mut().find(|(n, _, _)| *n == s.name) {
+        let mut totals: Vec<(&'static str, u64, u64)> = Vec::new();
+        for s in &spans {
+            match totals.iter_mut().find(|(name, _, _)| *name == s.name) {
                 Some((_, count, total)) => {
                     *count += 1;
                     *total = total.saturating_add(s.duration_ns());
                 }
-                None => out.push((s.name, 1, s.duration_ns())),
+                None => totals.push((s.name, 1, s.duration_ns())),
             }
         }
-        out
+        UnifiedReport { monitor, counters, spans: totals }
     }
 
     /// Per-iteration summary rows derived from the monitor data (empty
@@ -99,12 +83,18 @@ impl UnifiedReport {
 
     /// The whole report as one JSON object — what `--stats=json` prints.
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![("schema", SCHEMA.to_json())];
-        if let Some(tenant) = &self.tenant {
-            pairs.push(("tenant", tenant.to_json()));
-        }
-        pairs.push(("counters", self.counters.to_json()));
-        pairs.push(("spans", self.spans.to_json()));
+        let spans = self.spans.iter().map(|&(name, count, total_ns)| {
+            Json::obj([
+                ("name", name.to_json()),
+                ("count", count.to_json()),
+                ("total_ns", total_ns.to_json()),
+            ])
+        });
+        let mut pairs = vec![
+            ("schema", SCHEMA.to_json()),
+            ("counters", self.counters.to_json()),
+            ("spans", Json::Arr(spans.collect())),
+        ];
         if let Some(mon) = &self.monitor {
             pairs.push(("workers", mon.workers.to_json()));
             pairs.push(("tiles_recorded", mon.records.len().to_json()));
@@ -131,7 +121,7 @@ impl UnifiedReport {
                 );
             }
         }
-        for (name, count, total_ns) in self.span_summary() {
+        for (name, count, total_ns) in &self.spans {
             let _ = writeln!(out, "# span {name}: {count} x, {total_ns} ns total");
         }
         out.push_str(&to_prometheus(&self.counters));
@@ -214,7 +204,7 @@ mod tests {
     fn json_carries_all_three_sources() {
         let rep = sample();
         let text = rep.to_json().dump();
-        assert!(text.starts_with("{\"schema\":2,"), "{text}");
+        assert!(text.starts_with("{\"schema\":3,"), "{text}");
         let j = Json::parse(&text).unwrap();
         assert_eq!(j.field::<u64>("workers").unwrap(), 2);
         assert_eq!(j.field::<u64>("tiles_recorded").unwrap(), 2);
@@ -225,7 +215,11 @@ mod tests {
         let iters = j.get("iterations").unwrap().as_arr().unwrap();
         assert_eq!(iters.len(), 1);
         assert_eq!(iters[0].field::<u64>("total_idle_ns").unwrap(), 100);
-        assert_eq!(j.get("spans").unwrap().as_arr().unwrap().len(), 2);
+        let spans = j.get("spans").unwrap().as_arr().unwrap();
+        assert_eq!(spans.len(), 1, "summed by name");
+        assert_eq!(spans[0].field::<String>("name").unwrap(), "iteration");
+        assert_eq!(spans[0].field::<u64>("count").unwrap(), 2);
+        assert_eq!(spans[0].field::<u64>("total_ns").unwrap(), 180);
     }
 
     #[test]
@@ -248,17 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn tenant_tag_appears_in_json_when_set() {
-        let rep = sample().with_tenant("acme");
-        let j = Json::parse(&rep.to_json().dump()).unwrap();
-        assert_eq!(j.field::<String>("tenant").unwrap(), "acme");
-        assert!(sample().to_json().get("tenant").is_none());
-    }
-
-    #[test]
-    fn span_summary_aggregates_by_name() {
-        let rep = sample();
-        assert_eq!(rep.span_summary(), vec![("iteration", 2, 180)]);
+    fn spans_are_summed_by_name_in_first_start_order() {
+        let span = |name, start_ns, end_ns| SpanRecord { name, worker: 0, start_ns, end_ns };
+        let spans = vec![span("queue", 0, 5), span("iteration", 5, 9), span("queue", 9, 10)];
+        let rep = UnifiedReport::new(None, CounterSnapshot::default(), spans);
+        assert_eq!(rep.spans, vec![("queue", 2, 6), ("iteration", 1, 4)]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! `PerfProbe` is the listener: every tile, bracketed or stamped, counts
 //! as one task executed on that worker, every runtime event lands in the
 //! matching named counter, and iteration brackets become `"iteration"`
-//! spans.
+//! spans. Spans lost to a full ring are counted too (`spans_dropped`),
+//! so a report's span totals never undercount silently.
 //! It is instance-based (not a process-global) so concurrent runs in
 //! one process — the CLI test suite does this — never share numbers.
 
@@ -71,6 +72,9 @@ pub mod names {
     /// High-water mark of any single stage's occupancy (gauge, worker
     /// slot 0).
     pub const STAGE_OCCUPANCY: &str = "stage_occupancy";
+    /// Spans a worker's ring overwrote: the span totals of a report
+    /// leave these out.
+    pub const SPANS_DROPPED: &str = "spans_dropped";
     /// Jobs accepted into a tenant's admission queue by `ezp-serve`.
     /// Serve counters use the worker dimension as the *tenant slot*:
     /// `worker="2"` is tenant slot 2, not a pool thread.
@@ -88,8 +92,9 @@ pub mod names {
     /// High-water mark of a tenant's admission-queue depth (gauge,
     /// folded with `max` per tenant slot).
     pub const TENANT_QUEUE_DEPTH: &str = "tenant_queue_depth";
-    /// Nanoseconds a tenant's jobs spent queued before a runner picked
-    /// them up — the serve-side idle attribution ("who waits and why").
+    /// Nanoseconds a tenant's completed jobs waited for a runner and a
+    /// pool slot — the sum of their `queue` and `lease` spans, the
+    /// serve-side idle attribution ("who waits and why").
     pub const TENANT_IDLE_NS: &str = "tenant_idle_ns";
 }
 
@@ -154,9 +159,11 @@ impl PerfProbe {
         }
     }
 
-    /// Point-in-time copy of every counter.
+    /// Point-in-time copy of every counter, `spans_dropped` last.
     pub fn snapshot(&self) -> CounterSnapshot {
-        self.counters.snapshot()
+        let mut snap = self.counters.snapshot();
+        snap.push(names::SPANS_DROPPED, self.spans.dropped());
+        snap
     }
 
     /// Retained spans, merged and sorted by start time.
@@ -303,7 +310,8 @@ mod tests {
         assert_eq!(snap.total(names::TASK_WAITS), 1);
         assert_eq!(snap.total(names::DEQUE_STEALS), 1);
         // every registered counter is in the snapshot, moved or not
-        assert_eq!(snap.counters.len(), 18);
+        assert_eq!(snap.counters.len(), 19);
+        assert_eq!(snap.get(names::SPANS_DROPPED).unwrap().per_worker, vec![0, 0]);
     }
 
     #[test]

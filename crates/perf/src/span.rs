@@ -9,7 +9,6 @@
 //! without bound — profiling must not change the memory behaviour of
 //! the profiled program.
 
-use ezp_core::json::{Json, ToJson};
 use std::sync::Mutex;
 
 /// Default ring capacity per worker.
@@ -36,23 +35,12 @@ impl SpanRecord {
     }
 }
 
-impl ToJson for SpanRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("worker", self.worker.to_json()),
-            ("start_ns", self.start_ns.to_json()),
-            ("end_ns", self.end_ns.to_json()),
-        ])
-    }
-}
-
 struct Ring {
     slots: Vec<SpanRecord>,
     /// Next write position (wraps at capacity).
     next: usize,
-    /// Total spans ever recorded (recorded - retained = dropped).
-    recorded: u64,
+    /// Spans overwritten by later ones.
+    dropped: u64,
 }
 
 /// Padded so two workers' rings never share a cache line.
@@ -75,7 +63,7 @@ impl SpanSet {
                     WorkerRing(Mutex::new(Ring {
                         slots: Vec::with_capacity(capacity),
                         next: 0,
-                        recorded: 0,
+                        dropped: 0,
                     }))
                 })
                 .collect(),
@@ -99,9 +87,9 @@ impl SpanSet {
         } else {
             let i = r.next;
             r.slots[i] = rec;
+            r.dropped += 1;
         }
         r.next = (r.next + 1) % self.capacity;
-        r.recorded += 1;
     }
 
     /// Every retained span, all workers merged, sorted by start time.
@@ -115,22 +103,12 @@ impl SpanSet {
         out
     }
 
-    /// Total spans recorded (including ones later overwritten).
-    pub fn recorded(&self) -> u64 {
+    /// Spans lost to ring wrap-around, per worker.
+    pub fn dropped(&self) -> Vec<u64> {
         self.rings
             .iter()
-            .map(|ring| ring.0.lock().unwrap_or_else(|e| e.into_inner()).recorded)
-            .sum()
-    }
-
-    /// Spans lost to ring wrap-around.
-    pub fn dropped(&self) -> u64 {
-        let retained: u64 = self
-            .rings
-            .iter()
-            .map(|ring| ring.0.lock().unwrap_or_else(|e| e.into_inner()).slots.len() as u64)
-            .sum();
-        self.recorded() - retained
+            .map(|ring| ring.0.lock().unwrap_or_else(|e| e.into_inner()).dropped)
+            .collect()
     }
 }
 
@@ -147,8 +125,7 @@ mod tests {
         assert_eq!(spans[0].name, "phase");
         assert_eq!(spans[0].worker, 1);
         assert_eq!(spans[0].duration_ns(), 20);
-        assert_eq!(set.recorded(), 1);
-        assert_eq!(set.dropped(), 0);
+        assert_eq!(set.dropped(), vec![0, 0]);
     }
 
     #[test]
@@ -162,8 +139,7 @@ mod tests {
         // the oldest records were overwritten: only 6..10 survive
         let starts: Vec<u64> = spans.iter().map(|s| s.start_ns).collect();
         assert_eq!(starts, vec![6, 7, 8, 9]);
-        assert_eq!(set.recorded(), 10);
-        assert_eq!(set.dropped(), 6);
+        assert_eq!(set.dropped(), vec![6]);
     }
 
     #[test]
@@ -190,7 +166,7 @@ mod tests {
             }
         });
         assert_eq!(set.snapshot().len(), 400);
-        assert_eq!(set.dropped(), 0);
+        assert_eq!(set.dropped(), vec![0; 4]);
     }
 
     #[test]

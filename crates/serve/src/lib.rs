@@ -6,7 +6,8 @@
 //! long-running daemon: clients connect over loopback TCP, submit
 //! compute jobs (`kernel`, `variant`, `size`, `iterations`, and an
 //! optional tenant id), and stream back a frame digest plus a per-job
-//! [`ezp_monitor::UnifiedReport`] of the counters the job moved.
+//! [`ezp_monitor::UnifiedReport`]: the counters the job moved and the
+//! time it spent queued, leasing a pool and computing.
 //!
 //! The moving parts, one module each:
 //!

@@ -92,8 +92,8 @@ impl ServeMetrics {
         self.counters.incr(self.jobs_rejected, slot);
     }
 
-    /// One job finished for tenant `slot`, after waiting `queued_ns` in
-    /// its admission lane.
+    /// One job finished for tenant `slot`, after waiting `queued_ns` for
+    /// a runner and a pool slot.
     pub fn completed(&self, slot: usize, queued_ns: u64) {
         self.counters.incr(self.jobs_completed, slot);
         self.counters.add(self.tenant_idle_ns, slot, queued_ns);

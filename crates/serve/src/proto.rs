@@ -312,9 +312,9 @@ pub enum Response {
         iterations: u32,
         /// FNV-1a digest of the final frame's pixels, as hex.
         digest: String,
-        /// Per-job `UnifiedReport` (counters + spans), tenant-tagged. A
-        /// counter that stayed 0 on every worker is omitted: absent
-        /// means 0.
+        /// Per-job `UnifiedReport`: counters, and span totals led by the
+        /// job's `queue`, `lease` and `compute`. A counter that stayed 0
+        /// on every worker is omitted: absent means 0.
         report: Json,
     },
     /// The job was admitted but failed to run (unknown kernel/variant,
@@ -469,7 +469,6 @@ mod tests {
                 iterations: 3,
                 digest: format!("{:016x}", fnv1a(b"pixels")),
                 report: Json::obj([
-                    ("tenant", "acme".to_json()),
                     ("counters", Json::obj([("workers", 1u64.to_json())])),
                     ("spans", Json::Arr(vec![])),
                 ]),

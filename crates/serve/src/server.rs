@@ -33,9 +33,10 @@ use crate::proto::{read_frame, write_frame, FrameIn, JobSpec, Request, Response}
 use ezp_core::json::{FromJson, Json};
 use ezp_core::kernel::Probe;
 use ezp_core::perf::run_kernel_boxed;
+use ezp_core::time::now_ns;
 use ezp_core::{Registry, RunConfig};
 use ezp_monitor::UnifiedReport;
-use ezp_perf::PerfProbe;
+use ezp_perf::{PerfProbe, SpanRecord};
 use ezp_sched::{MuxStats, PoolLease, PoolMux};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -393,7 +394,7 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: JobSpec) {
             // no other thread writes this job's frames: compute unlocked
             drop(stream);
             let accepted = Response::Accepted { job_id: job.id, tenant: job.tenant.clone() };
-            let terminal = execute(shared, job, lease);
+            let terminal = execute(shared, job, lease, None);
             conn.send(std::iter::once(accepted).chain(terminal));
             return;
         }
@@ -413,10 +414,11 @@ fn runner_loop(shared: Arc<Shared>) {
             shared.metrics.cancelled(job.tenant_slot);
             continue;
         }
+        let dequeued_ns = now_ns();
         // leased before any stall, so a stall occupies its slot
         let lease = shared.mux.lease();
         let reply = Arc::clone(&job.reply);
-        if let Some(resp) = execute(&shared, job, lease) {
+        if let Some(resp) = execute(&shared, job, lease, Some(dequeued_ns)) {
             reply.send(resp);
         }
     }
@@ -424,10 +426,19 @@ fn runner_loop(shared: Arc<Shared>) {
 
 /// Runs `job` on `lease`'s pool, for a runner or for the reader that
 /// decoded it, and returns its terminal frame — `None` when the client
-/// left while it ran.
-fn execute(shared: &Shared, job: Job, mut lease: PoolLease<'_>) -> Option<Response> {
+/// left while it ran. `dequeued_ns`: when a runner took the job, before
+/// leasing; `None` inline, where the lease was granted without a wait.
+/// The report leads with the job's `queue`, `lease` and `compute` spans;
+/// the first two are also the tenant's `tenant_idle_ns`.
+fn execute(
+    shared: &Shared,
+    job: Job,
+    mut lease: PoolLease<'_>,
+    dequeued_ns: Option<u64>,
+) -> Option<Response> {
     let slot = job.tenant_slot;
-    let queued_ns = ezp_core::time::now_ns().saturating_sub(job.enqueued_ns);
+    let granted_ns = now_ns();
+    let dequeued_ns = dequeued_ns.unwrap_or(granted_ns);
     // synthetic upstream latency of a replayed request: stalls overlap
     // across runner slots, compute does not (on fewer cores than slots)
     if job.spec.stall_us > 0 {
@@ -442,9 +453,11 @@ fn execute(shared: &Shared, job: Job, mut lease: PoolLease<'_>) -> Option<Respon
         .threads(threads);
     let probe = Arc::new(PerfProbe::new(threads));
     let probe_dyn: Arc<dyn Probe> = probe.clone();
+    let compute_ns = now_ns();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         lease.install(threads, || run_kernel_boxed(&shared.registry, cfg, probe_dyn))
     }));
+    let computed_ns = now_ns();
     drop(lease); // slot back in the mux before any response I/O
     let (run, ctx, kernel) = match result {
         Ok(Ok(outcome)) => outcome,
@@ -464,14 +477,19 @@ fn execute(shared: &Shared, job: Job, mut lease: PoolLease<'_>) -> Option<Respon
         shared.metrics.cancelled(slot);
         return None;
     }
-    shared.metrics.completed(slot, queued_ns);
+    let phase = |name, start_ns, end_ns| SpanRecord { name, worker: 0, start_ns, end_ns };
+    let mut spans = vec![
+        phase("queue", job.enqueued_ns, dequeued_ns),
+        phase("lease", dequeued_ns, granted_ns),
+        phase("compute", compute_ns, computed_ns),
+    ];
+    shared.metrics.completed(slot, spans[0].duration_ns() + spans[1].duration_ns());
     let mut snapshot = probe.snapshot();
     for (name, per_worker) in kernel.stats_counters() {
         snapshot.push(&name, per_worker);
     }
-    let report = UnifiedReport::new(None, snapshot, probe.span_snapshot())
-        .with_tenant(&job.tenant)
-        .to_json();
+    spans.extend(probe.span_snapshot());
+    let report = UnifiedReport::new(None, snapshot, spans).to_json();
     let digest = format!("{:016x}", digest_pixels(ctx.images.cur().as_slice()));
     Some(Response::Done {
         job_id: job.id,

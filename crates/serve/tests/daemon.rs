@@ -11,7 +11,7 @@ use std::net::TcpStream;
 
 use ezp_core::json::{FromJson, ToJson};
 use ezp_serve::proto::{read_frame, write_frame, FrameIn, MAX_FRAME};
-use ezp_serve::{Client, JobSpec, Request, Response, ServeConfig, Server};
+use ezp_serve::{Client, JobSpec, Request, Response, ServeConfig, Server, ServerSummary};
 
 fn small_job(tenant: &str) -> JobSpec {
     JobSpec {
@@ -24,6 +24,15 @@ fn small_job(tenant: &str) -> JobSpec {
         tenant: Some(tenant.into()),
         stall_us: 0,
     }
+}
+
+/// The summary's (admitted, rejected, completed, cancelled, failed),
+/// once the daemon invariant `admitted == completed + cancelled +
+/// failed` has been checked on them.
+fn checked_totals(summary: &ServerSummary) -> (u64, u64, u64, u64, u64) {
+    let totals @ (admitted, _, completed, cancelled, failed) = summary.totals;
+    assert_eq!(admitted, completed + cancelled + failed, "daemon invariant: {totals:?}");
+    totals
 }
 
 fn assert_served_ok(addr: &str, tenant: &str) -> String {
@@ -47,18 +56,62 @@ fn submit_round_trip_is_deterministic_and_reports_tenant() {
     let d2 = assert_served_ok(&addr, "acme");
     assert_eq!(d1, d2, "same spec, same digest");
 
-    // the report rides along and is tagged with the tenant
-    let mut client = Client::connect(&addr).unwrap();
-    let Response::Done { report, .. } = client.submit(&small_job("acme")).unwrap() else {
-        panic!("expected done");
-    };
-    assert_eq!(report.field::<String>("tenant").unwrap(), "acme");
-    assert!(report.get("counters").is_some(), "unified report payload");
+    let (admitted, _rej, completed, cancelled, failed) = checked_totals(&server.shutdown());
+    assert_eq!(admitted, 2);
+    assert_eq!((completed, cancelled, failed), (2, 0, 0));
+}
 
-    let summary = server.shutdown();
-    let (admitted, _rej, completed, cancelled, failed) = summary.totals;
-    assert_eq!(admitted, 3);
-    assert_eq!((completed, cancelled, failed), (3, 0, 0));
+#[test]
+fn a_jobs_report_is_its_queue_lease_and_compute_on_one_clock() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    // alone on the daemon, a small job runs on its reader; a stalled one
+    // always queues for a runner
+    let queued = JobSpec { stall_us: 1_000, ..small_job("ledger") };
+    let mut waited_ns = 0;
+    for (spec, inline) in [(small_job("ledger"), true), (queued, false)] {
+        let Response::Done { elapsed_ns, report, .. } = client.submit(&spec).unwrap() else {
+            panic!("expected done");
+        };
+        assert!(report.get("tenant").is_none(), "the done frame names it: {}", report.dump());
+        let spans = report.get("spans").unwrap().as_arr().unwrap();
+        let names: Vec<String> = spans.iter().map(|s| s.field("name").unwrap()).collect();
+        assert_eq!(names[..4], ["queue", "lease", "compute", "iteration"], "{}", report.dump());
+        let total = |i: usize| spans[i].field::<u64>("total_ns").unwrap();
+        if inline {
+            assert_eq!(total(1), 0, "an inline job's lease is granted without a wait");
+        }
+        assert!(total(2) >= elapsed_ns, "compute {} < elapsed {elapsed_ns}", total(2));
+        waited_ns += total(0) + total(1);
+    }
+    let stats = server.stats();
+    let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
+    assert_eq!(tenants[0].field::<String>("tenant").unwrap(), "ledger");
+    assert_eq!(tenants[0].field::<u64>("tenant_idle_ns").unwrap(), waited_ns);
+    assert_eq!(checked_totals(&server.shutdown()).2, 2);
+}
+
+#[test]
+fn a_long_parallel_job_still_gets_a_small_done_frame() {
+    // regression: the report listed every raw span, up to 4096 on each
+    // worker's ring, so this valid job's `done` outgrew the 1 MiB frame
+    // limit and the client got a "response dropped" note instead
+    let server = Server::start(ServeConfig { workers: 4, ..ServeConfig::default() }).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let spec = JobSpec {
+        variant: "omp_tiled".into(),
+        size: 16,
+        tile: 8,
+        iterations: 3000,
+        threads: 4,
+        ..small_job("long")
+    };
+    let done = client.submit(&spec).unwrap();
+    assert!(matches!(done, Response::Done { iterations: 3000, .. }), "{}", done.to_json().dump());
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &done.to_json()).unwrap();
+    assert!(wire.len() <= 4096, "a {}-byte done frame", wire.len());
+    assert_eq!(checked_totals(&server.shutdown()).2, 1);
 }
 
 #[test]
@@ -126,8 +179,7 @@ fn malformed_frames_poison_only_their_connection() {
 
     // the daemon is unimpressed: a fresh connection still computes
     assert_served_ok(&addr, "survivor");
-    let summary = server.shutdown();
-    assert_eq!(summary.totals.2, 1, "one completed job");
+    assert_eq!(checked_totals(&server.shutdown()).2, 1, "one completed job");
 }
 
 #[test]
@@ -155,13 +207,11 @@ fn mid_job_disconnect_cancels_without_wedging_the_daemon() {
     // a well-behaved client still gets served (waits behind the stall
     // at worst) and shutdown joins everything — no leaked pool epoch
     assert_served_ok(&addr, "patient");
-    let summary = server.shutdown();
-    let (admitted, _rej, completed, cancelled, failed) = summary.totals;
+    let (admitted, _rej, completed, cancelled, failed) = checked_totals(&server.shutdown());
     assert_eq!(admitted, 2);
     assert_eq!(completed, 1);
     assert_eq!(cancelled, 1, "ghost job cancelled, not completed");
     assert_eq!(failed, 0);
-    assert_eq!(admitted, completed + cancelled + failed);
 }
 
 #[test]
@@ -205,8 +255,7 @@ fn backpressure_rejects_over_quota_submissions_with_retry_hint() {
     }
     drop((s, reader));
 
-    let summary = server.shutdown();
-    let (adm, rej, comp, _canc, _fail) = summary.totals;
+    let (adm, rej, comp, _canc, _fail) = checked_totals(&server.shutdown());
     assert_eq!(adm, u64::from(accepted));
     assert_eq!(rej, u64::from(rejected));
     assert_eq!(comp, u64::from(accepted));
@@ -238,7 +287,7 @@ fn stats_and_remote_shutdown_round_trip() {
     // remote shutdown: acknowledged, then wait() returns the summary
     client.shutdown().unwrap();
     let summary = server.wait();
-    assert_eq!(summary.totals.2, 3, "three completed jobs in the summary");
+    assert_eq!(checked_totals(&summary).2, 3, "three completed jobs in the summary");
     assert!(summary.mux.leases >= 3, "each job leased a pool");
 }
 
@@ -265,8 +314,7 @@ fn oversized_job_specs_are_rejected_at_admission() {
         Response::Done { .. } => {}
         other => panic!("expected done, got {}", other.to_json().dump()),
     }
-    let summary = server.shutdown();
-    let (admitted, rejected, completed, ..) = summary.totals;
+    let (admitted, rejected, completed, ..) = checked_totals(&server.shutdown());
     assert_eq!((admitted, rejected, completed), (1, 1, 1));
 }
 
@@ -283,8 +331,7 @@ fn unknown_kernel_fails_the_job_not_the_daemon() {
         other => panic!("expected failed, got {}", other.to_json().dump()),
     }
     assert_served_ok(&addr, "acme");
-    let summary = server.shutdown();
-    let (_adm, _rej, completed, _canc, failed) = summary.totals;
+    let (_adm, _rej, completed, _canc, failed) = checked_totals(&server.shutdown());
     assert_eq!((completed, failed), (1, 1));
 }
 
@@ -352,10 +399,9 @@ fn inline_and_queued_jobs_keep_the_invariant_side_by_side() {
         });
     });
     let summary = server.shutdown();
-    let (admitted, rejected, completed, cancelled, failed) = summary.totals;
+    let (_admitted, rejected, completed, cancelled, failed) = checked_totals(&summary);
     assert_eq!((rejected, cancelled, failed), (0, 1, 0));
     assert_eq!(completed, 2 * TINY + 5);
-    assert_eq!(admitted, completed + cancelled + failed);
     // one lease per job run; the cancelled job also held one through
     // its stall unless its client left before a runner took it
     let ran = completed + failed;
@@ -391,7 +437,7 @@ fn accepted_always_precedes_the_terminal_frame() {
             });
         }
     });
-    let (admitted, rejected, completed, cancelled, failed) = server.shutdown().totals;
+    let (admitted, rejected, completed, cancelled, failed) = checked_totals(&server.shutdown());
     assert_eq!(admitted, 2 * JOBS as u64);
     assert_eq!((rejected, completed, cancelled, failed), (0, admitted, 0, 0));
 }
