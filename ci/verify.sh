@@ -2,12 +2,13 @@
 # Tier-1 verification: hermetic build + tests, entirely offline.
 #
 # Lanes, in order: resolved-graph, [lints], dead-manifest-edge and
-# production-graph guards, ezp-lint, workspace build + tests (the
-# ezp-chan explorer included), results/ regenerated and diffed,
-# ezp-check + conformance matrix (its two-worker smoke included), the
-# frozen benchmark's own tests and two short runs (observe_record, and
-# serve_jobs, whose client decodes every `done` frame and checks its
-# digest).
+# production-graph guards, ezp-lint, the variant-runner guard (no kernel
+# file but variant.rs opens a span, a tile bracket or a pool), workspace
+# build + tests (the ezp-chan explorer included), results/ regenerated
+# and diffed, ezp-check + conformance matrix (its two-worker smoke
+# included), the frozen benchmark's own tests and two short runs
+# (observe_record, and serve_jobs, whose client decodes every `done`
+# frame and checks its digest).
 # Hostile and retired command lines are not lanes here: they are cases
 # of the table-driven tests in crates/cli (docs/testing.md), and so are
 # the --stats, --explain and --stream runs and the daemon's over-quota
@@ -101,6 +102,20 @@ else
 fi
 rm -f "$lint_report"
 echo "verify: ezp-lint clean"
+
+# Variant-runner lane (crates/kernels/src/variant.rs): a kernel is a
+# VARIANTS table of per-iteration bodies. The runner alone opens
+# iteration spans and acquires the pool, and ezp_sched's tile loops
+# (parallel_for_tiles, for_each_tile) alone report tiles, so no other
+# kernel file may spell any of them.
+if grep -rnE '\.(iteration_start|iteration_end|start_tile|end_tile)\(|acquire_pool\(' \
+    --include='*.rs' crates/kernels/src | grep -v '^crates/kernels/src/variant.rs:'; then
+    echo "error: a kernel opens its own iteration span, tile bracket or pool" >&2
+    echo "       (matches above): declare a VARIANTS row, report tiles through" >&2
+    echo "       ezp_sched::for_each_tile or parallel_for_tiles." >&2
+    exit 1
+fi
+echo "verify: only the variant runner opens spans and pools in crates/kernels"
 
 # --workspace matters: the root package alone builds and tests neither
 # the easypap-cli binaries nor the crates' own tests.

@@ -9,9 +9,10 @@
 //! auto-vectorize — the ×10 per-task speedup of Fig. 10. Both variants
 //! produce bit-identical images (property-tested below).
 
-use ezp_core::error::{Error, Result};
+use crate::variant::{self, whole_image, Body};
+use ezp_core::error::Result;
 use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, Tile};
-use ezp_sched::{parallel_for_tiles, ImgCell};
+use ezp_sched::{for_each_tile, parallel_for_tiles, ImgCell, WorkerPool};
 
 /// Average of the up-to-9 neighbours of `(x, y)`, with bounds checks —
 /// the "poor performance" branchy version that is nonetheless correct
@@ -76,6 +77,12 @@ pub fn tile_cost(tile: Tile, dim: usize, border_penalty: u64) -> u64 {
 pub struct Blur;
 
 impl Blur {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("omp_tiled", Body::Par(|_, ctx, pool| Self::tiled(ctx, pool, false))),
+        ("omp_tiled_opt", Body::Par(|_, ctx, pool| Self::tiled(ctx, pool, true))),
+    ];
+
     fn blur_tile_checked(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {
         let t = w.tile();
         for y in t.y..t.y + t.h {
@@ -94,50 +101,36 @@ impl Blur {
         }
     }
 
-    fn compute_seq(&self, ctx: &mut KernelCtx, nb_iter: u32) {
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
         let dim = ctx.dim();
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            ctx.probe.start_tile(0);
-            {
-                let (src, dst) = ctx.images.rw();
-                for y in 0..dim {
-                    for x in 0..dim {
-                        dst.set(x, y, blur_pixel_checked(src, x, y));
-                    }
+        let (src, dst) = ctx.images.rw();
+        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
+            for y in 0..dim {
+                for x in 0..dim {
+                    dst.set(x, y, blur_pixel_checked(src, x, y));
                 }
             }
-            ctx.probe.end_tile(0, 0, dim, dim, 0);
-            ctx.images.swap();
-            ctx.probe.iteration_end(it);
-        }
+        });
+        ctx.images.swap();
+        Ok(false)
     }
 
     /// Parallel tiled blur; `specialized` switches the inner tiles to the
     /// branch-free loop (the paper's optimization).
-    fn compute_tiled(&self, ctx: &mut KernelCtx, nb_iter: u32, specialized: bool) -> Result<()> {
+    fn tiled(ctx: &mut KernelCtx, pool: &mut WorkerPool, specialized: bool) -> Result<bool> {
         let dim = ctx.dim();
-        let grid = ctx.grid;
-        let schedule = ctx.cfg.schedule;
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            {
-                let (src, dst) = ctx.images.rw();
-                let cell = ImgCell::new(dst);
-                parallel_for_tiles(&mut pool, &grid, schedule, &*ctx.probe, |tile, _| {
-                    let w = cell.tile_writer(tile);
-                    if specialized && tile_is_inner(&tile, dim) {
-                        Self::blur_tile_unchecked(src, &w);
-                    } else {
-                        Self::blur_tile_checked(src, &w);
-                    }
-                });
+        let (src, dst) = ctx.images.rw();
+        let cell = ImgCell::new(dst);
+        parallel_for_tiles(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, |tile, _| {
+            let w = cell.tile_writer(tile);
+            if specialized && tile_is_inner(&tile, dim) {
+                Self::blur_tile_unchecked(src, &w);
+            } else {
+                Self::blur_tile_checked(src, &w);
             }
-            ctx.images.swap();
-            ctx.probe.iteration_end(it);
-        }
-        Ok(())
+        });
+        ctx.images.swap();
+        Ok(false)
     }
 }
 
@@ -147,35 +140,22 @@ impl Kernel for Blur {
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "omp_tiled", "omp_tiled_opt"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
         // a colorful deterministic test card: gradients + a few shapes,
         // so that blurring is visible and every channel is exercised
-        let dim = ctx.dim();
         let img = ctx.images.cur_mut();
         crate::shapes::test_card(img);
         // next image starts as a copy so border pixels behave on swap
         let snapshot = img.clone();
         ctx.images.next_mut().copy_from(&snapshot);
-        let _ = dim;
         Ok(())
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        match variant {
-            "seq" => self.compute_seq(ctx, nb_iter),
-            "omp_tiled" => self.compute_tiled(ctx, nb_iter, false)?,
-            "omp_tiled_opt" => self.compute_tiled(ctx, nb_iter, true)?,
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "blur".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 }
 

@@ -13,9 +13,10 @@
 //! completed" — exactly [`ezp_sched::TaskGraph::down_right_wavefront`].
 //! EASYVIEW shows the resulting diagonal wave of tasks (Fig. 12).
 
-use ezp_core::error::{Error, Result};
-use ezp_core::{Kernel, KernelCtx, Rgba, Tile, TileGrid};
-use ezp_sched::{TaskGraph, WorkerPool};
+use crate::variant::{self, whole_image, Body};
+use ezp_core::error::Result;
+use ezp_core::{Kernel, KernelCtx, Rgba, Tile};
+use ezp_sched::{for_each_tile, TaskGraph, WorkerPool};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Label buffer: one `u32` label per pixel, 0 = transparent background.
@@ -151,55 +152,44 @@ pub struct CComp {
 }
 
 impl CComp {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("taskdep", Body::Par(Self::taskdep)),
+    ];
+
     fn labels(&self) -> &Labels {
         self.labels.as_ref().expect("init() must run first")
     }
 
     /// One full iteration (both phases) sequentially, whole image.
-    fn iterate_seq(&self, dim: usize) -> bool {
-        let whole = Tile {
-            x: 0,
-            y: 0,
-            w: dim,
-            h: dim,
-            tx: 0,
-            ty: 0,
-        };
-        let a = self.labels().down_right_tile(whole);
-        let b = self.labels().up_left_tile(whole);
-        a || b
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+        let labels = self.labels();
+        let mut changed = false;
+        for_each_tile(&*ctx.probe, 0, [whole_image(ctx.cfg.dim)], |t| {
+            let a = labels.down_right_tile(t);
+            let b = labels.up_left_tile(t);
+            changed = a || b;
+        });
+        Ok(!changed)
     }
 
-    /// One full iteration with tiled wavefronts on the pool, with
-    /// per-tile monitoring brackets so traces show the wave (Fig. 12).
-    fn iterate_taskdep_monitored(
-        &self,
-        ctx: &KernelCtx,
-        grid: &TileGrid,
-        pool: &mut WorkerPool,
-    ) -> Result<bool> {
-        let labels = self.labels();
+    /// One full iteration as two tiled wavefronts of tasks on the pool,
+    /// each task reporting its tile so traces show the wave (Fig. 12).
+    fn taskdep(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+        let (labels, grid, probe) = (self.labels(), &ctx.grid, &*ctx.probe);
         let changed = AtomicBool::new(false);
-        let probe = &*ctx.probe;
-        let down = TaskGraph::down_right_wavefront(grid);
-        down.run_probed(pool, probe, |task, rank| {
-            let t = grid.tile_at(task);
-            probe.start_tile(rank);
-            if labels.down_right_tile(t) {
-                changed.store(true, Ordering::Relaxed);
-            }
-            probe.end_tile(t.x, t.y, t.w, t.h, rank);
-        })?;
-        let up = TaskGraph::up_left_wavefront(grid);
-        up.run_probed(pool, probe, |task, rank| {
-            let t = grid.tile_at(task);
-            probe.start_tile(rank);
-            if labels.up_left_tile(t) {
-                changed.store(true, Ordering::Relaxed);
-            }
-            probe.end_tile(t.x, t.y, t.w, t.h, rank);
-        })?;
-        Ok(changed.load(Ordering::Relaxed))
+        let mut wave = |graph: TaskGraph, phase: fn(&Labels, Tile) -> bool| {
+            graph.run_probed(pool, probe, |task, rank| {
+                for_each_tile(probe, rank, [grid.tile_at(task)], |t| {
+                    if phase(labels, t) {
+                        changed.store(true, Ordering::Relaxed);
+                    }
+                });
+            })
+        };
+        wave(TaskGraph::down_right_wavefront(grid), Labels::down_right_tile)?;
+        wave(TaskGraph::up_left_wavefront(grid), Labels::up_left_tile)?;
+        Ok(!changed.into_inner())
     }
 }
 
@@ -209,7 +199,7 @@ impl Kernel for CComp {
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "taskdep"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -220,39 +210,7 @@ impl Kernel for CComp {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let dim = ctx.dim();
-        let grid = ctx.grid;
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    ctx.probe.start_tile(0);
-                    let changed = self.iterate_seq(dim);
-                    ctx.probe.end_tile(0, 0, dim, dim, 0);
-                    ctx.probe.iteration_end(it);
-                    if !changed {
-                        return Ok(Some(it));
-                    }
-                }
-                Ok(None)
-            }
-            "taskdep" => {
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    let changed = self.iterate_taskdep_monitored(ctx, &grid, &mut pool)?;
-                    ctx.probe.iteration_end(it);
-                    if !changed {
-                        return Ok(Some(it));
-                    }
-                }
-                Ok(None)
-            }
-            other => Err(Error::UnknownKernel {
-                kernel: "ccomp".into(),
-                variant: other.into(),
-            }),
-        }
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 
     fn refresh_image(&mut self, ctx: &mut KernelCtx) -> Result<()> {

@@ -7,10 +7,11 @@
 //! i.e. zero flux). Converges to the uniform average; `compute` detects
 //! the steady state like the other simulation kernels.
 
+use crate::variant::{self, Body};
 use ezp_core::color::heat_color;
 use ezp_core::error::{Error, Result};
 use ezp_core::{Img2D, Kernel, KernelCtx};
-use ezp_sched::{parallel_for_tiles_img, ImgCell};
+use ezp_sched::{for_each_tile, parallel_for_tiles_img, ImgCell, WorkerPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Diffusion coefficient (stability requires `k <= 0.25`).
@@ -46,6 +47,11 @@ impl Default for Heat {
 }
 
 impl Heat {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("omp_tiled", Body::Par(Self::omp_tiled)),
+    ];
+
     /// Read access to the temperature field.
     pub fn field(&self) -> &Img2D<f32> {
         &self.cur
@@ -71,6 +77,28 @@ impl Heat {
         }
         changed
     }
+
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+        let mut changed = false;
+        let (cur, cell) = (&self.cur, ImgCell::new(&mut self.next));
+        for_each_tile(&*ctx.probe, 0, ctx.grid.iter(), |t| {
+            changed |= Self::step_tile(cur, &cell.tile_writer(t));
+        });
+        std::mem::swap(&mut self.cur, &mut self.next);
+        Ok(!changed)
+    }
+
+    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+        let changed = AtomicBool::new(false);
+        let (cur, next) = (&self.cur, &mut self.next);
+        parallel_for_tiles_img(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, next, |w, _| {
+            if Self::step_tile(cur, w) {
+                changed.store(true, Ordering::Relaxed);
+            }
+        });
+        std::mem::swap(&mut self.cur, &mut self.next);
+        Ok(!changed.into_inner())
+    }
 }
 
 impl Kernel for Heat {
@@ -79,7 +107,7 @@ impl Kernel for Heat {
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "omp_tiled"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -109,64 +137,7 @@ impl Kernel for Heat {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let grid = ctx.grid;
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    let mut changed = false;
-                    {
-                        let cell = ImgCell::new(&mut self.next);
-                        for t in grid.iter() {
-                            ctx.probe.start_tile(0);
-                            if Self::step_tile(&self.cur, &cell.tile_writer(t)) {
-                                changed = true;
-                            }
-                            ctx.probe.end_tile(t.x, t.y, t.w, t.h, 0);
-                        }
-                    }
-                    std::mem::swap(&mut self.cur, &mut self.next);
-                    ctx.probe.iteration_end(it);
-                    if !changed {
-                        return Ok(Some(it));
-                    }
-                }
-                Ok(None)
-            }
-            "omp_tiled" => {
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    let changed = AtomicBool::new(false);
-                    {
-                        let cur = &self.cur;
-                        parallel_for_tiles_img(
-                            &mut pool,
-                            &grid,
-                            schedule,
-                            &*ctx.probe,
-                            &mut self.next,
-                            |w, _| {
-                                if Self::step_tile(cur, w) {
-                                    changed.store(true, Ordering::Relaxed);
-                                }
-                            },
-                        );
-                    }
-                    std::mem::swap(&mut self.cur, &mut self.next);
-                    ctx.probe.iteration_end(it);
-                    if !changed.load(Ordering::Relaxed) {
-                        return Ok(Some(it));
-                    }
-                }
-                Ok(None)
-            }
-            other => Err(Error::UnknownKernel {
-                kernel: "heat".into(),
-                variant: other.into(),
-            }),
-        }
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 
     fn refresh_image(&mut self, ctx: &mut KernelCtx) -> Result<()> {

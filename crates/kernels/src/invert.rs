@@ -2,9 +2,10 @@
 //! "hello world" of EASYPAP variants, embarrassingly parallel and
 //! memory-bound.
 
-use ezp_core::error::{Error, Result};
+use crate::variant::{self, whole_image, Body};
+use ezp_core::error::Result;
 use ezp_core::{Kernel, KernelCtx, Rgba, TileGrid};
-use ezp_sched::parallel_for_tiles_img;
+use ezp_sched::{for_each_tile, parallel_for_tiles_img, WorkerPool};
 
 /// RGB complement, alpha preserved.
 #[inline]
@@ -16,13 +17,49 @@ pub fn invert_pixel(p: Rgba) -> Rgba {
 #[derive(Default)]
 pub struct Invert;
 
+impl Invert {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("omp", Body::Par(Self::omp)),
+        ("gpu", Body::Seq(Self::gpu)),
+    ];
+
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+        for_each_tile(&*ctx.probe, 0, [whole_image(ctx.cfg.dim)], |_| {
+            ctx.images
+                .cur_mut()
+                .for_each_mut(|_, _, p| *p = invert_pixel(*p));
+        });
+        Ok(false)
+    }
+
+    /// Row-shaped tiles, like `#pragma omp parallel for` over lines.
+    fn omp(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+        let dim = ctx.dim();
+        let grid = TileGrid::new(dim, dim, dim, 1)?;
+        let img = ctx.images.cur_mut();
+        parallel_for_tiles_img(pool, &grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _| {
+            let t = w.tile();
+            for x in t.x..t.x + t.w {
+                w.set(x, t.y, invert_pixel(w.get(x, t.y)));
+            }
+        });
+        Ok(false)
+    }
+
+    fn gpu(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+        crate::gpu::launch(ctx, |x, y, src| invert_pixel(src.get(x, y)));
+        Ok(false)
+    }
+}
+
 impl Kernel for Invert {
     fn name(&self) -> &'static str {
         "invert"
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "omp", "gpu"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -31,55 +68,7 @@ impl Kernel for Invert {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let dim = ctx.dim();
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    ctx.probe.start_tile(0);
-                    ctx.images.cur_mut().for_each_mut(|_, _, p| *p = invert_pixel(*p));
-                    ctx.probe.end_tile(0, 0, dim, dim, 0);
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            "omp" => {
-                // row-shaped tiles, like `#pragma omp parallel for` over lines
-                let grid = TileGrid::new(dim, dim, dim, 1)?;
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    parallel_for_tiles_img(
-                        &mut pool,
-                        &grid,
-                        schedule,
-                        &*ctx.probe,
-                        ctx.images.cur_mut(),
-                        |w, _| {
-                            let t = w.tile();
-                            for x in t.x..t.x + t.w {
-                                w.set(x, t.y, invert_pixel(w.get(x, t.y)));
-                            }
-                        },
-                    );
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            "gpu" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    crate::gpu::launch(ctx, |x, y, src| invert_pixel(src.get(x, y)));
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "invert".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 }
 

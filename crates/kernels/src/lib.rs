@@ -24,6 +24,15 @@
 //! `omp_tiled`...) even though the runtime is this workspace's own
 //! `ezp-sched` pool, so command lines from the paper work verbatim.
 //!
+//! *Adding a variant* is one row in the kernel's `VARIANTS` table and
+//! the body of one iteration: `Body::Seq` runs it on the calling
+//! thread, `Body::Par` on the run's pool. The framework runs the loop
+//! around it (iteration spans, the pool, the unknown-variant error).
+//! The body reports its tiles through `ezp_sched::parallel_for_tiles`
+//! or `for_each_tile`, never EASYPAP's hand-written
+//! `monitoring_start_tile`/`end_tile`, and returns `Ok(true)` to stop
+//! early once the state is stable.
+//!
 //! Each module also exposes a *cost model* (`tile_cost`) used by
 //! `ezp-simsched` to regenerate the paper's figures deterministically.
 
@@ -45,6 +54,7 @@ pub mod scrollup;
 pub mod shapes;
 pub mod spin;
 pub mod transpose;
+mod variant;
 
 use ezp_core::Registry;
 
@@ -92,6 +102,27 @@ mod tests {
         }
         documented.sort_unstable();
         assert_eq!(documented, reg.kernel_names(), "kernels without a table row");
+    }
+
+    #[test]
+    fn an_unknown_variant_is_refused_by_kernel_and_name() {
+        let reg = registry();
+        for name in reg.kernel_names() {
+            let mut kernel = reg.create(name).unwrap();
+            let mut ctx =
+                ezp_core::KernelCtx::new(ezp_core::RunConfig::new(name).size(16)).unwrap();
+            match kernel.compute(&mut ctx, "nope", 1) {
+                Err(ezp_core::Error::UnknownKernel { kernel, variant }) => {
+                    assert_eq!((kernel.as_str(), variant.as_str()), (name, "nope"));
+                }
+                other => panic!("{name}: {other:?}"),
+            }
+            let mut variants = kernel.variants();
+            let listed = variants.len();
+            variants.sort_unstable();
+            variants.dedup();
+            assert_eq!(variants.len(), listed, "{name} lists a variant twice");
+        }
     }
 
     #[test]

@@ -19,12 +19,12 @@ pub mod bitboard;
 
 pub use bitboard::BitBoard;
 
+use crate::variant::{self, whole_image, Body};
 use ezp_core::error::{Error, Result};
-use ezp_core::kernel::Probe;
 use ezp_core::{Kernel, KernelCtx, Rgba, TileGrid};
 use ezp_monitor::{Monitor, MonitorReport};
 use ezp_mpi::{collective, ghost, BlockRows, CommStats};
-use ezp_sched::parallel_for_range_probed;
+use ezp_sched::{for_each_tile, parallel_for_range_probed, parallel_for_tiles, WorkerPool};
 use ezp_testkit::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -58,6 +58,14 @@ impl Default for Life {
 }
 
 impl Life {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("omp", Body::Par(Self::rows)),
+        ("omp_tiled", Body::Par(|k, ctx, pool| k.tiled(ctx, pool, false))),
+        ("lazy", Body::Par(|k, ctx, pool| k.tiled(ctx, pool, true))),
+        ("mpi_omp", Body::Whole(Self::mpi_omp)),
+    ];
+
     /// Direct read access to the current board (tests, examples).
     pub fn board(&self) -> &BitBoard {
         &self.cur
@@ -120,111 +128,67 @@ impl Life {
     }
 
     /// Sequential whole-board stepping (bit-parallel words).
-    fn compute_seq(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Option<u32> {
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
         let dim = ctx.dim();
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            ctx.probe.start_tile(0);
-            let changed = self.next.step_rows_from(&self.cur, 0, dim);
-            ctx.probe.end_tile(0, 0, dim, dim, 0);
-            std::mem::swap(&mut self.cur, &mut self.next);
-            ctx.probe.iteration_end(it);
-            if !changed {
-                return Some(it);
-            }
-        }
-        None
+        let mut changed = false;
+        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
+            changed = self.next.step_rows_from(&self.cur, 0, dim);
+        });
+        std::mem::swap(&mut self.cur, &mut self.next);
+        Ok(!changed)
     }
 
     /// Row-band parallel stepping with the word-parallel (bit-sliced)
     /// rule: bands of `tile_size` rows are scheduled like 1D chunks —
     /// the `omp` (non-collapsed `parallel for`) variant, and the fastest
     /// eager path because each band advances 64 cells per instruction.
-    fn compute_rows(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Option<u32> {
+    fn rows(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
         let dim = ctx.dim();
-        let band = ctx.cfg.tile_size.max(1);
-        let bands = dim.div_ceil(band);
-        let schedule = ctx.cfg.schedule;
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let any_changed = AtomicBool::new(false);
-            {
-                let cur = &self.cur;
-                let next = &self.next;
-                let probe = &*ctx.probe;
-                parallel_for_range_probed(&mut pool, bands, schedule, probe, |b, rank| {
-                    let y0 = b * band;
-                    let y1 = (y0 + band).min(dim);
-                    probe.start_tile(rank);
-                    let c = next.step_rows_from(cur, y0, y1);
-                    probe.end_tile(0, y0, dim, y1 - y0, rank);
-                    if c {
-                        any_changed.store(true, Ordering::Relaxed);
-                    }
-                });
+        let bands = TileGrid::new(dim, dim, dim, ctx.cfg.tile_size.max(1))?;
+        let any_changed = AtomicBool::new(false);
+        let (cur, next) = (&self.cur, &self.next);
+        parallel_for_tiles(pool, &bands, ctx.cfg.schedule, &*ctx.probe, |t, _| {
+            if next.step_rows_from(cur, t.y, t.y + t.h) {
+                any_changed.store(true, Ordering::Relaxed);
             }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            ctx.probe.iteration_end(it);
-            if !any_changed.load(Ordering::Relaxed) {
-                return Some(it);
-            }
-        }
-        None
+        });
+        std::mem::swap(&mut self.cur, &mut self.next);
+        Ok(!any_changed.into_inner())
     }
 
     /// Tile-parallel stepping; `lazy` skips tiles whose 3×3 tile
     /// neighbourhood was steady at the previous iteration.
-    fn compute_tiled(&mut self, ctx: &mut KernelCtx, nb_iter: u32, lazy: bool) -> Option<u32> {
-        let grid = ctx.grid;
-        let schedule = ctx.cfg.schedule;
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
+    fn tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool, lazy: bool) -> Result<bool> {
+        let (grid, probe) = (&ctx.grid, &*ctx.probe);
         if self.changed.len() != grid.len() {
             self.changed = vec![true; grid.len()];
         }
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let changed_now: Vec<AtomicBool> =
-                (0..grid.len()).map(|_| AtomicBool::new(false)).collect();
-            let any_changed = AtomicBool::new(false);
-            {
-                let cur = &self.cur;
-                let next = &self.next;
-                let prev_changed = &self.changed;
-                let probe = &*ctx.probe;
-                parallel_for_range_probed(&mut pool, grid.len(), schedule, probe, |i, rank| {
-                    let tile = grid.tile_at(i);
-                    if lazy && !neighbourhood_changed(&grid, prev_changed, tile.tx, tile.ty) {
-                        return; // steady neighbourhood: skip, no events
-                    }
-                    probe.start_tile(rank);
-                    let c = next.step_tile_from(cur, tile);
-                    probe.end_tile(tile.x, tile.y, tile.w, tile.h, rank);
-                    if c {
-                        changed_now[i].store(true, Ordering::Relaxed);
-                        any_changed.store(true, Ordering::Relaxed);
-                    }
-                });
+        let changed_now: Vec<AtomicBool> =
+            (0..grid.len()).map(|_| AtomicBool::new(false)).collect();
+        let (cur, next, prev_changed) = (&self.cur, &self.next, &self.changed);
+        parallel_for_range_probed(pool, grid.len(), ctx.cfg.schedule, probe, |i, rank| {
+            let tile = grid.tile_at(i);
+            if lazy && !neighbourhood_changed(grid, prev_changed, tile.tx, tile.ty) {
+                return; // steady neighbourhood: skip, no events
             }
-            // lazily skipped tiles keep their (steady) content valid in
-            // both buffers by the induction argument in DESIGN.md
-            std::mem::swap(&mut self.cur, &mut self.next);
-            self.changed = changed_now
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect();
-            ctx.probe.iteration_end(it);
-            if !any_changed.load(Ordering::Relaxed) {
-                return Some(it);
-            }
-        }
-        None
+            for_each_tile(probe, rank, [tile], |t| {
+                changed_now[i].store(next.step_tile_from(cur, t), Ordering::Relaxed);
+            });
+        });
+        // lazily skipped tiles keep their (steady) content valid in
+        // both buffers by the induction argument in DESIGN.md
+        std::mem::swap(&mut self.cur, &mut self.next);
+        self.changed = changed_now
+            .into_iter()
+            .map(AtomicBool::into_inner)
+            .collect();
+        Ok(!self.changed.contains(&true))
     }
 
     /// The MPI+OpenMP variant (Fig. 13): row-block decomposition, ghost
     /// rows + per-boundary-tile steadiness metadata, lazy tile stepping
     /// inside each rank, per-rank monitors.
-    fn compute_mpi(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Result<Option<u32>> {
+    fn mpi_omp(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Result<Option<u32>> {
         let dim = ctx.dim();
         let np = ctx.cfg.mpi_ranks;
         if np > dim {
@@ -234,8 +198,7 @@ impl Life {
                 "--mpirun -np {np}: a {dim}-row image has rows for at most {dim} ranks"
             )));
         }
-        let threads = ctx.threads();
-        let grid = ctx.grid;
+        let (threads, grid, schedule) = (ctx.threads(), ctx.grid, ctx.cfg.schedule);
         // ship each rank its initial rows
         let init_rows: Vec<Vec<u64>> = (0..dim).map(|y| self.cur.row_words(y)).collect();
         let init_rows = &init_rows;
@@ -258,7 +221,6 @@ impl Life {
                 cur.set_row_words(y, row);
             }
             let monitor = Monitor::new(threads.max(1), grid);
-            let mut pool = ezp_sched::acquire_pool(threads.max(1));
             // tiles whose row range intersects this rank's block
             let my_tiles: Vec<usize> = (0..grid.len())
                 .filter(|&i| {
@@ -267,116 +229,95 @@ impl Life {
                 })
                 .collect();
             let mut changed: Vec<bool> = vec![true; grid.len()];
-            let mut converged_at = None;
             const TAG_META_UP: u32 = 100;
             const TAG_META_DOWN: u32 = 101;
 
-            for it in 1..=nb_iter {
-                monitor.iteration_start(it);
-                // 1) ghost rows: my first/last rows to my neighbours
-                let first = cur.row_words(r0);
-                let last = cur.row_words(r1 - 1);
-                let (above, below) = ghost::exchange_rows(comm, &block, &first, &last)?;
-                if let Some(above) = above {
-                    cur.set_row_words(r0 - 1, &above);
-                }
-                if let Some(below) = below {
-                    cur.set_row_words(r1, &below);
-                }
-                // 2) tile-state metadata: the changed flags of my boundary
-                // tile rows, so neighbours can stay lazy across the seam
-                let boundary_flags = |ty: usize| -> Vec<bool> {
-                    (0..grid.tiles_x()).map(|tx| changed[grid.linear_index(tx, ty)]).collect()
-                };
-                let ty_first = (r0 / grid.tile_h()).min(grid.tiles_y() - 1);
-                let ty_last = ((r1 - 1) / grid.tile_h()).min(grid.tiles_y() - 1);
-                if let Some(up) = block.up_neighbor() {
-                    comm.send(up, TAG_META_UP, &(ty_first, boundary_flags(ty_first)))?;
-                }
-                if let Some(down) = block.down_neighbor() {
-                    comm.send(down, TAG_META_DOWN, &(ty_last, boundary_flags(ty_last)))?;
-                }
-                // OR (never overwrite) the received flags into ours: when
-                // a tile row straddles the block boundary both ranks hold
-                // partial knowledge and the union is the safe answer
-                if let Some(up) = block.up_neighbor() {
-                    let (ty, flags): (usize, Vec<bool>) = comm.recv(up, TAG_META_DOWN)?;
-                    for (tx, f) in flags.iter().enumerate() {
-                        if *f {
-                            changed[grid.linear_index(tx, ty)] = true;
+            let converged_at =
+                variant::iterate_on_pool(&monitor, threads.max(1), nb_iter, |pool| {
+                    // 1) ghost rows: my first/last rows to my neighbours
+                    let first = cur.row_words(r0);
+                    let last = cur.row_words(r1 - 1);
+                    let (above, below) = ghost::exchange_rows(comm, &block, &first, &last)?;
+                    if let Some(above) = above {
+                        cur.set_row_words(r0 - 1, &above);
+                    }
+                    if let Some(below) = below {
+                        cur.set_row_words(r1, &below);
+                    }
+                    // 2) tile-state metadata: the changed flags of my boundary
+                    // tile rows, so neighbours can stay lazy across the seam
+                    let boundary_flags = |ty: usize| -> Vec<bool> {
+                        (0..grid.tiles_x())
+                            .map(|tx| changed[grid.linear_index(tx, ty)])
+                            .collect()
+                    };
+                    let ty_first = (r0 / grid.tile_h()).min(grid.tiles_y() - 1);
+                    let ty_last = ((r1 - 1) / grid.tile_h()).min(grid.tiles_y() - 1);
+                    if let Some(up) = block.up_neighbor() {
+                        comm.send(up, TAG_META_UP, &(ty_first, boundary_flags(ty_first)))?;
+                    }
+                    if let Some(down) = block.down_neighbor() {
+                        comm.send(down, TAG_META_DOWN, &(ty_last, boundary_flags(ty_last)))?;
+                    }
+                    // OR (never overwrite) the received flags into ours: when
+                    // a tile row straddles the block boundary both ranks hold
+                    // partial knowledge and the union is the safe answer
+                    if let Some(up) = block.up_neighbor() {
+                        let (ty, flags): (usize, Vec<bool>) = comm.recv(up, TAG_META_DOWN)?;
+                        for (tx, f) in flags.iter().enumerate() {
+                            if *f {
+                                changed[grid.linear_index(tx, ty)] = true;
+                            }
                         }
                     }
-                }
-                if let Some(down) = block.down_neighbor() {
-                    let (ty, flags): (usize, Vec<bool>) = comm.recv(down, TAG_META_UP)?;
-                    for (tx, f) in flags.iter().enumerate() {
-                        if *f {
-                            changed[grid.linear_index(tx, ty)] = true;
+                    if let Some(down) = block.down_neighbor() {
+                        let (ty, flags): (usize, Vec<bool>) = comm.recv(down, TAG_META_UP)?;
+                        for (tx, f) in flags.iter().enumerate() {
+                            if *f {
+                                changed[grid.linear_index(tx, ty)] = true;
+                            }
                         }
                     }
-                }
-                // 3) lazily step my tiles (clipped to my rows) in parallel
-                let changed_now: Vec<AtomicBool> =
-                    (0..grid.len()).map(|_| AtomicBool::new(false)).collect();
-                {
-                    let cur_ref = &cur;
-                    let next_ref = &next;
-                    let changed_ref = &changed;
-                    let changed_now_ref = &changed_now;
-                    let my_tiles_ref = &my_tiles;
-                    let monitor_ref = &monitor;
-                    parallel_for_range_probed(
-                        &mut pool,
-                        my_tiles_ref.len(),
-                        ctx.cfg.schedule,
-                        probe,
-                        |k, rank| {
-                            let i = my_tiles_ref[k];
-                            let mut tile = grid.tile_at(i);
-                            if !neighbourhood_changed(&grid, changed_ref, tile.tx, tile.ty) {
-                                return;
-                            }
-                            // clip the tile to this rank's rows
-                            let y0 = tile.y.max(r0);
-                            let y1 = (tile.y + tile.h).min(r1);
-                            tile.y = y0;
-                            tile.h = y1 - y0;
-                            monitor_ref.start_tile(rank);
-                            let c = next_ref.step_tile_from(cur_ref, tile);
-                            monitor_ref.end_tile(tile.x, tile.y, tile.w, tile.h, rank);
-                            if c {
-                                changed_now_ref[i].store(true, Ordering::Relaxed);
-                            }
-                        },
-                    );
-                }
-                // carry ghost rows into `next` so the swap keeps them
-                // usable as stale-but-steady data (they are refreshed at
-                // the top of every iteration anyway)
-                if r0 > 0 {
-                    next.set_row_words(r0 - 1, &cur.row_words(r0 - 1));
-                }
-                if r1 < dim {
-                    next.set_row_words(r1, &cur.row_words(r1));
-                }
-                // swap local boards (both are plain locals here)
-                for y in r0.saturating_sub(1)..(r1 + 1).min(dim) {
-                    let tmp = cur.row_words(y);
-                    cur.set_row_words(y, &next.row_words(y));
-                    next.set_row_words(y, &tmp);
-                }
-                for (i, c) in changed_now.iter().enumerate() {
-                    changed[i] = c.load(Ordering::Relaxed);
-                }
-                monitor.iteration_end(it);
-                // 4) global steadiness vote
-                let locally_steady = my_tiles.iter().all(|&i| !changed[i]);
-                let all_steady = collective::allreduce_and(comm, locally_steady)?;
-                if all_steady {
-                    converged_at = Some(it);
-                    break;
-                }
-            }
+                    // 3) lazily step my tiles (clipped to my rows) in parallel
+                    let changed_now: Vec<AtomicBool> =
+                        (0..grid.len()).map(|_| AtomicBool::new(false)).collect();
+                    parallel_for_range_probed(pool, my_tiles.len(), schedule, probe, |k, rank| {
+                        let i = my_tiles[k];
+                        let mut tile = grid.tile_at(i);
+                        if !neighbourhood_changed(&grid, &changed, tile.tx, tile.ty) {
+                            return;
+                        }
+                        // clip the tile to this rank's rows
+                        let y0 = tile.y.max(r0);
+                        let y1 = (tile.y + tile.h).min(r1);
+                        tile.y = y0;
+                        tile.h = y1 - y0;
+                        for_each_tile(&monitor, rank, [tile], |t| {
+                            changed_now[i].store(next.step_tile_from(&cur, t), Ordering::Relaxed);
+                        });
+                    });
+                    // carry ghost rows into `next` so the swap keeps them
+                    // usable as stale-but-steady data (they are refreshed at
+                    // the top of every iteration anyway)
+                    if r0 > 0 {
+                        next.set_row_words(r0 - 1, &cur.row_words(r0 - 1));
+                    }
+                    if r1 < dim {
+                        next.set_row_words(r1, &cur.row_words(r1));
+                    }
+                    // swap local boards (both are plain locals here)
+                    for y in r0.saturating_sub(1)..(r1 + 1).min(dim) {
+                        let tmp = cur.row_words(y);
+                        cur.set_row_words(y, &next.row_words(y));
+                        next.set_row_words(y, &tmp);
+                    }
+                    for (i, c) in changed_now.iter().enumerate() {
+                        changed[i] = c.load(Ordering::Relaxed);
+                    }
+                    // 4) global steadiness vote, inside this rank's iteration span
+                    let locally_steady = my_tiles.iter().all(|&i| !changed[i]);
+                    collective::allreduce_and(comm, locally_steady)
+                })?;
             Ok(RankResult {
                 first_row: r0,
                 rows: (r0..r1).map(|y| cur.row_words(y)).collect(),
@@ -426,7 +367,7 @@ impl Kernel for Life {
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "omp", "omp_tiled", "lazy", "mpi_omp"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -440,20 +381,7 @@ impl Kernel for Life {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let converged = match variant {
-            "seq" => self.compute_seq(ctx, nb_iter),
-            "omp" => self.compute_rows(ctx, nb_iter),
-            "omp_tiled" => self.compute_tiled(ctx, nb_iter, false),
-            "lazy" => self.compute_tiled(ctx, nb_iter, true),
-            "mpi_omp" => self.compute_mpi(ctx, nb_iter)?,
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "life".into(),
-                    variant: other.into(),
-                })
-            }
-        };
-        Ok(converged)
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 
     fn refresh_image(&mut self, ctx: &mut KernelCtx) -> Result<()> {

@@ -20,10 +20,11 @@
 //! and lanes 93 / 99. The variants differ only in who computes which
 //! rows — which is all the paper wants them to differ in.
 
+use crate::variant::{self, Body};
 use ezp_core::color::mandel_palette;
 use ezp_core::error::{Error, Result};
 use ezp_core::{Kernel, KernelCtx, Rgba, Tile, TileGrid};
-use ezp_sched::parallel_for_tiles_img;
+use ezp_sched::{for_each_tile, parallel_for_tiles_img, WorkerPool};
 use std::sync::{Arc, OnceLock};
 
 /// Default escape-time iteration cap. Large enough to show the black
@@ -265,89 +266,72 @@ impl Mandel {
         }
     }
 
-    /// `mandel_compute_seq` (paper Fig. 1): plain nested loops.
-    fn compute_seq(&mut self, ctx: &mut KernelCtx, nb_iter: u32) {
-        let dim = ctx.dim();
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            ctx.probe.start_tile(0);
-            for y in 0..dim {
-                self.paint_row(y, 0, dim, ctx.images.cur_mut().row_mut(y));
-            }
-            ctx.probe.end_tile(0, 0, dim, dim, 0);
-            self.view.zoom();
-            ctx.probe.iteration_end(it);
-        }
-    }
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(|k, ctx| k.seq(ctx, false))),
+        ("tiled", Body::Seq(|k, ctx| k.seq(ctx, true))),
+        ("omp", Body::Par(|k, ctx, pool| k.parallel(ctx, pool, true))),
+        ("omp_tiled", Body::Par(|k, ctx, pool| k.parallel(ctx, pool, false))),
+        ("gpu", Body::Seq(Self::gpu)),
+    ];
 
-    /// Sequential tiled variant: same computation, per-tile monitoring.
-    fn compute_tiled(&mut self, ctx: &mut KernelCtx, nb_iter: u32) {
+    /// `mandel_compute_seq` (paper Fig. 1): plain nested loops over the
+    /// whole image, or, `tiled`, over the tiles one by one.
+    fn seq(&mut self, ctx: &mut KernelCtx, tiled: bool) -> Result<bool> {
         let dim = ctx.dim();
-        let grid = ctx.grid;
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            for tile in grid.iter() {
-                ctx.probe.start_tile(0);
-                for y in tile.y..tile.y + tile.h {
-                    let row = ctx.images.cur_mut().row_mut(y);
-                    self.paint_row(y, tile.x, dim, &mut row[tile.x..tile.x + tile.w]);
-                }
-                ctx.probe.end_tile(tile.x, tile.y, tile.w, tile.h, 0);
+        let grid = if tiled {
+            ctx.grid
+        } else {
+            TileGrid::square(dim, dim)?
+        };
+        let img = ctx.images.cur_mut();
+        for_each_tile(&*ctx.probe, 0, grid.iter(), |t| {
+            for y in t.y..t.y + t.h {
+                self.paint_row(y, t.x, dim, &mut img.row_mut(y)[t.x..t.x + t.w]);
             }
-            self.view.zoom();
-            ctx.probe.iteration_end(it);
-        }
+        });
+        self.view.zoom();
+        Ok(false)
     }
 
     /// `mandel_compute_omp_tiled` (paper Fig. 2): a parallel scheduled
-    /// loop over tiles per iteration, `zoom()` in a single region.
-    /// `row_tiles` makes tiles row-shaped — the plain `omp` variant.
-    fn compute_parallel(&mut self, ctx: &mut KernelCtx, nb_iter: u32, row_tiles: bool) -> Result<()> {
+    /// loop over tiles, `zoom()` in a single region. `row_tiles` makes
+    /// tiles row-shaped — the plain `omp` variant.
+    fn parallel(
+        &mut self,
+        ctx: &mut KernelCtx,
+        pool: &mut WorkerPool,
+        row_tiles: bool,
+    ) -> Result<bool> {
         let dim = ctx.dim();
         let grid = if row_tiles {
             TileGrid::new(dim, dim, dim, 1)?
         } else {
             ctx.grid
         };
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
-        let schedule = ctx.cfg.schedule;
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let this = &*self; // shared with the workers until the loop ends
-            parallel_for_tiles_img(
-                &mut pool,
-                &grid,
-                schedule,
-                &*ctx.probe,
-                ctx.images.cur_mut(),
-                |w, _rank| {
-                    let t = w.tile();
-                    let mut row = vec![Rgba::BLACK; t.w];
-                    for y in t.y..t.y + t.h {
-                        this.paint_row(y, t.x, dim, &mut row);
-                        w.write_row(y, &row);
-                    }
-                },
-            );
-            self.view.zoom();
-            ctx.probe.iteration_end(it);
-        }
-        Ok(())
+        let this = &*self; // shared with the workers until the loop ends
+        let img = ctx.images.cur_mut();
+        parallel_for_tiles_img(pool, &grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _rank| {
+            let t = w.tile();
+            let mut row = vec![Rgba::BLACK; t.w];
+            for y in t.y..t.y + t.h {
+                this.paint_row(y, t.x, dim, &mut row);
+                w.write_row(y, &row);
+            }
+        });
+        self.view.zoom();
+        Ok(false)
     }
 
     /// OpenCL-style variant: one work-item per pixel, work-groups =
     /// tiles ([`crate::gpu::launch`]).
-    fn compute_gpu(&mut self, ctx: &mut KernelCtx, nb_iter: u32) {
+    fn gpu(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
         let dim = ctx.dim();
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            crate::gpu::launch(ctx, |x, y, _| {
-                let (cx, cy) = self.view.pixel_to_complex(x, y, dim);
-                self.palette[escape_iterations(cx, cy, self.max_iter) as usize]
-            });
-            self.view.zoom();
-            ctx.probe.iteration_end(it);
-        }
+        crate::gpu::launch(ctx, |x, y, _| {
+            let (cx, cy) = self.view.pixel_to_complex(x, y, dim);
+            self.palette[escape_iterations(cx, cy, self.max_iter) as usize]
+        });
+        self.view.zoom();
+        Ok(false)
     }
 }
 
@@ -357,7 +341,7 @@ impl Kernel for Mandel {
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "tiled", "omp", "omp_tiled", "gpu"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -378,20 +362,7 @@ impl Kernel for Mandel {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        match variant {
-            "seq" => self.compute_seq(ctx, nb_iter),
-            "tiled" => self.compute_tiled(ctx, nb_iter),
-            "omp" => self.compute_parallel(ctx, nb_iter, true)?,
-            "omp_tiled" => self.compute_parallel(ctx, nb_iter, false)?,
-            "gpu" => self.compute_gpu(ctx, nb_iter),
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "mandel".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 }
 

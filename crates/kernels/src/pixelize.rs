@@ -2,9 +2,10 @@
 //! average color — a mosaic effect where the tile grid itself *is* the
 //! visual output, making `--tile-size` effects directly visible.
 
-use ezp_core::error::{Error, Result};
+use crate::variant::{self, Body};
+use ezp_core::error::Result;
 use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, Tile};
-use ezp_sched::{parallel_for_tiles_img, ImgCell};
+use ezp_sched::{for_each_tile, parallel_for_tiles_img, ImgCell, WorkerPool};
 
 /// Average color of `tile` in `img`.
 pub fn tile_average(img: &Img2D<Rgba>, tile: Tile) -> Rgba {
@@ -36,13 +37,39 @@ fn pixelize_tile(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {
 #[derive(Default)]
 pub struct Pixelize;
 
+impl Pixelize {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("omp_tiled", Body::Par(Self::omp_tiled)),
+    ];
+
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+        let (src, dst) = ctx.images.rw();
+        let cell = ImgCell::new(dst);
+        for_each_tile(&*ctx.probe, 0, ctx.grid.iter(), |t| {
+            pixelize_tile(src, &cell.tile_writer(t))
+        });
+        ctx.images.swap();
+        Ok(false)
+    }
+
+    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+        let (src, dst) = ctx.images.rw();
+        parallel_for_tiles_img(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, dst, |w, _| {
+            pixelize_tile(src, w);
+        });
+        ctx.images.swap();
+        Ok(false)
+    }
+}
+
 impl Kernel for Pixelize {
     fn name(&self) -> &'static str {
         "pixelize"
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "omp_tiled"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -51,47 +78,7 @@ impl Kernel for Pixelize {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let grid = ctx.grid;
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        let cell = ImgCell::new(dst);
-                        for t in grid.iter() {
-                            ctx.probe.start_tile(0);
-                            pixelize_tile(src, &cell.tile_writer(t));
-                            ctx.probe.end_tile(t.x, t.y, t.w, t.h, 0);
-                        }
-                    }
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            "omp_tiled" => {
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        parallel_for_tiles_img(&mut pool, &grid, schedule, &*ctx.probe, dst, |w, _| {
-                            pixelize_tile(src, w);
-                        });
-                    }
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "pixelize".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 }
 

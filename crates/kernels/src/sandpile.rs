@@ -7,9 +7,11 @@
 //! configuration of the abelian sandpile is famously independent of the
 //! toppling order, which the tests exploit.
 
+use crate::variant::{self, whole_image, Body};
 use ezp_core::error::{Error, Result};
 use ezp_core::{Img2D, Kernel, KernelCtx, Rgba};
-use ezp_sched::parallel_for_tiles_img;
+use ezp_sched::{for_each_tile, parallel_for_tiles_img, ImgCell, WorkerPool};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Synchronous sandpile step of one tile: `next = cur - 4*(cur>=4) +
 /// incoming topples`. Returns true when the tile changed.
@@ -73,6 +75,12 @@ impl Default for Sandpile {
 }
 
 impl Sandpile {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("async", Body::Seq(Self::sweep)),
+        ("omp_tiled", Body::Par(Self::omp_tiled)),
+    ];
+
     /// Read access to the grain grid (tests, examples).
     pub fn grains(&self) -> &Img2D<u32> {
         &self.cur
@@ -83,30 +91,14 @@ impl Sandpile {
         self.cur.as_slice().iter().all(|&v| v < 4)
     }
 
-    fn compute_seq(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Option<u32> {
-        let dim = ctx.dim();
-        let grid = ctx.grid;
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let mut changed = false;
-            {
-                let cell = ezp_sched::ImgCell::new(&mut self.next);
-                for t in grid.iter() {
-                    ctx.probe.start_tile(0);
-                    if step_tile(&self.cur, &cell.tile_writer(t)) {
-                        changed = true;
-                    }
-                    ctx.probe.end_tile(t.x, t.y, t.w, t.h, 0);
-                }
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            ctx.probe.iteration_end(it);
-            let _ = dim;
-            if !changed {
-                return Some(it);
-            }
-        }
-        None
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+        let mut changed = false;
+        let (cur, cell) = (&self.cur, ImgCell::new(&mut self.next));
+        for_each_tile(&*ctx.probe, 0, ctx.grid.iter(), |t| {
+            changed |= step_tile(cur, &cell.tile_writer(t));
+        });
+        std::mem::swap(&mut self.cur, &mut self.next);
+        Ok(!changed)
     }
 
     /// Asynchronous (Gauss-Seidel) toppling: cells topple *in place*
@@ -115,72 +107,47 @@ impl Sandpile {
     /// the same final stable configuration as the synchronous scheme —
     /// a striking invariant the tests pin down (EASYPAP ships the same
     /// pair as `ssandPile` / `asandPile`).
-    fn compute_async(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Option<u32> {
+    fn sweep(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
         let dim = ctx.dim();
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            ctx.probe.start_tile(0);
-            let mut changed = false;
+        let cur = &mut self.cur;
+        let mut changed = false;
+        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
             for y in 0..dim {
                 for x in 0..dim {
-                    let v = self.cur.get(x, y);
+                    let v = cur.get(x, y);
                     if v >= 4 {
                         let q = v / 4;
-                        self.cur.set(x, y, v % 4);
+                        cur.set(x, y, v % 4);
                         if x > 0 {
-                            self.cur.set(x - 1, y, self.cur.get(x - 1, y) + q);
+                            cur.set(x - 1, y, cur.get(x - 1, y) + q);
                         }
                         if x + 1 < dim {
-                            self.cur.set(x + 1, y, self.cur.get(x + 1, y) + q);
+                            cur.set(x + 1, y, cur.get(x + 1, y) + q);
                         }
                         if y > 0 {
-                            self.cur.set(x, y - 1, self.cur.get(x, y - 1) + q);
+                            cur.set(x, y - 1, cur.get(x, y - 1) + q);
                         }
                         if y + 1 < dim {
-                            self.cur.set(x, y + 1, self.cur.get(x, y + 1) + q);
+                            cur.set(x, y + 1, cur.get(x, y + 1) + q);
                         }
                         changed = true;
                     }
                 }
             }
-            ctx.probe.end_tile(0, 0, dim, dim, 0);
-            ctx.probe.iteration_end(it);
-            if !changed {
-                return Some(it);
-            }
-        }
-        None
+        });
+        Ok(!changed)
     }
 
-    fn compute_tiled(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Option<u32> {
-        let grid = ctx.grid;
-        let schedule = ctx.cfg.schedule;
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let changed = std::sync::atomic::AtomicBool::new(false);
-            {
-                let cur = &self.cur;
-                parallel_for_tiles_img(
-                    &mut pool,
-                    &grid,
-                    schedule,
-                    &*ctx.probe,
-                    &mut self.next,
-                    |w, _| {
-                        if step_tile(cur, w) {
-                            changed.store(true, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    },
-                );
+    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+        let changed = AtomicBool::new(false);
+        let (cur, next) = (&self.cur, &mut self.next);
+        parallel_for_tiles_img(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, next, |w, _| {
+            if step_tile(cur, w) {
+                changed.store(true, Ordering::Relaxed);
             }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            ctx.probe.iteration_end(it);
-            if !changed.load(std::sync::atomic::Ordering::Relaxed) {
-                return Some(it);
-            }
-        }
-        None
+        });
+        std::mem::swap(&mut self.cur, &mut self.next);
+        Ok(!changed.into_inner())
     }
 }
 
@@ -190,7 +157,7 @@ impl Kernel for Sandpile {
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "async", "omp_tiled"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -209,15 +176,7 @@ impl Kernel for Sandpile {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        match variant {
-            "seq" => Ok(self.compute_seq(ctx, nb_iter)),
-            "async" => Ok(self.compute_async(ctx, nb_iter)),
-            "omp_tiled" => Ok(self.compute_tiled(ctx, nb_iter)),
-            other => Err(Error::UnknownKernel {
-                kernel: "sandpile".into(),
-                variant: other.into(),
-            }),
-        }
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 
     fn refresh_image(&mut self, ctx: &mut KernelCtx) -> Result<()> {

@@ -4,10 +4,11 @@
 //! the *balanced* counterpoint to `mandel`: static scheduling is already
 //! optimal here, which students discover by comparing the two.
 
+use crate::variant::{self, whole_image, Body};
 use ezp_core::color::hsv_to_rgba;
-use ezp_core::error::{Error, Result};
+use ezp_core::error::Result;
 use ezp_core::{Kernel, KernelCtx, Rgba};
-use ezp_sched::parallel_for_tiles_img;
+use ezp_sched::{for_each_tile, parallel_for_tiles_img, WorkerPool};
 
 /// Pixel color for rotation angle `base_angle` (degrees).
 #[inline]
@@ -28,13 +29,46 @@ pub struct Spin {
     angle: f32,
 }
 
+impl Spin {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("omp_tiled", Body::Par(Self::omp_tiled)),
+    ];
+
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+        let (dim, angle) = (ctx.dim(), self.angle);
+        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
+            ctx.images
+                .cur_mut()
+                .for_each_mut(|x, y, p| *p = spin_color(x, y, dim, angle));
+        });
+        self.angle += SPEED;
+        Ok(false)
+    }
+
+    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+        let (dim, angle) = (ctx.dim(), self.angle);
+        let img = ctx.images.cur_mut();
+        parallel_for_tiles_img(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _| {
+            let t = w.tile();
+            for y in t.y..t.y + t.h {
+                for x in t.x..t.x + t.w {
+                    w.set(x, y, spin_color(x, y, dim, angle));
+                }
+            }
+        });
+        self.angle += SPEED;
+        Ok(false)
+    }
+}
+
 impl Kernel for Spin {
     fn name(&self) -> &'static str {
         "spin"
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "omp_tiled"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -44,55 +78,7 @@ impl Kernel for Spin {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let dim = ctx.dim();
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    ctx.probe.start_tile(0);
-                    let angle = self.angle;
-                    ctx.images
-                        .cur_mut()
-                        .for_each_mut(|x, y, p| *p = spin_color(x, y, dim, angle));
-                    ctx.probe.end_tile(0, 0, dim, dim, 0);
-                    self.angle += SPEED;
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            "omp_tiled" => {
-                let grid = ctx.grid;
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    let angle = self.angle;
-                    parallel_for_tiles_img(
-                        &mut pool,
-                        &grid,
-                        schedule,
-                        &*ctx.probe,
-                        ctx.images.cur_mut(),
-                        |w, _| {
-                            let t = w.tile();
-                            for y in t.y..t.y + t.h {
-                                for x in t.x..t.x + t.w {
-                                    w.set(x, y, spin_color(x, y, dim, angle));
-                                }
-                            }
-                        },
-                    );
-                    self.angle += SPEED;
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "spin".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 }
 

@@ -5,13 +5,50 @@
 //! execution turns a strided full-image sweep into cache-friendly
 //! blocked accesses.
 
-use ezp_core::error::{Error, Result};
+use crate::variant::{self, whole_image, Body};
+use ezp_core::error::Result;
 use ezp_core::{Kernel, KernelCtx};
-use ezp_sched::{parallel_for_tiles, ImgCell};
+use ezp_sched::{for_each_tile, parallel_for_tiles, ImgCell, WorkerPool};
 
 /// The transpose kernel.
 #[derive(Default)]
 pub struct Transpose;
+
+impl Transpose {
+    const VARIANTS: &'static variant::Table<Self> = &[
+        ("seq", Body::Seq(Self::seq)),
+        ("omp_tiled", Body::Par(Self::omp_tiled)),
+    ];
+
+    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+        let dim = ctx.dim();
+        let (src, dst) = ctx.images.rw();
+        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
+            for y in 0..dim {
+                for x in 0..dim {
+                    dst.set(x, y, src.get(y, x));
+                }
+            }
+        });
+        ctx.images.swap();
+        Ok(false)
+    }
+
+    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+        let (src, dst) = ctx.images.rw();
+        let cell = ImgCell::new(dst);
+        parallel_for_tiles(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, |t, _| {
+            let w = cell.tile_writer(t);
+            for y in t.y..t.y + t.h {
+                for x in t.x..t.x + t.w {
+                    w.set(x, y, src.get(y, x));
+                }
+            }
+        });
+        ctx.images.swap();
+        Ok(false)
+    }
+}
 
 impl Kernel for Transpose {
     fn name(&self) -> &'static str {
@@ -19,7 +56,7 @@ impl Kernel for Transpose {
     }
 
     fn variants(&self) -> Vec<&'static str> {
-        vec!["seq", "omp_tiled"]
+        variant::names(Self::VARIANTS)
     }
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
@@ -28,55 +65,7 @@ impl Kernel for Transpose {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let dim = ctx.dim();
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    ctx.probe.start_tile(0);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        for y in 0..dim {
-                            for x in 0..dim {
-                                dst.set(x, y, src.get(y, x));
-                            }
-                        }
-                    }
-                    ctx.probe.end_tile(0, 0, dim, dim, 0);
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            "omp_tiled" => {
-                let grid = ctx.grid;
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        let cell = ImgCell::new(dst);
-                        parallel_for_tiles(&mut pool, &grid, schedule, &*ctx.probe, |t, _| {
-                            let w = cell.tile_writer(t);
-                            for y in t.y..t.y + t.h {
-                                for x in t.x..t.x + t.w {
-                                    w.set(x, y, src.get(y, x));
-                                }
-                            }
-                        });
-                    }
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "transpose".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        variant::run(self, ctx, Self::VARIANTS, variant, nb_iter)
     }
 }
 

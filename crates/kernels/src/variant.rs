@@ -1,0 +1,139 @@
+//! The variant runner: EASYPAP's `<kernel>_compute_<variant>` lookup by
+//! name (§II-A). A kernel declares one `VARIANTS` table of per-iteration
+//! bodies; [`run`] owns what every variant's loop would otherwise repeat
+//! by hand — the lookup and its error, the pool, the iteration spans and
+//! the early stop.
+
+use ezp_core::error::{Error, Result};
+use ezp_core::kernel::Probe;
+use ezp_core::{Kernel, KernelCtx, Tile};
+use ezp_sched::WorkerPool;
+use std::sync::Arc;
+
+/// What a variant runs. A step returns `Ok(true)` when the state is
+/// stable: the run stops after that iteration.
+pub(crate) enum Body<K> {
+    /// One iteration on the calling thread.
+    Seq(fn(&mut K, &mut KernelCtx) -> Result<bool>),
+    /// One iteration on the run's pool, acquired once per `compute`.
+    Par(fn(&mut K, &mut KernelCtx, &mut WorkerPool) -> Result<bool>),
+    /// The whole run, for a variant whose loop is not one step per
+    /// iteration on this thread (`life mpi_omp`: every rank iterates).
+    Whole(fn(&mut K, &mut KernelCtx, u32) -> Result<Option<u32>>),
+}
+
+/// A kernel's variants, in `--list` order, each with its body.
+pub(crate) type Table<K> = [(&'static str, Body<K>)];
+
+/// The variant names of `table` (`Kernel::variants`).
+pub(crate) fn names<K>(table: &Table<K>) -> Vec<&'static str> {
+    table.iter().map(|(name, _)| *name).collect()
+}
+
+/// Runs `nb_iter` iterations of `variant` (`Kernel::compute`). Only a
+/// `Par` row acquires a pool: a sequential run never spawns one.
+pub(crate) fn run<K: Kernel>(
+    k: &mut K,
+    ctx: &mut KernelCtx,
+    table: &Table<K>,
+    variant: &str,
+    nb_iter: u32,
+) -> Result<Option<u32>> {
+    let Some((_, body)) = table.iter().find(|(name, _)| *name == variant) else {
+        return Err(Error::UnknownKernel {
+            kernel: k.name().into(),
+            variant: variant.into(),
+        });
+    };
+    let probe = Arc::clone(&ctx.probe);
+    match body {
+        Body::Seq(step) => iterate(&*probe, nb_iter, || step(k, ctx)),
+        Body::Par(step) => {
+            iterate_on_pool(&*probe, ctx.threads(), nb_iter, |pool| step(k, ctx, pool))
+        }
+        Body::Whole(whole) => whole(k, ctx, nb_iter),
+    }
+}
+
+/// Runs `step` for iterations `1..=nb_iter`, each inside its
+/// `iteration_start`/`iteration_end` span, and returns `Some(it)` for
+/// the first iteration whose step reports stable (its span closed too).
+pub(crate) fn iterate(
+    probe: &dyn Probe,
+    nb_iter: u32,
+    mut step: impl FnMut() -> Result<bool>,
+) -> Result<Option<u32>> {
+    for it in 1..=nb_iter {
+        probe.iteration_start(it);
+        let stable = step()?;
+        probe.iteration_end(it);
+        if stable {
+            return Ok(Some(it));
+        }
+    }
+    Ok(None)
+}
+
+/// [`iterate`] with every step on one pool of `threads` workers: the
+/// thread's installed shared pool when there is one, else its own.
+pub(crate) fn iterate_on_pool(
+    probe: &dyn Probe,
+    threads: usize,
+    nb_iter: u32,
+    mut step: impl FnMut(&mut WorkerPool) -> Result<bool>,
+) -> Result<Option<u32>> {
+    let mut pool = ezp_sched::acquire_pool(threads);
+    iterate(probe, nb_iter, || step(&mut pool))
+}
+
+/// The one tile of a whole-image pass over a `dim`² image.
+pub(crate) fn whole_image(dim: usize) -> Tile {
+    Tile { w: dim, h: dim, ..Tile::default() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    #[derive(Default)]
+    struct SpanCounter {
+        starts: AtomicU32,
+        ends: AtomicU32,
+    }
+
+    impl Probe for SpanCounter {
+        fn iteration_start(&self, it: u32) {
+            assert_eq!(self.starts.fetch_add(1, Ordering::Relaxed) + 1, it);
+        }
+        fn iteration_end(&self, it: u32) {
+            assert_eq!(self.ends.fetch_add(1, Ordering::Relaxed) + 1, it);
+        }
+    }
+
+    #[test]
+    fn iterate_stops_at_the_first_stable_step_with_its_span_closed() {
+        for (stable_at, nb_iter) in [(1, 5), (3, 5), (5, 5), (6, 5)] {
+            let probe = SpanCounter::default();
+            let mut steps = 0;
+            let got = iterate(&probe, nb_iter, || {
+                steps += 1;
+                Ok(steps == stable_at)
+            })
+            .unwrap();
+            let ran = stable_at.min(nb_iter);
+            assert_eq!(got, (stable_at <= nb_iter).then_some(stable_at));
+            assert_eq!(steps, ran);
+            assert_eq!(probe.starts.into_inner(), ran);
+            assert_eq!(probe.ends.into_inner(), ran);
+        }
+    }
+
+    #[test]
+    fn a_failing_step_ends_the_run_with_its_error() {
+        let probe = SpanCounter::default();
+        let got = iterate(&probe, 5, || Err(Error::Config("boom".into())));
+        assert!(matches!(got, Err(Error::Config(m)) if m == "boom"));
+        assert_eq!(probe.starts.into_inner(), 1);
+    }
+}

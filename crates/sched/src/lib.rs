@@ -49,7 +49,8 @@ pub use dispenser::Dispenser;
 pub use img_cell::{ImgCell, TileWriter};
 pub use mux::{acquire_pool, MuxStats, PoolHandle, PoolLease, PoolMux};
 pub use parallel::{
-    parallel_for_range, parallel_for_range_probed, parallel_for_tiles, parallel_for_tiles_img,
+    for_each_tile, parallel_for_range, parallel_for_range_probed, parallel_for_tiles,
+    parallel_for_tiles_img,
 };
 pub use park::ParkLot;
 pub use pool::WorkerPool;

@@ -14,6 +14,8 @@
 //! reports every tile to the probe — the instrumentation EASYPAP asks
 //! students to insert by hand: stamped in batches for a probe that
 //! takes stamps (the monitor), else bracketed by `start_tile`/`end_tile`.
+//! [`for_each_tile`] is the same loop body on the calling thread, for
+//! sequential variants.
 
 use crate::dispenser::Dispenser;
 use crate::img_cell::{ImgCell, TileWriter};
@@ -22,8 +24,8 @@ use ezp_core::kernel::{IdleCause, NullProbe, Probe, RuntimeEvent, TileStamp};
 use ezp_core::time::now_ns;
 use ezp_core::{Img2D, Schedule, Tile, TileGrid, WorkerId};
 
-/// Most tiles [`parallel_for_tiles`] stamps per `tiles_done` call: a
-/// 4 KiB array per rank, and how far a live report can lag per worker.
+/// Most tiles stamped per `tiles_done` call: a 4 KiB array per rank,
+/// and how far a live report can lag per worker.
 const TILE_STAMP_BATCH: usize = 64;
 
 /// Runs `f(i, rank)` for every `i in 0..n`, scheduled by `schedule`
@@ -55,11 +57,9 @@ pub fn parallel_for_range_probed(
 }
 
 /// Runs `f(tile, rank)` for every tile of `grid` (`collapse(2)` order),
-/// scheduled by `schedule`, reporting each tile to the probe and
-/// [`RuntimeEvent`]s to probes that want them. A stamped tile *i* ends
-/// on the clock read tile *i+1* starts on; the clock is read afresh
-/// after each `tiles_done` call and at each chunk, so neither the probe
-/// nor the dispenser lands inside a tile.
+/// scheduled by `schedule`, reporting each tile to the probe as
+/// [`for_each_tile`] does and [`RuntimeEvent`]s to probes that want
+/// them.
 pub fn parallel_for_tiles(
     pool: &mut WorkerPool,
     grid: &TileGrid,
@@ -68,34 +68,63 @@ pub fn parallel_for_tiles(
     f: impl Fn(Tile, WorkerId) + Sync,
 ) {
     let f = &f;
-    if !probe.wants_tile_stamps() {
-        run_chunks(pool, grid.len(), schedule, probe, |rank| {
-            move |start, len| {
-                for tile in grid.chunk(start, len) {
-                    probe.start_tile(rank);
-                    f(tile, rank);
-                    probe.end_tile(tile.x, tile.y, tile.w, tile.h, rank);
-                }
-            }
-        });
-        return;
-    }
+    let stamped = probe.wants_tile_stamps();
     run_chunks(pool, grid.len(), schedule, probe, |rank| {
-        let mut batch = [TileStamp::default(); TILE_STAMP_BATCH];
+        let mut batch = stamped.then(|| [TileStamp::default(); TILE_STAMP_BATCH]);
         move |start, len| {
-            for at in (start..start + len).step_by(TILE_STAMP_BATCH) {
-                let n = TILE_STAMP_BATCH.min(start + len - at);
-                let mut start_ns = now_ns();
-                for (stamp, tile) in batch[..n].iter_mut().zip(grid.chunk(at, n)) {
-                    f(tile, rank);
-                    let end_ns = now_ns();
-                    *stamp = TileStamp { tile, start_ns, end_ns };
-                    start_ns = end_ns;
-                }
-                probe.tiles_done(rank, &batch[..n]);
-            }
+            report_tiles(probe, rank, batch.as_mut(), grid.chunk(start, len), |t| f(t, rank))
         }
     });
+}
+
+/// Runs `f` on every tile of `tiles`, in order, on the calling thread
+/// as worker `rank`, reporting each tile to the probe exactly as
+/// [`parallel_for_tiles`] does. This is how a sequential variant
+/// reports its work: a whole-image pass is one tile.
+pub fn for_each_tile(
+    probe: &dyn Probe,
+    rank: WorkerId,
+    tiles: impl IntoIterator<Item = Tile>,
+    f: impl FnMut(Tile),
+) {
+    let mut batch = probe.wants_tile_stamps().then(|| [TileStamp::default(); TILE_STAMP_BATCH]);
+    report_tiles(probe, rank, batch.as_mut(), tiles.into_iter(), f);
+}
+
+/// The one tile-reporting rule. Given a rank's stamp buffer (the probe
+/// takes stamps), tile *i* ends on the clock read tile *i+1* starts on,
+/// and stamps reach `tiles_done` at most [`TILE_STAMP_BATCH`] at a time;
+/// the clock is read afresh after each call and at each chunk, so
+/// neither the probe nor the dispenser lands inside a tile. Without a
+/// buffer, each tile is bracketed by `start_tile`/`end_tile`.
+fn report_tiles(
+    probe: &dyn Probe,
+    rank: WorkerId,
+    batch: Option<&mut [TileStamp; TILE_STAMP_BATCH]>,
+    tiles: impl Iterator<Item = Tile>,
+    mut f: impl FnMut(Tile),
+) {
+    let Some(batch) = batch else {
+        for tile in tiles {
+            probe.start_tile(rank);
+            f(tile);
+            probe.end_tile(tile.x, tile.y, tile.w, tile.h, rank);
+        }
+        return;
+    };
+    let mut tiles = tiles.peekable();
+    while tiles.peek().is_some() {
+        let mut n = 0;
+        let mut start_ns = now_ns();
+        for (stamp, tile) in batch.iter_mut().zip(&mut tiles) {
+            f(tile);
+            let end_ns = now_ns();
+            *stamp = TileStamp { tile, start_ns, end_ns };
+            start_ns = end_ns;
+            n += 1;
+        }
+        probe.tiles_done(rank, &batch[..n]);
+    }
 }
 
 /// The loop both helpers run: every rank builds its chunk body with
@@ -329,6 +358,75 @@ mod tests {
                 assert!(stamps.windows(2).all(|p| p[0].end_ns <= p[1].start_ns));
             }
         }
+    }
+
+    /// Every bracket edge, in call order: `Some(tile)` ends a tile,
+    /// `None` starts one.
+    #[derive(Default)]
+    struct BracketLog(std::sync::Mutex<Vec<(WorkerId, Option<Tile>)>>);
+
+    impl Probe for BracketLog {
+        fn start_tile(&self, worker: WorkerId) {
+            self.0.lock().unwrap().push((worker, None));
+        }
+        fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
+            let tile = Tile {
+                x,
+                y,
+                w,
+                h,
+                ..Tile::default()
+            };
+            self.0.lock().unwrap().push((worker, Some(tile)));
+        }
+        fn tiles_done(&self, _: WorkerId, _: &[TileStamp]) {
+            panic!("a probe that does not ask for stamps gets none");
+        }
+    }
+
+    #[test]
+    fn for_each_tile_stamps_in_batches_and_brackets_the_same_tiles() {
+        let grid = TileGrid::new(130, 1, 1, 1).unwrap();
+        let tiles: Vec<Tile> = grid.iter().collect();
+        let stamps = StampLog::default();
+        for_each_tile(&stamps, 1, grid.iter(), |_| {
+            std::hint::black_box((0..100u64).sum::<u64>());
+        });
+        let batches = stamps.0.into_inner().unwrap();
+        let sizes: Vec<usize> = batches.iter().map(|(_, b)| b.len()).collect();
+        assert_eq!(sizes, [64, 64, 2]);
+        for (worker, batch) in &batches {
+            assert_eq!(*worker, 1);
+            // tile i ends on the clock read tile i+1 starts on
+            assert!(
+                batch.windows(2).all(|p| p[1].start_ns == p[0].end_ns),
+                "{batch:?}"
+            );
+        }
+        let stamped: Vec<Tile> = batches
+            .iter()
+            .flat_map(|(_, b)| b.iter().map(|s| s.tile))
+            .collect();
+        assert_eq!(stamped, tiles);
+
+        let brackets = BracketLog::default();
+        for_each_tile(&brackets, 1, grid.iter(), |_| {});
+        let edges = brackets.0.into_inner().unwrap();
+        let expect: Vec<(WorkerId, Option<Tile>)> = tiles
+            .iter()
+            .flat_map(|t| [(1, None), (1, Some(Tile { tx: 0, ty: 0, ..*t }))])
+            .collect();
+        assert_eq!(edges, expect);
+    }
+
+    #[test]
+    fn for_each_tile_over_no_tiles_reports_nothing() {
+        let stamps = StampLog::default();
+        for_each_tile(&stamps, 0, [], |_| unreachable!());
+        assert!(stamps.0.into_inner().unwrap().is_empty());
+        let brackets = BracketLog::default();
+        for_each_tile(&brackets, 0, [], |_| unreachable!());
+        assert!(brackets.0.into_inner().unwrap().is_empty());
     }
 
     #[test]

@@ -3,25 +3,24 @@
 //! Layout (all integers LEB128 varints unless noted):
 //!
 //! ```text
-//! magic   b"EZV\x02"                       (4 raw bytes; \x01 accepted)
+//! magic   b"EZV\x02"                       (4 raw bytes)
 //! meta    varint length + JSON bytes        (TraceMeta)
 //! iters   varint count, then per span:      iteration, start, end-start
 //! tasks   varint count, then per task:
 //!           iteration, x, y, w, h, worker,
 //!           start delta (vs previous task start), duration
-//! edges   varint count, then per edge:      from, to, kind     (v2 only)
+//! edges   varint count, then per edge:      from, to, kind
 //! ctrs    presence flag (0/1), then varint
-//!           length + CounterSnapshot JSON                      (v2 only)
+//!           length + CounterSnapshot JSON
 //! ```
 //!
 //! Task starts are sorted, so delta-encoding keeps them tiny; `end` is
 //! stored as a duration for the same reason. A still-open iteration span
 //! (`end == u64::MAX`) is preserved via a 0/1 flag.
 //!
-//! Version 2 appends dependency edges and a runtime-counter snapshot.
-//! The reader accepts v1 files (yielding no edges and no counters); the
-//! writer always emits v2. Unknown versions are rejected loudly rather
-//! than misparsed.
+//! Version 2 appended dependency edges and a runtime-counter snapshot to
+//! version 1's layout. Reader and writer speak version 2 only: any other
+//! version, 1 included, is rejected loudly rather than misparsed.
 
 use crate::model::{Trace, TraceMeta};
 use crate::varint::{read_u64, read_usize, write_u64, write_usize};
@@ -33,7 +32,6 @@ use ezp_perf::CounterSnapshot;
 use std::io::Write;
 use std::path::Path;
 
-const MAGIC_V1: &[u8; 4] = b"EZV\x01";
 const MAGIC_V2: &[u8; 4] = b"EZV\x02";
 
 /// Bytes a task record takes at most when its coordinates are below
@@ -147,9 +145,9 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Trace> {
         return Err(Error::TraceFormat("bad magic (not an .ezv trace)".into()));
     }
     let version = buf[3];
-    if &buf[..4] != MAGIC_V1 && &buf[..4] != MAGIC_V2 {
+    if &buf[..4] != MAGIC_V2 {
         return Err(Error::TraceFormat(format!(
-            "unsupported .ezv version {version} (this build reads v1 and v2)"
+            "unsupported .ezv version {version} (this build reads v2)"
         )));
     }
     buf = &buf[4..];
@@ -218,41 +216,39 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Trace> {
     }
     let mut edges = Vec::new();
     let mut counters = None;
-    if version >= 2 {
-        let edge_count = read_usize(&mut buf)?;
-        edges.reserve(edge_count.min(1 << 20));
-        for _ in 0..edge_count {
-            let from = read_usize(&mut buf)?;
-            let to = read_usize(&mut buf)?;
-            let kind = read_u64(&mut buf)?;
-            if kind > u8::MAX as u64 {
-                return Err(Error::TraceFormat(format!("bad edge kind {kind}")));
-            }
-            edges.push(DepEdge {
-                from,
-                to,
-                kind: kind as u8,
-            });
+    let edge_count = read_usize(&mut buf)?;
+    edges.reserve(edge_count.min(1 << 20));
+    for _ in 0..edge_count {
+        let from = read_usize(&mut buf)?;
+        let to = read_usize(&mut buf)?;
+        let kind = read_u64(&mut buf)?;
+        if kind > u8::MAX as u64 {
+            return Err(Error::TraceFormat(format!("bad edge kind {kind}")));
         }
-        match read_u64(&mut buf)? {
-            0 => {}
-            1 => {
-                let len = read_usize(&mut buf)?;
-                if buf.len() < len {
-                    return Err(Error::TraceFormat("truncated counter snapshot".into()));
-                }
-                let text = std::str::from_utf8(&buf[..len]).map_err(|e| {
-                    Error::TraceFormat(format!("counter snapshot is not UTF-8: {e}"))
-                })?;
-                let snap = Json::parse(text)
-                    .and_then(|v| CounterSnapshot::from_json(&v))
-                    .map_err(|e| Error::TraceFormat(format!("bad counter JSON: {e}")))?;
-                buf = &buf[len..];
-                counters = Some(snap);
+        edges.push(DepEdge {
+            from,
+            to,
+            kind: kind as u8,
+        });
+    }
+    match read_u64(&mut buf)? {
+        0 => {}
+        1 => {
+            let len = read_usize(&mut buf)?;
+            if buf.len() < len {
+                return Err(Error::TraceFormat("truncated counter snapshot".into()));
             }
-            other => {
-                return Err(Error::TraceFormat(format!("bad counter flag {other}")));
-            }
+            let text = std::str::from_utf8(&buf[..len]).map_err(|e| {
+                Error::TraceFormat(format!("counter snapshot is not UTF-8: {e}"))
+            })?;
+            let snap = Json::parse(text)
+                .and_then(|v| CounterSnapshot::from_json(&v))
+                .map_err(|e| Error::TraceFormat(format!("bad counter JSON: {e}")))?;
+            buf = &buf[len..];
+            counters = Some(snap);
+        }
+        other => {
+            return Err(Error::TraceFormat(format!("bad counter flag {other}")));
         }
     }
     if !buf.is_empty() {
@@ -469,53 +465,12 @@ mod tests {
         assert!(from_bytes(&bytes).is_err());
     }
 
-    /// Encodes `t` exactly as the v1 writer did: v1 magic, no edge
-    /// section, no counter section.
-    fn to_bytes_v1(t: &Trace) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC_V1);
-        let meta = t.meta.to_json().dump().into_bytes();
-        write_usize(&mut out, meta.len()).unwrap();
-        out.extend_from_slice(&meta);
-        write_usize(&mut out, t.iterations.len()).unwrap();
-        for s in &t.iterations {
-            write_u64(&mut out, s.iteration as u64).unwrap();
-            write_u64(&mut out, s.start_ns).unwrap();
-            if s.end_ns == u64::MAX {
-                write_u64(&mut out, 0).unwrap();
-            } else {
-                write_u64(&mut out, 1).unwrap();
-                write_u64(&mut out, s.end_ns - s.start_ns).unwrap();
-            }
-        }
-        write_usize(&mut out, t.tasks.len()).unwrap();
-        let mut prev_start = 0u64;
-        for task in &t.tasks {
-            write_u64(&mut out, task.iteration as u64).unwrap();
-            write_usize(&mut out, task.x).unwrap();
-            write_usize(&mut out, task.y).unwrap();
-            write_usize(&mut out, task.w).unwrap();
-            write_usize(&mut out, task.h).unwrap();
-            write_usize(&mut out, task.worker).unwrap();
-            let (sign, delta) = if task.start_ns >= prev_start {
-                (0u64, task.start_ns - prev_start)
-            } else {
-                (1u64, prev_start - task.start_ns)
-            };
-            write_u64(&mut out, sign).unwrap();
-            write_u64(&mut out, delta).unwrap();
-            write_u64(&mut out, task.end_ns - task.start_ns).unwrap();
-            prev_start = task.start_ns;
-        }
-        out
-    }
-
-    /// `.ezv` v1 bytes for the sample's metadata, written field by field
+    /// `.ezv` bytes for the sample's metadata, written field by field
     /// as a hostile file could: each span is `[iteration, start, 1,
     /// duration]`, each task `[iteration, x, y, w, h, worker, sign,
-    /// delta, duration]`.
+    /// delta, duration]`; no edges, no counters.
     fn crafted(spans: &[[u64; 4]], tasks: &[[u64; 9]]) -> Vec<u8> {
-        let mut out = MAGIC_V1.to_vec();
+        let mut out = MAGIC_V2.to_vec();
         let meta = sample().meta.to_json().dump();
         write_usize(&mut out, meta.len()).unwrap();
         out.extend_from_slice(meta.as_bytes());
@@ -524,6 +479,7 @@ mod tests {
             spans.as_flattened(),
             &[tasks.len() as u64],
             tasks.as_flattened(),
+            &[0, 0],
         ];
         for &v in sections.concat().iter() {
             write_u64(&mut out, v).unwrap();
@@ -573,13 +529,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_still_load() {
-        let mut expect = sample();
-        expect.edges.clear();
-        expect.counters = None;
-        let bytes = to_bytes_v1(&expect);
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back, expect);
+    fn a_v1_header_is_refused_by_version() {
+        let mut bytes = crafted(&[], &[]);
+        assert!(from_bytes(&bytes).is_ok());
+        bytes[3] = 1;
+        let msg = format_error(&bytes);
+        assert!(msg.contains("unsupported .ezv version 1"), "{msg}");
     }
 
     #[test]

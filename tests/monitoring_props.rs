@@ -1,6 +1,8 @@
 //! Property tests spanning kernels × scheduler × monitor: whatever the
 //! configuration, the monitoring data obeys the framework invariants.
 
+mod common;
+
 use easypap::core::kernel::Probe;
 use easypap::core::perf::run_kernel;
 use easypap::prelude::*;
@@ -136,4 +138,65 @@ ezp_proptest! {
         // speedup is bounded by thread count
         assert!(sim.speedup() <= threads as f64 + 1e-9);
     }
+}
+
+/// Every (kernel, variant) the framework runs reports its tiles inside
+/// the iteration spans it opens, whoever writes the loop: one span per
+/// completed iteration, every record in one of them, on a real worker,
+/// with sane clocks — and a sequential row on worker 0 alone. `life
+/// mpi_omp` is left out: its ranks record into monitors of their own.
+#[test]
+fn every_variant_reports_its_tiles_inside_its_iterations() {
+    // the rows whose tables declare them sequential (`Body::Seq`)
+    let seq_rows = [
+        ("mandel", "seq"),
+        ("mandel", "tiled"),
+        ("mandel", "gpu"),
+        ("blur", "seq"),
+        ("life", "seq"),
+        ("ccomp", "seq"),
+        ("sandpile", "seq"),
+        ("sandpile", "async"),
+        ("heat", "seq"),
+        ("rotate90", "seq"),
+        ("scrollup", "seq"),
+        ("transpose", "seq"),
+        ("invert", "seq"),
+        ("invert", "gpu"),
+        ("pixelize", "seq"),
+        ("spin", "seq"),
+    ];
+    let reg = easypap::kernels::registry();
+    let threads = 2;
+    let mut seq_seen = 0;
+    for case in common::cases() {
+        for variant in reg.create(case.kernel).unwrap().variants() {
+            if (case.kernel, variant) == ("life", "mpi_omp") {
+                continue;
+            }
+            let row = format!("{} {variant}", case.kernel);
+            let cfg = RunConfig::new(case.kernel)
+                .variant(variant)
+                .size(case.dim)
+                .tile(case.tile)
+                .iterations(case.iters.min(3))
+                .threads(threads);
+            let monitor = Arc::new(Monitor::new(threads, cfg.grid().unwrap()));
+            let (outcome, _) = run_kernel(&reg, cfg, monitor.clone() as Arc<dyn Probe>).unwrap();
+            let report = monitor.report();
+            let iters = outcome.completed_iterations;
+            assert_eq!(report.iterations.len(), iters as usize, "{row}");
+            assert!(!report.records.is_empty(), "{row} reported no tile");
+            for r in &report.records {
+                assert!((1..=iters).contains(&r.iteration), "{row}: {r:?}");
+                assert!(r.worker < threads, "{row}: {r:?}");
+                assert!(r.start_ns <= r.end_ns, "{row}: {r:?}");
+            }
+            if seq_rows.contains(&(case.kernel, variant)) {
+                seq_seen += 1;
+                assert!(report.records.iter().all(|r| r.worker == 0), "{row} left worker 0");
+            }
+        }
+    }
+    assert_eq!(seq_seen, seq_rows.len(), "a sequential row above is not registered");
 }
