@@ -33,7 +33,10 @@ fn main() {
     for overhead in [0u64, 100, 500, 2000, 10000] {
         print!("{overhead:>12}ns");
         for k in chunks {
-            let sim = simulate(&costs, SimConfig::new(threads, Schedule::Dynamic(k)).overhead(overhead));
+            let sim = simulate(
+                &costs,
+                SimConfig::new(threads, Schedule::Dynamic(k)).overhead(overhead),
+            );
             print!("{:>8.2}", sim.speedup());
         }
         println!();
@@ -53,10 +56,16 @@ fn main() {
 
     // 3) tile size (grain) sweep at fixed schedule
     println!("== 3) grain sweep, dynamic,2 with 200ns dispatch overhead (P={threads}) ==");
-    println!("{:>8} {:>8} {:>10} {:>8}", "grain", "tiles", "imbal(cv)", "speedup");
+    println!(
+        "{:>8} {:>8} {:>10} {:>8}",
+        "grain", "tiles", "imbal(cv)", "speedup"
+    );
     for grain in [8usize, 16, 32, 64, 128, 256] {
         let costs = mandel_cost_map(dim, grain, 512);
-        let sim = simulate(&costs, SimConfig::new(threads, Schedule::Dynamic(2)).overhead(200));
+        let sim = simulate(
+            &costs,
+            SimConfig::new(threads, Schedule::Dynamic(2)).overhead(200),
+        );
         println!(
             "{grain:>8} {:>8} {:>10.2} {:>8.2}",
             costs.len(),

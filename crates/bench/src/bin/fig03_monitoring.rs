@@ -33,7 +33,9 @@ fn main() {
     print!("{}", snap.to_ascii());
 
     let stats = report.iteration_stats(1).unwrap();
-    let loads: Vec<String> = (0..threads).map(|w| format!("{:.0}%", stats.load(w) * 100.0)).collect();
+    let loads: Vec<String> = (0..threads)
+        .map(|w| format!("{:.0}%", stats.load(w) * 100.0))
+        .collect();
     println!("\nper-CPU load: {}", loads.join(" "));
     println!("imbalance (max/mean busy): {:.2}", stats.imbalance());
     println!(

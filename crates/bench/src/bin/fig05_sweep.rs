@@ -31,7 +31,11 @@ fn main() {
     println!(
         "sweep: {} configurations x {runs} runs (dim {dim}, {iterations} iterations){}",
         sweep.combinations(),
-        if full { " [FULL]" } else { " [scaled; EZP_FULL=1 for paper size]" }
+        if full {
+            " [FULL]"
+        } else {
+            " [scaled; EZP_FULL=1 for paper size]"
+        }
     );
     let csv = "fig05.csv";
     std::fs::remove_file(csv).ok();

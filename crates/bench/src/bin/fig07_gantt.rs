@@ -54,7 +54,10 @@ fn main() {
         crossing.len()
     );
     for t in &crossing {
-        println!("  highlighted tile ({:>3},{:>3}) {}x{} on CPU {}", t.x, t.y, t.w, t.h, t.worker);
+        println!(
+            "  highlighted tile ({:>3},{:>3}) {}x{} on CPU {}",
+            t.x, t.y, t.w, t.h, t.worker
+        );
     }
     println!(
         "\n(sweeping the mouse left->right replays the order in which tiles\n\

@@ -21,7 +21,10 @@ fn main() {
         "workload: mandel {dim}x{dim}, tiles {tile}x{tile}, {threads} CPUs, schedule(dynamic,1)\n"
     );
 
-    let sim = simulate(&costs, SimConfig::new(threads, Schedule::Dynamic(1)).overhead(0));
+    let sim = simulate(
+        &costs,
+        SimConfig::new(threads, Schedule::Dynamic(1)).overhead(0),
+    );
     let report = sim.to_report(&costs, "mandel", "omp_tiled");
     let snap = report.tiling_snapshot(1);
     print!("{}", snap.to_ascii());
@@ -63,7 +66,11 @@ fn main() {
         println!(
             "  cyclic score at period {period}: {:.2}{}",
             patterns::cyclic_score(&heavy_owners, period),
-            if period == threads { "  <= should peak here" } else { "" }
+            if period == threads {
+                "  <= should peak here"
+            } else {
+                ""
+            }
         );
     }
     println!(

@@ -29,7 +29,10 @@ fn measured_heat(kernel: &str, variant: &str, dim: usize, tile: usize) -> HeatMa
 }
 
 fn main() {
-    banner("Fig. 9", "heat maps: (a) mandel set shape, (b) blur borders");
+    banner(
+        "Fig. 9",
+        "heat maps: (a) mandel set shape, (b) blur borders",
+    );
 
     // (a) mandel: the set's interior glows
     println!("--- (a) mandel omp_tiled, 256x256, tiles 16x16 ---");

@@ -41,7 +41,10 @@ fn main() {
     let cmp = TraceComparison::new(&basic, &opt).unwrap();
 
     println!("{}\n", cmp.summary());
-    println!("{:>10} {:>12} {:>12} {:>8}", "iteration", "basic", "optimized", "ratio");
+    println!(
+        "{:>10} {:>12} {:>12} {:>8}",
+        "iteration", "basic", "optimized", "ratio"
+    );
     for (it, b, o) in cmp.per_iteration() {
         println!(
             "{:>10} {:>12} {:>12} {:>7.2}x",
@@ -64,7 +67,11 @@ fn main() {
             "tasks >= {threshold:>4.1}x faster: {:>4}   of which inner tiles: {:>4} ({:.0}%)",
             fast.len(),
             inner,
-            if fast.is_empty() { 0.0 } else { 100.0 * inner as f64 / fast.len() as f64 }
+            if fast.is_empty() {
+                0.0
+            } else {
+                100.0 * inner as f64 / fast.len() as f64
+            }
         );
     }
 

@@ -44,8 +44,7 @@ fn main() {
             let row: String = (0..grid.tiles_x())
                 .map(|tx| {
                     let done = gantt.tasks().iter().any(|task| {
-                        task.end_ns <= t
-                            && grid.tile_of_pixel(task.x, task.y) == grid.tile(tx, ty)
+                        task.end_ns <= t && grid.tile_of_pixel(task.x, task.y) == grid.tile(tx, ty)
                     });
                     if done {
                         '#'
@@ -80,5 +79,8 @@ fn main() {
          critical path {} vs makespan {} virtual ns)",
         sim.critical_path_ns, sim.makespan_ns
     );
-    print!("\n--- Gantt, iteration 1 (real wall-clock trace) ---\n{}", gantt.to_ascii(100));
+    print!(
+        "\n--- Gantt, iteration 1 (real wall-clock trace) ---\n{}",
+        gantt.to_ascii(100)
+    );
 }

@@ -54,7 +54,10 @@ fn main() {
             print!("{:>24}", schedule.as_omp_str());
             for threads in paper_thread_counts() {
                 let sim = simulate(&costs, SimConfig::new(threads, schedule).overhead(200));
-                print!("{:>7.2}", costs.total() as f64 / sim.makespan_ns.max(1) as f64);
+                print!(
+                    "{:>7.2}",
+                    costs.total() as f64 / sim.makespan_ns.max(1) as f64
+                );
             }
             println!();
         }

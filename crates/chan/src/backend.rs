@@ -51,7 +51,10 @@ pub fn bounded<'a, T: Send + 'a>(
     tuning: ChanTuning,
     producers: usize,
     cap: usize,
-) -> (Vec<Box<dyn ChanSender<T> + 'a>>, Box<dyn ChanReceiver<T> + 'a>) {
+) -> (
+    Vec<Box<dyn ChanSender<T> + 'a>>,
+    Box<dyn ChanReceiver<T> + 'a>,
+) {
     let producers = producers.max(1);
     let cap = cap.max(1);
     match tuning.backend {
@@ -71,7 +74,13 @@ pub fn bounded<'a, T: Send + 'a>(
                 })
                 .collect();
             drop(tx);
-            (senders, Box::new(MpscRx { rx: Mutex::new(rx), stats }))
+            (
+                senders,
+                Box::new(MpscRx {
+                    rx: Mutex::new(rx),
+                    stats,
+                }),
+            )
         }
     }
 }
@@ -205,8 +214,10 @@ mod tests {
     use ezp_core::WaitPolicy;
 
     fn tunings() -> [ChanTuning; 2] {
-        [ChanBackendKind::Ring, ChanBackendKind::Mpsc]
-            .map(|backend| ChanTuning { backend, policy: WaitPolicy::Yield })
+        [ChanBackendKind::Ring, ChanBackendKind::Mpsc].map(|backend| ChanTuning {
+            backend,
+            policy: WaitPolicy::Yield,
+        })
     }
 
     #[test]

@@ -48,7 +48,10 @@ fn explore(
 ) -> Run {
     let (txs, rx) = mpmc::<(usize, u64)>(producers, cap, WaitPolicy::Yield);
     // a producer that has nothing to send drops its endpoint up front
-    let mut txs: Vec<_> = txs.into_iter().map(|tx| (items > 0).then_some(tx)).collect();
+    let mut txs: Vec<_> = txs
+        .into_iter()
+        .map(|tx| (items > 0).then_some(tx))
+        .collect();
     let mut rxs: Vec<_> = (0..consumers).map(|_| Some(rx.clone())).collect();
     drop(rx);
 
@@ -60,8 +63,11 @@ fn explore(
         full_stalls: 0,
         empty_stalls: 0,
     };
-    let mut runnable: Vec<bool> =
-        txs.iter().map(Option::is_some).chain(rxs.iter().map(Option::is_some)).collect();
+    let mut runnable: Vec<bool> = txs
+        .iter()
+        .map(Option::is_some)
+        .chain(rxs.iter().map(Option::is_some))
+        .collect();
 
     while let Some(actor) = strategy.next_worker(&runnable) {
         if actor < producers {
@@ -71,7 +77,11 @@ fn explore(
                 Ok(()) => {
                     next[p] += 1;
                     held[p] += 1;
-                    assert!(held[p] <= cap, "lane {p} holds {} items, capacity {cap}", held[p]);
+                    assert!(
+                        held[p] <= cap,
+                        "lane {p} holds {} items, capacity {cap}",
+                        held[p]
+                    );
                     run.max_occupancy = run.max_occupancy.max(held[p]);
                     if next[p] == items {
                         txs[p] = None; // drops the sender
@@ -99,14 +109,26 @@ fn explore(
                     runnable[p] = txs[p].is_some();
                 }
                 Err(TryRecvError::Empty) => {
-                    assert!(held.iter().all(|&h| h == 0), "empty with items queued: {held:?}");
-                    assert!(txs.iter().any(Option::is_some), "empty, but every sender is gone");
+                    assert!(
+                        held.iter().all(|&h| h == 0),
+                        "empty with items queued: {held:?}"
+                    );
+                    assert!(
+                        txs.iter().any(Option::is_some),
+                        "empty, but every sender is gone"
+                    );
                     run.empty_stalls += 1;
                     runnable[actor] = false; // until the next send or departure
                 }
                 Err(TryRecvError::Closed) => {
-                    assert!(txs.iter().all(Option::is_none), "closed with a sender alive");
-                    assert!(held.iter().all(|&h| h == 0), "closed with items queued: {held:?}");
+                    assert!(
+                        txs.iter().all(Option::is_none),
+                        "closed with a sender alive"
+                    );
+                    assert!(
+                        held.iter().all(|&h| h == 0),
+                        "closed with items queued: {held:?}"
+                    );
                     rxs[c] = None;
                     runnable[actor] = false;
                 }
@@ -171,7 +193,11 @@ fn mpmc_conforms_under_every_strategy() {
                     let run = explore(producers, consumers, cap, items, &mut *strategy);
                     check_oracle(&run.popped, producers, items)
                         .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                    assert!(run.max_occupancy <= cap, "{tag}: occupancy {}", run.max_occupancy);
+                    assert!(
+                        run.max_occupancy <= cap,
+                        "{tag}: occupancy {}",
+                        run.max_occupancy
+                    );
                     // Replay contract.
                     let mut replay = kind.build(seed, actors);
                     let again = explore(producers, consumers, cap, items, &mut *replay);
@@ -227,7 +253,12 @@ fn oracle_rejects_handmade_corruption() {
 
     let mut reordered = good;
     // swap a producer's first two items in receive order
-    let idx: Vec<usize> = (0..reordered.len()).filter(|&i| reordered[i].0 == 0).collect();
+    let idx: Vec<usize> = (0..reordered.len())
+        .filter(|&i| reordered[i].0 == 0)
+        .collect();
     reordered.swap(idx[0], idx[1]);
-    assert!(check_oracle(&reordered, 2, 8).is_err(), "per-producer reorder missed");
+    assert!(
+        check_oracle(&reordered, 2, 8).is_err(),
+        "per-producer reorder missed"
+    );
 }

@@ -41,7 +41,10 @@ where
         let mut out = String::from("available kernels:\n");
         for name in reg.kernel_names() {
             let k = reg.create(name)?;
-            out.push_str(&format!("  {name:<12} variants: {}\n", k.variants().join(", ")));
+            out.push_str(&format!(
+                "  {name:<12} variants: {}\n",
+                k.variants().join(", ")
+            ));
         }
         out.push_str("streaming kernels (--stream=N):\n");
         for k in ezp_stream::stream_registry() {
@@ -147,7 +150,12 @@ where
             writeln!(out, "\n=== Activity Monitor ===").unwrap();
             out.push_str(&activity::render_report(report));
             if let Some(last) = report.iterations.last() {
-                writeln!(out, "\n=== Tiling window (iteration {}) ===", last.iteration).unwrap();
+                writeln!(
+                    out,
+                    "\n=== Tiling window (iteration {}) ===",
+                    last.iteration
+                )
+                .unwrap();
                 out.push_str(&report.tiling_snapshot(last.iteration).to_ascii());
                 writeln!(out, "\n=== Heat map (iteration {}) ===", last.iteration).unwrap();
                 out.push_str(&report.heat_map(last.iteration).to_ascii());
@@ -177,7 +185,13 @@ where
         })?;
     }
 
-    observability_tail(&mut out, &cfg, report, perf.as_ref(), kernel.stats_counters())?;
+    observability_tail(
+        &mut out,
+        &cfg,
+        report,
+        perf.as_ref(),
+        kernel.stats_counters(),
+    )?;
     Ok(out)
 }
 
@@ -219,8 +233,14 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
         None => Arc::new(NullProbe),
     };
     let sw = ezp_core::time::Stopwatch::start();
-    let (outputs, stats) =
-        kernel.run(cfg.dim, frames, cfg.stream_mode, farm_width, &mut pool, &*probe)?;
+    let (outputs, stats) = kernel.run(
+        cfg.dim,
+        frames,
+        cfg.stream_mode,
+        farm_width,
+        &mut pool,
+        &*probe,
+    )?;
     let bytes: usize = outputs.iter().map(|(_, b)| b.len()).sum();
     writeln!(
         out,
@@ -325,10 +345,12 @@ struct FrameNumbering {
 
 impl Probe for FrameNumbering {
     fn iteration_start(&self, iteration: u32) {
-        self.inner.iteration_start(self.done.load(Ordering::Relaxed) + iteration);
+        self.inner
+            .iteration_start(self.done.load(Ordering::Relaxed) + iteration);
     }
     fn iteration_end(&self, iteration: u32) {
-        self.inner.iteration_end(self.done.load(Ordering::Relaxed) + iteration);
+        self.inner
+            .iteration_end(self.done.load(Ordering::Relaxed) + iteration);
     }
     fn start_tile(&self, worker: WorkerId) {
         self.inner.start_tile(worker);
@@ -376,7 +398,10 @@ fn run_with_frames(
     frames_dir: &str,
 ) -> Result<(RunOutcome, ezp_core::KernelCtx, Box<dyn ezp_core::Kernel>)> {
     let mut kernel = reg.create_variant(&cfg.kernel, &cfg.variant)?;
-    let numbering = Arc::new(FrameNumbering { inner: probe, done: AtomicU32::new(0) });
+    let numbering = Arc::new(FrameNumbering {
+        inner: probe,
+        done: AtomicU32::new(0),
+    });
     let mut ctx = ezp_core::KernelCtx::new(cfg.clone())?.with_probe(numbering.clone());
     kernel.init(&mut ctx)?;
     let mut sink = at(frames_dir, ezp_render::FrameSink::new(frames_dir))?;
@@ -384,18 +409,20 @@ fn run_with_frames(
     sink.present(ctx.images.cur())?; // initial state
     let sw = ezp_core::time::Stopwatch::start();
     let mux = ezp_sched::PoolMux::new(1, cfg.threads);
-    let converged_at = mux.lease().install(cfg.threads, || -> Result<Option<u32>> {
-        for it in 1..=cfg.iterations {
-            let converged = kernel.compute(&mut ctx, &cfg.variant, 1)?;
-            kernel.refresh_image(&mut ctx)?;
-            sink.present(ctx.images.cur())?;
-            numbering.done.store(it, Ordering::Relaxed);
-            if converged.is_some() {
-                return Ok(Some(it));
+    let converged_at = mux
+        .lease()
+        .install(cfg.threads, || -> Result<Option<u32>> {
+            for it in 1..=cfg.iterations {
+                let converged = kernel.compute(&mut ctx, &cfg.variant, 1)?;
+                kernel.refresh_image(&mut ctx)?;
+                sink.present(ctx.images.cur())?;
+                numbering.done.store(it, Ordering::Relaxed);
+                if converged.is_some() {
+                    return Ok(Some(it));
+                }
             }
-        }
-        Ok(None)
-    })?;
+            Ok(None)
+        })?;
     let outcome = RunOutcome {
         elapsed_ns: sw.elapsed_ns(),
         completed_iterations: converged_at.unwrap_or(cfg.iterations),
@@ -411,7 +438,12 @@ fn run_with_frames(
 fn run_life_mpi_debug(cfg: RunConfig) -> Result<String> {
     use ezp_core::{Kernel, KernelCtx};
     let mut out = String::new();
-    ezp_debug!("easypap", "mpi debug mode: {} ranks, {} threads each", cfg.mpi_ranks, cfg.threads);
+    ezp_debug!(
+        "easypap",
+        "mpi debug mode: {} ranks, {} threads each",
+        cfg.mpi_ranks,
+        cfg.threads
+    );
     let mut kernel = Life::default();
     let iterations = cfg.iterations;
     let variant = cfg.variant.clone();
@@ -460,15 +492,24 @@ mod tests {
     /// the raw line and its counters.
     fn stats_json(out: &str) -> (&str, ezp_perf::CounterSnapshot) {
         use ezp_core::json::{FromJson, Json};
-        let line = out.lines().rev().find(|l| l.starts_with('{')).expect("no JSON in output");
+        let line = out
+            .lines()
+            .rev()
+            .find(|l| l.starts_with('{'))
+            .expect("no JSON in output");
         let doc = Json::parse(line).unwrap();
-        (line, ezp_perf::CounterSnapshot::from_json(doc.get("counters").unwrap()).unwrap())
+        (
+            line,
+            ezp_perf::CounterSnapshot::from_json(doc.get("counters").unwrap()).unwrap(),
+        )
     }
 
     #[test]
     fn list_shows_all_kernels_and_variants() {
         let out = run_easypap(["--list"]).unwrap();
-        for k in ["mandel", "blur", "life", "ccomp", "sandpile", "heat", "spin"] {
+        for k in [
+            "mandel", "blur", "life", "ccomp", "sandpile", "heat", "spin",
+        ] {
             assert!(out.contains(k), "missing kernel {k} in --list");
         }
         assert!(out.contains("omp_tiled"));
@@ -505,7 +546,14 @@ mod tests {
     fn display_mode_dumps_a_frame() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "--kernel", "invert", "--variant", "seq", "--size", "32", "--tile-size", "8",
+                "--kernel",
+                "invert",
+                "--variant",
+                "seq",
+                "--size",
+                "32",
+                "--tile-size",
+                "8",
             ])
             .unwrap();
             assert!(out.contains("invert-seq.ppm"));
@@ -546,12 +594,29 @@ mod tests {
     fn gpu_variant_is_seen_by_monitor_trace_and_explain() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "-k", "mandel", "-v", "gpu", "-s", "64", "-ts", "16", "-i", "2", "-n", "-t", "2",
-                "--monitoring", "--trace", "--explain",
+                "-k",
+                "mandel",
+                "-v",
+                "gpu",
+                "-s",
+                "64",
+                "-ts",
+                "16",
+                "-i",
+                "2",
+                "-n",
+                "-t",
+                "2",
+                "--monitoring",
+                "--trace",
+                "--explain",
             ])
             .unwrap();
             assert_eq!(out.matches("16 tiles").count(), 2, "{out}");
-            assert!(out.contains("trace (32 tasks, 2 iterations, 0 edges)"), "{out}");
+            assert!(
+                out.contains("trace (32 tasks, 2 iterations, 0 edges)"),
+                "{out}"
+            );
             assert!(out.contains("P=4 ") && !out.contains("[no-tasks]"), "{out}");
         });
     }
@@ -608,16 +673,27 @@ mod tests {
                 "--stats=json",
             ])
             .unwrap();
-            let needles =
-                ["Explain (causal profile)", "work T1", "span Tinf", "task latency", "p99", "# advice:"];
+            let needles = [
+                "Explain (causal profile)",
+                "work T1",
+                "span Tinf",
+                "task latency",
+                "p99",
+                "# advice:",
+            ];
             for needle in needles {
                 assert!(out.contains(needle), "no {needle:?} in {out}");
             }
             // at least one advisor slug, `[a-z-]+` in brackets
-            let slug = |s: &str| s.split_once(']').is_some_and(|(w, _)| {
-                !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')
-            });
-            assert!(out.split('[').skip(1).any(slug), "no advisor recommendation in {out}");
+            let slug = |s: &str| {
+                s.split_once(']').is_some_and(|(w, _)| {
+                    !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')
+                })
+            };
+            assert!(
+                out.split('[').skip(1).any(slug),
+                "no advisor recommendation in {out}"
+            );
             // 16-pixel mandel tiles are microseconds long: not a grain problem
             assert!(!out.contains("[grain-too-fine]"), "{out}");
 
@@ -626,7 +702,11 @@ mod tests {
             let (line, counters) = stats_json(&out);
             assert!(line.starts_with("{\"schema\":3,"), "{line}");
             for c in &counters.counters {
-                assert!(c.per_worker.iter().any(|&v| v != 0), "{} is 0 everywhere", c.name);
+                assert!(
+                    c.per_worker.iter().any(|&v| v != 0),
+                    "{} is 0 everywhere",
+                    c.name
+                );
             }
             let causes: u64 = counters
                 .counters
@@ -643,14 +723,30 @@ mod tests {
     fn stats_json_reports_nonzero_task_counts() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "--kernel", "life", "--variant", "omp_tiled", "--size", "64", "--tile-size",
-                "16", "--iterations", "3", "--threads", "2", "--no-display", "--stats=json",
-                "--arg", "random:0.3",
+                "--kernel",
+                "life",
+                "--variant",
+                "omp_tiled",
+                "--size",
+                "64",
+                "--tile-size",
+                "16",
+                "--iterations",
+                "3",
+                "--threads",
+                "2",
+                "--no-display",
+                "--stats=json",
+                "--arg",
+                "random:0.3",
             ])
             .unwrap();
             let (_, counters) = stats_json(&out);
             assert_eq!(counters.total("tasks_executed"), 3 * 16);
-            assert!(counters.total("chunks_dispensed") > 0, "scheduler counters missing");
+            assert!(
+                counters.total("chunks_dispensed") > 0,
+                "scheduler counters missing"
+            );
         });
     }
 
@@ -659,7 +755,17 @@ mod tests {
         // one iteration span a run on worker 0, whose ring holds 4096
         in_tmp_dir(|| {
             let out = run_easypap([
-                "-k", "mandel", "-v", "seq", "-s", "16", "-ts", "16", "-i", "5000", "-n",
+                "-k",
+                "mandel",
+                "-v",
+                "seq",
+                "-s",
+                "16",
+                "-ts",
+                "16",
+                "-i",
+                "5000",
+                "-n",
                 "--stats=json",
             ])
             .unwrap();
@@ -677,15 +783,39 @@ mod tests {
     fn stats_text_and_csv_formats_render() {
         in_tmp_dir(|| {
             let text = run_easypap([
-                "--kernel", "mandel", "--variant", "omp_tiled", "--size", "32", "--tile-size",
-                "8", "--iterations", "1", "--threads", "2", "--no-display", "--stats",
+                "--kernel",
+                "mandel",
+                "--variant",
+                "omp_tiled",
+                "--size",
+                "32",
+                "--tile-size",
+                "8",
+                "--iterations",
+                "1",
+                "--threads",
+                "2",
+                "--no-display",
+                "--stats",
             ])
             .unwrap();
             assert!(text.contains("# TYPE ezp_tasks_executed counter"), "{text}");
             assert!(text.contains("ezp_tasks_executed{worker=\"0\"}"), "{text}");
             let csv = run_easypap([
-                "--kernel", "mandel", "--variant", "omp_tiled", "--size", "32", "--tile-size",
-                "8", "--iterations", "1", "--threads", "2", "--no-display", "--stats=csv",
+                "--kernel",
+                "mandel",
+                "--variant",
+                "omp_tiled",
+                "--size",
+                "32",
+                "--tile-size",
+                "8",
+                "--iterations",
+                "1",
+                "--threads",
+                "2",
+                "--no-display",
+                "--stats=csv",
             ])
             .unwrap();
             assert!(csv.contains("counter,worker,value"), "{csv}");
@@ -697,9 +827,24 @@ mod tests {
     fn stats_json_includes_mpi_comm_counters() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "--kernel", "life", "--variant", "mpi_omp", "--size", "64", "--tile-size",
-                "16", "--iterations", "2", "--threads", "2", "--mpirun", "-np 2",
-                "--no-display", "--stats=json", "--arg", "random:0.3",
+                "--kernel",
+                "life",
+                "--variant",
+                "mpi_omp",
+                "--size",
+                "64",
+                "--tile-size",
+                "16",
+                "--iterations",
+                "2",
+                "--threads",
+                "2",
+                "--mpirun",
+                "-np 2",
+                "--no-display",
+                "--stats=json",
+                "--arg",
+                "random:0.3",
             ])
             .unwrap();
             let (_, counters) = stats_json(&out);
@@ -715,8 +860,20 @@ mod tests {
     fn trace_events_file_is_chrome_loadable() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "--kernel", "blur", "--variant", "omp_tiled", "--size", "32", "--tile-size",
-                "8", "--iterations", "2", "--threads", "2", "--no-display", "--trace-events",
+                "--kernel",
+                "blur",
+                "--variant",
+                "omp_tiled",
+                "--size",
+                "32",
+                "--tile-size",
+                "8",
+                "--iterations",
+                "2",
+                "--threads",
+                "2",
+                "--no-display",
+                "--trace-events",
                 "out.json",
             ])
             .unwrap();
@@ -726,10 +883,9 @@ mod tests {
             let events = j.get("traceEvents").unwrap().as_arr().unwrap();
             // thread metadata + 2 iterations + 2*16 tiles + spans
             assert!(events.len() >= 3 + 2 + 32, "only {} events", events.len());
-            assert!(events.iter().any(|e| e
-                .field::<String>("ph")
-                .map(|p| p == "X")
-                .unwrap_or(false)));
+            assert!(events
+                .iter()
+                .any(|e| e.field::<String>("ph").map(|p| p == "X").unwrap_or(false)));
         });
     }
 
@@ -765,8 +921,18 @@ mod tests {
     fn frames_mode_dumps_per_iteration_images() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "--kernel", "scrollup", "--variant", "seq", "--size", "16", "--tile-size", "8",
-                "--iterations", "3", "--frames", "anim",
+                "--kernel",
+                "scrollup",
+                "--variant",
+                "seq",
+                "--size",
+                "16",
+                "--tile-size",
+                "8",
+                "--iterations",
+                "3",
+                "--frames",
+                "anim",
             ])
             .unwrap();
             assert!(out.contains("3 iterations completed"));
@@ -794,7 +960,12 @@ mod tests {
             fn init(&mut self, _: &mut KernelCtx) -> Result<()> {
                 Ok(())
             }
-            fn compute(&mut self, ctx: &mut KernelCtx, _: &str, nb_iter: u32) -> Result<Option<u32>> {
+            fn compute(
+                &mut self,
+                ctx: &mut KernelCtx,
+                _: &str,
+                nb_iter: u32,
+            ) -> Result<Option<u32>> {
                 assert_eq!(nb_iter, 1, "frames mode computes one iteration per frame");
                 let mut pool = ezp_sched::acquire_pool(ctx.cfg.threads);
                 SHARED.lock().unwrap().push(pool.is_shared());
@@ -806,23 +977,55 @@ mod tests {
         reg.register("pool_spy", || Box::new(PoolSpy));
         in_tmp_dir(|| {
             let cfg = RunConfig::parse_args([
-                "--kernel", "pool_spy", "--variant", "omp", "--size", "16", "--tile-size", "8",
-                "--iterations", "3", "--threads", "2", "--frames", "anim",
+                "--kernel",
+                "pool_spy",
+                "--variant",
+                "omp",
+                "--size",
+                "16",
+                "--tile-size",
+                "8",
+                "--iterations",
+                "3",
+                "--threads",
+                "2",
+                "--frames",
+                "anim",
             ])
             .unwrap();
             let (outcome, ..) = run_with_frames(&reg, cfg, Arc::new(NullProbe), "anim").unwrap();
             assert_eq!(outcome.completed_iterations, 3);
         });
-        assert_eq!(*SHARED.lock().unwrap(), [true; 3], "an iteration spawned its own pool");
+        assert_eq!(
+            *SHARED.lock().unwrap(),
+            [true; 3],
+            "an iteration spawned its own pool"
+        );
     }
 
     #[test]
     fn frames_mode_honours_every_observability_flag() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "--kernel", "mandel", "--variant", "omp_tiled", "--size", "64", "--tile-size",
-                "16", "--iterations", "2", "--threads", "2", "--frames", "anim", "--trace",
-                "--explain", "--monitoring", "--ansi", "--stats=json",
+                "--kernel",
+                "mandel",
+                "--variant",
+                "omp_tiled",
+                "--size",
+                "64",
+                "--tile-size",
+                "16",
+                "--iterations",
+                "2",
+                "--threads",
+                "2",
+                "--frames",
+                "anim",
+                "--trace",
+                "--explain",
+                "--monitoring",
+                "--ansi",
+                "--stats=json",
             ])
             .unwrap();
             assert!(out.contains("3 frames written to anim/"), "{out}");
@@ -843,12 +1046,21 @@ mod tests {
     fn frame_numbering_keeps_the_monitor_on_stamps() {
         let grid = ezp_core::TileGrid::square(16, 8).unwrap();
         let monitor = Arc::new(Monitor::new(1, grid));
-        let numbering = FrameNumbering { inner: monitor.clone(), done: AtomicU32::new(2) };
+        let numbering = FrameNumbering {
+            inner: monitor.clone(),
+            done: AtomicU32::new(2),
+        };
         // without forwarding, `--frames --monitoring` falls back to brackets
         assert!(numbering.wants_tile_stamps());
         numbering.iteration_start(1);
-        let stamps: Vec<TileStamp> =
-            grid.iter().map(|tile| TileStamp { tile, start_ns: 1, end_ns: 2 }).collect();
+        let stamps: Vec<TileStamp> = grid
+            .iter()
+            .map(|tile| TileStamp {
+                tile,
+                start_ns: 1,
+                end_ns: 2,
+            })
+            .collect();
         numbering.tiles_done(0, &stamps);
         let records = monitor.report().records;
         assert_eq!(records.len(), grid.len());
@@ -874,8 +1086,18 @@ mod tests {
             ),
             (
                 &[
-                    "--kernel", "life", "--variant", "mpi_omp", "--size", "64", "--tile-size",
-                    "16", "--mpirun", "-np 2", "--debug", "M",
+                    "--kernel",
+                    "life",
+                    "--variant",
+                    "mpi_omp",
+                    "--size",
+                    "64",
+                    "--tile-size",
+                    "16",
+                    "--mpirun",
+                    "-np 2",
+                    "--debug",
+                    "M",
                 ],
                 "--debug M",
                 &[
@@ -890,11 +1112,27 @@ mod tests {
             // the ranks' tiles reach no monitor this run could report from
             (
                 &[
-                    "--kernel", "life", "--variant", "mpi_omp", "--size", "64", "--tile-size",
-                    "16", "--iterations", "2", "--no-display", "--mpirun", "-np 2",
+                    "--kernel",
+                    "life",
+                    "--variant",
+                    "mpi_omp",
+                    "--size",
+                    "64",
+                    "--tile-size",
+                    "16",
+                    "--iterations",
+                    "2",
+                    "--no-display",
+                    "--mpirun",
+                    "-np 2",
                 ],
                 "distributed run (mpi_omp) without --debug M",
-                &[&["--monitoring"], &["--trace"], &["--trace-events", "te.json"], &["--explain"]],
+                &[
+                    &["--monitoring"],
+                    &["--trace"],
+                    &["--trace-events", "te.json"],
+                    &["--explain"],
+                ],
             ),
         ];
         in_tmp_dir(|| {
@@ -904,10 +1142,17 @@ mod tests {
                     let err = run_easypap(args).expect_err(extra[0]).to_string();
                     let flag = extra[0].split('=').next().unwrap();
                     assert!(err.contains("configuration error"), "{err}");
-                    assert!(err.contains(flag) && err.contains(mode), "{mode} + {flag}: {err}");
+                    assert!(
+                        err.contains(flag) && err.contains(mode),
+                        "{mode} + {flag}: {err}"
+                    );
                 }
             }
-            assert_eq!(std::fs::read_dir(".").unwrap().count(), 0, "a rejected run left files");
+            assert_eq!(
+                std::fs::read_dir(".").unwrap().count(),
+                0,
+                "a rejected run left files"
+            );
         });
     }
 
@@ -915,8 +1160,20 @@ mod tests {
     fn frames_mode_stops_at_convergence() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "--kernel", "life", "--variant", "seq", "--size", "16", "--tile-size", "8",
-                "--iterations", "10", "--frames", "anim", "--arg", "block",
+                "--kernel",
+                "life",
+                "--variant",
+                "seq",
+                "--size",
+                "16",
+                "--tile-size",
+                "8",
+                "--iterations",
+                "10",
+                "--frames",
+                "anim",
+                "--arg",
+                "block",
             ])
             .unwrap();
             assert!(out.contains("1 iterations completed"));
@@ -928,7 +1185,14 @@ mod tests {
     fn ansi_preview_is_emitted() {
         in_tmp_dir(|| {
             let out = run_easypap([
-                "--kernel", "spin", "--variant", "seq", "--size", "32", "--tile-size", "8",
+                "--kernel",
+                "spin",
+                "--variant",
+                "seq",
+                "--size",
+                "32",
+                "--tile-size",
+                "8",
                 "--ansi",
             ])
             .unwrap();
@@ -1003,7 +1267,13 @@ mod tests {
         // a classic kernel is not a streaming kernel
         assert!(run_easypap(["--kernel", "mandel", "--stream=4", "--no-display"]).is_err());
         // a streaming flag without --stream is a config error
-        let args = ["--kernel", "mandel_zoom", "--stream-mode", "unordered", "--no-display"];
+        let args = [
+            "--kernel",
+            "mandel_zoom",
+            "--stream-mode",
+            "unordered",
+            "--no-display",
+        ];
         assert!(run_easypap(args).is_err());
     }
 
@@ -1020,30 +1290,64 @@ mod tests {
     #[test]
     fn hostile_values_are_refused_by_name() {
         let cases: [(&[&str], &[&str]); 11] = [
-            (&["--iterations", "4294967296"], &["--iterations", "0..=4294967295"]),
+            (
+                &["--iterations", "4294967296"],
+                &["--iterations", "0..=4294967295"],
+            ),
             (&["--size", "4294967296"], &["--size", "1..=8192"]),
             (&["--size", "1000000"], &["--size", "1..=8192"]),
-            (&["--variant", "omp_tiled", "--threads", "100000"], &["--threads", "1..=128"]),
+            (
+                &["--variant", "omp_tiled", "--threads", "100000"],
+                &["--threads", "1..=128"],
+            ),
             (&["--mpirun", "-np 100000"], &["--mpirun -np", "1..=32"]),
-            (&["--stream=18446744073709551615"], &["--stream", "1..=1000000"]),
+            (
+                &["--stream=18446744073709551615"],
+                &["--stream", "1..=1000000"],
+            ),
             (&["--trace=1"], &["--trace takes no value"]),
             // a default the user never typed is called one
-            (&["--size", "16"], &["--tile-size 32 (the default)", "pass --tile-size 16"]),
+            (
+                &["--size", "16"],
+                &["--tile-size 32 (the default)", "pass --tile-size 16"],
+            ),
             // the escape-time cap sizes mandel's palette table
-            (&["--arg", "4294967295", "--size", "64"], &["max_iter", "exceeds the limit of 1048576"]),
+            (
+                &["--arg", "4294967295", "--size", "64"],
+                &["max_iter", "exceeds the limit of 1048576"],
+            ),
             // a row per rank: rank 17 of 16 rows indexed past the board
-            (&["-k", "life", "-v", "mpi_omp", "-s", "16", "-ts", "8", "--mpirun", "-np 17"], &["-np 17"]),
+            (
+                &[
+                    "-k", "life", "-v", "mpi_omp", "-s", "16", "-ts", "8", "--mpirun", "-np 17",
+                ],
+                &["-np 17"],
+            ),
             // retired, not an alias
-            (&["--variant", "omp_tiled_x4", "--size", "64"], &["no variant `omp_tiled_x4`"]),
+            (
+                &["--variant", "omp_tiled_x4", "--size", "64"],
+                &["no variant `omp_tiled_x4`"],
+            ),
         ];
         in_tmp_dir(|| {
             for (line, wanted) in cases {
-                let args = ["--kernel", "mandel", "--no-display"].iter().chain(line).copied();
+                let args = ["--kernel", "mandel", "--no-display"]
+                    .iter()
+                    .chain(line)
+                    .copied();
                 let err = run_easypap(args).expect_err(line[0]).to_string();
-                let config = err.starts_with("configuration error") || err.starts_with("no variant");
-                assert!(config && wanted.iter().all(|w| err.contains(w)), "{line:?}: {err}");
+                let config =
+                    err.starts_with("configuration error") || err.starts_with("no variant");
+                assert!(
+                    config && wanted.iter().all(|w| err.contains(w)),
+                    "{line:?}: {err}"
+                );
             }
-            assert_eq!(std::fs::read_dir(".").unwrap().count(), 0, "a refused run left files");
+            assert_eq!(
+                std::fs::read_dir(".").unwrap().count(),
+                0,
+                "a refused run left files"
+            );
         });
     }
 
@@ -1062,9 +1366,15 @@ mod tests {
             std::fs::write("file", "").unwrap();
             std::fs::create_dir("mandel-seq.ppm").unwrap();
             for (sink, path) in sinks {
-                let args = ["-k", "mandel", "-s", "32", "-ts", "8"].iter().chain(sink).copied();
+                let args = ["-k", "mandel", "-s", "32", "-ts", "8"]
+                    .iter()
+                    .chain(sink)
+                    .copied();
                 let err = run_easypap(args).expect_err(path).to_string();
-                assert!(err.starts_with(&format!("I/O error: {path}: ")), "{sink:?}: {err}");
+                assert!(
+                    err.starts_with(&format!("I/O error: {path}: ")),
+                    "{sink:?}: {err}"
+                );
             }
         });
     }
@@ -1076,11 +1386,24 @@ mod tests {
         in_tmp_dir(|| {
             for schedule in ["dynamic,9223372036854775808", "static,9223372036854775808"] {
                 let out = run_easypap([
-                    "--kernel", "mandel", "--variant", "omp_tiled", "--size=64", "--tile-size=8",
-                    "--threads", "2", "--schedule", schedule, "--stats=text", "--no-display",
+                    "--kernel",
+                    "mandel",
+                    "--variant",
+                    "omp_tiled",
+                    "--size=64",
+                    "--tile-size=8",
+                    "--threads",
+                    "2",
+                    "--schedule",
+                    schedule,
+                    "--stats=text",
+                    "--no-display",
                 ])
                 .unwrap();
-                assert!(out.lines().any(|l| l == "ezp_tasks_executed 64"), "{schedule}: {out}");
+                assert!(
+                    out.lines().any(|l| l == "ezp_tasks_executed 64"),
+                    "{schedule}: {out}"
+                );
             }
         });
     }

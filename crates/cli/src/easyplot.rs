@@ -69,7 +69,10 @@ where
 {
     let mut args = PlotArgs::default();
     parse(&EASYPLOT, argv, &mut args)?;
-    let (x, y) = (args.x.as_deref().unwrap_or("threads"), args.y.as_deref().unwrap_or("time_us"));
+    let (x, y) = (
+        args.x.as_deref().unwrap_or("threads"),
+        args.y.as_deref().unwrap_or("time_us"),
+    );
     let table = CsvTable::load(args.input.as_deref().unwrap_or(crate::easypap::PERF_CSV))?;
     // apply the column filters
     let filtered = table.filter(|row| {
@@ -134,8 +137,16 @@ mod tests {
 
     fn sample_csv(name: &str) -> std::path::PathBuf {
         let mut t = CsvTable::new(vec![
-            "machine", "kernel", "variant", "dim", "tile", "threads", "schedule", "iterations",
-            "time_us", "run",
+            "machine",
+            "kernel",
+            "variant",
+            "dim",
+            "tile",
+            "threads",
+            "schedule",
+            "iterations",
+            "time_us",
+            "run",
         ]);
         for (threads, sched, time) in [
             ("1", "static", "1000"),
@@ -146,7 +157,16 @@ mod tests {
             ("4", "dynamic,2", "270"),
         ] {
             t.push_row(vec![
-                "host", "mandel", "omp_tiled", "1024", "16", threads, sched, "10", time, "0",
+                "host",
+                "mandel",
+                "omp_tiled",
+                "1024",
+                "16",
+                threads,
+                sched,
+                "10",
+                time,
+                "0",
             ])
             .unwrap();
         }

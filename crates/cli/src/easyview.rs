@@ -70,7 +70,11 @@ where
         [verb, path] if verb == "explain" => (true, path),
         [path] if path != "explain" => (false, path),
         [_, extra] => return Err(EASYVIEW.unknown(extra)),
-        _ => return Err(Error::Config("usage: easyview [explain] <trace.ezv> [options]".into())),
+        _ => {
+            return Err(Error::Config(
+                "usage: easyview [explain] <trace.ezv> [options]".into(),
+            ))
+        }
     };
     let trace = ezp_trace::io::load(trace_path)?;
     let first = trace.iterations.first().map_or(1, |s| s.iteration);
@@ -80,12 +84,17 @@ where
         Some((lo, hi)) if first <= lo && lo <= hi && hi <= last => (lo, hi),
         Some((lo, hi)) => {
             return Err(Error::Config(format!(
-                "`--iter {lo}:{hi}`: want lo <= hi, both among the trace's iterations {first}..={last}"
-            )))
+            "`--iter {lo}:{hi}`: want lo <= hi, both among the trace's iterations {first}..={last}"
+        )))
         }
     };
     if let Some(cpu) = opts.cpu {
-        int_in("--cpu", &cpu.to_string(), 0, trace.meta.threads.saturating_sub(1) as u64)?;
+        int_in(
+            "--cpu",
+            &cpu.to_string(),
+            0,
+            trace.meta.threads.saturating_sub(1) as u64,
+        )?;
     }
     let mut out = String::new();
     writeln!(
@@ -141,11 +150,7 @@ where
             // the computed surface (a neutral grid stands in for the
             // image, which the trace does not store)
             let grid = trace.meta.grid()?;
-            let mut thumb = ezp_core::Img2D::filled(
-                128,
-                128,
-                ezp_core::Rgba::new(60, 60, 60, 255),
-            );
+            let mut thumb = ezp_core::Img2D::filled(128, 128, ezp_core::Rgba::new(60, 60, 60, 255));
             let tiles: Vec<ezp_core::Tile> = crossing
                 .iter()
                 .map(|r| grid.tile_of_pixel(r.x.min(grid.width() - 1), r.y.min(grid.height() - 1)))
@@ -158,7 +163,11 @@ where
     }
 
     if let Some(cpu) = opts.cpu {
-        writeln!(out, "\n=== Coverage map of CPU {cpu}, iterations {lo}..{hi} ===").unwrap();
+        writeln!(
+            out,
+            "\n=== Coverage map of CPU {cpu}, iterations {lo}..{hi} ==="
+        )
+        .unwrap();
         let cov = CoverageMap::new(&trace, cpu, lo, hi)?;
         out.push_str(&cov.to_ascii());
         writeln!(
@@ -236,7 +245,10 @@ mod tests {
         let path = std::env::temp_dir().join(format!(
             "ezp_view_cli_{}_{}_{name}.ezv",
             std::process::id(),
-            std::thread::current().name().unwrap_or("t").replace("::", "_")
+            std::thread::current()
+                .name()
+                .unwrap_or("t")
+                .replace("::", "_")
         ));
         ezp_trace::io::save(&trace, &path).unwrap();
         path
@@ -257,8 +269,7 @@ mod tests {
     #[test]
     fn iteration_range_and_at() {
         let path = sample_trace_file("at");
-        let out =
-            run_easyview([path.to_str().unwrap(), "--iter", "1:1", "--at", "25"]).unwrap();
+        let out = run_easyview([path.to_str().unwrap(), "--iter", "1:1", "--at", "25"]).unwrap();
         assert!(out.contains("Tasks crossing t=25"));
         assert!(out.contains("CPU 0"));
         assert!(out.contains("CPU 1"));
@@ -278,8 +289,7 @@ mod tests {
     fn compare_mode() {
         let a = sample_trace_file("cmp_a");
         let b = sample_trace_file("cmp_b");
-        let out =
-            run_easyview([a.to_str().unwrap(), "--compare", b.to_str().unwrap()]).unwrap();
+        let out = run_easyview([a.to_str().unwrap(), "--compare", b.to_str().unwrap()]).unwrap();
         assert!(out.contains("Trace comparison"));
         assert!(out.contains("iteration 1"));
         std::fs::remove_file(a).unwrap();
@@ -290,12 +300,8 @@ mod tests {
     fn svg_export() {
         let path = sample_trace_file("svg");
         let svg_path = std::env::temp_dir().join(format!("ezp_view_{}.svg", std::process::id()));
-        let out = run_easyview([
-            path.to_str().unwrap(),
-            "--svg",
-            svg_path.to_str().unwrap(),
-        ])
-        .unwrap();
+        let out =
+            run_easyview([path.to_str().unwrap(), "--svg", svg_path.to_str().unwrap()]).unwrap();
         assert!(out.contains("SVG written"));
         let svg = std::fs::read_to_string(&svg_path).unwrap();
         assert!(svg.starts_with("<svg"));
@@ -319,7 +325,9 @@ mod tests {
         let bytes = std::fs::read(&thumb).unwrap();
         assert!(bytes.starts_with(b"P6\n128 128\n"));
         // some pixels must be highlighted (yellow-ish, not all gray)
-        assert!(bytes[15..].chunks(3).any(|c| c[0] > 200 && c[1] > 200 && c[2] < 100));
+        assert!(bytes[15..]
+            .chunks(3)
+            .any(|c| c[0] > 200 && c[1] > 200 && c[2] < 100));
         std::fs::remove_file(path).unwrap();
         std::fs::remove_file(thumb).unwrap();
     }
@@ -359,8 +367,14 @@ mod tests {
             let err = run_easyview([path.to_str().unwrap(), selection[0], selection[1]])
                 .expect_err(selection[1])
                 .to_string();
-            assert!(err.starts_with("configuration error"), "{selection:?}: {err}");
-            assert!(err.contains(selection[0]) && err.contains(range), "{selection:?}: {err}");
+            assert!(
+                err.starts_with("configuration error"),
+                "{selection:?}: {err}"
+            );
+            assert!(
+                err.contains(selection[0]) && err.contains(range),
+                "{selection:?}: {err}"
+            );
         }
         std::fs::remove_file(path).unwrap();
     }
@@ -380,7 +394,11 @@ mod tests {
                 schedule: "static".into(),
                 label: "hostile".into(),
             },
-            iterations: vec![IterationSpan { iteration: 1, start_ns: 0, end_ns: 10 }],
+            iterations: vec![IterationSpan {
+                iteration: 1,
+                start_ns: 0,
+                end_ns: 10,
+            }],
             tasks: vec![TileRecord {
                 iteration: 1,
                 x: 0,
@@ -410,7 +428,11 @@ mod tests {
         let run = |argv: &&[&str]| run_easyview(*argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
         let outs: Vec<String> = modes.iter().map(run).collect();
         assert!(outs[1].contains("covered 0 tiles"), "{}", outs[1]);
-        assert!(outs[4].contains("n=1 ") && !outs[4].contains("tile #"), "{}", outs[4]);
+        assert!(
+            outs[4].contains("n=1 ") && !outs[4].contains("tile #"),
+            "{}",
+            outs[4]
+        );
         std::fs::remove_file(path).unwrap();
         std::fs::remove_file(thumb).unwrap();
     }
@@ -418,6 +440,9 @@ mod tests {
     #[test]
     fn retired_width_flag_is_an_unknown_option() {
         let err = run_easyview(["run.ezv", "--width", "80"]).unwrap_err();
-        assert!(err.to_string().contains("unknown option `--width`"), "{err}");
+        assert!(
+            err.to_string().contains("unknown option `--width`"),
+            "{err}"
+        );
     }
 }

@@ -36,7 +36,10 @@ pub use easyview::run_easyview;
 pub fn emit(out: &str) -> i32 {
     use std::io::Write as _;
     let mut stdout = std::io::stdout().lock();
-    match stdout.write_all(out.as_bytes()).and_then(|()| stdout.flush()) {
+    match stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
         Ok(()) => 0,
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
         Err(e) => {
@@ -79,7 +82,9 @@ mod tests {
                 Grammar::Switch(_) => name.to_string(),
                 Grammar::Text(_) => format!("{name}=x"),
                 Grammar::Int(min, ..) => format!("{name}={min}"),
-                Grammar::OneOf(words, _) | Grammar::OptOneOf(words, _) => format!("{name}={}", words[0]),
+                Grammar::OneOf(words, _) | Grammar::OptOneOf(words, _) => {
+                    format!("{name}={}", words[0])
+                }
                 Grammar::Custom(example, _) => format!("{name}={example}"),
             };
             assert_eq!(run(&[sample]), Ok(vec![]), "{}", cmd.name);
@@ -87,19 +92,44 @@ mod tests {
             // name and range, what lies just outside and the widths that
             // used to wrap. More than 32 bits is for identifiers, never for
             // what sizes a loop or a buffer: a bound cannot be dropped
-            let Grammar::Int(min, max, _) = flag.grammar else { continue };
+            let Grammar::Int(min, max, _) = flag.grammar else {
+                continue;
+            };
             let wide = ["--seed", "--at"].contains(&name);
-            assert!(wide || max <= u32::MAX.into(), "{} {} needs a bound", cmd.name, flag.usage());
+            assert!(
+                wide || max <= u32::MAX.into(),
+                "{} {} needs a bound",
+                cmd.name,
+                flag.usage()
+            );
             let (lo, hi) = (u128::from(min), u128::from(max));
-            for n in [lo.wrapping_sub(1), lo, hi, hi + 1, 1 << 32, 1 << 63, (1 << 64) - 1, 1 << 64] {
+            for n in [
+                lo.wrapping_sub(1),
+                lo,
+                hi,
+                hi + 1,
+                1 << 32,
+                1 << 63,
+                (1 << 64) - 1,
+                1 << 64,
+            ] {
                 for name in flag.names {
-                    for argv in [vec![name.to_string(), n.to_string()], vec![format!("{name}={n}")]] {
+                    for argv in [
+                        vec![name.to_string(), n.to_string()],
+                        vec![format!("{name}={n}")],
+                    ] {
                         let refusal = |e: &String| {
                             let range = format!("{min}..={max}");
-                            e.starts_with("configuration error") && e.contains(name) && e.contains(&range)
+                            e.starts_with("configuration error")
+                                && e.contains(name)
+                                && e.contains(&range)
                         };
                         let got = run(&argv);
-                        let fine = if (lo..=hi).contains(&n) { got.is_ok() } else { got.as_ref().is_err_and(refusal) };
+                        let fine = if (lo..=hi).contains(&n) {
+                            got.is_ok()
+                        } else {
+                            got.as_ref().is_err_and(refusal)
+                        };
                         assert!(fine, "{} {argv:?}: {got:?}", cmd.name);
                     }
                 }
@@ -121,7 +151,10 @@ mod tests {
     #[test]
     fn rows_shared_by_two_commands_parse_identically() {
         fn shared<A, B>(a: &Command<A>, b: &Command<B>) -> usize {
-            let pairs = a.flags.iter().flat_map(|fa| b.flags.iter().map(move |fb| (fa, fb)));
+            let pairs = a
+                .flags
+                .iter()
+                .flat_map(|fa| b.flags.iter().map(move |fb| (fa, fb)));
             pairs
                 .filter(|(fa, fb)| fa.names[0] == fb.names[0])
                 .inspect(|(fa, fb)| assert_eq!(fa.usage(), fb.usage(), "{} vs {}", a.name, b.name))
@@ -150,21 +183,33 @@ mod tests {
             ("easyplot", names(&EASYPLOT)),
         ];
         // `command --flag` tokens in the first cell of each Removed line
-        let gone = removed.lines().filter_map(|line| line.strip_prefix("| ")?.split(" | ").next());
+        let gone = removed
+            .lines()
+            .filter_map(|line| line.strip_prefix("| ")?.split(" | ").next());
         for token in gone.flat_map(|cell| cell.split('`').skip(1).step_by(2)) {
-            let Some((command, flag)) = token.rsplit_once(' ') else { continue };
+            let Some((command, flag)) = token.rsplit_once(' ') else {
+                continue;
+            };
             for (_, names) in tables.iter().filter(|(name, _)| *name == command) {
-                assert!(!names.contains(&flag), "`{token}` is listed as removed, but parses");
+                assert!(
+                    !names.contains(&flag),
+                    "`{token}` is listed as removed, but parses"
+                );
             }
         }
         let sections = [
             ("## `easypap` (", names(&EASYPAP)),
-            ("## `easypap serve`", [names(&SERVE), names(&SUBMIT)].concat()),
+            (
+                "## `easypap serve`",
+                [names(&SERVE), names(&SUBMIT)].concat(),
+            ),
             ("## `easyview`", names(&EASYVIEW)),
             ("## `easyplot`", names(&EASYPLOT)),
         ];
         for (heading, names) in sections {
-            let start = ledger.find(heading).unwrap_or_else(|| panic!("no section {heading}"));
+            let start = ledger
+                .find(heading)
+                .unwrap_or_else(|| panic!("no section {heading}"));
             let section = ledger[start + 2..].split("\n## ").next().unwrap();
             // the `--flag` tokens in the first cell of each table line
             let documented: Vec<&str> = section
@@ -174,10 +219,16 @@ mod tests {
                 .filter(|token| token.starts_with('-'))
                 .collect();
             for name in &names {
-                assert!(documented.contains(name), "{heading}: {name} has no ledger line");
+                assert!(
+                    documented.contains(name),
+                    "{heading}: {name} has no ledger line"
+                );
             }
             for token in documented {
-                assert!(names.contains(&token), "{heading}: the ledger lists {token}, no row does");
+                assert!(
+                    names.contains(&token),
+                    "{heading}: the ledger lists {token}, no row does"
+                );
             }
         }
     }

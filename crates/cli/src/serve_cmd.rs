@@ -43,7 +43,10 @@ pub(crate) static SERVE: Command<ServeConfig> = Command {
 /// `easypap serve`: run the daemon in the foreground until a client
 /// sends `shutdown`.
 pub fn run_serve(args: &[String]) -> Result<String> {
-    let mut cfg = ServeConfig { port: DEFAULT_PORT, ..ServeConfig::default() };
+    let mut cfg = ServeConfig {
+        port: DEFAULT_PORT,
+        ..ServeConfig::default()
+    };
     parse(&SERVE, args, &mut cfg)?;
     let server = Server::start(cfg.clone())?;
     // the summary text below only materializes at shutdown; tell the
@@ -120,7 +123,14 @@ pub(crate) static SUBMIT: Command<SubmitArgs> = Command {
 pub fn run_submit(args: &[String]) -> Result<String> {
     let mut parsed = SubmitArgs::default();
     parse(&SUBMIT, args, &mut parsed)?;
-    let SubmitArgs { host, port, spec, retry, stats_mode, stop_mode } = parsed;
+    let SubmitArgs {
+        host,
+        port,
+        spec,
+        retry,
+        stats_mode,
+        stop_mode,
+    } = parsed;
     let host = host.as_deref().unwrap_or("127.0.0.1");
     let addr = format!("{host}:{}", port.unwrap_or(DEFAULT_PORT));
     let mut client = Client::connect(&addr)
@@ -133,9 +143,20 @@ pub fn run_submit(args: &[String]) -> Result<String> {
         client.shutdown()?;
         return Ok(format!("easypap serve at {addr} acknowledged shutdown\n"));
     }
-    let resp = if retry { client.submit_retrying(&spec)? } else { client.submit(&spec)? };
+    let resp = if retry {
+        client.submit_retrying(&spec)?
+    } else {
+        client.submit(&spec)?
+    };
     match resp {
-        Response::Done { job_id, tenant, elapsed_ns, iterations, digest, report } => {
+        Response::Done {
+            job_id,
+            tenant,
+            elapsed_ns,
+            iterations,
+            digest,
+            report,
+        } => {
             let mut out = String::new();
             writeln!(
                 out,
@@ -148,7 +169,10 @@ pub fn run_submit(args: &[String]) -> Result<String> {
             out.push('\n');
             Ok(out)
         }
-        Response::Rejected { reason, retry_after_ms } => Err(Error::Config(format!(
+        Response::Rejected {
+            reason,
+            retry_after_ms,
+        } => Err(Error::Config(format!(
             "server rejected the job: {reason} (retry after {retry_after_ms} ms, \
              or pass --retry to wait)"
         ))),
@@ -205,20 +229,39 @@ mod tests {
         let server = Server::start(ServeConfig::default()).unwrap();
         let port = server.addr().port().to_string();
         let out = run_submit(&argv(&[
-            "--port", &port, "--kernel", "mandel", "--variant", "seq", "-s", "64", "-i", "2",
-            "--tenant", "cli-test",
+            "--port",
+            &port,
+            "--kernel",
+            "mandel",
+            "--variant",
+            "seq",
+            "-s",
+            "64",
+            "-i",
+            "2",
+            "--tenant",
+            "cli-test",
         ]))
         .unwrap();
-        assert!(out.contains("(tenant cli-test) done: 2 iteration(s)"), "got: {out}");
+        assert!(
+            out.contains("(tenant cli-test) done: 2 iteration(s)"),
+            "got: {out}"
+        );
         assert!(out.contains("digest "), "got: {out}");
         // the report prints without asking, its phases first
         assert!(out.contains("\"schema\": 3"), "no report: {out}");
         assert!(out.contains("\"name\": \"queue\""), "got: {out}");
-        assert!(!out.contains("\"tenant\""), "the tenant is in the done line only: {out}");
+        assert!(
+            !out.contains("\"tenant\""),
+            "the tenant is in the done line only: {out}"
+        );
         // the per-job report lists what the job moved; a counter that
         // read 0 is absent
         assert!(out.contains("\"tasks_executed\""), "got: {out}");
-        assert!(!out.contains("\"steals_attempted\""), "a zero counter was printed: {out}");
+        assert!(
+            !out.contains("\"steals_attempted\""),
+            "a zero counter was printed: {out}"
+        );
 
         let stats = run_submit(&argv(&["--port", &port, "--server-stats"])).unwrap();
         assert!(stats.contains("\"jobs_admitted\""), "got: {stats}");
@@ -243,7 +286,15 @@ mod tests {
         // ephemeral port back to the test
         let port = "39471";
         let handle = {
-            let args = argv(&["--port", port, "--workers", "1", "--slots", "1", "--queue-cap=1"]);
+            let args = argv(&[
+                "--port",
+                port,
+                "--workers",
+                "1",
+                "--slots",
+                "1",
+                "--queue-cap=1",
+            ]);
             std::thread::spawn(move || run_serve(&args))
         };
         // wait for the listener, then run one job and stop the daemon
@@ -274,15 +325,24 @@ mod tests {
             FrameIn::Msg(v) => Response::from_json(&v).unwrap(),
             other => panic!("expected a frame, got {other:?}"),
         };
-        let hold = JobSpec { tenant: Some("hold".into()), stall_us: 500_000, ..JobSpec::default() };
-        let queued = JobSpec { tenant: Some("ci".into()), ..JobSpec::default() };
+        let hold = JobSpec {
+            tenant: Some("hold".into()),
+            stall_us: 500_000,
+            ..JobSpec::default()
+        };
+        let queued = JobSpec {
+            tenant: Some("ci".into()),
+            ..JobSpec::default()
+        };
         for spec in [hold, queued] {
             write_frame(&mut conn, &Request::Submit(spec).to_json()).unwrap();
             assert!(matches!(next(), Response::Accepted { .. }));
         }
-        let err = run_submit(&argv(&["--port", port, "-k", "mandel", "-s", "64", "--tenant", "ci"]))
-            .unwrap_err()
-            .to_string();
+        let err = run_submit(&argv(&[
+            "--port", port, "-k", "mandel", "-s", "64", "--tenant", "ci",
+        ]))
+        .unwrap_err()
+        .to_string();
         for needle in ["rejected", "retry after", "--retry"] {
             assert!(err.contains(needle), "no {needle:?} in: {err}");
         }
@@ -294,9 +354,20 @@ mod tests {
         let stats = run_submit(&argv(&["--port", port, "--server-stats"])).unwrap();
         let stats = Json::parse(&stats).unwrap();
         let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
-        let ci = tenants.iter().find(|t| t.field::<String>("tenant").unwrap() == "ci").unwrap();
-        assert!(ci.field::<u64>("jobs_rejected").unwrap() >= 1, "{}", ci.dump());
-        assert!(ci.field::<u64>("tenant_queue_depth").unwrap() >= 1, "{}", ci.dump());
+        let ci = tenants
+            .iter()
+            .find(|t| t.field::<String>("tenant").unwrap() == "ci")
+            .unwrap();
+        assert!(
+            ci.field::<u64>("jobs_rejected").unwrap() >= 1,
+            "{}",
+            ci.dump()
+        );
+        assert!(
+            ci.field::<u64>("tenant_queue_depth").unwrap() >= 1,
+            "{}",
+            ci.dump()
+        );
         assert!(ci.get("tenant_idle_ns").is_some(), "{}", ci.dump());
 
         run_submit(&argv(&["--port", port, "--stop"])).unwrap();

@@ -34,7 +34,10 @@ fn run_with_closed_stdout(args: &[&str], tag: &str) -> (std::process::ExitStatus
     drop(child.stdout.take());
     let out = child.wait_with_output().expect("wait easypap");
     std::fs::remove_dir_all(&dir).ok();
-    (out.status, String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status,
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
@@ -42,11 +45,27 @@ fn closed_stdout_pipe_is_a_clean_exit() {
     // `--ansi` makes the output comfortably exceed the pipe buffer, so
     // the child reliably hits EPIPE mid-write
     let (status, stderr) = run_with_closed_stdout(
-        &["--kernel", "mandel", "--variant", "seq", "-s", "128", "-i", "1", "--ansi"],
+        &[
+            "--kernel",
+            "mandel",
+            "--variant",
+            "seq",
+            "-s",
+            "128",
+            "-i",
+            "1",
+            "--ansi",
+        ],
         "ansi",
     );
-    assert!(status.success(), "broken pipe must exit 0, got {status:?}; stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "no panic trace, got: {stderr}");
+    assert!(
+        status.success(),
+        "broken pipe must exit 0, got {status:?}; stderr: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "no panic trace, got: {stderr}"
+    );
 }
 
 #[test]
@@ -54,9 +73,22 @@ fn closed_stdout_pipe_is_clean_for_small_output_too() {
     // small output fits the pipe buffer: the write succeeds outright,
     // but the flush path must not trip over the closed pipe either
     let (status, stderr) = run_with_closed_stdout(
-        &["--kernel", "mandel", "--variant", "seq", "-s", "64", "-i", "1", "--no-display"],
+        &[
+            "--kernel",
+            "mandel",
+            "--variant",
+            "seq",
+            "-s",
+            "64",
+            "-i",
+            "1",
+            "--no-display",
+        ],
         "small",
     );
     assert!(status.success(), "got {status:?}; stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "no panic trace, got: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "no panic trace, got: {stderr}"
+    );
 }

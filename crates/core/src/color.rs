@@ -149,7 +149,11 @@ pub fn mandel_color(iter: u32, max_iter: u32) -> Rgba {
         return Rgba::BLACK;
     }
     let t = iter as f32 / max_iter as f32;
-    hsv_to_rgba(240.0 + 300.0 * t, 0.9, 0.2 + 0.8 * (t * std::f32::consts::PI).sin())
+    hsv_to_rgba(
+        240.0 + 300.0 * t,
+        0.9,
+        0.2 + 0.8 * (t * std::f32::consts::PI).sin(),
+    )
 }
 
 /// [`mandel_color`] tabulated over every count a run can produce:
@@ -248,7 +252,11 @@ mod tests {
             let table = mandel_palette(cap);
             assert_eq!(table.len(), cap as usize + 1);
             for n in 0..=cap {
-                assert_eq!(table[n as usize], mandel_color(n, cap), "entry {n} of cap {cap}");
+                assert_eq!(
+                    table[n as usize],
+                    mandel_color(n, cap),
+                    "entry {n} of cap {cap}"
+                );
             }
             assert_eq!(table[cap as usize], Rgba::BLACK);
         }

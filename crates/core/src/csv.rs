@@ -144,7 +144,10 @@ impl CsvTable {
                 )));
             }
         }
-        let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
         if !exists {
             writeln!(file, "{}", header.join(&SEP.to_string()))?;
         }

@@ -39,7 +39,10 @@ impl Tile {
     /// (§III-B) specializes "outer" tiles versus "inner" tiles.
     #[inline]
     pub fn is_border(&self, grid: &TileGrid) -> bool {
-        self.tx == 0 || self.ty == 0 || self.tx == grid.tiles_x() - 1 || self.ty == grid.tiles_y() - 1
+        self.tx == 0
+            || self.ty == 0
+            || self.tx == grid.tiles_x() - 1
+            || self.ty == grid.tiles_y() - 1
     }
 
     /// True when pixel `(px, py)` falls inside this tile.
@@ -363,7 +366,9 @@ mod tests {
         let g = TileGrid::square(64, 16).unwrap(); // 4x4 tiles
         let inner: Vec<Tile> = g.iter().filter(|t| !t.is_border(&g)).collect();
         assert_eq!(inner.len(), 4); // the central 2x2 block
-        assert!(inner.iter().all(|t| (1..=2).contains(&t.tx) && (1..=2).contains(&t.ty)));
+        assert!(inner
+            .iter()
+            .all(|t| (1..=2).contains(&t.tx) && (1..=2).contains(&t.ty)));
         // on a 1x1 tile grid, the single tile is a border tile
         let g1 = TileGrid::square(8, 8).unwrap();
         assert!(g1.tile(0, 0).is_border(&g1));

@@ -90,7 +90,12 @@ impl<T: Copy> Img2D<T> {
         let mut buf = vec![value; len + line_elems::<T>()];
         let off = aligned_offset(buf.as_ptr());
         buf.truncate(off + len);
-        Img2D { width, height, buf, off }
+        Img2D {
+            width,
+            height,
+            buf,
+            off,
+        }
     }
 
     /// A `width`×`height` image of `pixels`, copied behind an aligned
@@ -105,7 +110,12 @@ impl<T: Copy> Img2D<T> {
             off
         });
         buf.extend_from_slice(pixels);
-        Img2D { width, height, buf, off }
+        Img2D {
+            width,
+            height,
+            buf,
+            off,
+        }
     }
 
     /// Builds an image from an existing row-major vector.
@@ -215,7 +225,9 @@ impl<T: Copy> Img2D<T> {
     pub fn bands_mut(&mut self, rows_per_band: usize) -> Vec<&mut [T]> {
         assert!(rows_per_band > 0, "bands_mut: zero rows per band");
         let width = self.width;
-        self.as_mut_slice().chunks_mut(rows_per_band * width).collect()
+        self.as_mut_slice()
+            .chunks_mut(rows_per_band * width)
+            .collect()
     }
 
     /// Applies `f` to every pixel coordinate in row-major order.
@@ -234,7 +246,8 @@ impl Img2D<Rgba> {
     /// and the CLI dump frames to `.ppm` files instead of a screen.
     pub fn to_ppm(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.width * self.height * 3 + 32);
-        self.write_ppm(&mut out).expect("writing to a Vec cannot fail");
+        self.write_ppm(&mut out)
+            .expect("writing to a Vec cannot fail");
         out
     }
 
@@ -374,8 +387,16 @@ mod tests {
         for (w, h) in [(1usize, 1usize), (8, 8), (29, 17), (64, 64), (512, 512)] {
             let new: Img2D<Rgba> = Img2D::new(w, h);
             assert_eq!(line_offset(&new), 0, "new {w}x{h}");
-            assert_eq!(line_offset(&Img2D::filled(w, h, Rgba::RED)), 0, "filled {w}x{h}");
-            assert_eq!(line_offset(&Img2D::filled(w, h, 7u8)), 0, "filled u8 {w}x{h}");
+            assert_eq!(
+                line_offset(&Img2D::filled(w, h, Rgba::RED)),
+                0,
+                "filled {w}x{h}"
+            );
+            assert_eq!(
+                line_offset(&Img2D::filled(w, h, 7u8)),
+                0,
+                "filled u8 {w}x{h}"
+            );
             let from = Img2D::from_vec(w, h, vec![3u16; w * h]).unwrap();
             assert_eq!(line_offset(&from), 0, "from_vec {w}x{h}");
             assert_eq!(from.as_slice(), vec![3u16; w * h]);
@@ -388,7 +409,10 @@ mod tests {
         // nothing to place: an empty image is an empty slice
         let empty: Img2D<Rgba> = Img2D::new(0, 3);
         assert!(empty.clone().as_slice().is_empty());
-        assert!(Img2D::<u8>::from_vec(0, 0, Vec::new()).unwrap().as_slice().is_empty());
+        assert!(Img2D::<u8>::from_vec(0, 0, Vec::new())
+            .unwrap()
+            .as_slice()
+            .is_empty());
         // a size that does not divide the line falls back to offset 0, intact
         let odd = Img2D::filled(5, 5, [1u8, 2, 3]);
         assert_eq!(odd.clone().as_slice(), [[1u8, 2, 3]; 25]);
@@ -400,7 +424,12 @@ mod tests {
         a.set(1, 2, 9);
         // the same pixels behind one more element of (different) padding
         let off = a.off + 1;
-        let b = Img2D { width: 3, height: 3, buf: [&vec![77; off][..], a.as_slice()].concat(), off };
+        let b = Img2D {
+            width: 3,
+            height: 3,
+            buf: [&vec![77; off][..], a.as_slice()].concat(),
+            off,
+        };
         assert_eq!(a, b);
         let mut c = b.clone();
         c.set(0, 0, 1);

@@ -40,7 +40,12 @@ pub enum Json {
 impl Json {
     /// Build an object from `(key, value)` pairs.
     pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// Look up a field of an object.
@@ -371,8 +376,8 @@ impl<'a> Parser<'a> {
                         .iter()
                         .position(|&b| b == b'"' || b == b'\\')
                         .unwrap_or(rest.len());
-                    let run = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
                     out.push_str(run);
                     self.pos += len;
                 }
@@ -691,7 +696,14 @@ mod tests {
 
     #[test]
     fn strings_escape_and_unescape() {
-        for s in ["", "plain", "with \"quotes\"", "tab\there\nnewline", "uni: é λ 🚀", "back\\slash"] {
+        for s in [
+            "",
+            "plain",
+            "with \"quotes\"",
+            "tab\there\nnewline",
+            "uni: é λ 🚀",
+            "back\\slash",
+        ] {
             let v = Json::Str(s.to_string());
             assert_eq!(round_trip(&v), v, "string {s:?}");
         }
@@ -712,11 +724,11 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(
-            Json::parse(r#""Aé😀""#).unwrap(),
-            Json::Str("Aé😀".into())
+        assert_eq!(Json::parse(r#""Aé😀""#).unwrap(), Json::Str("Aé😀".into()));
+        assert!(
+            Json::parse(r#""\ud83d""#).is_err(),
+            "lone surrogate rejected"
         );
-        assert!(Json::parse(r#""\ud83d""#).is_err(), "lone surrogate rejected");
     }
 
     #[test]
@@ -731,7 +743,16 @@ mod tests {
 
     #[test]
     fn parse_errors_are_reported() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated", "{'a':1}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "{'a':1}",
+        ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
     }
@@ -767,7 +788,10 @@ mod tests {
             triple
         );
         let nested: Vec<Vec<u64>> = vec![vec![], vec![u64::MAX]];
-        assert_eq!(Vec::<Vec<u64>>::from_json(&nested.to_json()).unwrap(), nested);
+        assert_eq!(
+            Vec::<Vec<u64>>::from_json(&nested.to_json()).unwrap(),
+            nested
+        );
         assert_eq!(i32::from_json(&(-5i32).to_json()).unwrap(), -5);
         assert_eq!(f64::from_json(&1.25f64.to_json()).unwrap(), 1.25);
     }

@@ -562,7 +562,11 @@ mod tests {
             .unwrap()
             .iter()
             .zip((0u64..).step_by(10))
-            .map(|(tile, t)| TileStamp { tile, start_ns: t, end_ns: t + 10 })
+            .map(|(tile, t)| TileStamp {
+                tile,
+                start_ns: t,
+                end_ns: t + 10,
+            })
             .collect();
         stamped.tiles_done(0, &tiles);
         assert_eq!(*batch.0.lock().unwrap(), tiles);
@@ -623,7 +627,10 @@ mod tests {
             assert_eq!(c.index(), i);
         }
         let labels: Vec<&str> = IdleCause::ALL.iter().map(|c| c.label()).collect();
-        assert_eq!(labels, ["dep_stall", "steal", "barrier", "pool_park", "backpressure"]);
+        assert_eq!(
+            labels,
+            ["dep_stall", "steal", "barrier", "pool_park", "backpressure"]
+        );
         for k in [EdgeKind::Data, EdgeKind::Width, EdgeKind::Capacity] {
             assert_eq!(EdgeKind::from_u8(k.as_u8()), Some(k));
         }

@@ -28,8 +28,8 @@ pub mod img;
 pub mod json;
 pub mod kernel;
 pub mod log;
-pub mod park;
 pub mod params;
+pub mod park;
 pub mod perf;
 pub mod registry;
 #[cfg(feature = "ezp-check")]
@@ -40,7 +40,7 @@ pub mod time;
 pub use color::Rgba;
 pub use error::{Error, Result};
 pub use grid::{Tile, TileChunk, TileGrid};
-pub use img::{Img2D, ImagePair};
+pub use img::{ImagePair, Img2D};
 pub use kernel::{Kernel, KernelCtx};
 pub use params::{ChanBackendKind, ChanTuning, EmitMode, RunConfig, Schedule, WaitPolicy};
 pub use registry::Registry;

@@ -69,7 +69,9 @@ pub fn level() -> Level {
     if raw != UNINIT {
         return decode(raw);
     }
-    let from_env = std::env::var("EZP_LOG").map(|v| Level::parse(&v)).unwrap_or(Level::Off);
+    let from_env = std::env::var("EZP_LOG")
+        .map(|v| Level::parse(&v))
+        .unwrap_or(Level::Off);
     // another thread may have raced set_level; keep whatever won
     let _ = LEVEL.compare_exchange(UNINIT, from_env as u8, Ordering::Relaxed, Ordering::Relaxed);
     decode(LEVEL.load(Ordering::Relaxed))

@@ -49,7 +49,9 @@ impl Schedule {
                     .parse()
                     .map_err(|_| Error::Config(format!("bad schedule chunk in `{s}`")))?;
                 if chunk == 0 {
-                    return Err(Error::Config(format!("schedule chunk must be > 0 in `{s}`")));
+                    return Err(Error::Config(format!(
+                        "schedule chunk must be > 0 in `{s}`"
+                    )));
                 }
                 (k.trim(), Some(chunk))
             }
@@ -216,7 +218,11 @@ pub struct Flag<C: 'static> {
 impl<C> Flag<C> {
     /// A row no run mode refuses.
     pub const fn new(names: &'static [&'static str], grammar: Grammar<C>) -> Self {
-        Flag { names, grammar, refused_in: &[] }
+        Flag {
+            names,
+            grammar,
+            refused_in: &[],
+        }
     }
 
     /// `--size|-s 1..=8192`: the row as an unknown-option message shows it.
@@ -255,13 +261,22 @@ impl<C> Command<C> {
     /// is all the `--help` there is.
     pub fn unknown(&self, arg: &str) -> Error {
         let rows: Vec<String> = self.flags.iter().map(Flag::usage).collect();
-        Error::Config(format!("unknown option `{arg}`; {} takes: {}", self.name, rows.join(", ")))
+        Error::Config(format!(
+            "unknown option `{arg}`; {} takes: {}",
+            self.name,
+            rows.join(", ")
+        ))
     }
 
     /// Holds a number that did not come through [`parse`] (a config
     /// built in code) to the range of the integer row `flag`.
     pub fn check_int(&self, flag: &str, n: u64) -> Result<()> {
-        match self.flags.iter().find(|f| f.names[0] == flag).map(|f| &f.grammar) {
+        match self
+            .flags
+            .iter()
+            .find(|f| f.names[0] == flag)
+            .map(|f| &f.grammar)
+        {
             Some(&Int(min, max, _)) => int_in(flag, &n.to_string(), min, max).map(drop),
             _ => panic!("{} has no integer row {flag}", self.name),
         }
@@ -273,17 +288,23 @@ impl<C> Command<C> {
 pub fn int_in(flag: &str, text: &str, min: u64, max: u64) -> Result<u64> {
     let why = match text.parse::<u64>() {
         Ok(n) if (min..=max).contains(&n) => return Ok(n),
-        Err(_) if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) => "not a whole number in",
+        Err(_) if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) => {
+            "not a whole number in"
+        }
         _ => "out of range",
     };
-    Err(Error::Config(format!("`{flag} {text}`: {why} {min}..={max}")))
+    Err(Error::Config(format!(
+        "`{flag} {text}`: {why} {min}..={max}"
+    )))
 }
 
 /// Narrows a number its row has bounded to the field's type. A `max`
 /// that does not fit the field is a bug in the row; the boundary test
 /// feeds every row its `max` and lands here.
 pub fn fit<T: TryFrom<u64>>(n: u64) -> T {
-    T::try_from(n).ok().expect("a row's max exceeds the type of the field it sets")
+    T::try_from(n)
+        .ok()
+        .expect("a row's max exceeds the type of the field it sets")
 }
 
 /// The one argv loop: walks `args` against `cmd`'s table, storing each
@@ -306,7 +327,9 @@ where
             bare.push(arg.to_string());
             continue;
         }
-        let (name, glued) = arg.split_once('=').map_or((arg, None), |(n, v)| (n, Some(v)));
+        let (name, glued) = arg
+            .split_once('=')
+            .map_or((arg, None), |(n, v)| (n, Some(v)));
         let row = cmd.flags.iter().position(|f| f.names.contains(&name));
         let row = row.ok_or_else(|| cmd.unknown(arg))?;
         seen[row] = true;
@@ -314,7 +337,9 @@ where
         let next: S;
         let value = match (grammar, glued) {
             (Switch(_), Some(_)) => {
-                return Err(Error::Config(format!("option {name} takes no value (got `{arg}`)")))
+                return Err(Error::Config(format!(
+                    "option {name} takes no value (got `{arg}`)"
+                )))
             }
             (Switch(_), None) => "",
             (OptOneOf(words, _), None) => words[0],
@@ -331,15 +356,26 @@ where
             Int(min, max, set) => set(cfg, int_in(name, value, min, max)?),
             OneOf(words, set) | OptOneOf(words, set) => {
                 let (last, init) = words.split_last().expect("a one-of row lists its words");
-                let expected = || format!("`{name} {value}`: expected {} or {last}", init.join(", "));
-                set(cfg, words.iter().position(|w| *w == value).ok_or_else(|| Error::Config(expected()))?)
+                let expected =
+                    || format!("`{name} {value}`: expected {} or {last}", init.join(", "));
+                set(
+                    cfg,
+                    words
+                        .iter()
+                        .position(|w| *w == value)
+                        .ok_or_else(|| Error::Config(expected()))?,
+                )
             }
             Custom(_, set) => set(cfg, value)?,
         }
     }
     for (mode, _) in cmd.modes.iter().filter(|(_, active)| active(cfg)) {
-        let refused = |(f, &seen): (&Flag<C>, &bool)| (f.names[0], seen && f.refused_in.contains(mode));
-        reject_flags(mode, &cmd.flags.iter().zip(&seen).map(refused).collect::<Vec<_>>())?;
+        let refused =
+            |(f, &seen): (&Flag<C>, &bool)| (f.names[0], seen && f.refused_in.contains(mode));
+        reject_flags(
+            mode,
+            &cmd.flags.iter().zip(&seen).map(refused).collect::<Vec<_>>(),
+        )?;
     }
     Ok(bare)
 }
@@ -444,7 +480,11 @@ impl Default for RunConfig {
 /// files on every call (11–14 µs), and a daemon builds a config per job.
 fn default_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 impl RunConfig {
@@ -516,15 +556,27 @@ impl RunConfig {
         if self.kernel.is_empty() {
             return Err(Error::Config("--kernel is required".into()));
         }
-        let set = [self.dim, self.tile_size, self.threads, self.stream_frames.unwrap_or(1)];
-        for (flag, n) in ["--size", "--tile-size", "--threads", "--stream"].into_iter().zip(set) {
+        let set = [
+            self.dim,
+            self.tile_size,
+            self.threads,
+            self.stream_frames.unwrap_or(1),
+        ];
+        for (flag, n) in ["--size", "--tile-size", "--threads", "--stream"]
+            .into_iter()
+            .zip(set)
+        {
             EASYPAP.check_int(flag, n as u64)?;
         }
         int_in("--mpirun -np", &self.mpi_ranks.to_string(), 1, MAX_RANKS)?;
         if self.tile_size > self.dim && self.stream_frames.is_none() {
             // streaming runs have no tile grid, so the default tile
             // size must not constrain small streamed frames
-            let whose = if self.tile_size == DEFAULT_TILE_SIZE { " (the default)" } else { "" };
+            let whose = if self.tile_size == DEFAULT_TILE_SIZE {
+                " (the default)"
+            } else {
+                ""
+            };
             return Err(Error::Config(format!(
                 "--tile-size {}{whose} exceeds image dimension {dim}: pass --tile-size {dim} or smaller",
                 self.tile_size,
@@ -636,10 +688,14 @@ pub fn reject_flags(mode: &str, flags: &[(&str, bool)]) -> Result<()> {
 
 /// Extracts the rank count from an mpirun flag string such as `-np 2`.
 fn parse_mpirun(spec: &str) -> Result<usize> {
-    let mut words = spec.split_whitespace().skip_while(|w| !["-np", "-n"].contains(w));
+    let mut words = spec
+        .split_whitespace()
+        .skip_while(|w| !["-np", "-n"].contains(w));
     match (words.next(), words.next()) {
         (Some(_), Some(n)) => int_in("--mpirun -np", n, 1, MAX_RANKS).map(fit),
-        _ => Err(Error::Config(format!("--mpirun `{spec}`: expected `-np N`"))),
+        _ => Err(Error::Config(format!(
+            "--mpirun `{spec}`: expected `-np N`"
+        ))),
     }
 }
 
@@ -649,7 +705,9 @@ mod tests {
 
     #[test]
     fn default_threads_is_the_available_parallelism() {
-        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let n = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         assert_eq!(RunConfig::new("x").threads, n);
         assert_eq!(RunConfig::new("y").threads, n, "the cached value");
     }
@@ -657,7 +715,10 @@ mod tests {
     #[test]
     fn schedule_parse_all_forms() {
         assert_eq!(Schedule::parse("static").unwrap(), Schedule::Static);
-        assert_eq!(Schedule::parse("static,4").unwrap(), Schedule::StaticChunk(4));
+        assert_eq!(
+            Schedule::parse("static,4").unwrap(),
+            Schedule::StaticChunk(4)
+        );
         assert_eq!(Schedule::parse("dynamic").unwrap(), Schedule::Dynamic(1));
         assert_eq!(Schedule::parse("dynamic,2").unwrap(), Schedule::Dynamic(2));
         assert_eq!(Schedule::parse("guided").unwrap(), Schedule::Guided(1));
@@ -724,8 +785,15 @@ mod tests {
         // easypap --kernel life --variant mpi_omp --mpirun "-np 2"
         //         --monitoring --debug M
         let cfg = RunConfig::parse_args([
-            "--kernel", "life", "--variant", "mpi_omp", "--mpirun", "-np 2", "--monitoring",
-            "--debug", "M",
+            "--kernel",
+            "life",
+            "--variant",
+            "mpi_omp",
+            "--mpirun",
+            "-np 2",
+            "--monitoring",
+            "--debug",
+            "M",
         ])
         .unwrap();
         assert_eq!(cfg.mpi_ranks, 2);
@@ -778,10 +846,8 @@ mod tests {
 
     #[test]
     fn frames_and_ansi_options() {
-        let cfg = RunConfig::parse_args([
-            "--kernel", "spin", "--frames", "out/frames", "--ansi",
-        ])
-        .unwrap();
+        let cfg = RunConfig::parse_args(["--kernel", "spin", "--frames", "out/frames", "--ansi"])
+            .unwrap();
         assert_eq!(cfg.frames_dir.as_deref(), Some("out/frames"));
         assert!(cfg.ansi);
         let plain = RunConfig::parse_args(["--kernel", "spin"]).unwrap();

@@ -167,7 +167,11 @@ mod tests {
             variant: &str,
             nb_iter: u32,
         ) -> EzpResult<Option<u32>> {
-            let stop = if variant == "half" { nb_iter / 2 } else { nb_iter };
+            let stop = if variant == "half" {
+                nb_iter / 2
+            } else {
+                nb_iter
+            };
             for it in 1..=stop {
                 ctx.probe.iteration_start(it);
                 ctx.images.cur_mut().fill(Rgba(it));

@@ -126,7 +126,8 @@ mod tests {
     #[test]
     fn names_are_sorted() {
         let mut reg = Registry::new();
-        reg.register("zeta", make_dummy).register("alpha", make_dummy);
+        reg.register("zeta", make_dummy)
+            .register("alpha", make_dummy);
         assert_eq!(reg.kernel_names(), vec!["alpha", "zeta"]);
     }
 }

@@ -127,9 +127,13 @@ impl ShadowGrid {
         writer: usize,
         precedes: &dyn Fn(usize, usize) -> bool,
     ) -> Option<ShadowRace> {
-        assert!(x < self.width && y < self.height, "shadow write out of image");
+        assert!(
+            x < self.width && y < self.height,
+            "shadow write out of image"
+        );
         let epoch = self.epoch.load(Ordering::Relaxed);
-        let prev = self.tags[y * self.width + x].swap(Self::tag_of(epoch, writer), Ordering::Relaxed);
+        let prev =
+            self.tags[y * self.width + x].swap(Self::tag_of(epoch, writer), Ordering::Relaxed);
         match Self::split(prev) {
             Some((e, prev_writer))
                 if e == epoch && prev_writer != writer && !precedes(prev_writer, writer) =>
@@ -159,7 +163,10 @@ impl ShadowGrid {
         reader: usize,
         precedes: &dyn Fn(usize, usize) -> bool,
     ) -> Option<ShadowRace> {
-        assert!(x < self.width && y < self.height, "shadow read out of image");
+        assert!(
+            x < self.width && y < self.height,
+            "shadow read out of image"
+        );
         let epoch = self.epoch.load(Ordering::Relaxed);
         let tag = self.tags[y * self.width + x].load(Ordering::Relaxed);
         match Self::split(tag) {
@@ -257,10 +264,10 @@ impl ShadowWriter<'_, '_> {
 
     /// Records a write to `(x, y)`, reporting any race it exposes.
     pub fn write(&self, x: usize, y: usize) {
-        if let Some(race) =
-            self.session
-                .grid
-                .record_write(x, y, self.id, &*self.session.precedes)
+        if let Some(race) = self
+            .session
+            .grid
+            .record_write(x, y, self.id, &*self.session.precedes)
         {
             self.session.report(self.rank, race);
         }
@@ -268,10 +275,10 @@ impl ShadowWriter<'_, '_> {
 
     /// Records a read of `(x, y)`, reporting any lost update it exposes.
     pub fn read(&self, x: usize, y: usize) {
-        if let Some(race) =
-            self.session
-                .grid
-                .record_read(x, y, self.id, &*self.session.precedes)
+        if let Some(race) = self
+            .session
+            .grid
+            .record_read(x, y, self.id, &*self.session.precedes)
         {
             self.session.report(self.rank, race);
         }

@@ -22,7 +22,9 @@ pub fn svg_color(c: Rgba) -> String {
 }
 
 fn esc(text: &str) -> String {
-    text.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    text.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 impl SvgCanvas {
@@ -70,7 +72,10 @@ impl SvgCanvas {
         if points.is_empty() {
             return;
         }
-        let pts: Vec<String> = points.iter().map(|(x, y)| format!("{x:.2},{y:.2}")).collect();
+        let pts: Vec<String> = points
+            .iter()
+            .map(|(x, y)| format!("{x:.2},{y:.2}"))
+            .collect();
         let _ = writeln!(
             self.body,
             r#"<polyline points="{}" fill="none" stroke="{}" stroke-width="{width:.2}"/>"#,

@@ -173,7 +173,10 @@ mod tests {
         assert_eq!(sweep.arg_vectors().len(), 6);
         // order: last axis varies fastest
         let first = &sweep.arg_vectors()[0];
-        assert_eq!(first, &vec!["--kernel", "noop", "--grain", "16", "--threads", "1"]);
+        assert_eq!(
+            first,
+            &vec!["--kernel", "noop", "--grain", "16", "--threads", "1"]
+        );
     }
 
     #[test]
@@ -216,8 +219,7 @@ mod tests {
             .execute(&registry(), &csv)
             .unwrap();
         let table = Sweep::load_results(&csv).unwrap();
-        let data =
-            ezp_plot_check(&table).expect("plot pipeline must accept sweep output");
+        let data = ezp_plot_check(&table).expect("plot pipeline must accept sweep output");
         assert_eq!(data, 2); // two legend series: the two schedules
         std::fs::remove_file(&csv).unwrap();
     }
@@ -234,7 +236,9 @@ mod tests {
     #[test]
     fn invalid_configuration_fails_loudly() {
         let csv = tmp_csv("bad");
-        let sweep = Sweep::new().fixed("--kernel", "noop").fixed("--tile-size", 0);
+        let sweep = Sweep::new()
+            .fixed("--kernel", "noop")
+            .fixed("--tile-size", 0);
         assert!(sweep.execute(&registry(), &csv).is_err());
         std::fs::remove_file(&csv).ok();
     }

@@ -79,8 +79,14 @@ pub struct Blur;
 impl Blur {
     const VARIANTS: &'static variant::Table<Self> = &[
         ("seq", Body::Seq(Self::seq)),
-        ("omp_tiled", Body::Par(|_, ctx, pool| Self::tiled(ctx, pool, false))),
-        ("omp_tiled_opt", Body::Par(|_, ctx, pool| Self::tiled(ctx, pool, true))),
+        (
+            "omp_tiled",
+            Body::Par(|_, ctx, pool| Self::tiled(ctx, pool, false)),
+        ),
+        (
+            "omp_tiled_opt",
+            Body::Par(|_, ctx, pool| Self::tiled(ctx, pool, true)),
+        ),
     ];
 
     fn blur_tile_checked(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {

@@ -187,7 +187,10 @@ impl CComp {
                 });
             })
         };
-        wave(TaskGraph::down_right_wavefront(grid), Labels::down_right_tile)?;
+        wave(
+            TaskGraph::down_right_wavefront(grid),
+            Labels::down_right_tile,
+        )?;
         wave(TaskGraph::up_left_wavefront(grid), Labels::up_left_tile)?;
         Ok(!changed.into_inner())
     }
@@ -283,7 +286,11 @@ mod tests {
         crate::shapes::ccomp_scene(&mut scene, ctx.cfg.seed);
         let (reference, count) = reference_components(&scene);
         let labels = k.labels();
-        assert_eq!(labels.distinct_labels().len(), count, "component count mismatch");
+        assert_eq!(
+            labels.distinct_labels().len(),
+            count,
+            "component count mismatch"
+        );
         // uniform labeling within each reference component
         let mut label_of_comp = std::collections::HashMap::new();
         for y in 0..ctx.dim() {
@@ -328,7 +335,7 @@ mod tests {
 
     #[test]
     fn empty_scene_converges_immediately() {
-        let mut cfg = RunConfig::new("ccomp").size(16, ).tile(8).threads(2);
+        let mut cfg = RunConfig::new("ccomp").size(16).tile(8).threads(2);
         cfg.seed = 0;
         let mut ctx = KernelCtx::new(cfg).unwrap();
         // force an empty image regardless of the seed
@@ -347,7 +354,14 @@ mod tests {
         let mut img = Img2D::square(32);
         crate::shapes::fill_rect(&mut img, 5, 5, 10, 8, Rgba::RED);
         let labels = Labels::from_image(&img);
-        let whole = Tile { x: 0, y: 0, w: 32, h: 32, tx: 0, ty: 0 };
+        let whole = Tile {
+            x: 0,
+            y: 0,
+            w: 32,
+            h: 32,
+            tx: 0,
+            ty: 0,
+        };
         for _ in 0..50 {
             let a = labels.down_right_tile(whole);
             let b = labels.up_left_tile(whole);
@@ -367,7 +381,11 @@ mod tests {
         k.refresh_image(&mut ctx).unwrap();
         let img = ctx.images.cur();
         // background stays transparent, shapes get opaque colors
-        let opaque = img.as_slice().iter().filter(|p| !p.is_transparent()).count();
+        let opaque = img
+            .as_slice()
+            .iter()
+            .filter(|p| !p.is_transparent())
+            .count();
         assert!(opaque > 0);
         assert_eq!(label_color(0), Rgba::TRANSPARENT);
         assert_ne!(label_color(1), label_color(2));

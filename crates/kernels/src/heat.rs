@@ -25,9 +25,17 @@ const EPSILON: f32 = 1e-4;
 fn diffuse(cur: &Img2D<f32>, x: usize, y: usize) -> f32 {
     let c = cur.get(x, y);
     let left = if x > 0 { cur.get(x - 1, y) } else { c };
-    let right = if x + 1 < cur.width() { cur.get(x + 1, y) } else { c };
+    let right = if x + 1 < cur.width() {
+        cur.get(x + 1, y)
+    } else {
+        c
+    };
     let up = if y > 0 { cur.get(x, y - 1) } else { c };
-    let down = if y + 1 < cur.height() { cur.get(x, y + 1) } else { c };
+    let down = if y + 1 < cur.height() {
+        cur.get(x, y + 1)
+    } else {
+        c
+    };
     c + K * (left + right + up + down - 4.0 * c)
 }
 
@@ -91,11 +99,18 @@ impl Heat {
     fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
         let changed = AtomicBool::new(false);
         let (cur, next) = (&self.cur, &mut self.next);
-        parallel_for_tiles_img(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, next, |w, _| {
-            if Self::step_tile(cur, w) {
-                changed.store(true, Ordering::Relaxed);
-            }
-        });
+        parallel_for_tiles_img(
+            pool,
+            &ctx.grid,
+            ctx.cfg.schedule,
+            &*ctx.probe,
+            next,
+            |w, _| {
+                if Self::step_tile(cur, w) {
+                    changed.store(true, Ordering::Relaxed);
+                }
+            },
+        );
         std::mem::swap(&mut self.cur, &mut self.next);
         Ok(!changed.into_inner())
     }
@@ -176,7 +191,11 @@ mod tests {
         let (k0, _) = run("seq", 48, 0);
         let e0 = k0.energy();
         let (k, _) = run("seq", 48, 50);
-        assert!((k.energy() - e0).abs() / e0 < 1e-3, "{} vs {e0}", k.energy());
+        assert!(
+            (k.energy() - e0).abs() / e0 < 1e-3,
+            "{} vs {e0}",
+            k.energy()
+        );
     }
 
     #[test]
@@ -187,7 +206,11 @@ mod tests {
         // the disc centers cool down from 1.0
         assert!(k.field().get(12, 12) < 1.0);
         // temperatures stay physical
-        assert!(k.field().as_slice().iter().all(|&t| (0.0..=1.0).contains(&t)));
+        assert!(k
+            .field()
+            .as_slice()
+            .iter()
+            .all(|&t| (0.0..=1.0).contains(&t)));
     }
 
     #[test]
@@ -213,6 +236,10 @@ mod tests {
     fn maximum_principle_holds() {
         // diffusion never exceeds the initial extremes
         let (k, _) = run("omp_tiled", 32, 100);
-        assert!(k.field().as_slice().iter().all(|&t| (0.0..=1.0).contains(&t)));
+        assert!(k
+            .field()
+            .as_slice()
+            .iter()
+            .all(|&t| (0.0..=1.0).contains(&t)));
     }
 }

@@ -94,14 +94,20 @@ mod tests {
         let mut documented: Vec<&str> = Vec::new();
         for cells in &rows {
             let name = cells[0].split('`').next().unwrap();
-            let kernel = reg.create(name).unwrap_or_else(|e| panic!("table row `{name}`: {e}"));
+            let kernel = reg
+                .create(name)
+                .unwrap_or_else(|e| panic!("table row `{name}`: {e}"));
             // the variants are the backticked words of the third cell
             let variants: Vec<&str> = cells[2].split('`').skip(1).step_by(2).collect();
             assert_eq!(variants, kernel.variants(), "variants of `{name}`");
             documented.push(name);
         }
         documented.sort_unstable();
-        assert_eq!(documented, reg.kernel_names(), "kernels without a table row");
+        assert_eq!(
+            documented,
+            reg.kernel_names(),
+            "kernels without a table row"
+        );
     }
 
     #[test]

@@ -45,7 +45,13 @@ impl Clone for BitBoard {
 
 impl std::fmt::Debug for BitBoard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BitBoard({}x{}, {} live)", self.width, self.height, self.live_count())
+        write!(
+            f,
+            "BitBoard({}x{}, {} live)",
+            self.width,
+            self.height,
+            self.live_count()
+        )
     }
 }
 
@@ -69,7 +75,9 @@ impl BitBoard {
             width,
             height,
             words_per_row,
-            words: (0..words_per_row * height.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            words: (0..words_per_row * height.max(1))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
         }
     }
 
@@ -186,7 +194,11 @@ impl BitBoard {
 
     /// Copies the full contents of `src` (same geometry required).
     pub fn copy_from(&self, src: &BitBoard) {
-        assert_eq!((self.width, self.height), (src.width, src.height), "geometry mismatch");
+        assert_eq!(
+            (self.width, self.height),
+            (src.width, src.height),
+            "geometry mismatch"
+        );
         for (d, s) in self.words.iter().zip(&src.words) {
             d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
         }
@@ -214,7 +226,15 @@ impl BitBoard {
         assert!(img.width() >= self.width && img.height() >= self.height);
         for y in 0..self.height {
             for x in 0..self.width {
-                img.set(x, y, if self.get(x, y) { live_color } else { Rgba::TRANSPARENT });
+                img.set(
+                    x,
+                    y,
+                    if self.get(x, y) {
+                        live_color
+                    } else {
+                        Rgba::TRANSPARENT
+                    },
+                );
             }
         }
     }
@@ -258,8 +278,7 @@ impl BitBoard {
                 let mut neighbours = 0u8;
                 for dy in -1isize..=1 {
                     for dx in -1isize..=1 {
-                        if (dx != 0 || dy != 0)
-                            && src.get_or_dead(x as isize + dx, y as isize + dy)
+                        if (dx != 0 || dy != 0) && src.get_or_dead(x as isize + dx, y as isize + dy)
                         {
                             neighbours += 1;
                         }

@@ -61,7 +61,10 @@ impl Life {
     const VARIANTS: &'static variant::Table<Self> = &[
         ("seq", Body::Seq(Self::seq)),
         ("omp", Body::Par(Self::rows)),
-        ("omp_tiled", Body::Par(|k, ctx, pool| k.tiled(ctx, pool, false))),
+        (
+            "omp_tiled",
+            Body::Par(|k, ctx, pool| k.tiled(ctx, pool, false)),
+        ),
         ("lazy", Body::Par(|k, ctx, pool| k.tiled(ctx, pool, true))),
         ("mpi_omp", Body::Whole(Self::mpi_omp)),
     ];
@@ -375,7 +378,11 @@ impl Kernel for Life {
         self.cur = BitBoard::new(dim, dim);
         self.next = BitBoard::new(dim, dim);
         self.changed = vec![true; ctx.grid.len()];
-        let spec = ctx.cfg.kernel_arg.clone().unwrap_or_else(|| "gliders".to_string());
+        let spec = ctx
+            .cfg
+            .kernel_arg
+            .clone()
+            .unwrap_or_else(|| "gliders".to_string());
         self.seed_pattern(dim, &spec, ctx.cfg.seed)?;
         self.refresh_image(ctx)
     }
@@ -426,7 +433,13 @@ mod tests {
         KernelCtx::new(cfg).unwrap()
     }
 
-    fn run_variant(variant: &str, dim: usize, tile: usize, pattern: &str, iters: u32) -> (Life, Option<u32>) {
+    fn run_variant(
+        variant: &str,
+        dim: usize,
+        tile: usize,
+        pattern: &str,
+        iters: u32,
+    ) -> (Life, Option<u32>) {
         let ranks = if variant == "mpi_omp" { 2 } else { 1 };
         let mut k = Life::default();
         let mut c = make_ctx(dim, tile, pattern, 2, ranks);
@@ -549,7 +562,12 @@ mod tests {
             .collect();
         // 6x6 = 36 tiles; the active neighbourhood is at most 3x3 = 9
         for (i, &n) in computed.iter().enumerate() {
-            assert!(n <= 9, "iteration {}: {} tiles computed, expected <= 9", i + 2, n);
+            assert!(
+                n <= 9,
+                "iteration {}: {} tiles computed, expected <= 9",
+                i + 2,
+                n
+            );
             assert!(n > 0, "glider must keep some tiles active");
         }
     }
@@ -589,7 +607,8 @@ mod tests {
                 if snap.owner(t.tx, t.ty).is_some() {
                     computed += 1;
                     let on_main = (t.tx as i64 - t.ty as i64).abs() <= 1;
-                    let on_anti = (t.tx as i64 + t.ty as i64 - grid.tiles_x() as i64 + 1).abs() <= 2;
+                    let on_anti =
+                        (t.tx as i64 + t.ty as i64 - grid.tiles_x() as i64 + 1).abs() <= 2;
                     if on_main || on_anti {
                         near_diag += 1;
                     }

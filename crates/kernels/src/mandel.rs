@@ -152,7 +152,14 @@ pub const LANES: usize = 4;
 ///
 /// The `out.len() % LANES` pixels at the end go through the scalar
 /// routine.
-pub fn escape_row(view: &Viewport, y: usize, x0: usize, dim: usize, max_iter: u32, out: &mut [u32]) {
+pub fn escape_row(
+    view: &Viewport,
+    y: usize,
+    x0: usize,
+    dim: usize,
+    max_iter: u32,
+    out: &mut [u32],
+) {
     let cy = view.pixel_to_complex(x0, y, dim).1;
     let mut x = x0;
     let mut groups = out.chunks_exact_mut(LANES);
@@ -270,7 +277,10 @@ impl Mandel {
         ("seq", Body::Seq(|k, ctx| k.seq(ctx, false))),
         ("tiled", Body::Seq(|k, ctx| k.seq(ctx, true))),
         ("omp", Body::Par(|k, ctx, pool| k.parallel(ctx, pool, true))),
-        ("omp_tiled", Body::Par(|k, ctx, pool| k.parallel(ctx, pool, false))),
+        (
+            "omp_tiled",
+            Body::Par(|k, ctx, pool| k.parallel(ctx, pool, false)),
+        ),
         ("gpu", Body::Seq(Self::gpu)),
     ];
 
@@ -310,14 +320,21 @@ impl Mandel {
         };
         let this = &*self; // shared with the workers until the loop ends
         let img = ctx.images.cur_mut();
-        parallel_for_tiles_img(pool, &grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _rank| {
-            let t = w.tile();
-            let mut row = vec![Rgba::BLACK; t.w];
-            for y in t.y..t.y + t.h {
-                this.paint_row(y, t.x, dim, &mut row);
-                w.write_row(y, &row);
-            }
-        });
+        parallel_for_tiles_img(
+            pool,
+            &grid,
+            ctx.cfg.schedule,
+            &*ctx.probe,
+            img,
+            |w, _rank| {
+                let t = w.tile();
+                let mut row = vec![Rgba::BLACK; t.w];
+                for y in t.y..t.y + t.h {
+                    this.paint_row(y, t.x, dim, &mut row);
+                    w.write_row(y, &row);
+                }
+            },
+        );
         self.view.zoom();
         Ok(false)
     }
@@ -446,7 +463,10 @@ mod tests {
         let costs: Vec<u64> = grid.iter().map(|t| tile_cost(&view, t, 64, 256)).collect();
         let max = *costs.iter().max().unwrap();
         let min = *costs.iter().min().unwrap();
-        assert!(max > 20 * min, "expected strong cost imbalance, got {min}..{max}");
+        assert!(
+            max > 20 * min,
+            "expected strong cost imbalance, got {min}..{max}"
+        );
         // total cost equals the sum over pixels (spot check one tile)
         let t = grid.tile(0, 0);
         let manual: u64 = (0..16)

@@ -55,9 +55,16 @@ impl Pixelize {
 
     fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
         let (src, dst) = ctx.images.rw();
-        parallel_for_tiles_img(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, dst, |w, _| {
-            pixelize_tile(src, w);
-        });
+        parallel_for_tiles_img(
+            pool,
+            &ctx.grid,
+            ctx.cfg.schedule,
+            &*ctx.probe,
+            dst,
+            |w, _| {
+                pixelize_tile(src, w);
+            },
+        );
         ctx.images.swap();
         Ok(false)
     }
@@ -88,7 +95,8 @@ mod tests {
     use ezp_core::{RunConfig, TileGrid};
 
     fn run(variant: &str, dim: usize, tile: usize) -> Vec<Rgba> {
-        let mut ctx = KernelCtx::new(RunConfig::new("pixelize").size(dim).tile(tile).threads(3)).unwrap();
+        let mut ctx =
+            KernelCtx::new(RunConfig::new("pixelize").size(dim).tile(tile).threads(3)).unwrap();
         let mut k = Pixelize;
         k.init(&mut ctx).unwrap();
         k.compute(&mut ctx, variant, 1).unwrap();
@@ -132,7 +140,8 @@ mod tests {
     #[test]
     fn pixelize_is_idempotent() {
         let once = run("seq", 32, 8);
-        let mut ctx = KernelCtx::new(RunConfig::new("pixelize").size(32).tile(8).threads(1)).unwrap();
+        let mut ctx =
+            KernelCtx::new(RunConfig::new("pixelize").size(32).tile(8).threads(1)).unwrap();
         let mut k = Pixelize;
         k.init(&mut ctx).unwrap();
         k.compute(&mut ctx, "seq", 2).unwrap();

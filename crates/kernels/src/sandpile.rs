@@ -141,11 +141,18 @@ impl Sandpile {
     fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
         let changed = AtomicBool::new(false);
         let (cur, next) = (&self.cur, &mut self.next);
-        parallel_for_tiles_img(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, next, |w, _| {
-            if step_tile(cur, w) {
-                changed.store(true, Ordering::Relaxed);
-            }
-        });
+        parallel_for_tiles_img(
+            pool,
+            &ctx.grid,
+            ctx.cfg.schedule,
+            &*ctx.probe,
+            next,
+            |w, _| {
+                if step_tile(cur, w) {
+                    changed.store(true, Ordering::Relaxed);
+                }
+            },
+        );
         std::mem::swap(&mut self.cur, &mut self.next);
         Ok(!changed.into_inner())
     }

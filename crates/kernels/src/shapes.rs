@@ -28,7 +28,14 @@ pub fn test_card(img: &mut Img2D<Rgba>) {
     fill_disc(img, cx, cy, rad, Rgba::WHITE);
     // dark square in the lower-right quadrant
     let side = (w.min(h) / 5).max(1);
-    fill_rect(img, 3 * w / 5, 3 * h / 5, side, side, Rgba::new(10, 10, 10, 255));
+    fill_rect(
+        img,
+        3 * w / 5,
+        3 * h / 5,
+        side,
+        side,
+        Rgba::new(10, 10, 10, 255),
+    );
 }
 
 /// Fills the disc of radius `r` centered at `(cx, cy)`.
@@ -154,7 +161,14 @@ mod tests {
             let (cx, cy, rad) = (w / 4, h / 4, (w.min(h) / 6).max(1));
             fill_disc(&mut old, cx, cy, rad, Rgba::WHITE);
             let side = (w.min(h) / 5).max(1);
-            fill_rect(&mut old, 3 * w / 5, 3 * h / 5, side, side, Rgba::new(10, 10, 10, 255));
+            fill_rect(
+                &mut old,
+                3 * w / 5,
+                3 * h / 5,
+                side,
+                side,
+                Rgba::new(10, 10, 10, 255),
+            );
             assert!(img == old, "{w}x{h} test card moved");
         }
     }
@@ -249,7 +263,10 @@ mod tests {
             let pos = diagonal_glider_positions(dim, 16);
             assert!(!pos.is_empty());
             for &(x, y) in &pos {
-                assert!(x + 3 <= dim && y + 3 <= dim, "glider at ({x},{y}) exceeds {dim}");
+                assert!(
+                    x + 3 <= dim && y + 3 <= dim,
+                    "glider at ({x},{y}) exceeds {dim}"
+                );
             }
         }
     }
@@ -267,9 +284,13 @@ mod tests {
     #[test]
     fn stamp_glider_sets_five_cells() {
         let mut cells = std::collections::HashSet::new();
-        stamp_glider(|x, y| {
-            cells.insert((x, y));
-        }, 10, 20);
+        stamp_glider(
+            |x, y| {
+                cells.insert((x, y));
+            },
+            10,
+            20,
+        );
         assert_eq!(cells.len(), 5);
         assert!(cells.contains(&(11, 20)));
         assert!(cells.contains(&(12, 22)));

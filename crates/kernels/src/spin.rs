@@ -49,14 +49,21 @@ impl Spin {
     fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
         let (dim, angle) = (ctx.dim(), self.angle);
         let img = ctx.images.cur_mut();
-        parallel_for_tiles_img(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _| {
-            let t = w.tile();
-            for y in t.y..t.y + t.h {
-                for x in t.x..t.x + t.w {
-                    w.set(x, y, spin_color(x, y, dim, angle));
+        parallel_for_tiles_img(
+            pool,
+            &ctx.grid,
+            ctx.cfg.schedule,
+            &*ctx.probe,
+            img,
+            |w, _| {
+                let t = w.tile();
+                for y in t.y..t.y + t.h {
+                    for x in t.x..t.x + t.w {
+                        w.set(x, y, spin_color(x, y, dim, angle));
+                    }
                 }
-            }
-        });
+            },
+        );
         self.angle += SPEED;
         Ok(false)
     }
@@ -112,7 +119,10 @@ mod tests {
         // near-zero radius -> near-white (saturation ~ 0)
         assert!(center.r() > 200 && center.g() > 200 && center.b() > 200);
         let corner = out[0];
-        let spread = corner.r().abs_diff(corner.g()).max(corner.g().abs_diff(corner.b()));
+        let spread = corner
+            .r()
+            .abs_diff(corner.g())
+            .max(corner.g().abs_diff(corner.b()));
         assert!(spread > 50, "corner should be saturated, got {corner:?}");
     }
 }

@@ -75,7 +75,8 @@ mod tests {
     use ezp_core::{Rgba, RunConfig};
 
     fn run(variant: &str, dim: usize, tile: usize, iters: u32) -> Vec<Rgba> {
-        let mut ctx = KernelCtx::new(RunConfig::new("transpose").size(dim).tile(tile).threads(3)).unwrap();
+        let mut ctx =
+            KernelCtx::new(RunConfig::new("transpose").size(dim).tile(tile).threads(3)).unwrap();
         let mut k = Transpose;
         k.init(&mut ctx).unwrap();
         k.compute(&mut ctx, variant, iters).unwrap();

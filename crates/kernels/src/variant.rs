@@ -88,7 +88,11 @@ pub(crate) fn iterate_on_pool(
 
 /// The one tile of a whole-image pass over a `dim`² image.
 pub(crate) fn whole_image(dim: usize) -> Tile {
-    Tile { w: dim, h: dim, ..Tile::default() }
+    Tile {
+        w: dim,
+        h: dim,
+        ..Tile::default()
+    }
 }
 
 #[cfg(test)]

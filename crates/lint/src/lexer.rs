@@ -48,11 +48,17 @@ enum State {
     /// Nested block comment depth.
     BlockComment(u32),
     /// Inside `"…"`; the flag notes a pending backslash escape.
-    Str { escaped: bool },
+    Str {
+        escaped: bool,
+    },
     /// Inside `r##"…"##` with this many hashes.
-    RawStr { hashes: usize },
+    RawStr {
+        hashes: usize,
+    },
     /// Inside `'…'`; the flag notes a pending backslash escape.
-    CharLit { escaped: bool },
+    CharLit {
+        escaped: bool,
+    },
 }
 
 /// Lexes a whole file into per-line classifications.
@@ -284,11 +290,14 @@ pub fn justified(lines: &[Line], line: usize, tag: &str, window: usize) -> bool 
 /// Is `rule` switched off at 0-based line `idx` by an `allow(rule)`
 /// marker comment on that line or on the line directly above it?
 pub fn allowed_at(lines: &[Line], idx: usize, rule: &str) -> bool {
-    [idx.checked_sub(1), Some(idx)].into_iter().flatten().any(|i| {
-        lines
-            .get(i)
-            .is_some_and(|l| l.allows.iter().any(|a| a == rule))
-    })
+    [idx.checked_sub(1), Some(idx)]
+        .into_iter()
+        .flatten()
+        .any(|i| {
+            lines
+                .get(i)
+                .is_some_and(|l| l.allows.iter().any(|a| a == rule))
+        })
 }
 
 /// The struct field (or static) an atomic method call is invoked on.
@@ -609,9 +618,7 @@ fn after() { y(); }
 
     #[test]
     fn suppression_covers_own_and_next_line() {
-        let lines = lex_file(
-            "// ezp-lint: allow(determinism)\nlet t = x();\nlet u = y();\n",
-        );
+        let lines = lex_file("// ezp-lint: allow(determinism)\nlet t = x();\nlet u = y();\n");
         assert!(allowed_at(&lines, 0, "determinism"));
         assert!(allowed_at(&lines, 1, "determinism"));
         assert!(!allowed_at(&lines, 2, "determinism"));
@@ -630,7 +637,10 @@ fn after() { y(); }
             receiver_field(code, dot)
         };
         assert_eq!(probe("self.depth.fetch_add"), Some("depth".into()));
-        assert_eq!(probe("self.lanes[slot].depth.fetch_add"), Some("depth".into()));
+        assert_eq!(
+            probe("self.lanes[slot].depth.fetch_add"),
+            Some("depth".into())
+        );
         assert_eq!(probe("self.tail.0 .fetch_add"), Some("tail".into()));
         assert_eq!(probe("slots[i & mask].fetch_add"), Some("slots".into()));
         assert_eq!(probe("factory().fetch_add"), None);
@@ -645,7 +655,10 @@ fn after() { y(); }
             "x.compare_exchange(\n    false,\n    true,\n    Ordering::Acquire,\n    Ordering::Relaxed,\n); y.load(Ordering::SeqCst);\n",
         );
         let from = lines[0].code.find('(').unwrap();
-        assert_eq!(call_orderings(&lines, 0, from, 6), vec!["Acquire", "Relaxed"]);
+        assert_eq!(
+            call_orderings(&lines, 0, from, 6),
+            vec!["Acquire", "Relaxed"]
+        );
         // the second call on the closing line is outside the first span
         let from2 = lines[5].code.rfind('(').unwrap();
         assert_eq!(call_orderings(&lines, 5, from2, 6), vec!["SeqCst"]);

@@ -37,8 +37,18 @@ const CALL_SPAN: usize = 6;
 /// The `std::sync::atomic` type names a field declaration may use
 /// (directly or inside a wrapper such as `CachePadded<AtomicUsize>`).
 const ATOMIC_TYPES: &[&str] = &[
-    "AtomicBool", "AtomicI8", "AtomicI16", "AtomicI32", "AtomicI64", "AtomicIsize", "AtomicPtr",
-    "AtomicU8", "AtomicU16", "AtomicU32", "AtomicU64", "AtomicUsize",
+    "AtomicBool",
+    "AtomicI8",
+    "AtomicI16",
+    "AtomicI32",
+    "AtomicI64",
+    "AtomicIsize",
+    "AtomicPtr",
+    "AtomicU8",
+    "AtomicU16",
+    "AtomicU32",
+    "AtomicU64",
+    "AtomicUsize",
 ];
 
 /// Taxonomy tags (from PR 5's ordering taxonomy in
@@ -182,7 +192,10 @@ impl Model {
                 continue;
             }
             let code = line.code.trim();
-            let site = Site { path: rel.to_string(), line: i + 1 };
+            let site = Site {
+                path: rel.to_string(),
+                line: i + 1,
+            };
 
             // a fn signature line is not a field decl
             if lexer::has_word(code, "fn") {
@@ -277,8 +290,7 @@ impl Model {
                         }
                     });
                     let Some(field) = field else { continue };
-                    let orderings =
-                        lexer::call_orderings(lines, i, p + method.len(), CALL_SPAN);
+                    let orderings = lexer::call_orderings(lines, i, p + method.len(), CALL_SPAN);
                     if orderings.is_empty() {
                         continue; // not an atomic call (or unattributable)
                     }
@@ -286,7 +298,10 @@ impl Model {
                     self.atomic_accesses.push(AtomicAccess {
                         krate: krate.to_string(),
                         field,
-                        site: Site { path: rel.to_string(), line: i + 1 },
+                        site: Site {
+                            path: rel.to_string(),
+                            line: i + 1,
+                        },
                         kind: *kind,
                         orderings,
                         justified,
@@ -374,7 +389,10 @@ mod tests {
 ";
         let m = model_of("crates/x/src/lib.rs", src);
         assert!(m.atomic_fields.is_empty());
-        let m2 = model_of("crates/x/tests/it.rs", "static T: AtomicU64 = AtomicU64::new(0);\n");
+        let m2 = model_of(
+            "crates/x/tests/it.rs",
+            "static T: AtomicU64 = AtomicU64::new(0);\n",
+        );
         assert!(m2.atomic_fields.is_empty());
     }
 }

@@ -62,16 +62,25 @@ pub fn check(model: &Model) -> Vec<Diagnostic> {
 
     let mut decls: BTreeMap<(&str, &str), Vec<&AtomicField>> = BTreeMap::new();
     for f in &model.atomic_fields {
-        decls.entry((f.krate.as_str(), f.name.as_str())).or_default().push(f);
+        decls
+            .entry((f.krate.as_str(), f.name.as_str()))
+            .or_default()
+            .push(f);
     }
     let mut accs: BTreeMap<(&str, &str), Vec<&AtomicAccess>> = BTreeMap::new();
     for a in &model.atomic_accesses {
-        accs.entry((a.krate.as_str(), a.field.as_str())).or_default().push(a);
+        accs.entry((a.krate.as_str(), a.field.as_str()))
+            .or_default()
+            .push(a);
     }
 
     for ((krate, field), field_decls) in &decls {
         // The root package's own `src/` resolves to an empty crate name.
-        let krate_desc = if krate.is_empty() { "this crate" } else { krate };
+        let krate_desc = if krate.is_empty() {
+            "this crate"
+        } else {
+            krate
+        };
         let decl_allowed = field_decls.iter().any(|d| model.is_allowed(&d.site, RULE));
         let Some(list) = accs.get(&(krate, field)) else {
             continue; // declared but never accessed (or only in tests)
@@ -120,9 +129,11 @@ pub fn check(model: &Model) -> Vec<Diagnostic> {
 
         // 3. unjustified Relaxed sites on a field with acquire/release
         //    edges (SeqCst-mixed fields are exempt: that is the spine)
-        let has_sync_edge = list
-            .iter()
-            .any(|a| a.orderings.iter().any(|o| o == "Acquire" || o == "Release" || o == "AcqRel"));
+        let has_sync_edge = list.iter().any(|a| {
+            a.orderings
+                .iter()
+                .any(|o| o == "Acquire" || o == "Release" || o == "AcqRel")
+        });
         if has_sync_edge && !decl_allowed {
             for a in list {
                 if is_relaxed_pure(a) && !a.justified && !model.is_allowed(&a.site, RULE) {

@@ -95,12 +95,30 @@ const REPLAYED_FILES: &[&str] = &["vexec.rs", "shadow.rs", "schedule.rs"];
 /// Wall-clock / OS-entropy constructs banned from replayed modules,
 /// with the replacement each message points at.
 const NONDETERMINISM: &[(&str, &str)] = &[
-    ("Instant", "virtual time (step counts) or a caller-supplied clock"),
-    ("SystemTime", "virtual time (step counts) or a caller-supplied clock"),
-    ("HashMap", "BTreeMap (RandomState-seeded iteration order varies per process)"),
-    ("HashSet", "BTreeSet (RandomState-seeded iteration order varies per process)"),
-    ("RandomState", "ezp_testkit::Rng, seeded from the schedule seed"),
-    ("thread_rng", "ezp_testkit::Rng, seeded from the schedule seed"),
+    (
+        "Instant",
+        "virtual time (step counts) or a caller-supplied clock",
+    ),
+    (
+        "SystemTime",
+        "virtual time (step counts) or a caller-supplied clock",
+    ),
+    (
+        "HashMap",
+        "BTreeMap (RandomState-seeded iteration order varies per process)",
+    ),
+    (
+        "HashSet",
+        "BTreeSet (RandomState-seeded iteration order varies per process)",
+    ),
+    (
+        "RandomState",
+        "ezp_testkit::Rng, seeded from the schedule seed",
+    ),
+    (
+        "thread_rng",
+        "ezp_testkit::Rng, seeded from the schedule seed",
+    ),
 ];
 
 /// Atomic orderings that demand a written justification. `SeqCst` is
@@ -140,7 +158,13 @@ pub fn check_source(f: &SourceFile<'_>, out: &mut Vec<Diagnostic>) {
     determinism(f, out);
 }
 
-fn push(out: &mut Vec<Diagnostic>, rule: &'static str, f: &SourceFile<'_>, line: usize, msg: String) {
+fn push(
+    out: &mut Vec<Diagnostic>,
+    rule: &'static str,
+    f: &SourceFile<'_>,
+    line: usize,
+    msg: String,
+) {
     out.push(Diagnostic {
         rule,
         path: f.rel.to_string(),
@@ -287,7 +311,10 @@ mod tests {
         let bad = run("x/src/a.rs", "unsafe { do_it() }\n");
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].rule, "unsafe-needs-safety");
-        let good = run("x/src/a.rs", "// SAFETY: pointer is live\nunsafe { do_it() }\n");
+        let good = run(
+            "x/src/a.rs",
+            "// SAFETY: pointer is live\nunsafe { do_it() }\n",
+        );
         assert!(good.is_empty());
         let trailing = run("x/src/a.rs", "unsafe { do_it() } // SAFETY: live\n");
         assert!(trailing.is_empty());
@@ -296,7 +323,10 @@ mod tests {
     #[test]
     fn safety_comment_too_far_above_does_not_count() {
         // nine *code* lines between comment and site exceed the window
-        let src = format!("// SAFETY: stale\n{}unsafe {{ x() }}\n", "let a = 1;\n".repeat(9));
+        let src = format!(
+            "// SAFETY: stale\n{}unsafe {{ x() }}\n",
+            "let a = 1;\n".repeat(9)
+        );
         assert_eq!(run("x/src/a.rs", &src).len(), 1);
     }
 

@@ -57,7 +57,10 @@ pub fn lint_workspace_only(root: &Path, only: Option<&str>) -> Report {
         let lines = lex_file(&text);
         let rel = rel_path(root, spath);
         model.add_source(&rel, &lines);
-        let file = SourceFile { rel: &rel, lines: &lines };
+        let file = SourceFile {
+            rel: &rel,
+            lines: &lines,
+        };
         let mut found = Vec::new();
         rules::check_source(&file, &mut found);
         report.diagnostics.extend(
@@ -94,9 +97,9 @@ pub fn lint_workspace_only(root: &Path, only: Option<&str>) -> Report {
         report.pass_stats.push(stat);
     }
 
-    report.diagnostics.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
-    });
+    report
+        .diagnostics
+        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     report.total_ms = t0.elapsed().as_secs_f64() * 1000.0;
     report
 }

@@ -28,7 +28,10 @@ pub fn render_iteration(stats: &IterationStats) -> String {
             stats.tiles[w]
         ));
     }
-    out.push_str(&format!("  imbalance (max/mean busy): {:.2}\n", stats.imbalance()));
+    out.push_str(&format!(
+        "  imbalance (max/mean busy): {:.2}\n",
+        stats.imbalance()
+    ));
     out
 }
 

@@ -66,7 +66,15 @@ impl Entry {
             u32::try_from(v)
                 .unwrap_or_else(|_| panic!("tile coordinate {v} does not fit a monitor log entry"))
         };
-        Entry { iteration, x: fit(x), y: fit(y), w: fit(w), h: fit(h), start_ns, end_ns }
+        Entry {
+            iteration,
+            x: fit(x),
+            y: fit(y),
+            w: fit(w),
+            h: fit(h),
+            start_ns,
+            end_ns,
+        }
     }
 
     fn record(&self, worker: WorkerId) -> TileRecord {
@@ -146,8 +154,7 @@ impl Monitor {
             .iter()
             .map(|&(from, to, kind)| DepEdge { from, to, kind })
             .collect();
-        MonitorReport::new(self.slots.len(), self.grid, iterations, records)
-            .with_edges(edges)
+        MonitorReport::new(self.slots.len(), self.grid, iterations, records).with_edges(edges)
     }
 
     #[inline]
@@ -218,7 +225,9 @@ impl Probe for Monitor {
     }
 
     fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
-        self.slot(worker).open_start.store(now_ns, Ordering::Relaxed);
+        self.slot(worker)
+            .open_start
+            .store(now_ns, Ordering::Relaxed);
     }
 
     fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, end: u64) {

@@ -146,7 +146,12 @@ impl HeatMap {
 
     /// Mean duration over *computed* tiles.
     pub fn mean_duration(&self) -> f64 {
-        let computed: Vec<u64> = self.durations_ns.iter().copied().filter(|&d| d > 0).collect();
+        let computed: Vec<u64> = self
+            .durations_ns
+            .iter()
+            .copied()
+            .filter(|&d| d > 0)
+            .collect();
         if computed.is_empty() {
             0.0
         } else {

@@ -46,7 +46,9 @@ impl UnifiedReport {
         mut counters: CounterSnapshot,
         spans: Vec<SpanRecord>,
     ) -> Self {
-        counters.counters.retain(|c| c.per_worker.iter().any(|&v| v != 0));
+        counters
+            .counters
+            .retain(|c| c.per_worker.iter().any(|&v| v != 0));
         let mut totals: Vec<(&'static str, u64, u64)> = Vec::new();
         for s in &spans {
             match totals.iter_mut().find(|(name, _, _)| *name == s.name) {
@@ -57,7 +59,11 @@ impl UnifiedReport {
                 None => totals.push((s.name, 1, s.duration_ns())),
             }
         }
-        UnifiedReport { monitor, counters, spans: totals }
+        UnifiedReport {
+            monitor,
+            counters,
+            spans: totals,
+        }
     }
 
     /// Per-iteration summary rows derived from the monitor data (empty
@@ -108,7 +114,12 @@ impl UnifiedReport {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         if let Some(mon) = &self.monitor {
-            let _ = writeln!(out, "# run: {} workers, {} tiles recorded", mon.workers, mon.records.len());
+            let _ = writeln!(
+                out,
+                "# run: {} workers, {} tiles recorded",
+                mon.workers,
+                mon.records.len()
+            );
             for s in mon.all_stats() {
                 let _ = writeln!(
                     out,
@@ -211,7 +222,11 @@ mod tests {
         assert_eq!(j.field::<u64>("total_busy_ns").unwrap(), 100);
         let counters = CounterSnapshot::from_json(j.get("counters").unwrap()).unwrap();
         assert_eq!(counters.total("tasks_executed"), 2);
-        assert_eq!(counters.counters.len(), 1, "a counter 0 everywhere is absent");
+        assert_eq!(
+            counters.counters.len(),
+            1,
+            "a counter 0 everywhere is absent"
+        );
         let iters = j.get("iterations").unwrap().as_arr().unwrap();
         assert_eq!(iters.len(), 1);
         assert_eq!(iters[0].field::<u64>("total_idle_ns").unwrap(), 100);
@@ -236,15 +251,27 @@ mod tests {
     fn text_report_mentions_iterations_spans_and_counters() {
         let text = sample().to_text();
         assert!(text.contains("# iter 1:"), "{text}");
-        assert!(text.contains("# span iteration: 2 x, 180 ns total"), "{text}");
+        assert!(
+            text.contains("# span iteration: 2 x, 180 ns total"),
+            "{text}"
+        );
         assert!(text.contains("ezp_tasks_executed 2"), "{text}");
         assert!(!text.contains("steals_attempted"), "{text}");
     }
 
     #[test]
     fn spans_are_summed_by_name_in_first_start_order() {
-        let span = |name, start_ns, end_ns| SpanRecord { name, worker: 0, start_ns, end_ns };
-        let spans = vec![span("queue", 0, 5), span("iteration", 5, 9), span("queue", 9, 10)];
+        let span = |name, start_ns, end_ns| SpanRecord {
+            name,
+            worker: 0,
+            start_ns,
+            end_ns,
+        };
+        let spans = vec![
+            span("queue", 0, 5),
+            span("iteration", 5, 9),
+            span("queue", 9, 10),
+        ];
         let rep = UnifiedReport::new(None, CounterSnapshot::default(), spans);
         assert_eq!(rep.spans, vec![("queue", 2, 6), ("iteration", 1, 4)]);
     }

@@ -38,11 +38,7 @@ pub fn broadcast<T: ToJson + FromJson + Clone>(
 
 /// Gathers one value per rank at `root` (`MPI_Gather`); returns
 /// `Some(values)` (indexed by rank) at root, `None` elsewhere.
-pub fn gather<T: ToJson + FromJson>(
-    comm: &Comm,
-    root: usize,
-    value: &T,
-) -> Result<Option<Vec<T>>> {
+pub fn gather<T: ToJson + FromJson>(comm: &Comm, root: usize, value: &T) -> Result<Option<Vec<T>>> {
     comm.note(|s| s.gathers += 1);
     if comm.rank() == root {
         // receive from each rank *by source*: taking "any" message here
@@ -268,7 +264,11 @@ mod tests {
         for (round, (s, g)) in got[0].iter().enumerate() {
             let round = round as u64;
             assert_eq!(*s, 3 * round * 100 + 3, "reduce round {round} mixed");
-            assert_eq!(g, &vec![round, 1000 + round, 2000 + round], "gather round {round} mixed");
+            assert_eq!(
+                g,
+                &vec![round, 1000 + round, 2000 + round],
+                "gather round {round} mixed"
+            );
         }
     }
 

@@ -120,10 +120,7 @@ impl Comm {
         self.recv_match(|m| m.tag == tag)
     }
 
-    fn recv_match<T: FromJson>(
-        &self,
-        matches: impl Fn(&Message) -> bool,
-    ) -> Result<(usize, T)> {
+    fn recv_match<T: FromJson>(&self, matches: impl Fn(&Message) -> bool) -> Result<(usize, T)> {
         // check the pending buffer first (preserving arrival order)
         {
             let mut pending = self.pending.borrow_mut();
@@ -186,14 +183,21 @@ impl Comm {
 
 fn decode<T: FromJson>(m: Message) -> Result<(usize, T)> {
     let value = std::str::from_utf8(&m.payload)
-        .map_err(|e| Error::Mpi(format!("payload is not UTF-8 (src {}, tag {}): {e}", m.src, m.tag)))
+        .map_err(|e| {
+            Error::Mpi(format!(
+                "payload is not UTF-8 (src {}, tag {}): {e}",
+                m.src, m.tag
+            ))
+        })
         .and_then(|text| {
-            Json::parse(text).and_then(|v| T::from_json(&v)).map_err(|e| {
-                Error::Mpi(format!(
-                    "deserialization failed (src {}, tag {}): {e}",
-                    m.src, m.tag
-                ))
-            })
+            Json::parse(text)
+                .and_then(|v| T::from_json(&v))
+                .map_err(|e| {
+                    Error::Mpi(format!(
+                        "deserialization failed (src {}, tag {}): {e}",
+                        m.src, m.tag
+                    ))
+                })
         })?;
     Ok((m.src, value))
 }
@@ -381,7 +385,10 @@ mod tests {
         }
         impl ToJson for Ghost {
             fn to_json(&self) -> Json {
-                Json::obj([("row", self.row.to_json()), ("steady", self.steady.to_json())])
+                Json::obj([
+                    ("row", self.row.to_json()),
+                    ("steady", self.steady.to_json()),
+                ])
             }
         }
         impl FromJson for Ghost {

@@ -108,9 +108,9 @@ impl CounterSet {
     /// Current value of `id` summed over all workers (saturating, so
     /// near-`u64::MAX` slots never panic the reporting path).
     pub fn total(&self, id: CounterId) -> u64 {
-        self.slots[id.0]
-            .iter()
-            .fold(0u64, |acc, s| acc.saturating_add(s.0.load(Ordering::Relaxed)))
+        self.slots[id.0].iter().fold(0u64, |acc, s| {
+            acc.saturating_add(s.0.load(Ordering::Relaxed))
+        })
     }
 
     /// A point-in-time copy of every counter.
@@ -144,7 +144,9 @@ pub struct CounterValues {
 impl CounterValues {
     /// Sum over all workers (saturating).
     pub fn total(&self) -> u64 {
-        self.per_worker.iter().fold(0u64, |acc, v| acc.saturating_add(*v))
+        self.per_worker
+            .iter()
+            .fold(0u64, |acc, v| acc.saturating_add(*v))
     }
 }
 
@@ -230,7 +232,12 @@ mod tests {
         assert_eq!(set.register("tasks"), a);
         assert_eq!(set.id("steals"), Some(b));
         assert_eq!(set.id("nope"), None);
-        let names: Vec<String> = set.snapshot().counters.into_iter().map(|c| c.name).collect();
+        let names: Vec<String> = set
+            .snapshot()
+            .counters
+            .into_iter()
+            .map(|c| c.name)
+            .collect();
         assert_eq!(names, ["tasks", "steals"]);
     }
 
@@ -298,8 +305,8 @@ mod tests {
         set.add(a, 0, 3);
         set.add(b, 1, u64::MAX); // exact u64 must survive
         let snap = set.snapshot();
-        let back = CounterSnapshot::from_json(&Json::parse(&snap.to_json().dump()).unwrap())
-            .unwrap();
+        let back =
+            CounterSnapshot::from_json(&Json::parse(&snap.to_json().dump()).unwrap()).unwrap();
         assert_eq!(back, snap);
     }
 

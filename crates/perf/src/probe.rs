@@ -191,7 +191,8 @@ impl Probe for PerfProbe {
     // Counting needs no clock, so the probe does not ask for stamps; it
     // takes them when it shares a stack with one that does.
     fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
-        self.counters.add_owned(self.tasks, worker, stamps.len() as u64);
+        self.counters
+            .add_owned(self.tasks, worker, stamps.len() as u64);
     }
 
     fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
@@ -208,7 +209,8 @@ impl Probe for PerfProbe {
                 // both the total and the cause slice, so the per-cause
                 // breakdown always sums exactly to `idle_ns`
                 self.counters.add(self.idle, worker, ns);
-                self.counters.add(self.idle_by_cause[cause.index()], worker, ns);
+                self.counters
+                    .add(self.idle_by_cause[cause.index()], worker, ns);
                 if ns > 0 {
                     let end = now_ns();
                     self.spans.record(
@@ -311,7 +313,10 @@ mod tests {
         assert_eq!(snap.total(names::DEQUE_STEALS), 1);
         // every registered counter is in the snapshot, moved or not
         assert_eq!(snap.counters.len(), 19);
-        assert_eq!(snap.get(names::SPANS_DROPPED).unwrap().per_worker, vec![0, 0]);
+        assert_eq!(
+            snap.get(names::SPANS_DROPPED).unwrap().per_worker,
+            vec![0, 0]
+        );
     }
 
     #[test]
@@ -346,17 +351,16 @@ mod tests {
             );
         }
         let snap = probe.snapshot();
-        let by_cause: u64 = names::IDLE_NS_BY_CAUSE
-            .iter()
-            .map(|n| snap.total(n))
-            .sum();
+        let by_cause: u64 = names::IDLE_NS_BY_CAUSE.iter().map(|n| snap.total(n)).sum();
         assert_eq!(by_cause, snap.total(names::IDLE_NS));
         assert_eq!(snap.total(names::IDLE_NS), 100 + 200 + 300 + 400 + 500);
         // and each cause produced a span carrying its label
         let spans = probe.span_snapshot();
         for cause in IdleCause::ALL {
             assert!(
-                spans.iter().any(|s| s.name == format!("idle:{}", cause.label())),
+                spans
+                    .iter()
+                    .any(|s| s.name == format!("idle:{}", cause.label())),
                 "no span for {:?}",
                 cause
             );

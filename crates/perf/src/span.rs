@@ -56,7 +56,10 @@ pub struct SpanSet {
 impl SpanSet {
     /// Creates one ring of `capacity` spans per worker.
     pub fn new(workers: usize, capacity: usize) -> Self {
-        assert!(workers > 0 && capacity > 0, "span set needs workers and capacity");
+        assert!(
+            workers > 0 && capacity > 0,
+            "span set needs workers and capacity"
+        );
         SpanSet {
             rings: (0..workers)
                 .map(|_| {

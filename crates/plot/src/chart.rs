@@ -75,15 +75,46 @@ pub fn render_svg(data: &Dataset, width: f64, height: f64) -> String {
     let sx = |x: f64| margin + (x - x0) / xspan * plot_w;
     let sy = |y: f64| height - margin - (y - y0) / yspan * plot_h;
     // axes
-    c.line(margin, height - margin, width - margin, height - margin, Rgba::BLACK, 1.0);
+    c.line(
+        margin,
+        height - margin,
+        width - margin,
+        height - margin,
+        Rgba::BLACK,
+        1.0,
+    );
     c.line(margin, margin, margin, height - margin, Rgba::BLACK, 1.0);
     c.text(width / 2.0, height - 8.0, 11.0, Rgba::BLACK, &data.x_col);
     c.text(4.0, margin - 8.0, 11.0, Rgba::BLACK, &data.y_label);
     // tick labels at the extremes
-    c.text(margin, height - margin + 14.0, 9.0, Rgba::BLACK, &format!("{x0:.0}"));
-    c.text(width - margin, height - margin + 14.0, 9.0, Rgba::BLACK, &format!("{x1:.0}"));
-    c.text(margin - 40.0, height - margin, 9.0, Rgba::BLACK, &format!("{y0:.1}"));
-    c.text(margin - 40.0, margin + 4.0, 9.0, Rgba::BLACK, &format!("{y1:.1}"));
+    c.text(
+        margin,
+        height - margin + 14.0,
+        9.0,
+        Rgba::BLACK,
+        &format!("{x0:.0}"),
+    );
+    c.text(
+        width - margin,
+        height - margin + 14.0,
+        9.0,
+        Rgba::BLACK,
+        &format!("{x1:.0}"),
+    );
+    c.text(
+        margin - 40.0,
+        height - margin,
+        9.0,
+        Rgba::BLACK,
+        &format!("{y0:.1}"),
+    );
+    c.text(
+        margin - 40.0,
+        margin + 4.0,
+        9.0,
+        Rgba::BLACK,
+        &format!("{y1:.1}"),
+    );
     // series
     for (si, s) in data.series.iter().enumerate() {
         let color = worker_color(si);

@@ -114,7 +114,8 @@ impl Dataset {
             }
         }
         self.y_label = "speedup".to_string();
-        self.constants.push(("refTime".to_string(), format!("{ref_time}")));
+        self.constants
+            .push(("refTime".to_string(), format!("{ref_time}")));
         self
     }
 
@@ -166,7 +167,8 @@ mod tests {
             ("dynamic", "4", "40", "0"),
             ("dynamic", "4", "50", "1"),
         ] {
-            t.push_row(vec!["mandel", "1024", sched, threads, time, run]).unwrap();
+            t.push_row(vec!["mandel", "1024", sched, threads, time, run])
+                .unwrap();
         }
         t
     }
@@ -195,9 +197,17 @@ mod tests {
     #[test]
     fn runs_are_averaged() {
         let d = Dataset::from_table(&table(), "threads", "time_us", &["run"]).unwrap();
-        let stat = d.series.iter().find(|s| s.label.contains("static")).unwrap();
+        let stat = d
+            .series
+            .iter()
+            .find(|s| s.label.contains("static"))
+            .unwrap();
         assert_eq!(stat.points, vec![(2.0, 105.0), (4.0, 65.0)]);
-        let dynamic = d.series.iter().find(|s| s.label.contains("dynamic")).unwrap();
+        let dynamic = d
+            .series
+            .iter()
+            .find(|s| s.label.contains("dynamic"))
+            .unwrap();
         assert_eq!(dynamic.points, vec![(2.0, 85.0), (4.0, 45.0)]);
     }
 
@@ -206,7 +216,11 @@ mod tests {
         let d = Dataset::from_table(&table(), "threads", "time_us", &["run"]).unwrap();
         let s = d.into_speedup(210.0);
         assert_eq!(s.y_label, "speedup");
-        let stat = s.series.iter().find(|s| s.label.contains("static")).unwrap();
+        let stat = s
+            .series
+            .iter()
+            .find(|s| s.label.contains("static"))
+            .unwrap();
         assert!((stat.points[0].1 - 2.0).abs() < 1e-9); // 210/105
         assert!(s.constants_line().contains("refTime=210"));
     }
@@ -216,7 +230,8 @@ mod tests {
         // add rows with a second kernel: `kernel` moves from the
         // constants into the legend, making the mixing visible
         let mut t = table();
-        t.push_row(vec!["blur", "1024", "static", "2", "500", "0"]).unwrap();
+        t.push_row(vec!["blur", "1024", "static", "2", "500", "0"])
+            .unwrap();
         let d = Dataset::from_table(&t, "threads", "time_us", &["run"]).unwrap();
         assert!(d.constants.iter().all(|(k, _)| k != "kernel"));
         assert!(d.series.iter().any(|s| s.label.contains("kernel=blur")));

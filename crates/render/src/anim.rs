@@ -28,7 +28,9 @@ impl FrameSink {
 
     /// Writes one frame as the next numbered binary PPM (P6).
     pub fn present(&mut self, img: &Img2D<Rgba>) -> Result<()> {
-        let path = self.dir.join(format!("frame-{:04}.ppm", self.written.len() + 1));
+        let path = self
+            .dir
+            .join(format!("frame-{:04}.ppm", self.written.len() + 1));
         ezp_core::file::rewrite(&path, |w| Ok(img.write_ppm(w)?))?;
         self.written.push(path);
         Ok(())

@@ -20,7 +20,11 @@ pub fn to_ansi(img: &Img2D<Rgba>) -> String {
     while y < h {
         for x in 0..w {
             let top = img.get(x, y);
-            let bottom = if y + 1 < h { img.get(x, y + 1) } else { Rgba::BLACK };
+            let bottom = if y + 1 < h {
+                img.get(x, y + 1)
+            } else {
+                Rgba::BLACK
+            };
             out.push_str(&format!(
                 "\x1b[38;2;{};{};{}m\x1b[48;2;{};{};{}m{}",
                 top.r(),

@@ -66,7 +66,10 @@ mod tests {
     #[test]
     fn blend_extremes() {
         assert_eq!(blend(Rgba::BLACK, Rgba::WHITE, 255), Rgba::WHITE);
-        assert_eq!(blend(Rgba::new(1, 2, 3, 255), Rgba::WHITE, 0), Rgba::new(1, 2, 3, 255));
+        assert_eq!(
+            blend(Rgba::new(1, 2, 3, 255), Rgba::WHITE, 0),
+            Rgba::new(1, 2, 3, 255)
+        );
         let half = blend(Rgba::BLACK, Rgba::WHITE, 128);
         assert!(half.r() > 120 && half.r() < 135);
     }
@@ -90,7 +93,11 @@ mod tests {
         // ceil() guarantees at least one painted pixel
         let mut thumb: Img2D<Rgba> = Img2D::filled(32, 32, Rgba::BLACK);
         highlight_tiles(&mut thumb, 512, &[tile(256, 256, 8, 8)], Rgba::GREEN);
-        let painted = thumb.as_slice().iter().filter(|&&p| p != Rgba::BLACK).count();
+        let painted = thumb
+            .as_slice()
+            .iter()
+            .filter(|&&p| p != Rgba::BLACK)
+            .count();
         assert!(painted >= 1);
     }
 

@@ -15,10 +15,14 @@ pub fn downscale(img: &Img2D<Rgba>, out_w: usize, out_h: usize) -> Img2D<Rgba> {
     let sy = img.height() as f64 / out_h as f64;
     for oy in 0..out_h {
         let y0 = (oy as f64 * sy) as usize;
-        let y1 = (((oy + 1) as f64 * sy).ceil() as usize).min(img.height()).max(y0 + 1);
+        let y1 = (((oy + 1) as f64 * sy).ceil() as usize)
+            .min(img.height())
+            .max(y0 + 1);
         for ox in 0..out_w {
             let x0 = (ox as f64 * sx) as usize;
-            let x1 = (((ox + 1) as f64 * sx).ceil() as usize).min(img.width()).max(x0 + 1);
+            let x1 = (((ox + 1) as f64 * sx).ceil() as usize)
+                .min(img.width())
+                .max(x0 + 1);
             let (mut r, mut g, mut b, mut a) = (0u64, 0u64, 0u64, 0u64);
             for y in y0..y1 {
                 for x in x0..x1 {
@@ -64,7 +68,10 @@ mod tests {
         let img: Img2D<Rgba> = Img2D::filled(16, 16, Rgba::new(10, 20, 30, 255));
         let thumb = downscale(&img, 4, 4);
         assert_eq!(thumb.width(), 4);
-        assert!(thumb.as_slice().iter().all(|&p| p == Rgba::new(10, 20, 30, 255)));
+        assert!(thumb
+            .as_slice()
+            .iter()
+            .all(|&p| p == Rgba::new(10, 20, 30, 255)));
     }
 
     #[test]

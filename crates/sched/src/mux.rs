@@ -118,7 +118,10 @@ impl PoolMux {
         // ORDERING: Relaxed — counter-only statistic, synchronizes with
         // nothing; the free list itself is guarded by the mutex.
         self.stat_leases.fetch_add(1, Ordering::Relaxed);
-        Some(PoolLease { mux: self, pool: Some(pool) })
+        Some(PoolLease {
+            mux: self,
+            pool: Some(pool),
+        })
     }
 
     /// Grants a lease, blocking until a slot frees up. A discarded
@@ -153,7 +156,10 @@ impl PoolMux {
         drop(free);
         // ORDERING: Relaxed — counter-only statistic.
         self.stat_leases.fetch_add(1, Ordering::Relaxed);
-        PoolLease { mux: self, pool: Some(pool) }
+        PoolLease {
+            mux: self,
+            pool: Some(pool),
+        }
     }
 
     /// Snapshot of the lease counters.
@@ -262,7 +268,10 @@ pub fn acquire_pool(n: usize) -> PoolHandle {
     match installed {
         Some(mut pool) => {
             pool.set_width(n);
-            PoolHandle { pool: Some(pool), shared: true }
+            PoolHandle {
+                pool: Some(pool),
+                shared: true,
+            }
         }
         None => PoolHandle {
             pool: Some(WorkerPool::new(n.max(1))),

@@ -72,7 +72,9 @@ pub fn parallel_for_tiles(
     run_chunks(pool, grid.len(), schedule, probe, |rank| {
         let mut batch = stamped.then(|| [TileStamp::default(); TILE_STAMP_BATCH]);
         move |start, len| {
-            report_tiles(probe, rank, batch.as_mut(), grid.chunk(start, len), |t| f(t, rank))
+            report_tiles(probe, rank, batch.as_mut(), grid.chunk(start, len), |t| {
+                f(t, rank)
+            })
         }
     });
 }
@@ -87,7 +89,9 @@ pub fn for_each_tile(
     tiles: impl IntoIterator<Item = Tile>,
     f: impl FnMut(Tile),
 ) {
-    let mut batch = probe.wants_tile_stamps().then(|| [TileStamp::default(); TILE_STAMP_BATCH]);
+    let mut batch = probe
+        .wants_tile_stamps()
+        .then(|| [TileStamp::default(); TILE_STAMP_BATCH]);
     report_tiles(probe, rank, batch.as_mut(), tiles.into_iter(), f);
 }
 
@@ -119,7 +123,11 @@ fn report_tiles(
         for (stamp, tile) in batch.iter_mut().zip(&mut tiles) {
             f(tile);
             let end_ns = now_ns();
-            *stamp = TileStamp { tile, start_ns, end_ns };
+            *stamp = TileStamp {
+                tile,
+                start_ns,
+                end_ns,
+            };
             start_ns = end_ns;
             n += 1;
         }
@@ -217,7 +225,13 @@ fn report_loop_end(probe: &dyn Probe, disp: &Dispenser, rank: WorkerId, t0: u64)
     );
     let (attempted, succeeded) = disp.steals(rank);
     if attempted > 0 {
-        probe.runtime_event(rank, RuntimeEvent::Steals { attempted, succeeded });
+        probe.runtime_event(
+            rank,
+            RuntimeEvent::Steals {
+                attempted,
+                succeeded,
+            },
+        );
     }
 }
 
@@ -273,11 +287,17 @@ mod tests {
         let mut pool = WorkerPool::new(3);
         let grid = TileGrid::square(32, 8).unwrap();
         let bad_ranks = AtomicUsize::new(0);
-        parallel_for_tiles(&mut pool, &grid, Schedule::Dynamic(1), &NullProbe, |_, rank| {
-            if rank >= 3 {
-                bad_ranks.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        parallel_for_tiles(
+            &mut pool,
+            &grid,
+            Schedule::Dynamic(1),
+            &NullProbe,
+            |_, rank| {
+                if rank >= 3 {
+                    bad_ranks.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+        );
         assert_eq!(bad_ranks.load(Ordering::Relaxed), 0);
     }
 
@@ -339,19 +359,38 @@ mod tests {
                 std::hint::black_box((0..100u64).sum::<u64>());
             });
             let batches = probe.0.into_inner().unwrap();
-            let mut seen: Vec<Tile> =
-                batches.iter().flat_map(|(_, b)| b.iter().map(|s| s.tile)).collect();
+            let mut seen: Vec<Tile> = batches
+                .iter()
+                .flat_map(|(_, b)| b.iter().map(|s| s.tile))
+                .collect();
             seen.sort_by_key(|t| (t.y, t.x));
-            assert_eq!(seen, grid.iter().collect::<Vec<_>>(), "{per_rank} tiles per rank");
+            assert_eq!(
+                seen,
+                grid.iter().collect::<Vec<_>>(),
+                "{per_rank} tiles per rank"
+            );
             for rank in 0..2 {
-                let mine: Vec<&Vec<TileStamp>> =
-                    batches.iter().filter(|(w, _)| *w == rank).map(|(_, b)| b).collect();
+                let mine: Vec<&Vec<TileStamp>> = batches
+                    .iter()
+                    .filter(|(w, _)| *w == rank)
+                    .map(|(_, b)| b)
+                    .collect();
                 let sizes: Vec<usize> = mine.iter().map(|b| b.len()).collect();
-                assert_eq!(sizes.len(), per_rank.div_ceil(TILE_STAMP_BATCH), "{sizes:?}");
-                assert!(sizes.iter().all(|&n| (1..=TILE_STAMP_BATCH).contains(&n)), "{sizes:?}");
+                assert_eq!(
+                    sizes.len(),
+                    per_rank.div_ceil(TILE_STAMP_BATCH),
+                    "{sizes:?}"
+                );
+                assert!(
+                    sizes.iter().all(|&n| (1..=TILE_STAMP_BATCH).contains(&n)),
+                    "{sizes:?}"
+                );
                 for batch in &mine {
                     // tile i ends on the clock read tile i+1 starts on
-                    assert!(batch.windows(2).all(|p| p[1].start_ns == p[0].end_ns), "{batch:?}");
+                    assert!(
+                        batch.windows(2).all(|p| p[1].start_ns == p[0].end_ns),
+                        "{batch:?}"
+                    );
                 }
                 let stamps: Vec<&TileStamp> = mine.into_iter().flatten().collect();
                 assert!(stamps.iter().all(|s| s.start_ns <= s.end_ns));

@@ -182,7 +182,10 @@ impl PoolState {
     /// workers panicked in the region just closed.
     #[inline]
     fn close(&self, seq: u64) -> usize {
-        debug_assert!(self.is_closed(seq), "closed region {seq} before its last worker left");
+        debug_assert!(
+            self.is_closed(seq),
+            "closed region {seq} before its last worker left"
+        );
         self.panics.load(Ordering::SeqCst)
     }
 
@@ -420,7 +423,10 @@ impl<'f> RegionDriver<'f> {
         self.seq += 1;
         // SAFETY: quiescent per the assert above, and the closure
         // outlives `self` (`'f`), the only handle a step can run it by.
-        unsafe { self.state.publish(self.seq, self.threads, ErasedJob::erase(self.f)) };
+        unsafe {
+            self.state
+                .publish(self.seq, self.threads, ErasedJob::erase(self.f))
+        };
         self.seq
     }
 
@@ -627,8 +633,14 @@ mod tests {
         assert!(pool.is_closed());
 
         pool.state.shut_down();
-        assert!(pool.state.has_work(last[0]), "shutdown must end a worker's wait");
-        assert_eq!(pool.state.worker_step(0, &mut last[0]), WorkerStep::Shutdown);
+        assert!(
+            pool.state.has_work(last[0]),
+            "shutdown must end a worker's wait"
+        );
+        assert_eq!(
+            pool.state.worker_step(0, &mut last[0]),
+            WorkerStep::Shutdown
+        );
         assert_eq!(runs.load(Ordering::Relaxed), 2);
     }
 
@@ -654,7 +666,10 @@ mod tests {
             region.store(pool.publish(), Ordering::Relaxed);
             for rank in [2, 0, 1] {
                 assert!(!pool.is_closed(), "closed with rank {rank} still to run");
-                assert_eq!(pool.state.worker_step(rank, &mut last[rank]), WorkerStep::Ran);
+                assert_eq!(
+                    pool.state.worker_step(rank, &mut last[rank]),
+                    WorkerStep::Ran
+                );
             }
             assert!(pool.is_closed());
             observed.push(pool.close());

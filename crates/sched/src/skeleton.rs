@@ -290,7 +290,8 @@ mod tests {
         let shape = PipeShape::new([PipeStage::farm(2), PipeStage::serial(), PipeStage::farm(3)]);
         let g = shape.graph(10);
         let mut order = Vec::new();
-        g.run_seq(|t, _| order.push(t)).expect("pipeline graph must be acyclic");
+        g.run_seq(|t, _| order.push(t))
+            .expect("pipeline graph must be acyclic");
         assert_eq!(order.len(), 30);
         // serial stage 1 runs in frame order
         let stage1: Vec<usize> = order
@@ -315,9 +316,15 @@ mod tests {
         // data: frame 1 flows stage 0 -> stage 1
         assert_eq!(kinds[&(shape.node(1, 0), shape.node(1, 1))], EdgeKind::Data);
         // width: the serial stage orders frame 1 after frame 0
-        assert_eq!(kinds[&(shape.node(0, 1), shape.node(1, 1))], EdgeKind::Width);
+        assert_eq!(
+            kinds[&(shape.node(0, 1), shape.node(1, 1))],
+            EdgeKind::Width
+        );
         // capacity: frame 2 may not start stage 0 before frame 0 left stage 1
-        assert_eq!(kinds[&(shape.node(0, 1), shape.node(2, 0))], EdgeKind::Capacity);
+        assert_eq!(
+            kinds[&(shape.node(0, 1), shape.node(2, 0))],
+            EdgeKind::Capacity
+        );
     }
 
     #[test]

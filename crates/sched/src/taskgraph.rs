@@ -61,7 +61,10 @@ impl TaskGraph {
     /// [`TaskGraph::add_dep`] with an explicit edge family, so traces
     /// can distinguish true data flow from structural backpressure.
     pub fn add_dep_kind(&mut self, before: usize, after: usize, kind: EdgeKind) {
-        assert!(before < self.len() && after < self.len(), "task id out of range");
+        assert!(
+            before < self.len() && after < self.len(),
+            "task id out of range"
+        );
         assert_ne!(before, after, "a task cannot depend on itself");
         self.dependents[before].push(after);
         self.kinds[before].push(kind);
@@ -308,7 +311,11 @@ impl<'a> GraphRun<'a> {
             probe,
             timed: probe.wants_runtime_events(),
             deques,
-            indegree: graph.indegree.iter().map(|&d| AtomicUsize::new(d)).collect(),
+            indegree: graph
+                .indegree
+                .iter()
+                .map(|&d| AtomicUsize::new(d))
+                .collect(),
             pending: AtomicUsize::new(n),
             active: AtomicUsize::new(0),
             events: AtomicU64::new(0),
@@ -384,7 +391,8 @@ impl<'a> GraphRun<'a> {
             return GraphStep::Idle(e0);
         };
         if self.timed {
-            self.probe.runtime_event(rank, RuntimeEvent::ChunkDispensed { len: 1 });
+            self.probe
+                .runtime_event(rank, RuntimeEvent::ChunkDispensed { len: 1 });
         }
         {
             let _release = ReleasePeersOnUnwind(&self.halt, &self.idle);
@@ -598,7 +606,10 @@ mod tests {
         let GraphStep::Idle(seen) = run.step(1, &mut busy[1], body) else {
             panic!("worker 1 called the cycle while worker 0 was active");
         };
-        assert!(!run.should_wake(seen), "nothing happened worker 1 should wake for");
+        assert!(
+            !run.should_wake(seen),
+            "nothing happened worker 1 should wake for"
+        );
         run.assert_consistent(1);
 
         // worker 0 finds nothing, leaves its streak, and is the last one

@@ -279,7 +279,11 @@ pub fn virtual_pipeline(
 ) -> Result<VStream> {
     let graph = shape.graph(frames);
     let last = shape.stages() - 1;
-    let mode = if ordered { EmitMode::Ordered } else { EmitMode::Unordered };
+    let mode = if ordered {
+        EmitMode::Ordered
+    } else {
+        EmitMode::Unordered
+    };
     let mut tracker = EmitTracker::new(frames);
     let (order, steals) = virtual_deque_taskgraph(&graph, workers, strategy, |t, _| {
         if shape.stage_of(t) == last {
@@ -368,11 +372,17 @@ pub fn virtual_region_protocol(
             let seq = region.load(Ordering::SeqCst);
             for (w, r) in ran.iter().enumerate() {
                 let r = r.swap(0, Ordering::SeqCst);
-                assert_eq!(r, 1, "master unblocked while worker {w} ran region {seq} {r} times");
+                assert_eq!(
+                    r, 1,
+                    "master unblocked while worker {w} ran region {seq} {r} times"
+                );
             }
             let panics = pool.close();
             let expected = (0..workers).filter(|&w| panic_plan(seq, w)).count();
-            assert_eq!(panics, expected, "region {seq}: master read a stale panic count");
+            assert_eq!(
+                panics, expected,
+                "region {seq}: master read a stale panic count"
+            );
             observed.push(panics);
             waiting = false;
         } else if (observed.len() as u64) < regions {
@@ -498,7 +508,10 @@ mod tests {
         let mut hits = vec![0u32; n];
         virtual_drain(&d, 4, &mut strategy, |i, _, _| hits[i] += 1);
         let (attempted, succeeded) = d.steals(2);
-        assert!(succeeded > 0, "favourite never stole ({attempted} attempts)");
+        assert!(
+            succeeded > 0,
+            "favourite never stole ({attempted} attempts)"
+        );
         // and nothing was lost or duplicated while it raided the others
         assert_exact_cover(&hits, "steal-heavy over stealing dispenser");
     }
@@ -561,10 +574,7 @@ mod tests {
             for a in 0..g.len() {
                 for b in 0..g.len() {
                     if reach.precedes(a, b) {
-                        assert!(
-                            pos[a] < pos[b],
-                            "seed {seed}: {a} must precede {b}"
-                        );
+                        assert!(pos[a] < pos[b], "seed {seed}: {a} must precede {b}");
                     }
                 }
             }
@@ -616,7 +626,10 @@ mod tests {
         let mut hits = vec![0u32; g.len()];
         let (order, steals) = virtual_deque_taskgraph(&g, 4, &mut s, |t, _| hits[t] += 1).unwrap();
         assert_eq!(order.len(), g.len());
-        assert!(steals > 0, "steal-heavy schedule never exercised the steal path");
+        assert!(
+            steals > 0,
+            "steal-heavy schedule never exercised the steal path"
+        );
         assert_exact_cover(&hits, "deque taskgraph under steal-heavy");
     }
 
@@ -667,10 +680,7 @@ mod tests {
     #[test]
     fn virtual_pipeline_ordered_emits_in_frame_order() {
         use crate::skeleton::PipeStage;
-        let shape = PipeShape::new(vec![
-            PipeStage::farm(3),
-            PipeStage::serial(),
-        ]);
+        let shape = PipeShape::new(vec![PipeStage::farm(3), PipeStage::serial()]);
         for seed in 0..8u64 {
             let mut s = RandomWalk::seeded(seed);
             let v = virtual_pipeline(&shape, 20, 3, true, &mut s).unwrap();
@@ -688,7 +698,10 @@ mod tests {
         let mut sorted = v.emitted.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..30).collect::<Vec<_>>());
-        assert_eq!(v.max_reorder_depth, 0, "unordered mode has no reorder buffer");
+        assert_eq!(
+            v.max_reorder_depth, 0,
+            "unordered mode has no reorder buffer"
+        );
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! (chunks, idle, barrier, steals) must land in the right counter.
 
 use ezp_core::kernel::IdleCause;
+use ezp_core::{Schedule, TileGrid};
 use ezp_perf::{names, PerfProbe};
 use ezp_sched::{
     parallel_for_range, parallel_for_range_probed, parallel_for_tiles, Dispenser, TaskGraph,
     WorkerPool,
 };
-use ezp_core::{Schedule, TileGrid};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
@@ -63,7 +63,11 @@ fn fine_dynamic_loop_claims_in_batches_that_taper() {
         claims.push(claim);
     }
     assert_eq!(chunks, claims.len() as u64);
-    let singles = claims.iter().rev().take_while(|&&(_, len)| len == 1).count();
+    let singles = claims
+        .iter()
+        .rev()
+        .take_while(|&&(_, len)| len == 1)
+        .count();
     assert!(singles >= 32, "{singles} single-unit claims at the tail");
 }
 

@@ -80,7 +80,9 @@ pub struct JobTicket {
 impl JobTicket {
     /// A live ticket.
     pub fn new() -> Arc<JobTicket> {
-        Arc::new(JobTicket { live: AtomicBool::new(true) })
+        Arc::new(JobTicket {
+            live: AtomicBool::new(true),
+        })
     }
 
     /// Still worth running?
@@ -142,9 +144,15 @@ impl Admission {
     /// the queues were `ezp-chan` lanes, kept so `benchmark/` compiles.
     pub fn new(_tuning: ChanTuning, metrics: Arc<ServeMetrics>, queue_cap: usize) -> Self {
         let queue_cap = queue_cap.max(1);
-        let lanes = (0..metrics.max_tenants()).map(|_| VecDeque::new()).collect();
+        let lanes = (0..metrics.max_tenants())
+            .map(|_| VecDeque::new())
+            .collect();
         Admission {
-            queues: Mutex::new(Queues { lanes, closed: false, idle_runners: 0 }),
+            queues: Mutex::new(Queues {
+                lanes,
+                closed: false,
+                idle_runners: 0,
+            }),
             job_ready: Condvar::new(),
             metrics,
             next_job_id: AtomicU64::new(1),
@@ -208,7 +216,10 @@ impl Admission {
             self.metrics.rejected(slot);
             // retry_after_ms 0 = permanent: resubmitting the same spec
             // can never succeed
-            return Err(Reject { reason: why, retry_after_ms: 0 });
+            return Err(Reject {
+                reason: why,
+                retry_after_ms: 0,
+            });
         }
         let id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
         let job = Job {
@@ -224,7 +235,10 @@ impl Admission {
         let (reason, retry_after_ms) = if q.closed {
             ("server is shutting down".to_string(), 0)
         } else if q.lanes[slot].len() >= self.queue_cap {
-            (format!("tenant `{tenant}` queue full ({} jobs)", self.queue_cap), 25)
+            (
+                format!("tenant `{tenant}` queue full ({} jobs)", self.queue_cap),
+                25,
+            )
         } else {
             let all_empty = q.lanes.iter().all(VecDeque::is_empty);
             let (admitted, wake) = match all_empty.then(|| inline(&job.spec)).flatten() {
@@ -244,7 +258,10 @@ impl Admission {
         };
         drop(q);
         self.metrics.rejected(slot);
-        Err(Reject { reason, retry_after_ms })
+        Err(Reject {
+            reason,
+            retry_after_ms,
+        })
     }
 
     /// Takes the next job in round-robin tenant order, waiting until
@@ -306,9 +323,12 @@ mod tests {
         let a = adm(2, 2);
         let t = JobTicket::new();
         for _ in 0..2 {
-            a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
+            a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink))
+                .unwrap();
         }
-        let rej = a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink)).unwrap_err();
+        let rej = a
+            .submit(spec("x"), Arc::clone(&t), Arc::new(NullSink))
+            .unwrap_err();
         assert!(rej.reason.contains("queue full"), "{}", rej.reason);
         assert!(rej.retry_after_ms > 0);
         // another tenant still gets in
@@ -321,7 +341,8 @@ mod tests {
     fn over_quota_tenants_are_rejected() {
         let a = adm(1, 4);
         let t = JobTicket::new();
-        a.submit(spec("only"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
+        a.submit(spec("only"), Arc::clone(&t), Arc::new(NullSink))
+            .unwrap();
         let rej = a.submit(spec("other"), t, Arc::new(NullSink)).unwrap_err();
         assert!(rej.reason.contains("tenant table full"), "{}", rej.reason);
     }
@@ -332,10 +353,13 @@ mod tests {
         let t = JobTicket::new();
         // tenant a floods 4 jobs, b and c one each
         for _ in 0..4 {
-            a.submit(spec("a"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
+            a.submit(spec("a"), Arc::clone(&t), Arc::new(NullSink))
+                .unwrap();
         }
-        a.submit(spec("b"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
-        a.submit(spec("c"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
+        a.submit(spec("b"), Arc::clone(&t), Arc::new(NullSink))
+            .unwrap();
+        a.submit(spec("c"), Arc::clone(&t), Arc::new(NullSink))
+            .unwrap();
         let cursor = AtomicUsize::new(0);
         let order: Vec<String> = (0..6)
             .map(|_| a.next_job(&cursor).unwrap().tenant)
@@ -365,7 +389,9 @@ mod tests {
         a.close();
         assert_eq!(consumer.join().unwrap(), 1);
         // submits after close are rejected
-        let rej = a.submit(spec("x"), JobTicket::new(), Arc::new(NullSink)).unwrap_err();
+        let rej = a
+            .submit(spec("x"), JobTicket::new(), Arc::new(NullSink))
+            .unwrap_err();
         assert!(rej.reason.contains("shutting down"));
     }
 
@@ -373,7 +399,9 @@ mod tests {
     fn submit_after_close_is_rejected_and_counted() {
         let a = adm(2, 4);
         a.close();
-        let rej = a.submit(spec("x"), JobTicket::new(), Arc::new(NullSink)).unwrap_err();
+        let rej = a
+            .submit(spec("x"), JobTicket::new(), Arc::new(NullSink))
+            .unwrap_err();
         assert!(rej.reason.contains("shutting down"), "{}", rej.reason);
         assert_eq!(rej.retry_after_ms, 0, "permanent rejection");
         let (admitted, rejected, ..) = a.metrics.totals();
@@ -400,7 +428,8 @@ mod tests {
         });
         let t = JobTicket::new();
         for _ in 0..200 {
-            a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
+            a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink))
+                .unwrap();
             while a.queues().lanes.iter().any(|l| !l.is_empty()) {
                 std::thread::yield_now();
             }
@@ -443,11 +472,16 @@ mod tests {
     fn an_eligible_job_queues_behind_another_tenants_queued_job() {
         let a = adm(2, 4);
         let t = JobTicket::new();
-        a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink)).unwrap();
-        let admitted = a.admit(spec("y"), t, Arc::new(NullSink), |_| Some(())).unwrap();
+        a.submit(spec("x"), Arc::clone(&t), Arc::new(NullSink))
+            .unwrap();
+        let admitted = a
+            .admit(spec("y"), t, Arc::new(NullSink), |_| Some(()))
+            .unwrap();
         assert!(matches!(admitted, Admitted::Queued(2, ref tenant, 1) if tenant == "y"));
         let cursor = AtomicUsize::new(0);
-        let order: Vec<String> = (0..2).map(|_| a.next_job(&cursor).unwrap().tenant).collect();
+        let order: Vec<String> = (0..2)
+            .map(|_| a.next_job(&cursor).unwrap().tenant)
+            .collect();
         assert_eq!(order, ["x", "y"]);
     }
 
@@ -457,13 +491,23 @@ mod tests {
         let admitted = a.admit(spec("x"), JobTicket::new(), Arc::new(NullSink), |s| {
             Some(s.size)
         });
-        let Ok(Admitted::Inline(job, grant)) = admitted else { panic!("job was not handed back") };
+        let Ok(Admitted::Inline(job, grant)) = admitted else {
+            panic!("job was not handed back")
+        };
         assert_eq!((job.id, job.tenant.as_str(), grant), (1, "x", 64));
-        assert!(a.queues().lanes.iter().all(VecDeque::is_empty), "the job was also pushed");
+        assert!(
+            a.queues().lanes.iter().all(VecDeque::is_empty),
+            "the job was also pushed"
+        );
         let (admitted, rejected, ..) = a.metrics.totals();
         assert_eq!((admitted, rejected), (1, 0));
         // a declined grant queues the next job instead
-        let admitted = a.admit(spec("x"), JobTicket::new(), Arc::new(NullSink), |_| None::<()>);
+        let admitted = a.admit(
+            spec("x"),
+            JobTicket::new(),
+            Arc::new(NullSink),
+            |_| None::<()>,
+        );
         assert!(matches!(admitted, Ok(Admitted::Queued(2, ..))));
         assert_eq!(a.queues().lanes[0].len(), 1);
     }
@@ -473,9 +517,12 @@ mod tests {
         let a = adm(2, 4);
         a.close();
         let rej = a
-            .admit(spec("x"), JobTicket::new(), Arc::new(NullSink), |_| -> Option<()> {
-                panic!("asked to run a job after close")
-            })
+            .admit(
+                spec("x"),
+                JobTicket::new(),
+                Arc::new(NullSink),
+                |_| -> Option<()> { panic!("asked to run a job after close") },
+            )
             .err()
             .expect("admitted after close");
         assert!(rej.reason.contains("shutting down"), "{}", rej.reason);

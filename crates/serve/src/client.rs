@@ -29,7 +29,10 @@ impl Client {
         // add tens of ms to every exchange
         stream.set_nodelay(true).ok();
         let writer = stream.try_clone().map_err(Error::Io)?;
-        Ok(Client { reader: BufReader::new(stream), writer })
+        Ok(Client {
+            reader: BufReader::new(stream),
+            writer,
+        })
     }
 
     fn send(&mut self, req: &Request) -> Result<()> {
@@ -40,9 +43,7 @@ impl Client {
         match read_frame(&mut self.reader)? {
             FrameIn::Msg(json) => Response::from_json(&json),
             FrameIn::Eof => Err(Error::Config("server closed the connection".into())),
-            FrameIn::Malformed(why) => {
-                Err(Error::Config(format!("malformed server frame: {why}")))
-            }
+            FrameIn::Malformed(why) => Err(Error::Config(format!("malformed server frame: {why}"))),
         }
     }
 
@@ -72,8 +73,14 @@ impl Client {
     pub fn submit_retrying(&mut self, spec: &JobSpec) -> Result<Response> {
         loop {
             match self.submit(spec)? {
-                Response::Rejected { retry_after_ms: 0, reason } => {
-                    return Ok(Response::Rejected { retry_after_ms: 0, reason })
+                Response::Rejected {
+                    retry_after_ms: 0,
+                    reason,
+                } => {
+                    return Ok(Response::Rejected {
+                        retry_after_ms: 0,
+                        reason,
+                    })
                 }
                 Response::Rejected { retry_after_ms, .. } => {
                     std::thread::sleep(std::time::Duration::from_millis(retry_after_ms));

@@ -77,7 +77,10 @@ impl ServeMetrics {
 
     /// The registered tenant names, slot order.
     pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.tenants
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
     /// One job admitted for tenant `slot`; `depth` is the queue depth
@@ -151,7 +154,10 @@ impl ServeMetrics {
                     ("jobs_completed", val(names::JOBS_COMPLETED).to_json()),
                     ("jobs_cancelled", val(names::JOBS_CANCELLED).to_json()),
                     ("jobs_failed", val(names::JOBS_FAILED).to_json()),
-                    ("tenant_queue_depth", val(names::TENANT_QUEUE_DEPTH).to_json()),
+                    (
+                        "tenant_queue_depth",
+                        val(names::TENANT_QUEUE_DEPTH).to_json(),
+                    ),
                     ("tenant_idle_ns", val(names::TENANT_IDLE_NS).to_json()),
                 ])
             })
@@ -195,7 +201,10 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.get(names::JOBS_ADMITTED).unwrap().per_worker[a], 2);
         assert_eq!(snap.get(names::JOBS_ADMITTED).unwrap().per_worker[b], 1);
-        assert_eq!(snap.get(names::TENANT_QUEUE_DEPTH).unwrap().per_worker[a], 2);
+        assert_eq!(
+            snap.get(names::TENANT_QUEUE_DEPTH).unwrap().per_worker[a],
+            2
+        );
         assert_eq!(snap.get(names::TENANT_IDLE_NS).unwrap().per_worker[a], 500);
     }
 

@@ -344,7 +344,10 @@ impl From<Response> for Json {
                 ("job_id", job_id.to_json()),
                 ("tenant", Json::Str(tenant)),
             ]),
-            Response::Rejected { reason, retry_after_ms } => Json::obj([
+            Response::Rejected {
+                reason,
+                retry_after_ms,
+            } => Json::obj([
                 ("type", "rejected".to_json()),
                 ("reason", Json::Str(reason)),
                 ("retry_after_ms", retry_after_ms.to_json()),
@@ -412,11 +415,11 @@ impl FromJson for Response {
                 job_id: v.field("job_id")?,
                 error: v.field("error")?,
             }),
-            "stats" => Ok(Response::Stats(
-                v.get("stats")
-                    .cloned()
-                    .ok_or_else(|| Error::Json("missing field `stats`".to_string()))?,
-            )),
+            "stats" => {
+                Ok(Response::Stats(v.get("stats").cloned().ok_or_else(
+                    || Error::Json("missing field `stats`".to_string()),
+                )?))
+            }
             "error" => Ok(Response::Error(v.field("error")?)),
             "shutting_down" => Ok(Response::ShuttingDown),
             other => Err(Error::Json(format!("unknown response type `{other}`"))),
@@ -452,7 +455,11 @@ mod tests {
 
     #[test]
     fn simple_requests_round_trip() {
-        for req in [Request::Stats, Request::Shutdown, Request::Submit(JobSpec::default())] {
+        for req in [
+            Request::Stats,
+            Request::Shutdown,
+            Request::Submit(JobSpec::default()),
+        ] {
             assert_eq!(round_trip_req(&req), req);
         }
     }
@@ -460,8 +467,14 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         let samples = [
-            Response::Accepted { job_id: 7, tenant: "acme".to_string() },
-            Response::Rejected { reason: "queue full".to_string(), retry_after_ms: 50 },
+            Response::Accepted {
+                job_id: 7,
+                tenant: "acme".to_string(),
+            },
+            Response::Rejected {
+                reason: "queue full".to_string(),
+                retry_after_ms: 50,
+            },
             Response::Done {
                 job_id: 7,
                 tenant: "acme".to_string(),
@@ -473,7 +486,10 @@ mod tests {
                     ("spans", Json::Arr(vec![])),
                 ]),
             },
-            Response::Failed { job_id: 9, error: "unknown kernel".to_string() },
+            Response::Failed {
+                job_id: 9,
+                error: "unknown kernel".to_string(),
+            },
             Response::Stats(Json::obj([("tenants", Json::Arr(vec![]))])),
             Response::Error("bad frame".to_string()),
             Response::ShuttingDown,
@@ -562,17 +578,54 @@ mod tests {
     fn job_spec_validation_bounds_resource_use() {
         assert!(JobSpec::default().validate().is_ok());
         let cases = [
-            (JobSpec { size: 0, ..JobSpec::default() }, "size"),
-            (JobSpec { size: MAX_JOB_SIZE + 1, ..JobSpec::default() }, "size"),
-            (JobSpec { tile: 0, ..JobSpec::default() }, "tile"),
-            (JobSpec { tile: 65, size: 64, ..JobSpec::default() }, "tile"),
-            (JobSpec { iterations: 0, ..JobSpec::default() }, "iterations"),
             (
-                JobSpec { iterations: MAX_JOB_ITERATIONS + 1, ..JobSpec::default() },
+                JobSpec {
+                    size: 0,
+                    ..JobSpec::default()
+                },
+                "size",
+            ),
+            (
+                JobSpec {
+                    size: MAX_JOB_SIZE + 1,
+                    ..JobSpec::default()
+                },
+                "size",
+            ),
+            (
+                JobSpec {
+                    tile: 0,
+                    ..JobSpec::default()
+                },
+                "tile",
+            ),
+            (
+                JobSpec {
+                    tile: 65,
+                    size: 64,
+                    ..JobSpec::default()
+                },
+                "tile",
+            ),
+            (
+                JobSpec {
+                    iterations: 0,
+                    ..JobSpec::default()
+                },
                 "iterations",
             ),
             (
-                JobSpec { stall_us: MAX_JOB_STALL_US + 1, ..JobSpec::default() },
+                JobSpec {
+                    iterations: MAX_JOB_ITERATIONS + 1,
+                    ..JobSpec::default()
+                },
+                "iterations",
+            ),
+            (
+                JobSpec {
+                    stall_us: MAX_JOB_STALL_US + 1,
+                    ..JobSpec::default()
+                },
                 "stall_us",
             ),
         ];

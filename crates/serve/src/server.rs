@@ -61,7 +61,9 @@ const INLINE_MAX_PIXEL_ITERATIONS: u64 = 64 * 64 * 16;
 /// stall, and at most [`INLINE_MAX_PIXEL_ITERATIONS`] of work.
 fn runs_inline(spec: &JobSpec) -> bool {
     let size = spec.size as u64;
-    let work = size.saturating_mul(size).saturating_mul(spec.iterations.into());
+    let work = size
+        .saturating_mul(size)
+        .saturating_mul(spec.iterations.into());
     spec.stall_us == 0 && work <= INLINE_MAX_PIXEL_ITERATIONS
 }
 
@@ -156,7 +158,11 @@ impl Server {
                 std::thread::spawn(move || runner_loop(shared))
             })
             .collect();
-        Ok(Server { shared, acceptor: Some(acceptor), runners })
+        Ok(Server {
+            shared,
+            acceptor: Some(acceptor),
+            runners,
+        })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -202,7 +208,11 @@ impl Server {
             h.join().ok();
         }
         let readers = std::mem::take(
-            &mut *self.shared.readers.lock().unwrap_or_else(|e| e.into_inner()),
+            &mut *self
+                .shared
+                .readers
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()),
         );
         for (h, stream) in readers {
             // a client may keep its connection open indefinitely; yank
@@ -388,12 +398,18 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: JobSpec) {
     // frame of its job. (`admit` never writes to the reply sink.)
     let mut stream = conn.stream.lock().unwrap_or_else(|e| e.into_inner());
     let inline = |spec: &JobSpec| runs_inline(spec).then(|| shared.mux.try_lease()).flatten();
-    let resp = match shared.admission.admit(spec, Arc::clone(&conn.ticket), reply, inline) {
+    let resp = match shared
+        .admission
+        .admit(spec, Arc::clone(&conn.ticket), reply, inline)
+    {
         Ok(Admitted::Queued(job_id, tenant, _slot)) => Response::Accepted { job_id, tenant },
         Ok(Admitted::Inline(job, lease)) => {
             // no other thread writes this job's frames: compute unlocked
             drop(stream);
-            let accepted = Response::Accepted { job_id: job.id, tenant: job.tenant.clone() };
+            let accepted = Response::Accepted {
+                job_id: job.id,
+                tenant: job.tenant.clone(),
+            };
             let terminal = execute(shared, job, lease, None);
             conn.send(std::iter::once(accepted).chain(terminal));
             return;
@@ -455,7 +471,9 @@ fn execute(
     let probe_dyn: Arc<dyn Probe> = probe.clone();
     let compute_ns = now_ns();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        lease.install(threads, || run_kernel_boxed(&shared.registry, cfg, probe_dyn))
+        lease.install(threads, || {
+            run_kernel_boxed(&shared.registry, cfg, probe_dyn)
+        })
     }));
     let computed_ns = now_ns();
     drop(lease); // slot back in the mux before any response I/O
@@ -463,12 +481,18 @@ fn execute(
         Ok(Ok(outcome)) => outcome,
         Ok(Err(e)) => {
             shared.metrics.failed(slot);
-            return Some(Response::Failed { job_id: job.id, error: e.to_string() });
+            return Some(Response::Failed {
+                job_id: job.id,
+                error: e.to_string(),
+            });
         }
         Err(_) => {
             shared.metrics.failed(slot);
             let error = "kernel panicked".to_string();
-            return Some(Response::Failed { job_id: job.id, error });
+            return Some(Response::Failed {
+                job_id: job.id,
+                error,
+            });
         }
     };
     if !job.ticket.is_live() {
@@ -477,13 +501,20 @@ fn execute(
         shared.metrics.cancelled(slot);
         return None;
     }
-    let phase = |name, start_ns, end_ns| SpanRecord { name, worker: 0, start_ns, end_ns };
+    let phase = |name, start_ns, end_ns| SpanRecord {
+        name,
+        worker: 0,
+        start_ns,
+        end_ns,
+    };
     let mut spans = vec![
         phase("queue", job.enqueued_ns, dequeued_ns),
         phase("lease", dequeued_ns, granted_ns),
         phase("compute", compute_ns, computed_ns),
     ];
-    shared.metrics.completed(slot, spans[0].duration_ns() + spans[1].duration_ns());
+    shared
+        .metrics
+        .completed(slot, spans[0].duration_ns() + spans[1].duration_ns());
     let mut snapshot = probe.snapshot();
     for (name, per_worker) in kernel.stats_counters() {
         snapshot.push(&name, per_worker);
@@ -555,14 +586,19 @@ mod tests {
         // the `serve_jobs` benchmark's spec: mandel seq 64/16 x1, one thread
         let server = Server::start(ServeConfig::default()).unwrap();
         let mut client = TcpStream::connect(server.addr()).unwrap();
-        let spec = JobSpec { tenant: Some("t0".into()), ..JobSpec::default() };
+        let spec = JobSpec {
+            tenant: Some("t0".into()),
+            ..JobSpec::default()
+        };
         write_frame(&mut client, &Request::Submit(spec).to_json()).unwrap();
         let done = read_until_done(&mut client);
         let mut wire = Vec::new();
         write_frame(&mut wire, &done.to_json()).unwrap();
         // 1 419 bytes when every registered counter rode along
         assert!(wire.len() <= 512, "a {}-byte done frame", wire.len());
-        let Response::Done { report, .. } = done else { unreachable!() };
+        let Response::Done { report, .. } = done else {
+            unreachable!()
+        };
         let counters = CounterSnapshot::from_json(report.get("counters").unwrap()).unwrap();
         assert_eq!(counters.total("tasks_executed"), 1);
         for c in &counters.counters {
@@ -585,11 +621,17 @@ mod tests {
         assert!(runs_inline(&at(64, 16, 0)), "the constant itself");
         assert!(!runs_inline(&at(64, 16, 1)), "any stall queues");
         // 65 537 is prime: only a 1² image reaches the constant + 1
-        assert!(!runs_inline(&at(1, 64 * 64 * 16 + 1, 0)), "the constant + 1");
+        assert!(
+            !runs_inline(&at(1, 64 * 64 * 16 + 1, 0)),
+            "the constant + 1"
+        );
         let largest = at(crate::MAX_JOB_SIZE, crate::MAX_JOB_ITERATIONS, 0);
         assert!(largest.validate().is_ok());
         assert!(!runs_inline(&largest), "MAX_JOB_SIZE² × MAX_JOB_ITERATIONS");
-        assert!(!runs_inline(&at(usize::MAX, u32::MAX, 0)), "saturates instead of wrapping");
+        assert!(
+            !runs_inline(&at(usize::MAX, u32::MAX, 0)),
+            "saturates instead of wrapping"
+        );
     }
 
     fn live_readers(server: &Server) -> usize {
@@ -605,7 +647,10 @@ mod tests {
             let mut client = Client::connect(&addr).unwrap();
             if i % 10 == 0 {
                 let resp = client.submit(&job(Duration::ZERO)).unwrap();
-                assert!(matches!(resp, Response::Done { .. }), "job {i} did not complete");
+                assert!(
+                    matches!(resp, Response::Done { .. }),
+                    "job {i} did not complete"
+                );
                 done += 1;
             }
         }
@@ -634,13 +679,21 @@ mod tests {
     fn idle_connections_are_closed_and_busy_ones_are_not() {
         let server = Server::start(ServeConfig::default()).unwrap();
         let mut idle = TcpStream::connect(server.addr()).unwrap();
-        idle.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         // silent for three idle periods, but with a job of its own running
         let mut busy = Client::connect(&server.addr().to_string()).unwrap();
         let resp = busy.submit(&job(3 * IDLE_TIMEOUT)).unwrap();
-        assert!(matches!(resp, Response::Done { .. }), "the busy connection was cut");
+        assert!(
+            matches!(resp, Response::Done { .. }),
+            "the busy connection was cut"
+        );
         // the daemon hung up on the silent one meanwhile
-        assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0, "idle connection still open");
+        assert_eq!(
+            idle.read(&mut [0u8; 1]).unwrap(),
+            0,
+            "idle connection still open"
+        );
         assert_eq!(server.shutdown().totals.2, 1);
     }
 
@@ -658,13 +711,30 @@ mod tests {
         // Silence from here on. The timeout fires at IDLE_TIMEOUT: the
         // socket must outlive it ...
         let until_mid_period = (IDLE_TIMEOUT * 3 / 2).saturating_sub(sent.elapsed());
-        client.set_read_timeout(Some(until_mid_period.max(Duration::from_millis(1)))).unwrap();
-        let err = client.read(&mut [0u8; 1]).expect_err("closed as idle right after its job");
-        assert!(matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut), "{err}");
+        client
+            .set_read_timeout(Some(until_mid_period.max(Duration::from_millis(1))))
+            .unwrap();
+        let err = client
+            .read(&mut [0u8; 1])
+            .expect_err("closed as idle right after its job");
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{err}"
+        );
         // ... and go after one further full idle period.
-        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "idle connection still open");
-        assert!(sent.elapsed() >= 2 * IDLE_TIMEOUT, "closed after {:?}", sent.elapsed());
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(
+            client.read(&mut [0u8; 1]).unwrap(),
+            0,
+            "idle connection still open"
+        );
+        assert!(
+            sent.elapsed() >= 2 * IDLE_TIMEOUT,
+            "closed after {:?}",
+            sent.elapsed()
+        );
         let (admitted, _rejected, completed, cancelled, failed) = server.shutdown().totals;
         assert_eq!((admitted, completed), (1, 1));
         assert_eq!(admitted, completed + cancelled + failed);

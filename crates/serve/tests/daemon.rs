@@ -31,14 +31,23 @@ fn small_job(tenant: &str) -> JobSpec {
 /// failed` has been checked on them.
 fn checked_totals(summary: &ServerSummary) -> (u64, u64, u64, u64, u64) {
     let totals @ (admitted, _, completed, cancelled, failed) = summary.totals;
-    assert_eq!(admitted, completed + cancelled + failed, "daemon invariant: {totals:?}");
+    assert_eq!(
+        admitted,
+        completed + cancelled + failed,
+        "daemon invariant: {totals:?}"
+    );
     totals
 }
 
 fn assert_served_ok(addr: &str, tenant: &str) -> String {
     let mut client = Client::connect(addr).expect("connect");
     match client.submit(&small_job(tenant)).expect("submit") {
-        Response::Done { digest, tenant: t, iterations, .. } => {
+        Response::Done {
+            digest,
+            tenant: t,
+            iterations,
+            ..
+        } => {
             assert_eq!(t, tenant);
             assert_eq!(iterations, 1);
             assert_eq!(digest.len(), 16, "16 hex chars: {digest}");
@@ -67,27 +76,53 @@ fn a_jobs_report_is_its_queue_lease_and_compute_on_one_clock() {
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
     // alone on the daemon, a small job runs on its reader; a stalled one
     // always queues for a runner
-    let queued = JobSpec { stall_us: 1_000, ..small_job("ledger") };
+    let queued = JobSpec {
+        stall_us: 1_000,
+        ..small_job("ledger")
+    };
     let mut waited_ns = 0;
     for (spec, inline) in [(small_job("ledger"), true), (queued, false)] {
-        let Response::Done { elapsed_ns, report, .. } = client.submit(&spec).unwrap() else {
+        let Response::Done {
+            elapsed_ns, report, ..
+        } = client.submit(&spec).unwrap()
+        else {
             panic!("expected done");
         };
-        assert!(report.get("tenant").is_none(), "the done frame names it: {}", report.dump());
+        assert!(
+            report.get("tenant").is_none(),
+            "the done frame names it: {}",
+            report.dump()
+        );
         let spans = report.get("spans").unwrap().as_arr().unwrap();
         let names: Vec<String> = spans.iter().map(|s| s.field("name").unwrap()).collect();
-        assert_eq!(names[..4], ["queue", "lease", "compute", "iteration"], "{}", report.dump());
+        assert_eq!(
+            names[..4],
+            ["queue", "lease", "compute", "iteration"],
+            "{}",
+            report.dump()
+        );
         let total = |i: usize| spans[i].field::<u64>("total_ns").unwrap();
         if inline {
-            assert_eq!(total(1), 0, "an inline job's lease is granted without a wait");
+            assert_eq!(
+                total(1),
+                0,
+                "an inline job's lease is granted without a wait"
+            );
         }
-        assert!(total(2) >= elapsed_ns, "compute {} < elapsed {elapsed_ns}", total(2));
+        assert!(
+            total(2) >= elapsed_ns,
+            "compute {} < elapsed {elapsed_ns}",
+            total(2)
+        );
         waited_ns += total(0) + total(1);
     }
     let stats = server.stats();
     let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
     assert_eq!(tenants[0].field::<String>("tenant").unwrap(), "ledger");
-    assert_eq!(tenants[0].field::<u64>("tenant_idle_ns").unwrap(), waited_ns);
+    assert_eq!(
+        tenants[0].field::<u64>("tenant_idle_ns").unwrap(),
+        waited_ns
+    );
     assert_eq!(checked_totals(&server.shutdown()).2, 2);
 }
 
@@ -96,7 +131,11 @@ fn a_long_parallel_job_still_gets_a_small_done_frame() {
     // regression: the report listed every raw span, up to 4096 on each
     // worker's ring, so this valid job's `done` outgrew the 1 MiB frame
     // limit and the client got a "response dropped" note instead
-    let server = Server::start(ServeConfig { workers: 4, ..ServeConfig::default() }).unwrap();
+    let server = Server::start(ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    })
+    .unwrap();
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
     let spec = JobSpec {
         variant: "omp_tiled".into(),
@@ -107,7 +146,17 @@ fn a_long_parallel_job_still_gets_a_small_done_frame() {
         ..small_job("long")
     };
     let done = client.submit(&spec).unwrap();
-    assert!(matches!(done, Response::Done { iterations: 3000, .. }), "{}", done.to_json().dump());
+    assert!(
+        matches!(
+            done,
+            Response::Done {
+                iterations: 3000,
+                ..
+            }
+        ),
+        "{}",
+        done.to_json().dump()
+    );
     let mut wire = Vec::new();
     write_frame(&mut wire, &done.to_json()).unwrap();
     assert!(wire.len() <= 4096, "a {}-byte done frame", wire.len());
@@ -122,7 +171,8 @@ fn malformed_frames_poison_only_their_connection() {
     // (a) lying oversized length prefix
     {
         let mut s = TcpStream::connect(&addr).unwrap();
-        s.write_all(&((MAX_FRAME as u32 + 1).to_le_bytes())).unwrap();
+        s.write_all(&((MAX_FRAME as u32 + 1).to_le_bytes()))
+            .unwrap();
         s.flush().unwrap();
         let mut reader = BufReader::new(s.try_clone().unwrap());
         match read_frame(&mut reader).unwrap() {
@@ -151,7 +201,10 @@ fn malformed_frames_poison_only_their_connection() {
         let FrameIn::Msg(v) = read_frame(&mut reader).unwrap() else {
             panic!("expected error frame")
         };
-        assert!(matches!(Response::from_json(&v).unwrap(), Response::Error(_)));
+        assert!(matches!(
+            Response::from_json(&v).unwrap(),
+            Response::Error(_)
+        ));
     }
 
     // (c) zero-length frame
@@ -163,7 +216,10 @@ fn malformed_frames_poison_only_their_connection() {
         let FrameIn::Msg(v) = read_frame(&mut reader).unwrap() else {
             panic!("expected error frame")
         };
-        assert!(matches!(Response::from_json(&v).unwrap(), Response::Error(_)));
+        assert!(matches!(
+            Response::from_json(&v).unwrap(),
+            Response::Error(_)
+        ));
     }
 
     // (d) valid frame, not a request object
@@ -174,7 +230,10 @@ fn malformed_frames_poison_only_their_connection() {
         let FrameIn::Msg(v) = read_frame(&mut reader).unwrap() else {
             panic!("expected error frame")
         };
-        assert!(matches!(Response::from_json(&v).unwrap(), Response::Error(_)));
+        assert!(matches!(
+            Response::from_json(&v).unwrap(),
+            Response::Error(_)
+        ));
     }
 
     // the daemon is unimpressed: a fresh connection still computes
@@ -184,14 +243,21 @@ fn malformed_frames_poison_only_their_connection() {
 
 #[test]
 fn mid_job_disconnect_cancels_without_wedging_the_daemon() {
-    let cfg = ServeConfig { workers: 1, slots: 1, ..ServeConfig::default() };
+    let cfg = ServeConfig {
+        workers: 1,
+        slots: 1,
+        ..ServeConfig::default()
+    };
     let server = Server::start(cfg).unwrap();
     let addr = server.addr().to_string();
 
     // submit a deliberately slow job, then vanish right after admission
     {
         let mut s = TcpStream::connect(&addr).unwrap();
-        let spec = JobSpec { stall_us: 200_000, ..small_job("ghost") };
+        let spec = JobSpec {
+            stall_us: 200_000,
+            ..small_job("ghost")
+        };
         write_frame(&mut s, &Request::Submit(spec).to_json()).unwrap();
         let mut reader = BufReader::new(s.try_clone().unwrap());
         let FrameIn::Msg(v) = read_frame(&mut reader).unwrap() else {
@@ -216,14 +282,22 @@ fn mid_job_disconnect_cancels_without_wedging_the_daemon() {
 
 #[test]
 fn backpressure_rejects_over_quota_submissions_with_retry_hint() {
-    let cfg = ServeConfig { workers: 1, slots: 1, queue_cap: 1, ..ServeConfig::default() };
+    let cfg = ServeConfig {
+        workers: 1,
+        slots: 1,
+        queue_cap: 1,
+        ..ServeConfig::default()
+    };
     let server = Server::start(cfg).unwrap();
     let addr = server.addr().to_string();
 
     // pipeline 6 slow submissions without reading, so the single lane
     // (cap 1) plus the single runner must push back on the excess
     let mut s = TcpStream::connect(&addr).unwrap();
-    let spec = JobSpec { stall_us: 100_000, ..small_job("flood") };
+    let spec = JobSpec {
+        stall_us: 100_000,
+        ..small_job("flood")
+    };
     for _ in 0..6 {
         write_frame(&mut s, &Request::Submit(spec.clone()).to_json()).unwrap();
     }
@@ -235,7 +309,10 @@ fn backpressure_rejects_over_quota_submissions_with_retry_hint() {
         };
         match Response::from_json(&v).unwrap() {
             Response::Accepted { .. } => accepted += 1,
-            Response::Rejected { reason, retry_after_ms } => {
+            Response::Rejected {
+                reason,
+                retry_after_ms,
+            } => {
                 assert!(retry_after_ms >= 1, "retry hint present");
                 assert!(reason.contains("queue"), "got: {reason}");
                 rejected += 1;
@@ -251,7 +328,10 @@ fn backpressure_rejects_over_quota_submissions_with_retry_hint() {
         let FrameIn::Msg(v) = read_frame(&mut reader).unwrap() else {
             panic!("expected terminal frame")
         };
-        assert!(matches!(Response::from_json(&v).unwrap(), Response::Done { .. }));
+        assert!(matches!(
+            Response::from_json(&v).unwrap(),
+            Response::Done { .. }
+        ));
     }
     drop((s, reader));
 
@@ -287,7 +367,11 @@ fn stats_and_remote_shutdown_round_trip() {
     // remote shutdown: acknowledged, then wait() returns the summary
     client.shutdown().unwrap();
     let summary = server.wait();
-    assert_eq!(checked_totals(&summary).2, 3, "three completed jobs in the summary");
+    assert_eq!(
+        checked_totals(&summary).2,
+        3,
+        "three completed jobs in the summary"
+    );
     assert!(summary.mux.leases >= 3, "each job leased a pool");
 }
 
@@ -300,9 +384,15 @@ fn oversized_job_specs_are_rejected_at_admission() {
     // a ~40 GB allocation request is refused before any allocation;
     // retry_after_ms 0 marks it permanent, so even the retrying client
     // returns it instead of spinning
-    let spec = JobSpec { size: 100_000, ..small_job("greedy") };
+    let spec = JobSpec {
+        size: 100_000,
+        ..small_job("greedy")
+    };
     match client.submit_retrying(&spec).unwrap() {
-        Response::Rejected { reason, retry_after_ms } => {
+        Response::Rejected {
+            reason,
+            retry_after_ms,
+        } => {
             assert!(reason.contains("size"), "got: {reason}");
             assert_eq!(retry_after_ms, 0, "validation rejections are permanent");
         }
@@ -323,7 +413,10 @@ fn unknown_kernel_fails_the_job_not_the_daemon() {
     let server = Server::start(ServeConfig::default()).unwrap();
     let addr = server.addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
-    let spec = JobSpec { kernel: "no-such-kernel".into(), ..small_job("acme") };
+    let spec = JobSpec {
+        kernel: "no-such-kernel".into(),
+        ..small_job("acme")
+    };
     match client.submit(&spec).unwrap() {
         Response::Failed { error, .. } => {
             assert!(error.contains("no-such-kernel"), "got: {error}")
@@ -347,7 +440,9 @@ fn submit_in_order(
         FrameIn::Msg(v) => Response::from_json(&v).unwrap(),
         other => panic!("expected a frame, got {other:?}"),
     };
-    let Response::Accepted { job_id, .. } = next() else { panic!("first frame is not `accepted`") };
+    let Response::Accepted { job_id, .. } = next() else {
+        panic!("first frame is not `accepted`")
+    };
     match next() {
         Response::Done { job_id: done, .. } => assert_eq!(done, job_id),
         other => panic!("job {job_id}: {}", other.to_json().dump()),
@@ -384,17 +479,28 @@ fn inline_and_queued_jobs_keep_the_invariant_side_by_side() {
         }
         s.spawn(move || {
             let (mut conn, mut replies) = connect();
-            let stalled = JobSpec { stall_us: 5_000, ..small_job("stall") };
+            let stalled = JobSpec {
+                stall_us: 5_000,
+                ..small_job("stall")
+            };
             let mut last_id = 0;
             for _ in 0..5 {
                 let id = submit_in_order(&mut conn, &mut replies, &stalled);
                 assert!(id > last_id, "job ids go up per connection");
                 last_id = id;
             }
-            let ghost = JobSpec { stall_us: 400_000, ..stalled };
+            let ghost = JobSpec {
+                stall_us: 400_000,
+                ..stalled
+            };
             write_frame(&mut conn, &Request::Submit(ghost).to_json()).unwrap();
-            let FrameIn::Msg(v) = read_frame(&mut replies).unwrap() else { panic!("no frame") };
-            assert!(matches!(Response::from_json(&v).unwrap(), Response::Accepted { .. }));
+            let FrameIn::Msg(v) = read_frame(&mut replies).unwrap() else {
+                panic!("no frame")
+            };
+            assert!(matches!(
+                Response::from_json(&v).unwrap(),
+                Response::Accepted { .. }
+            ));
             std::thread::sleep(std::time::Duration::from_millis(100));
         });
     });
@@ -405,7 +511,11 @@ fn inline_and_queued_jobs_keep_the_invariant_side_by_side() {
     // one lease per job run; the cancelled job also held one through
     // its stall unless its client left before a runner took it
     let ran = completed + failed;
-    assert!((ran..=ran + cancelled).contains(&summary.mux.leases), "{:?}", summary.mux);
+    assert!(
+        (ran..=ran + cancelled).contains(&summary.mux.leases),
+        "{:?}",
+        summary.mux
+    );
 }
 
 #[test]
@@ -416,14 +526,21 @@ fn accepted_always_precedes_the_terminal_frame() {
     // the early `done` as terminal and the late `accepted` as the next
     // job's answer
     const JOBS: usize = 2000;
-    let server = Server::start(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
     let addr = server.addr().to_string();
     std::thread::scope(|s| {
         for tenant in ["t0", "t1"] {
             let addr = &addr;
             s.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
-                let job = JobSpec { size: 16, ..small_job(tenant) };
+                let job = JobSpec {
+                    size: 16,
+                    ..small_job(tenant)
+                };
                 let mut last_id = None;
                 for n in 0..JOBS {
                     match client.submit(&job).expect("submit") {
@@ -439,5 +556,8 @@ fn accepted_always_precedes_the_terminal_frame() {
     });
     let (admitted, rejected, completed, cancelled, failed) = checked_totals(&server.shutdown());
     assert_eq!(admitted, 2 * JOBS as u64);
-    assert_eq!((rejected, completed, cancelled, failed), (0, admitted, 0, 0));
+    assert_eq!(
+        (rejected, completed, cancelled, failed),
+        (0, admitted, 0, 0)
+    );
 }

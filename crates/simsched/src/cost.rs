@@ -201,7 +201,10 @@ mod tests {
         assert_eq!(costs.cost_at(1, 1), 0); // never computed (lazy hole)
         assert_eq!(costs.total(), 850);
         // and the what-if: simulating this measured map at 2 CPUs
-        let sim = crate::simulate(&costs, crate::SimConfig::new(2, ezp_core::Schedule::Dynamic(1)).overhead(0));
+        let sim = crate::simulate(
+            &costs,
+            crate::SimConfig::new(2, ezp_core::Schedule::Dynamic(1)).overhead(0),
+        );
         assert_eq!(sim.makespan_ns, 700); // bounded by the heavy tile
     }
 

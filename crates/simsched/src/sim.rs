@@ -354,7 +354,11 @@ mod tests {
     #[test]
     fn determinism() {
         let m = CostMap::from_fn(grid4(), |t| 1 + (t.tx ^ t.ty) as u64 * 17);
-        for sched in [Schedule::Dynamic(1), Schedule::Guided(1), Schedule::NonmonotonicDynamic(2)] {
+        for sched in [
+            Schedule::Dynamic(1),
+            Schedule::Guided(1),
+            Schedule::NonmonotonicDynamic(2),
+        ] {
             let a = simulate_iterations(&m, no_overhead(3, sched), 2);
             let b = simulate_iterations(&m, no_overhead(3, sched), 2);
             assert_eq!(a, b, "{sched:?} must be deterministic");

@@ -108,7 +108,9 @@ pub fn simulate_taskgraph(graph: &TaskGraph, costs: &[u64], threads: usize) -> T
             }
         }
         // no ready task (or no CPU): advance time to the next completion
-        let Reverse((end, finished)) = running.pop().expect("cycle: nothing running, nothing ready");
+        let Reverse((end, finished)) = running
+            .pop()
+            .expect("cycle: nothing running, nothing ready");
         // fast-forward idle CPUs to the completion time so their next
         // task cannot start before its dependencies resolved
         let mut parked = Vec::new();

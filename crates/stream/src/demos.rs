@@ -180,7 +180,13 @@ impl StreamKernel for MandelZoom {
         pool: &mut WorkerPool,
         probe: &dyn Probe,
     ) -> Result<(Vec<FrameOut>, StreamStats)> {
-        drive(&mandel_zoom_pipeline(dim, farm_width), frames, mode, pool, probe)
+        drive(
+            &mandel_zoom_pipeline(dim, farm_width),
+            frames,
+            mode,
+            pool,
+            probe,
+        )
     }
 }
 
@@ -242,7 +248,13 @@ impl StreamKernel for FrameDiff {
         pool: &mut WorkerPool,
         probe: &dyn Probe,
     ) -> Result<(Vec<FrameOut>, StreamStats)> {
-        drive(&frame_diff_pipeline(dim, farm_width), frames, mode, pool, probe)
+        drive(
+            &frame_diff_pipeline(dim, farm_width),
+            frames,
+            mode,
+            pool,
+            probe,
+        )
     }
 }
 
@@ -318,7 +330,13 @@ impl StreamKernel for WordCount {
         pool: &mut WorkerPool,
         probe: &dyn Probe,
     ) -> Result<(Vec<FrameOut>, StreamStats)> {
-        drive(&wordcount_pipeline(dim, farm_width), frames, mode, pool, probe)
+        drive(
+            &wordcount_pipeline(dim, farm_width),
+            frames,
+            mode,
+            pool,
+            probe,
+        )
     }
 }
 

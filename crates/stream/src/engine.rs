@@ -98,16 +98,18 @@ pub fn run_pipeline<T: Send>(
         let graph = shape.graph(wlen);
         // Engine-side copy of the indegrees, to classify the release
         // that makes each node runnable (data vs backpressure edge).
-        let remaining: Vec<AtomicUsize> =
-            (0..graph.len()).map(|t| AtomicUsize::new(graph.indegree(t))).collect();
+        let remaining: Vec<AtomicUsize> = (0..graph.len())
+            .map(|t| AtomicUsize::new(graph.indegree(t)))
+            .collect();
         // When each node's *input* became ready, so a backpressure
         // stall can be measured as a duration (data-ready → runnable).
         // Stage-0 nodes have no data edge: their input is ready at
         // window start. Only maintained when the probe wants events —
         // the clock reads are the cost.
         let window_t0 = if want_events { now_ns() } else { 0 };
-        let data_ready: Vec<AtomicU64> =
-            (0..graph.len()).map(|_| AtomicU64::new(window_t0)).collect();
+        let data_ready: Vec<AtomicU64> = (0..graph.len())
+            .map(|_| AtomicU64::new(window_t0))
+            .collect();
         // One payload slot per in-window frame; hand-offs are ordered
         // by graph edges and the drain by the region barrier, so these
         // locks are uncontended.
@@ -126,7 +128,11 @@ pub fn run_pipeline<T: Send>(
                 max_in_flight.fetch_max(now, Ordering::Relaxed);
                 source(base + f)
             } else {
-                slots[f].lock().unwrap().take().expect("payload lost between stages")
+                slots[f]
+                    .lock()
+                    .unwrap()
+                    .take()
+                    .expect("payload lost between stages")
             };
 
             let occ = occupancy[s].fetch_add(1, Ordering::Relaxed) + 1;
@@ -165,8 +171,7 @@ pub fn run_pipeline<T: Send>(
                     stalls.fetch_add(1, Ordering::Relaxed);
                     if want_events {
                         probe.runtime_event(worker, RuntimeEvent::StreamStall);
-                        let waited =
-                            now_ns().saturating_sub(data_ready[d].load(Ordering::Relaxed));
+                        let waited = now_ns().saturating_sub(data_ready[d].load(Ordering::Relaxed));
                         if waited > 0 {
                             probe.runtime_event(
                                 worker,
@@ -186,7 +191,11 @@ pub fn run_pipeline<T: Send>(
         let st = tracker.into_inner().unwrap();
         debug_assert_eq!(st.emitted().len(), wlen);
         for &f in st.emitted() {
-            let payload = slots[f].lock().unwrap().take().expect("frame emitted twice");
+            let payload = slots[f]
+                .lock()
+                .unwrap()
+                .take()
+                .expect("frame emitted twice");
             sink(base + f, payload);
         }
         max_reorder_depth = max_reorder_depth.max(st.max_reorder_depth());
@@ -202,9 +211,15 @@ pub fn run_pipeline<T: Send>(
     };
     if want_events {
         for gauge in [
-            RuntimeEvent::StreamInFlight { frames: stats.max_frames_in_flight },
-            RuntimeEvent::StreamStageOccupancy { depth: stats.max_stage_occupancy },
-            RuntimeEvent::StreamReorderDepth { depth: stats.max_reorder_depth },
+            RuntimeEvent::StreamInFlight {
+                frames: stats.max_frames_in_flight,
+            },
+            RuntimeEvent::StreamStageOccupancy {
+                depth: stats.max_stage_occupancy,
+            },
+            RuntimeEvent::StreamReorderDepth {
+                depth: stats.max_reorder_depth,
+            },
         ] {
             probe.runtime_event(0, gauge);
         }
@@ -398,7 +413,10 @@ mod tests {
             snap.total(names::STAGE_OCCUPANCY) as usize,
             stats.max_stage_occupancy
         );
-        assert_eq!(snap.total(names::BACKPRESSURE_STALLS), stats.backpressure_stalls);
+        assert_eq!(
+            snap.total(names::BACKPRESSURE_STALLS),
+            stats.backpressure_stalls
+        );
         assert!(stats.max_stage_occupancy >= 1);
     }
 
@@ -491,7 +509,11 @@ mod tests {
         assert_eq!(got, expect, "sink order is not the emitted-event order");
         let mut ids = got;
         ids.sort_unstable();
-        assert_eq!(ids, (0..frames).collect::<Vec<_>>(), "an id is missing or repeated");
+        assert_eq!(
+            ids,
+            (0..frames).collect::<Vec<_>>(),
+            "an id is missing or repeated"
+        );
     }
 
     #[test]
@@ -529,7 +551,10 @@ mod tests {
                 )
             }));
             assert!(result.is_err(), "{mode}: the stage panic must propagate");
-            assert_eq!(sunk, WINDOW, "{mode}: only the clean first window reaches the sink");
+            assert_eq!(
+                sunk, WINDOW,
+                "{mode}: only the clean first window reaches the sink"
+            );
             for f in 0..frames {
                 assert_eq!(
                     drops[f].load(Ordering::Relaxed),

@@ -24,8 +24,6 @@ pub mod prop;
 pub mod rng;
 pub mod schedule;
 
-pub use prop::{
-    grid_dims, select, vec_of, Strategy, StrategyExt, DEFAULT_CASES, DEFAULT_SEED,
-};
+pub use prop::{grid_dims, select, vec_of, Strategy, StrategyExt, DEFAULT_CASES, DEFAULT_SEED};
 pub use rng::Rng;
 pub use schedule::{Interleave, RandomWalk, RoundRobin, StarveOne, StealHeavy, StrategyKind};

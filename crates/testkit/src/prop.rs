@@ -171,7 +171,10 @@ pub struct VecStrategy<S> {
 }
 
 pub fn vec_of<S: Strategy>(elem: S, len: Range<usize>) -> VecStrategy<S> {
-    assert!(len.start < len.end, "vec_of requires a non-empty length range");
+    assert!(
+        len.start < len.end,
+        "vec_of requires a non-empty length range"
+    );
     VecStrategy { elem, len }
 }
 
@@ -505,7 +508,9 @@ mod tests {
         let strat = 0u64..1000;
         let collect = |name: &str| {
             let mut rng = Rng::seed(base_seed() ^ fnv1a(name));
-            (0..10).map(|_| strat.generate(&mut rng)).collect::<Vec<_>>()
+            (0..10)
+                .map(|_| strat.generate(&mut rng))
+                .collect::<Vec<_>>()
         };
         assert_eq!(collect("alpha"), collect("alpha"));
         assert_ne!(collect("alpha"), collect("beta"));

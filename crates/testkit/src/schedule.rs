@@ -91,12 +91,8 @@ impl StrategyKind {
         match self {
             StrategyKind::RoundRobin => Box::new(RoundRobin::new()),
             StrategyKind::RandomWalk => Box::new(RandomWalk::seeded(seed)),
-            StrategyKind::StealHeavy => {
-                Box::new(StealHeavy::new((seed as usize) % workers))
-            }
-            StrategyKind::StarveOne => {
-                Box::new(StarveOne::seeded(seed, workers))
-            }
+            StrategyKind::StealHeavy => Box::new(StealHeavy::new((seed as usize) % workers)),
+            StrategyKind::StarveOne => Box::new(StarveOne::seeded(seed, workers)),
         }
     }
 }
@@ -142,7 +138,9 @@ pub struct RandomWalk {
 impl RandomWalk {
     /// A random walk replaying deterministically from `seed`.
     pub fn seeded(seed: u64) -> Self {
-        RandomWalk { rng: Rng::seed(seed) }
+        RandomWalk {
+            rng: Rng::seed(seed),
+        }
     }
 }
 

@@ -77,20 +77,49 @@ pub fn to_chrome(trace: &Trace, spans: &[SpanRecord]) -> Json {
             ("w", Json::UInt(t.w as u64)),
             ("h", Json::UInt(t.h as u64)),
         ]);
-        items.push(slice("tile", "tile", t.start_ns, t.duration_ns(), t.worker, Some(args)));
+        items.push(slice(
+            "tile",
+            "tile",
+            t.start_ns,
+            t.duration_ns(),
+            t.worker,
+            Some(args),
+        ));
     }
     for s in &trace.iterations {
-        let end = if s.end_ns == u64::MAX { clamp_end } else { s.end_ns };
+        let end = if s.end_ns == u64::MAX {
+            clamp_end
+        } else {
+            s.end_ns
+        };
         let name = format!("iteration {}", s.iteration);
         let dur_ns = end.saturating_sub(s.start_ns);
-        items.push(slice(&name, "iteration", s.start_ns, dur_ns, iter_tid, None));
+        items.push(slice(
+            &name,
+            "iteration",
+            s.start_ns,
+            dur_ns,
+            iter_tid,
+            None,
+        ));
     }
     // Idle-cause intervals ("idle:steal", "idle:backpressure", ...) get
     // their own category so Perfetto can filter the *why a lane is
     // dark* slices separately from compute spans.
     for s in spans {
-        let cat = if s.name.starts_with("idle:") { "idle" } else { "span" };
-        items.push(slice(s.name, cat, s.start_ns, s.duration_ns(), s.worker, None));
+        let cat = if s.name.starts_with("idle:") {
+            "idle"
+        } else {
+            "span"
+        };
+        items.push(slice(
+            s.name,
+            cat,
+            s.start_ns,
+            s.duration_ns(),
+            s.worker,
+            None,
+        ));
     }
     Json::obj([
         ("traceEvents", Json::Arr(items)),
@@ -104,7 +133,12 @@ mod tests {
     use crate::model::tests::sample_trace;
 
     fn events(j: &Json) -> Vec<&Json> {
-        j.get("traceEvents").unwrap().as_arr().unwrap().iter().collect()
+        j.get("traceEvents")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .collect()
     }
 
     fn of_phase<'a>(evs: &[&'a Json], ph: &str) -> Vec<&'a Json> {
@@ -133,7 +167,10 @@ mod tests {
         assert_eq!(tiles.len(), 4);
         assert_eq!(tiles[0].get("args").unwrap().field::<u64>("x").unwrap(), 0);
         // iterations sit on the synthetic lane past the last worker
-        for e in complete.iter().filter(|e| e.field::<String>("cat").unwrap() == "iteration") {
+        for e in complete
+            .iter()
+            .filter(|e| e.field::<String>("cat").unwrap() == "iteration")
+        {
             assert_eq!(e.field::<u64>("tid").unwrap(), 2);
         }
     }

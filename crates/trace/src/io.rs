@@ -238,9 +238,8 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Trace> {
             if buf.len() < len {
                 return Err(Error::TraceFormat("truncated counter snapshot".into()));
             }
-            let text = std::str::from_utf8(&buf[..len]).map_err(|e| {
-                Error::TraceFormat(format!("counter snapshot is not UTF-8: {e}"))
-            })?;
+            let text = std::str::from_utf8(&buf[..len])
+                .map_err(|e| Error::TraceFormat(format!("counter snapshot is not UTF-8: {e}")))?;
             let snap = Json::parse(text)
                 .and_then(|v| CounterSnapshot::from_json(&v))
                 .map_err(|e| Error::TraceFormat(format!("bad counter JSON: {e}")))?;
@@ -301,8 +300,8 @@ pub fn to_json(trace: &Trace) -> Result<String> {
 /// Imports a trace from its JSON export.
 pub fn from_json(json: &str) -> Result<Trace> {
     let value = Json::parse(json).map_err(|e| Error::TraceFormat(format!("bad JSON: {e}")))?;
-    let trace = Trace::from_json(&value)
-        .map_err(|e| Error::TraceFormat(format!("bad trace JSON: {e}")))?;
+    let trace =
+        Trace::from_json(&value).map_err(|e| Error::TraceFormat(format!("bad trace JSON: {e}")))?;
     trace.validate()?;
     Ok(trace)
 }
@@ -402,8 +401,7 @@ mod tests {
     #[test]
     fn file_round_trip() {
         let t = sample();
-        let path =
-            std::env::temp_dir().join(format!("ezp_trace_test_{}.ezv", std::process::id()));
+        let path = std::env::temp_dir().join(format!("ezp_trace_test_{}.ezv", std::process::id()));
         // over a longer file: the saved bytes are `to_bytes`, no old tail
         std::fs::write(&path, vec![0xAA; 4096]).unwrap();
         save(&t, &path).unwrap();

@@ -93,7 +93,17 @@ mod tests {
 
     #[test]
     fn boundaries() {
-        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX - 1, u64::MAX] {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u32::MAX as u64,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
             assert_eq!(round_trip(v), v);
         }
         let mut buf = Vec::new();

@@ -61,7 +61,9 @@ impl<'a> TraceComparison<'a> {
         // tile in an iteration is its match
         let mut first = HashMap::with_capacity(opt.tasks.len());
         for o in &opt.tasks {
-            first.entry((o.iteration, o.x, o.y)).or_insert(o.duration_ns());
+            first
+                .entry((o.iteration, o.x, o.y))
+                .or_insert(o.duration_ns());
         }
         let speedups = base
             .tasks
@@ -76,7 +78,11 @@ impl<'a> TraceComparison<'a> {
                 })
             })
             .collect();
-        Ok(TraceComparison { base, opt, speedups })
+        Ok(TraceComparison {
+            base,
+            opt,
+            speedups,
+        })
     }
 
     /// Overall wall-clock speedup `base / opt` over the recorded spans.
@@ -92,7 +98,11 @@ impl<'a> TraceComparison<'a> {
             .iterations
             .iter()
             .filter_map(|b| {
-                let o = self.opt.iterations.iter().find(|o| o.iteration == b.iteration)?;
+                let o = self
+                    .opt
+                    .iterations
+                    .iter()
+                    .find(|o| o.iteration == b.iteration)?;
                 Some((b.iteration, b.duration_ns(), o.duration_ns()))
             })
             .collect()
@@ -108,7 +118,11 @@ impl<'a> TraceComparison<'a> {
     /// The tasks whose ratio is at least `threshold` — "short durations
     /// do always correspond to inner tiles".
     pub fn tasks_faster_than(&self, threshold: f64) -> Vec<TaskSpeedup> {
-        self.speedups.iter().filter(|t| t.ratio() >= threshold).copied().collect()
+        self.speedups
+            .iter()
+            .filter(|t| t.ratio() >= threshold)
+            .copied()
+            .collect()
     }
 
     /// A textual summary in the spirit of the Fig. 10 caption.
@@ -158,7 +172,11 @@ mod tests {
         let mut tasks = Vec::new();
         let mut t = 0u64;
         for tile in grid.iter() {
-            let cost = if tile.tx == 1 && tile.ty == 1 { inner } else { border };
+            let cost = if tile.tx == 1 && tile.ty == 1 {
+                inner
+            } else {
+                border
+            };
             tasks.push(TileRecord {
                 iteration: 1,
                 x: tile.x,
@@ -235,7 +253,11 @@ mod tests {
         let base = blur_trace("basic", 100, 100);
         let mut opt = blur_trace("opt", 100, 100);
         let end = opt.iterations[0].end_ns;
-        opt.tasks.push(TileRecord { start_ns: end, end_ns: end + 50, ..opt.tasks[0] });
+        opt.tasks.push(TileRecord {
+            start_ns: end,
+            end_ns: end + 50,
+            ..opt.tasks[0]
+        });
         let cmp = TraceComparison::new(&base, &opt).unwrap();
         assert_eq!(cmp.task_speedups().len(), 9);
         assert_eq!((cmp.task_speedups()[0].x, cmp.task_speedups()[0].y), (0, 0));

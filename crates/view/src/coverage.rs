@@ -27,7 +27,11 @@ pub struct CoverageMap {
 impl CoverageMap {
     /// Coverage of `worker` over iterations `[lo, hi]` of `trace`.
     pub fn new(trace: &Trace, worker: usize, lo: u32, hi: u32) -> ezp_core::Result<Self> {
-        Ok(Self::from_records(trace.meta.grid()?, worker, trace.tasks_of_worker(worker, lo, hi)))
+        Ok(Self::from_records(
+            trace.meta.grid()?,
+            worker,
+            trace.tasks_of_worker(worker, lo, hi),
+        ))
     }
 
     /// Builds directly from records (used with a [`crate::GanttModel`]'s

@@ -159,7 +159,12 @@ fn iter_dag(dur: CostMap, order: &[usize], graph: &TaskGraph, preds: &[Vec<usize
     }
     let mut tail = vec![0; dur.len()];
     for &i in order.iter().rev() {
-        let best = graph.dependents(i).iter().map(|&s| tail[s]).max().unwrap_or(0);
+        let best = graph
+            .dependents(i)
+            .iter()
+            .map(|&s| tail[s])
+            .max()
+            .unwrap_or(0);
         tail[i] = dur.cost(i) + best;
     }
     let span = head.iter().copied().max().unwrap_or(0);
@@ -179,7 +184,11 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
     // one task graph over grid tile ids (edges out of range are dropped —
     // they cannot correspond to a tile of this run's geometry)
     let mut graph = TaskGraph::new(n);
-    for e in trace.edges.iter().filter(|e| e.from < n && e.to < n && e.from != e.to) {
+    for e in trace
+        .edges
+        .iter()
+        .filter(|e| e.from < n && e.to < n && e.from != e.to)
+    {
         graph.add_dep(e.from, e.to);
     }
     // A cyclic edge set cannot be one execution DAG. It is legitimate
@@ -206,7 +215,12 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
     let mut span_ns = 0u64;
     let mut best: Option<(u32, IterDag)> = None;
     for s in &trace.iterations {
-        let dag = iter_dag(CostMap::from_trace(trace, s.iteration)?, &order, &graph, &preds);
+        let dag = iter_dag(
+            CostMap::from_trace(trace, s.iteration)?,
+            &order,
+            &graph,
+            &preds,
+        );
         span_ns += dag.span;
         if best.as_ref().is_none_or(|(_, b)| dag.span > b.span) {
             best = Some((s.iteration, dag));
@@ -264,11 +278,9 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
         }
     };
 
-    let idle = trace.counters.as_ref().map(|c| {
-        IdleBreakdown {
-            total_ns: c.total(ezp_perf::names::IDLE_NS),
-            by_cause: IdleCause::ALL.map(|cause| c.total(idle_cause_counter(cause))),
-        }
+    let idle = trace.counters.as_ref().map(|c| IdleBreakdown {
+        total_ns: c.total(ezp_perf::names::IDLE_NS),
+        by_cause: IdleCause::ALL.map(|cause| c.total(idle_cause_counter(cause))),
     });
 
     let scaling = virtual_scaling(trace, has_dag.then_some(&graph))?;
@@ -357,8 +369,10 @@ fn advise(r: &ExplainReport, has_edges: bool) -> Vec<Advice> {
     let tiles = r.percentiles.count as u64;
     if !has_edges && tiles > 0 && r.percentiles.p50_ns <= GRAIN_FLOOR_NS {
         let in_tile = r.work_ns / tiles;
-        let out_of_tile =
-            (r.threads as u64).saturating_mul(r.wall_ns).saturating_sub(r.work_ns) / tiles;
+        let out_of_tile = (r.threads as u64)
+            .saturating_mul(r.wall_ns)
+            .saturating_sub(r.work_ns)
+            / tiles;
         if out_of_tile >= in_tile {
             out.push(Advice {
                 rule: "grain-too-fine",
@@ -423,7 +437,11 @@ fn advise(r: &ExplainReport, has_edges: bool) -> Vec<Advice> {
 
     // saturation knee in the virtual sweep: the first count where
     // doubling workers gains less than 20%
-    if let Some(w) = r.scaling.windows(2).find(|w| w[1].speedup < w[0].speedup * 1.2) {
+    if let Some(w) = r
+        .scaling
+        .windows(2)
+        .find(|w| w[1].speedup < w[0].speedup * 1.2)
+    {
         let knee = w[0].threads;
         if knee <= r.threads {
             out.push(Advice {
@@ -623,9 +641,21 @@ mod tests {
         // must drop the edges, not loop or panic in the DAG replay
         let mut t = diamond_trace();
         t.edges = vec![
-            DepEdge { from: 0, to: 1, kind: 0 },
-            DepEdge { from: 1, to: 0, kind: 0 },
-            DepEdge { from: 1, to: 3, kind: 0 },
+            DepEdge {
+                from: 0,
+                to: 1,
+                kind: 0,
+            },
+            DepEdge {
+                from: 1,
+                to: 0,
+                kind: 0,
+            },
+            DepEdge {
+                from: 1,
+                to: 3,
+                kind: 0,
+            },
         ];
         let r = explain(&t).unwrap();
         // edgeless span: the longest single task, not a chain
@@ -719,7 +749,12 @@ mod tests {
     /// An edge-free trace of `per_worker` back-to-back tiles on each of
     /// `workers` workers: `dur(worker)` ns of work, then `gap` ns until
     /// the worker's next tile starts.
-    fn loop_trace(workers: usize, per_worker: usize, gap: u64, dur: impl Fn(usize) -> u64) -> Trace {
+    fn loop_trace(
+        workers: usize,
+        per_worker: usize,
+        gap: u64,
+        dur: impl Fn(usize) -> u64,
+    ) -> Trace {
         let mut t = diamond_trace();
         t.meta.threads = workers;
         t.edges.clear();
@@ -752,7 +787,11 @@ mod tests {
     fn advisor_flags_tiles_cheaper_than_their_dispatch() {
         // 50 ns tiles, 150 ns between them: the loop is all overhead
         let r = explain(&loop_trace(2, 8, 150, |_| 50)).unwrap();
-        let a = r.advice.iter().find(|a| a.rule == "grain-too-fine").expect("rule fires");
+        let a = r
+            .advice
+            .iter()
+            .find(|a| a.rule == "grain-too-fine")
+            .expect("rule fires");
         assert!(a.text.contains("50 ns of work"), "{}", a.text);
         // 2 workers x 1450 ns wall - 800 ns work, over 16 tiles
         assert!(a.text.contains("costs 131 ns outside"), "{}", a.text);
@@ -768,10 +807,18 @@ mod tests {
         let r = explain(&t).unwrap();
         assert!(r.percentiles.p50_ns > GRAIN_FLOOR_NS);
         assert!(r.threads as u64 * r.wall_ns > 2 * r.work_ns);
-        assert!(r.advice.iter().all(|a| a.rule != "grain-too-fine"), "{:?}", r.advice);
+        assert!(
+            r.advice.iter().all(|a| a.rule != "grain-too-fine"),
+            "{:?}",
+            r.advice
+        );
         // short tiles that fill the wall are fine-grained but not wasteful
         let dense = explain(&loop_trace(2, 8, 10, |_| 50)).unwrap();
-        assert!(dense.advice.iter().all(|a| a.rule != "grain-too-fine"), "{:?}", dense.advice);
+        assert!(
+            dense.advice.iter().all(|a| a.rule != "grain-too-fine"),
+            "{:?}",
+            dense.advice
+        );
     }
 
     #[test]

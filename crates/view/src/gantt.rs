@@ -75,7 +75,10 @@ impl GanttModel {
     /// crosses wall-clock time `t` — their tiles are what EASYVIEW
     /// highlights over the image thumbnail.
     pub fn tasks_at_time(&self, t: u64) -> Vec<&TileRecord> {
-        self.tasks.iter().filter(|r| r.intersects_time(t, t + 1)).collect()
+        self.tasks
+            .iter()
+            .filter(|r| r.intersects_time(t, t + 1))
+            .collect()
     }
 
     /// The specific task under the mouse at `(cpu, t)`, if any — the
@@ -142,7 +145,13 @@ impl GanttModel {
         let mut c = SvgCanvas::new(width + label_w, height);
         for w in 0..self.workers {
             let y = w as f64 * row_height + 2.0;
-            c.text(2.0, y + row_height * 0.7, row_height * 0.5, Rgba::BLACK, &format!("CPU {w}"));
+            c.text(
+                2.0,
+                y + row_height * 0.7,
+                row_height * 0.5,
+                Rgba::BLACK,
+                &format!("CPU {w}"),
+            );
             for t in self.row(w) {
                 let x0 = label_w + (t.start_ns - self.t0) as f64 / span * width;
                 let x1 = label_w + (t.end_ns - self.t0) as f64 / span * width;

@@ -39,7 +39,11 @@ pub fn run_lengths(owners: &[Option<WorkerId>]) -> Vec<(WorkerId, usize)> {
 
 /// Longest same-worker run.
 pub fn max_run_length(owners: &[Option<WorkerId>]) -> usize {
-    run_lengths(owners).iter().map(|&(_, l)| l).max().unwrap_or(0)
+    run_lengths(owners)
+        .iter()
+        .map(|&(_, l)| l)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Mean same-worker run length.
@@ -157,7 +161,7 @@ mod tests {
         let owners: Vec<Option<WorkerId>> = (0..30).map(|i| Some(i / 10)).collect();
         assert_eq!(max_run_length(&owners), 10);
         assert!(cyclic_score(&owners, 3) > 0.5); // within runs, shifts match
-        // but the run-length signature separates the two patterns
+                                                 // but the run-length signature separates the two patterns
         let cyclic: Vec<Option<WorkerId>> = (0..30).map(|i| Some(i % 3)).collect();
         assert_eq!(max_run_length(&cyclic), 1);
     }
@@ -172,12 +176,24 @@ mod tests {
     #[test]
     fn striped_rows_detects_pattern1() {
         let grid = TileGrid::square(40, 10).unwrap(); // 4x4 tiles
-        // rows 0-1: single worker each (stripes); rows 2-3: all four
+                                                      // rows 0-1: single worker each (stripes); rows 2-3: all four
         let owners: Vec<Option<WorkerId>> = vec![
-            Some(0), Some(0), Some(0), Some(0), // row 0: stripe
-            Some(1), Some(2), Some(1), Some(2), // row 1: two-color stripe
-            Some(0), Some(1), Some(2), Some(3), // row 2: mixed
-            Some(3), Some(2), Some(1), Some(0), // row 3: mixed
+            Some(0),
+            Some(0),
+            Some(0),
+            Some(0), // row 0: stripe
+            Some(1),
+            Some(2),
+            Some(1),
+            Some(2), // row 1: two-color stripe
+            Some(0),
+            Some(1),
+            Some(2),
+            Some(3), // row 2: mixed
+            Some(3),
+            Some(2),
+            Some(1),
+            Some(0), // row 3: mixed
         ];
         let snap = snapshot_from_owners(&grid, &owners);
         assert_eq!(striped_rows(&snap, 1), 1);

@@ -34,7 +34,10 @@ fn main() -> easypap::core::Result<()> {
 
     let (basic, img_basic) = traced_run("omp_tiled", dim)?;
     let (opt, img_opt) = traced_run("omp_tiled_opt", dim)?;
-    assert_eq!(img_basic, img_opt, "optimization must not change the output");
+    assert_eq!(
+        img_basic, img_opt,
+        "optimization must not change the output"
+    );
     println!("outputs are bit-identical: OK\n");
 
     // ---- Fig. 9b: heat map — border tiles cost more -------------------
@@ -60,7 +63,10 @@ fn main() -> easypap::core::Result<()> {
     }
     let fast = cmp.tasks_faster_than(3.0);
     let total = cmp.task_speedups().len();
-    println!("\ntasks >=3x faster in the optimized trace: {} / {total}", fast.len());
+    println!(
+        "\ntasks >=3x faster in the optimized trace: {} / {total}",
+        fast.len()
+    );
     let inner = fast
         .iter()
         .filter(|t| {

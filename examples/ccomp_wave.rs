@@ -58,7 +58,13 @@ fn main() -> easypap::core::Result<()> {
         println!("--- at {percent}% of the phase ---");
         for ty in 0..grid.tiles_y() {
             let row: String = (0..grid.tiles_x())
-                .map(|tx| if done[grid.linear_index(tx, ty)] { '#' } else { '.' })
+                .map(|tx| {
+                    if done[grid.linear_index(tx, ty)] {
+                        '#'
+                    } else {
+                        '.'
+                    }
+                })
                 .collect();
             println!("{row}");
         }

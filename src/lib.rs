@@ -40,7 +40,7 @@ pub use ezp_view as view;
 pub mod prelude {
     pub use ezp_core::kernel::{NullProbe, Probe};
     pub use ezp_core::{
-        Img2D, ImagePair, Kernel, KernelCtx, Registry, Rgba, RunConfig, Schedule, Tile, TileGrid,
+        ImagePair, Img2D, Kernel, KernelCtx, Registry, Rgba, RunConfig, Schedule, Tile, TileGrid,
     };
     pub use ezp_monitor::{Monitor, MonitorReport, UnifiedReport};
     pub use ezp_perf::PerfProbe;
@@ -62,6 +62,9 @@ mod tests {
         let cfg = crate::core::params::Schedule::parse("dynamic,2").unwrap();
         assert_eq!(cfg.as_omp_str(), "dynamic,2");
         let probe = crate::perf::PerfProbe::new(2);
-        assert_eq!(probe.snapshot().total(crate::perf::names::TASKS_EXECUTED), 0);
+        assert_eq!(
+            probe.snapshot().total(crate::perf::names::TASKS_EXECUTED),
+            0
+        );
     }
 }

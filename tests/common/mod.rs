@@ -139,7 +139,11 @@ pub fn stream_cases() -> Vec<StreamCase> {
         ("wordcount", 8, 10),
     ]
     .iter()
-    .map(|&(kernel, dim, frames)| StreamCase { kernel, dim, frames })
+    .map(|&(kernel, dim, frames)| StreamCase {
+        kernel,
+        dim,
+        frames,
+    })
     .collect()
 }
 

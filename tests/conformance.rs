@@ -96,10 +96,7 @@ fn stream_conformance_full_matrix() {
 #[test]
 fn conformance_smoke_two_workers() {
     use easypap::prelude::Schedule;
-    let failures = common::run_matrix(
-        &[Schedule::Static, Schedule::NonmonotonicDynamic(1)],
-        &[2],
-    );
+    let failures = common::run_matrix(&[Schedule::Static, Schedule::NonmonotonicDynamic(1)], &[2]);
     assert!(
         failures.is_empty(),
         "variants diverged from their seq golden image:\n  {}",

@@ -142,7 +142,10 @@ fn missing_dependency_edge_is_a_lost_update() {
     // the fixed graph: same accesses, ordered, silent
     let mut fixed = TaskGraph::new(2);
     fixed.add_dep(0, 1);
-    assert!(run(&fixed).is_empty(), "dependency edge did not suppress race");
+    assert!(
+        run(&fixed).is_empty(),
+        "dependency edge did not suppress race"
+    );
 }
 
 /// The ccomp-style wavefront: every task writes its tile and reads the
@@ -316,8 +319,7 @@ fn virtual_pipeline_conforms_under_every_strategy() {
                 for ordered in [true, false] {
                     let mut strategy = kind.build(seed, workers);
                     let v =
-                        virtual_pipeline(&shape, frames, workers, ordered, &mut *strategy)
-                            .unwrap();
+                        virtual_pipeline(&shape, frames, workers, ordered, &mut *strategy).unwrap();
                     let mut sorted = v.emitted.clone();
                     sorted.sort_unstable();
                     assert_eq!(
@@ -334,8 +336,8 @@ fn virtual_pipeline_conforms_under_every_strategy() {
                     }
                     // Replay contract.
                     let mut replay = kind.build(seed, workers);
-                    let v2 = virtual_pipeline(&shape, frames, workers, ordered, &mut *replay)
-                        .unwrap();
+                    let v2 =
+                        virtual_pipeline(&shape, frames, workers, ordered, &mut *replay).unwrap();
                     assert_eq!(
                         v, v2,
                         "{kind:?} seed {seed} workers {workers}: run did not replay"

@@ -52,7 +52,11 @@ impl Kernel for Crashy {
 
 fn crashy_registry() -> Registry {
     let mut r = Registry::new();
-    r.register("crashy", || Box::new(Crashy { poison: Some((0, 0)) }));
+    r.register("crashy", || {
+        Box::new(Crashy {
+            poison: Some((0, 0)),
+        })
+    });
     r.register("healthy", || Box::new(Crashy { poison: None }));
     r
 }
@@ -73,7 +77,11 @@ fn panicking_tile_function_is_reported_not_hung() {
     // and the process is still healthy: a fresh run works
     let ok = run_kernel(
         &reg,
-        RunConfig::new("healthy").variant("omp_tiled").size(64).tile(16).threads(3),
+        RunConfig::new("healthy")
+            .variant("omp_tiled")
+            .size(64)
+            .tile(16)
+            .threads(3),
         Arc::new(NullProbe),
     );
     assert!(ok.is_ok());
@@ -84,17 +92,28 @@ fn corrupt_trace_files_never_panic() {
     // every byte-level mutilation of a real trace must yield Err
     let trace = {
         let reg = easypap::kernels::registry();
-        let cfg = RunConfig::new("invert").variant("omp").size(32).tile(8).threads(2);
+        let cfg = RunConfig::new("invert")
+            .variant("omp")
+            .size(32)
+            .tile(8)
+            .threads(2);
         let monitor = Arc::new(Monitor::new(2, cfg.grid().unwrap()));
-        run_kernel(&reg, cfg.clone(), monitor.clone() as Arc<dyn easypap::core::kernel::Probe>)
-            .unwrap();
+        run_kernel(
+            &reg,
+            cfg.clone(),
+            monitor.clone() as Arc<dyn easypap::core::kernel::Probe>,
+        )
+        .unwrap();
         Trace::from_report(TraceMeta::from_config(&cfg), &monitor.report())
     };
     let bytes = easypap::trace::io::to_bytes(&trace).unwrap();
     // truncations
     for cut in (0..bytes.len()).step_by(7) {
         let r = std::panic::catch_unwind(|| easypap::trace::io::from_bytes(&bytes[..cut]));
-        assert!(matches!(r, Ok(Err(_))), "truncation at {cut} did not error cleanly");
+        assert!(
+            matches!(r, Ok(Err(_))),
+            "truncation at {cut} did not error cleanly"
+        );
     }
     // single-byte corruptions (sampled)
     for pos in (0..bytes.len()).step_by(11) {
@@ -129,7 +148,11 @@ fn invalid_configurations_error_before_any_work() {
 fn zero_iterations_complete_instantly_everywhere() {
     let reg = easypap::kernels::registry();
     for kernel in ["mandel", "blur", "life", "sandpile", "heat"] {
-        let cfg = RunConfig::new(kernel).size(32).tile(8).threads(2).iterations(0);
+        let cfg = RunConfig::new(kernel)
+            .size(32)
+            .tile(8)
+            .threads(2)
+            .iterations(0);
         let (outcome, _) = run_kernel(&reg, cfg, Arc::new(NullProbe)).unwrap();
         assert_eq!(outcome.completed_iterations, 0, "{kernel}");
     }

@@ -9,7 +9,9 @@
 use easypap::core::error::Error;
 use easypap::core::kernel::NullProbe;
 use easypap::core::perf::run_kernel;
-use easypap::kernels::mandel::{escape_iterations, escape_row, tile_cost, Viewport, MAX_ITER_LIMIT};
+use easypap::kernels::mandel::{
+    escape_iterations, escape_row, tile_cost, Viewport, MAX_ITER_LIMIT,
+};
 use easypap::prelude::*;
 use ezp_serve::proto::fnv1a;
 use ezp_testkit::ezp_proptest;
@@ -54,7 +56,10 @@ fn escape_row_matches_scalar_over_the_full_view() {
     let mut row = [0u32; 64];
     escape_row(&view, 32, 0, 64, 1000, &mut row);
     let interior = row.iter().filter(|&&n| n == 1000).count();
-    assert!(interior > 8 && interior < 56, "{interior} of 64 pixels interior");
+    assert!(
+        interior > 8 && interior < 56,
+        "{interior} of 64 pixels interior"
+    );
 }
 
 /// A row of a `dim`-pixel image picked by three numbers: any row, any
@@ -154,7 +159,10 @@ fn frames_match_the_digests_pinned_at_the_parent() {
         Schedule::Guided(1),
         Schedule::NonmonotonicDynamic(1),
     ];
-    let variants = easypap::kernels::registry().create("mandel").unwrap().variants();
+    let variants = easypap::kernels::registry()
+        .create("mandel")
+        .unwrap()
+        .variants();
     assert_eq!(variants, ["seq", "tiled", "omp", "omp_tiled", "gpu"]);
     for variant in variants {
         for schedule in schedules {
@@ -187,7 +195,11 @@ fn the_shared_palette_is_keyed_by_the_cap() {
         (Some("256"), PARENT_64_X3),
         (Some("64"), PARENT_64_X3_CAP64),
     ] {
-        assert_eq!(frame_digest(mandel("seq", 64, 16, 3, arg)), want, "--arg {arg:?}");
+        assert_eq!(
+            frame_digest(mandel("seq", 64, 16, 3, arg)),
+            want,
+            "--arg {arg:?}"
+        );
     }
 }
 
@@ -197,7 +209,9 @@ fn max_iter_from_the_command_line_is_bounded() {
     for arg in ["1048577", "4294967295"] {
         let cfg = mandel("seq", 32, 8, 1, Some(arg));
         match run_kernel(&easypap::kernels::registry(), cfg, Arc::new(NullProbe)) {
-            Err(Error::Config(msg)) => assert!(msg.contains("1048576"), "limit not named in `{msg}`"),
+            Err(Error::Config(msg)) => {
+                assert!(msg.contains("1048576"), "limit not named in `{msg}`")
+            }
             Err(e) => panic!("--arg {arg}: expected a configuration error, got {e}"),
             Ok(_) => panic!("--arg {arg} was accepted"),
         }
@@ -212,9 +226,14 @@ fn degenerate_caps_paint_black_frames() {
     for arg in ["0", "1"] {
         for variant in ["seq", "tiled", "omp", "omp_tiled", "gpu"] {
             let cfg = mandel(variant, 32, 8, 2, Some(arg));
-            let (_, ctx) = run_kernel(&easypap::kernels::registry(), cfg, Arc::new(NullProbe)).unwrap();
+            let (_, ctx) =
+                run_kernel(&easypap::kernels::registry(), cfg, Arc::new(NullProbe)).unwrap();
             assert!(
-                ctx.images.cur().as_slice().iter().all(|&p| p == Rgba::BLACK),
+                ctx.images
+                    .cur()
+                    .as_slice()
+                    .iter()
+                    .all(|&p| p == Rgba::BLACK),
                 "--arg {arg}, {variant}"
             );
         }

@@ -194,9 +194,16 @@ fn every_variant_reports_its_tiles_inside_its_iterations() {
             }
             if seq_rows.contains(&(case.kernel, variant)) {
                 seq_seen += 1;
-                assert!(report.records.iter().all(|r| r.worker == 0), "{row} left worker 0");
+                assert!(
+                    report.records.iter().all(|r| r.worker == 0),
+                    "{row} left worker 0"
+                );
             }
         }
     }
-    assert_eq!(seq_seen, seq_rows.len(), "a sequential row above is not registered");
+    assert_eq!(
+        seq_seen,
+        seq_rows.len(),
+        "a sequential row above is not registered"
+    );
 }

@@ -393,7 +393,11 @@ fn documented_counters(docs: &str) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     let mut in_table = false;
     for line in docs.lines() {
-        let Some(first) = line.trim().strip_prefix('|').and_then(|l| l.split('|').next()) else {
+        let Some(first) = line
+            .trim()
+            .strip_prefix('|')
+            .and_then(|l| l.split('|').next())
+        else {
             in_table = false;
             continue;
         };
@@ -430,7 +434,10 @@ fn registered_counters_and_the_docs_table_agree_both_ways() {
         .map(|c| c.name)
         .collect();
     let (undocumented, stale) = counter_drift(&registered, &docs);
-    assert!(undocumented.is_empty(), "registered, no docs row: {undocumented:?}");
+    assert!(
+        undocumented.is_empty(),
+        "registered, no docs row: {undocumented:?}"
+    );
     assert!(stale.is_empty(), "docs row, never registered: {stale:?}");
     assert!(!documented_counters(&docs).contains("mpi_msgs_sent"));
 

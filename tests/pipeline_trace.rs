@@ -50,7 +50,10 @@ fn mandel_trace_survives_disk_and_feeds_easyview() {
     for task in gantt.tasks() {
         let mid = task.start_ns + task.duration_ns() / 2;
         assert!(
-            gantt.tasks_at_time(mid).iter().any(|t| t.x == task.x && t.y == task.y),
+            gantt
+                .tasks_at_time(mid)
+                .iter()
+                .any(|t| t.x == task.x && t.y == task.y),
             "task at ({},{}) not found under the mouse",
             task.x,
             task.y
@@ -97,7 +100,10 @@ fn blur_comparison_pipeline_aligns_tasks_and_shows_border_cost() {
     assert!(speedups.iter().all(|s| s.base_ns > 0));
     assert!(cmp.per_iteration().len() == 2);
     let heat = opt.to_report().unwrap().heat_map(2);
-    assert!(heat.border_inner_ratio().is_some(), "6x6 grid has inner tiles");
+    assert!(
+        heat.border_inner_ratio().is_some(),
+        "6x6 grid has inner tiles"
+    );
 
     // Fig. 9b: in the *optimized* trace, border tiles (still running
     // checked code) cost more than the branch-free inner tiles. Being
@@ -136,7 +142,11 @@ fn gpu_variants_record_every_work_group_as_a_tile_on_worker_0() {
     for kernel in ["mandel", "invert"] {
         let trace = traced_run(2, kernel, "gpu", 64, 16, 2);
         trace.validate().unwrap();
-        assert_eq!(trace.tasks.len(), 2 * 16, "{kernel}: 16 work-groups per iteration");
+        assert_eq!(
+            trace.tasks.len(),
+            2 * 16,
+            "{kernel}: 16 work-groups per iteration"
+        );
         assert!(trace.tasks.iter().all(|t| t.worker == 0), "{kernel}");
         for it in 1..=2 {
             let cov = CoverageMap::new(&trace, 0, it, it).unwrap();
@@ -145,6 +155,10 @@ fn gpu_variants_record_every_work_group_as_a_tile_on_worker_0() {
         }
         let explained = easypap::view::explain(&trace).unwrap();
         let at4 = explained.scaling.iter().find(|p| p.threads == 4);
-        assert!(at4.is_some_and(|p| p.speedup > 1.0), "{kernel}: {:?}", explained.scaling);
+        assert!(
+            at4.is_some_and(|p| p.speedup > 1.0),
+            "{kernel}: {:?}",
+            explained.scaling
+        );
     }
 }

@@ -45,11 +45,14 @@ fn fig8_patterns_emerge_from_simulated_dynamic_schedule() {
     let dim = 256;
     let view = mandel::Viewport::default();
     let grid = TileGrid::square(dim, 8).unwrap(); // small tiles, 32x32 grid
-    // a high iteration cap makes interior tiles vastly heavier than
-    // exterior ones — the imbalance regime where Fig. 8's stripes appear
+                                                  // a high iteration cap makes interior tiles vastly heavier than
+                                                  // exterior ones — the imbalance regime where Fig. 8's stripes appear
     let costs = CostMap::from_fn(grid, |t| mandel::tile_cost(&view, t, dim, 1024).max(1));
     let threads = 6;
-    let sim = simulate(&costs, SimConfig::new(threads, Schedule::Dynamic(1)).overhead(0));
+    let sim = simulate(
+        &costs,
+        SimConfig::new(threads, Schedule::Dynamic(1)).overhead(0),
+    );
     let report = sim.to_report(&costs, "mandel", "omp_tiled");
     let snap = report.tiling_snapshot(1);
 
@@ -104,7 +107,10 @@ fn sweep_csv_plot_pipeline() {
     assert_eq!(table.len(), 2 * 2 * 2);
     let data = Dataset::from_table(&table, "threads", "time_us", &["run"]).unwrap();
     // constants factored: kernel, variant, dim, tile...
-    assert!(data.constants.iter().any(|(k, v)| k == "kernel" && v == "invert"));
+    assert!(data
+        .constants
+        .iter()
+        .any(|(k, v)| k == "kernel" && v == "invert"));
     // legend: exactly the two schedules
     assert_eq!(data.series.len(), 2);
     assert!(data.series.iter().all(|s| s.label.starts_with("schedule=")));
@@ -129,7 +135,10 @@ fn fig6_simulation_respects_scheduling_theory() {
     for threads in [2, 4, 6, 8, 10, 12] {
         for schedule in Schedule::paper_policies() {
             let sim = simulate(&costs, SimConfig::new(threads, schedule).overhead(0));
-            assert!(sim.makespan_ns >= total.div_ceil(threads as u64), "{schedule:?}");
+            assert!(
+                sim.makespan_ns >= total.div_ceil(threads as u64),
+                "{schedule:?}"
+            );
             assert!(sim.makespan_ns >= cmax, "{schedule:?}");
             assert!(sim.makespan_ns <= total, "{schedule:?}");
             // dynamic with unit chunks is within 2x of the greedy bound
