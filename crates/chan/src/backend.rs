@@ -51,10 +51,7 @@ pub fn bounded<'a, T: Send + 'a>(
     tuning: ChanTuning,
     producers: usize,
     cap: usize,
-) -> (
-    Vec<Box<dyn ChanSender<T> + 'a>>,
-    Box<dyn ChanReceiver<T> + 'a>,
-) {
+) -> (Vec<Sender<'a, T>>, Box<dyn ChanReceiver<T> + 'a>) {
     let producers = producers.max(1);
     let cap = cap.max(1);
     match tuning.backend {
@@ -70,7 +67,7 @@ pub fn bounded<'a, T: Send + 'a>(
                     Box::new(MpscTx {
                         tx: Mutex::new(tx.clone()),
                         stats: Arc::clone(&stats),
-                    }) as Box<dyn ChanSender<T> + 'a>
+                    }) as Sender<'a, T>
                 })
                 .collect();
             drop(tx);
@@ -85,9 +82,12 @@ pub fn bounded<'a, T: Send + 'a>(
     }
 }
 
-fn boxed_senders<'a, T: Send + 'a>(txs: Vec<MpmcSender<T>>) -> Vec<Box<dyn ChanSender<T> + 'a>> {
+/// One producer's endpoint of a [`bounded`] channel.
+type Sender<'a, T> = Box<dyn ChanSender<T> + 'a>;
+
+fn boxed_senders<'a, T: Send + 'a>(txs: Vec<MpmcSender<T>>) -> Vec<Sender<'a, T>> {
     txs.into_iter()
-        .map(|t| Box::new(t) as Box<dyn ChanSender<T> + 'a>)
+        .map(|t| Box::new(t) as Sender<'a, T>)
         .collect()
 }
 

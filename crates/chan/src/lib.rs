@@ -34,8 +34,9 @@
 // `unsafe_code` is deliberately NOT denied: the SPSC ring slots are a
 // sanctioned unsafe island (see the crate docs above). `ring.rs` holds
 // the cell accesses; `spsc.rs`/`mpmc.rs` hold the role-contract call
-// sites. Each carries a `SAFETY:` argument, enforced by `ezp-lint`'s
-// `unsafe-needs-safety` rule.
+// sites. Each carries a `SAFETY:` argument, enforced by clippy's
+// `undocumented_unsafe_blocks` (`[workspace.lints.clippy]` in the root
+// manifest).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod backend;

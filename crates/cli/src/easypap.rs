@@ -1071,7 +1071,13 @@ mod tests {
     /// of running without it.
     #[test]
     fn stream_and_mpi_debug_modes_reject_the_flags_they_would_drop() {
-        let cases: [(&[&str], &str, &[&[&str]]); 3] = [
+        // (command line, the mode's flag, the flags it refuses)
+        type Case = (
+            &'static [&'static str],
+            &'static str,
+            &'static [&'static [&'static str]],
+        );
+        let cases: [Case; 3] = [
             (
                 &["--kernel", "mandel_zoom", "--stream=4", "--size", "16"],
                 "--stream=N",

@@ -31,9 +31,17 @@
 //! The whole module is compiled only under the `ezp-check` feature; the
 //! production scheduling path never sees a shadow word.
 
+// No lock type, hash-seeded collection or wall clock outside tests:
+// the list is `clippy.toml` (docs/static-analysis.md).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::kernel::{Probe, RaceKind, RuntimeEvent};
 use crate::WorkerId;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the race log, locked only on a race; a replayed session writes from one thread, in schedule order"
+)]
 use std::sync::Mutex;
 
 /// One detected race: where, who, and what class.
@@ -195,6 +203,10 @@ pub struct ShadowSession<'a> {
     grid: &'a ShadowGrid,
     probe: &'a dyn Probe,
     precedes: Box<dyn Fn(usize, usize) -> bool + Sync + 'a>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the race log, locked only on a race; a replayed session writes from one thread, in schedule order"
+    )]
     races: Mutex<Vec<ShadowRace>>,
 }
 
@@ -210,6 +222,10 @@ impl<'a> ShadowSession<'a> {
             grid,
             probe,
             precedes: Box::new(precedes),
+            #[expect(
+                clippy::disallowed_types,
+                reason = "the race log, locked only on a race; a replayed session writes from one thread, in schedule order"
+            )]
             races: Mutex::new(Vec::new()),
         }
     }

@@ -26,10 +26,6 @@
 //! `SeqCst` accesses never trigger any of the three — the workspace
 //! treats SeqCst as its default spine, and a Relaxed+SeqCst mix is the
 //! documented "counter read off the spine" pattern.
-//!
-//! Suppression: `ezp-lint: allow(atomics-pairing)` at the reported
-//! site, or at any declaration of the field (the declaration anchors
-//! the invariant, so one suppression covers every site).
 
 use std::collections::BTreeMap;
 
@@ -81,17 +77,13 @@ pub fn check(model: &Model) -> Vec<Diagnostic> {
         } else {
             krate
         };
-        let decl_allowed = field_decls.iter().any(|d| model.is_allowed(&d.site, RULE));
         let Some(list) = accs.get(&(krate, field)) else {
             continue; // declared but never accessed (or only in tests)
         };
 
         // 1. unpaired release
         if let Some(rel) = list.iter().find(|a| is_release_write(a)) {
-            if !list.iter().any(|a| is_acquire_side(a))
-                && !decl_allowed
-                && !model.is_allowed(&rel.site, RULE)
-            {
+            if !list.iter().any(|a| is_acquire_side(a)) {
                 out.push(Diagnostic {
                     rule: RULE,
                     path: rel.site.path.clone(),
@@ -109,7 +101,7 @@ pub fn check(model: &Model) -> Vec<Diagnostic> {
         // 2. relaxed-only field without a taxonomy tag
         if list.iter().all(|a| is_relaxed_pure(a)) {
             for d in field_decls {
-                if !d.taxonomy && !model.is_allowed(&d.site, RULE) {
+                if !d.taxonomy {
                     out.push(Diagnostic {
                         rule: RULE,
                         path: d.site.path.clone(),
@@ -134,9 +126,9 @@ pub fn check(model: &Model) -> Vec<Diagnostic> {
                 .iter()
                 .any(|o| o == "Acquire" || o == "Release" || o == "AcqRel")
         });
-        if has_sync_edge && !decl_allowed {
+        if has_sync_edge {
             for a in list {
-                if is_relaxed_pure(a) && !a.justified && !model.is_allowed(&a.site, RULE) {
+                if is_relaxed_pure(a) && !a.justified {
                     out.push(Diagnostic {
                         rule: RULE,
                         path: a.site.path.clone(),
@@ -214,13 +206,5 @@ mod tests {
             "struct S { n: AtomicU64 }\nimpl S { fn f(&self) { self.n.store(1, Ordering::SeqCst); let _b = self.n.load(Ordering::Relaxed); } }\n",
         );
         assert!(check(&spine).is_empty());
-    }
-
-    #[test]
-    fn decl_site_suppression_covers_every_site() {
-        let m = model_of(
-            "struct S {\n    // ezp-lint: allow(atomics-pairing)\n    flag: AtomicBool,\n}\nimpl S { fn f(&self) { self.flag.store(true, Ordering::Release); } }\n",
-        );
-        assert!(check(&m).is_empty());
     }
 }

@@ -1,12 +1,12 @@
 //! A lightweight line-oriented Rust lexer.
 //!
-//! The rules in this crate do not need a syntax tree — every invariant
-//! they enforce is visible at the token level ("an `unsafe` token with
-//! no `SAFETY:` comment near it", "a `Mutex` token in a hot-path
-//! file"). What they *do* need, and what a naive `grep` gets wrong, is
+//! The checks in this crate do not need a syntax tree — every fact
+//! they read is visible at the token level ("an `Ordering::Relaxed`
+//! with no `ORDERING:` comment near it", "a `.store(…)` on the field
+//! `flag`"). What they *do* need, and what a naive `grep` gets wrong, is
 //! the classification of every character as **code**, **comment** or
-//! **string-literal content**: a kernel that logs the word "Mutex", or
-//! a doc comment discussing `Ordering::Relaxed`, must not trip a rule.
+//! **string-literal content**: a string that spells `Ordering::Relaxed`,
+//! or a doc comment discussing it, must not trip a check.
 //!
 //! [`lex_file`] walks a source file once and produces one [`Line`] per
 //! input line, holding
@@ -16,10 +16,7 @@
 //!   with the original),
 //! * `comment` — only the comment text, similarly aligned,
 //! * `in_test` — whether the line sits inside a `#[cfg(test)]` /
-//!   `#[test]` item, tracked by brace depth,
-//! * `allows` — rule names suppressed via an `allow(rule)` marker
-//!   comment (the tool-tag prefix + `allow(...)` syntax documented in
-//!   `docs/static-analysis.md`).
+//!   `#[test]` item, tracked by brace depth.
 //!
 //! Handled token classes: line comments, nested block comments, string
 //! literals (escapes), raw strings (`r#"…"#`, any hash count, `b`
@@ -35,9 +32,6 @@ pub struct Line {
     pub comment: String,
     /// True when the line is inside a `#[cfg(test)]` or `#[test]` item.
     pub in_test: bool,
-    /// Rule names suppressed on this line (and, by the engine's
-    /// convention, on the line below it).
-    pub allows: Vec<String>,
 }
 
 /// Lexer state carried across characters.
@@ -251,7 +245,6 @@ pub fn lex_file(src: &str) -> Vec<Line> {
     }
 
     mark_test_regions(&mut lines);
-    parse_suppressions(&mut lines);
     lines
 }
 
@@ -265,9 +258,8 @@ pub fn is_ident_char(c: char) -> bool {
 /// not consume the window — a long justification paragraph must not
 /// push itself out of range — but more than `window` unrelated code
 /// lines between comment and site means the comment is justifying
-/// something else. Shared by the per-line rules (`SAFETY:` /
-/// `ORDERING:`) and the cross-file passes (taxonomy tags on atomic
-/// field declarations).
+/// something else. Shared by the per-line rule (`ORDERING:`) and the
+/// cross-file pass (taxonomy tags on atomic field declarations).
 pub fn justified(lines: &[Line], line: usize, tag: &str, window: usize) -> bool {
     if lines[line].comment.contains(tag) {
         return true;
@@ -285,19 +277,6 @@ pub fn justified(lines: &[Line], line: usize, tag: &str, window: usize) -> bool 
         }
     }
     false
-}
-
-/// Is `rule` switched off at 0-based line `idx` by an `allow(rule)`
-/// marker comment on that line or on the line directly above it?
-pub fn allowed_at(lines: &[Line], idx: usize, rule: &str) -> bool {
-    [idx.checked_sub(1), Some(idx)]
-        .into_iter()
-        .flatten()
-        .any(|i| {
-            lines
-                .get(i)
-                .is_some_and(|l| l.allows.iter().any(|a| a == rule))
-        })
 }
 
 /// The struct field (or static) an atomic method call is invoked on.
@@ -484,11 +463,7 @@ fn mark_test_regions(lines: &mut [Line]) {
                     }
                     depth -= 1;
                 }
-                ';' => {
-                    if stack.is_empty() {
-                        pending = false;
-                    }
-                }
+                ';' if stack.is_empty() => pending = false,
                 _ => {}
             }
         }
@@ -511,29 +486,6 @@ fn is_test_attr(code: &str) -> bool {
         return body.trim() == "test" || body.contains("cfg");
     }
     false
-}
-
-/// Extracts suppression markers — the tool tag followed by
-/// `allow(rule-a, rule-b)` — from comment text into [`Line::allows`].
-fn parse_suppressions(lines: &mut [Line]) {
-    for line in lines.iter_mut() {
-        let mut rest = line.comment.as_str();
-        while let Some(pos) = rest.find("ezp-lint:") {
-            rest = &rest[pos + "ezp-lint:".len()..];
-            let trimmed = rest.trim_start();
-            if let Some(args) = trimmed.strip_prefix("allow(") {
-                if let Some(close) = args.find(')') {
-                    for name in args[..close].split(',') {
-                        let name = name.trim();
-                        if !name.is_empty() {
-                            line.allows.push(name.to_string());
-                        }
-                    }
-                    rest = &args[close + 1..];
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -614,20 +566,6 @@ fn after() { y(); }
         let lines = lex_file(src);
         assert!(lines[2].in_test);
         assert!(!lines[4].in_test);
-    }
-
-    #[test]
-    fn suppression_covers_own_and_next_line() {
-        let lines = lex_file("// ezp-lint: allow(determinism)\nlet t = x();\nlet u = y();\n");
-        assert!(allowed_at(&lines, 0, "determinism"));
-        assert!(allowed_at(&lines, 1, "determinism"));
-        assert!(!allowed_at(&lines, 2, "determinism"));
-    }
-
-    #[test]
-    fn suppressions_parse_multiple_rules() {
-        let lines = lex_file("x(); // ezp-lint: allow(rule-a, rule-b)\n");
-        assert_eq!(lines[0].allows, vec!["rule-a", "rule-b"]);
     }
 
     #[test]

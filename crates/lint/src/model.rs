@@ -1,9 +1,9 @@
 //! Phase-1 workspace symbol model for the cross-file pass.
 //!
-//! The per-line rules in [`crate::rules`] see one line at a time; a
+//! The per-line rule in [`crate::rules`] sees one line at a time; a
 //! paired acquire/release protocol spans files. While the workspace
 //! walker lexes each file anyway, [`Model::add_source`] extracts a
-//! small symbol table from the lexed lines, and [`crate::passes`] then
+//! small symbol table from the lexed lines, and [`crate::atomics`] then
 //! runs over the finished model without touching the filesystem again.
 //!
 //! What the model records:
@@ -23,8 +23,6 @@
 //! Integration tests and examples (`tests/`, `examples/` path
 //! components) and `#[cfg(test)]` regions are excluded from the model:
 //! they exercise the invariants rather than define them.
-
-use std::collections::BTreeMap;
 
 use crate::lexer::{self, Line};
 use crate::rules::JUSTIFICATION_WINDOW;
@@ -124,12 +122,9 @@ pub struct AtomicAccess {
 }
 
 /// The finished phase-1 model; built by the workspace walker, consumed
-/// by [`crate::passes`].
+/// by [`crate::atomics`].
 #[derive(Default)]
 pub struct Model {
-    /// Lexed lines per ingested file, kept so the pass can resolve
-    /// suppressions at arbitrary sites without re-reading the file.
-    files: BTreeMap<String, Vec<Line>>,
     /// Atomic field declarations, in walk order.
     pub atomic_fields: Vec<AtomicField>,
     /// Attributed atomic accesses, in walk order.
@@ -172,15 +167,6 @@ impl Model {
         let krate = crate_of(rel);
         self.scan_decls(rel, krate, lines);
         self.scan_accesses(rel, krate, lines);
-        self.files.insert(rel.to_string(), lines.to_vec());
-    }
-
-    /// Is `rule` suppressed at `site` (marker on the site's line or the
-    /// line above, matching the per-line engine's convention)?
-    pub fn is_allowed(&self, site: &Site, rule: &str) -> bool {
-        self.files
-            .get(&site.path)
-            .is_some_and(|lines| lexer::allowed_at(lines, site.line - 1, rule))
     }
 
     // ---- phase-1 extraction --------------------------------------------

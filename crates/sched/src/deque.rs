@@ -27,6 +27,10 @@
 //! (every slot is an atomic) but can hand out a task twice — the same
 //! rank-serial contract [`Dispenser`](crate::Dispenser) documents.
 
+// No lock type, hash-seeded collection or wall clock outside tests:
+// the list is `clippy.toml` (docs/static-analysis.md).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 /// Outcome of a [`TaskDeque::steal`] attempt.

@@ -72,6 +72,10 @@
 //! it is asked), and index arithmetic that could still leave `usize`
 //! is checked.
 
+// No lock type, hash-seeded collection or wall clock outside tests:
+// the list is `clippy.toml` (docs/static-analysis.md).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use ezp_core::Schedule;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

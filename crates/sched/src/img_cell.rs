@@ -88,10 +88,10 @@ impl<'a, T: Copy> ImgCell<'a, T> {
         // whole lines (16 `Rgba` pixels) a whole number of lines into the
         // image starts on one too, and shares no line with a neighbour
         let size = std::mem::size_of::<T>();
-        let whole_lines = |pixels: usize| pixels * size % CACHE_LINE == 0;
+        let whole_lines = |pixels: usize| (pixels * size).is_multiple_of(CACHE_LINE);
         debug_assert!(
             !(whole_lines(tile.w) && whole_lines(tile.y * self.width + tile.x))
-                || self.ptr() as usize % CACHE_LINE == 0
+                || (self.ptr() as usize).is_multiple_of(CACHE_LINE)
                 || CACHE_LINE.checked_rem(size) != Some(0),
             "a line-wide tile row straddles cache lines: the image is not line-aligned"
         );

@@ -28,8 +28,8 @@
 // closure dispatch) and `img_cell` (disjoint-tile aliasing) are two of
 // the three sanctioned unsafe islands of the workspace (the third is
 // `ezp-chan`'s SPSC ring slots). Every `unsafe` block in them carries a
-// `SAFETY:` argument, enforced by `ezp-lint`'s `unsafe-needs-safety`
-// rule.
+// `SAFETY:` argument, enforced by clippy's `undocumented_unsafe_blocks`
+// (`[workspace.lints.clippy]` in the root manifest).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod deque;

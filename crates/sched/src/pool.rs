@@ -56,6 +56,10 @@
 //! `ezp-check`, `vexec::virtual_region_protocol` calls the same steps
 //! on a thread-less `RegionDriver` under an explicit interleaving.
 
+// No lock type, hash-seeded collection or wall clock outside tests:
+// the list is `clippy.toml` (docs/static-analysis.md).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::park::ParkLot;
 use std::cell::UnsafeCell;
 use std::panic::AssertUnwindSafe;

@@ -7,6 +7,10 @@
 //! ids executed by a [`WorkerPool`] such that a task never starts before
 //! all of its predecessors completed.
 
+// No lock type, hash-seeded collection or wall clock outside tests:
+// the list is `clippy.toml` (docs/static-analysis.md).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::deque::{Steal, TaskDeque};
 use crate::park::ParkLot;
 use crate::pool::WorkerPool;

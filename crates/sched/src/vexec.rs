@@ -39,6 +39,10 @@
 //! Everything here is compiled only under the `ezp-check` feature and is
 //! never linked into production runs.
 
+// No lock type, hash-seeded collection or wall clock outside tests:
+// the list is `clippy.toml` (docs/static-analysis.md).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::dispenser::Dispenser;
 use crate::pool::{RegionDriver, WorkerStep};
 use crate::skeleton::{EmitTracker, PipeShape};

@@ -14,11 +14,14 @@
 
 use ezp_sched::skeleton::{PipeShape, PipeStage, DEFAULT_CAPACITY};
 
+/// A stage's body: called with the frame number and the payload.
+type Work<T> = Box<dyn Fn(usize, &mut T) + Send + Sync>;
+
 /// One stage of a pipeline.
 pub(crate) struct Stage<T> {
     pub(crate) name: String,
     pub(crate) width: usize,
-    pub(crate) work: Box<dyn Fn(usize, &mut T) + Send + Sync>,
+    pub(crate) work: Work<T>,
 }
 
 /// A composable pipeline over frame payloads of type `T`.

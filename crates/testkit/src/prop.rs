@@ -594,7 +594,7 @@ mod tests {
         }
 
         fn macro_single_arg(n in 1usize..64) {
-            assert!(n >= 1 && n < 64);
+            assert!((1..64).contains(&n));
         }
 
         fn macro_mapped_strategy(s in (0usize..3).prop_map(|i| ["a", "b", "c"][i])) {

@@ -28,6 +28,10 @@
 //! runnable it is eventually scheduled, so any system in which workers
 //! make progress when scheduled runs to completion under any strategy.
 
+// No lock type, hash-seeded collection or wall clock outside tests:
+// the list is `clippy.toml` (docs/static-analysis.md).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use crate::rng::Rng;
 
 /// Picks which logical worker acts next in a virtual schedule.

@@ -389,8 +389,8 @@ fn advise(r: &ExplainReport, has_edges: bool) -> Vec<Advice> {
 
     if let Some(idle) = &r.idle {
         if let Some((label, ns)) = idle.dominant() {
-            if idle.total_ns > 0 && ns * 100 >= idle.total_ns * 40 {
-                let pct = ns * 100 / idle.total_ns;
+            let pct = percent(ns, idle.total_ns);
+            if pct >= 40 {
                 let hint = match label {
                     "dep_stall" => {
                         "workers block on unfinished predecessors; break large tiles up \
@@ -508,11 +508,7 @@ impl ExplainReport {
                     continue;
                 }
                 let label = cause.label();
-                let pct = if idle.total_ns > 0 {
-                    ns * 100 / idle.total_ns
-                } else {
-                    0
-                };
+                let pct = percent(ns, idle.total_ns);
                 let _ = writeln!(out, "#   {label:<13} {:>10} ({pct:>3}%)", fmt_ns(ns));
             }
         }
@@ -568,6 +564,15 @@ impl ExplainReport {
         }
         out
     }
+}
+
+/// `part` as a whole percentage of `whole` (0 when `whole` is 0). The
+/// counters come from the trace file, so nothing bounds them: the
+/// product is taken in `u128`, where `u64::MAX * 100` cannot overflow.
+fn percent(part: u64, whole: u64) -> u128 {
+    (u128::from(part) * 100)
+        .checked_div(u128::from(whole))
+        .unwrap_or(0)
 }
 
 /// Formats nanoseconds with a readable unit.
@@ -744,6 +749,27 @@ mod tests {
             "{:?}",
             r.advice
         );
+    }
+
+    /// Idle counters are read from the file, unbounded: a trace whose
+    /// idle time exceeds `u64::MAX / 100` survives the codec, and the
+    /// advisor and the idle breakdown must still render it.
+    #[test]
+    fn huge_idle_counters_from_a_trace_file_render() {
+        let mut set = ezp_perf::CounterSet::new(2);
+        let total = set.register("idle_ns");
+        let steal = set.register("idle_ns{cause=\"steal\"}");
+        set.add(total, 0, 1 << 60);
+        set.add(steal, 0, 1 << 60);
+        let t = diamond_trace().with_counters(set.snapshot());
+        let t = ezp_trace::io::from_bytes(&ezp_trace::io::to_bytes(&t).unwrap()).unwrap();
+        let r = explain(&t).unwrap();
+        assert!(
+            r.advice.iter().any(|a| a.rule == "idle-dominant-cause"),
+            "{:?}",
+            r.advice
+        );
+        assert!(r.render().contains("(100%)"), "{}", r.render());
     }
 
     /// An edge-free trace of `per_worker` back-to-back tiles on each of

@@ -273,7 +273,8 @@ fn deque_steal_path_conforms_under_every_strategy() {
 #[test]
 fn region_protocol_conforms_under_every_strategy() {
     // (name, plan): which ranks panic in which 1-based region.
-    let plans: [(&str, fn(u64, usize) -> bool); 3] = [
+    type Plan = fn(u64, usize) -> bool;
+    let plans: [(&str, Plan); 3] = [
         ("clean", |_, _| false),
         ("one-per-odd-region", |seq, rank| seq % 2 == 1 && rank == 0),
         ("burst-then-silent", |seq, rank| seq == 1 && rank != 1),
