@@ -119,7 +119,9 @@ cargo test -q --offline --workspace
 
 # Figure lane (results/README.md): the virtual-time figure binaries are
 # pure functions of the code, so what results/ holds must be exactly
-# what they print today. A diff here means a scheduling, simulator or
+# what they print today. Fig. 12 is a wall-clock capture but for its two
+# virtual-time lines (the task-graph replay on 4 virtual CPUs), and only
+# those are diffed. A diff here means a scheduling, simulator or
 # kernel-cost change moved a figure: rerun the binary, commit its
 # output, and update the matching EXPERIMENTS.md row. The binaries drop
 # their .svg/.csv side files in the cwd, hence the temp dir.
@@ -135,9 +137,17 @@ fig_dir="$(mktemp -d)"
             exit 1
         }
     done
+    virtual='^virtual-time check on 4 CPUs:|^critical path .* vs makespan '
+    committed="$(grep -E "$virtual" "$OLDPWD/results/fig12_wavefront.txt")"
+    [ "$(wc -l <<< "$committed")" -eq 2 ] && diff -u <(echo "$committed") \
+        <("$OLDPWD/target/release/fig12_wavefront" | grep -E "$virtual") || {
+        echo "error: results/fig12_wavefront.txt's virtual-time lines are not" >&2
+        echo "       what fig12_wavefront prints (diff above)" >&2
+        exit 1
+    }
 )
 rm -rf "$fig_dir"
-echo "verify: results/ matches the five deterministic figure binaries"
+echo "verify: results/ matches the five deterministic figures and Fig. 12's virtual-time lines"
 
 # Tier 2: deterministic concurrency checking (see docs/testing.md).
 # The ezp-check feature compiles the virtual-scheduler executor and the

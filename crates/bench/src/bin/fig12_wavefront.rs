@@ -59,9 +59,10 @@ fn main() {
     }
 
     // quantify the parallelism the dependencies allow. Wall-clock
-    // overlap is meaningless on a single-CPU host, so the claim is
-    // checked in virtual time: the same task graph, list-scheduled on 4
-    // virtual CPUs (DESIGN.md substitution).
+    // overlap cannot exceed the host's CPU count, so the claim is
+    // checked in virtual time: the same task graph, run by the
+    // runtime's own scheduler on 4 virtual CPUs (DESIGN.md
+    // substitution).
     use ezp_sched::TaskGraph;
     use ezp_simsched::simulate_taskgraph;
     let graph = TaskGraph::down_right_wavefront(&grid);

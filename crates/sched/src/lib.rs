@@ -17,11 +17,12 @@
 //! * [`img_cell`] — the disjoint-tile shared-image wrapper that lets
 //!   worker threads write their own tiles of one image concurrently;
 //! * [`taskgraph`] — OpenMP-style tasks with dependencies, used by the
-//!   connected-components wavefront of Fig. 11/12.
+//!   connected-components wavefront of Fig. 11/12, and [`vclock`], which
+//!   runs them and the dispensers on virtual workers.
 //!
 //! The per-policy *behaviour* (who computes which tile) is exactly what
 //! the Tiling window of Fig. 4 visualizes; `ezp-simsched` replays the
-//! same policies in virtual time for deterministic analysis.
+//! same code in virtual time for deterministic analysis.
 
 #![warn(missing_docs)]
 // `unsafe_code` is deliberately NOT denied here: `pool` (lifetime-erased
@@ -41,6 +42,7 @@ pub use ezp_core::park;
 pub mod pool;
 pub mod skeleton;
 pub mod taskgraph;
+pub mod vclock;
 #[cfg(feature = "ezp-check")]
 pub mod vexec;
 

@@ -14,6 +14,7 @@
 use crate::deque::{Steal, TaskDeque};
 use crate::park::ParkLot;
 use crate::pool::WorkerPool;
+use crate::vclock::Next;
 use ezp_core::error::{Error, Result};
 use ezp_core::kernel::{EdgeKind, IdleCause, NullProbe, Probe, RuntimeEvent};
 use ezp_core::time::now_ns;
@@ -236,7 +237,7 @@ impl TaskGraph {
             let mut busy = false;
             loop {
                 match run.step(rank, &mut busy, &f) {
-                    GraphStep::Ran => {}
+                    GraphStep::Task(_) => {}
                     GraphStep::Idle(seen) => run.park(rank, seen),
                     GraphStep::Done | GraphStep::Cyclic => return,
                 }
@@ -244,13 +245,43 @@ impl TaskGraph {
         });
         run.outcome()
     }
+
+    /// [`TaskGraph::run`] on `workers` virtual workers of
+    /// [`vclock`](crate::vclock), task `t` costing `cost[t]` virtual ns:
+    /// a task completes, releasing its dependents, at its virtual end.
+    /// Returns `(task, worker, start_ns)` in start order, or the cycle
+    /// error of `run`.
+    pub fn replay(&self, workers: usize, cost: &[u64]) -> Result<Vec<(usize, WorkerId, u64)>> {
+        assert_eq!(cost.len(), self.len(), "one cost per task");
+        assert!(workers > 0, "a replay needs at least one worker");
+        let run = GraphRun::new(self, workers, &NullProbe);
+        let mut busy = vec![false; workers];
+        let mut running = vec![None; workers];
+        let mut started = Vec::with_capacity(self.len());
+        crate::vclock::run(workers, 0, |rank, now| {
+            if let Some(task) = running[rank].take() {
+                run.complete(rank, task);
+            }
+            match run.take(rank, &mut busy[rank]) {
+                GraphStep::Task(task) => {
+                    running[rank] = Some(task);
+                    started.push((task, rank, now));
+                    Next::BusyUntil(now + cost[task])
+                }
+                GraphStep::Idle(_) => Next::Park,
+                GraphStep::Done | GraphStep::Cyclic => Next::Leave,
+            }
+        });
+        run.outcome()?;
+        Ok(started)
+    }
 }
 
-/// What one [`GraphRun::step`] did.
+/// What one [`GraphRun::take`] or [`GraphRun::step`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum GraphStep {
-    /// Picked one task, ran it and released its dependents.
-    Ran,
+    /// Picked this task (`step`: and ran it).
+    Task(usize),
     /// Found no task anywhere, and cannot tell yet whether the rest is
     /// cyclic: the worker should wait for [`GraphRun::should_wake`]
     /// with this `events` snapshot.
@@ -264,8 +295,8 @@ pub(crate) enum GraphStep {
 /// The shared state of one [`TaskGraph::run_probed`] execution and its
 /// per-worker body as a non-blocking [`step`](GraphRun::step). The
 /// pool's workers call `step` in a loop, parking between idle steps;
-/// under `ezp-check`, `vexec::virtual_deque_taskgraph` calls the same
-/// `step` for logical workers under an explicit interleaving.
+/// `vexec::virtual_deque_taskgraph` (`ezp-check`) calls it under an
+/// explicit interleaving, [`TaskGraph::replay`] its halves in virtual time.
 pub(crate) struct GraphRun<'a> {
     graph: &'a TaskGraph,
     probe: &'a dyn Probe,
@@ -328,10 +359,9 @@ impl<'a> GraphRun<'a> {
         }
     }
 
-    /// One scheduling action of worker `rank`: run one task through
-    /// `f`, or — with no task in sight — the termination / cycle check.
-    /// `busy` is the worker's own flag (initially false) saying it is
-    /// counted in `active`.
+    /// One scheduling action of worker `rank`: [`take`](Self::take), `f`
+    /// and [`complete`](Self::complete). `busy` is the worker's own flag
+    /// (initially false) saying it is counted in `active`.
     #[inline]
     pub(crate) fn step(
         &self,
@@ -339,6 +369,20 @@ impl<'a> GraphRun<'a> {
         busy: &mut bool,
         f: impl FnOnce(usize, WorkerId),
     ) -> GraphStep {
+        let step = self.take(rank, busy);
+        if let GraphStep::Task(task) = step {
+            let release = ReleasePeersOnUnwind(&self.halt, &self.idle);
+            f(task, rank);
+            drop(release);
+            self.complete(rank, task);
+        }
+        step
+    }
+
+    /// A step up to the task: the `active` claim, the pop or steal, and
+    /// with no task in sight the termination / cycle check.
+    #[inline]
+    pub(crate) fn take(&self, rank: WorkerId, busy: &mut bool) -> GraphStep {
         let threads = self.deques.len();
         let my = &self.deques[rank];
         if !*busy {
@@ -398,10 +442,14 @@ impl<'a> GraphRun<'a> {
             self.probe
                 .runtime_event(rank, RuntimeEvent::ChunkDispensed { len: 1 });
         }
-        {
-            let _release = ReleasePeersOnUnwind(&self.halt, &self.idle);
-            f(task, rank);
-        }
+        GraphStep::Task(task)
+    }
+
+    /// A step after `task` ran: release its dependents into `rank`'s
+    /// deque, publish the completion, wake parked peers.
+    #[inline]
+    pub(crate) fn complete(&self, rank: WorkerId, task: usize) {
+        let my = &self.deques[rank];
         let mut released = false;
         // ORDERING: synchronizing. Each predecessor's Release
         // half orders its task's effects before the decrement;
@@ -428,7 +476,6 @@ impl<'a> GraphRun<'a> {
         if released || left == 1 {
             self.idle.notify();
         }
-        GraphStep::Ran
     }
 
     /// The wake condition of a worker whose step was `Idle(seen)`:
@@ -601,7 +648,7 @@ mod tests {
         let ran = std::cell::Cell::new(None);
         let body = |t: usize, rank: WorkerId| ran.set(Some((t, rank)));
 
-        assert_eq!(run.step(0, &mut busy[0], body), GraphStep::Ran);
+        assert_eq!(run.step(0, &mut busy[0], body), GraphStep::Task(0));
         assert_eq!(ran.take(), Some((0, 0)));
         // worker 0 is still in its busy streak: for all worker 1 knows
         // it holds a task whose completion releases the rest
@@ -635,8 +682,8 @@ mod tests {
         let mut busy = false;
         let order = std::cell::RefCell::new(Vec::new());
         let body = |t: usize, _: WorkerId| order.borrow_mut().push(t);
-        assert_eq!(run.step(0, &mut busy, body), GraphStep::Ran);
-        assert_eq!(run.step(0, &mut busy, body), GraphStep::Ran);
+        assert_eq!(run.step(0, &mut busy, body), GraphStep::Task(0));
+        assert_eq!(run.step(0, &mut busy, body), GraphStep::Task(1));
         run.assert_consistent(1);
         // the streak ends on the step that finds nothing
         assert_eq!(run.step(0, &mut busy, body), GraphStep::Done);
@@ -773,6 +820,39 @@ mod tests {
         assert!(edges.contains(&(0, 3, EdgeKind::Data)));
     }
 
+    /// A DAG on `n` tasks keeping the forward edges (`a < b`, after
+    /// reducing both ends mod `n`) of `edges`: acyclic by construction.
+    fn random_dag(n: usize, edges: Vec<(usize, usize)>) -> TaskGraph {
+        let mut g = TaskGraph::new(n);
+        for (a, b) in edges {
+            let (a, b) = (a % n, b % n);
+            if a < b {
+                g.add_dep(a, b);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn replay_of_a_cycle_is_the_run_error() {
+        let mut g = TaskGraph::new(4);
+        g.add_dep(0, 1);
+        g.add_dep(2, 3);
+        g.add_dep(3, 2);
+        for workers in [1, 3] {
+            let err = g.replay(workers, &[10; 4]).unwrap_err();
+            assert!(err.to_string().contains("only 2/4 tasks runnable"), "{err}");
+        }
+    }
+
+    #[test]
+    fn replay_on_one_worker_runs_run_probed_order() {
+        let grid = TileGrid::square(80, 10).unwrap(); // 8x8 wavefront
+        let g = TaskGraph::down_right_wavefront(&grid);
+        let replayed: Vec<usize> = g.replay(1, &[1; 64]).unwrap().iter().map(|r| r.0).collect();
+        assert_eq!(replayed, record_parallel(&g, 1));
+    }
+
     ezp_proptest! {
         #![cases(32)]
 
@@ -781,16 +861,44 @@ mod tests {
             edges in vec_of((0usize..40, 0usize..40), 0..80),
             threads in 1usize..5,
         ) {
-            let mut g = TaskGraph::new(n);
-            for (a, b) in edges {
-                let (a, b) = (a % n, b % n);
-                // only forward edges -> guaranteed acyclic
-                if a < b {
-                    g.add_dep(a, b);
-                }
-            }
+            let g = random_dag(n, edges);
             let order = record_parallel(&g, threads);
             assert_topological(&g, &order);
+        }
+
+        fn prop_replay_is_a_valid_schedule(
+            n in 1usize..40,
+            edges in vec_of((0usize..40, 0usize..40), 0..80),
+            costs in vec_of(0u64..50, 40..41),
+            workers in 1usize..6,
+        ) {
+            let g = random_dag(n, edges);
+            let cost = &costs[..n];
+            let started = g.replay(workers, cost).unwrap();
+            let order: Vec<usize> = started.iter().map(|r| r.0).collect();
+            assert_topological(&g, &order); // also: each task runs once
+            let mut start = vec![0; n];
+            let mut end = vec![0; n];
+            for &(t, w, s) in &started {
+                assert!(w < workers);
+                start[t] = s;
+                end[t] = s + cost[t];
+            }
+            let mut chain = vec![0u64; n]; // longest path ending at t
+            for &t in &order {
+                chain[t] += cost[t];
+                for &d in &g.dependents[t] {
+                    assert!(end[t] <= start[d], "{d} started before {t} ended");
+                    chain[d] = chain[d].max(chain[t]);
+                }
+            }
+            let makespan = end.iter().copied().max().unwrap();
+            let total: u64 = cost.iter().sum();
+            let critical = chain.iter().copied().max().unwrap();
+            assert!(critical <= makespan && makespan <= total);
+            assert!(total.div_ceil(workers as u64) <= makespan);
+            let one = g.replay(1, cost).unwrap();
+            assert_eq!(one.iter().map(|&(t, _, s)| s + cost[t]).max(), Some(total));
         }
     }
 }

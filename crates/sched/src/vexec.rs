@@ -227,7 +227,7 @@ pub fn virtual_deque_taskgraph(
             order.push((task, rank));
         });
         match step {
-            GraphStep::Ran => {}
+            GraphStep::Task(_) => {}
             GraphStep::Idle(seen) => {
                 parked[rank] = Some(seen);
                 runnable[rank] = false;

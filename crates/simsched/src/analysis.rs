@@ -31,32 +31,18 @@ pub fn speedup_curve(
     iterations: u32,
     dispatch_overhead_ns: u64,
 ) -> Vec<SpeedupPoint> {
-    let ref_time = simulate_iterations(
-        cost_map,
-        SimConfig::new(1, Schedule::Static).overhead(dispatch_overhead_ns),
-        iterations,
-    )
-    .makespan_ns;
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let r = simulate_iterations(
-                cost_map,
-                SimConfig::new(threads, schedule).overhead(dispatch_overhead_ns),
-                iterations,
-            );
-            SpeedupPoint {
-                threads,
-                makespan_ns: r.makespan_ns,
-                speedup: ref_time as f64 / r.makespan_ns.max(1) as f64,
-            }
-        })
-        .collect()
+    let makespan = |threads, schedule| {
+        let config = SimConfig::new(threads, schedule).overhead(dispatch_overhead_ns);
+        simulate_iterations(cost_map, config, iterations).makespan_ns
+    };
+    let ref_ns = makespan(1, Schedule::Static);
+    curve(ref_ns, thread_counts, |p| makespan(p, schedule))
 }
 
-/// List-schedules `graph` ([`simulate_taskgraph`]), task `i` costing
-/// `cost_map.cost(i)`, at every thread count in `thread_counts`, and
-/// returns the speedup curve relative to the 1-thread replay.
+/// Replays the runtime's scheduler over `graph` ([`simulate_taskgraph`]),
+/// task `i` costing `cost_map.cost(i)`, at every thread count in
+/// `thread_counts`, and returns the speedup curve relative to the
+/// 1-thread replay.
 ///
 /// # Panics
 ///
@@ -68,18 +54,22 @@ pub fn taskgraph_speedup_curve(
     thread_counts: &[usize],
 ) -> Vec<SpeedupPoint> {
     let costs: Vec<u64> = (0..cost_map.len()).map(|i| cost_map.cost(i)).collect();
-    let ref_time = simulate_taskgraph(graph, &costs, 1).makespan_ns.max(1);
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let makespan_ns = simulate_taskgraph(graph, &costs, threads).makespan_ns;
-            SpeedupPoint {
-                threads,
-                makespan_ns,
-                speedup: ref_time as f64 / makespan_ns.max(1) as f64,
-            }
-        })
-        .collect()
+    let makespan = |threads| simulate_taskgraph(graph, &costs, threads).makespan_ns;
+    curve(makespan(1).max(1), thread_counts, makespan)
+}
+
+/// `makespan` at every thread count, with its speedup over `ref_ns`.
+fn curve(ref_ns: u64, counts: &[usize], makespan: impl Fn(usize) -> u64) -> Vec<SpeedupPoint> {
+    let point = |threads| {
+        let makespan_ns = makespan(threads);
+        let speedup = ref_ns as f64 / makespan_ns.max(1) as f64;
+        SpeedupPoint {
+            threads,
+            makespan_ns,
+            speedup,
+        }
+    };
+    counts.iter().map(|&threads| point(threads)).collect()
 }
 
 #[cfg(test)]

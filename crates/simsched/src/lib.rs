@@ -10,18 +10,17 @@
 //! * a [`CostMap`] gives every tile a deterministic virtual cost (e.g.
 //!   the exact Mandelbrot iteration count of its pixels);
 //! * the [`sim`] engine executes the *same* chunk dispensers as the real
-//!   thread pool (`ezp_sched::dispenser`), but drives them with a
-//!   discrete-event loop over virtual worker clocks — whichever virtual
-//!   CPU is idle first grabs the next chunk;
+//!   thread pool, and [`taskgraph`] the same task-graph scheduler, on
+//!   `ezp_sched::vclock`'s loop over virtual worker clocks — whichever
+//!   virtual CPU is idle first acts next;
 //! * the result is an exact task timeline ([`SimResult`]) convertible to
 //!   an `ezp-trace` [`ezp_trace::Trace`], so every monitoring/EASYVIEW
 //!   analysis in the workspace also works on simulated executions.
 //!
 //! Because the event loop is deterministic (ties broken by rank), the
 //! whole pipeline — policy comparison, speedup curves, tiling patterns —
-//! is reproducible bit-for-bit on any host, including the 1-vCPU
-//! container this reproduction was developed in (see DESIGN.md,
-//! substitution table).
+//! is reproducible bit-for-bit on any host, whatever its CPU count (see
+//! DESIGN.md, substitution table).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

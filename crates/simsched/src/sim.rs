@@ -1,19 +1,18 @@
 //! The discrete-event scheduling simulator.
 //!
 //! Virtual CPUs pull chunks from the *real* scheduling dispensers of
-//! `ezp-sched` in virtual-time order: the worker whose clock is lowest
-//! asks next (ties broken by rank, so the whole simulation is
-//! deterministic). Executing a chunk advances the worker's clock by the
-//! summed tile costs plus a configurable per-chunk dispatch overhead.
+//! `ezp-sched` on `ezp_sched::vclock`'s loop: the lowest clock asks next
+//! (ties broken by rank, so the whole simulation is deterministic).
+//! Executing a chunk advances the worker's clock by the summed tile
+//! costs plus a configurable per-chunk dispatch overhead.
 
 use crate::cost::CostMap;
 use ezp_core::{Schedule, WorkerId};
 use ezp_monitor::report::IterationSpan;
 use ezp_monitor::{MonitorReport, TileRecord};
+use ezp_sched::vclock::{self, Next};
 use ezp_sched::Dispenser;
 use ezp_trace::{Trace, TraceMeta};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Simulation parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,11 +79,7 @@ impl SimResult {
     /// Virtual speedup against the sequential execution of the same cost
     /// map(s): `sum(costs) / makespan`.
     pub fn speedup(&self) -> f64 {
-        let total: u64 = self.busy_ns.iter().sum();
-        if self.makespan_ns == 0 {
-            return 1.0;
-        }
-        total as f64 / self.makespan_ns as f64
+        speedup(&self.busy_ns, self.makespan_ns)
     }
 
     /// Parallel efficiency in `[0, 1]`: speedup / threads.
@@ -139,6 +134,14 @@ impl SimResult {
     }
 }
 
+/// Total busy time over `makespan_ns`: 1 for an empty run.
+pub(crate) fn speedup(busy_ns: &[u64], makespan_ns: u64) -> f64 {
+    match makespan_ns {
+        0 => 1.0,
+        m => busy_ns.iter().sum::<u64>() as f64 / m as f64,
+    }
+}
+
 /// Simulates one iteration (one scheduled loop over all tiles).
 pub fn simulate(cost_map: &CostMap, config: SimConfig) -> SimResult {
     simulate_iterations(cost_map, config, 1)
@@ -157,41 +160,32 @@ pub fn simulate_iterations(cost_map: &CostMap, config: SimConfig, iterations: u3
 
     for it in 1..=iterations {
         let disp = Dispenser::new(config.schedule, n, config.threads);
-        // min-heap of (available_time, rank): lowest clock asks first
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-            (0..config.threads).map(|r| Reverse((now, r))).collect();
-        let mut iter_end = now;
-        while let Some(Reverse((t, rank))) = heap.pop() {
-            match disp.next(rank) {
-                Some((start, len)) => {
-                    let mut clock = t + config.dispatch_overhead_ns;
-                    for i in start..start + len {
-                        let cost = cost_map.cost(i);
-                        tasks.push(SimTask {
-                            tile_index: i,
-                            worker: rank,
-                            start_ns: clock,
-                            end_ns: clock + cost,
-                            iteration: it,
-                        });
-                        busy_ns[rank] += cost;
-                        clock += cost;
-                    }
-                    iter_end = iter_end.max(clock);
-                    heap.push(Reverse((clock, rank)));
+        let start_ns = now;
+        now = vclock::run(config.threads, start_ns, |rank, t| {
+            let Some((start, len)) = disp.next(rank) else {
+                return Next::Leave; // barrier at loop end
+            };
+            let chunk_start = t + config.dispatch_overhead_ns;
+            let mut clock = chunk_start;
+            tasks.extend((start..start + len).map(|i| {
+                let start_ns = clock;
+                clock += cost_map.cost(i);
+                SimTask {
+                    tile_index: i,
+                    worker: rank,
+                    start_ns,
+                    end_ns: clock,
+                    iteration: it,
                 }
-                None => {
-                    // worker done for this iteration; barrier at loop end
-                    iter_end = iter_end.max(t);
-                }
-            }
-        }
+            }));
+            busy_ns[rank] += clock - chunk_start;
+            Next::BusyUntil(clock)
+        });
         spans.push(IterationSpan {
             iteration: it,
-            start_ns: now,
-            end_ns: iter_end,
+            start_ns,
+            end_ns: now,
         });
-        now = iter_end;
     }
 
     SimResult {

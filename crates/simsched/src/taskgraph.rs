@@ -1,18 +1,15 @@
 //! Virtual-time execution of dependency task graphs (Fig. 11/12).
 //!
-//! List scheduling in a discrete-event loop: a task becomes *ready* when
-//! its last predecessor completes; whenever a virtual CPU is free, it
-//! takes the oldest ready task. This is the same greedy policy the real
-//! [`ezp_sched::TaskGraph::run`] implements with worker threads, so the
-//! virtual timeline has the exact dependency structure of a real run —
-//! minus the single-host-CPU serialization that would otherwise mask
-//! the diagonal parallelism of the ccomp wavefront.
+//! [`simulate_taskgraph`] is accounting over [`TaskGraph::replay`]: the
+//! runtime's own scheduler — tasks seeded round-robin into per-worker
+//! deques, a worker popping its newest task and stealing the oldest
+//! round the ring — run on virtual CPUs, a task releasing its
+//! dependents at its virtual end. The timeline thus has the dependency
+//! structure and the scheduling policy of a real run, without the host
+//! CPU count that caps the diagonal parallelism a wall clock can show.
 
 use crate::sim::SimTask;
 use ezp_sched::TaskGraph;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 /// Result of a simulated task-graph execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,12 +29,7 @@ pub struct TaskGraphSim {
 impl TaskGraphSim {
     /// Parallel speedup over sequential execution of all tasks.
     pub fn speedup(&self) -> f64 {
-        let total: u64 = self.busy_ns.iter().sum();
-        if self.makespan_ns == 0 {
-            1.0
-        } else {
-            total as f64 / self.makespan_ns as f64
-        }
+        crate::sim::speedup(&self.busy_ns, self.makespan_ns)
     }
 
     /// Maximum number of tasks executing simultaneously in virtual time.
@@ -66,92 +58,30 @@ impl TaskGraphSim {
 /// Panics when `costs.len() != graph.len()` or when the graph has a
 /// cycle (use [`TaskGraph::run_seq`] first to validate untrusted graphs).
 pub fn simulate_taskgraph(graph: &TaskGraph, costs: &[u64], threads: usize) -> TaskGraphSim {
-    assert_eq!(costs.len(), graph.len(), "one cost per task");
-    assert!(threads > 0, "need at least one CPU");
-    let n = graph.len();
-    let mut indegree: Vec<usize> = (0..n).map(|t| graph.indegree(t)).collect();
-    // ready tasks, FIFO within equal release times
-    let mut ready: VecDeque<usize> = (0..n).filter(|&t| indegree[t] == 0).collect();
-    // free CPUs as (free_at, cpu) min-heap
-    let mut cpus: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..threads).map(|c| Reverse((0u64, c))).collect();
-    // tasks completing, as (end, task) min-heap
-    let mut running: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut tasks: Vec<SimTask> = Vec::with_capacity(n);
+    let started = graph.replay(threads, costs);
     let mut busy_ns = vec![0u64; threads];
-    let mut done = 0usize;
-    let mut makespan = 0u64;
-
-    while done < n {
-        if let Some(&Reverse((cpu_free, _))) = cpus.peek() {
-            if let Some(task) = ready.pop_front() {
-                let Reverse((_, cpu)) = cpus.pop().unwrap();
-                // a CPU may be free before the task was released; start
-                // no earlier than the release (dependency) time, which is
-                // encoded by when the task entered `ready` — we track it
-                // through the completion events below, so `cpu_free` is
-                // already >= release when the task is popped here.
-                let start = cpu_free;
-                let end = start + costs[task];
-                tasks.push(SimTask {
-                    tile_index: task,
-                    worker: cpu,
-                    start_ns: start,
-                    end_ns: end,
-                    iteration: 1,
-                });
-                busy_ns[cpu] += costs[task];
-                makespan = makespan.max(end);
-                running.push(Reverse((end, task)));
-                cpus.push(Reverse((end, cpu)));
-                continue;
-            }
+    // longest chain ending at each task; start order is topological
+    let mut chain = vec![0u64; graph.len()];
+    let mut tasks = Vec::with_capacity(graph.len());
+    for (task, worker, start_ns) in started.unwrap_or_else(|e| panic!("{e}")) {
+        busy_ns[worker] += costs[task];
+        chain[task] += costs[task];
+        for &d in graph.dependents(task) {
+            chain[d] = chain[d].max(chain[task]);
         }
-        // no ready task (or no CPU): advance time to the next completion
-        let Reverse((end, finished)) = running
-            .pop()
-            .expect("cycle: nothing running, nothing ready");
-        // fast-forward idle CPUs to the completion time so their next
-        // task cannot start before its dependencies resolved
-        let mut parked = Vec::new();
-        while let Some(&Reverse((free, cpu))) = cpus.peek() {
-            if free < end {
-                cpus.pop();
-                parked.push(cpu);
-            } else {
-                break;
-            }
-        }
-        for cpu in parked {
-            cpus.push(Reverse((end, cpu)));
-        }
-        for &d in graph.dependents(finished) {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                ready.push_back(d);
-            }
-        }
-        done += 1;
+        tasks.push(SimTask {
+            tile_index: task,
+            worker,
+            start_ns,
+            end_ns: start_ns + costs[task],
+            iteration: 1,
+        });
     }
-
-    // critical path by longest-path DP over a topological order
-    let mut dist = vec![0u64; n];
-    let mut order = Vec::with_capacity(n);
-    graph.run_seq(|t, _| order.push(t)).expect("acyclic");
-    let mut critical = 0u64;
-    for &t in &order {
-        dist[t] += costs[t];
-        critical = critical.max(dist[t]);
-        for &d in graph.dependents(t) {
-            dist[d] = dist[d].max(dist[t]);
-        }
-    }
-
     TaskGraphSim {
+        makespan_ns: tasks.iter().map(|t| t.end_ns).max().unwrap_or(0),
+        critical_path_ns: chain.into_iter().max().unwrap_or(0),
         tasks,
-        makespan_ns: makespan,
         busy_ns,
-        critical_path_ns: critical,
     }
 }
 
@@ -222,6 +152,23 @@ mod tests {
         let seq = simulate_taskgraph(&graph, &[10; 64], 1);
         assert_eq!(seq.max_parallelism(), 1);
         assert_eq!(seq.makespan_ns, 640);
+    }
+
+    #[test]
+    fn one_cpu_runs_the_runtime_order() {
+        let grid = TileGrid::square(80, 10).unwrap(); // 8x8 wavefront
+        let graph = TaskGraph::down_right_wavefront(&grid);
+        let costs: Vec<u64> = (0..64).map(|i| 5 + (i % 7) as u64).collect();
+        let sim = simulate_taskgraph(&graph, &costs, 1);
+        let order = std::sync::Mutex::new(Vec::new());
+        let mut pool = ezp_sched::WorkerPool::new(1);
+        graph
+            .run_probed(&mut pool, &ezp_core::kernel::NullProbe, |t, _| {
+                order.lock().unwrap().push(t)
+            })
+            .unwrap();
+        let simulated: Vec<usize> = sim.tasks.iter().map(|t| t.tile_index).collect();
+        assert_eq!(simulated, order.into_inner().unwrap());
     }
 
     #[test]

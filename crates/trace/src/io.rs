@@ -515,6 +515,26 @@ mod tests {
     }
 
     #[test]
+    fn task_durations_summing_past_the_work_bound_are_rejected() {
+        // three tasks of 2^63 ns each: every timestamp fits, their sum
+        // does not
+        let task = |delta| [1, 0, 0, 16, 16, 0, 0, delta, 1 << 63];
+        let msg = format_error(&crafted(&[], &[task(0), task(0), task(0)]));
+        assert!(msg.contains("summed task durations overflow"), "{msg}");
+        // the bound itself is accepted, one ns past it is not
+        let third = crate::model::MAX_WORK_NS / 3;
+        let mut tasks = [task(0), task(0), task(0)].map(|mut t| {
+            t[8] = third;
+            t
+        });
+        tasks[2][8] = crate::model::MAX_WORK_NS - 2 * third;
+        assert!(from_bytes(&crafted(&[], &tasks)).is_ok());
+        tasks[2][8] += 1;
+        let msg = format_error(&crafted(&[], &tasks));
+        assert!(msg.contains("summed task durations overflow"), "{msg}");
+    }
+
+    #[test]
     fn a_span_iteration_past_u32_is_rejected_by_value() {
         let msg = format_error(&crafted(&[[(1 << 32) + 1, 10, 1, 5]], &[]));
         assert!(msg.contains("iteration 4294967297 exceeds u32"), "{msg}");

@@ -76,6 +76,12 @@ impl FromJson for TraceMeta {
     }
 }
 
+/// The largest sum of task durations a valid trace holds, in ns.
+/// Anything an analysis adds up from a trace — a duration total, a
+/// replay's virtual clock, the head + tail chains of a critical-path
+/// DP — then fits in `u64`.
+pub const MAX_WORK_NS: u64 = u64::MAX / 4;
+
 /// A complete recorded execution: metadata, iteration spans and task
 /// events — everything EASYVIEW needs (§II-D).
 #[derive(Clone, Debug, PartialEq)]
@@ -177,9 +183,11 @@ impl Trace {
     }
 
     /// Validates internal consistency: iteration numbers exist, tasks
-    /// are sorted, timestamps ordered, workers in range. `io::read`
-    /// calls this so corrupt files fail loudly.
+    /// are sorted, timestamps ordered, workers in range, and the summed
+    /// task durations at most [`MAX_WORK_NS`]. `io::read` calls this so
+    /// corrupt files fail loudly.
     pub fn validate(&self) -> Result<()> {
+        let mut work = 0u64;
         for t in &self.tasks {
             if t.end_ns < t.start_ns {
                 return Err(Error::TraceFormat(format!(
@@ -187,6 +195,14 @@ impl Trace {
                     t.x, t.y
                 )));
             }
+            work = work
+                .checked_add(t.duration_ns())
+                .filter(|&w| w <= MAX_WORK_NS)
+                .ok_or_else(|| {
+                    Error::TraceFormat(format!(
+                        "summed task durations overflow {MAX_WORK_NS} ns (u64::MAX / 4)"
+                    ))
+                })?;
             if t.worker >= self.meta.threads {
                 return Err(Error::TraceFormat(format!(
                     "task worker {} out of range (threads={})",

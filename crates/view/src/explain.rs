@@ -318,10 +318,10 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
 }
 
 /// Replays the first iteration's recorded costs across virtual worker
-/// counts. Given a task graph the replay honours it (list scheduling);
-/// without one — a loop-scheduled run, or a cyclic edge union dropped
-/// above — it re-runs the recorded loop schedule through the
-/// discrete-event simulator.
+/// counts. Given a task graph the replay honours it (the runtime's own
+/// deque scheduler, `TaskGraph::replay`); without one — a loop-scheduled
+/// run, or a cyclic edge union dropped above — it re-runs the recorded
+/// loop schedule through the discrete-event simulator.
 fn virtual_scaling(trace: &Trace, dag: Option<&TaskGraph>) -> Result<Vec<SpeedupPoint>> {
     if trace.tasks.is_empty() {
         return Ok(Vec::new());
@@ -770,6 +770,26 @@ mod tests {
             r.advice
         );
         assert!(r.render().contains("(100%)"), "{}", r.render());
+    }
+
+    #[test]
+    fn a_trace_at_the_work_bound_explains() {
+        // four tasks of a quarter of the bound each, the diamond's
+        // timeline stretched: every sum explain forms (work, the
+        // replay clocks, head + tail) must stay in u64
+        let d = ezp_trace::model::MAX_WORK_NS / 4;
+        let mut t = diamond_trace();
+        for (task, (start, worker)) in t.tasks.iter_mut().zip([(0, 0), (d, 0), (d, 1), (2 * d, 1)])
+        {
+            (task.start_ns, task.end_ns, task.worker) = (start, start + d, worker);
+        }
+        t.iterations[0].end_ns = 3 * d;
+        let t = ezp_trace::io::from_bytes(&ezp_trace::io::to_bytes(&t).unwrap()).unwrap();
+        for edges in [t.edges.clone(), Vec::new()] {
+            let r = explain(&Trace { edges, ..t.clone() }).unwrap();
+            assert_eq!(r.work_ns, 4 * d);
+            assert!(!r.render().is_empty());
+        }
     }
 
     /// An edge-free trace of `per_worker` back-to-back tiles on each of
