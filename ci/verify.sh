@@ -6,8 +6,9 @@
 # `cargo fmt --check`, clippy with every warning an error (the unsafe,
 # lock and determinism checks included), the variant-runner guard (no
 # kernel file but variant.rs opens a span, a tile bracket or a pool),
-# workspace build + tests (the ezp-chan explorer included), results/ regenerated
-# and diffed, ezp-check + conformance matrix (its two-worker smoke
+# workspace build + tests (the ezp-chan explorer included), the one-image
+# memory lane (a 2048² in-place `mandel` run's VmHWM stays under 28 MiB),
+# results/ regenerated and diffed, ezp-check + conformance matrix (its two-worker smoke
 # included), the frozen benchmark's own tests and two short runs
 # (observe_record, and serve_jobs, whose client decodes every `done`
 # frame and checks its digest).
@@ -116,6 +117,32 @@ echo "verify: only the variant runner opens spans and pools in crates/kernels"
 # the easypap-cli binaries nor the crates' own tests.
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+
+# Memory lane (docs/observability.md, *Memory*): an in-place kernel holds
+# one image. `mandel` paints `cur` and never allocates `next`, so a 2048²
+# run (one RGBA image is 16 MiB) peaks near 20 MiB; a second image would
+# put it near 35. The poll reads VmHWM while the process lives (a
+# zombie's status has none) and fails the lane above 28 MiB.
+mem_dir="$(mktemp -d)"
+(
+    cd "$mem_dir"
+    "$OLDPWD/target/release/easypap" --kernel mandel --variant omp_tiled --size 2048 \
+        --tile-size 32 --iterations 1 --no-display >/dev/null &
+    pid=$!
+    peak=0
+    while kill -0 "$pid" 2>/dev/null; do
+        v="$(awk '/VmHWM/{print $2}' "/proc/$pid/status" 2>/dev/null || true)"
+        [ -n "$v" ] && [ "$v" -gt "$peak" ] && peak=$v
+    done
+    wait "$pid"
+    if [ "$peak" -eq 0 ] || [ "$peak" -gt $((28 * 1024)) ]; then
+        echo "error: a 2048² mandel run peaked at $peak kB VmHWM, over 28 MiB:" >&2
+        echo "       does an in-place kernel allocate the next image again?" >&2
+        exit 1
+    fi
+    echo "verify: 2048² mandel omp_tiled peaks at $peak kB, one image's worth"
+)
+rm -rf "$mem_dir"
 
 # Figure lane (results/README.md): the virtual-time figure binaries are
 # pure functions of the code, so what results/ holds must be exactly

@@ -86,7 +86,10 @@ impl<T: Copy> Img2D<T> {
     /// Creates a buffer filled with `value`.
     pub fn filled(width: usize, height: usize, value: T) -> Self {
         let len = width * height;
-        // `vec![v; n]`, not `resize`: a zero integer `v` is a zeroed allocation
+        // `vec![v; n]`, not `resize`: a zero integer `v` is a zeroed
+        // allocation. An `Rgba` is not, whatever its value: every pixel is
+        // written, so a 1024² image takes about 1 025 first-touch page
+        // faults here, most of what `KernelCtx::new` costs.
         let mut buf = vec![value; len + line_elems::<T>()];
         let off = aligned_offset(buf.as_ptr());
         buf.truncate(off + len);
@@ -280,18 +283,24 @@ impl Img2D<Rgba> {
 /// The current/next image pair with O(1) swap, mirroring EASYPAP's
 /// `cur_img`/`next_img` globals and the inter-iteration swap of the
 /// `blur` kernel.
+///
+/// Only the kernels that double-buffer use `next`; an in-place kernel
+/// (`mandel` paints `cur`) never does. So `next` is created by its first
+/// use ([`next_mut`](Self::next_mut), [`rw`](Self::rw),
+/// [`swap`](Self::swap)) as a transparent image of `cur`'s size, and a
+/// kernel that double-buffers claims it in `init`, before the clock.
 #[derive(Clone, Debug)]
 pub struct ImagePair {
     cur: Img2D<Rgba>,
-    next: Img2D<Rgba>,
+    next: Option<Img2D<Rgba>>,
 }
 
 impl ImagePair {
-    /// Creates a pair of `dim`×`dim` transparent images.
+    /// Creates a `dim`×`dim` transparent current image, and no next one.
     pub fn square(dim: usize) -> Self {
         ImagePair {
             cur: Img2D::square(dim),
-            next: Img2D::square(dim),
+            next: None,
         }
     }
 
@@ -299,7 +308,7 @@ impl ImagePair {
     /// starts out as an identical copy so that untouched border pixels
     /// stay meaningful after a swap.
     pub fn from_image(cur: Img2D<Rgba>) -> Self {
-        let next = cur.clone();
+        let next = Some(cur.clone());
         ImagePair { cur, next }
     }
 
@@ -315,30 +324,37 @@ impl ImagePair {
         &mut self.cur
     }
 
-    /// Next image (what stencil kernels write).
+    /// Whether the next image exists yet. Read-only: it creates nothing.
     #[inline]
-    pub fn next(&self) -> &Img2D<Rgba> {
-        &self.next
+    pub fn has_next(&self) -> bool {
+        self.next.is_some()
     }
 
-    /// Mutable next image.
+    /// Mutable next image (what stencil kernels write), created on the
+    /// first call.
     #[inline]
     pub fn next_mut(&mut self) -> &mut Img2D<Rgba> {
-        &mut self.next
+        self.rw().1
     }
 
     /// Simultaneous `(read, write)` borrow used by stencil kernels:
-    /// reads come from `cur`, writes go to `next`.
+    /// reads come from `cur`, writes go to `next` (created on first use).
     #[inline]
     pub fn rw(&mut self) -> (&Img2D<Rgba>, &mut Img2D<Rgba>) {
-        (&self.cur, &mut self.next)
+        let (w, h) = (self.cur.width(), self.cur.height());
+        (&self.cur, self.next.get_or_insert_with(|| Img2D::new(w, h)))
     }
 
     /// Swaps current and next in O(1) ("the two images are swapped
-    /// between iterations", §III-B).
+    /// between iterations", §III-B). On a pair without a next image,
+    /// `cur` becomes a new transparent one.
     #[inline]
     pub fn swap(&mut self) {
-        std::mem::swap(&mut self.cur, &mut self.next);
+        let (w, h) = (self.cur.width(), self.cur.height());
+        std::mem::swap(
+            &mut self.cur,
+            self.next.get_or_insert_with(|| Img2D::new(w, h)),
+        );
     }
 
     /// Dimension of the (square) pair.
@@ -404,7 +420,10 @@ mod tests {
             let mut pair = ImagePair::from_image(new);
             pair.swap();
             assert_eq!(line_offset(pair.cur()), 0, "swap cur {w}x{h}");
-            assert_eq!(line_offset(pair.next()), 0, "swap next {w}x{h}");
+            assert_eq!(line_offset(pair.next_mut()), 0, "swap next {w}x{h}");
+            let mut lazy = ImagePair::square(w);
+            lazy.swap();
+            assert_eq!(line_offset(lazy.cur()), 0, "lazy swap cur {w}");
         }
         // nothing to place: an empty image is an empty slice
         let empty: Img2D<Rgba> = Img2D::new(0, 3);
@@ -514,13 +533,63 @@ mod tests {
     }
 
     #[test]
+    fn square_holds_one_image() {
+        let pair = ImagePair::square(4);
+        assert!(!pair.has_next());
+        assert_eq!(pair.dim(), 4);
+        assert!(pair.cur().as_slice().iter().all(|p| p.is_transparent()));
+        assert!(!pair.clone().has_next(), "a clone allocates no next either");
+    }
+
+    #[test]
+    fn the_first_use_creates_a_transparent_next_exactly_once() {
+        type Use = fn(&mut ImagePair) -> &mut Img2D<Rgba>;
+        let uses: [(&str, Use); 3] = [
+            ("next_mut", |p| p.next_mut()),
+            ("rw", |p| p.rw().1),
+            ("swap", |p| {
+                p.swap();
+                p.swap();
+                p.next_mut()
+            }),
+        ];
+        for (name, first_use) in uses {
+            let mut pair = ImagePair::square(3);
+            pair.cur_mut().fill(Rgba::RED);
+            let next = first_use(&mut pair);
+            assert_eq!((next.width(), next.height()), (3, 3), "{name}");
+            assert!(next.as_slice().iter().all(|p| p.is_transparent()), "{name}");
+            next.set(1, 2, Rgba::BLUE);
+            let at = next.as_slice().as_ptr();
+            assert!(pair.has_next(), "{name}");
+            assert_eq!(pair.cur().get(0, 0), Rgba::RED, "{name}");
+            // later uses reach the same image, never a new one
+            assert_eq!(pair.rw().1.as_slice().as_ptr(), at, "{name}");
+            assert_eq!(pair.next_mut().get(1, 2), Rgba::BLUE, "{name}");
+            pair.swap();
+            assert_eq!(pair.cur().as_slice().as_ptr(), at, "{name}");
+            assert_eq!(pair.cur().get(1, 2), Rgba::BLUE, "{name}");
+        }
+    }
+
+    #[test]
+    fn swap_on_a_one_image_pair_leaves_cur_transparent() {
+        let mut pair = ImagePair::square(2);
+        pair.cur_mut().fill(Rgba::GREEN);
+        pair.swap();
+        assert!(pair.has_next());
+        assert!(pair.cur().as_slice().iter().all(|p| p.is_transparent()));
+        assert!(pair.next_mut().as_slice().iter().all(|&p| p == Rgba::GREEN));
+    }
+
+    #[test]
     fn pair_swap_is_o1_and_correct() {
         let mut pair = ImagePair::square(2);
         pair.cur_mut().set(0, 0, Rgba::RED);
         pair.next_mut().set(0, 0, Rgba::BLUE);
         pair.swap();
         assert_eq!(pair.cur().get(0, 0), Rgba::BLUE);
-        assert_eq!(pair.next().get(0, 0), Rgba::RED);
+        assert_eq!(pair.next_mut().get(0, 0), Rgba::RED);
         pair.swap();
         assert_eq!(pair.cur().get(0, 0), Rgba::RED);
     }
@@ -532,15 +601,18 @@ mod tests {
         let (r, w) = pair.rw();
         let v = r.get(1, 1);
         w.set(0, 0, v);
-        assert_eq!(pair.next().get(0, 0), Rgba::GREEN);
+        assert_eq!(pair.next_mut().get(0, 0), Rgba::GREEN);
     }
 
     #[test]
     fn from_image_clones_into_next() {
         let mut img = Img2D::square(2);
         img.set(0, 1, Rgba::YELLOW);
-        let pair = ImagePair::from_image(img);
-        assert_eq!(pair.next().get(0, 1), Rgba::YELLOW);
+        let mut pair = ImagePair::from_image(img);
+        assert!(pair.has_next());
+        assert_eq!(pair.next_mut().get(0, 1), Rgba::YELLOW);
+        let cur = pair.cur().clone();
+        assert_eq!(*pair.next_mut(), cur);
     }
 
     #[test]

@@ -379,7 +379,8 @@ pub struct KernelCtx {
     pub cfg: RunConfig,
     /// Tile decomposition implied by `--size` / `--tile-size`.
     pub grid: TileGrid,
-    /// Current/next image pair.
+    /// The current image, and the next one once a double-buffering
+    /// kernel claims it.
     pub images: ImagePair,
     /// Instrumentation sink (never null — use [`NullProbe`]).
     pub probe: Arc<dyn Probe>,
@@ -434,7 +435,9 @@ pub trait Kernel: Send {
     fn variants(&self) -> Vec<&'static str>;
 
     /// One-time initialization: fill the initial image, allocate kernel
-    /// state. Called once before the first `compute`.
+    /// state. Called once before the first `compute`, off the clock: a
+    /// kernel that writes the next image claims it here
+    /// (`ctx.images.next_mut()`), so its allocation is not timed.
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()>;
 
     /// Runs `nb_iter` iterations of `variant`.

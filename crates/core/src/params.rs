@@ -613,7 +613,8 @@ impl RunConfig {
     }
 }
 
-/// Largest `--size` / `--tile-size`: two 8192² RGBA images are 512 MiB.
+/// Largest `--size` / `--tile-size`: one 8192² RGBA image is 256 MiB,
+/// all an in-place kernel holds; a double-buffering one holds two.
 pub const MAX_DIM: u64 = 8192;
 /// Largest `--threads` / `serve --workers`.
 pub const MAX_THREADS: u64 = 128;

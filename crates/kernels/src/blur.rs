@@ -152,11 +152,9 @@ impl Kernel for Blur {
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
         // a colorful deterministic test card: gradients + a few shapes,
         // so that blurring is visible and every channel is exercised
-        let img = ctx.images.cur_mut();
-        crate::shapes::test_card(img);
-        // next image starts as a copy so border pixels behave on swap
-        let snapshot = img.clone();
-        ctx.images.next_mut().copy_from(&snapshot);
+        crate::shapes::test_card(ctx.images.cur_mut());
+        // every iteration writes all of `next`: claim it before the clock
+        ctx.images.next_mut();
         Ok(())
     }
 

@@ -9,6 +9,14 @@
 use ezp_core::{Img2D, KernelCtx, Rgba};
 use ezp_sched::for_each_tile;
 
+/// Claims the next image [`launch`] writes when the run's variant is
+/// `gpu`, so its allocation lands in `init`, not on the clock.
+pub(crate) fn claim_next(ctx: &mut KernelCtx) {
+    if ctx.cfg.variant == "gpu" {
+        ctx.images.next_mut();
+    }
+}
+
 /// Runs `f(x, y, src)` for every pixel, work-group by work-group, then
 /// makes the result the current image.
 pub(crate) fn launch(ctx: &mut KernelCtx, f: impl Fn(usize, usize, &Img2D<Rgba>) -> Rgba) {

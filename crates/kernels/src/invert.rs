@@ -64,6 +64,7 @@ impl Kernel for Invert {
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
         crate::shapes::test_card(ctx.images.cur_mut());
+        crate::gpu::claim_next(ctx);
         Ok(())
     }
 

@@ -31,7 +31,11 @@
 //! The body reports its tiles through `ezp_sched::parallel_for_tiles`
 //! or `for_each_tile`, never EASYPAP's hand-written
 //! `monitoring_start_tile`/`end_tile`, and returns `Ok(true)` to stop
-//! early once the state is stable.
+//! early once the state is stable. A body that writes the next image
+//! (`ctx.images.rw()`, `swap()`) needs its kernel's `init` to claim it
+//! with `ctx.images.next_mut()`: `next` is created on first use, and
+//! `init` runs before the clock starts. An in-place kernel never touches
+//! it and holds one image.
 //!
 //! Each module also exposes a *cost model* (`tile_cost`) used by
 //! `ezp-simsched` to regenerate the paper's figures deterministically.

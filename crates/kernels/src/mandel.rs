@@ -375,6 +375,7 @@ impl Kernel for Mandel {
         }
         self.palette = palette(self.max_iter);
         ctx.images.cur_mut().fill(Rgba::BLACK);
+        crate::gpu::claim_next(ctx);
         Ok(())
     }
 

@@ -56,6 +56,8 @@ impl Kernel for Scrollup {
 
     fn init(&mut self, ctx: &mut KernelCtx) -> Result<()> {
         crate::shapes::test_card(ctx.images.cur_mut());
+        // every iteration writes `next`: claim it before the clock starts
+        ctx.images.next_mut();
         Ok(())
     }
 

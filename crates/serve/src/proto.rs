@@ -20,8 +20,8 @@ use std::io::{ErrorKind, Read, Write};
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Largest square image dimension a job may request. Bounds the
-/// daemon-side allocation a client can drive (two `size²` RGBA images):
-/// 4096² is ~134 MB across both buffers.
+/// daemon-side allocation a client can drive (one `size²` RGBA image,
+/// two for a double-buffering kernel): 4096² is ~67 MB an image.
 pub const MAX_JOB_SIZE: usize = 4096;
 
 /// Largest per-job iteration budget a client may request.

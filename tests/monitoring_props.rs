@@ -207,3 +207,51 @@ fn every_variant_reports_its_tiles_inside_its_iterations() {
         "a sequential row above is not registered"
     );
 }
+
+/// A kernel holds the next image exactly when it double-buffers: every
+/// registered (kernel, variant) row claims `next` in `init`, before the
+/// clock, when one `compute(.., 1)` writes or swaps it, and otherwise
+/// never allocates it; `compute` itself never creates it. The in-place
+/// kernels are named, so a kernel that starts double-buffering, or one
+/// that stops claiming `next`, fails here by name.
+#[test]
+fn next_is_claimed_in_init_exactly_where_compute_uses_it() {
+    // they paint `cur` in place; their `gpu` rows double-buffer
+    let in_place = [
+        "mandel", "heat", "sandpile", "spin", "invert", "ccomp", "life",
+    ];
+    let reg = easypap::kernels::registry();
+    let mut rows = 0;
+    for case in common::cases() {
+        for variant in reg.create(case.kernel).unwrap().variants() {
+            let row = format!("{} {variant}", case.kernel);
+            let mut cfg = RunConfig::new(case.kernel)
+                .variant(variant)
+                .size(case.dim)
+                .tile(case.tile)
+                .threads(2);
+            if variant == "mpi_omp" {
+                cfg.mpi_ranks = 2;
+            }
+            let mut kernel = reg.create_variant(case.kernel, variant).unwrap();
+            let mut ctx = KernelCtx::new(cfg).unwrap();
+            kernel.init(&mut ctx).unwrap();
+            let claimed = ctx.images.has_next();
+            let cur_at = ctx.images.cur().as_slice().as_ptr();
+            let next_before = claimed.then(|| ctx.images.next_mut().clone());
+            kernel.compute(&mut ctx, variant, 1).unwrap();
+            assert_eq!(
+                ctx.images.has_next(),
+                claimed,
+                "{row}: compute created the next image, on the clock"
+            );
+            let swapped = ctx.images.cur().as_slice().as_ptr() != cur_at;
+            let used = swapped || next_before.is_some_and(|n| *ctx.images.next_mut() != n);
+            let double_buffers = !in_place.contains(&case.kernel) || variant == "gpu";
+            assert_eq!(used, double_buffers, "{row}: does compute use next?");
+            assert_eq!(claimed, double_buffers, "{row}: does init claim next?");
+            rows += 1;
+        }
+    }
+    assert!(rows > in_place.len(), "only {rows} rows ran");
+}
