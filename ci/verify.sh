@@ -6,12 +6,14 @@
 # `cargo fmt --check`, clippy with every warning an error (the unsafe,
 # lock and determinism checks included), the variant-runner guard (no
 # kernel file but variant.rs opens a span, a tile bracket or a pool),
-# workspace build + tests (the ezp-chan explorer included), the one-image
-# memory lane (a 2048² in-place `mandel` run's VmHWM stays under 28 MiB),
-# results/ regenerated and diffed, ezp-check + conformance matrix (its two-worker smoke
-# included), the frozen benchmark's own tests and two short runs
-# (observe_record, and serve_jobs, whose client decodes every `done`
-# frame and checks its digest).
+# the cold-helper guard (no `#[cold]` `#[inline(never)]` function in
+# ezp-sched or ezp-core takes a struct by value), workspace build +
+# tests (the ezp-chan explorer included), the one-image memory lane
+# (a 2048² in-place `mandel` run's VmHWM stays under 28 MiB), results/
+# regenerated and diffed, ezp-check + conformance matrix (its
+# two-worker smoke included), the frozen benchmark's own tests and two
+# short runs (observe_record, and serve_jobs, whose client decodes every
+# `done` frame and checks its digest).
 # Hostile and retired command lines are not lanes here: they are cases
 # of the table-driven tests in crates/cli (docs/testing.md), and so are
 # the --stats, --explain and --stream runs and the daemon's over-quota
@@ -112,6 +114,32 @@ if grep -rnE '\.(iteration_start|iteration_end|start_tile|end_tile)\(|acquire_po
     exit 1
 fi
 echo "verify: only the variant runner opens spans and pools in crates/kernels"
+
+# Cold-helper lane (crates/sched/src/img_cell.rs, docs/profiling.md *Hot
+# path*): the out-of-line panic behind a per-row or per-pixel check takes
+# scalars. A struct by value (`t: Tile`, `g: TileGrid`, `img: Img2D<T>`)
+# is passed in memory, so the inlined caller stores it to the stack on
+# every row even though the panic never runs. The guard reads the
+# signature after each `#[cold]`/`#[inline(never)]` pair and refuses a
+# parameter whose type is a capitalised name rather than a reference or a
+# primitive.
+if awk 'FNR == 1 { a = b = ""; sig = "" }
+    sig != "" { sig = sig " " $0 }
+    sig == "" && /^[[:space:]]*((pub(\([a-z]+\))?|const|unsafe|extern[^f]*)[[:space:]]+)*fn[[:space:]]/ &&
+        ((a ~ /#\[cold\]/ && b ~ /#\[inline\(never\)\]/) ||
+         (a ~ /#\[inline\(never\)\]/ && b ~ /#\[cold\]/)) { sig = $0; at = FILENAME ":" FNR }
+    sig != "" && sig ~ /[{;]/ {
+        if (sig ~ /[(,][[:space:]]*(mut[[:space:]]+)?[a-z_][a-z0-9_]*[[:space:]]*:[[:space:]]*[A-Z]/)
+            { print at ": " sig; bad = 1 }
+        sig = ""
+    }
+    /[^[:space:]]/ { a = b; b = $0 }
+    END { exit !bad }' $(find crates/sched/src crates/core/src -name '*.rs'); then
+    echo "error: a cold helper takes a struct by value (matches above): pass" >&2
+    echo "       its fields as scalars (crates/sched/src/img_cell.rs)." >&2
+    exit 1
+fi
+echo "verify: every cold helper in ezp-sched and ezp-core takes scalars"
 
 # --workspace matters: the root package alone builds and tests neither
 # the easypap-cli binaries nor the crates' own tests.

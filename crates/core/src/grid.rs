@@ -139,6 +139,7 @@ impl TileGrid {
     }
 
     /// The tile at grid coordinates `(tx, ty)`.
+    #[inline]
     pub fn tile(&self, tx: usize, ty: usize) -> Tile {
         assert!(tx < self.tiles_x && ty < self.tiles_y, "tile out of grid");
         let x = tx * self.tile_w;
@@ -193,6 +194,7 @@ impl TileGrid {
     /// `collapse(2)` order — one scheduler chunk. Equal to
     /// `(start..start + len).map(|i| self.tile_at(i))`, but divides once
     /// for the whole chunk and then steps `tx`/`ty`.
+    #[inline]
     pub fn chunk(&self, start: usize, len: usize) -> TileChunk<'_> {
         assert!(
             start <= self.len() && len <= self.len() - start,

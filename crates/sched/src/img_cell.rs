@@ -10,6 +10,14 @@
 //! against its tile rectangle. As long as each in-flight `TileWriter`
 //! covers a distinct tile — which the dispensers guarantee by handing
 //! each tile out exactly once — all writes are disjoint.
+//!
+//! The checks sit on every row ([`TileWriter::write_row`]) and every
+//! pixel ([`TileWriter::set`]) a kernel writes, so they must cost a
+//! compare and a branch. The rule: a `#[cold]` check on a per-row or
+//! per-pixel path takes scalars, never a struct by value. A `Tile` is a
+//! 48-byte aggregate, passed in memory, and the caller stores its fields
+//! to the stack on every row even though the panic never runs
+//! (`docs/profiling.md`, *Hot path*; `ci/verify.sh` greps for it).
 
 use ezp_core::img::CACHE_LINE;
 use ezp_core::{Img2D, Tile};
@@ -120,8 +128,9 @@ impl<'c, 'a, T: Copy> TileWriter<'c, 'a, T> {
     /// that turns a would-be data race into a loud failure.
     #[inline]
     pub fn set(&self, x: usize, y: usize, v: T) {
-        if !self.tile.contains(x, y) {
-            pixel_outside_tile(x, y, self.tile);
+        let t = self.tile;
+        if !t.contains(x, y) {
+            pixel_outside_tile(x, y, t.x, t.y, t.w, t.h);
         }
         // SAFETY: (x,y) is inside this writer's tile; tiles of in-flight
         // writers are disjoint (see type-level docs), so no other thread
@@ -143,7 +152,7 @@ impl<'c, 'a, T: Copy> TileWriter<'c, 'a, T> {
     pub fn write_row(&self, y: usize, src: &[T]) {
         let t = self.tile;
         if y < t.y || y >= t.y + t.h {
-            row_outside_tile(y, t);
+            row_outside_tile(y, t.x, t.y, t.w, t.h);
         }
         if src.len() != t.w {
             row_length_mismatch(src.len(), t.w);
@@ -172,21 +181,19 @@ impl<'c, 'a, T: Copy> TileWriter<'c, 'a, T> {
 }
 
 // The panics behind `TileWriter`'s checks, kept out of line: each check
-// inlines as one compare and branch, not as a formatted `assert!`.
+// inlines as one compare and branch, not as a formatted `assert!`. They
+// take the tile's fields, not the `Tile` (the rule in the module doc).
 
 #[cold]
 #[inline(never)]
-fn pixel_outside_tile(x: usize, y: usize, t: Tile) -> ! {
-    panic!(
-        "write to ({x},{y}) outside tile ({},{},{}x{})",
-        t.x, t.y, t.w, t.h
-    )
+fn pixel_outside_tile(x: usize, y: usize, x0: usize, y0: usize, w: usize, h: usize) -> ! {
+    panic!("write to ({x},{y}) outside tile ({x0},{y0},{w}x{h})")
 }
 
 #[cold]
 #[inline(never)]
-fn row_outside_tile(y: usize, t: Tile) -> ! {
-    panic!("row {y} outside tile ({},{},{}x{})", t.x, t.y, t.w, t.h)
+fn row_outside_tile(y: usize, x0: usize, y0: usize, w: usize, h: usize) -> ! {
+    panic!("row {y} outside tile ({x0},{y0},{w}x{h})")
 }
 
 #[cold]
@@ -222,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside tile")]
+    #[should_panic(expected = "write to (4,0) outside tile (0,0,4x4)")]
     fn out_of_tile_write_panics() {
         let mut img: Img2D<u32> = Img2D::square(8);
         let grid = TileGrid::square(8, 4).unwrap();
@@ -279,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside tile")]
+    #[should_panic(expected = "row 4 outside tile (0,0,4x4)")]
     fn out_of_tile_row_panics() {
         let mut img: Img2D<u32> = Img2D::square(8);
         let grid = TileGrid::square(8, 4).unwrap();
@@ -289,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "differs from the tile width")]
+    #[should_panic(expected = "row source length 5 differs from the tile width 4")]
     fn wrong_length_row_panics() {
         let mut img: Img2D<u32> = Img2D::square(8);
         let grid = TileGrid::square(8, 4).unwrap();

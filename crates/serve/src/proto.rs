@@ -111,7 +111,9 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool>
     Ok(true)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame, prefix and body in one `write_all`:
+/// on a raw `TCP_NODELAY` stream two writes would be two `send`s and two
+/// segments per message.
 ///
 /// An oversized payload is an `InvalidData` error with nothing written,
 /// not a panic: the caller loses one response, never the thread that
@@ -125,8 +127,10 @@ pub fn write_frame(w: &mut impl Write, msg: &Json) -> std::io::Result<()> {
             format!("outgoing frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
         ));
     }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(body.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_le_bytes());
+    frame.extend_from_slice(body.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -562,6 +566,41 @@ mod tests {
             read_frame(&mut Cursor::new(buf)).unwrap(),
             FrameIn::Malformed(m) if m.contains("UTF-8")
         ));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Counts the `write` calls a frame costs, as a raw socket would
+        /// count `send`s.
+        #[derive(Default)]
+        struct Writes {
+            calls: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.calls += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes::default();
+        let frames: [Json; 2] = [
+            Request::Shutdown.to_json(),
+            Response::Error("x".into()).into(),
+        ];
+        for (i, msg) in frames.iter().enumerate() {
+            write_frame(&mut w, msg).unwrap();
+            assert_eq!(w.calls, i + 1, "frame {i} took more than one write");
+        }
+        // and the bytes are still two well-formed frames
+        let mut r = Cursor::new(w.bytes);
+        assert!(matches!(read_frame(&mut r).unwrap(), FrameIn::Msg(_)));
+        assert!(matches!(read_frame(&mut r).unwrap(), FrameIn::Msg(_)));
+        assert!(matches!(read_frame(&mut r).unwrap(), FrameIn::Eof));
     }
 
     #[test]

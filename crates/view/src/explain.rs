@@ -125,6 +125,9 @@ pub struct ExplainReport {
     pub scaling: Vec<SpeedupPoint>,
     /// Advisor output, most important first. Never empty.
     pub advice: Vec<Advice>,
+    /// The recorded edges form a cycle, so they were dropped: the span,
+    /// the critical path and the virtual scaling are the edgeless ones.
+    pub cyclic_edges: bool,
 }
 
 /// Per-iteration DAG data: node costs and the critical-path DP.
@@ -199,7 +202,8 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
     // union, so fall back to the edgeless analysis instead of
     // reporting a bogus critical path or deadlocking the replay.
     let mut order = Vec::with_capacity(n);
-    if graph.run_seq(|i, _| order.push(i)).is_err() {
+    let cyclic_edges = graph.run_seq(|i, _| order.push(i)).is_err();
+    if cyclic_edges {
         graph = TaskGraph::new(n);
         order = (0..n).collect();
     }
@@ -312,6 +316,7 @@ pub fn explain(trace: &Trace) -> Result<ExplainReport> {
         percentiles,
         scaling,
         advice: Vec::new(),
+        cyclic_edges,
     };
     report.advice = advise(&report, has_dag);
     Ok(report)
@@ -491,6 +496,14 @@ impl ExplainReport {
             "# achieved speedup {:.2}x | average parallelism {:.1}",
             self.achieved_speedup, self.avg_parallelism
         );
+        if self.cyclic_edges {
+            let _ = writeln!(
+                out,
+                "# note: the recorded edges form a cycle, so no task graph was replayed: \
+                 span and critical path ignore the edges, and the virtual scaling \
+                 replays the loop schedule"
+            );
+        }
         let p = &self.percentiles;
         let _ = writeln!(
             out,
@@ -663,6 +676,19 @@ mod tests {
             },
         ];
         let r = explain(&t).unwrap();
+        assert!(r.cyclic_edges);
+        // the report says what it dropped, in one line
+        let text = r.render();
+        let notes: Vec<&str> = text.lines().filter(|l| l.contains("cycle")).collect();
+        assert_eq!(
+            notes,
+            [
+                "# note: the recorded edges form a cycle, so no task graph was replayed: \
+              span and critical path ignore the edges, and the virtual scaling \
+              replays the loop schedule"
+            ],
+            "{text}"
+        );
         // edgeless span: the longest single task, not a chain
         assert_eq!(r.span_ns, 30);
         assert_eq!(r.critical_path.len(), 1);
@@ -675,6 +701,8 @@ mod tests {
     #[test]
     fn work_and_span_are_pinned_on_the_diamond() {
         let r = explain(&diamond_trace()).unwrap();
+        assert!(!r.cyclic_edges);
+        assert!(!r.render().contains("cycle"));
         assert_eq!(r.work_ns, 65);
         assert_eq!(r.span_ns, 45);
         assert_eq!(r.wall_ns, 50);
