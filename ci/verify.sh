@@ -2,13 +2,14 @@
 # Tier-1 verification: hermetic build + tests, entirely offline.
 #
 # Lanes, in order: resolved-graph, [lints], dead-manifest-edge and
-# production-graph guards, ezp-lint (under its 5-second budget),
-# `cargo fmt --check`, clippy with every warning an error (the unsafe,
-# lock and determinism checks included), the variant-runner guard (no
-# kernel file but variant.rs opens a span, a tile bracket or a pool),
-# the cold-helper guard (no `#[cold]` `#[inline(never)]` function in
-# ezp-sched or ezp-core takes a struct by value), workspace build +
-# tests (the ezp-chan explorer included), the one-image memory lane
+# production-graph guards, `cargo fmt --check`, clippy with every warning
+# an error (the unsafe, lock and determinism checks included), the
+# variant-runner guard (no kernel file but variant.rs opens a span, a
+# tile bracket or a pool), the cold-helper guard (no `#[cold]`
+# `#[inline(never)]` function in ezp-sched or ezp-core takes a struct by
+# value), workspace build + tests (the ezp-chan explorer included, and
+# tests/ordering_arguments.rs, which checks every written atomic-ordering
+# argument within its 5-second budget), the one-image memory lane
 # (a 2048² in-place `mandel` run's VmHWM stays under 28 MiB), results/
 # regenerated and diffed, ezp-check + conformance matrix (its
 # two-worker smoke included), the frozen benchmark's own tests and two
@@ -68,32 +69,15 @@ for pkg in easypap-cli ezp-serve ezp-mpi ezp-kernels; do
 done
 echo "verify: no production package depends on ezp-chan"
 
-# Static analysis lane (docs/static-analysis.md): ezp-lint checks what
-# neither rustc nor clippy reads — ORDERING: justifications and
-# acquire/release pairing on weak atomics. It runs before the build
-# lanes: the linter is std-only and compiles even when the rest of the
-# tree is broken. The built binary runs under a 5-second budget, so the
-# cross-file pass regressing into quadratic behaviour on workspace
-# growth is a CI failure, not slow creep.
-cargo build -q --offline -p ezp-lint
-lint_status=0
-timeout 5 target/debug/ezp-lint || lint_status=$?
-case "$lint_status" in
-    0) echo "verify: ezp-lint clean, within its 5 s budget" ;;
-    124) echo "error: ezp-lint ran past its 5 s budget." >&2; exit 1 ;;
-    *) echo "error: ezp-lint found violations (above; docs/static-analysis.md)." >&2
-       exit 1 ;;
-esac
-
 # Toolchain lanes (docs/static-analysis.md): the tree is rustfmt-clean,
 # and clippy passes with every warning an error. The clippy run also
-# holds the three checks ezp-lint handed over: `undocumented_unsafe_blocks`
-# and `missing_safety_doc` ([workspace.lints.clippy] in Cargo.toml), and
-# the clippy.toml lists of lock types, clocks and hash-seeded
-# collections, denied outside tests at the top of the scheduler hot-path
-# and seed-replayed files. `--features ezp-check` compiles vexec.rs and
-# shadow.rs; nothing is gated on the feature's absence, so one run
-# covers every configuration.
+# holds the checks a line linter used to approximate:
+# `undocumented_unsafe_blocks` and `missing_safety_doc`
+# ([workspace.lints.clippy] in Cargo.toml), and the clippy.toml lists of
+# lock types, clocks and hash-seeded collections, denied outside tests
+# at the top of the scheduler hot-path and seed-replayed files.
+# `--features ezp-check` compiles vexec.rs and shadow.rs; nothing is
+# gated on the feature's absence, so one run covers every configuration.
 cargo fmt --check || {
     echo "error: the tree is not rustfmt-clean; run \`cargo fmt\`." >&2
     exit 1

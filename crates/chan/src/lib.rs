@@ -12,7 +12,8 @@
 //!   sanctioned `unsafe` island (the workspace's third, next to
 //!   `ezp-sched`'s `pool` and `img_cell`); every `unsafe` block carries
 //!   a `SAFETY:` argument and every non-SeqCst atomic an `ORDERING:`
-//!   justification, both enforced by `ezp-lint`.
+//!   justification, enforced by clippy and by the workspace's
+//!   `tests/ordering_arguments.rs`.
 //! * [`spsc`] — the raw endpoints over one ring: fastest path, role
 //!   uniqueness enforced by `&mut self` on non-`Clone` endpoints.
 //! * [`mpmc`] — MPMC composed from one SPSC lane per producer with

@@ -15,8 +15,8 @@
 //! any, `Closed` means every sender is gone and everything was drained.
 //! What this cannot see is an interleaving *inside* one operation (the
 //! ring's release/acquire pairs, the claim flags under contention);
-//! those stay with `adversarial.rs` and `ezp-lint`'s atomics-pairing
-//! pass.
+//! those stay with `adversarial.rs` and the atomics-pairing rule of the
+//! workspace's `tests/ordering_arguments.rs`.
 
 use ezp_chan::{mpmc, TryRecvError, TrySendError};
 use ezp_core::WaitPolicy;

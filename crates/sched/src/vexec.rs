@@ -34,7 +34,8 @@
 //! wall-clock order, so executing each chunk atomically loses no races.
 //! What it cannot see is an interleaving *inside* a step, i.e. a
 //! memory-ordering bug; those stay with the real-thread adversarial
-//! tests and `ezp-lint`'s atomics-pairing pass (docs/testing.md).
+//! tests and the atomics-pairing rule of `tests/ordering_arguments.rs`
+//! (docs/testing.md).
 //!
 //! Everything here is compiled only under the `ezp-check` feature and is
 //! never linked into production runs.
