@@ -5,11 +5,12 @@
 # production-graph guards, `cargo fmt --check`, clippy with every warning
 # an error (the unsafe, lock and determinism checks included), the
 # variant-runner guard (no kernel file but variant.rs opens a span, a
-# tile bracket or a pool), the cold-helper guard (no `#[cold]`
-# `#[inline(never)]` function in ezp-sched or ezp-core takes a struct by
-# value), workspace build + tests (the ezp-chan explorer included, and
-# tests/ordering_arguments.rs, which checks every written atomic-ordering
-# argument within its 5-second budget), the one-image memory lane
+# tile bracket or a pool, and neither the CLI nor the daemon opens a
+# span: the runner numbers a run's iterations), the cold-helper guard
+# (no `#[cold]` `#[inline(never)]` function in ezp-sched or ezp-core
+# takes a struct by value), workspace build + tests (the ezp-chan
+# explorer included, and tests/ordering_arguments.rs, which checks every
+# written atomic-ordering argument within its 5-second budget), the one-image memory lane
 # (a 2048² in-place `mandel` run's VmHWM stays under 28 MiB), results/
 # regenerated and diffed, ezp-check + conformance matrix (its
 # two-worker smoke included), the frozen benchmark's own tests and two
@@ -89,7 +90,10 @@ echo "verify: rustfmt-clean, clippy-clean"
 # VARIANTS table of per-iteration bodies. The runner alone opens
 # iteration spans and acquires the pool, and ezp_sched's tile loops
 # (parallel_for_tiles, for_each_tile) alone report tiles, so no other
-# kernel file may spell any of them.
+# kernel file may spell any of them. The runner also numbers the run's
+# iterations across `compute` calls (KernelCtx::iterations_done), so the
+# code that drives kernels (crates/cli, crates/serve) opens no span
+# either: a probe wrapper that renumbers them cannot come back.
 if grep -rnE '\.(iteration_start|iteration_end|start_tile|end_tile)\(|acquire_pool\(' \
     --include='*.rs' crates/kernels/src | grep -v '^crates/kernels/src/variant.rs:'; then
     echo "error: a kernel opens its own iteration span, tile bracket or pool" >&2
@@ -97,7 +101,13 @@ if grep -rnE '\.(iteration_start|iteration_end|start_tile|end_tile)\(|acquire_po
     echo "       ezp_sched::for_each_tile or parallel_for_tiles." >&2
     exit 1
 fi
-echo "verify: only the variant runner opens spans and pools in crates/kernels"
+if grep -rnE '\.(iteration_start|iteration_end)\(' --include='*.rs' crates/cli/src crates/serve/src; then
+    echo "error: a kernel driver opens an iteration span (matches above):" >&2
+    echo "       the variant runner numbers a run's iterations; call" >&2
+    echo "       Kernel::compute on one KernelCtx instead." >&2
+    exit 1
+fi
+echo "verify: only the variant runner opens spans and pools in crates/kernels, cli and serve"
 
 # Cold-helper lane (crates/sched/src/img_cell.rs, docs/profiling.md *Hot
 # path*): the out-of-line panic behind a per-row or per-pixel check takes

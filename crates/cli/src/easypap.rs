@@ -1,10 +1,10 @@
 //! The `easypap` command: run a kernel variant under the framework.
 
 use ezp_core::ezp_debug;
-use ezp_core::kernel::{EdgeKind, MultiProbe, NullProbe, Probe, RuntimeEvent, TileStamp};
+use ezp_core::kernel::{MultiProbe, NullProbe, Probe};
 use ezp_core::params::{DisplayMode, StatsFormat};
 use ezp_core::perf::{run_kernel_boxed, RunOutcome};
-use ezp_core::{Error, Result, RunConfig, WorkerId};
+use ezp_core::{Error, Result, RunConfig};
 use ezp_kernels::life::Life;
 use ezp_kernels::registry;
 use ezp_monitor::{activity, Monitor, MonitorReport, UnifiedReport};
@@ -12,7 +12,6 @@ use ezp_perf::PerfProbe;
 use ezp_trace::{Trace, TraceMeta};
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Default CSV file of the performance mode.
@@ -332,65 +331,14 @@ fn observability_tail(
     Ok(())
 }
 
-/// What `run_with_frames` puts in front of the run's probes: each of
-/// its `compute(.., 1)` calls announces "iteration 1", and a monitor or
-/// trace needs the run's numbering, so iteration ids are shifted by the
-/// iterations already `done`. Everything else is forwarded untouched.
-struct FrameNumbering {
-    inner: Arc<dyn Probe>,
-    /// counter-only: the count is the entire payload. The driver stores
-    /// it between two `compute` calls and the next call reads it.
-    done: AtomicU32,
-}
-
-impl Probe for FrameNumbering {
-    fn iteration_start(&self, iteration: u32) {
-        self.inner
-            .iteration_start(self.done.load(Ordering::Relaxed) + iteration);
-    }
-    fn iteration_end(&self, iteration: u32) {
-        self.inner
-            .iteration_end(self.done.load(Ordering::Relaxed) + iteration);
-    }
-    fn start_tile(&self, worker: WorkerId) {
-        self.inner.start_tile(worker);
-    }
-    fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
-        self.inner.end_tile(x, y, w, h, worker);
-    }
-    fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
-        self.inner.start_tile_at(worker, now_ns);
-    }
-    fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, now_ns: u64) {
-        self.inner.end_tile_at(x, y, w, h, worker, now_ns);
-    }
-    fn wants_tile_stamps(&self) -> bool {
-        self.inner.wants_tile_stamps()
-    }
-    fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
-        self.inner.tiles_done(worker, stamps);
-    }
-    fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
-        self.inner.runtime_event(worker, event);
-    }
-    fn wants_runtime_events(&self) -> bool {
-        self.inner.wants_runtime_events()
-    }
-    fn dep_edge(&self, from: usize, to: usize, kind: EdgeKind) {
-        self.inner.dep_edge(from, to, kind);
-    }
-    fn wants_dep_edges(&self) -> bool {
-        self.inner.wants_dep_edges()
-    }
-}
-
 /// `--frames DIR`: the animated-window replacement. The kernel runs one
 /// iteration at a time, refreshing and dumping a frame after each, so
 /// the directory ends up holding the same "series of images computed at
-/// each iteration" the SDL window would have shown. One leased pool
-/// serves every iteration: each `compute(.., 1)` of a parallel variant
-/// calls `acquire_pool`, which without a lease would spawn and join a
-/// whole pool per frame.
+/// each iteration" the SDL window would have shown. The context counts
+/// the iterations done, so the run's probes see its numbering, not "1"
+/// per call. One leased pool serves every iteration: each
+/// `compute(.., 1)` of a parallel variant calls `acquire_pool`, which
+/// without a lease would spawn and join a whole pool per frame.
 fn run_with_frames(
     reg: &ezp_core::Registry,
     cfg: RunConfig,
@@ -398,11 +346,7 @@ fn run_with_frames(
     frames_dir: &str,
 ) -> Result<(RunOutcome, ezp_core::KernelCtx, Box<dyn ezp_core::Kernel>)> {
     let mut kernel = reg.create_variant(&cfg.kernel, &cfg.variant)?;
-    let numbering = Arc::new(FrameNumbering {
-        inner: probe,
-        done: AtomicU32::new(0),
-    });
-    let mut ctx = ezp_core::KernelCtx::new(cfg.clone())?.with_probe(numbering.clone());
+    let mut ctx = ezp_core::KernelCtx::new(cfg.clone())?.with_probe(probe);
     kernel.init(&mut ctx)?;
     let mut sink = at(frames_dir, ezp_render::FrameSink::new(frames_dir))?;
     kernel.refresh_image(&mut ctx)?;
@@ -416,7 +360,6 @@ fn run_with_frames(
                 let converged = kernel.compute(&mut ctx, &cfg.variant, 1)?;
                 kernel.refresh_image(&mut ctx)?;
                 sink.present(ctx.images.cur())?;
-                numbering.done.store(it, Ordering::Relaxed);
                 if converged.is_some() {
                     return Ok(Some(it));
                 }
@@ -1038,33 +981,11 @@ mod tests {
             let trace = ezp_trace::io::load("trace.ezv").unwrap();
             assert_eq!(trace.iteration_count(), 2);
             assert_eq!(trace.tasks.len(), 2 * 16);
-            assert!(trace.tasks.iter().any(|t| t.iteration == 2));
+            for it in 1..=2 {
+                let tiles = trace.tasks.iter().filter(|t| t.iteration == it).count();
+                assert_eq!(tiles, 16, "iteration {it}");
+            }
         });
-    }
-
-    #[test]
-    fn frame_numbering_keeps_the_monitor_on_stamps() {
-        let grid = ezp_core::TileGrid::square(16, 8).unwrap();
-        let monitor = Arc::new(Monitor::new(1, grid));
-        let numbering = FrameNumbering {
-            inner: monitor.clone(),
-            done: AtomicU32::new(2),
-        };
-        // without forwarding, `--frames --monitoring` falls back to brackets
-        assert!(numbering.wants_tile_stamps());
-        numbering.iteration_start(1);
-        let stamps: Vec<TileStamp> = grid
-            .iter()
-            .map(|tile| TileStamp {
-                tile,
-                start_ns: 1,
-                end_ns: 2,
-            })
-            .collect();
-        numbering.tiles_done(0, &stamps);
-        let records = monitor.report().records;
-        assert_eq!(records.len(), grid.len());
-        assert!(records.iter().all(|r| r.iteration == 3), "{records:?}");
     }
 
     /// A mode that cannot honour a flag says so (naming both) instead

@@ -13,7 +13,6 @@ use crate::error::Result;
 use crate::grid::{Tile, TileGrid};
 use crate::img::ImagePair;
 use crate::params::RunConfig;
-use crate::time::now_ns;
 use crate::WorkerId;
 use std::sync::Arc;
 
@@ -250,19 +249,6 @@ pub trait Probe: Send + Sync {
     fn start_tile(&self, _worker: WorkerId) {}
     /// Worker `worker` finished the tile with the given pixel rectangle.
     fn end_tile(&self, _x: usize, _y: usize, _w: usize, _h: usize, _worker: WorkerId) {}
-    /// [`Probe::start_tile`] with the edge's timestamp already taken:
-    /// a composite reads the clock once per bracket edge and hands the
-    /// same `now_ns` to every probe it stacks. Probes that timestamp
-    /// tiles put their logic here; the default keeps probes that only
-    /// know `start_tile` working.
-    fn start_tile_at(&self, worker: WorkerId, _now_ns: u64) {
-        self.start_tile(worker);
-    }
-    /// [`Probe::end_tile`] with the edge's timestamp already taken (see
-    /// [`Probe::start_tile_at`]).
-    fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, _now_ns: u64) {
-        self.end_tile(x, y, w, h, worker);
-    }
     /// Whether this probe takes tiles the scheduler timed, in
     /// [`Probe::tiles_done`] batches, instead of a bracket per tile.
     /// `parallel_for_tiles` reads its tile clocks only when this says so.
@@ -270,12 +256,12 @@ pub trait Probe: Send + Sync {
         false
     }
     /// Worker `worker` finished `stamps`, in order. The default replays
-    /// each through [`Probe::start_tile_at`] / [`Probe::end_tile_at`], so
-    /// a probe that only knows brackets still sees every tile.
+    /// each through [`Probe::start_tile`] / [`Probe::end_tile`], so a
+    /// probe that only knows brackets still sees every tile.
     fn tiles_done(&self, worker: WorkerId, stamps: &[TileStamp]) {
         for s in stamps {
-            self.start_tile_at(worker, s.start_ns);
-            self.end_tile_at(s.tile.x, s.tile.y, s.tile.w, s.tile.h, worker, s.end_ns);
+            self.start_tile(worker);
+            self.end_tile(s.tile.x, s.tile.y, s.tile.w, s.tile.h, worker);
         }
     }
     /// A scheduler event occurred on `worker` (see [`RuntimeEvent`]).
@@ -332,19 +318,13 @@ impl Probe for MultiProbe {
         }
     }
     fn start_tile(&self, worker: WorkerId) {
-        self.start_tile_at(worker, now_ns());
-    }
-    fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
-        self.end_tile_at(x, y, w, h, worker, now_ns());
-    }
-    fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
         for p in &self.probes {
-            p.start_tile_at(worker, now_ns);
+            p.start_tile(worker);
         }
     }
-    fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, now_ns: u64) {
+    fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
         for p in &self.probes {
-            p.end_tile_at(x, y, w, h, worker, now_ns);
+            p.end_tile(x, y, w, h, worker);
         }
     }
     fn wants_tile_stamps(&self) -> bool {
@@ -384,6 +364,10 @@ pub struct KernelCtx {
     pub images: ImagePair,
     /// Instrumentation sink (never null — use [`NullProbe`]).
     pub probe: Arc<dyn Probe>,
+    /// Iterations completed on this context so far. A variant numbers
+    /// its iterations from here and advances it, so a run split over
+    /// several `compute` calls keeps one numbering.
+    pub iterations_done: u32,
 }
 
 impl KernelCtx {
@@ -396,6 +380,7 @@ impl KernelCtx {
             grid,
             images,
             probe: Arc::new(NullProbe),
+            iterations_done: 0,
         })
     }
 
@@ -518,30 +503,29 @@ mod tests {
     }
 
     #[test]
-    fn stacked_probes_share_one_timestamp_per_edge() {
+    fn stacked_probes_fan_out_brackets_and_replay_stamps() {
+        /// Logs each bracket edge: `None` for a start, the tile's corner
+        /// for an end.
         #[derive(Default)]
-        struct StampProbe(std::sync::Mutex<Vec<u64>>);
-        impl Probe for StampProbe {
-            fn start_tile_at(&self, _: WorkerId, now_ns: u64) {
-                self.0.lock().unwrap().push(now_ns);
+        struct EdgeLog(std::sync::Mutex<Vec<Option<(usize, usize)>>>);
+        impl Probe for EdgeLog {
+            fn start_tile(&self, _: WorkerId) {
+                self.0.lock().unwrap().push(None);
             }
-            fn end_tile_at(&self, _: usize, _: usize, _: usize, _: usize, _: WorkerId, t: u64) {
-                self.0.lock().unwrap().push(t);
+            fn end_tile(&self, x: usize, y: usize, _: usize, _: usize, _: WorkerId) {
+                self.0.lock().unwrap().push(Some((x, y)));
             }
         }
-        let a = Arc::new(StampProbe::default());
-        let b = Arc::new(StampProbe::default());
-        // a probe that only knows the untimed hooks rides along through
-        // the `*_at` defaults, also when composites nest
+        let a = Arc::new(EdgeLog::default());
+        let b = Arc::new(EdgeLog::default());
+        // every probe hears each bracket, also when composites nest
         let plain = Arc::new(CountingProbe::default());
         let inner = Arc::new(MultiProbe::new(vec![b.clone(), plain.clone()]));
         let multi = MultiProbe::new(vec![a.clone(), inner]);
         multi.start_tile(0);
-        multi.end_tile(0, 0, 1, 1, 0);
-        let stamps = a.0.lock().unwrap().clone();
-        assert_eq!(stamps.len(), 2);
-        assert!(stamps[0] <= stamps[1]);
-        assert_eq!(*b.0.lock().unwrap(), stamps);
+        multi.end_tile(3, 4, 1, 1, 0);
+        assert_eq!(*a.0.lock().unwrap(), [None, Some((3, 4))]);
+        assert_eq!(*b.0.lock().unwrap(), [None, Some((3, 4))]);
         assert_eq!(plain.starts.load(Ordering::Relaxed), 1);
         assert_eq!(plain.ends.load(Ordering::Relaxed), 1);
 
@@ -573,7 +557,10 @@ mod tests {
             .collect();
         stamped.tiles_done(0, &tiles);
         assert_eq!(*batch.0.lock().unwrap(), tiles);
-        let edges: Vec<u64> = tiles.iter().flat_map(|s| [s.start_ns, s.end_ns]).collect();
+        let edges: Vec<_> = tiles
+            .iter()
+            .flat_map(|s| [None, Some((s.tile.x, s.tile.y))])
+            .collect();
         assert_eq!(a.0.lock().unwrap()[2..], edges);
         assert_eq!(b.0.lock().unwrap()[2..], edges);
         assert_eq!(plain.starts.load(Ordering::Relaxed), 1 + tiles.len());

@@ -202,6 +202,7 @@ impl Life {
             )));
         }
         let (threads, grid, schedule) = (ctx.threads(), ctx.grid, ctx.cfg.schedule);
+        let done = ctx.iterations_done;
         // ship each rank its initial rows
         let init_rows: Vec<Vec<u64>> = (0..dim).map(|y| self.cur.row_words(y)).collect();
         let init_rows = &init_rows;
@@ -236,7 +237,7 @@ impl Life {
             const TAG_META_DOWN: u32 = 101;
 
             let converged_at =
-                variant::iterate_on_pool(&monitor, threads.max(1), nb_iter, |pool| {
+                variant::iterate_on_pool(&monitor, threads.max(1), done, nb_iter, |pool| {
                     // 1) ghost rows: my first/last rows to my neighbours
                     let first = cur.row_words(r0);
                     let last = cur.row_words(r1 - 1);

@@ -2,7 +2,9 @@
 //! name (§II-A). A kernel declares one `VARIANTS` table of per-iteration
 //! bodies; [`run`] owns what every variant's loop would otherwise repeat
 //! by hand — the lookup and its error, the pool, the iteration spans and
-//! the early stop.
+//! the early stop — and the run's iteration count: a span is numbered
+//! from `KernelCtx::iterations_done`, which the runner advances, so a run
+//! split over several `compute` calls keeps one numbering.
 
 use ezp_core::error::{Error, Result};
 use ezp_core::kernel::Probe;
@@ -45,28 +47,32 @@ pub(crate) fn run<K: Kernel>(
             variant: variant.into(),
         });
     };
-    let probe = Arc::clone(&ctx.probe);
-    match body {
-        Body::Seq(step) => iterate(&*probe, nb_iter, || step(k, ctx)),
-        Body::Par(step) => {
-            iterate_on_pool(&*probe, ctx.threads(), nb_iter, |pool| step(k, ctx, pool))
-        }
+    let (probe, done) = (Arc::clone(&ctx.probe), ctx.iterations_done);
+    let converged = match body {
+        Body::Seq(step) => iterate(&*probe, done, nb_iter, || step(k, ctx)),
+        Body::Par(step) => iterate_on_pool(&*probe, ctx.threads(), done, nb_iter, |pool| {
+            step(k, ctx, pool)
+        }),
         Body::Whole(whole) => whole(k, ctx, nb_iter),
-    }
+    }?;
+    ctx.iterations_done += converged.unwrap_or(nb_iter);
+    Ok(converged)
 }
 
-/// Runs `step` for iterations `1..=nb_iter`, each inside its
-/// `iteration_start`/`iteration_end` span, and returns `Some(it)` for
-/// the first iteration whose step reports stable (its span closed too).
+/// Runs `step` for iterations `done + 1..=done + nb_iter`, each inside
+/// its `iteration_start`/`iteration_end` span, and returns `Some(it)`,
+/// counted from the call, for the first iteration whose step reports
+/// stable (its span closed too).
 pub(crate) fn iterate(
     probe: &dyn Probe,
+    done: u32,
     nb_iter: u32,
     mut step: impl FnMut() -> Result<bool>,
 ) -> Result<Option<u32>> {
     for it in 1..=nb_iter {
-        probe.iteration_start(it);
+        probe.iteration_start(done + it);
         let stable = step()?;
-        probe.iteration_end(it);
+        probe.iteration_end(done + it);
         if stable {
             return Ok(Some(it));
         }
@@ -79,11 +85,12 @@ pub(crate) fn iterate(
 pub(crate) fn iterate_on_pool(
     probe: &dyn Probe,
     threads: usize,
+    done: u32,
     nb_iter: u32,
     mut step: impl FnMut(&mut WorkerPool) -> Result<bool>,
 ) -> Result<Option<u32>> {
     let mut pool = ezp_sched::acquire_pool(threads);
-    iterate(probe, nb_iter, || step(&mut pool))
+    iterate(probe, done, nb_iter, || step(&mut pool))
 }
 
 /// The one tile of a whole-image pass over a `dim`² image.
@@ -120,7 +127,7 @@ mod tests {
         for (stable_at, nb_iter) in [(1, 5), (3, 5), (5, 5), (6, 5)] {
             let probe = SpanCounter::default();
             let mut steps = 0;
-            let got = iterate(&probe, nb_iter, || {
+            let got = iterate(&probe, 0, nb_iter, || {
                 steps += 1;
                 Ok(steps == stable_at)
             })
@@ -133,10 +140,57 @@ mod tests {
         }
     }
 
+    /// A kernel whose variants do nothing, one per kind of body.
+    struct Idle;
+
+    impl Idle {
+        const VARIANTS: &'static Table<Self> = &[
+            ("seq", Body::Seq(|_, _| Ok(false))),
+            ("omp", Body::Par(|_, _, _| Ok(false))),
+            (
+                "whole",
+                Body::Whole(|_, ctx, nb_iter| {
+                    let probe = Arc::clone(&ctx.probe);
+                    iterate(&*probe, ctx.iterations_done, nb_iter, || Ok(false))
+                }),
+            ),
+        ];
+    }
+
+    impl Kernel for Idle {
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+        fn variants(&self) -> Vec<&'static str> {
+            names(Self::VARIANTS)
+        }
+        fn init(&mut self, _: &mut KernelCtx) -> Result<()> {
+            Ok(())
+        }
+        fn compute(&mut self, ctx: &mut KernelCtx, v: &str, nb_iter: u32) -> Result<Option<u32>> {
+            run(self, ctx, Self::VARIANTS, v, nb_iter)
+        }
+    }
+
+    #[test]
+    fn compute_calls_on_one_ctx_number_the_run_not_the_call() {
+        for v in names(Idle::VARIANTS) {
+            // the counter asserts that its spans are numbered 1, 2, ...
+            let probe = Arc::new(SpanCounter::default());
+            let cfg = ezp_core::RunConfig::new("idle").size(16).tile(8).threads(2);
+            let mut ctx = KernelCtx::new(cfg).unwrap().with_probe(probe.clone());
+            for nb_iter in [1, 1, 1, 2] {
+                assert_eq!(Idle.compute(&mut ctx, v, nb_iter).unwrap(), None);
+            }
+            assert_eq!(probe.ends.load(Ordering::Relaxed), 5, "{v}");
+            assert_eq!(ctx.iterations_done, 5, "{v}");
+        }
+    }
+
     #[test]
     fn a_failing_step_ends_the_run_with_its_error() {
         let probe = SpanCounter::default();
-        let got = iterate(&probe, 5, || Err(Error::Config("boom".into())));
+        let got = iterate(&probe, 0, 5, || Err(Error::Config("boom".into())));
         assert!(matches!(got, Err(Error::Config(m)) if m == "boom"));
         assert_eq!(probe.starts.into_inner(), 1);
     }

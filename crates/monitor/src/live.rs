@@ -15,6 +15,11 @@
 //! slot's index, and keeps the tile rectangle in `u32`s (a coordinate
 //! that does not fit panics, naming it). The merge expands each entry
 //! into the `TileRecord` the report carries.
+//!
+//! A tile belongs to the iteration the last `iteration_start` named.
+//! The variant runner numbers iterations for the whole run
+//! (`KernelCtx::iterations_done`), so a `--frames` run, one `compute`
+//! call per frame, records the numbering of a one-shot run.
 
 use crate::record::{DepEdge, TileRecord};
 use crate::report::{IterationSpan, MonitorReport};
@@ -217,20 +222,13 @@ impl Probe for Monitor {
     }
 
     fn start_tile(&self, worker: WorkerId) {
-        self.start_tile_at(worker, now_ns());
+        self.slot(worker)
+            .open_start
+            .store(now_ns(), Ordering::Relaxed);
     }
 
     fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
-        self.end_tile_at(x, y, w, h, worker, now_ns());
-    }
-
-    fn start_tile_at(&self, worker: WorkerId, now_ns: u64) {
-        self.slot(worker)
-            .open_start
-            .store(now_ns, Ordering::Relaxed);
-    }
-
-    fn end_tile_at(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId, end: u64) {
+        let end = now_ns();
         let slot = self.slot(worker);
         let start = slot.open_start.load(Ordering::Relaxed);
         slot.open_start.store(u64::MAX, Ordering::Relaxed);

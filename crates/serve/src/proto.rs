@@ -434,8 +434,14 @@ impl FromJson for Response {
 /// FNV-1a over a byte slice — the frame digest clients use to verify
 /// that two runs of the same job produced identical pixels.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_of(bytes.iter().copied())
+}
+
+/// [`fnv1a`] over bytes made on the fly, such as a frame's pixel words
+/// in little-endian order, so the daemon digests a frame without a copy.
+pub(crate) fn fnv1a_of(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
+    for b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
@@ -466,6 +472,19 @@ mod tests {
         ] {
             assert_eq!(round_trip_req(&req), req);
         }
+    }
+
+    #[test]
+    fn fnv1a_reads_a_slice_and_bytes_made_on_the_fly_alike() {
+        // the published FNV-1a 64-bit vectors
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        let words = [0x0403_0201u32, 0xdead_beef];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(
+            fnv1a_of(words.iter().flat_map(|w| w.to_le_bytes())),
+            fnv1a(&bytes)
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::admission::{Admission, Admitted, Job, JobTicket, ReplySink};
 use crate::metrics::ServeMetrics;
-use crate::proto::{read_frame, write_frame, FrameIn, JobSpec, Request, Response};
+use crate::proto::{fnv1a_of, read_frame, write_frame, FrameIn, JobSpec, Request, Response};
 use ezp_core::json::{FromJson, Json};
 use ezp_core::kernel::Probe;
 use ezp_core::perf::run_kernel_boxed;
@@ -521,7 +521,12 @@ fn execute(
     }
     spans.extend(probe.span_snapshot());
     let report = UnifiedReport::new(None, snapshot, spans).to_json();
-    let digest = format!("{:016x}", digest_pixels(ctx.images.cur().as_slice()));
+    // little-endian pixel words: one digest on every host
+    let pixels = ctx.images.cur().as_slice().iter();
+    let digest = format!(
+        "{:016x}",
+        fnv1a_of(pixels.flat_map(|px| px.0.to_le_bytes()))
+    );
     Some(Response::Done {
         job_id: job.id,
         tenant: job.tenant,
@@ -530,19 +535,6 @@ fn execute(
         digest,
         report,
     })
-}
-
-/// FNV-1a over the frame's pixel words, little-endian byte order — the
-/// digest clients compare across runs and machines.
-fn digest_pixels(pixels: &[ezp_core::Rgba]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for px in pixels {
-        for b in px.0.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! under `tests/golden/` pin the bytes a fixed report renders to — they
 //! were written by the commit before the one-pass path went in.
 
-use easypap::core::kernel::{MultiProbe, Probe};
+use easypap::core::kernel::{MultiProbe, Probe, TileStamp};
 use easypap::core::perf::run_kernel;
 use easypap::monitor::activity;
 use easypap::monitor::report::{IterationSpan, IterationStats};
@@ -33,10 +33,10 @@ fn concat_and_stable_sort(lanes: &[Vec<TileRecord>]) -> Vec<TileRecord> {
 ezp_proptest! {
     #![cases(48)]
 
-    /// Random multi-worker interleavings driven through the timestamped
-    /// hooks: tiny clock steps (many equal keys across workers), one
-    /// worker that never records, `end_tile` without `start_tile`,
-    /// mid-run snapshots, two reports in a row — and, in half the
+    /// Random multi-worker interleavings fed as one-stamp `tiles_done`
+    /// batches: tiny clock steps (many equal keys across workers), one
+    /// worker that never records, zero-length stamps (what an end
+    /// without a start records), mid-run snapshots, two reports in a row — and, in half the
     /// cases, iteration numbers that go backwards, which leaves a
     /// worker's own run out of order.
     fn report_equals_concatenated_lanes_stably_sorted(
@@ -70,22 +70,20 @@ ezp_proptest! {
                     }
                     clock[w] += rng.gen_range(0..3u64);
                     let start = clock[w];
-                    let bracketed = !rng.gen_bool(0.1);
-                    if bracketed {
-                        monitor.start_tile_at(w, start);
-                    }
                     clock[w] += rng.gen_range(0..3u64);
                     let end = clock[w];
+                    // an end without a start is a zero-length task
+                    let start = if rng.gen_bool(0.1) { end } else { start };
                     let (x, y) = (rng.gen_range(0..4usize) * 16, rng.gen_range(0..4usize) * 16);
-                    monitor.end_tile_at(x, y, 16, 16, w, end);
+                    let tile = Tile { x, y, w: 16, h: 16, ..Tile::default() };
+                    monitor.tiles_done(w, &[TileStamp { tile, start_ns: start, end_ns: end }]);
                     lanes[w].push(TileRecord {
                         iteration,
                         x,
                         y,
                         w: 16,
                         h: 16,
-                        // an end without a start is a zero-length task
-                        start_ns: if bracketed { start } else { end },
+                        start_ns: start,
                         end_ns: end,
                         worker: w,
                     });
