@@ -5,8 +5,9 @@
 # production-graph guards, `cargo fmt --check`, clippy with every warning
 # an error (the unsafe, lock and determinism checks included), the
 # variant-runner guard (no kernel file but variant.rs opens a span, a
-# tile bracket or a pool, and neither the CLI nor the daemon opens a
-# span: the runner numbers a run's iterations), the cold-helper guard
+# tile bracket or a pool, no kernel file wraps an image for tile writes
+# itself, and neither the CLI nor the daemon opens a span: the runner
+# numbers a run's iterations), the cold-helper guard
 # (no `#[cold]` `#[inline(never)]` function in ezp-sched or ezp-core
 # takes a struct by value), workspace build + tests (the ezp-chan
 # explorer included, and tests/ordering_arguments.rs, which checks every
@@ -93,7 +94,11 @@ echo "verify: rustfmt-clean, clippy-clean"
 # kernel file may spell any of them. The runner also numbers the run's
 # iterations across `compute` calls (KernelCtx::iterations_done), so the
 # code that drives kernels (crates/cli, crates/serve) opens no span
-# either: a probe wrapper that renumbers them cannot come back.
+# either: a probe wrapper that renumbers them cannot come back. A kernel
+# gets its TileWriter only from the tile loop
+# (ezp_sched::parallel_for_tiles_img, with or without a pool), never by
+# wrapping an image in an ImgCell itself: that is what keeps a `seq` row
+# and the pool rows on one tile body, not a second loop beside it.
 if grep -rnE '\.(iteration_start|iteration_end|start_tile|end_tile)\(|acquire_pool\(' \
     --include='*.rs' crates/kernels/src | grep -v '^crates/kernels/src/variant.rs:'; then
     echo "error: a kernel opens its own iteration span, tile bracket or pool" >&2
@@ -107,7 +112,14 @@ if grep -rnE '\.(iteration_start|iteration_end)\(' --include='*.rs' crates/cli/s
     echo "       Kernel::compute on one KernelCtx instead." >&2
     exit 1
 fi
+if grep -rn 'ImgCell::new(' --include='*.rs' crates/kernels/src; then
+    echo "error: a kernel wraps an image for tile writes itself (matches above):" >&2
+    echo "       write tiles through ezp_sched::parallel_for_tiles_img, with no" >&2
+    echo "       pool for a sequential row, from the kernel's one tile body." >&2
+    exit 1
+fi
 echo "verify: only the variant runner opens spans and pools in crates/kernels, cli and serve"
+echo "verify: no kernel wraps an image for tile writes outside the tile loop"
 
 # Cold-helper lane (crates/sched/src/img_cell.rs, docs/profiling.md *Hot
 # path*): the out-of-line panic behind a per-row or per-pixel check takes

@@ -9,10 +9,10 @@
 //! auto-vectorize — the ×10 per-task speedup of Fig. 10. Both variants
 //! produce bit-identical images (property-tested below).
 
-use crate::variant::{self, whole_image, Body};
+use crate::variant::{self, paint, Body, Grid};
 use ezp_core::error::Result;
-use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, Tile};
-use ezp_sched::{for_each_tile, parallel_for_tiles, ImgCell, WorkerPool};
+use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, Tile, TileGrid};
+use ezp_sched::{parallel_for_tiles_img, WorkerPool};
 
 /// Average of the up-to-9 neighbours of `(x, y)`, with bounds checks —
 /// the "poor performance" branchy version that is nonetheless correct
@@ -78,61 +78,26 @@ pub struct Blur;
 
 impl Blur {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        (
-            "omp_tiled",
-            Body::Par(|_, ctx, pool| Self::tiled(ctx, pool, false)),
-        ),
-        (
-            "omp_tiled_opt",
-            Body::Par(|_, ctx, pool| Self::tiled(ctx, pool, true)),
-        ),
+        ("seq", Body::Seq(Grid::Whole, Self::step::<false>)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::step::<false>)),
+        ("omp_tiled_opt", Body::Par(Grid::Tiles, Self::step::<true>)),
     ];
 
-    fn blur_tile_checked(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {
-        let t = w.tile();
-        for y in t.y..t.y + t.h {
-            for x in t.x..t.x + t.w {
-                w.set(x, y, blur_pixel_checked(src, x, y));
-            }
-        }
-    }
-
-    fn blur_tile_unchecked(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {
-        let t = w.tile();
-        for y in t.y..t.y + t.h {
-            for x in t.x..t.x + t.w {
-                w.set(x, y, blur_pixel_unchecked(src, x, y));
-            }
-        }
-    }
-
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+    /// One blur over `grid`'s tiles; `SPECIALIZED` switches the inner
+    /// tiles to the branch-free loop (the paper's optimization).
+    fn step<const SPECIALIZED: bool>(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let dim = ctx.dim();
         let (src, dst) = ctx.images.rw();
-        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
-            for y in 0..dim {
-                for x in 0..dim {
-                    dst.set(x, y, blur_pixel_checked(src, x, y));
-                }
-            }
-        });
-        ctx.images.swap();
-        Ok(false)
-    }
-
-    /// Parallel tiled blur; `specialized` switches the inner tiles to the
-    /// branch-free loop (the paper's optimization).
-    fn tiled(ctx: &mut KernelCtx, pool: &mut WorkerPool, specialized: bool) -> Result<bool> {
-        let dim = ctx.dim();
-        let (src, dst) = ctx.images.rw();
-        let cell = ImgCell::new(dst);
-        parallel_for_tiles(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, |tile, _| {
-            let w = cell.tile_writer(tile);
-            if specialized && tile_is_inner(&tile, dim) {
-                Self::blur_tile_unchecked(src, &w);
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, dst, |w, _| {
+            if SPECIALIZED && tile_is_inner(&w.tile(), dim) {
+                paint(w, |x, y| blur_pixel_unchecked(src, x, y));
             } else {
-                Self::blur_tile_checked(src, &w);
+                paint(w, |x, y| blur_pixel_checked(src, x, y));
             }
         });
         ctx.images.swap();

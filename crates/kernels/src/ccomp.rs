@@ -13,10 +13,10 @@
 //! completed" — exactly [`ezp_sched::TaskGraph::down_right_wavefront`].
 //! EASYVIEW shows the resulting diagonal wave of tasks (Fig. 12).
 
-use crate::variant::{self, whole_image, Body};
+use crate::variant::{self, Body, Grid};
 use ezp_core::error::Result;
-use ezp_core::{Kernel, KernelCtx, Rgba, Tile};
-use ezp_sched::{for_each_tile, TaskGraph, WorkerPool};
+use ezp_core::{Kernel, KernelCtx, Rgba, Tile, TileGrid};
+use ezp_sched::{for_each_tile, parallel_for_tiles, TaskGraph, WorkerPool};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Label buffer: one `u32` label per pixel, 0 = transparent background.
@@ -147,51 +147,62 @@ pub fn label_color(label: u32) -> Rgba {
 #[derive(Default)]
 pub struct CComp {
     labels: Option<Labels>,
+    /// The down-right and up-left wavefronts over the run's tiles, built
+    /// in `init` and run by every `taskdep` iteration.
+    waves: [TaskGraph; 2],
     /// Number of shapes drawn by the generated scene (ground truth).
     pub expected_components: usize,
 }
 
 impl CComp {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("taskdep", Body::Par(Self::taskdep)),
+        ("seq", Body::Seq(Grid::Whole, Self::seq)),
+        ("taskdep", Body::Par(Grid::Tiles, Self::taskdep)),
     ];
 
     fn labels(&self) -> &Labels {
         self.labels.as_ref().expect("init() must run first")
     }
 
-    /// One full iteration (both phases) sequentially, whole image.
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
-        let labels = self.labels();
-        let mut changed = false;
-        for_each_tile(&*ctx.probe, 0, [whole_image(ctx.cfg.dim)], |t| {
+    /// One full iteration, both phases over each tile of the grid in
+    /// turn: the whole image at once for `seq`.
+    fn seq(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
+        let (labels, changed) = (self.labels(), AtomicBool::new(false));
+        parallel_for_tiles(pool, grid, ctx.cfg.schedule, &*ctx.probe, |t, _| {
             let a = labels.down_right_tile(t);
-            let b = labels.up_left_tile(t);
-            changed = a || b;
+            if labels.up_left_tile(t) || a {
+                changed.store(true, Ordering::Relaxed);
+            }
         });
-        Ok(!changed)
+        Ok(!changed.into_inner())
     }
 
-    /// One full iteration as two tiled wavefronts of tasks on the pool,
+    /// One full iteration as the two wavefronts of tasks on the pool,
     /// each task reporting its tile so traces show the wave (Fig. 12).
-    fn taskdep(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
-        let (labels, grid, probe) = (self.labels(), &ctx.grid, &*ctx.probe);
+    fn taskdep(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
+        let (labels, pool, probe) = (self.labels(), pool.expect("a pool row"), &*ctx.probe);
         let changed = AtomicBool::new(false);
-        let mut wave = |graph: TaskGraph, phase: fn(&Labels, Tile) -> bool| {
+        let phases: [fn(&Labels, Tile) -> bool; 2] =
+            [Labels::down_right_tile, Labels::up_left_tile];
+        for (graph, phase) in self.waves.iter().zip(phases) {
             graph.run_probed(pool, probe, |task, rank| {
                 for_each_tile(probe, rank, [grid.tile_at(task)], |t| {
                     if phase(labels, t) {
                         changed.store(true, Ordering::Relaxed);
                     }
                 });
-            })
-        };
-        wave(
-            TaskGraph::down_right_wavefront(grid),
-            Labels::down_right_tile,
-        )?;
-        wave(TaskGraph::up_left_wavefront(grid), Labels::up_left_tile)?;
+            })?;
+        }
         Ok(!changed.into_inner())
     }
 }
@@ -209,6 +220,10 @@ impl Kernel for CComp {
         let img = ctx.images.cur_mut();
         self.expected_components = crate::shapes::ccomp_scene(img, ctx.cfg.seed);
         self.labels = Some(Labels::from_image(img));
+        self.waves = [
+            TaskGraph::down_right_wavefront(&ctx.grid),
+            TaskGraph::up_left_wavefront(&ctx.grid),
+        ];
         Ok(())
     }
 
@@ -398,15 +413,15 @@ mod tests {
         let mut cfg = RunConfig::new("ccomp").size(32).tile(8).threads(2);
         cfg.seed = 0;
         let mut ctx = KernelCtx::new(cfg).unwrap();
+        let mut k = CComp::default();
+        k.init(&mut ctx).unwrap();
+        // replace the generated scene with the C
         let img = ctx.images.cur_mut();
         img.fill(Rgba::TRANSPARENT);
         crate::shapes::fill_rect(img, 4, 4, 20, 3, Rgba::RED); // top bar
         crate::shapes::fill_rect(img, 4, 7, 3, 14, Rgba::RED); // left leg
         crate::shapes::fill_rect(img, 4, 21, 20, 3, Rgba::RED); // bottom bar
-        let mut k = CComp {
-            labels: Some(Labels::from_image(ctx.images.cur())),
-            ..Default::default()
-        };
+        k.labels = Some(Labels::from_image(ctx.images.cur()));
         let conv = k.compute(&mut ctx, "taskdep", 500).unwrap();
         assert!(conv.is_some());
         assert_eq!(k.labels().distinct_labels().len(), 1);

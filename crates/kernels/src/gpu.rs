@@ -6,8 +6,8 @@
 //! other, and what P compute units would do with those measured groups
 //! is the replay `--explain` prints (`ezp-simsched`).
 
-use ezp_core::{Img2D, KernelCtx, Rgba};
-use ezp_sched::for_each_tile;
+use ezp_core::{Img2D, KernelCtx, Rgba, TileGrid};
+use ezp_sched::parallel_for_tiles_img;
 
 /// Claims the next image [`launch`] writes when the run's variant is
 /// `gpu`, so its allocation lands in `init`, not on the clock.
@@ -17,16 +17,16 @@ pub(crate) fn claim_next(ctx: &mut KernelCtx) {
     }
 }
 
-/// Runs `f(x, y, src)` for every pixel, work-group by work-group, then
-/// makes the result the current image.
-pub(crate) fn launch(ctx: &mut KernelCtx, f: impl Fn(usize, usize, &Img2D<Rgba>) -> Rgba) {
+/// Runs `f(x, y, src)` for every pixel, work-group (tile of `groups`)
+/// by work-group, then makes the result the current image.
+pub(crate) fn launch(
+    ctx: &mut KernelCtx,
+    groups: &TileGrid,
+    f: impl Fn(usize, usize, &Img2D<Rgba>) -> Rgba + Sync,
+) {
     let (src, dst) = ctx.images.rw();
-    for_each_tile(&*ctx.probe, 0, ctx.grid.iter(), |t| {
-        for y in t.y..t.y + t.h {
-            for x in t.x..t.x + t.w {
-                dst.set(x, y, f(x, y, src));
-            }
-        }
+    parallel_for_tiles_img(None, groups, ctx.cfg.schedule, &*ctx.probe, dst, |w, _| {
+        crate::variant::paint(w, |x, y| f(x, y, src));
     });
     ctx.images.swap();
 }

@@ -7,11 +7,11 @@
 //! i.e. zero flux). Converges to the uniform average; `compute` detects
 //! the steady state like the other simulation kernels.
 
-use crate::variant::{self, Body};
+use crate::variant::{self, paint, Body, Grid};
 use ezp_core::color::heat_color;
 use ezp_core::error::{Error, Result};
-use ezp_core::{Img2D, Kernel, KernelCtx};
-use ezp_sched::{for_each_tile, parallel_for_tiles_img, ImgCell, WorkerPool};
+use ezp_core::{Img2D, Kernel, KernelCtx, TileGrid};
+use ezp_sched::{parallel_for_tiles_img, WorkerPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Diffusion coefficient (stability requires `k <= 0.25`).
@@ -56,8 +56,8 @@ impl Default for Heat {
 
 impl Heat {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("omp_tiled", Body::Par(Self::omp_tiled)),
+        ("seq", Body::Seq(Grid::Tiles, Self::step)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::step)),
     ];
 
     /// Read access to the temperature field.
@@ -71,46 +71,27 @@ impl Heat {
         self.cur.as_slice().iter().map(|&t| t as f64).sum()
     }
 
-    fn step_tile(cur: &Img2D<f32>, w: &ezp_sched::TileWriter<'_, '_, f32>) -> bool {
-        let t = w.tile();
-        let mut changed = false;
-        for y in t.y..t.y + t.h {
-            for x in t.x..t.x + t.w {
-                let v = diffuse(cur, x, y);
-                if (v - cur.get(x, y)).abs() > EPSILON {
-                    changed = true;
-                }
-                w.set(x, y, v);
-            }
-        }
-        changed
-    }
-
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
-        let mut changed = false;
-        let (cur, cell) = (&self.cur, ImgCell::new(&mut self.next));
-        for_each_tile(&*ctx.probe, 0, ctx.grid.iter(), |t| {
-            changed |= Self::step_tile(cur, &cell.tile_writer(t));
-        });
-        std::mem::swap(&mut self.cur, &mut self.next);
-        Ok(!changed)
-    }
-
-    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+    /// One Jacobi step over `grid`'s tiles; stable when no temperature
+    /// moved by more than [`EPSILON`].
+    fn step(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let changed = AtomicBool::new(false);
         let (cur, next) = (&self.cur, &mut self.next);
-        parallel_for_tiles_img(
-            pool,
-            &ctx.grid,
-            ctx.cfg.schedule,
-            &*ctx.probe,
-            next,
-            |w, _| {
-                if Self::step_tile(cur, w) {
-                    changed.store(true, Ordering::Relaxed);
-                }
-            },
-        );
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, next, |w, _| {
+            let mut moved = false;
+            paint(w, |x, y| {
+                let v = diffuse(cur, x, y);
+                moved |= (v - cur.get(x, y)).abs() > EPSILON;
+                v
+            });
+            if moved {
+                changed.store(true, Ordering::Relaxed);
+            }
+        });
         std::mem::swap(&mut self.cur, &mut self.next);
         Ok(!changed.into_inner())
     }

@@ -2,10 +2,10 @@
 //! "hello world" of EASYPAP variants, embarrassingly parallel and
 //! memory-bound.
 
-use crate::variant::{self, whole_image, Body};
+use crate::variant::{self, paint, Body, Grid};
 use ezp_core::error::Result;
 use ezp_core::{Kernel, KernelCtx, Rgba, TileGrid};
-use ezp_sched::{for_each_tile, parallel_for_tiles_img, WorkerPool};
+use ezp_sched::{parallel_for_tiles_img, WorkerPool};
 
 /// RGB complement, alpha preserved.
 #[inline]
@@ -19,36 +19,31 @@ pub struct Invert;
 
 impl Invert {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("omp", Body::Par(Self::omp)),
-        ("gpu", Body::Seq(Self::gpu)),
+        ("seq", Body::Seq(Grid::Whole, Self::step)),
+        ("omp", Body::Par(Grid::Rows, Self::step)),
+        ("gpu", Body::Seq(Grid::Tiles, Self::gpu)),
     ];
 
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
-        for_each_tile(&*ctx.probe, 0, [whole_image(ctx.cfg.dim)], |_| {
-            ctx.images
-                .cur_mut()
-                .for_each_mut(|_, _, p| *p = invert_pixel(*p));
-        });
-        Ok(false)
-    }
-
-    /// Row-shaped tiles, like `#pragma omp parallel for` over lines.
-    fn omp(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
-        let dim = ctx.dim();
-        let grid = TileGrid::new(dim, dim, dim, 1)?;
+    fn step(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let img = ctx.images.cur_mut();
-        parallel_for_tiles_img(pool, &grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _| {
-            let t = w.tile();
-            for x in t.x..t.x + t.w {
-                w.set(x, t.y, invert_pixel(w.get(x, t.y)));
-            }
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _| {
+            paint(w, |x, y| invert_pixel(w.get(x, y)));
         });
         Ok(false)
     }
 
-    fn gpu(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
-        crate::gpu::launch(ctx, |x, y, src| invert_pixel(src.get(x, y)));
+    fn gpu(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        _: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
+        crate::gpu::launch(ctx, grid, |x, y, src| invert_pixel(src.get(x, y)));
         Ok(false)
     }
 }

@@ -24,14 +24,23 @@
 //! `omp_tiled`...) even though the runtime is this workspace's own
 //! `ezp-sched` pool, so command lines from the paper work verbatim.
 //!
-//! *Adding a variant* is one row in the kernel's `VARIANTS` table and
-//! the body of one iteration: `Body::Seq` runs it on the calling
-//! thread, `Body::Par` on the run's pool. The framework runs the loop
-//! around it (iteration spans, the pool, the unknown-variant error).
-//! The body reports its tiles through `ezp_sched::parallel_for_tiles`
-//! or `for_each_tile`, never EASYPAP's hand-written
+//! *Adding a variant* is one row in the kernel's `VARIANTS` table. A
+//! kernel has one step (one iteration) and one tile body; a row names
+//! the grid the step runs over (the whole image, the run's tiles, rows
+//! or bands: `variant::Grid`) and whether it runs on the pool
+//! (`Body::Par`) or on the calling thread (`Body::Seq`). A parallel
+//! variant is the sequential row with a pool, as
+//! `mandel_compute_omp_tiled` is `mandel_compute_seq` with a `parallel
+//! for` around the same `do_tile` (Fig. 1/2). The framework runs the
+//! loop around the step (the grid, iteration spans, the pool, the
+//! unknown-variant error). The step hands its tile body and the pool it
+//! got, if any, to `ezp_sched::parallel_for_tiles_img` (or
+//! `parallel_for_tiles` when it writes no image), which reports every
+//! tile, never EASYPAP's hand-written
 //! `monitoring_start_tile`/`end_tile`, and returns `Ok(true)` to stop
-//! early once the state is stable. A body that writes the next image
+//! early once the state is stable. Only a row whose loop differs keeps
+//! a body of its own: `sandpile async`, `ccomp`'s two, and `life
+//! omp_tiled`, `lazy` and `mpi_omp`. A body that writes the next image
 //! (`ctx.images.rw()`, `swap()`) needs its kernel's `init` to claim it
 //! with `ctx.images.next_mut()`: `next` is created on first use, and
 //! `init` runs before the clock starts. An in-place kernel never touches

@@ -19,7 +19,7 @@ pub mod bitboard;
 
 pub use bitboard::BitBoard;
 
-use crate::variant::{self, whole_image, Body};
+use crate::variant::{self, Body, Grid};
 use ezp_core::error::{Error, Result};
 use ezp_core::{Kernel, KernelCtx, Rgba, TileGrid};
 use ezp_monitor::{Monitor, MonitorReport};
@@ -59,13 +59,10 @@ impl Default for Life {
 
 impl Life {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("omp", Body::Par(Self::rows)),
-        (
-            "omp_tiled",
-            Body::Par(|k, ctx, pool| k.tiled(ctx, pool, false)),
-        ),
-        ("lazy", Body::Par(|k, ctx, pool| k.tiled(ctx, pool, true))),
+        ("seq", Body::Seq(Grid::Whole, Self::rows)),
+        ("omp", Body::Par(Grid::Bands, Self::rows)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::tiled::<false>)),
+        ("lazy", Body::Par(Grid::Tiles, Self::tiled::<true>)),
         ("mpi_omp", Body::Whole(Self::mpi_omp)),
     ];
 
@@ -130,27 +127,20 @@ impl Life {
         Ok(())
     }
 
-    /// Sequential whole-board stepping (bit-parallel words).
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
-        let dim = ctx.dim();
-        let mut changed = false;
-        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
-            changed = self.next.step_rows_from(&self.cur, 0, dim);
-        });
-        std::mem::swap(&mut self.cur, &mut self.next);
-        Ok(!changed)
-    }
-
-    /// Row-band parallel stepping with the word-parallel (bit-sliced)
-    /// rule: bands of `tile_size` rows are scheduled like 1D chunks —
-    /// the `omp` (non-collapsed `parallel for`) variant, and the fastest
-    /// eager path because each band advances 64 cells per instruction.
-    fn rows(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
-        let dim = ctx.dim();
-        let bands = TileGrid::new(dim, dim, dim, ctx.cfg.tile_size.max(1))?;
+    /// Stepping whole rows with the word-parallel (bit-sliced) rule,
+    /// each band advancing 64 cells per instruction: the whole board at
+    /// once (`seq`), or bands of `tile_size` rows scheduled like 1D
+    /// chunks — the `omp` (non-collapsed `parallel for`) variant, and
+    /// the fastest eager path.
+    fn rows(
+        &mut self,
+        ctx: &mut KernelCtx,
+        bands: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let any_changed = AtomicBool::new(false);
         let (cur, next) = (&self.cur, &self.next);
-        parallel_for_tiles(pool, &bands, ctx.cfg.schedule, &*ctx.probe, |t, _| {
+        parallel_for_tiles(pool, bands, ctx.cfg.schedule, &*ctx.probe, |t, _| {
             if next.step_rows_from(cur, t.y, t.y + t.h) {
                 any_changed.store(true, Ordering::Relaxed);
             }
@@ -159,10 +149,15 @@ impl Life {
         Ok(!any_changed.into_inner())
     }
 
-    /// Tile-parallel stepping; `lazy` skips tiles whose 3×3 tile
+    /// Tile-parallel stepping; `LAZY` skips tiles whose 3×3 tile
     /// neighbourhood was steady at the previous iteration.
-    fn tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool, lazy: bool) -> Result<bool> {
-        let (grid, probe) = (&ctx.grid, &*ctx.probe);
+    fn tiled<const LAZY: bool>(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
+        let (pool, probe) = (pool.expect("a pool row"), &*ctx.probe);
         if self.changed.len() != grid.len() {
             self.changed = vec![true; grid.len()];
         }
@@ -171,7 +166,7 @@ impl Life {
         let (cur, next, prev_changed) = (&self.cur, &self.next, &self.changed);
         parallel_for_range_probed(pool, grid.len(), ctx.cfg.schedule, probe, |i, rank| {
             let tile = grid.tile_at(i);
-            if lazy && !neighbourhood_changed(grid, prev_changed, tile.tx, tile.ty) {
+            if LAZY && !neighbourhood_changed(grid, prev_changed, tile.tx, tile.ty) {
                 return; // steady neighbourhood: skip, no events
             }
             for_each_tile(probe, rank, [tile], |t| {
@@ -219,8 +214,8 @@ impl Life {
             let block = BlockRows::new(comm, dim);
             let (r0, r1) = block.my_range();
             // full-size local board, only rows [r0-1, r1] materialized
-            let cur = BitBoard::new(dim, dim);
-            let next = BitBoard::new(dim, dim);
+            let mut cur = BitBoard::new(dim, dim);
+            let mut next = BitBoard::new(dim, dim);
             for (y, row) in init_rows.iter().enumerate().take(r1).skip(r0) {
                 cur.set_row_words(y, row);
             }
@@ -309,12 +304,8 @@ impl Life {
                     if r1 < dim {
                         next.set_row_words(r1, &cur.row_words(r1));
                     }
-                    // swap local boards (both are plain locals here)
-                    for y in r0.saturating_sub(1)..(r1 + 1).min(dim) {
-                        let tmp = cur.row_words(y);
-                        cur.set_row_words(y, &next.row_words(y));
-                        next.set_row_words(y, &tmp);
-                    }
+                    // both boards hold only rows `r0 - 1..=r1`, zero elsewhere
+                    std::mem::swap(&mut cur, &mut next);
                     for (i, c) in changed_now.iter().enumerate() {
                         changed[i] = c.load(Ordering::Relaxed);
                     }

@@ -20,11 +20,11 @@
 //! and lanes 93 / 99. The variants differ only in who computes which
 //! rows — which is all the paper wants them to differ in.
 
-use crate::variant::{self, Body};
+use crate::variant::{self, Body, Grid};
 use ezp_core::color::mandel_palette;
 use ezp_core::error::{Error, Result};
 use ezp_core::{Kernel, KernelCtx, Rgba, Tile, TileGrid};
-use ezp_sched::{for_each_tile, parallel_for_tiles_img, WorkerPool};
+use ezp_sched::{parallel_for_tiles_img, TileWriter, WorkerPool};
 use std::sync::{Arc, OnceLock};
 
 /// Default escape-time iteration cap. Large enough to show the black
@@ -220,9 +220,10 @@ pub fn tile_cost(view: &Viewport, tile: Tile, dim: usize, max_iter: u32) -> u64 
 /// comes straight from the command line (EASYPAP itself stops at 4096).
 pub const MAX_ITER_LIMIT: u32 = 1 << 20;
 
-/// Pixels painted per [`escape_row`] call: the stack buffer of counts
-/// between the escape loop and the palette lookup. A multiple of
-/// [`LANES`], so only a row's last segment has a scalar tail.
+/// Pixels painted per [`escape_row`] call: the stack buffers of counts
+/// and colours between the escape loop, the palette lookup and the
+/// tile's row. A multiple of [`LANES`], so only a row's last segment
+/// has a scalar tail.
 const ROW_SEG: usize = 64;
 
 /// The palette of cap `max_iter`. The default cap's table is built once
@@ -261,89 +262,58 @@ impl Default for Mandel {
 }
 
 impl Mandel {
-    /// Paints the `out.len()` pixels of row `y` that start at column `x0`.
-    fn paint_row(&self, y: usize, x0: usize, dim: usize, out: &mut [Rgba]) {
-        let mut counts = [0u32; ROW_SEG];
-        for (i, seg) in out.chunks_mut(ROW_SEG).enumerate() {
-            let counts = &mut counts[..seg.len()];
-            escape_row(&self.view, y, x0 + i * ROW_SEG, dim, self.max_iter, counts);
-            for (px, &n) in seg.iter_mut().zip(counts.iter()) {
-                *px = self.palette[n as usize];
-            }
-        }
-    }
-
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(|k, ctx| k.seq(ctx, false))),
-        ("tiled", Body::Seq(|k, ctx| k.seq(ctx, true))),
-        ("omp", Body::Par(|k, ctx, pool| k.parallel(ctx, pool, true))),
-        (
-            "omp_tiled",
-            Body::Par(|k, ctx, pool| k.parallel(ctx, pool, false)),
-        ),
-        ("gpu", Body::Seq(Self::gpu)),
+        ("seq", Body::Seq(Grid::Whole, Self::step)),
+        ("tiled", Body::Seq(Grid::Tiles, Self::step)),
+        ("omp", Body::Par(Grid::Rows, Self::step)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::step)),
+        ("gpu", Body::Seq(Grid::Tiles, Self::gpu)),
     ];
 
-    /// `mandel_compute_seq` (paper Fig. 1): plain nested loops over the
-    /// whole image, or, `tiled`, over the tiles one by one.
-    fn seq(&mut self, ctx: &mut KernelCtx, tiled: bool) -> Result<bool> {
-        let dim = ctx.dim();
-        let grid = if tiled {
-            ctx.grid
-        } else {
-            TileGrid::square(dim, dim)?
-        };
+    /// `mandel_compute_seq` (paper Fig. 1) over the whole image as one
+    /// tile or tile by tile, and `mandel_compute_omp_tiled` (Fig. 2) on
+    /// the pool over tiles or rows: one tile body, then `zoom()` once.
+    fn step(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
+        let (this, dim) = (&*self, ctx.dim()); // shared with the workers
         let img = ctx.images.cur_mut();
-        for_each_tile(&*ctx.probe, 0, grid.iter(), |t| {
-            for y in t.y..t.y + t.h {
-                self.paint_row(y, t.x, dim, &mut img.row_mut(y)[t.x..t.x + t.w]);
-            }
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _| {
+            this.paint_tile(w, dim)
         });
         self.view.zoom();
         Ok(false)
     }
 
-    /// `mandel_compute_omp_tiled` (paper Fig. 2): a parallel scheduled
-    /// loop over tiles, `zoom()` in a single region. `row_tiles` makes
-    /// tiles row-shaped — the plain `omp` variant.
-    fn parallel(
-        &mut self,
-        ctx: &mut KernelCtx,
-        pool: &mut WorkerPool,
-        row_tiles: bool,
-    ) -> Result<bool> {
-        let dim = ctx.dim();
-        let grid = if row_tiles {
-            TileGrid::new(dim, dim, dim, 1)?
-        } else {
-            ctx.grid
-        };
-        let this = &*self; // shared with the workers until the loop ends
-        let img = ctx.images.cur_mut();
-        parallel_for_tiles_img(
-            pool,
-            &grid,
-            ctx.cfg.schedule,
-            &*ctx.probe,
-            img,
-            |w, _rank| {
-                let t = w.tile();
-                let mut row = vec![Rgba::BLACK; t.w];
-                for y in t.y..t.y + t.h {
-                    this.paint_row(y, t.x, dim, &mut row);
-                    w.write_row(y, &row);
+    /// Paints `w`'s tile row by row, [`ROW_SEG`] pixels at a time.
+    fn paint_tile(&self, w: &TileWriter<'_, '_, Rgba>, dim: usize) {
+        let t = w.tile();
+        let (mut counts, mut colors) = ([0u32; ROW_SEG], [Rgba::BLACK; ROW_SEG]);
+        for y in t.y..t.y + t.h {
+            for x in (t.x..t.x + t.w).step_by(ROW_SEG) {
+                let n = ROW_SEG.min(t.x + t.w - x);
+                escape_row(&self.view, y, x, dim, self.max_iter, &mut counts[..n]);
+                for (px, &k) in colors.iter_mut().zip(&counts[..n]) {
+                    *px = self.palette[k as usize];
                 }
-            },
-        );
-        self.view.zoom();
-        Ok(false)
+                w.write_row(x, y, &colors[..n]);
+            }
+        }
     }
 
     /// OpenCL-style variant: one work-item per pixel, work-groups =
     /// tiles ([`crate::gpu::launch`]).
-    fn gpu(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+    fn gpu(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        _: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let dim = ctx.dim();
-        crate::gpu::launch(ctx, |x, y, _| {
+        crate::gpu::launch(ctx, grid, |x, y, _| {
             let (cx, cy) = self.view.pixel_to_complex(x, y, dim);
             self.palette[escape_iterations(cx, cy, self.max_iter) as usize]
         });

@@ -2,10 +2,10 @@
 //! average color — a mosaic effect where the tile grid itself *is* the
 //! visual output, making `--tile-size` effects directly visible.
 
-use crate::variant::{self, Body};
+use crate::variant::{self, paint, Body, Grid};
 use ezp_core::error::Result;
-use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, Tile};
-use ezp_sched::{for_each_tile, parallel_for_tiles_img, ImgCell, WorkerPool};
+use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, Tile, TileGrid};
+use ezp_sched::{parallel_for_tiles_img, WorkerPool};
 
 /// Average color of `tile` in `img`.
 pub fn tile_average(img: &Img2D<Rgba>, tile: Tile) -> Rgba {
@@ -23,48 +23,27 @@ pub fn tile_average(img: &Img2D<Rgba>, tile: Tile) -> Rgba {
     Rgba::new((r / n) as u8, (g / n) as u8, (b / n) as u8, (a / n) as u8)
 }
 
-fn pixelize_tile(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {
-    let t = w.tile();
-    let avg = tile_average(src, t);
-    for y in t.y..t.y + t.h {
-        for x in t.x..t.x + t.w {
-            w.set(x, y, avg);
-        }
-    }
-}
-
 /// The pixelize kernel.
 #[derive(Default)]
 pub struct Pixelize;
 
 impl Pixelize {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("omp_tiled", Body::Par(Self::omp_tiled)),
+        ("seq", Body::Seq(Grid::Tiles, Self::step)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::step)),
     ];
 
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+    fn step(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let (src, dst) = ctx.images.rw();
-        let cell = ImgCell::new(dst);
-        for_each_tile(&*ctx.probe, 0, ctx.grid.iter(), |t| {
-            pixelize_tile(src, &cell.tile_writer(t))
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, dst, |w, _| {
+            let avg = tile_average(src, w.tile());
+            paint(w, |_, _| avg);
         });
-        ctx.images.swap();
-        Ok(false)
-    }
-
-    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
-        let (src, dst) = ctx.images.rw();
-        parallel_for_tiles_img(
-            pool,
-            &ctx.grid,
-            ctx.cfg.schedule,
-            &*ctx.probe,
-            dst,
-            |w, _| {
-                pixelize_tile(src, w);
-            },
-        );
         ctx.images.swap();
         Ok(false)
     }

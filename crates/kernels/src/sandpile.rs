@@ -7,44 +7,39 @@
 //! configuration of the abelian sandpile is famously independent of the
 //! toppling order, which the tests exploit.
 
-use crate::variant::{self, whole_image, Body};
+use crate::variant::{self, paint, Body, Grid};
 use ezp_core::error::{Error, Result};
-use ezp_core::{Img2D, Kernel, KernelCtx, Rgba};
-use ezp_sched::{for_each_tile, parallel_for_tiles_img, ImgCell, WorkerPool};
+use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, TileGrid};
+use ezp_sched::{parallel_for_tiles_img, TileWriter, WorkerPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Synchronous sandpile step of one tile: `next = cur - 4*(cur>=4) +
 /// incoming topples`. Returns true when the tile changed.
-fn step_tile(cur: &Img2D<u32>, w: &ezp_sched::TileWriter<'_, '_, u32>) -> bool {
-    let t = w.tile();
+fn step_tile(cur: &Img2D<u32>, w: &TileWriter<'_, '_, u32>) -> bool {
     let (width, height) = (cur.width(), cur.height());
     let mut changed = false;
-    for y in t.y..t.y + t.h {
-        for x in t.x..t.x + t.w {
-            let mut v = cur.get(x, y);
-            if v >= 4 {
-                v -= 4;
-            }
-            let mut incoming = 0;
-            if x > 0 && cur.get(x - 1, y) >= 4 {
-                incoming += 1;
-            }
-            if x + 1 < width && cur.get(x + 1, y) >= 4 {
-                incoming += 1;
-            }
-            if y > 0 && cur.get(x, y - 1) >= 4 {
-                incoming += 1;
-            }
-            if y + 1 < height && cur.get(x, y + 1) >= 4 {
-                incoming += 1;
-            }
-            let new = v + incoming;
-            if new != cur.get(x, y) {
-                changed = true;
-            }
-            w.set(x, y, new);
+    paint(w, |x, y| {
+        let mut v = cur.get(x, y);
+        if v >= 4 {
+            v -= 4;
         }
-    }
+        let mut incoming = 0;
+        if x > 0 && cur.get(x - 1, y) >= 4 {
+            incoming += 1;
+        }
+        if x + 1 < width && cur.get(x + 1, y) >= 4 {
+            incoming += 1;
+        }
+        if y > 0 && cur.get(x, y - 1) >= 4 {
+            incoming += 1;
+        }
+        if y + 1 < height && cur.get(x, y + 1) >= 4 {
+            incoming += 1;
+        }
+        let new = v + incoming;
+        changed |= new != cur.get(x, y);
+        new
+    });
     changed
 }
 
@@ -76,9 +71,9 @@ impl Default for Sandpile {
 
 impl Sandpile {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("async", Body::Seq(Self::sweep)),
-        ("omp_tiled", Body::Par(Self::omp_tiled)),
+        ("seq", Body::Seq(Grid::Tiles, Self::step)),
+        ("async", Body::Seq(Grid::Whole, Self::sweep)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::step)),
     ];
 
     /// Read access to the grain grid (tests, examples).
@@ -91,69 +86,63 @@ impl Sandpile {
         self.cur.as_slice().iter().all(|&v| v < 4)
     }
 
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
-        let mut changed = false;
-        let (cur, cell) = (&self.cur, ImgCell::new(&mut self.next));
-        for_each_tile(&*ctx.probe, 0, ctx.grid.iter(), |t| {
-            changed |= step_tile(cur, &cell.tile_writer(t));
+    /// One synchronous (Jacobi) step over `grid`'s tiles.
+    fn step(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
+        let changed = AtomicBool::new(false);
+        let (cur, next) = (&self.cur, &mut self.next);
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, next, |w, _| {
+            if step_tile(cur, w) {
+                changed.store(true, Ordering::Relaxed);
+            }
         });
         std::mem::swap(&mut self.cur, &mut self.next);
-        Ok(!changed)
+        Ok(!changed.into_inner())
     }
 
     /// Asynchronous (Gauss-Seidel) toppling: cells topple *in place*
-    /// during the sweep, so an avalanche can travel the whole grid in
-    /// one iteration. The abelian property of the sandpile guarantees
-    /// the same final stable configuration as the synchronous scheme —
-    /// a striking invariant the tests pin down (EASYPAP ships the same
-    /// pair as `ssandPile` / `asandPile`).
-    fn sweep(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+    /// during the sweep of the grid's one tile, so an avalanche can
+    /// travel the whole grid in one iteration. The abelian property of
+    /// the sandpile guarantees the same final stable configuration as
+    /// the synchronous scheme — a striking invariant the tests pin down
+    /// (EASYPAP ships the same pair as `ssandPile` / `asandPile`).
+    fn sweep(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let dim = ctx.dim();
+        let changed = AtomicBool::new(false);
         let cur = &mut self.cur;
-        let mut changed = false;
-        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, cur, |w, _| {
             for y in 0..dim {
                 for x in 0..dim {
-                    let v = cur.get(x, y);
+                    let v = w.get(x, y);
                     if v >= 4 {
                         let q = v / 4;
-                        cur.set(x, y, v % 4);
+                        w.set(x, y, v % 4);
                         if x > 0 {
-                            cur.set(x - 1, y, cur.get(x - 1, y) + q);
+                            w.set(x - 1, y, w.get(x - 1, y) + q);
                         }
                         if x + 1 < dim {
-                            cur.set(x + 1, y, cur.get(x + 1, y) + q);
+                            w.set(x + 1, y, w.get(x + 1, y) + q);
                         }
                         if y > 0 {
-                            cur.set(x, y - 1, cur.get(x, y - 1) + q);
+                            w.set(x, y - 1, w.get(x, y - 1) + q);
                         }
                         if y + 1 < dim {
-                            cur.set(x, y + 1, cur.get(x, y + 1) + q);
+                            w.set(x, y + 1, w.get(x, y + 1) + q);
                         }
-                        changed = true;
+                        changed.store(true, Ordering::Relaxed);
                     }
                 }
             }
         });
-        Ok(!changed)
-    }
-
-    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
-        let changed = AtomicBool::new(false);
-        let (cur, next) = (&self.cur, &mut self.next);
-        parallel_for_tiles_img(
-            pool,
-            &ctx.grid,
-            ctx.cfg.schedule,
-            &*ctx.probe,
-            next,
-            |w, _| {
-                if step_tile(cur, w) {
-                    changed.store(true, Ordering::Relaxed);
-                }
-            },
-        );
-        std::mem::swap(&mut self.cur, &mut self.next);
         Ok(!changed.into_inner())
     }
 }

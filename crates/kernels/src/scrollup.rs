@@ -2,10 +2,10 @@
 //! (wrapping) — EASYPAP's minimal animated kernel, the typical target
 //! of the very first hands-on session.
 
-use crate::variant::{self, whole_image, Body};
+use crate::variant::{self, Body, Grid};
 use ezp_core::error::Result;
-use ezp_core::{Kernel, KernelCtx};
-use ezp_sched::{for_each_tile, parallel_for_tiles, ImgCell, WorkerPool};
+use ezp_core::{Kernel, KernelCtx, TileGrid};
+use ezp_sched::{parallel_for_tiles_img, WorkerPool};
 
 /// The scrollup kernel.
 #[derive(Default)]
@@ -13,31 +13,23 @@ pub struct Scrollup;
 
 impl Scrollup {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("omp_tiled", Body::Par(Self::omp_tiled)),
+        ("seq", Body::Seq(Grid::Whole, Self::step)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::step)),
     ];
 
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
+    fn step(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let dim = ctx.dim();
         let (src, dst) = ctx.images.rw();
-        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
-            for y in 0..dim {
-                dst.row_mut(y).copy_from_slice(src.row((y + 1) % dim));
-            }
-        });
-        ctx.images.swap();
-        Ok(false)
-    }
-
-    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
-        let dim = ctx.dim();
-        let (src, dst) = ctx.images.rw();
-        let cell = ImgCell::new(dst);
-        parallel_for_tiles(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, |t, _| {
-            let w = cell.tile_writer(t);
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, dst, |w, _| {
+            let t = w.tile();
             for y in t.y..t.y + t.h {
                 let from = if y + 1 == dim { 0 } else { y + 1 };
-                w.write_row(y, &src.row(from)[t.x..t.x + t.w]);
+                w.write_row(t.x, y, &src.row(from)[t.x..t.x + t.w]);
             }
         });
         ctx.images.swap();

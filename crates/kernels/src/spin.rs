@@ -4,11 +4,11 @@
 //! the *balanced* counterpoint to `mandel`: static scheduling is already
 //! optimal here, which students discover by comparing the two.
 
-use crate::variant::{self, whole_image, Body};
+use crate::variant::{self, paint, Body, Grid};
 use ezp_core::color::hsv_to_rgba;
 use ezp_core::error::Result;
-use ezp_core::{Kernel, KernelCtx, Rgba};
-use ezp_sched::{for_each_tile, parallel_for_tiles_img, WorkerPool};
+use ezp_core::{Kernel, KernelCtx, Rgba, TileGrid};
+use ezp_sched::{parallel_for_tiles_img, WorkerPool};
 
 /// Pixel color for rotation angle `base_angle` (degrees).
 #[inline]
@@ -31,39 +31,21 @@ pub struct Spin {
 
 impl Spin {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("omp_tiled", Body::Par(Self::omp_tiled)),
+        ("seq", Body::Seq(Grid::Whole, Self::step)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::step)),
     ];
 
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
-        let (dim, angle) = (ctx.dim(), self.angle);
-        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
-            ctx.images
-                .cur_mut()
-                .for_each_mut(|x, y, p| *p = spin_color(x, y, dim, angle));
-        });
-        self.angle += SPEED;
-        Ok(false)
-    }
-
-    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
+    fn step(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let (dim, angle) = (ctx.dim(), self.angle);
         let img = ctx.images.cur_mut();
-        parallel_for_tiles_img(
-            pool,
-            &ctx.grid,
-            ctx.cfg.schedule,
-            &*ctx.probe,
-            img,
-            |w, _| {
-                let t = w.tile();
-                for y in t.y..t.y + t.h {
-                    for x in t.x..t.x + t.w {
-                        w.set(x, y, spin_color(x, y, dim, angle));
-                    }
-                }
-            },
-        );
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, img, |w, _| {
+            paint(w, |x, y| spin_color(x, y, dim, angle));
+        });
         self.angle += SPEED;
         Ok(false)
     }

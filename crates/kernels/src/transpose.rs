@@ -5,10 +5,10 @@
 //! execution turns a strided full-image sweep into cache-friendly
 //! blocked accesses.
 
-use crate::variant::{self, whole_image, Body};
+use crate::variant::{self, paint, Body, Grid};
 use ezp_core::error::Result;
-use ezp_core::{Kernel, KernelCtx};
-use ezp_sched::{for_each_tile, parallel_for_tiles, ImgCell, WorkerPool};
+use ezp_core::{Kernel, KernelCtx, TileGrid};
+use ezp_sched::{parallel_for_tiles_img, WorkerPool};
 
 /// The transpose kernel.
 #[derive(Default)]
@@ -16,34 +16,19 @@ pub struct Transpose;
 
 impl Transpose {
     const VARIANTS: &'static variant::Table<Self> = &[
-        ("seq", Body::Seq(Self::seq)),
-        ("omp_tiled", Body::Par(Self::omp_tiled)),
+        ("seq", Body::Seq(Grid::Whole, Self::step)),
+        ("omp_tiled", Body::Par(Grid::Tiles, Self::step)),
     ];
 
-    fn seq(&mut self, ctx: &mut KernelCtx) -> Result<bool> {
-        let dim = ctx.dim();
+    fn step(
+        &mut self,
+        ctx: &mut KernelCtx,
+        grid: &TileGrid,
+        pool: Option<&mut WorkerPool>,
+    ) -> Result<bool> {
         let (src, dst) = ctx.images.rw();
-        for_each_tile(&*ctx.probe, 0, [whole_image(dim)], |_| {
-            for y in 0..dim {
-                for x in 0..dim {
-                    dst.set(x, y, src.get(y, x));
-                }
-            }
-        });
-        ctx.images.swap();
-        Ok(false)
-    }
-
-    fn omp_tiled(&mut self, ctx: &mut KernelCtx, pool: &mut WorkerPool) -> Result<bool> {
-        let (src, dst) = ctx.images.rw();
-        let cell = ImgCell::new(dst);
-        parallel_for_tiles(pool, &ctx.grid, ctx.cfg.schedule, &*ctx.probe, |t, _| {
-            let w = cell.tile_writer(t);
-            for y in t.y..t.y + t.h {
-                for x in t.x..t.x + t.w {
-                    w.set(x, y, src.get(y, x));
-                }
-            }
+        parallel_for_tiles_img(pool, grid, ctx.cfg.schedule, &*ctx.probe, dst, |w, _| {
+            paint(w, |x, y| src.get(y, x));
         });
         ctx.images.swap();
         Ok(false)

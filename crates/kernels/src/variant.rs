@@ -1,24 +1,69 @@
 //! The variant runner: EASYPAP's `<kernel>_compute_<variant>` lookup by
 //! name (§II-A). A kernel declares one `VARIANTS` table of per-iteration
 //! bodies; [`run`] owns what every variant's loop would otherwise repeat
-//! by hand — the lookup and its error, the pool, the iteration spans and
-//! the early stop — and the run's iteration count: a span is numbered
-//! from `KernelCtx::iterations_done`, which the runner advances, so a run
-//! split over several `compute` calls keeps one numbering.
+//! by hand — the lookup and its error, the grid, the pool, the iteration
+//! spans and the early stop — and the run's iteration count: a span is
+//! numbered from `KernelCtx::iterations_done`, which the runner
+//! advances, so a run split over several `compute` calls keeps one
+//! numbering. Rows that differ only in their [`Grid`] and in running on
+//! the pool share one step, and so one tile body.
 
 use ezp_core::error::{Error, Result};
 use ezp_core::kernel::Probe;
-use ezp_core::{Kernel, KernelCtx, Tile};
-use ezp_sched::WorkerPool;
+use ezp_core::{Kernel, KernelCtx, TileGrid};
+use ezp_sched::{TileWriter, WorkerPool};
 use std::sync::Arc;
 
-/// What a variant runs. A step returns `Ok(true)` when the state is
-/// stable: the run stops after that iteration.
+/// One iteration over a grid's tiles, on the pool when the runner hands
+/// it one. Returns `Ok(true)` when the state is stable: the run stops
+/// after that iteration.
+pub(crate) type Step<K> =
+    fn(&mut K, &mut KernelCtx, &TileGrid, Option<&mut WorkerPool>) -> Result<bool>;
+
+/// The tiles a row's step runs over, built once per `compute`.
+#[derive(Clone, Copy)]
+pub(crate) enum Grid {
+    /// One tile, the whole image: a plain sequential pass.
+    Whole,
+    /// The run's grid (`--tile-size`).
+    Tiles,
+    /// Full-width rows one pixel high (`#pragma omp for` over lines).
+    Rows,
+    /// Full-width bands of `--tile-size` rows.
+    Bands,
+}
+
+impl Grid {
+    fn of(self, ctx: &KernelCtx) -> Result<TileGrid> {
+        let dim = ctx.dim();
+        match self {
+            Grid::Whole => TileGrid::square(dim, dim),
+            Grid::Tiles => Ok(ctx.grid),
+            Grid::Rows => TileGrid::new(dim, dim, dim, 1),
+            Grid::Bands => TileGrid::new(dim, dim, dim, ctx.grid.tile_h()),
+        }
+    }
+}
+
+/// Writes `f(x, y)` to every pixel of `w`'s tile, row by row: the
+/// `do_tile` of a kernel that computes each pixel on its own.
+#[inline]
+pub(crate) fn paint<T: Copy>(w: &TileWriter<'_, '_, T>, mut f: impl FnMut(usize, usize) -> T) {
+    let t = w.tile();
+    for y in t.y..t.y + t.h {
+        for x in t.x..t.x + t.w {
+            w.set(x, y, f(x, y));
+        }
+    }
+}
+
+/// What a variant runs.
 pub(crate) enum Body<K> {
-    /// One iteration on the calling thread.
-    Seq(fn(&mut K, &mut KernelCtx) -> Result<bool>),
-    /// One iteration on the run's pool, acquired once per `compute`.
-    Par(fn(&mut K, &mut KernelCtx, &mut WorkerPool) -> Result<bool>),
+    /// One step per iteration on the calling thread, with no pool.
+    Seq(Grid, Step<K>),
+    /// One step per iteration on the run's pool, acquired once per
+    /// `compute`.
+    Par(Grid, Step<K>),
     /// The whole run, for a variant whose loop is not one step per
     /// iteration on this thread (`life mpi_omp`: every rank iterates).
     Whole(fn(&mut K, &mut KernelCtx, u32) -> Result<Option<u32>>),
@@ -49,10 +94,16 @@ pub(crate) fn run<K: Kernel>(
     };
     let (probe, done) = (Arc::clone(&ctx.probe), ctx.iterations_done);
     let converged = match body {
-        Body::Seq(step) => iterate(&*probe, done, nb_iter, || step(k, ctx)),
-        Body::Par(step) => iterate_on_pool(&*probe, ctx.threads(), done, nb_iter, |pool| {
-            step(k, ctx, pool)
-        }),
+        Body::Seq(grid, step) => {
+            let grid = grid.of(ctx)?;
+            iterate(&*probe, done, nb_iter, || step(k, ctx, &grid, None))
+        }
+        Body::Par(grid, step) => {
+            let grid = grid.of(ctx)?;
+            iterate_on_pool(&*probe, ctx.threads(), done, nb_iter, |pool| {
+                step(k, ctx, &grid, Some(pool))
+            })
+        }
         Body::Whole(whole) => whole(k, ctx, nb_iter),
     }?;
     ctx.iterations_done += converged.unwrap_or(nb_iter);
@@ -93,15 +144,6 @@ pub(crate) fn iterate_on_pool(
     iterate(probe, done, nb_iter, || step(&mut pool))
 }
 
-/// The one tile of a whole-image pass over a `dim`² image.
-pub(crate) fn whole_image(dim: usize) -> Tile {
-    Tile {
-        w: dim,
-        h: dim,
-        ..Tile::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,13 +182,26 @@ mod tests {
         }
     }
 
-    /// A kernel whose variants do nothing, one per kind of body.
+    /// A kernel whose variants do nothing but check what the runner hands
+    /// them, one per kind of body.
     struct Idle;
 
     impl Idle {
         const VARIANTS: &'static Table<Self> = &[
-            ("seq", Body::Seq(|_, _| Ok(false))),
-            ("omp", Body::Par(|_, _, _| Ok(false))),
+            (
+                "seq",
+                Body::Seq(Grid::Whole, |_, _, grid, pool| {
+                    assert!(pool.is_none() && grid.len() == 1);
+                    Ok(false)
+                }),
+            ),
+            (
+                "omp",
+                Body::Par(Grid::Tiles, |_, ctx, grid, pool| {
+                    assert!(pool.is_some() && *grid == ctx.grid);
+                    Ok(false)
+                }),
+            ),
             (
                 "whole",
                 Body::Whole(|_, ctx, nb_iter| {

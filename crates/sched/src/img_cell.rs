@@ -140,25 +140,25 @@ impl<'c, 'a, T: Copy> TileWriter<'c, 'a, T> {
         }
     }
 
-    /// Writes the tile's whole span of image row `y` from `src` — the
-    /// `memcpy` a copying kernel would otherwise spell as `tile.w`
+    /// Writes `src` into image row `y` from column `x` on — the
+    /// `memcpy` a copying kernel would otherwise spell as `src.len()`
     /// checked [`set`](Self::set)s.
     ///
     /// # Panics
     ///
-    /// Panics when `y` is not a row of this writer's tile or `src` is
-    /// not exactly `tile.w` long.
+    /// Panics when the span `x..x + src.len()` of row `y` does not lie
+    /// inside this writer's tile.
     #[inline]
-    pub fn write_row(&self, y: usize, src: &[T]) {
+    pub fn write_row(&self, x: usize, y: usize, src: &[T]) {
         let t = self.tile;
-        if y < t.y || y >= t.y + t.h {
-            row_outside_tile(y, t.x, t.y, t.w, t.h);
+        // offsets into the tile: a coordinate left of or above it wraps
+        // to a huge offset, so each bound is one compare
+        let (dx, dy) = (x.wrapping_sub(t.x), y.wrapping_sub(t.y));
+        if dy >= t.h || dx > t.w || src.len() > t.w - dx {
+            span_outside_tile(x, y, src.len(), t.x, t.y, t.w, t.h);
         }
-        if src.len() != t.w {
-            row_length_mismatch(src.len(), t.w);
-        }
-        // SAFETY: the destination `[t.x, t.x + t.w)` of row `y` lies
-        // inside this writer's tile (row checked above, tile inside the
+        // SAFETY: the destination `[x, x + src.len())` of row `y` lies
+        // inside this writer's tile (checked above, tile inside the
         // image by `tile_writer`), so it is in bounds and, as for `set`,
         // no other in-flight writer touches it. `src` cannot overlap it:
         // the cell holds the image's only borrow and never lends a
@@ -166,8 +166,8 @@ impl<'c, 'a, T: Copy> TileWriter<'c, 'a, T> {
         unsafe {
             std::ptr::copy_nonoverlapping(
                 src.as_ptr(),
-                self.cell.ptr().add(y * self.cell.width + t.x),
-                t.w,
+                self.cell.ptr().add(y * self.cell.width + x),
+                src.len(),
             );
         }
     }
@@ -192,14 +192,17 @@ fn pixel_outside_tile(x: usize, y: usize, x0: usize, y0: usize, w: usize, h: usi
 
 #[cold]
 #[inline(never)]
-fn row_outside_tile(y: usize, x0: usize, y0: usize, w: usize, h: usize) -> ! {
-    panic!("row {y} outside tile ({x0},{y0},{w}x{h})")
-}
-
-#[cold]
-#[inline(never)]
-fn row_length_mismatch(len: usize, w: usize) -> ! {
-    panic!("row source length {len} differs from the tile width {w}")
+fn span_outside_tile(
+    x: usize,
+    y: usize,
+    len: usize,
+    x0: usize,
+    y0: usize,
+    w: usize,
+    h: usize,
+) -> ! {
+    let end = x.saturating_add(len);
+    panic!("row {y} span {x}..{end} outside tile ({x0},{y0},{w}x{h})")
 }
 
 #[cfg(test)]
@@ -286,23 +289,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row 4 outside tile (0,0,4x4)")]
+    #[should_panic(expected = "row 4 span 0..4 outside tile (0,0,4x4)")]
     fn out_of_tile_row_panics() {
         let mut img: Img2D<u32> = Img2D::square(8);
         let grid = TileGrid::square(8, 4).unwrap();
         let cell = ImgCell::new(&mut img);
         let w = cell.tile_writer(grid.tile(0, 0));
-        w.write_row(4, &[1; 4]); // first row of the tile below
+        w.write_row(0, 4, &[1; 4]); // first row of the tile below
     }
 
     #[test]
-    #[should_panic(expected = "row source length 5 differs from the tile width 4")]
-    fn wrong_length_row_panics() {
+    #[should_panic(expected = "row 0 span 5..9 outside tile (4,0,4x4)")]
+    fn row_span_past_the_tile_panics() {
         let mut img: Img2D<u32> = Img2D::square(8);
         let grid = TileGrid::square(8, 4).unwrap();
         let cell = ImgCell::new(&mut img);
         let w = cell.tile_writer(grid.tile(1, 0));
-        w.write_row(0, &[1; 5]); // would spill into the next row
+        w.write_row(4, 0, &[1; 4]); // fits
+        w.write_row(5, 0, &[1; 3]); // fits, ends at the tile's edge
+        w.write_row(5, 0, &[1; 4]); // would spill into the next row
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 span 3..5 outside tile (4,0,4x4)")]
+    fn row_span_left_of_the_tile_panics() {
+        let mut img: Img2D<u32> = Img2D::square(8);
+        let grid = TileGrid::square(8, 4).unwrap();
+        let cell = ImgCell::new(&mut img);
+        let w = cell.tile_writer(grid.tile(1, 0));
+        w.write_row(3, 0, &[1; 2]); // starts in the tile to the left
     }
 
     #[test]
@@ -320,7 +335,10 @@ mod tests {
                         let id = grid.linear_index(t.tx, t.ty) as u32 + 1;
                         let src: Vec<u32> = (0..t.w as u32).map(|i| id * 100 + i).collect();
                         for y in t.y..t.y + t.h {
-                            w.write_row(y, &src);
+                            // the row in two spans, the second possibly empty
+                            let half = t.w / 2;
+                            w.write_row(t.x, y, &src[..half]);
+                            w.write_row(t.x + half, y, &src[half..]);
                         }
                     });
                 }

@@ -14,8 +14,10 @@
 //! reports every tile to the probe — the instrumentation EASYPAP asks
 //! students to insert by hand: stamped in batches for a probe that
 //! takes stamps (the monitor), else bracketed by `start_tile`/`end_tile`.
-//! [`for_each_tile`] is the same loop body on the calling thread, for
-//! sequential variants.
+//! Without a pool the same loop runs the grid in order on the calling
+//! thread, as [`for_each_tile`] does: a sequential variant is the
+//! parallel one's tile body with no pool, like `mandel_compute_seq`
+//! beside Fig. 2.
 
 use crate::dispenser::Dispenser;
 use crate::img_cell::{ImgCell, TileWriter};
@@ -57,11 +59,12 @@ pub fn parallel_for_range_probed(
 }
 
 /// Runs `f(tile, rank)` for every tile of `grid` (`collapse(2)` order),
-/// scheduled by `schedule`, reporting each tile to the probe as
-/// [`for_each_tile`] does and [`RuntimeEvent`]s to probes that want
-/// them.
+/// reporting each tile to the probe as [`for_each_tile`] does: on
+/// `pool`, scheduled by `schedule`, with [`RuntimeEvent`]s to probes
+/// that want them; with no pool, in grid order on the calling thread
+/// as worker 0, with no runtime event.
 pub fn parallel_for_tiles(
-    pool: &mut WorkerPool,
+    pool: Option<&mut WorkerPool>,
     grid: &TileGrid,
     schedule: Schedule,
     probe: &dyn Probe,
@@ -69,20 +72,29 @@ pub fn parallel_for_tiles(
 ) {
     let f = &f;
     let stamped = probe.wants_tile_stamps();
-    run_chunks(pool, grid.len(), schedule, probe, |rank| {
+    let rank_body = |rank| {
         let mut batch = stamped.then(|| [TileStamp::default(); TILE_STAMP_BATCH]);
         move |start, len| {
             report_tiles(probe, rank, batch.as_mut(), grid.chunk(start, len), |t| {
                 f(t, rank)
             })
         }
-    });
+    };
+    match pool {
+        Some(pool) => run_chunks(pool, grid.len(), schedule, probe, rank_body),
+        // The grid as rank 0's one chunk, with no dispenser: the same
+        // chunk body as a pool's, so `f` has one caller and inlines into
+        // it as it does with a pool (a second caller of `f` left it an
+        // out-of-line call per tile).
+        None => rank_body(0)(0, grid.len()),
+    }
 }
 
 /// Runs `f` on every tile of `tiles`, in order, on the calling thread
 /// as worker `rank`, reporting each tile to the probe exactly as
-/// [`parallel_for_tiles`] does. This is how a sequential variant
-/// reports its work: a whole-image pass is one tile.
+/// [`parallel_for_tiles`] does, with or without a pool: how a body that
+/// picks its own tiles (a task's, a tile a lazy sweep keeps) reports
+/// them.
 pub fn for_each_tile(
     probe: &dyn Probe,
     rank: WorkerId,
@@ -235,12 +247,12 @@ fn report_loop_end(probe: &dyn Probe, disp: &Dispenser, rank: WorkerId, t0: u64)
     }
 }
 
-/// Tile-parallel write access to an image: `f` gets a bounds-checked
-/// [`TileWriter`] for its tile. This is the full `do_tile` idiom — the
-/// common body of `mandel`-style kernels that paint the current image in
-/// place.
+/// [`parallel_for_tiles`] with write access to an image: `f` gets a
+/// bounds-checked [`TileWriter`] for its tile. This is the full
+/// `do_tile` idiom, and the only way a kernel writes an image tile by
+/// tile, with or without a pool.
 pub fn parallel_for_tiles_img<T: Copy + Send + Sync>(
-    pool: &mut WorkerPool,
+    pool: Option<&mut WorkerPool>,
     grid: &TileGrid,
     schedule: Schedule,
     probe: &dyn Probe,
@@ -249,8 +261,7 @@ pub fn parallel_for_tiles_img<T: Copy + Send + Sync>(
 ) {
     let cell = ImgCell::new(img);
     parallel_for_tiles(pool, grid, schedule, probe, |tile, rank| {
-        let writer = cell.tile_writer(tile);
-        f(&writer, rank);
+        f(&cell.tile_writer(tile), rank)
     });
 }
 
@@ -288,7 +299,7 @@ mod tests {
         let grid = TileGrid::square(32, 8).unwrap();
         let bad_ranks = AtomicUsize::new(0);
         parallel_for_tiles(
-            &mut pool,
+            Some(&mut pool),
             &grid,
             Schedule::Dynamic(1),
             &NullProbe,
@@ -328,7 +339,7 @@ mod tests {
                 ends: AtomicUsize::new(0),
                 pixels: AtomicUsize::new(0),
             };
-            parallel_for_tiles(&mut pool, &grid, sched, &probe, |_, _| {});
+            parallel_for_tiles(Some(&mut pool), &grid, sched, &probe, |_, _| {});
             assert_eq!(probe.starts.load(Ordering::Relaxed), 6);
             assert_eq!(probe.ends.load(Ordering::Relaxed), 6);
             assert_eq!(probe.pixels.load(Ordering::Relaxed), 240); // 20*12
@@ -355,7 +366,7 @@ mod tests {
             // `static` gives each of the two ranks one chunk of `per_rank` tiles
             let grid = TileGrid::new(per_rank, 2, 1, 1).unwrap();
             let probe = StampLog::default();
-            parallel_for_tiles(&mut pool, &grid, Schedule::Static, &probe, |_, _| {
+            parallel_for_tiles(Some(&mut pool), &grid, Schedule::Static, &probe, |_, _| {
                 std::hint::black_box((0..100u64).sum::<u64>());
             });
             let batches = probe.0.into_inner().unwrap();
@@ -469,12 +480,67 @@ mod tests {
     }
 
     #[test]
+    fn without_a_pool_every_tile_runs_once_in_grid_order_on_worker_0() {
+        /// Bracket edges as [`BracketLog`] logs them, and every runtime
+        /// event, which this probe asks for.
+        #[derive(Default)]
+        struct Events(BracketLog, std::sync::Mutex<Vec<RuntimeEvent>>);
+        impl Probe for Events {
+            fn wants_runtime_events(&self) -> bool {
+                true
+            }
+            fn runtime_event(&self, _: WorkerId, event: RuntimeEvent) {
+                self.1.lock().unwrap().push(event);
+            }
+            fn start_tile(&self, worker: WorkerId) {
+                self.0.start_tile(worker);
+            }
+            fn end_tile(&self, x: usize, y: usize, w: usize, h: usize, worker: WorkerId) {
+                self.0.end_tile(x, y, w, h, worker);
+            }
+        }
+        let grid = TileGrid::new(20, 12, 8, 8).unwrap(); // ragged: 3x2 tiles
+        let tiles: Vec<Tile> = grid.iter().collect();
+        for sched in [Schedule::Static, Schedule::Dynamic(1)] {
+            let (probe, ran) = (Events::default(), std::sync::Mutex::new(Vec::new()));
+            parallel_for_tiles(None, &grid, sched, &probe, |t, rank| {
+                ran.lock().unwrap().push((rank, t));
+            });
+            let in_order: Vec<(WorkerId, Tile)> = tiles.iter().map(|&t| (0, t)).collect();
+            assert_eq!(ran.into_inner().unwrap(), in_order, "{sched:?}");
+            let expect: Vec<(WorkerId, Option<Tile>)> = tiles
+                .iter()
+                .flat_map(|t| [(0, None), (0, Some(Tile { tx: 0, ty: 0, ..*t }))])
+                .collect();
+            assert_eq!(probe.0 .0.into_inner().unwrap(), expect, "{sched:?}");
+            let events = probe.1.into_inner().unwrap();
+            assert!(
+                !events
+                    .iter()
+                    .any(|e| matches!(e, RuntimeEvent::ChunkDispensed { .. })),
+                "{sched:?}: {events:?}"
+            );
+            assert!(events.is_empty(), "{sched:?}: {events:?}");
+
+            let stamps = StampLog::default();
+            parallel_for_tiles(None, &grid, sched, &stamps, |_, _| {});
+            let batches = stamps.0.into_inner().unwrap();
+            assert!(batches.iter().all(|(worker, _)| *worker == 0));
+            let stamped: Vec<Tile> = batches
+                .iter()
+                .flat_map(|(_, b)| b.iter().map(|s| s.tile))
+                .collect();
+            assert_eq!(stamped, tiles, "{sched:?}");
+        }
+    }
+
+    #[test]
     fn tiles_img_paints_disjointly() {
         let mut pool = WorkerPool::new(4);
         let grid = TileGrid::square(64, 16).unwrap();
         let mut img: Img2D<u32> = Img2D::square(64);
         parallel_for_tiles_img(
-            &mut pool,
+            Some(&mut pool),
             &grid,
             Schedule::NonmonotonicDynamic(1),
             &NullProbe,
@@ -526,10 +592,16 @@ mod tests {
         let mut pool = WorkerPool::new(4);
         let grid = TileGrid::square(8, 8).unwrap();
         let count = AtomicUsize::new(0);
-        parallel_for_tiles(&mut pool, &grid, Schedule::Guided(1), &NullProbe, |t, _| {
-            assert_eq!((t.w, t.h), (8, 8));
-            count.fetch_add(1, Ordering::Relaxed);
-        });
+        parallel_for_tiles(
+            Some(&mut pool),
+            &grid,
+            Schedule::Guided(1),
+            &NullProbe,
+            |t, _| {
+                assert_eq!((t.w, t.h), (8, 8));
+                count.fetch_add(1, Ordering::Relaxed);
+            },
+        );
         assert_eq!(count.load(Ordering::Relaxed), 1);
     }
 }

@@ -21,9 +21,15 @@ fn tile_loop_counts_sum_to_total_tasks() {
     let grid = TileGrid::square(64, 4).unwrap(); // 16x16 = 256 tiles
     let executed = AtomicUsize::new(0);
     for _ in 0..3 {
-        parallel_for_tiles(&mut pool, &grid, Schedule::Dynamic(2), &probe, |_, _| {
-            executed.fetch_add(1, Ordering::Relaxed);
-        });
+        parallel_for_tiles(
+            Some(&mut pool),
+            &grid,
+            Schedule::Dynamic(2),
+            &probe,
+            |_, _| {
+                executed.fetch_add(1, Ordering::Relaxed);
+            },
+        );
     }
     let snap = probe.snapshot();
     assert_eq!(executed.load(Ordering::Relaxed), 3 * 256);

@@ -32,7 +32,7 @@ impl Kernel for Crashy {
         for it in 1..=nb_iter {
             ctx.probe.iteration_start(it);
             easypap::sched::parallel_for_tiles(
-                &mut pool,
+                Some(&mut pool),
                 &grid,
                 ctx.cfg.schedule,
                 &*ctx.probe,

@@ -23,7 +23,13 @@ fn sim_static_assignment_matches_real_scheduler() {
     let monitor = Arc::new(Monitor::new(threads, grid));
     monitor.iteration_start(1);
     let mut pool = WorkerPool::new(threads);
-    parallel_for_tiles(&mut pool, &grid, Schedule::Static, &*monitor, |_, _| {});
+    parallel_for_tiles(
+        Some(&mut pool),
+        &grid,
+        Schedule::Static,
+        &*monitor,
+        |_, _| {},
+    );
     monitor.iteration_end(1);
     let real = monitor.report().tiling_snapshot(1);
 
