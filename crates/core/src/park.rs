@@ -83,6 +83,12 @@ impl ParkLot {
         crate::time::now_ns().saturating_sub(t0)
     }
 
+    /// Waiters registered as parked right now: a waiter counts from
+    /// just before its last re-check of the condition until it wakes.
+    pub fn sleepers(&self) -> usize {
+        self.sleepers.load(Ordering::SeqCst)
+    }
+
     /// Wakes every parked waiter. Cheap when nobody is parked: a single
     /// atomic load. Call *after* the SeqCst store that makes waiters'
     /// conditions true.
@@ -115,7 +121,7 @@ mod tests {
             let h = s.spawn(move || lot.wait_until(|| flag.load(Ordering::SeqCst)));
             // flip the flag only once the waiter has registered to park:
             // a sleep cannot promise that the waiter has even started
-            while lot.sleepers.load(Ordering::SeqCst) == 0 {
+            while lot.sleepers() == 0 {
                 std::thread::yield_now();
             }
             flag.store(true, Ordering::SeqCst);
@@ -129,7 +135,7 @@ mod tests {
     fn notify_without_waiters_is_cheap_and_safe() {
         let lot = ParkLot::new();
         lot.notify(); // must not block or panic
-        assert_eq!(lot.sleepers.load(Ordering::SeqCst), 0);
+        assert_eq!(lot.sleepers(), 0);
     }
 
     #[test]

@@ -26,13 +26,14 @@
 
 #![warn(missing_docs)]
 // `unsafe_code` is deliberately NOT denied here: `pool` (lifetime-erased
-// closure dispatch) and `img_cell` (disjoint-tile aliasing) are two of
-// the three sanctioned unsafe islands of the workspace (the third is
+// closure dispatch), `img_cell` (disjoint-tile aliasing) and `affinity` (CPU
+// binding) are three of the four sanctioned unsafe islands of the workspace (the fourth is
 // `ezp-chan`'s SPSC ring slots). Every `unsafe` block in them carries a
 // `SAFETY:` argument, enforced by clippy's `undocumented_unsafe_blocks`
 // (`[workspace.lints.clippy]` in the root manifest).
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod affinity;
 pub mod deque;
 pub mod dispenser;
 pub mod img_cell;

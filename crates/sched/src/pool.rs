@@ -60,12 +60,17 @@
 // the list is `clippy.toml` (docs/static-analysis.md).
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
+use crate::affinity;
 use crate::park::ParkLot;
+use ezp_core::ezp_debug;
 use std::cell::UnsafeCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Pools spawned so far. counter-only: the count is the entire payload.
+static POOLS: AtomicUsize = AtomicUsize::new(0);
 
 /// The job a region runs: type-erased `&dyn Fn(usize)`.
 #[derive(Clone, Copy)]
@@ -273,15 +278,30 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns a pool of `threads` workers (ranks `0..threads`).
+    /// If the spawner's affinity set has 2 or more CPUs and at least
+    /// `threads`, each worker first binds to its own CPU of the set.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "a pool needs at least one worker");
+        // ORDERING: counter-only, the number only rotates placement.
+        let number = POOLS.fetch_add(1, Ordering::Relaxed);
+        let cpus = affinity::plan(number, threads, &affinity::allowed());
+        match &cpus {
+            Ok(cpus) => ezp_debug!("sched", "pool {number}: {threads} workers on cpus {cpus:?}"),
+            Err(why) => ezp_debug!("sched", "pool {number}: {threads} workers unbound: {why}"),
+        }
         let state = Arc::new(PoolState::new());
         let handles = (0..threads)
             .map(|rank| {
                 let state = state.clone();
+                let cpu = cpus.as_ref().ok().map(|cpus| cpus[rank]);
                 std::thread::Builder::new()
                     .name(format!("ezp-worker-{rank}"))
-                    .spawn(move || worker_loop(rank, state))
+                    .spawn(move || {
+                        if let Some(cpu) = cpu {
+                            affinity::bind(cpu);
+                        }
+                        worker_loop(rank, state)
+                    })
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -683,18 +703,24 @@ mod tests {
 
     #[test]
     fn a_region_after_a_pause_records_the_workers_park() {
-        // a waiter parks once its spin phase runs out, so only time can
-        // force a park: retry until one pause outlasted the spins. A
-        // worker records its wait before it runs the region, so the
-        // total is final by the time `run` returns.
+        // a waiter parks once its spin phase runs out; wait (bounded)
+        // until both workers are registered as parked, so the next
+        // region must wake them. A worker records its wait before it
+        // runs the region, so the total is final by the time `run`
+        // returns.
         let mut pool = WorkerPool::new(2);
-        let parked = (0..50).any(|_| {
-            pool.run(|_| {});
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            let before = pool.park_ns();
-            pool.run(|_| {});
-            pool.park_ns() > before
-        });
+        pool.run(|_| {});
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while pool.state.idle.sleepers() < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the workers never parked"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let before = pool.park_ns();
+        pool.run(|_| {});
+        let parked = pool.park_ns() > before;
         assert!(parked, "no region after a pause found a parked worker");
     }
 }
