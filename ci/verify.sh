@@ -12,7 +12,9 @@
 # takes a struct by value), workspace build + tests (the ezp-chan
 # explorer included, and tests/ordering_arguments.rs, which checks every
 # written atomic-ordering argument within its 5-second budget), the one-image memory lane
-# (a 2048² in-place `mandel` run's VmHWM stays under 28 MiB), results/
+# (a 2048² in-place `mandel` run's VmHWM stays under 28 MiB), the fault
+# lane (`dispatch_fine`'s command line takes at most 600 minor faults
+# where transparent huge pages are on), results/
 # regenerated and diffed, ezp-check + conformance matrix (its
 # two-worker smoke included), the frozen benchmark's own tests and two
 # short runs (observe_record, and serve_jobs, whose client decodes every
@@ -177,6 +179,34 @@ mem_dir="$(mktemp -d)"
     echo "verify: 2048² mandel omp_tiled peaks at $peak kB, one image's worth"
 )
 rm -rf "$mem_dir"
+
+# Fault lane (docs/observability.md, *Memory*): the binaries' allocator
+# maps each block of 2 MiB or more on huge pages, so `dispatch_fine`'s
+# command line (two 4 MiB images) takes about 130 minor faults, not the
+# 2 170 of one fault per 4 KiB page. `wait4` gives the child's own
+# count. Where transparent huge pages are off, the lane says so and
+# skips: every page is a small one there.
+thp="$(cat /sys/kernel/mm/transparent_hugepage/enabled 2>/dev/null || true)"
+if [[ "$thp" == *"[always]"* || "$thp" == *"[madvise]"* ]]; then
+    easypap="$PWD/target/release/easypap"
+    fault_dir="$(mktemp -d)"
+    faults="$(cd "$fault_dir" && python3 -c '
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+sys.exit(f"the run failed: wait status {status}") if status else print(usage.ru_minflt)
+' "$easypap" --kernel scrollup --variant omp_tiled --size 1024 \
+        --tile-size 8 --schedule dynamic,1 --iterations 2 --threads 2 --seed 1 --no-display)"
+    rm -rf "$fault_dir"
+    if [ "$faults" -gt 600 ]; then
+        echo "error: dispatch_fine's command line took $faults minor faults, over 600:" >&2
+        echo "       are the binaries' large blocks off huge pages again?" >&2
+        exit 1
+    fi
+    echo "verify: dispatch_fine's command line takes $faults minor faults on huge pages"
+else
+    echo "verify: fault lane skipped: transparent huge pages are '${thp:-absent}' here"
+fi
 
 # Figure lane (results/README.md): the virtual-time figure binaries are
 # pure functions of the code, so what results/ holds must be exactly

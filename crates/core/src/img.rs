@@ -88,8 +88,11 @@ impl<T: Copy> Img2D<T> {
         let len = width * height;
         // `vec![v; n]`, not `resize`: a zero integer `v` is a zeroed
         // allocation. An `Rgba` is not, whatever its value: every pixel is
-        // written, so a 1024² image takes about 1 025 first-touch page
-        // faults here, most of what `KernelCtx::new` costs.
+        // written, so the image's first-touch page faults are paid here.
+        // A 1024² image takes about 1 025 of them on 4 KiB pages, most of
+        // what `KernelCtx::new` costs; the binaries' allocator
+        // (`ezp_sched::HugePageAlloc`) maps it on huge pages, where it
+        // takes 3 (two 2 MiB pages and its 4 KiB tail).
         let mut buf = vec![value; len + line_elems::<T>()];
         let off = aligned_offset(buf.as_ptr());
         buf.truncate(off + len);

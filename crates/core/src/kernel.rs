@@ -47,8 +47,9 @@ pub enum IdleCause {
     Steal,
     /// Out of work at the end-of-loop barrier, waiting for stragglers.
     Barrier,
-    /// Blocked in the worker pool's spin-then-park region protocol
-    /// (between parallel regions, not inside one).
+    /// A pool worker blocked in the spin-then-park region protocol,
+    /// waiting for a region to open (between parallel regions, not
+    /// inside one).
     PoolPark,
     /// A streamed frame was data-ready but a bounded inter-stage buffer
     /// or stage-width limit held it back (`ezp-stream` backpressure).

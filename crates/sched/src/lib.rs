@@ -26,8 +26,9 @@
 
 #![warn(missing_docs)]
 // `unsafe_code` is deliberately NOT denied here: `pool` (lifetime-erased
-// closure dispatch), `img_cell` (disjoint-tile aliasing) and `affinity` (CPU
-// binding) are three of the four sanctioned unsafe islands of the workspace (the fourth is
+// closure dispatch), `img_cell` (disjoint-tile aliasing), `affinity` (CPU
+// binding) and `huge_pages` (the binaries' allocator) are four of the five
+// sanctioned unsafe islands of the workspace (the fifth is
 // `ezp-chan`'s SPSC ring slots). Every `unsafe` block in them carries a
 // `SAFETY:` argument, enforced by clippy's `undocumented_unsafe_blocks`
 // (`[workspace.lints.clippy]` in the root manifest).
@@ -36,6 +37,7 @@
 mod affinity;
 pub mod deque;
 pub mod dispenser;
+mod huge_pages;
 pub mod img_cell;
 pub mod mux;
 pub mod parallel;
@@ -49,6 +51,7 @@ pub mod vexec;
 
 pub use deque::{Steal, TaskDeque};
 pub use dispenser::Dispenser;
+pub use huge_pages::HugePageAlloc;
 pub use img_cell::{ImgCell, TileWriter};
 pub use mux::{acquire_pool, MuxStats, PoolHandle, PoolLease, PoolMux};
 pub use parallel::{

@@ -186,8 +186,9 @@ fn run_chunks<B: FnMut(usize, usize)>(
 }
 
 /// Runs one pool region and, when `timed`, reports the time the pool's
-/// epoch protocol spent parked for it as one `pool_park` idle slice
-/// (attributed to rank 0: the pool's tally is global, not per-worker).
+/// workers spent parked waiting for it to open as one `pool_park` idle
+/// slice (attributed to rank 0: the pool's tally is global, not
+/// per-worker). The caller's wait for the region to close is not in it.
 /// Shared by the probed loop helpers and the task-graph executor.
 pub(crate) fn run_region_probed(
     pool: &mut WorkerPool,

@@ -122,9 +122,10 @@ pub(crate) struct PoolState {
     idle: ParkLot,
     /// `run` waits here for region completion.
     done: ParkLot,
-    /// Nanoseconds spent parked, across all threads and regions — the
-    /// `cause="pool_park"` idle slice. counter-only: a cumulative tally
-    /// whose value is the entire payload.
+    /// Nanoseconds workers spent parked waiting for a region to open,
+    /// across all workers and regions — the `cause="pool_park"` idle
+    /// slice. counter-only: a cumulative tally whose value is the
+    /// entire payload.
     park_ns: AtomicU64,
 }
 
@@ -344,9 +345,10 @@ impl WorkerPool {
         self.next_seq
     }
 
-    /// Nanoseconds the epoch protocol has spent parked, over all
-    /// threads and regions so far. The delta across a region is what
-    /// launching and closing it blocked.
+    /// Nanoseconds the workers have spent parked waiting for a region
+    /// to open, over all workers and regions so far. The delta across a
+    /// region is what launching it blocked; the caller's wait for the
+    /// region to close is not in it.
     pub(crate) fn park_ns(&self) -> u64 {
         // ORDERING: counter-only load of the Relaxed total (approximate
         // while a region is in flight; read between regions here).
@@ -387,8 +389,10 @@ impl WorkerPool {
         // this function blocks until `done_seq == seq` (protocol step
         // 4), which happens-after the last worker's use of the pointer.
         unsafe { state.publish(seq, self.threads, ErasedJob::erase(f)) };
-        // Wait for completion: spin, then park on the done lot.
-        state.record_wait(state.done.wait_until(|| state.is_closed(seq)));
+        // Wait for completion: spin, then park on the done lot. This
+        // wait is the region's own wall time, not an idle slice of any
+        // rank, so `park_ns` does not count it.
+        state.done.wait_until(|| state.is_closed(seq));
         let panics = state.close(seq);
         if panics > 0 {
             panic!("{panics} worker(s) panicked in parallel region {seq}");
@@ -722,5 +726,50 @@ mod tests {
         pool.run(|_| {});
         let parked = pool.park_ns() > before;
         assert!(parked, "no region after a pause found a parked worker");
+    }
+
+    #[test]
+    fn a_probed_region_books_no_park_for_the_callers_wait() {
+        use crate::parallel::run_region_probed;
+        use ezp_core::kernel::{IdleCause, Probe, RuntimeEvent};
+        use ezp_core::WorkerId;
+        use std::time::{Duration, Instant};
+        /// Sums the `pool_park` idle slices reported to it.
+        struct Parks(AtomicU64);
+        impl Probe for Parks {
+            fn wants_runtime_events(&self) -> bool {
+                true
+            }
+            fn runtime_event(&self, _: WorkerId, event: RuntimeEvent) {
+                if let RuntimeEvent::IdleNs {
+                    ns,
+                    cause: IdleCause::PoolPark,
+                } = event
+                {
+                    self.0.fetch_add(ns, Ordering::Relaxed);
+                }
+            }
+        }
+        // Both ranks compute for 25 ms, so the caller spins out and
+        // parks on the done lot for most of the region. The workers are
+        // already waiting when it opens, so they park for little or
+        // nothing, and the caller's wait is no rank's idle time.
+        let mut pool = WorkerPool::new(2);
+        pool.run(|_| {});
+        let probe = Parks(AtomicU64::new(0));
+        let t0 = Instant::now();
+        run_region_probed(&mut pool, &probe, true, |_| {
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_millis(25) {
+                std::hint::spin_loop();
+            }
+        });
+        let waited = t0.elapsed();
+        assert!(waited >= Duration::from_millis(20), "{waited:?}");
+        let parked = Duration::from_nanos(probe.0.load(Ordering::Relaxed));
+        assert!(
+            parked < waited / 4,
+            "pool_park {parked:?} of a region the caller waited {waited:?} for"
+        );
     }
 }
