@@ -210,10 +210,13 @@ fi
 
 # Figure lane (results/README.md): the virtual-time figure binaries are
 # pure functions of the code, so what results/ holds must be exactly
-# what they print today. Fig. 12 is a wall-clock capture but for its two
-# virtual-time lines (the task-graph replay on 4 virtual CPUs), and only
-# those are diffed. A diff here means a scheduling, simulator or
-# kernel-cost change moved a figure: rerun the binary, commit its
+# what they print today. Figs. 12 and 13 are wall-clock captures, and
+# only their lines that depend on neither timing nor thread placement
+# are diffed: Fig. 12's two virtual-time lines (the task-graph replay on
+# 4 virtual CPUs), and Fig. 13's live cells, each rank's computed tiles
+# per half, the tiles near a diagonal and the lazy-evaluation saving
+# (EXPERIMENTS.md row 13). A diff here means a scheduling, simulator,
+# kernel-cost or MPI change moved a figure: rerun the binary, commit its
 # output, and update the matching EXPERIMENTS.md row. The binaries drop
 # their .svg/.csv side files in the cwd, hence the temp dir.
 cargo build -q --offline --release -p ezp-bench
@@ -228,17 +231,22 @@ fig_dir="$(mktemp -d)"
             exit 1
         }
     done
-    virtual='^virtual-time check on 4 CPUs:|^critical path .* vs makespan '
-    committed="$(grep -E "$virtual" "$OLDPWD/results/fig12_wavefront.txt")"
-    [ "$(wc -l <<< "$committed")" -eq 2 ] && diff -u <(echo "$committed") \
-        <("$OLDPWD/target/release/fig12_wavefront" | grep -E "$virtual") || {
-        echo "error: results/fig12_wavefront.txt's virtual-time lines are not" >&2
-        echo "       what fig12_wavefront prints (diff above)" >&2
-        exit 1
+    # fig, how many of its lines, and the pattern they match
+    diff_lines() {
+        committed="$(grep -E "$3" "$OLDPWD/results/$1.txt")"
+        [ "$(wc -l <<< "$committed")" -eq "$2" ] && diff -u <(echo "$committed") \
+            <("$OLDPWD/target/release/$1" | grep -E "$3") || {
+            echo "error: results/$1.txt's deterministic lines are not" >&2
+            echo "       what $1 prints (diff above)" >&2
+            exit 1
+        }
     }
+    diff_lines fig12_wavefront 2 '^virtual-time check on 4 CPUs:|^critical path .* vs makespan '
+    diff_lines fig13_mpi_life 5 \
+        '^live cells:|^computed tiles:|^tiles computed near a diagonal:|^lazy-evaluation saving:'
 )
 rm -rf "$fig_dir"
-echo "verify: results/ matches the five deterministic figures and Fig. 12's virtual-time lines"
+echo "verify: results/ matches the five deterministic figures and Figs. 12 and 13's deterministic lines"
 
 # Tier 2: deterministic concurrency checking (see docs/testing.md).
 # The ezp-check feature compiles the virtual-scheduler executor and the

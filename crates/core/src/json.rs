@@ -585,60 +585,6 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-impl ToJson for () {
-    fn to_json(&self) -> Json {
-        Json::Null
-    }
-}
-
-impl FromJson for () {
-    fn from_json(v: &Json) -> Result<()> {
-        match v {
-            Json::Null => Ok(()),
-            other => Err(type_err("null", other)),
-        }
-    }
-}
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl FromJson for Json {
-    fn from_json(v: &Json) -> Result<Json> {
-        Ok(v.clone())
-    }
-}
-
-macro_rules! impl_json_tuple {
-    ($(($len:literal: $($T:ident . $idx:tt),+))*) => {$(
-        impl<$($T: ToJson),+> ToJson for ($($T,)+) {
-            fn to_json(&self) -> Json {
-                Json::Arr(vec![$(self.$idx.to_json()),+])
-            }
-        }
-        impl<$($T: FromJson),+> FromJson for ($($T,)+) {
-            fn from_json(v: &Json) -> Result<Self> {
-                let items = v.as_arr()?;
-                if items.len() != $len {
-                    return Err(Error::Json(format!(
-                        "expected {}-tuple, got array of {}", $len, items.len()
-                    )));
-                }
-                Ok(($($T::from_json(&items[$idx])?,)+))
-            }
-        }
-    )*};
-}
-
-impl_json_tuple! {
-    (2: A.0, B.1)
-    (3: A.0, B.1, C.2)
-    (4: A.0, B.1, C.2, D.3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,16 +723,8 @@ mod tests {
 
     #[test]
     fn derived_impls_round_trip() {
-        let pairs: (u32, Vec<bool>) = (7, vec![true, false, true]);
-        assert_eq!(
-            <(u32, Vec<bool>)>::from_json(&pairs.to_json()).unwrap(),
-            pairs
-        );
-        let triple: (usize, u32, usize) = (1, 2, 3);
-        assert_eq!(
-            <(usize, u32, usize)>::from_json(&triple.to_json()).unwrap(),
-            triple
-        );
+        let flags = vec![true, false, true];
+        assert_eq!(Vec::<bool>::from_json(&flags.to_json()).unwrap(), flags);
         let nested: Vec<Vec<u64>> = vec![vec![], vec![u64::MAX]];
         assert_eq!(
             Vec::<Vec<u64>>::from_json(&nested.to_json()).unwrap(),

@@ -190,8 +190,7 @@ impl Life {
         let dim = ctx.dim();
         let np = ctx.cfg.mpi_ranks;
         if np > dim {
-            // a rank without a row indexes past the board, and its
-            // neighbours wait for its ghost rows forever
+            // a rank without a row would index past the board
             return Err(Error::Config(format!(
                 "--mpirun -np {np}: a {dim}-row image has rows for at most {dim} ranks"
             )));
@@ -433,6 +432,17 @@ mod tests {
         iters: u32,
     ) -> (Life, Option<u32>) {
         let ranks = if variant == "mpi_omp" { 2 } else { 1 };
+        run_on_ranks(variant, ranks, dim, tile, pattern, iters)
+    }
+
+    fn run_on_ranks(
+        variant: &str,
+        ranks: usize,
+        dim: usize,
+        tile: usize,
+        pattern: &str,
+        iters: u32,
+    ) -> (Life, Option<u32>) {
         let mut k = Life::default();
         let mut c = make_ctx(dim, tile, pattern, 2, ranks);
         k.init(&mut c).unwrap();
@@ -488,6 +498,14 @@ mod tests {
             let (k, _) = run_variant(v, 64, 16, "random:0.3", 6);
             assert_eq!(k.board(), seq.board(), "variant {v} diverged from seq");
         }
+        // 3 ranks own rows 0..22, 22..43 and 43..64: both block boundaries
+        // cut a tile row, and the middle rank exchanges both ways
+        let (k, _) = run_on_ranks("mpi_omp", 3, 64, 16, "random:0.3", 6);
+        assert_eq!(
+            k.board(),
+            seq.board(),
+            "mpi_omp on 3 ranks diverged from seq"
+        );
     }
 
     #[test]

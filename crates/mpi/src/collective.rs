@@ -3,25 +3,38 @@
 //! Implemented the simple, star-topology way (root-centric): the worlds
 //! simulated here are small (`mpirun -np 2` in the paper), so asymptotic
 //! tree optimizations would be noise. Each collective uses a reserved
-//! high tag so user traffic on other tags is unaffected.
+//! high tag so user traffic on other tags is unaffected. The barrier is
+//! one of them, so a rank blocks only in a receive, where a failed
+//! peer's abort reaches it.
 
-use crate::comm::{Comm, Tag};
+use crate::comm::{Comm, Datatype, Tag};
 use ezp_core::error::Result;
-use ezp_core::json::{FromJson, ToJson};
 
 /// Tags reserved by the collectives (top of the tag space).
 const TAG_BCAST: Tag = u32::MAX - 1;
 const TAG_GATHER: Tag = u32::MAX - 2;
 const TAG_REDUCE: Tag = u32::MAX - 3;
+const TAG_BARRIER: Tag = u32::MAX - 4;
 const TAG_SCATTER: Tag = u32::MAX - 5;
+
+impl Comm {
+    /// Synchronizes all ranks (`MPI_Barrier`): every rank checks in with
+    /// rank 0, which lets them all go once the last has.
+    pub fn barrier(&self) -> Result<()> {
+        self.note(|s| s.barriers += 1);
+        if self.rank() == 0 {
+            (1..self.size()).try_for_each(|src| self.recv(src, TAG_BARRIER))?;
+            (1..self.size()).try_for_each(|dst| self.send(dst, TAG_BARRIER, &()))
+        } else {
+            self.send(0, TAG_BARRIER, &())?;
+            self.recv(0, TAG_BARRIER)
+        }
+    }
+}
 
 /// Broadcasts `value` from `root` to every rank; each rank returns the
 /// broadcast value (`MPI_Bcast`).
-pub fn broadcast<T: ToJson + FromJson + Clone>(
-    comm: &Comm,
-    root: usize,
-    value: Option<T>,
-) -> Result<T> {
+pub fn broadcast<T: Datatype>(comm: &Comm, root: usize, value: Option<T>) -> Result<T> {
     comm.note(|s| s.broadcasts += 1);
     if comm.rank() == root {
         let v = value.expect("root must provide the broadcast value");
@@ -38,13 +51,13 @@ pub fn broadcast<T: ToJson + FromJson + Clone>(
 
 /// Gathers one value per rank at `root` (`MPI_Gather`); returns
 /// `Some(values)` (indexed by rank) at root, `None` elsewhere.
-pub fn gather<T: ToJson + FromJson>(comm: &Comm, root: usize, value: &T) -> Result<Option<Vec<T>>> {
+pub fn gather<T: Datatype>(comm: &Comm, root: usize, value: &T) -> Result<Option<Vec<T>>> {
     comm.note(|s| s.gathers += 1);
     if comm.rank() == root {
         // receive from each rank *by source*: taking "any" message here
         // could steal a later collective's payload from a fast rank
         let mut out: Vec<Option<T>> = (0..comm.size()).map(|_| None).collect();
-        out[root] = Some(T::from_json(&value.to_json()).expect("self round-trip cannot fail"));
+        out[root] = Some(value.clone());
         for (src, slot) in out.iter_mut().enumerate() {
             if src != root {
                 *slot = Some(comm.recv(src, TAG_GATHER)?);
@@ -59,11 +72,7 @@ pub fn gather<T: ToJson + FromJson>(comm: &Comm, root: usize, value: &T) -> Resu
 
 /// Scatters one value per rank from `root` (`MPI_Scatter`): rank `i`
 /// receives `values[i]`. Only the root provides `values`.
-pub fn scatter<T: ToJson + FromJson>(
-    comm: &Comm,
-    root: usize,
-    values: Option<Vec<T>>,
-) -> Result<T> {
+pub fn scatter<T: Datatype>(comm: &Comm, root: usize, values: Option<Vec<T>>) -> Result<T> {
     comm.note(|s| s.scatters += 1);
     if comm.rank() == root {
         let values = values.expect("root must provide the scatter values");
@@ -86,7 +95,7 @@ pub fn scatter<T: ToJson + FromJson>(
 /// `None` elsewhere.
 pub fn reduce<T, F>(comm: &Comm, root: usize, value: T, combine: F) -> Result<Option<T>>
 where
-    T: ToJson + FromJson,
+    T: Datatype,
     F: Fn(T, T) -> T,
 {
     comm.note(|s| s.reduces += 1);
@@ -112,7 +121,7 @@ where
 /// contributions. Root-gather + broadcast.
 pub fn allreduce<T, F>(comm: &Comm, value: T, combine: F) -> Result<T>
 where
-    T: ToJson + FromJson + Clone,
+    T: Datatype,
     F: Fn(T, T) -> T,
 {
     comm.note(|s| s.reduces += 1);
@@ -172,9 +181,9 @@ mod tests {
     fn scatter_delivers_per_rank_values() {
         let got = run(3, |comm| {
             let v = if comm.rank() == 1 {
-                scatter(comm, 1, Some(vec![10, 20, 30]))?
+                scatter(comm, 1, Some(vec![10u32, 20, 30]))?
             } else {
-                scatter::<i32>(comm, 1, None)?
+                scatter::<u32>(comm, 1, None)?
             };
             Ok(v)
         })

@@ -11,31 +11,77 @@
 //! with different tags is safe — the property the Game-of-Life variant
 //! relies on when it exchanges ghost rows and tile-state metadata
 //! separately.
+//!
+//! Ranks are threads of one process, so a message moves a clone of the
+//! value itself, and the receive downcasts it to the type it asks for. A
+//! rank that fails posts an abort to every other mailbox, so a peer
+//! waiting for it gets an error instead of a hang (`MPI_Abort`).
 
 use ezp_core::error::{Error, Result};
-use ezp_core::json::{FromJson, Json, ToJson};
-use std::cell::RefCell;
+use std::any::{type_name, Any};
+use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier};
 
 /// Message tag, like MPI's. Use distinct tags for logically distinct
 /// streams (ghost rows vs. metadata).
 pub type Tag = u32;
 
-/// Wildcard source for [`Comm::recv_any`].
-pub const ANY_SOURCE: usize = usize::MAX;
+/// A value that can travel between ranks.
+pub trait Datatype: Clone + Send + 'static {
+    /// Bytes an `MPI_Send` of the matching MPI datatype carries.
+    fn bytes(&self) -> u64;
+}
 
-/// A message in flight.
-#[derive(Debug)]
-struct Message {
+macro_rules! fixed_size {
+    ($($t:ty),*) => {$(
+        impl Datatype for $t {
+            fn bytes(&self) -> u64 {
+                std::mem::size_of::<$t>() as u64
+            }
+        }
+    )*};
+}
+
+fixed_size!((), bool, u32, u64, usize);
+
+impl Datatype for String {
+    fn bytes(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
+impl<T: Datatype> Datatype for Vec<T> {
+    fn bytes(&self) -> u64 {
+        self.iter().map(T::bytes).sum()
+    }
+}
+
+impl<A: Datatype, B: Datatype> Datatype for (A, B) {
+    fn bytes(&self) -> u64 {
+        self.0.bytes() + self.1.bytes()
+    }
+}
+
+/// A value in flight.
+struct Envelope {
     src: usize,
     tag: Tag,
-    payload: Vec<u8>,
+    bytes: u64,
+    type_name: &'static str,
+    value: Box<dyn Any + Send>,
+}
+
+/// What a mailbox holds.
+enum Message {
+    Data(Envelope),
+    /// The rank failed: what its peers wait for will never come.
+    Abort(usize),
 }
 
 /// Per-rank communication counters, filled in centrally by [`Comm`] so
-/// every variant gets them for free. Bytes are serialized-payload bytes
-/// (what would travel the wire in a real MPI).
+/// every variant gets them for free. Bytes are [`Datatype::bytes`] of
+/// the values (what an `MPI_Send` of the matching datatype carries).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Point-to-point messages sent (collectives included).
@@ -66,8 +112,9 @@ pub struct Comm {
     senders: Vec<Sender<Message>>,
     receiver: Receiver<Message>,
     /// Received-but-not-yet-requested messages (selective reception).
-    pending: RefCell<Vec<Message>>,
-    barrier: Arc<Barrier>,
+    pending: RefCell<Vec<Envelope>>,
+    /// The failed rank whose abort reached this mailbox, if one did.
+    aborted_by: Cell<Option<usize>>,
     /// Communication counters; `RefCell` because a `Comm` is owned by
     /// one rank thread (same argument as `pending`).
     stats: RefCell<CommStats>,
@@ -84,72 +131,87 @@ impl Comm {
         self.size
     }
 
-    /// Sends `value` to `dst` under `tag`. Never blocks (buffered mode).
-    pub fn send<T: ToJson>(&self, dst: usize, tag: Tag, value: &T) -> Result<()> {
+    /// Sends a clone of `value` to `dst` under `tag`. Never blocks
+    /// (buffered mode).
+    pub fn send<T: Datatype>(&self, dst: usize, tag: Tag, value: &T) -> Result<()> {
         if dst >= self.size {
             return Err(Error::Mpi(format!(
                 "send to rank {dst} out of range (size {})",
                 self.size
             )));
         }
-        let payload = value.to_json().dump().into_bytes();
-        {
-            let mut st = self.stats.borrow_mut();
+        let bytes = value.bytes();
+        self.note(|st| {
             st.msgs_sent += 1;
-            st.bytes_sent += payload.len() as u64;
-        }
+            st.bytes_sent += bytes;
+        });
         self.senders[dst]
-            .send(Message {
+            .send(Message::Data(Envelope {
                 src: self.rank,
                 tag,
-                payload,
-            })
+                bytes,
+                type_name: type_name::<T>(),
+                value: Box::new(value.clone()),
+            }))
             .map_err(|_| Error::Mpi(format!("rank {dst} has terminated")))
     }
 
     /// Receives the next message from `src` with `tag`, blocking until it
-    /// arrives. Other messages received meanwhile are buffered.
-    pub fn recv<T: FromJson>(&self, src: usize, tag: Tag) -> Result<T> {
+    /// arrives. Other messages received meanwhile are buffered. A message
+    /// that holds another type than `T` is an error.
+    pub fn recv<T: Datatype>(&self, src: usize, tag: Tag) -> Result<T> {
         let (_, value) = self.recv_match(|m| m.src == src && m.tag == tag)?;
         Ok(value)
     }
 
     /// Receives the next message with `tag` from any source; returns
     /// `(src, value)`.
-    pub fn recv_any<T: FromJson>(&self, tag: Tag) -> Result<(usize, T)> {
+    pub fn recv_any<T: Datatype>(&self, tag: Tag) -> Result<(usize, T)> {
         self.recv_match(|m| m.tag == tag)
     }
 
-    fn recv_match<T: FromJson>(&self, matches: impl Fn(&Message) -> bool) -> Result<(usize, T)> {
+    fn recv_match<T: Datatype>(&self, matches: impl Fn(&Envelope) -> bool) -> Result<(usize, T)> {
         // check the pending buffer first (preserving arrival order)
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(pos) = pending.iter().position(&matches) {
-                let m = pending.remove(pos);
-                self.note_received(&m);
-                return decode(m);
-            }
-        }
-        loop {
-            let m = self
-                .receiver
-                .recv()
-                .map_err(|_| Error::Mpi("world has shut down".into()))?;
-            if matches(&m) {
-                self.note_received(&m);
-                return decode(m);
-            }
-            self.pending.borrow_mut().push(m);
+        let buffered = self.pending.borrow().iter().position(&matches);
+        let m = match buffered {
+            Some(pos) => self.pending.borrow_mut().remove(pos),
+            None => loop {
+                if let Some(failed) = self.aborted_by.get() {
+                    return Err(Error::Mpi(format!(
+                        "rank {failed} failed, so rank {} aborts (MPI_Abort)",
+                        self.rank
+                    )));
+                }
+                // this rank holds a sender to its own mailbox: it never closes
+                match self
+                    .receiver
+                    .recv()
+                    .expect("a rank's own mailbox stays open")
+                {
+                    Message::Data(m) if matches(&m) => break m,
+                    Message::Data(m) => self.pending.borrow_mut().push(m),
+                    Message::Abort(failed) => self.aborted_by.set(Some(failed)),
+                }
+            },
+        };
+        self.note(|st| {
+            st.msgs_received += 1;
+            st.bytes_received += m.bytes;
+        });
+        match m.value.downcast::<T>() {
+            Ok(value) => Ok((m.src, *value)),
+            Err(_) => Err(Error::Mpi(format!(
+                "rank {} asked for a {} but the message from rank {} under tag {} holds a {}",
+                self.rank,
+                type_name::<T>(),
+                m.src,
+                m.tag,
+                m.type_name
+            ))),
         }
     }
 
-    fn note_received(&self, m: &Message) {
-        let mut st = self.stats.borrow_mut();
-        st.msgs_received += 1;
-        st.bytes_received += m.payload.len() as u64;
-    }
-
-    /// Counter hook for the collectives module.
+    /// Counter hook, also for the collectives module.
     pub(crate) fn note(&self, f: impl FnOnce(&mut CommStats)) {
         f(&mut self.stats.borrow_mut());
     }
@@ -162,7 +224,7 @@ impl Comm {
     /// Simultaneous send+receive with the same peer — the deadlock-free
     /// idiom of ghost exchange (`MPI_Sendrecv`). With buffered sends this
     /// is simply a send followed by a receive.
-    pub fn sendrecv<T: ToJson, U: FromJson>(
+    pub fn sendrecv<T: Datatype, U: Datatype>(
         &self,
         dst: usize,
         send_tag: Tag,
@@ -173,41 +235,12 @@ impl Comm {
         self.send(dst, send_tag, value)?;
         self.recv(src, recv_tag)
     }
-
-    /// Synchronizes all ranks (`MPI_Barrier`).
-    pub fn barrier(&self) {
-        self.stats.borrow_mut().barriers += 1;
-        self.barrier.wait();
-    }
-}
-
-fn decode<T: FromJson>(m: Message) -> Result<(usize, T)> {
-    let value = std::str::from_utf8(&m.payload)
-        .map_err(|e| {
-            Error::Mpi(format!(
-                "payload is not UTF-8 (src {}, tag {}): {e}",
-                m.src, m.tag
-            ))
-        })
-        .and_then(|text| {
-            Json::parse(text)
-                .and_then(|v| T::from_json(&v))
-                .map_err(|e| {
-                    Error::Mpi(format!(
-                        "deserialization failed (src {}, tag {}): {e}",
-                        m.src, m.tag
-                    ))
-                })
-        })?;
-    Ok((m.src, value))
 }
 
 /// Launches `np` ranks running `f` concurrently and returns their
 /// results indexed by rank — the `mpirun -np N easypap ...` equivalent.
-///
-/// # Panics
-///
-/// Panics if any rank panics (after all ranks have been joined).
+/// A rank that returns `Err` or panics aborts the world: `run` returns
+/// that rank's error once every rank has stopped.
 pub fn run<R, F>(np: usize, f: F) -> Result<Vec<R>>
 where
     R: Send,
@@ -231,8 +264,7 @@ where
     // A mailbox's receiver dies with its rank, which is what turns a
     // send to a finished rank into an error.
     let (senders, inboxes): (Vec<_>, Vec<_>) = (0..np).map(|_| channel::<Message>()).unzip();
-    let barrier = Arc::new(Barrier::new(np));
-    let comms: Vec<Comm> = inboxes
+    let comms = inboxes
         .into_iter()
         .enumerate()
         .map(|(rank, receiver)| Comm {
@@ -241,46 +273,54 @@ where
             senders: senders.clone(),
             receiver,
             pending: RefCell::new(Vec::new()),
-            barrier: barrier.clone(),
+            aborted_by: Cell::new(None),
             stats: RefCell::new(CommStats::default()),
-        })
-        .collect();
-
-    let mut results: Vec<Option<(Result<R>, CommStats)>> = Vec::new();
-    for _ in 0..np {
-        results.push(None);
-    }
-    std::thread::scope(|s| {
+        });
+    let ranks: Vec<(Result<R>, bool, CommStats)> = std::thread::scope(|s| {
         let handles: Vec<_> = comms
-            .into_iter()
             .map(|comm| {
                 let f = &f;
                 s.spawn(move || {
-                    let r = f(&comm);
-                    (r, comm.stats())
+                    let r = catch_unwind(AssertUnwindSafe(|| f(&comm))).unwrap_or_else(|_| {
+                        Err(Error::Mpi(format!("rank {} panicked", comm.rank)))
+                    });
+                    // a rank that failed on a peer's abort relays nothing:
+                    // that abort reached every mailbox already
+                    let failed_first = r.is_err() && comm.aborted_by.get().is_none();
+                    if failed_first {
+                        for (dst, mailbox) in comm.senders.iter().enumerate() {
+                            if dst != comm.rank {
+                                // a rank that already returned waits for nothing
+                                mailbox.send(Message::Abort(comm.rank)).ok();
+                            }
+                        }
+                    }
+                    (r, failed_first, comm.stats())
                 })
             })
             .collect();
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(r) => results[rank] = Some(r),
-                Err(_) => {
-                    results[rank] = Some((
-                        Err(Error::Mpi(format!("rank {rank} panicked"))),
-                        CommStats::default(),
-                    ))
-                }
-            }
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a rank's panic is caught inside it"))
+            .collect()
     });
+    // the first rank that failed on its own names the failure, not a
+    // peer that met its abort
     let mut values = Vec::with_capacity(np);
     let mut stats = Vec::with_capacity(np);
-    for r in results {
-        let (value, st) = r.expect("every rank joined");
-        values.push(value?);
+    let mut met_abort = None;
+    for (value, failed_first, st) in ranks {
+        match value {
+            Ok(v) => values.push(v),
+            Err(e) if failed_first => return Err(e),
+            Err(e) => met_abort = met_abort.or(Some(e)),
+        }
         stats.push(st);
     }
-    Ok((values, stats))
+    match met_abort {
+        Some(e) => Err(e),
+        None => Ok((values, stats)),
+    }
 }
 
 #[cfg(test)]
@@ -368,7 +408,7 @@ mod tests {
         let before = AtomicUsize::new(0);
         run(4, |comm| {
             before.fetch_add(1, Ordering::SeqCst);
-            comm.barrier();
+            comm.barrier()?;
             // after the barrier, every rank must have incremented
             assert_eq!(before.load(Ordering::SeqCst), 4);
             Ok(())
@@ -378,25 +418,14 @@ mod tests {
 
     #[test]
     fn structured_payloads() {
-        #[derive(PartialEq, Debug)]
+        #[derive(Clone, PartialEq, Debug)]
         struct Ghost {
             row: Vec<u32>,
             steady: bool,
         }
-        impl ToJson for Ghost {
-            fn to_json(&self) -> Json {
-                Json::obj([
-                    ("row", self.row.to_json()),
-                    ("steady", self.steady.to_json()),
-                ])
-            }
-        }
-        impl FromJson for Ghost {
-            fn from_json(v: &Json) -> Result<Ghost> {
-                Ok(Ghost {
-                    row: v.field("row")?,
-                    steady: v.field("steady")?,
-                })
+        impl Datatype for Ghost {
+            fn bytes(&self) -> u64 {
+                self.row.bytes() + self.steady.bytes()
             }
         }
         let got = run(2, |comm| {
@@ -471,17 +500,19 @@ mod tests {
             let peer = 1 - comm.rank();
             comm.send(peer, 0, &comm.rank())?;
             let v: usize = comm.recv(peer, 0)?;
-            comm.barrier();
+            comm.barrier()?;
             Ok(v)
         })
         .unwrap();
         assert_eq!(got, vec![1, 0]);
         for st in &stats {
-            assert_eq!(st.msgs_sent, 1);
-            assert_eq!(st.msgs_received, 1);
-            // both ranks ship a 1-byte JSON number ("0" / "1")
-            assert_eq!(st.bytes_sent, 1);
-            assert_eq!(st.bytes_received, 1);
+            // the usize, then the barrier's empty message each way
+            // through rank 0
+            assert_eq!(st.msgs_sent, 2);
+            assert_eq!(st.msgs_received, 2);
+            // both ranks ship one 8-byte usize; a barrier carries nothing
+            assert_eq!(st.bytes_sent, 8);
+            assert_eq!(st.bytes_received, 8);
             assert_eq!(st.barriers, 1);
         }
     }
@@ -510,12 +541,84 @@ mod tests {
     #[test]
     fn single_rank_world_works() {
         let got = run(1, |comm| {
-            comm.barrier();
+            comm.barrier()?;
             comm.send(0, 0, &42u32)?; // self-send
             let v: u32 = comm.recv(0, 0)?;
             Ok(v)
         })
         .unwrap();
         assert_eq!(got, vec![42]);
+    }
+
+    #[test]
+    fn recv_of_the_wrong_type_names_both_types() {
+        let err = run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 4, &7u32)
+            } else {
+                comm.recv::<String>(0, 4).map(drop)
+            }
+        })
+        .unwrap_err()
+        .to_string();
+        for part in ["rank 0", "tag 4", "u32", "alloc::string::String"] {
+            assert!(err.contains(part), "{part} missing from: {err}");
+        }
+    }
+
+    /// Runs `world` on a helper thread and returns what it returns; a
+    /// world still running after 10 s fails the test instead of hanging it.
+    fn within_deadline<T: Send + 'static>(world: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(world()).ok());
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("the world did not return: {e}"))
+    }
+
+    /// Rank 1 of 3 fails at once, by `Err` or by a panic, while ranks 0
+    /// and 2 wait for it in `recv` or in `barrier` (where rank 0 is the
+    /// root waiting for rank 1, and rank 2 waits for the root). Returns
+    /// `run`'s error and what rank 0's wait returned.
+    fn fail_rank_1(panics: bool, in_barrier: bool) -> (String, String) {
+        within_deadline(move || {
+            let seen = std::sync::OnceLock::new();
+            let err = run(3, |comm| -> Result<()> {
+                if comm.rank() == 1 {
+                    if panics {
+                        panic!("rank 1 exploded");
+                    }
+                    return Err(Error::Mpi("rank 1's own failure".into()));
+                }
+                let waited = if in_barrier {
+                    comm.barrier()
+                } else {
+                    comm.recv::<u32>(1, 0).map(drop)
+                };
+                if comm.rank() == 0 {
+                    seen.set(format!("{waited:?}")).ok();
+                }
+                waited
+            })
+            .unwrap_err();
+            (err.to_string(), seen.into_inner().unwrap_or_default())
+        })
+    }
+
+    #[test]
+    fn a_rank_that_returns_err_aborts_its_waiting_peers() {
+        for in_barrier in [false, true] {
+            let (err, seen) = fail_rank_1(false, in_barrier);
+            assert!(err.contains("rank 1's own failure"), "{err}");
+            assert!(seen.contains("rank 1 failed"), "{seen}");
+        }
+    }
+
+    #[test]
+    fn a_rank_that_panics_aborts_its_waiting_peers() {
+        for in_barrier in [false, true] {
+            let (err, seen) = fail_rank_1(true, in_barrier);
+            assert!(err.contains("rank 1 panicked"), "{err}");
+            assert!(seen.contains("rank 1 failed"), "{seen}");
+        }
     }
 }

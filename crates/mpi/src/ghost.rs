@@ -6,9 +6,8 @@
 //! iteration. [`BlockRows`] computes the decomposition; [`exchange_rows`]
 //! does the two-neighbour exchange with `sendrecv` semantics.
 
-use crate::comm::{Comm, Tag};
+use crate::comm::{Comm, Datatype, Tag};
 use ezp_core::error::Result;
-use ezp_core::json::{FromJson, ToJson};
 
 /// Tag used by the ghost exchange (distinct directions use tag+0/+1).
 const TAG_GHOST_DOWN: Tag = u32::MAX - 10; // data flowing to higher ranks
@@ -102,7 +101,7 @@ pub fn exchange_rows<T>(
     last_row: &T,
 ) -> Result<(Option<T>, Option<T>)>
 where
-    T: ToJson + FromJson,
+    T: Datatype,
 {
     // send phase (buffered, never blocks)
     if let Some(up) = block.up_neighbor() {
@@ -199,7 +198,7 @@ mod tests {
         let got = run(1, |comm| {
             let block = BlockRows::new(comm, 8);
             assert_eq!(block.my_rows(), 8);
-            exchange_rows(comm, &block, &vec![1u8], &vec![2u8])
+            exchange_rows(comm, &block, &vec![1u32], &vec![2u32])
         })
         .unwrap();
         assert_eq!(got[0], (None, None));

@@ -5,13 +5,15 @@
 //! between MPI processes, including meta-informations regarding the
 //! state of tiles". Running a real `mpirun` is a hardware/stack gate this
 //! reproduction replaces with a faithful simulation (see DESIGN.md):
-//! ranks are OS threads, point-to-point messages travel over unbounded
-//! channels (MPI buffered-send semantics), and the collective operations
-//! are built on top of them, so user code is structured exactly like an
-//! MPI program — explicit rank decomposition, sends, receives, barriers.
+//! ranks are OS threads, point-to-point messages move typed values over
+//! unbounded channels (MPI buffered-send semantics), and the collective
+//! operations are built on top of them, so user code is structured
+//! exactly like an MPI program — explicit rank decomposition, sends,
+//! receives, barriers. A message counts the bytes an `MPI_Send` of its
+//! datatype would carry ([`Datatype`]).
 //!
 //! * [`comm`] — [`Comm`] (rank, size, send/recv with tags and selective
-//!   reception) and [`run`], the `mpirun -np N` equivalent;
+//!   reception), [`Datatype`] and [`run`], the `mpirun -np N` equivalent;
 //! * [`collective`] — barrier, broadcast, gather, all-reduce;
 //! * [`ghost`] — row-block decomposition and ghost-row exchange helpers.
 
@@ -23,5 +25,5 @@ pub mod collective;
 pub mod comm;
 pub mod ghost;
 
-pub use comm::{run, run_with_stats, Comm, CommStats, Tag, ANY_SOURCE};
+pub use comm::{run, run_with_stats, Comm, CommStats, Datatype, Tag};
 pub use ghost::BlockRows;

@@ -3,9 +3,10 @@
 //! Selective reception is the subtle part of the communicator: messages
 //! requested out of arrival order must be buffered, never lost or
 //! duplicated. These property tests throw random traffic patterns at a
-//! world and assert exact delivery.
+//! world and assert exact delivery, and that the world's byte counters
+//! agree with what was sent.
 
-use ezp_mpi::{collective, run};
+use ezp_mpi::{collective, run_with_stats, CommStats, Datatype};
 use ezp_testkit::ezp_proptest;
 use ezp_testkit::prop::any_u64;
 use ezp_testkit::Rng;
@@ -15,24 +16,28 @@ ezp_proptest! {
 
     /// Every rank sends a random multiset of tagged messages to every
     /// other rank; receivers request them grouped by (src, tag) in a
-    /// *different* random order. All payloads must arrive exactly once.
+    /// *different* random order. All payloads must arrive exactly once,
+    /// and the world receives the bytes it sent.
     fn random_traffic_delivers_exactly_once(
         np in 2usize..5,
         msgs_per_pair in 1usize..5,
         tags in 1u32..4,
         seed in any_u64(),
     ) {
-        let results = run(np, |comm| {
+        let (results, stats) = run_with_stats(np, |comm| {
             let me = comm.rank();
-            // deterministic per-rank RNG so send/recv plans agree
-            // send phase: to each peer, msgs_per_pair messages per tag
+            // send phase: to each peer, msgs_per_pair messages per tag,
+            // the k-th carrying k + 1 copies of the sender's rank
+            let mut sent_bytes = 0;
             for dst in 0..comm.size() {
                 if dst == me {
                     continue;
                 }
                 for tag in 0..tags {
                     for k in 0..msgs_per_pair {
-                        comm.send(dst, tag, &(me, tag, k))?;
+                        let msg = (tag, vec![me as u64; k + 1]);
+                        sent_bytes += msg.bytes();
+                        comm.send(dst, tag, &msg)?;
                     }
                 }
             }
@@ -44,19 +49,22 @@ ezp_proptest! {
                 .collect();
             let mut rng = Rng::seed(seed ^ me as u64);
             rng.shuffle(&mut pairs);
-            let mut received = Vec::new();
+            let mut received = 0;
             for (src, tag) in pairs {
                 for k in 0..msgs_per_pair {
-                    let (s, t, kk): (usize, u32, usize) = comm.recv(src, tag)?;
-                    assert_eq!((s, t, kk), (src, tag, k), "FIFO order within (src, tag)");
-                    received.push((s, t, kk));
+                    let (t, words): (u32, Vec<u64>) = comm.recv(src, tag)?;
+                    let got = (words[0] as usize, t, words.len() - 1);
+                    assert_eq!(got, (src, tag, k), "FIFO order within (src, tag)");
+                    received += 1;
                 }
             }
-            Ok(received.len())
+            Ok((received, sent_bytes))
         })
         .unwrap();
         let expected = (np - 1) * msgs_per_pair * tags as usize;
-        assert!(results.iter().all(|&n| n == expected));
+        assert!(results.iter().all(|&(n, _)| n == expected));
+        let sent: u64 = results.iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(world_bytes(&stats), (sent, sent));
     }
 
     /// Interleaving point-to-point chatter with collectives must never
@@ -65,7 +73,7 @@ ezp_proptest! {
         np in 2usize..5,
         rounds in 1usize..6,
     ) {
-        let results = run(np, |comm| {
+        let (results, stats) = run_with_stats(np, |comm| {
             let me = comm.rank();
             let next = (me + 1) % comm.size();
             let prev = (me + comm.size() - 1) % comm.size();
@@ -85,5 +93,16 @@ ezp_proptest! {
                 assert_eq!(sum, (round as u64 + 1) * np as u64);
             }
         }
+        // per round: one u64 to the next rank, one to the root and one
+        // back from it per other rank
+        let messages = (np + 2 * (np - 1)) as u64 * rounds as u64;
+        assert_eq!(world_bytes(&stats), (8 * messages, 8 * messages));
     }
+}
+
+/// The world's `(bytes_sent, bytes_received)`.
+fn world_bytes(stats: &[CommStats]) -> (u64, u64) {
+    stats.iter().fold((0, 0), |(sent, received), st| {
+        (sent + st.bytes_sent, received + st.bytes_received)
+    })
 }
