@@ -5,12 +5,15 @@
 //! region family, one pool, exit. A service ([`ezp-serve`]) must run
 //! *many* independent jobs concurrently without spawning threads per
 //! job. [`PoolMux`] is the composition layer that makes the worker pool
-//! shared: it pre-spawns `slots` pools of `workers` threads each and
-//! leases them out one job at a time. Each leased pool still runs its
-//! regions through the untouched seqlock epoch protocol — jobs in
-//! different slots proceed fully concurrently, and a returned lease
-//! leaves the pool parked and reusable, so the thread-spawn cost is
-//! paid once at service start instead of per job.
+//! shared: it pre-spawns `slots` pools of `workers` ranks each and
+//! leases them out one job at a time. A pool's rank 0 is whichever
+//! thread runs its region, so a pool spawns `workers − 1` threads, and
+//! the runner (or connection reader) that leased it computes rank 0 of
+//! its job. Each leased pool still runs its regions through the
+//! untouched seqlock epoch protocol — jobs in different slots proceed
+//! fully concurrently, and a returned lease leaves the pool parked and
+//! reusable, so the thread-spawn cost is paid once at service start
+//! instead of per job.
 //!
 //! [`ezp-serve`]: ../../ezp_serve/index.html
 //!
@@ -75,9 +78,10 @@ pub struct PoolMux {
 }
 
 impl PoolMux {
-    /// Spawns `slots` pools of `workers` threads each (both clamped to
-    /// at least 1). Total worker threads = `slots × workers`, all
-    /// parked until leased.
+    /// Spawns `slots` pools of `workers` ranks each (both clamped to
+    /// at least 1). Total worker threads = `slots × (workers − 1)`, all
+    /// parked until leased: the thread that runs a leased pool's region
+    /// is its rank 0.
     pub fn new(slots: usize, workers: usize) -> Self {
         let slots = slots.max(1);
         let workers = workers.max(1);

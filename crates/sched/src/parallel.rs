@@ -185,10 +185,10 @@ fn run_chunks<B: FnMut(usize, usize)>(
     });
 }
 
-/// Runs one pool region and, when `timed`, reports the time the pool's
-/// workers spent parked waiting for it to open as one `pool_park` idle
-/// slice (attributed to rank 0: the pool's tally is global, not
-/// per-worker). The caller's wait for the region to close is not in it.
+/// Runs one pool region and, when `timed`, reports the time each worker
+/// spent parked waiting for it to open as a `pool_park` idle slice on
+/// that worker's rank. Rank 0, the caller, never waits for a region to
+/// open, and its wait for the region to close is no rank's idle time.
 /// Shared by the probed loop helpers and the task-graph executor.
 pub(crate) fn run_region_probed(
     pool: &mut WorkerPool,
@@ -196,19 +196,18 @@ pub(crate) fn run_region_probed(
     timed: bool,
     f: impl Fn(WorkerId) + Sync,
 ) {
-    let before = timed.then(|| pool.park_ns());
+    if timed {
+        // what earlier regions parked is theirs, not this one's
+        pool.park_ns(|_, _| {});
+    }
     pool.run(f);
-    if let Some(before) = before {
-        let park_ns = pool.park_ns().saturating_sub(before);
-        if park_ns > 0 {
-            probe.runtime_event(
-                0,
-                RuntimeEvent::IdleNs {
-                    ns: park_ns,
-                    cause: IdleCause::PoolPark,
-                },
-            );
-        }
+    if timed {
+        pool.park_ns(|rank, ns| {
+            if ns > 0 {
+                let cause = IdleCause::PoolPark;
+                probe.runtime_event(rank, RuntimeEvent::IdleNs { ns, cause });
+            }
+        });
     }
 }
 

@@ -1,10 +1,11 @@
 //! A persistent worker-thread pool executing parallel regions.
 //!
-//! `WorkerPool::run(f)` is `#pragma omp parallel`: every worker invokes
-//! `f(rank)` once, and `run` returns when all of them are done. Workers
-//! are parked between regions, so repeated parallel loops (one per
-//! iteration of a kernel, like Fig. 2's `omp parallel` around the
-//! iteration loop) do not pay thread creation costs.
+//! `WorkerPool::run(f)` is `#pragma omp parallel`: every rank invokes
+//! `f(rank)` once, and `run` returns when all of them are done. As in
+//! OpenMP, the caller is rank 0: a pool of `n` ranks spawns `n − 1`
+//! workers. They are parked between regions, so repeated parallel loops
+//! (one per iteration of a kernel, like Fig. 2's `omp parallel` around
+//! the iteration loop) do not pay thread creation costs.
 //!
 //! ## Hot-path synchronization
 //!
@@ -32,6 +33,9 @@
 //!    `job_seq` (SeqCst) and notifying the idle [`ParkLot`]. Workers
 //!    spin-then-park on `job_seq`; observing the bump (SeqCst) makes the
 //!    cell write visible, so they copy the pointer and run the closure.
+//!    `run` then runs rank 0's share, catching its panic, so nothing
+//!    unwinds past step 4. A region of width 1 has no worker: `run`
+//!    closes it as it opens it, and nobody wakes.
 //! 3. Each worker decrements `remaining` (AcqRel) when done; the last
 //!    one stores the sequence number to `done_seq` (SeqCst) and notifies
 //!    the done [`ParkLot`].
@@ -40,8 +44,8 @@
 //!    worker can still dereference the pointer, and every write the
 //!    closure made is visible to the caller.
 //!
-//! Worker panics are caught, counted in `panics`, and re-raised from
-//! `run` as a single panic naming the region, so a crashing tile
+//! Panics of every rank are caught, counted in `panics`, and re-raised
+//! from `run` as a single panic naming the region, so a crashing tile
 //! function cannot deadlock the pool. The counter is reset by `run`
 //! *before* publishing the next epoch and read *after* observing
 //! completion, both on the SeqCst spine above — a panic in region N is
@@ -50,8 +54,8 @@
 //! ## Protocol steps
 //!
 //! The protocol is written once, as non-blocking steps on `PoolState`:
-//! the caller's side is `publish` (steps 1–2) and `close` (step 4's
-//! read), a worker's side is `worker_step` (steps 2–3 for one region).
+//! the caller's side is `publish` (steps 1–2), `run_share` and `close`
+//! (step 4's read), a worker's side is `worker_step` (steps 2–3).
 //! The threads here call them between their [`ParkLot`] waits; under
 //! `ezp-check`, `vexec::virtual_region_protocol` calls the same steps
 //! on a thread-less `RegionDriver` under an explicit interleaving.
@@ -110,11 +114,11 @@ pub(crate) struct PoolState {
     job_seq: AtomicU64,
     /// The erased closure of the published region.
     job: JobCell,
-    /// Workers still running the current region.
+    /// Workers still running the current region (not the caller).
     remaining: AtomicUsize,
     /// Last fully completed region sequence number.
     done_seq: AtomicU64,
-    /// Number of workers that panicked in the current region.
+    /// Number of ranks that panicked in the current region.
     panics: AtomicUsize,
     /// Set when the pool is shutting down (SeqCst, before `idle.notify`).
     shutdown: AtomicBool,
@@ -122,11 +126,11 @@ pub(crate) struct PoolState {
     idle: ParkLot,
     /// `run` waits here for region completion.
     done: ParkLot,
-    /// Nanoseconds workers spent parked waiting for a region to open,
-    /// across all workers and regions — the `cause="pool_park"` idle
-    /// slice. counter-only: a cumulative tally whose value is the
-    /// entire payload.
-    park_ns: AtomicU64,
+    /// Per rank, nanoseconds its worker spent parked waiting for a region
+    /// to open — the `cause="pool_park"` idle slices. Only that worker
+    /// writes a slot; rank 0's, the caller's, stays 0. counter-only: a
+    /// cumulative tally whose value is the entire payload.
+    park_ns: Box<[AtomicU64]>,
 }
 
 /// What one [`PoolState::worker_step`] did.
@@ -141,7 +145,7 @@ pub(crate) enum WorkerStep {
 }
 
 impl PoolState {
-    fn new() -> Self {
+    fn new(threads: usize) -> Self {
         PoolState {
             job_seq: AtomicU64::new(0),
             job: JobCell(UnsafeCell::new(None)),
@@ -151,12 +155,13 @@ impl PoolState {
             shutdown: AtomicBool::new(false),
             idle: ParkLot::new(),
             done: ParkLot::new(),
-            park_ns: AtomicU64::new(0),
+            park_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Protocol steps 1–2: resets the region accounting for `threads`
-    /// workers, installs `job` and publishes region `seq`.
+    /// Protocol steps 1–2: resets the region accounting for `workers`
+    /// workers, installs `job` and publishes region `seq` (closes it,
+    /// with no worker).
     ///
     /// # Safety
     ///
@@ -168,13 +173,18 @@ impl PoolState {
     // the region closes, `RegionDriver` by asserting it and by borrowing
     // the closure for its own lifetime.
     #[inline]
-    unsafe fn publish(&self, seq: u64, threads: usize, job: ErasedJob) {
+    unsafe fn publish(&self, seq: u64, workers: usize, job: ErasedJob) {
         // ORDERING: synchronizing via the spine, not locally — these
         // Relaxed resets are ordered before any worker activity of this
         // region by the SeqCst `job_seq` publication below (workers only
-        // act after observing the epoch bump).
+        // act after observing the epoch bump), and before the caller's
+        // share by program order.
         self.panics.store(0, Ordering::Relaxed);
-        self.remaining.store(threads, Ordering::Relaxed);
+        self.remaining.store(workers, Ordering::Relaxed);
+        if workers == 0 {
+            self.done_seq.store(seq, Ordering::SeqCst);
+            return;
+        }
         // SAFETY: the pool is quiescent (protocol step 1) — no worker
         // reads the cell until the `job_seq` store below.
         unsafe { *self.job.0.get() = Some(job) };
@@ -189,7 +199,7 @@ impl PoolState {
     }
 
     /// Protocol step 4, after [`PoolState::is_closed`] held: how many
-    /// workers panicked in the region just closed.
+    /// ranks panicked in the region just closed.
     #[inline]
     fn close(&self, seq: u64) -> usize {
         debug_assert!(
@@ -214,9 +224,9 @@ impl PoolState {
         if self.shutdown.load(Ordering::SeqCst) {
             return WorkerStep::Shutdown;
         }
-        // `job_seq` can only have advanced by exactly one: the next
-        // region is not published until every worker (us included)
-        // completed the previous one.
+        // `job_seq` can only have advanced to the next published region:
+        // it is not published until every worker (us included) completed
+        // the previous one.
         let seq = self.job_seq.load(Ordering::SeqCst);
         if seq == *last_seq {
             return WorkerStep::Idle;
@@ -229,9 +239,7 @@ impl PoolState {
         // epoch; it stays valid until our `remaining` decrement below,
         // which is the last thing this step does with it.
         let f = unsafe { &*job.ptr };
-        if std::panic::catch_unwind(AssertUnwindSafe(|| f(rank))).is_err() {
-            self.panics.fetch_add(1, Ordering::SeqCst);
-        }
+        self.run_share(f, rank);
         // ORDERING: synchronizing. AcqRel makes each worker's closure
         // effects visible to whichever worker decrements last (Acquire
         // pairs with every earlier Release decrement), and that last
@@ -244,6 +252,13 @@ impl PoolState {
         WorkerStep::Ran
     }
 
+    /// Runs `rank`'s share of the open region, counting its panic.
+    pub(crate) fn run_share(&self, f: &(dyn Fn(usize) + Sync), rank: usize) {
+        if std::panic::catch_unwind(AssertUnwindSafe(|| f(rank))).is_err() {
+            self.panics.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     /// Tells every worker to exit.
     pub(crate) fn shut_down(&self) {
         // SeqCst store before notify: a worker is either spinning (sees
@@ -252,49 +267,47 @@ impl PoolState {
         self.shutdown.store(true, Ordering::SeqCst);
         self.idle.notify();
     }
-
-    fn record_wait(&self, park_ns: u64) {
-        // ORDERING: counter-only. The total feeds the idle report;
-        // nothing synchronizes on it, so a Relaxed increment suffices
-        // (monotonicity is all the reader relies on).
-        if park_ns > 0 {
-            self.park_ns.fetch_add(park_ns, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A fixed-size pool of persistent worker threads.
 pub struct WorkerPool {
     state: Arc<PoolState>,
     handles: Vec<JoinHandle<()>>,
-    threads: usize,
     /// Logical width: how many ranks a region dispatches work to.
-    /// Always `1..=threads`; ranks `>= width` still wake for the epoch
+    /// Always `1..=threads()`; ranks `>= width` still wake for the epoch
     /// (the `remaining` accounting covers every worker) but return
     /// immediately, so one pool can serve jobs narrower than itself —
     /// the property `PoolMux` leases rely on.
     width: usize,
     next_seq: u64,
+    /// Each rank's `park_ns` tally at the last [`WorkerPool::park_ns`].
+    parked: Vec<u64>,
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `threads` workers (ranks `0..threads`).
-    /// If the spawner's affinity set has 2 or more CPUs and at least
-    /// `threads`, each worker first binds to its own CPU of the set.
+    /// Spawns the `threads − 1` workers of a `threads`-rank pool (ranks
+    /// `1..threads`; the caller is rank 0). If the spawner's affinity set
+    /// has 2 or more CPUs and at least `threads`, each worker first binds
+    /// to its own CPU of the set but the caller's, which stays unbound.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "a pool needs at least one worker");
         // ORDERING: counter-only, the number only rotates placement.
         let number = POOLS.fetch_add(1, Ordering::Relaxed);
-        let cpus = affinity::plan(number, threads, &affinity::allowed());
+        let (allowed, workers) = (affinity::allowed(), threads - 1);
+        let cpus = affinity::plan(number, threads, &allowed);
         match &cpus {
-            Ok(cpus) => ezp_debug!("sched", "pool {number}: {threads} workers on cpus {cpus:?}"),
-            Err(why) => ezp_debug!("sched", "pool {number}: {threads} workers unbound: {why}"),
+            Ok(cpus) => ezp_debug!(
+                "sched",
+                "pool {number}: caller on cpu {}, {workers} worker(s) on cpus {cpus:?}",
+                allowed[0]
+            ),
+            Err(why) => ezp_debug!("sched", "pool {number}: {workers} worker(s) unbound: {why}"),
         }
-        let state = Arc::new(PoolState::new());
-        let handles = (0..threads)
+        let state = Arc::new(PoolState::new(threads));
+        let handles = (1..threads)
             .map(|rank| {
                 let state = state.clone();
-                let cpu = cpus.as_ref().ok().map(|cpus| cpus[rank]);
+                let cpu = cpus.as_ref().ok().map(|cpus| cpus[rank - 1]);
                 std::thread::Builder::new()
                     .name(format!("ezp-worker-{rank}"))
                     .spawn(move || {
@@ -309,15 +322,15 @@ impl WorkerPool {
         WorkerPool {
             state,
             handles,
-            threads,
             width: threads,
             next_seq: 0,
+            parked: vec![0; threads],
         }
     }
 
-    /// Number of workers.
+    /// Number of ranks: the caller and its workers.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.handles.len() + 1
     }
 
     /// Logical width: the number of ranks [`WorkerPool::run`] hands work
@@ -335,7 +348,7 @@ impl WorkerPool {
     /// size their dispensers off the pool must read
     /// [`WorkerPool::width`], not [`WorkerPool::threads`].
     pub fn set_width(&mut self, n: usize) {
-        self.width = n.clamp(1, self.threads);
+        self.width = n.clamp(1, self.threads());
     }
 
     /// Number of parallel regions this pool has executed — a cheap
@@ -345,50 +358,51 @@ impl WorkerPool {
         self.next_seq
     }
 
-    /// Nanoseconds the workers have spent parked waiting for a region
-    /// to open, over all workers and regions so far. The delta across a
-    /// region is what launching it blocked; the caller's wait for the
-    /// region to close is not in it.
-    pub(crate) fn park_ns(&self) -> u64 {
-        // ORDERING: counter-only load of the Relaxed total (approximate
-        // while a region is in flight; read between regions here).
-        self.state.park_ns.load(Ordering::Relaxed)
-    }
-
-    /// Runs one parallel region: every rank `< width()` executes
-    /// `f(rank)` exactly once; returns when all workers are done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any worker panicked inside `f` (after the region has
-    /// fully completed, so the pool stays usable).
-    pub fn run(&mut self, f: impl Fn(usize) + Sync) {
-        if self.width == self.threads {
-            self.dispatch(&f);
-        } else {
-            let width = self.width;
-            self.dispatch(&|rank| {
-                if rank < width {
-                    f(rank);
-                }
-            });
+    /// Calls `each(rank, ns)` with the nanoseconds each rank spent
+    /// parked waiting for a region to open since the last call. The
+    /// caller's wait for a region to close is not in it.
+    pub(crate) fn park_ns(&mut self, mut each: impl FnMut(usize, u64)) {
+        for (rank, seen) in self.parked.iter_mut().enumerate() {
+            // ORDERING: counter-only load of a Relaxed tally, read
+            // between regions, when no worker writes it.
+            let now = self.state.park_ns[rank].load(Ordering::Relaxed);
+            each(rank, now - std::mem::replace(seen, now));
         }
     }
 
+    /// Runs one parallel region: every rank `< width()` executes
+    /// `f(rank)` exactly once; returns when all ranks are done.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any rank panicked inside `f` (after the region has
+    /// fully completed, so the pool stays usable).
+    pub fn run(&mut self, f: impl Fn(usize) + Sync) {
+        let width = self.width;
+        self.dispatch(&|rank| {
+            if rank < width {
+                f(rank);
+            }
+        });
+    }
+
     /// Dispatches one epoch to every worker (the full seqlock protocol;
-    /// see the module docs). Width limiting happens in `run` —
-    /// this layer always involves all `threads` workers so `remaining`
-    /// accounting stays uniform.
+    /// see the module docs) and runs rank 0 on the caller. Width limiting
+    /// happens in `run` — this layer involves all workers so `remaining`
+    /// accounting stays uniform, or none for a region of width 1.
     fn dispatch(&mut self, f: &(dyn Fn(usize) + Sync)) {
         self.next_seq += 1;
         let seq = self.next_seq;
         let state = &*self.state;
+        let workers = self.handles.len() * usize::from(self.width > 1);
         // SAFETY: quiescent — the previous `dispatch` returned only
         // after `is_closed` held for its region. The closure outlives
         // every dereference because `f` lives in the caller's frame and
         // this function blocks until `done_seq == seq` (protocol step
-        // 4), which happens-after the last worker's use of the pointer.
-        unsafe { state.publish(seq, self.threads, ErasedJob::erase(f)) };
+        // 4), which happens-after the last worker's use of the pointer
+        // (`run_share` catches the caller's panic before that wait).
+        unsafe { state.publish(seq, workers, ErasedJob::erase(f)) };
+        state.run_share(f, 0);
         // Wait for completion: spin, then park on the done lot. This
         // wait is the region's own wall time, not an idle slice of any
         // rank, so `park_ns` does not count it.
@@ -413,7 +427,11 @@ fn worker_loop(rank: usize, state: Arc<PoolState>) {
     let mut last_seq = 0u64;
     loop {
         // Wait for a region newer than the last one we ran, or shutdown.
-        state.record_wait(state.idle.wait_until(|| state.has_work(last_seq)));
+        let parked = state.idle.wait_until(|| state.has_work(last_seq));
+        if parked > 0 {
+            // ORDERING: counter-only; only the caller reads the slot.
+            state.park_ns[rank].fetch_add(parked, Ordering::Relaxed);
+        }
         if state.worker_step(rank, &mut last_seq) == WorkerStep::Shutdown {
             return;
         }
@@ -427,7 +445,7 @@ fn worker_loop(rank: usize, state: Arc<PoolState>) {
 /// what makes [`RegionDriver::publish`] safe to call.
 #[cfg(any(test, feature = "ezp-check"))]
 pub(crate) struct RegionDriver<'f> {
-    /// The worker-side steps are called on this directly.
+    /// The ranks' steps are called on this directly.
     pub(crate) state: PoolState,
     threads: usize,
     seq: u64,
@@ -438,7 +456,7 @@ pub(crate) struct RegionDriver<'f> {
 impl<'f> RegionDriver<'f> {
     pub(crate) fn new(threads: usize, f: &'f (dyn Fn(usize) + Sync)) -> Self {
         RegionDriver {
-            state: PoolState::new(),
+            state: PoolState::new(threads),
             threads,
             seq: 0,
             f,
@@ -453,7 +471,7 @@ impl<'f> RegionDriver<'f> {
         // outlives `self` (`'f`), the only handle a step can run it by.
         unsafe {
             self.state
-                .publish(self.seq, self.threads, ErasedJob::erase(self.f))
+                .publish(self.seq, self.threads - 1, ErasedJob::erase(self.f))
         };
         self.seq
     }
@@ -602,6 +620,60 @@ mod tests {
     }
 
     #[test]
+    fn the_callers_panic_surfaces_after_the_workers_finish() {
+        // rank 0 (the caller) panics at once while rank 1 is still
+        // running: the panic surfaces only once rank 1's write is
+        // visible, and the pool runs the next region
+        let mut pool = WorkerPool::new(2);
+        let written = AtomicU64::new(0);
+        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(|rank| {
+                if rank == 0 {
+                    std::panic::resume_unwind(Box::new("caller"));
+                }
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                written.store(1, Ordering::Relaxed);
+            });
+        }));
+        let msg = *res.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.starts_with("1 worker(s) panicked"), "got: {msg}");
+        assert_eq!(written.load(Ordering::Relaxed), 1, "rank 1 still running");
+        pool.run(|rank| {
+            written.fetch_add(rank as u64 + 1, Ordering::Relaxed);
+        });
+        assert_eq!(written.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_width_one_region_runs_on_the_caller_and_publishes_nothing() {
+        assert!(
+            WorkerPool::new(1).handles.is_empty(),
+            "a width-1 pool spawned"
+        );
+        let mut pool = WorkerPool::new(3);
+        pool.set_width(1);
+        let caller = std::thread::current().id();
+        let count = AtomicU64::new(0);
+        pool.run(|rank| {
+            assert_eq!((rank, std::thread::current().id()), (0, caller));
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.state.job_seq.load(Ordering::SeqCst), 0, "published");
+        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(|_| std::panic::resume_unwind(Box::new("alone")));
+        }));
+        let msg = *res.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(msg, "1 worker(s) panicked in parallel region 2");
+        // the next published region sees none of it
+        pool.set_width(3);
+        pool.run(|_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
     fn multiple_panics_in_one_region_are_all_counted() {
         let mut pool = WorkerPool::new(4);
         let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -642,31 +714,32 @@ mod tests {
         let body = |_: usize| {
             runs.fetch_add(1, Ordering::Relaxed);
         };
-        let mut pool = RegionDriver::new(2, &body);
-        let mut last = [0u64; 2];
+        // ranks 1 and 2 are the workers; rank 0, the caller, does not step
+        let mut pool = RegionDriver::new(3, &body);
+        let mut last = [0u64; 3];
         // nothing published yet
-        assert!(!pool.state.has_work(last[0]));
-        assert_eq!(pool.state.worker_step(0, &mut last[0]), WorkerStep::Idle);
-        assert_eq!((last[0], runs.load(Ordering::Relaxed)), (0, 0));
+        assert!(!pool.state.has_work(last[1]));
+        assert_eq!(pool.state.worker_step(1, &mut last[1]), WorkerStep::Idle);
+        assert_eq!((last[1], runs.load(Ordering::Relaxed)), (0, 0));
 
         assert_eq!(pool.publish(), 1);
-        assert_eq!(pool.state.worker_step(0, &mut last[0]), WorkerStep::Ran);
-        // a second step in the same epoch neither reruns the body nor
-        // decrements `remaining` again: the region stays open for rank 1
-        assert!(!pool.state.has_work(last[0]));
-        assert_eq!(pool.state.worker_step(0, &mut last[0]), WorkerStep::Idle);
-        assert_eq!((last[0], runs.load(Ordering::Relaxed)), (1, 1));
-        assert!(!pool.is_closed(), "an idle step closed the region");
         assert_eq!(pool.state.worker_step(1, &mut last[1]), WorkerStep::Ran);
-        assert!(pool.is_closed());
+        // a second step in the same epoch neither reruns the body nor
+        // decrements `remaining` again: the region stays open for rank 2
+        assert!(!pool.state.has_work(last[1]));
+        assert_eq!(pool.state.worker_step(1, &mut last[1]), WorkerStep::Idle);
+        assert_eq!((last[1], runs.load(Ordering::Relaxed)), (1, 1));
+        assert!(!pool.is_closed(), "an idle step closed the region");
+        assert_eq!(pool.state.worker_step(2, &mut last[2]), WorkerStep::Ran);
+        assert!(pool.is_closed(), "the caller's share is not in `remaining`");
 
         pool.state.shut_down();
         assert!(
-            pool.state.has_work(last[0]),
+            pool.state.has_work(last[1]),
             "shutdown must end a worker's wait"
         );
         assert_eq!(
-            pool.state.worker_step(0, &mut last[0]),
+            pool.state.worker_step(1, &mut last[1]),
             WorkerStep::Shutdown
         );
         assert_eq!(runs.load(Ordering::Relaxed), 2);
@@ -674,8 +747,9 @@ mod tests {
 
     #[test]
     fn close_reads_the_panic_count_of_exactly_the_region_it_published() {
-        // ranks 0 and 2 panic in region 1, nobody in region 2, rank 1
-        // in region 3 (resume_unwind: a panic without the hook's noise)
+        // ranks 0 (the caller) and 2 panic in region 1, nobody in region
+        // 2, rank 1 in region 3 (resume_unwind: a panic without the
+        // hook's noise)
         let region = AtomicU64::new(0);
         let body = |rank: usize| {
             let panics = match region.load(Ordering::Relaxed) {
@@ -694,10 +768,12 @@ mod tests {
             region.store(pool.publish(), Ordering::Relaxed);
             for rank in [2, 0, 1] {
                 assert!(!pool.is_closed(), "closed with rank {rank} still to run");
-                assert_eq!(
-                    pool.state.worker_step(rank, &mut last[rank]),
-                    WorkerStep::Ran
-                );
+                if rank == 0 {
+                    pool.state.run_share(&body, 0);
+                } else {
+                    let step = pool.state.worker_step(rank, &mut last[rank]);
+                    assert_eq!(step, WorkerStep::Ran);
+                }
             }
             assert!(pool.is_closed());
             observed.push(pool.close());
@@ -705,27 +781,75 @@ mod tests {
         assert_eq!(observed, vec![2, 0, 1]);
     }
 
-    #[test]
-    fn a_region_after_a_pause_records_the_workers_park() {
-        // a waiter parks once its spin phase runs out; wait (bounded)
-        // until both workers are registered as parked, so the next
-        // region must wake them. A worker records its wait before it
-        // runs the region, so the total is final by the time `run`
-        // returns.
-        let mut pool = WorkerPool::new(2);
+    /// Runs one region through `run` once every worker (`threads − 1`)
+    /// of `pool` is parked, and returns what `park_ns` has left to
+    /// report per rank after it. A waiter parks once its spin phase runs
+    /// out; the wait for that is bounded. A worker records its wait
+    /// before it runs the region, so its tally is final when `run` ends.
+    fn after_a_pause(pool: &mut WorkerPool, run: impl FnOnce(&mut WorkerPool)) -> Vec<u64> {
         pool.run(|_| {});
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while pool.state.idle.sleepers() < 2 {
+        while pool.state.idle.sleepers() < pool.threads() - 1 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "the workers never parked"
             );
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let before = pool.park_ns();
-        pool.run(|_| {});
-        let parked = pool.park_ns() > before;
-        assert!(parked, "no region after a pause found a parked worker");
+        pool.park_ns(|_, _| {});
+        run(pool);
+        let mut parked = vec![0; pool.threads()];
+        pool.park_ns(|rank, ns| parked[rank] = ns);
+        parked
+    }
+
+    #[test]
+    fn a_region_after_a_pause_records_the_workers_park() {
+        let parked = after_a_pause(&mut WorkerPool::new(2), |pool| pool.run(|_| {}));
+        assert_eq!(parked[0], 0, "the caller never waits for a region to open");
+        assert!(
+            parked[1] > 0,
+            "no region after a pause found a parked worker"
+        );
+    }
+
+    #[test]
+    fn a_probed_region_after_a_pause_books_each_workers_park_on_its_rank() {
+        use crate::parallel::run_region_probed;
+        use ezp_core::kernel::{IdleCause, Probe, RuntimeEvent};
+        use ezp_core::WorkerId;
+        /// Sums the `pool_park` idle slices reported to it, per rank.
+        struct Parks([AtomicU64; 3]);
+        impl Probe for Parks {
+            fn wants_runtime_events(&self) -> bool {
+                true
+            }
+            fn runtime_event(&self, rank: WorkerId, event: RuntimeEvent) {
+                if let RuntimeEvent::IdleNs {
+                    ns,
+                    cause: IdleCause::PoolPark,
+                } = event
+                {
+                    self.0[rank].fetch_add(ns, Ordering::Relaxed);
+                }
+            }
+        }
+        let probe = Parks([const { AtomicU64::new(0) }; 3]);
+        let left = after_a_pause(&mut WorkerPool::new(3), |pool| {
+            run_region_probed(pool, &probe, true, |_| {});
+        });
+        let booked: Vec<u64> = probe
+            .0
+            .iter()
+            .map(|ns| ns.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(booked[0], 0, "pool_park booked on the caller");
+        assert!(
+            booked[1] > 0 && booked[2] > 0,
+            "a parked worker booked none: {booked:?}"
+        );
+        // the probed region took its deltas: nothing is left to report
+        assert_eq!(left, vec![0; 3]);
     }
 
     #[test]

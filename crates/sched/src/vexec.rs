@@ -18,7 +18,7 @@
 //! | [`virtual_drain`] / [`virtual_for_range`] / [`virtual_for_tiles`] | [`Dispenser::next`] of every source |
 //! | [`virtual_deque_taskgraph`] | `taskgraph::GraphRun::step` — the body of [`TaskGraph::run_probed`] |
 //! | [`virtual_pipeline`] | the same step over [`PipeShape::graph`], plus [`EmitTracker::complete`] |
-//! | [`virtual_region_protocol`] | `pool::PoolState::{publish, close, worker_step}` — the pool's epoch protocol |
+//! | [`virtual_region_protocol`] | `pool::PoolState::{publish, run_share, close, worker_step}` — the pool's epoch protocol |
 //!
 //! ([`virtual_taskgraph`] is the one abstract executor: it explores the
 //! *valid topological orders* of a graph for the shadow-write detector,
@@ -304,20 +304,20 @@ pub fn virtual_pipeline(
 }
 
 /// The pool's epoch protocol (`pool.rs`) under an explicit
-/// interleaving: one master and `workers` logical workers, each taking
-/// the production step a real thread takes between its waits — the
-/// master `publish`, then (once the region is closed) `close`; a worker
-/// `worker_step`. Waiting is leaving the runnable set until the
-/// thread's own wait condition holds, so unfair strategies
-/// (steal-heavy, starve-one) cannot spin on an idle actor, and a
-/// condition nobody makes true surfaces as non-termination with work
-/// outstanding.
+/// interleaving: a master, rank 0, and `threads − 1` logical workers,
+/// each taking the production step a real thread takes between its
+/// waits — the master `publish`, its own share (`run_share` of rank 0),
+/// then (once the region is closed) `close`; a worker `worker_step`.
+/// Waiting is leaving the runnable set until the thread's own wait
+/// condition holds, so unfair strategies (steal-heavy, starve-one)
+/// cannot spin on an idle actor, and a condition nobody makes true
+/// surfaces as non-termination with work outstanding.
 ///
 /// `panic_plan(seq, rank)` says whether `rank`'s body panics in region
 /// `seq` (1-based). For every region the executor asserts what the
 /// threaded implementation's soundness comment claims:
 ///
-/// * the master observes completion only after *every* worker ran that
+/// * the master observes completion only after *every* rank ran that
 ///   exact region (no early unblock, no lost worker);
 /// * the panic count the master reads equals the plan's count for that
 ///   region — never a leftover from region N-1 (the S1 regression);
@@ -325,18 +325,18 @@ pub fn virtual_pipeline(
 ///   including ones still parked (the shutdown-during-park schedule).
 ///
 /// Returns the per-region panic counts the master observed. Build
-/// `strategy` for `workers + 1` actors (the master is the last).
+/// `strategy` for `threads` actors: actor `r` is rank `r`.
 pub fn virtual_region_protocol(
     regions: u64,
-    workers: usize,
+    threads: usize,
     panic_plan: impl Fn(u64, WorkerId) -> bool + Sync,
     strategy: &mut dyn Interleave,
 ) -> Vec<usize> {
-    assert!(workers > 0, "virtual execution needs at least one worker");
+    assert!(threads > 0, "virtual execution needs at least one rank");
     // What the body sees: the region the master last published, and how
     // often each rank ran since then.
     let region = AtomicU64::new(0);
-    let ran: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+    let ran: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let body = |rank: WorkerId| {
         ran[rank].fetch_add(1, Ordering::SeqCst);
         if panic_plan(region.load(Ordering::SeqCst), rank) {
@@ -345,25 +345,25 @@ pub fn virtual_region_protocol(
             std::panic::resume_unwind(Box::new("planned panic"));
         }
     };
-    let mut pool = RegionDriver::new(workers, &body);
-    let mut last_seq = vec![0u64; workers];
-    let mut exited = vec![false; workers];
-    // Master: between publish and close / after shutting the pool down.
-    let (mut waiting, mut master_exited) = (false, false);
+    let mut pool = RegionDriver::new(threads, &body);
+    let mut last_seq = vec![0u64; threads];
+    let mut exited = vec![false; threads];
+    // Master: between publish and close / after its own share.
+    let (mut published, mut shared) = (false, false);
     let mut observed = Vec::new();
 
-    // Slot `workers` is the master; workers are 0..workers. An actor is
-    // runnable when the wait a real thread sits in would return.
-    let mut runnable = vec![true; workers + 1];
+    // Actor `r` is rank `r`, the master 0. An actor is runnable when the
+    // wait a real thread sits in would return.
+    let mut runnable = vec![true; threads];
     loop {
-        for w in 0..workers {
+        runnable[0] = !exited[0] && (!shared || pool.is_closed());
+        for w in 1..threads {
             runnable[w] = !exited[w] && pool.state.has_work(last_seq[w]);
         }
-        runnable[workers] = !master_exited && (!waiting || pool.is_closed());
         let Some(actor) = strategy.next_worker(&runnable) else {
             break;
         };
-        if actor < workers {
+        if actor > 0 {
             match pool.state.worker_step(actor, &mut last_seq[actor]) {
                 WorkerStep::Ran => assert_eq!(
                     last_seq[actor],
@@ -373,32 +373,30 @@ pub fn virtual_region_protocol(
                 WorkerStep::Idle => unreachable!("worker {actor} woke without work"),
                 WorkerStep::Shutdown => exited[actor] = true,
             }
-        } else if waiting {
+        } else if published && !shared {
+            pool.state.run_share(&body, 0);
+            shared = true;
+        } else if shared {
             let seq = region.load(Ordering::SeqCst);
-            for (w, r) in ran.iter().enumerate() {
-                let r = r.swap(0, Ordering::SeqCst);
-                assert_eq!(
-                    r, 1,
-                    "master unblocked while worker {w} ran region {seq} {r} times"
-                );
-            }
+            let runs: Vec<u64> = ran.iter().map(|r| r.swap(0, Ordering::SeqCst)).collect();
+            assert_eq!(runs, vec![1; threads], "master unblocked in region {seq}");
             let panics = pool.close();
-            let expected = (0..workers).filter(|&w| panic_plan(seq, w)).count();
+            let expected = (0..threads).filter(|&r| panic_plan(seq, r)).count();
             assert_eq!(
                 panics, expected,
                 "region {seq}: master read a stale panic count"
             );
             observed.push(panics);
-            waiting = false;
+            (published, shared) = (false, false);
         } else if (observed.len() as u64) < regions {
             region.store(observed.len() as u64 + 1, Ordering::SeqCst);
             assert_eq!(pool.publish(), region.load(Ordering::SeqCst));
-            waiting = true;
+            published = true;
         } else {
             // all regions observed: shut down and exit (Drop joins,
             // which the end-state assertion below stands in for)
             pool.state.shut_down();
-            master_exited = true;
+            exited[0] = true;
         }
     }
     assert!(
@@ -650,8 +648,9 @@ mod tests {
 
     #[test]
     fn region_protocol_counts_panics_per_region_for_all_strategies() {
-        // Region 1 has two planned panics, region 2 none, region 3 one:
-        // a stale read (the S1 bug) shows up as region 2 observing 2.
+        // Region 1 has two planned panics (the master's own share among
+        // them), region 2 none, region 3 one: a stale read (the S1 bug)
+        // shows up as region 2 observing 2.
         let plan = |seq: u64, rank: WorkerId| match seq {
             1 => rank == 0 || rank == 2,
             3 => rank == 1,
@@ -659,8 +658,8 @@ mod tests {
         };
         for kind in StrategyKind::all() {
             for seed in 0..8u64 {
-                // Model actors = workers + master, so build for workers+1.
-                let mut s = kind.build(seed, 4);
+                // One actor per rank, the master as rank 0.
+                let mut s = kind.build(seed, 3);
                 let observed = virtual_region_protocol(3, 3, plan, &mut *s);
                 assert_eq!(
                     observed,

@@ -264,34 +264,38 @@ fn deque_steal_path_conforms_under_every_strategy() {
 }
 
 /// The pool's atomic region protocol under every interleaving family:
-/// `virtual_region_protocol` drives `pool.rs`'s own publish / close /
-/// worker steps and asserts no early unblock,
+/// `virtual_region_protocol` drives `pool.rs`'s own publish / caller
+/// share / close / worker steps and asserts no early unblock,
 /// exact per-region panic attribution (the S1 regression class), and
 /// shutdown reaching parked workers. Here we sweep strategies, seeds
 /// and panic plans; the per-region counts the master observes must
 /// match the plan under every schedule.
 #[test]
 fn region_protocol_conforms_under_every_strategy() {
-    // (name, plan): which ranks panic in which 1-based region.
+    // (name, plan): which ranks panic in which 1-based region. Rank 0
+    // is the master's own share, so every plan but "clean" and
+    // "workers-only" panics on the caller too.
     type Plan = fn(u64, usize) -> bool;
-    let plans: [(&str, Plan); 3] = [
+    let plans: [(&str, Plan); 4] = [
         ("clean", |_, _| false),
         ("one-per-odd-region", |seq, rank| seq % 2 == 1 && rank == 0),
         ("burst-then-silent", |seq, rank| seq == 1 && rank != 1),
+        ("workers-only", |seq, rank| seq != 2 && rank > 0),
     ];
     for (name, plan) in plans {
         for kind in StrategyKind::all() {
             for seed in 0..8u64 {
-                for workers in [1usize, 3, 4] {
-                    // Actors = workers + the master slot.
-                    let mut strategy = kind.build(seed, workers + 1);
-                    let observed = virtual_region_protocol(4, workers, plan, &mut *strategy);
+                // 1: the caller alone, publishing to nobody
+                for threads in [1usize, 2, 3, 4] {
+                    // One actor per rank, the master as rank 0.
+                    let mut strategy = kind.build(seed, threads);
+                    let observed = virtual_region_protocol(4, threads, plan, &mut *strategy);
                     let expected: Vec<usize> = (1..=4u64)
-                        .map(|seq| (0..workers).filter(|&w| plan(seq, w)).count())
+                        .map(|seq| (0..threads).filter(|&r| plan(seq, r)).count())
                         .collect();
                     assert_eq!(
                         observed, expected,
-                        "plan {name}, {kind:?} seed {seed} workers {workers}"
+                        "plan {name}, {kind:?} seed {seed} threads {threads}"
                     );
                 }
             }
